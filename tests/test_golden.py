@@ -1,0 +1,46 @@
+"""`analyze --json` pinned byte for byte across refactors.
+
+`golden/analyze/<name>.json` is the expected stdout for each catalog entry
+and for each document in `golden/inputs/` (dim-6 instances written with
+`inputdoc.emit_document`: flat split Lorentzian, flat class C, flat
+Riemannian, non-flat Lorentzian).  Regenerate a file only when the report
+is meant to change:
+
+    PYTHONPATH=src python -m flatlie.cli analyze --json -i DOC > tests/golden/analyze/NAME.json
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from flatlie import catalog
+from flatlie.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = sorted(p.stem for p in (GOLDEN / "inputs").glob("*.json"))
+
+
+def _analyze(capsys, path) -> str:
+    assert main(["analyze", "--json", "-i", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def _expected(name: str) -> str:
+    return (GOLDEN / "analyze" / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_golden_inputs_present():
+    assert len(INPUTS) == 4
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_catalog_analyze_json_matches_golden(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(catalog.get(name).document))
+    assert _analyze(capsys, path) == _expected(name)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_input_analyze_json_matches_golden(capsys, name):
+    assert _analyze(capsys, GOLDEN / "inputs" / f"{name}.json") == _expected(name)
