@@ -17,7 +17,6 @@ from .classc import theorem2_check
 from .errors import (
     FlatLieError,
     HypothesisNotMetError,
-    NotClassCError,
     NotLorentzianError,
     ParseError,
 )
@@ -179,12 +178,7 @@ def cmd_theorem1(args) -> int:
 def cmd_theorem2(args) -> int:
     m = _read_input(args.input)
     r = theorem2_check(m)
-    section = {
-        "degenerate_restriction": r.degenerate_restriction,
-        "radical_dim": r.radical_dim,
-        "flat": r.flat,
-        "equivalent": r.equivalent,
-    }
+    section = report.theorem2_json(r)
     if args.json:
         print(json.dumps(section, indent=2))
     else:
@@ -204,10 +198,7 @@ def cmd_companion(args) -> int:
     except HypothesisNotMetError as exc:
         print(f"no companion: {exc}", file=sys.stderr)
         return 1
-    section = {
-        "gram": report.mat_json(companion.gram),
-        "same_connection": theorems.same_connection(m, companion),
-    }
+    section = report.companion_json(m, companion)
     if args.json:
         print(json.dumps(section, indent=2))
     else:
@@ -273,13 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (NotLorentzianError, NotClassCError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FlatLieError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FlatLieError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

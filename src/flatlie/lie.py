@@ -7,8 +7,9 @@ downstream may assume a genuine Lie algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -16,6 +17,22 @@ from .errors import AntisymmetryError, JacobiError, SingularMatrixError
 from .linalg import Mat, Subspace, Vec, ZERO, frac
 
 Tensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
+
+
+def memoized(fn):
+    """Store fn(obj) in obj._memo, so it is computed at most once per
+    instance.  The value must be immutable: it is shared by every caller."""
+
+    key = f"{fn.__module__}.{fn.__qualname__}"  # a string keeps instances picklable
+
+    @wraps(fn)
+    def wrapper(obj):
+        memo = obj._memo
+        if key not in memo:
+            memo[key] = fn(obj)
+        return memo[key]
+
+    return wrapper
 
 
 def _freeze(c: Sequence[Sequence[Sequence]]) -> Tensor:
@@ -27,6 +44,7 @@ class LieAlgebra:
     dim: int
     c: Tensor
     labels: tuple[str, ...] | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dim
@@ -117,6 +135,7 @@ class LieAlgebra:
                             A[k][j] += xi * row[k]
         return A
 
+    @memoized
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of all basis brackets."""
         vectors = [list(self.c[i][j]) for i in range(self.dim) for j in range(i + 1, self.dim)]

@@ -178,28 +178,6 @@ def det(A: Sequence[Sequence[Fraction]]) -> Fraction:
     return d
 
 
-def solve(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
-    """Unique solution of A x = b for square invertible A."""
-    n = len(A)
-    M = [list(row) + [bi] for row, bi in zip(A, b)]
-    for i in range(n):
-        p = next((r for r in range(i, n) if M[r][i] != 0), None)
-        if p is None:
-            raise SingularMatrixError("linear system has no unique solution")
-        if p != i:
-            M[i], M[p] = M[p], M[i]
-        pv = M[i][i]
-        for r in range(i + 1, n):
-            if M[r][i] != 0:
-                f = M[r][i] / pv
-                M[r] = [x - f * y for x, y in zip(M[r], M[i])]
-    x = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        s = M[i][n] - sum((M[i][j] * x[j] for j in range(i + 1, n) if M[i][j]), ZERO)
-        x[i] = s / M[i][i]
-    return x
-
-
 def inverse(A: Sequence[Sequence[Fraction]]) -> Mat:
     n = len(A)
     M = [list(row) + irow for row, irow in zip(A, identity(n))]
@@ -291,13 +269,6 @@ def signature(S: Sequence[Sequence[Fraction]]) -> Signature:
         n_minus=sum(1 for x in d if x < 0),
         n_zero=sum(1 for x in d if x == 0),
     )
-
-
-def adjoint(M: Sequence[Sequence[Fraction]], G: Sequence[Sequence[Fraction]]) -> Mat:
-    """Adjoint M* = G^-1 M^T G, i.e. <M x, y> = <x, M* y> for the form G."""
-    if det(G) == 0:
-        raise DegenerateFormError("adjoint requires a nondegenerate form")
-    return mat_mul(inverse(G), mat_mul(transpose(M), G))
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ basis pairs with exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
 from .errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
-from .lie import LieAlgebra
+from .lie import LieAlgebra, memoized
 from .linalg import Mat, Signature, Subspace, Vec, ZERO, frac
 
 
@@ -31,6 +30,7 @@ class MetricLieAlgebra:
     algebra: LieAlgebra
     gram: tuple[tuple[Fraction, ...], ...]
     signature: Signature = None  # type: ignore[assignment]  # computed below
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.algebra.dim
@@ -110,11 +110,17 @@ class CurvatureVerdict:
     witness: tuple[int, int, tuple[tuple[Fraction, ...], ...]] | None = None
 
 
-@lru_cache(maxsize=512)
+@memoized
+def gram_inverse(m: MetricLieAlgebra) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(row) for row in linalg.inverse(m.gram))
+
+
+@memoized
 def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
     """Solve the defining linear system of the product, pair by pair."""
     n = m.dim
-    G = m.gram_rows()
+    G = m.gram
+    Ginv = gram_inverse(m)
     c = m.algebra.c
 
     def pair_with_basis(v: Sequence[Fraction], k: int) -> Fraction:
@@ -129,7 +135,7 @@ def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
                 / 2
                 for k in range(n)
             ]
-            plane.append(tuple(linalg.solve(G, rhs)))
+            plane.append(tuple(linalg.mat_vec(Ginv, rhs)))
         p.append(tuple(plane))
     return LeviCivitaProduct(n, tuple(p))
 
@@ -170,6 +176,7 @@ def curvature(algebra: LieAlgebra, p: LeviCivitaProduct, u: Sequence, v: Sequenc
     return linalg.mat_sub(Lbr, linalg.mat_sub(linalg.mat_mul(Lu, Lv), linalg.mat_mul(Lv, Lu)))
 
 
+@memoized
 def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     """Check K(e_i, e_j) = 0 on all basis pairs (sufficient by bilinearity)."""
     n = m.dim
@@ -183,17 +190,20 @@ def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     return CurvatureVerdict(True, None)
 
 
+@memoized
 def killing_subalgebra(m: MetricLieAlgebra) -> Subspace:
     """{u : ad_u + (ad_u)* = 0}: values at the identity of the left-invariant
-    Killing fields.  The condition is linear in u, so it is a kernel of an
-    n^2 x n constraint matrix."""
+    Killing fields.  Since (ad_u)* = G^-1 ad_u^T G with G invertible, this is
+    {u : G ad_u + ad_u^T G = 0}; the condition is linear in u and the matrix
+    is symmetric, so it is the kernel of an n(n+1)/2 x n constraint matrix."""
     n = m.dim
+    G = m.gram
     basis = linalg.identity(n)
     ops = []
     for a in range(n):
-        ad_a = m.algebra.ad(basis[a])
-        ops.append(linalg.mat_add(ad_a, linalg.adjoint(ad_a, m.gram_rows())))
-    constraints = [[ops[a][i][j] for a in range(n)] for i in range(n) for j in range(n)]
+        GA = linalg.mat_mul(G, m.algebra.ad(basis[a]))
+        ops.append(linalg.mat_add(GA, linalg.transpose(GA)))
+    constraints = [[ops[a][i][j] for a in range(n)] for i in range(n) for j in range(i, n)]
     return Subspace.span(n, linalg.kernel_basis(constraints, ncols=n))
 
 

@@ -8,17 +8,12 @@ ever appear in the human-readable rendering).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import classc as classc_mod
 from . import theorems
 from .errors import AbelianInputError, NotDegenerateError, RadicalDimensionError
 from .linalg import Subspace
 from .metric import MetricLieAlgebra, is_flat, killing_subalgebra, levi_civita
-
-
-def rat(x: Fraction) -> str:
-    return str(x)
 
 
 def vec_json(v) -> list[str]:
@@ -93,6 +88,15 @@ def riemannian_flat_section(m: MetricLieAlgebra) -> dict | None:
     }
 
 
+def theorem2_json(t2: classc_mod.Theorem2Report) -> dict:
+    return {
+        "degenerate_restriction": t2.degenerate_restriction,
+        "radical_dim": t2.radical_dim,
+        "flat": t2.flat,
+        "equivalent": t2.equivalent,
+    }
+
+
 def class_c_section(m: MetricLieAlgebra) -> dict:
     try:
         structure = classc_mod.detect(m.algebra)
@@ -105,12 +109,7 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
         "detected": True,
         "b": vec_json(structure.b),
         "ideal_basis": [vec_json(row) for row in structure.ideal.basis],
-        "theorem2": {
-            "degenerate_restriction": t2.degenerate_restriction,
-            "radical_dim": t2.radical_dim,
-            "flat": t2.flat,
-            "equivalent": t2.equivalent,
-        },
+        "theorem2": theorem2_json(t2),
     }
     witness = None
     if t2.degenerate_restriction and t2.radical_dim == 1:
@@ -125,7 +124,7 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
                 "e": vec_json(w.e),
                 "d": vec_json(w.d),
                 "b_sector_basis": [vec_json(row) for row in w.b_basis.basis],
-                "alpha": rat(alpha),
+                "alpha": str(alpha),
                 "closed_form_matches": table.p == transported.p,
             }
         except (NotDegenerateError, RadicalDimensionError):
@@ -134,11 +133,18 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
     inc = classc_mod.incompleteness_verdict(m)
     section["incompleteness"] = {
         "unimodular": inc.unimodular,
-        "b_trace": rat(inc.b_trace),
+        "b_trace": str(inc.b_trace),
         "flat": inc.flat,
         "verdict": inc.verdict,
     }
     return section
+
+
+def companion_json(m: MetricLieAlgebra, companion: MetricLieAlgebra) -> dict:
+    return {
+        "gram": mat_json(companion.gram),
+        "same_connection": theorems.same_connection(m, companion),
+    }
 
 
 def companion_section(m: MetricLieAlgebra) -> dict | None:
@@ -147,11 +153,7 @@ def companion_section(m: MetricLieAlgebra) -> dict | None:
     r = theorems.theorem1_check(m)
     if not r.direct_side:
         return None
-    companion = theorems.riemannian_companion(m)
-    return {
-        "gram": mat_json(companion.gram),
-        "same_connection": theorems.same_connection(m, companion),
-    }
+    return companion_json(m, theorems.riemannian_companion(m))
 
 
 def analysis_report(m: MetricLieAlgebra) -> dict:

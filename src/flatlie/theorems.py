@@ -21,6 +21,7 @@ from .errors import (
     NotRiemannianError,
     OddDimensionError,
 )
+from .lie import memoized
 from .linalg import Subspace
 from .metric import (
     MetricLieAlgebra,
@@ -60,38 +61,6 @@ class Theorem1Report:
     split: SplitData | None
 
 
-@dataclass(frozen=True)
-class RiemannianFlatReport:
-    flat: bool
-    direct_side: bool
-    spans_directly: bool
-    orthogonal: bool
-    killing_abelian: bool
-    derived_abelian: bool
-    structural_side: bool
-    equivalent: bool
-    eq2_verified: bool | None
-    split: SplitData | None
-
-
-def _split_components(m: MetricLieAlgebra) -> tuple[SplitData, bool, bool, bool, bool]:
-    """Common structural material: the split data plus the individual
-    structural predicates (spans, orthogonal, both abelian)."""
-    a = m.algebra
-    S = killing_subalgebra(m)
-    D = a.derived_subalgebra()
-    cross = [
-        [m.inner(list(s), list(d)) for d in D.basis] if D.dim else []
-        for s in S.basis
-    ]
-    split = SplitData(S, D, tuple(tuple(row) for row in cross))
-    spans = S.dim + D.dim == m.dim and linalg.subspace_sum(S, D).dim == m.dim
-    orthogonal = all(x == 0 for row in cross for x in row)
-    s_abelian = a.is_abelian_subspace(S)
-    d_abelian = a.is_abelian_subspace(D)
-    return split, spans, orthogonal, s_abelian, d_abelian
-
-
 def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
     """Check the closed-form product on a valid split: L_s = ad_s for s in
     the Killing subalgebra and L_h = 0 on the derived algebra, exactly."""
@@ -111,26 +80,32 @@ def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
     return True
 
 
-def theorem1_check(m: MetricLieAlgebra) -> Theorem1Report:
-    """Two-sided check of the flat-Lorentzian-with-timelike-Killing
-    characterization.
+@memoized
+def _split_check(m: MetricLieAlgebra) -> Theorem1Report:
+    """Both sides of the split characterization of flatness.
 
-    Direct side: the metric is flat and the Killing subalgebra contains a
-    timelike vector.  Structural side: the algebra splits as an orthogonal
-    direct sum of the Killing subalgebra and the derived algebra, both
-    abelian, with a timelike vector on the Killing side.  The two must agree
-    on every valid Lorentzian input; a discrepancy is a bug, not a result.
+    Direct side: the metric is flat (and, when Lorentzian, the Killing
+    subalgebra contains a timelike vector).  Structural side: the algebra
+    splits as an orthogonal direct sum of the Killing subalgebra and the
+    derived algebra, both abelian (with the same timelike condition).  The
+    two must agree on every valid input; a discrepancy is a bug, not a result.
     """
-    if not m.is_lorentzian:
-        raise NotLorentzianError(f"signature {tuple(m.signature)} is not Lorentzian")
-    split, spans, orthogonal, s_abelian, d_abelian = _split_components(m)
-    timelike = has_timelike_vector(m, split.killing)
-    direct = is_flat(m).flat and timelike
-    structural = spans and orthogonal and s_abelian and d_abelian and timelike
-    even = split.derived.dim % 2 == 0 if structural else None
-    eq2 = verify_eq2(m, split) if structural else None
+    a = m.algebra
+    S = killing_subalgebra(m)
+    D = a.derived_subalgebra()
+    cross = tuple(tuple(m.inner(list(s), list(d)) for d in D.basis) for s in S.basis)
+    split = SplitData(S, D, cross)
+    spans = S.dim + D.dim == m.dim and linalg.subspace_sum(S, D).dim == m.dim
+    orthogonal = all(x == 0 for row in cross for x in row)
+    s_abelian = a.is_abelian_subspace(S)
+    d_abelian = a.is_abelian_subspace(D)
+    timelike = has_timelike_vector(m, S)
+    condition = timelike or not m.is_lorentzian
+    flat = is_flat(m).flat
+    direct = flat and condition
+    structural = spans and orthogonal and s_abelian and d_abelian and condition
     return Theorem1Report(
-        flat=is_flat(m).flat,
+        flat=flat,
         timelike_killing=timelike,
         direct_side=direct,
         spans_directly=spans,
@@ -139,33 +114,26 @@ def theorem1_check(m: MetricLieAlgebra) -> Theorem1Report:
         derived_abelian=d_abelian,
         structural_side=structural,
         equivalent=direct == structural,
-        even_dim_derived=even,
-        eq2_verified=eq2,
+        even_dim_derived=D.dim % 2 == 0 if structural else None,
+        eq2_verified=verify_eq2(m, split) if structural else None,
         split=split if structural else None,
     )
 
 
-def riemannian_flat_check(m: MetricLieAlgebra) -> RiemannianFlatReport:
+def theorem1_check(m: MetricLieAlgebra) -> Theorem1Report:
+    """Two-sided check of the flat-Lorentzian-with-timelike-Killing
+    characterization."""
+    if not m.is_lorentzian:
+        raise NotLorentzianError(f"signature {tuple(m.signature)} is not Lorentzian")
+    return _split_check(m)
+
+
+def riemannian_flat_check(m: MetricLieAlgebra) -> Theorem1Report:
     """Same two-sided equivalence for positive definite metrics (no timelike
     condition): flat iff orthogonal split into abelian Killing + derived."""
     if not m.is_riemannian:
         raise NotRiemannianError(f"signature {tuple(m.signature)} is not Riemannian")
-    split, spans, orthogonal, s_abelian, d_abelian = _split_components(m)
-    direct = is_flat(m).flat
-    structural = spans and orthogonal and s_abelian and d_abelian
-    eq2 = verify_eq2(m, split) if structural else None
-    return RiemannianFlatReport(
-        flat=direct,
-        direct_side=direct,
-        spans_directly=spans,
-        orthogonal=orthogonal,
-        killing_abelian=s_abelian,
-        derived_abelian=d_abelian,
-        structural_side=structural,
-        equivalent=direct == structural,
-        eq2_verified=eq2,
-        split=split if structural else None,
-    )
+    return _split_check(m)
 
 
 @dataclass(frozen=True)

@@ -227,3 +227,10 @@ def test_stdin_pipeline(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "analyze", "--json", "-i", "-")
     assert code == 0
     assert json.loads(out)["theorem1"]["direct_side"] is True
+
+
+def test_analyze_missing_input_file(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", "-i", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -1,0 +1,54 @@
+"""Derived quantities are computed at most once per metric instance."""
+
+import pickle
+import random
+
+from flatlie import metric, report, sweeps
+from flatlie.metric import is_flat, killing_subalgebra, levi_civita
+from flatlie.theorems import theorem1_check
+
+
+def _instance():
+    return sweeps.theorem1_true_instance(random.Random(5), 5)
+
+
+def test_analysis_report_evaluates_each_curvature_pair_once(monkeypatch):
+    m = _instance()
+    calls = []
+    original = metric.curvature
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(metric, "curvature", counted)
+    report.analysis_report(m)
+    assert is_flat(m).flat
+    assert len(calls) == m.dim * (m.dim - 1) // 2 == 10
+
+
+def test_repeated_calls_return_the_same_object():
+    m = _instance()
+    for fn in (is_flat, levi_civita, killing_subalgebra, theorem1_check):
+        assert fn(m) is fn(m)
+    assert m.algebra.derived_subalgebra() is m.algebra.derived_subalgebra()
+
+
+def test_memo_is_invisible_to_eq_hash_and_repr():
+    m = _instance()
+    fresh = _instance()
+    report.analysis_report(m)
+    assert m._memo and m.algebra._memo
+    assert not fresh._memo and not fresh.algebra._memo
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    assert m.algebra == fresh.algebra and hash(m.algebra) == hash(fresh.algebra)
+    assert repr(m.algebra) == repr(fresh.algebra)
+    assert pickle.loads(pickle.dumps(m)) == m
+
+
+def test_derived_instances_start_with_an_empty_memo():
+    m = _instance()
+    report.analysis_report(m)
+    assert m.scale_gram(2)._memo == {}
+    moved = m.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
+    assert moved._memo == {} and moved.algebra._memo == {}
