@@ -21,8 +21,8 @@ from .errors import (
     NotDegenerateError,
     RadicalDimensionError,
 )
-from .lie import LieAlgebra
-from .linalg import Mat, Subspace, Vec, ZERO, frac
+from .lie import LieAlgebra, memoized
+from .linalg import Mat, Subspace, ZERO, frac
 from .metric import LeviCivitaProduct, MetricLieAlgebra, is_flat
 
 
@@ -43,40 +43,23 @@ def scalar_action(a: LieAlgebra, U: Subspace, t: Sequence) -> Fraction | None:
     The restriction is computed exactly in U's canonical basis; any bracket
     [t, u] falling outside U also returns None.
     """
-    rows = U.basis_rows()
-    if not rows:
+    if U.dim == 0:
         return None
     alpha = None
-    for idx, u in enumerate(rows):
-        w = a.bracket(list(t), u)
-        if not U.contains(w):
+    for idx, u in enumerate(U.basis):
+        coords = U.coordinates(a.bracket(t, u))
+        if coords is None:
             return None
-        coords = _coords_in(rows, w)
-        expected = [ZERO] * len(rows)
         if alpha is None:
             alpha = coords[idx]
+        expected = [ZERO] * U.dim
         expected[idx] = alpha
         if coords != expected:
             return None
     return alpha
 
 
-def _coords_in(rows: Mat, w: Vec) -> Vec:
-    """Coordinates of w in the span of `rows` (assumed to contain w)."""
-    # rows are RREF: read coordinates off the pivot positions, then verify.
-    coords = []
-    residue = list(w)
-    for row in rows:
-        piv = next(j for j, x in enumerate(row) if x != 0)
-        c = residue[piv]
-        coords.append(c)
-        if c:
-            residue = [x - c * y for x, y in zip(residue, row)]
-    if not linalg.is_zero_vec(residue):
-        raise ValueError("vector not in subspace")
-    return coords
-
-
+@memoized
 def detect(a: LieAlgebra) -> ClassCStructure | None:
     """Structural detection: derived algebra abelian of codimension 1 and a
     transversal acting on it by a nonzero scalar.
@@ -109,15 +92,20 @@ class Theorem2Report:
     equivalent: bool
 
 
+@memoized
+def _derived_radical(m: MetricLieAlgebra) -> Subspace:
+    """Radical of the inner product restricted to the derived algebra."""
+    D = m.algebra.derived_subalgebra()
+    return linalg.radical(linalg.restrict_form(m.gram_rows(), D), D)
+
+
+@memoized
 def theorem2_check(m: MetricLieAlgebra) -> Theorem2Report:
     """Two-sided flatness criterion for class-C algebras: flat iff the inner
     product restricted to the derived algebra is degenerate.  Both sides are
     computed independently (curvature vs. radical of the restriction)."""
-    structure = _require_class_c(m.algebra)
-    del structure
-    D = m.algebra.derived_subalgebra()
-    restricted = linalg.restrict_form(m.gram_rows(), D)
-    rad = linalg.radical(restricted, D)
+    _require_class_c(m.algebra)
+    rad = _derived_radical(m)
     degenerate = rad.dim > 0
     flat = is_flat(m).flat
     return Theorem2Report(degenerate, rad.dim, flat, degenerate == flat)
@@ -161,8 +149,7 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
     _require_class_c(m.algebra)
     n = m.dim
     D = m.algebra.derived_subalgebra()
-    restricted = linalg.restrict_form(m.gram_rows(), D)
-    rad = linalg.radical(restricted, D)
+    rad = _derived_radical(m)
     if rad.dim == 0:
         raise NotDegenerateError("restriction to the derived algebra is nondegenerate")
     if rad.dim > 1:
@@ -205,7 +192,7 @@ def witness_change_of_basis(w: WitnessBasis) -> Mat:
 def witness_scale(a: LieAlgebra, w: WitnessBasis) -> Fraction:
     """alpha with [d, u] = alpha u on the derived algebra (d = alpha b + u0)."""
     U = a.derived_subalgebra()
-    alpha = scalar_action(a, U, list(w.d))
+    alpha = scalar_action(a, U, w.d)
     if alpha is None or alpha == 0:
         raise InvalidWitnessError("witness transversal does not act by a nonzero scalar")
     return alpha
@@ -241,17 +228,7 @@ def closed_form_products(w: WitnessBasis, alpha) -> LeviCivitaProduct:
 
 def transport_product(p: LeviCivitaProduct, P: Sequence[Sequence]) -> LeviCivitaProduct:
     """Product constants in the basis given by the columns of P."""
-    n = p.dim
-    Pm = linalg.mat(P)
-    Pinv = linalg.inverse(Pm)
-    cols = [[Pm[r][a] for r in range(n)] for a in range(n)]
-    out = []
-    for a in range(n):
-        plane = []
-        for b in range(n):
-            plane.append(tuple(linalg.mat_vec(Pinv, p.product(cols[a], cols[b]))))
-        out.append(tuple(plane))
-    return LeviCivitaProduct(n, tuple(out))
+    return LeviCivitaProduct(p.dim, linalg.transport(p.p, P))
 
 
 @dataclass(frozen=True)
@@ -268,7 +245,7 @@ def incompleteness_verdict(m: MetricLieAlgebra) -> IncompletenessReport:
     criterion (flat complete iff unimodular).  For non-flat metrics that
     criterion does not apply and the verdict says so."""
     structure = _require_class_c(m.algebra)
-    ad_b = m.algebra.ad(list(structure.b))
+    ad_b = m.algebra.ad(structure.b)
     b_trace = sum((ad_b[i][i] for i in range(m.dim)), ZERO)
     unimodular = m.algebra.is_unimodular()
     flat = theorem2_check(m).flat

@@ -17,6 +17,7 @@ from .classc import theorem2_check
 from .errors import (
     FlatLieError,
     HypothesisNotMetError,
+    InvalidGeodesicInputError,
     NotLorentzianError,
     ParseError,
 )
@@ -211,7 +212,10 @@ def cmd_companion(args) -> int:
 def cmd_geodesic(args) -> int:
     m = _read_input(args.input)
     v0 = _parse_v0(args.v0, m.dim)
-    traj = geodesics.integrate(m, v0, args.t_max, args.rel_tol)
+    try:
+        traj = geodesics.integrate(m, v0, args.t_max, args.rel_tol)
+    except InvalidGeodesicInputError as exc:
+        raise ParseError(f"--{exc.field.replace('_', '-')} {exc.reason}") from None
     if args.csv:
         geodesics.write_csv(traj, args.csv)
     final = traj.final

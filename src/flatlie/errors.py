@@ -100,6 +100,15 @@ class InvalidToleranceError(FlatLieError):
     """Integrator tolerance outside the accepted range."""
 
 
+class InvalidGeodesicInputError(FlatLieError):
+    """Unusable integrator argument; `field` names it (t_max or v0)."""
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field} {reason}")
+
+
 class NonPositiveProductError(FlatLieError):
     """No finite blow-up time on this ray (alpha * scale <= 0)."""
 

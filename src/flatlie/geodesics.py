@@ -12,12 +12,13 @@ inside the stepper.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidToleranceError, NonPositiveProductError
+from .errors import InvalidGeodesicInputError, InvalidToleranceError, NonPositiveProductError
 from .metric import LeviCivitaProduct, MetricLieAlgebra, levi_civita
 
 BLOWUP_NORM = 1e12
@@ -92,14 +93,15 @@ def integrate(
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise InvalidToleranceError(f"rel_tol {rel_tol} outside (1e-14, 1e-2)")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    P = product_as_floats(levi_civita(m))
-    G = np.array([[float(x) for x in row] for row in m.gram], dtype=float)
-
+    if not (0 < t_max < math.inf):
+        raise InvalidGeodesicInputError("t_max", f"must be finite and positive, got {t_max}")
     v = np.array([float(x) for x in v0], dtype=float)
     if v.shape != (m.dim,):
         raise ValueError(f"initial velocity must have {m.dim} components")
+    if not np.isfinite(v).all():
+        raise InvalidGeodesicInputError("v0", f"must have finite components, got {v.tolist()}")
+    P = product_as_floats(levi_civita(m))
+    G = np.array([[float(x) for x in row] for row in m.gram], dtype=float)
     t = 0.0
     evals = 0
 

@@ -8,15 +8,12 @@ downstream may assume a genuine Lie algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import wraps
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import AntisymmetryError, JacobiError, SingularMatrixError
-from .linalg import Mat, Subspace, Vec, ZERO, frac
-
-Tensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
+from .errors import AntisymmetryError, JacobiError
+from .linalg import Mat, Subspace, Tensor, Vec, ZERO, frac
 
 
 def memoized(fn):
@@ -93,47 +90,17 @@ class LieAlgebra:
         return cls.from_brackets(dim, {}, labels)
 
     def _jacobi_residual(self, i: int, j: int, k: int) -> Vec:
-        n = self.dim
-        out = [ZERO] * n
-        for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = self.c[b][cc]
-            for l in range(n):
-                if inner[l]:
-                    f = inner[l]
-                    row = self.c[a][l]
-                    for m in range(n):
-                        if row[m]:
-                            out[m] += f * row[m]
-        return out
+        """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]."""
+        e = linalg.identity(self.dim)
+        terms = [self.bracket(e[a], self.c[b][cc]) for a, b, cc in ((i, j, k), (j, k, i), (k, i, j))]
+        return [x + y + z for x, y, z in zip(*terms)]
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
-        n = self.dim
-        out = [ZERO] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                f = xi * yj
-                row = self.c[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] += f * row[k]
-        return out
+        return linalg.bilinear(self.c, x, y)
 
     def ad(self, x: Sequence) -> Mat:
         """Matrix of v -> [x, v]; columns are the brackets with basis vectors."""
-        n = self.dim
-        A = linalg.zeros(n, n)
-        for j in range(n):
-            for i, xi in enumerate(x):
-                if xi:
-                    row = self.c[i][j]
-                    for k in range(n):
-                        if row[k]:
-                            A[k][j] += xi * row[k]
-        return A
+        return linalg.left_matrix(self.c, x)
 
     @memoized
     def derived_subalgebra(self) -> Subspace:
@@ -170,17 +137,6 @@ class LieAlgebra:
 
     def change_basis(self, P: Sequence[Sequence]) -> "LieAlgebra":
         """Transport to the basis whose j-th vector is column j of P (old
-        coordinates).  Jacobi is re-validated on construction."""
-        n = self.dim
-        Pm = linalg.mat(P)
-        if linalg.det(Pm) == 0:
-            raise SingularMatrixError("change of basis matrix is singular")
-        Pinv = linalg.inverse(Pm)
-        cols = [[Pm[r][a] for r in range(n)] for a in range(n)]
-        c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                w = linalg.mat_vec(Pinv, self.bracket(cols[a], cols[b]))
-                c[a][b] = w
-                c[b][a] = [-x for x in w]
-        return LieAlgebra(n, _freeze(c))
+        coordinates).  Jacobi is re-validated on construction; a singular P
+        raises SingularMatrixError."""
+        return LieAlgebra(self.dim, linalg.transport(self.c, P))

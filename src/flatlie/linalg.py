@@ -15,6 +15,7 @@ from .errors import DegenerateFormError, NonSymmetricError, SingularMatrixError
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+Tensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,6 +55,41 @@ def mat_vec(A: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
 def mat_mul(A: Sequence[Sequence[Fraction]], B: Sequence[Sequence[Fraction]]) -> Mat:
     Bt = transpose(B)
     return [[sum((a * b for a, b in zip(row, col) if a and b), ZERO) for col in Bt] for row in A]
+
+
+def bilinear(T: Tensor, x: Sequence, y: Sequence) -> Vec:
+    """T(x, y) = sum_ij x_i y_j T[i][j] for an n x n x n tensor whose
+    T[i][j][k] is the e_k coefficient of T(e_i, e_j).  Every contraction of
+    a 3-tensor goes through here; zero coefficients are skipped."""
+    out = [ZERO] * len(T)
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    for xi, plane in zip(x, T):
+        if xi:
+            for j, yj in ys:
+                f = xi * yj
+                for k, t in enumerate(plane[j]):
+                    if t:
+                        out[k] += f * t
+    return out
+
+
+def left_matrix(T: Tensor, x: Sequence) -> Mat:
+    """Matrix of y -> T(x, y)."""
+    return transpose([bilinear(T, x, e) for e in identity(len(T))])
+
+
+def right_matrix(T: Tensor, y: Sequence) -> Mat:
+    """Matrix of x -> T(x, y)."""
+    return transpose([bilinear(T, e, y) for e in identity(len(T))])
+
+
+def transport(T: Tensor, P: Sequence[Sequence]) -> Tensor:
+    """T in the basis given by the columns of P: entry (a, b) is
+    P^-1 T(P_a, P_b).  Raises SingularMatrixError for a singular P."""
+    P = mat(P)
+    Pinv = inverse(P)
+    cols = transpose(P)
+    return tuple(tuple(tuple(mat_vec(Pinv, bilinear(T, a, b))) for b in cols) for a in cols)
 
 
 def mat_sub(A, B) -> Mat:
@@ -308,14 +344,20 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Sequence) -> bool:
+    def coordinates(self, v: Sequence) -> Vec | None:
+        """Coordinates of v in the canonical basis, or None if v is not in
+        the subspace.  Each coordinate is read off its row's pivot."""
         w = vec(v)
+        coords = []
         for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x != 0)
-            if w[p] != 0:
-                f = w[p]
+            f = w[next(j for j, x in enumerate(row) if x != 0)]
+            coords.append(f)
+            if f:
                 w = [a - f * b for a, b in zip(w, row)]
-        return is_zero_vec(w)
+        return coords if is_zero_vec(w) else None
+
+    def contains(self, v: Sequence) -> bool:
+        return self.coordinates(v) is not None
 
     def basis_rows(self) -> Mat:
         return [list(r) for r in self.basis]

@@ -20,7 +20,7 @@ from typing import Sequence
 from . import linalg
 from .errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
 from .lie import LieAlgebra, memoized
-from .linalg import Mat, Signature, Subspace, Vec, ZERO, frac
+from .linalg import Mat, Signature, Subspace, Tensor, Vec, frac
 
 
 @dataclass(frozen=True)
@@ -85,22 +85,10 @@ class LeviCivitaProduct:
     """Product constants p[i][j][k] of the Levi-Civita connection."""
 
     dim: int
-    p: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    p: Tensor
 
     def product(self, u: Sequence, v: Sequence) -> Vec:
-        out = [ZERO] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                f = ui * vj
-                row = self.p[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += f * row[k]
-        return out
+        return linalg.bilinear(self.p, u, v)
 
 
 @dataclass(frozen=True)
@@ -117,55 +105,32 @@ def gram_inverse(m: MetricLieAlgebra) -> tuple[tuple[Fraction, ...], ...]:
 
 @memoized
 def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
-    """Solve the defining linear system of the product, pair by pair."""
+    """Solve the defining linear system of the product, pair by pair.
+
+    With the structure constants lowered once, low[i][j][k] =
+    <[e_i, e_j], e_k>, the right-hand side for (i, j) is read off as
+    (low[i][j][k] - low[j][k][i] + low[k][i][j]) / 2."""
     n = m.dim
-    G = m.gram
     Ginv = gram_inverse(m)
-    c = m.algebra.c
-
-    def pair_with_basis(v: Sequence[Fraction], k: int) -> Fraction:
-        return sum((v[l] * G[l][k] for l in range(n) if v[l]), ZERO)
-
-    p = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            rhs = [
-                (pair_with_basis(c[i][j], k) - pair_with_basis(c[j][k], i) + pair_with_basis(c[k][i], j))
-                / 2
-                for k in range(n)
-            ]
-            plane.append(tuple(linalg.mat_vec(Ginv, rhs)))
-        p.append(tuple(plane))
-    return LeviCivitaProduct(n, tuple(p))
+    low = [[linalg.mat_vec(m.gram, cij) for cij in plane] for plane in m.algebra.c]
+    p = tuple(
+        tuple(
+            tuple(linalg.mat_vec(Ginv, [(low[i][j][k] - low[j][k][i] + low[k][i][j]) / 2 for k in range(n)]))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return LeviCivitaProduct(n, p)
 
 
 def left_mult(p: LeviCivitaProduct, u: Sequence) -> Mat:
     """Matrix of v -> u v."""
-    n = p.dim
-    L = linalg.zeros(n, n)
-    for j in range(n):
-        for i, ui in enumerate(u):
-            if ui:
-                row = p.p[i][j]
-                for k in range(n):
-                    if row[k]:
-                        L[k][j] += ui * row[k]
-    return L
+    return linalg.left_matrix(p.p, u)
 
 
 def right_mult(p: LeviCivitaProduct, u: Sequence) -> Mat:
     """Matrix of v -> v u."""
-    n = p.dim
-    R = linalg.zeros(n, n)
-    for j in range(n):
-        for b, ub in enumerate(u):
-            if ub:
-                row = p.p[j][b]
-                for k in range(n):
-                    if row[k]:
-                        R[k][j] += ub * row[k]
-    return R
+    return linalg.right_matrix(p.p, u)
 
 
 def curvature(algebra: LieAlgebra, p: LeviCivitaProduct, u: Sequence, v: Sequence) -> Mat:

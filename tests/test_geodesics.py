@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flatlie import catalog
-from flatlie.errors import InvalidToleranceError, NonPositiveProductError
+from flatlie.errors import InvalidGeodesicInputError, InvalidToleranceError, NonPositiveProductError
 from flatlie.geodesics import (
     BLOW_UP_DETECTED,
     REACHED_HORIZON,
@@ -123,6 +123,18 @@ def test_tolerance_validated():
         integrate(m, [1.0, 0.0, 0.0], t_max=1.0, rel_tol=1e-15)
     with pytest.raises(InvalidToleranceError):
         integrate(m, [1.0, 0.0, 0.0], t_max=1.0, rel_tol=0.5)
+
+
+def test_horizon_and_initial_velocity_validated():
+    m = catalog.build("rot3")
+    for t_max in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidGeodesicInputError) as info:
+            integrate(m, [1.0, 0.0, 0.0], t_max=t_max)
+        assert info.value.field == "t_max"
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidGeodesicInputError) as info:
+            integrate(m, [1.0, bad, 0.0], t_max=1.0)
+        assert info.value.field == "v0"
 
 
 def test_times_strictly_increasing():

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from flatlie import linalg
+from flatlie import linalg, sweeps
 from flatlie.errors import DegenerateFormError, NonSymmetricError, SingularMatrixError
 from flatlie.linalg import Subspace
+from flatlie.metric import levi_civita
 
 
 def rand_frac(rng, lo=-5, hi=5):
@@ -180,3 +181,33 @@ def test_subspace_canonical_equality():
     assert a.contains([3, 3, 5])
     assert not a.contains([1, 0, 0])
     assert Subspace.span(3, [[0, 0, 0]]).dim == 0
+    assert a.coordinates([3, 3, 5]) == [3, 5]
+    assert a.coordinates([1, 0, 0]) is None
+    assert Subspace.zero(2).coordinates([0, 0]) == []
+
+
+def test_tensor_contraction_index_convention():
+    """T[i][j][k] is the e_k coefficient of T(e_i, e_j), pinned on a
+    Levi-Civita product, which is not antisymmetric."""
+    rng = random.Random(3)
+    T = levi_civita(sweeps.random_metric_algebra(rng, 4)).p
+    n = len(T)
+    assert any(T[i][j] != tuple(-x for x in T[j][i]) for i in range(n) for j in range(n))
+    e = linalg.identity(n)
+    for i in range(n):
+        for j in range(n):
+            assert linalg.bilinear(T, e[i], e[j]) == list(T[i][j])
+    for _ in range(5):
+        x = [rand_frac(rng) for _ in range(n)]
+        y = [rand_frac(rng) for _ in range(n)]
+        Txy = linalg.bilinear(T, x, y)
+        assert linalg.mat_vec(linalg.left_matrix(T, x), y) == Txy
+        assert linalg.mat_vec(linalg.right_matrix(T, y), x) == Txy
+    assert linalg.transport(T, linalg.identity(n)) == T
+    P = rand_invertible(rng, n)
+    moved = linalg.transport(T, P)
+    cols = linalg.transpose(P)
+    assert linalg.mat_vec(P, moved[0][1]) == linalg.bilinear(T, cols[0], cols[1])
+    assert linalg.transport(moved, linalg.inverse(P)) == T
+    with pytest.raises(SingularMatrixError):
+        linalg.transport(T, linalg.zeros(n, n))

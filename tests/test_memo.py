@@ -2,8 +2,9 @@
 
 import pickle
 import random
+from pathlib import Path
 
-from flatlie import metric, report, sweeps
+from flatlie import classc, inputdoc, linalg, metric, report, sweeps
 from flatlie.metric import is_flat, killing_subalgebra, levi_civita
 from flatlie.theorems import theorem1_check
 
@@ -52,3 +53,25 @@ def test_derived_instances_start_with_an_empty_memo():
     assert m.scale_gram(2)._memo == {}
     moved = m.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
     assert moved._memo == {} and moved.algebra._memo == {}
+
+
+def test_class_c_analysis_detects_once(monkeypatch):
+    """One analyze of a flat class-C metric runs the bodies of detect,
+    theorem2_check and the derived-algebra radical once each."""
+    path = Path(__file__).parent / "golden" / "inputs" / "dim6_flat_class_c.json"
+    m = inputdoc.loads(path.read_text(encoding="utf-8"))
+    counts = {"detect": 0, "theorem2": 0, "radical": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # each body builds its result exactly once, so constructions count bodies
+    monkeypatch.setattr(classc, "ClassCStructure", counting("detect", classc.ClassCStructure))
+    monkeypatch.setattr(classc, "Theorem2Report", counting("theorem2", classc.Theorem2Report))
+    monkeypatch.setattr(linalg, "radical", counting("radical", linalg.radical))
+    section = report.analysis_report(m)["class_c"]
+    assert section["detected"] and section["witness"]["closed_form_matches"]
+    assert counts == {"detect": 1, "theorem2": 1, "radical": 1}
