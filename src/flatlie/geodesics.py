@@ -23,10 +23,12 @@ from .metric import LeviCivitaProduct, MetricLieAlgebra, levi_civita
 
 BLOWUP_NORM = 1e12
 MIN_STEP = 1e-14
+MAX_STEPS = 100_000
 
 REACHED_HORIZON = "reached_horizon"
 BLOW_UP_DETECTED = "blow_up_detected"
 STEP_UNDERFLOW = "step_underflow"
+STEP_LIMIT = "step_limit"
 
 # Fehlberg 4(5) tableau; the 5th-order solution is propagated.
 _RK_A = (
@@ -64,7 +66,7 @@ class TrajectorySample:
 @dataclass(frozen=True)
 class GeodesicTrajectory:
     samples: tuple[TrajectorySample, ...]
-    outcome: str  # REACHED_HORIZON | BLOW_UP_DETECTED | STEP_UNDERFLOW
+    outcome: str  # REACHED_HORIZON | BLOW_UP_DETECTED | STEP_UNDERFLOW | STEP_LIMIT
     blowup_time: float | None = None
     rhs_evaluations: int = field(default=0, compare=False)
 
@@ -89,7 +91,8 @@ def integrate(
     the step size collapses below MIN_STEP while the norm has grown by a
     factor >= 1e3 (a collapsing step without growth is reported as
     STEP_UNDERFLOW instead).  The final accepted time is the blow-up
-    estimate.
+    estimate.  After MAX_STEPS accepted steps short of t_max the samples so
+    far are returned as STEP_LIMIT.
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise InvalidToleranceError(f"rel_tol {rel_tol} outside (1e-14, 1e-2)")
@@ -102,6 +105,10 @@ def integrate(
         raise InvalidGeodesicInputError("v0", f"must have finite components, got {v.tolist()}")
     P = product_as_floats(levi_civita(m))
     G = np.array([[float(x) for x in row] for row in m.gram], dtype=float)
+    if not (math.hypot(*v) < BLOWUP_NORM and math.isfinite(v @ G @ v)):
+        raise InvalidGeodesicInputError(
+            "v0", f"must have norm below {BLOWUP_NORM:g} and finite energy, got {v.tolist()}"
+        )
     t = 0.0
     evals = 0
 
@@ -121,6 +128,8 @@ def integrate(
     h = min(0.1, t_max / 10.0, rel_tol ** 0.2 / (1.0 + float(np.linalg.norm(f0))))
 
     while t < t_max:
+        if len(samples) > MAX_STEPS:
+            return GeodesicTrajectory(tuple(samples), STEP_LIMIT, None, evals)
         h = min(h, t_max - t)
         ks = [euler_arnold_rhs(P, v)]
         evals += 1

@@ -104,11 +104,7 @@ def parse_document(doc) -> MetricLieAlgebra:
 
 
 def load(stream: IO[str]) -> MetricLieAlgebra:
-    try:
-        doc = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    return parse_document(doc)
+    return loads(stream.read())
 
 
 def loads(text: str) -> MetricLieAlgebra:

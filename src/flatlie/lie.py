@@ -112,7 +112,7 @@ class LieAlgebra:
         """{x : [x, y] = 0 for all y}, computed as an exact kernel."""
         n = self.dim
         constraints = [[self.c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
-        return Subspace.span(n, linalg.kernel_basis(constraints, ncols=n))
+        return linalg.kernel(constraints)
 
     def is_unimodular(self) -> bool:
         n = self.dim

@@ -116,10 +116,6 @@ def is_zero_vec(v) -> bool:
     return all(x == 0 for x in v)
 
 
-def vec_add(u, v) -> Vec:
-    return [a + b for a, b in zip(u, v)]
-
-
 def vec_sub(u, v) -> Vec:
     return [a - b for a, b in zip(u, v)]
 
@@ -171,15 +167,8 @@ def rank(A: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(A)[1])
 
 
-def kernel_basis(A: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
-    """Basis of the null space {v : A v = 0}.
-
-    `ncols` is only needed when A has no rows (no constraints).
-    """
-    if not A:
-        if ncols is None:
-            raise ValueError("kernel of an empty matrix needs an explicit column count")
-        return [row[:] for row in identity(ncols)]
+def kernel(A: Sequence[Sequence[Fraction]]) -> "Subspace":
+    """Null space {v : A v = 0} of a matrix with at least one row."""
     n = len(A[0])
     R, pivots = rref(A)
     pivot_set = set(pivots)
@@ -192,45 +181,16 @@ def kernel_basis(A: Sequence[Sequence[Fraction]], ncols: int | None = None) -> l
         for r, pc in enumerate(pivots):
             v[pc] = -R[r][free]
         basis.append(v)
-    return basis
-
-
-def det(A: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(A)
-    M = [list(r) for r in A]
-    d = ONE
-    for i in range(n):
-        p = next((r for r in range(i, n) if M[r][i] != 0), None)
-        if p is None:
-            return ZERO
-        if p != i:
-            M[i], M[p] = M[p], M[i]
-            d = -d
-        d *= M[i][i]
-        for r in range(i + 1, n):
-            if M[r][i] != 0:
-                f = M[r][i] / M[i][i]
-                M[r] = [x - f * y for x, y in zip(M[r], M[i])]
-    return d
+    return Subspace.span(n, basis)
 
 
 def inverse(A: Sequence[Sequence[Fraction]]) -> Mat:
+    """A^-1, read off the right half of rref([A | I])."""
     n = len(A)
-    M = [list(row) + irow for row, irow in zip(A, identity(n))]
-    for i in range(n):
-        p = next((r for r in range(i, n) if M[r][i] != 0), None)
-        if p is None:
-            raise SingularMatrixError("matrix is not invertible")
-        if p != i:
-            M[i], M[p] = M[p], M[i]
-        pv = M[i][i]
-        if pv != 1:
-            M[i] = [x / pv for x in M[i]]
-        for r in range(n):
-            if r != i and M[r][i] != 0:
-                f = M[r][i]
-                M[r] = [x - f * y for x, y in zip(M[r], M[i])]
-    return [row[n:] for row in M]
+    R, pivots = rref([list(row) + irow for row, irow in zip(A, identity(n))])
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is not invertible")
+    return [row[n:] for row in R]
 
 
 class Signature(NamedTuple):
@@ -377,13 +337,13 @@ def restrict_form(G: Sequence[Sequence[Fraction]], V: Subspace) -> Mat:
 
 def orthogonal_complement(V: Subspace, G: Sequence[Sequence[Fraction]]) -> Subspace:
     """V-perp for a nondegenerate symmetric form G on the ambient space."""
-    if det(G) == 0:
+    if rank(G) < len(G):
         raise DegenerateFormError("orthogonal complement requires a nondegenerate ambient form")
     n = V.ambient_dim
     if V.dim == 0:
         return Subspace.full(n)
     constraints = mat_mul(V.basis_rows(), G)
-    return Subspace.span(n, kernel_basis(constraints))
+    return kernel(constraints)
 
 
 def radical(form_restricted: Sequence[Sequence[Fraction]], on: Subspace) -> Subspace:
@@ -396,13 +356,5 @@ def radical(form_restricted: Sequence[Sequence[Fraction]], on: Subspace) -> Subs
         return on
     if not is_symmetric(form_restricted):
         raise NonSymmetricError("restricted form must be symmetric")
-    coeff_vectors = kernel_basis(form_restricted)
-    rows = on.basis_rows()
-    ambient = []
-    for coeffs in coeff_vectors:
-        v = [ZERO] * on.ambient_dim
-        for c, row in zip(coeffs, rows):
-            if c:
-                v = [x + c * y for x, y in zip(v, row)]
-        ambient.append(v)
-    return Subspace.span(on.ambient_dim, ambient)
+    Bt = transpose(on.basis)
+    return Subspace.span(on.ambient_dim, [mat_vec(Bt, c) for c in kernel(form_restricted).basis])

@@ -169,7 +169,7 @@ def killing_subalgebra(m: MetricLieAlgebra) -> Subspace:
         GA = linalg.mat_mul(G, m.algebra.ad(basis[a]))
         ops.append(linalg.mat_add(GA, linalg.transpose(GA)))
     constraints = [[ops[a][i][j] for a in range(n)] for i in range(n) for j in range(i, n)]
-    return Subspace.span(n, linalg.kernel_basis(constraints, ncols=n))
+    return linalg.kernel(constraints)
 
 
 def has_timelike_vector(m: MetricLieAlgebra, V: Subspace) -> bool:
@@ -192,7 +192,7 @@ def right_mult_kernel(p: LeviCivitaProduct) -> Subspace:
     """{u : R_u = 0}, again a kernel since u -> R_u is linear."""
     n = p.dim
     constraints = [[p.p[j][b][k] for b in range(n)] for j in range(n) for k in range(n)]
-    return Subspace.span(n, linalg.kernel_basis(constraints, ncols=n))
+    return linalg.kernel(constraints)
 
 
 @dataclass(frozen=True)

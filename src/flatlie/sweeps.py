@@ -206,7 +206,7 @@ def class_c_instance(rng: random.Random, dim: int, degenerate: bool) -> MetricLi
                 w = rational(rng)
                 gram[0][j] = gram[j][0] = w
                 gram[j][j] = rational(rng, zero_ok=False)
-        if linalg.det(gram) != 0:
+        if linalg.rank(gram) == n:
             break
     return scramble(MetricLieAlgebra.make(algebra, gram), rng)
 

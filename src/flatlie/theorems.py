@@ -164,41 +164,28 @@ def same_connection(m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> bool:
 def riemannian_companion(m: MetricLieAlgebra) -> MetricLieAlgebra:
     """Positive definite metric with the same Levi-Civita connection.
 
-    On the Killing factor the restricted (Lorentzian) form is diagonalized by
-    an exact congruence and its negative entry is flipped; the derived factor
-    keeps the original (positive definite) restriction.  The result is
-    checked to be positive definite with an identical product before it is
-    returned.
+    An exact congruence diagonalizes the (Lorentzian) restriction to the
+    Killing factor; its one negative entry belongs to a timelike Killing
+    vector s, orthogonal to the rest of the Killing basis and to the derived
+    factor.  The companion is the reflection in s,
+    <x, y>' = <x, y> - 2 <x, s> <y, s> / <s, s>, which flips the sign of
+    <s, s> and leaves s-perp alone.  The result is checked to be positive
+    definite with an identical product before it is returned.
     """
     report = theorem1_check(m)
     if not report.direct_side:
         raise HypothesisNotMetError("requires a flat Lorentzian metric with a timelike Killing vector")
     assert report.split is not None
-    S, D = report.split.killing, report.split.derived
-    n = m.dim
+    S = report.split.killing
     G = m.gram_rows()
 
-    G_S = linalg.restrict_form(G, S)
-    E, diag = linalg.symmetric_diagonalize(G_S)
+    E, diag = linalg.symmetric_diagonalize(linalg.restrict_form(G, S))
     if any(d == 0 for d in diag):
         raise HypothesisNotMetError("restriction to the Killing subalgebra is degenerate")
-    Einv = linalg.inverse(E)
-    abs_diag = [[abs(d) if i == j else linalg.ZERO for j, d in enumerate(diag)] for i in range(len(diag))]
-    G_S_pos = linalg.mat_mul(Einv, linalg.mat_mul(abs_diag, linalg.transpose(Einv)))
-    G_D = linalg.restrict_form(G, D)
-
-    # columns of T: Killing basis vectors, then derived basis vectors
-    T = linalg.transpose(S.basis_rows() + D.basis_rows())
-    k = S.dim
-    block = linalg.zeros(n, n)
-    for i in range(k):
-        for j in range(k):
-            block[i][j] = G_S_pos[i][j]
-    for i in range(D.dim):
-        for j in range(D.dim):
-            block[k + i][k + j] = G_D[i][j]
-    Tinv = linalg.inverse(T)
-    new_gram = linalg.mat_mul(linalg.transpose(Tinv), linalg.mat_mul(block, Tinv))
+    i = next(i for i, d in enumerate(diag) if d < 0)
+    s = linalg.mat_vec(linalg.transpose(S.basis), E[i])
+    Gs = linalg.mat_vec(G, s)
+    new_gram = [[g - 2 * a * b / diag[i] for g, b in zip(row, Gs)] for row, a in zip(G, Gs)]
 
     companion = MetricLieAlgebra.make(m.algebra, new_gram)
     if not companion.is_riemannian:

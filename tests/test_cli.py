@@ -182,7 +182,7 @@ def test_geodesic_usage_errors(capsys, tmp_path):
     for t_max in ("-1", "0", "nan", "inf"):
         code, out, err = run(capsys, "geodesic", "-i", doc, "--v0", "1,0,0", "--t-max", t_max, "--json")
         assert code == 2 and "--t-max" in err and out == "", t_max
-    for v0 in ("nan,0,0", "inf,0,0", "0,-inf,0", "1e400,0,0"):
+    for v0 in ("nan,0,0", "inf,0,0", "0,-inf,0", "1e400,0,0", "1e200,1e200,0", "1e12,0,0"):
         code, out, err = run(capsys, "geodesic", "-i", doc, "--v0", v0, "--t-max", "5", "--json")
         assert code == 2 and "--v0" in err and out == "", v0
 

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from flatlie import catalog
+from flatlie import catalog, geodesics
 from flatlie.errors import InvalidGeodesicInputError, InvalidToleranceError, NonPositiveProductError
 from flatlie.geodesics import (
     BLOW_UP_DETECTED,
     REACHED_HORIZON,
+    STEP_LIMIT,
     blowup_time_classc,
     euler_arnold_rhs,
     integrate,
@@ -135,6 +136,18 @@ def test_horizon_and_initial_velocity_validated():
         with pytest.raises(InvalidGeodesicInputError) as info:
             integrate(m, [1.0, bad, 0.0], t_max=1.0)
         assert info.value.field == "v0"
+    for huge in ([1e200, 1e200, 0.0], [1e12, 0.0, 0.0]):
+        with pytest.raises(InvalidGeodesicInputError) as info:
+            integrate(m, huge, t_max=1.0)
+        assert info.value.field == "v0"
+
+
+def test_step_cap_ends_a_huge_horizon(monkeypatch):
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 50)
+    traj = integrate(catalog.build("rot3"), [1.0, 1.0, 0.0], t_max=1e9)
+    assert traj.outcome == STEP_LIMIT
+    assert len(traj.samples) == 51
+    assert traj.blowup_time is None and traj.final.t < 1e9
 
 
 def test_times_strictly_increasing():

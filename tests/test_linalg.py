@@ -20,7 +20,7 @@ def rand_mat(rng, r, c):
 def rand_invertible(rng, n):
     while True:
         P = rand_mat(rng, n, n)
-        if linalg.det(P) != 0:
+        if linalg.rank(P) == n:
             return P
 
 
@@ -39,21 +39,20 @@ def test_rational_round_trips():
 
 
 def test_kernel_identity_is_zero_subspace():
-    assert Subspace.span(2, linalg.kernel_basis(linalg.identity(2))).dim == 0
+    assert linalg.kernel(linalg.identity(2)).dim == 0
 
 
 def test_kernel_zero_matrix_is_everything():
-    basis = linalg.kernel_basis(linalg.zeros(3, 3))
-    assert Subspace.span(3, basis) == Subspace.full(3)
+    assert linalg.kernel(linalg.zeros(3, 3)) == Subspace.full(3)
 
 
 def test_kernel_rank_one():
     A = linalg.mat([[1, 1], [2, 2]])
-    basis = linalg.kernel_basis(A)
-    assert len(basis) == 1
-    for v in basis:
+    K = linalg.kernel(A)
+    assert K.dim == 1
+    for v in K.basis:
         assert linalg.is_zero_vec(linalg.mat_vec(A, v))
-    assert Subspace.span(2, basis) == Subspace.span(2, [[1, -1]])
+    assert K == Subspace.span(2, [[1, -1]])
 
 
 def test_kernel_rank_nullity():
@@ -61,8 +60,9 @@ def test_kernel_rank_nullity():
     for _ in range(40):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         A = rand_mat(rng, r, c)
-        assert len(linalg.kernel_basis(A)) + linalg.rank(A) == c
-        for v in linalg.kernel_basis(A):
+        K = linalg.kernel(A)
+        assert K.dim + linalg.rank(A) == c
+        for v in K.basis:
             assert linalg.is_zero_vec(linalg.mat_vec(A, v))
 
 
@@ -154,7 +154,7 @@ def test_orthogonal_complement_dimension_identity():
     for _ in range(20):
         n = rng.randint(2, 5)
         G = rand_symmetric(rng, n)
-        if linalg.det(G) == 0:
+        if linalg.rank(G) < n:
             continue
         V = Subspace.span(n, [rand_mat(rng, 1, n)[0] for _ in range(rng.randint(0, n))])
         W = linalg.orthogonal_complement(V, G)
@@ -172,6 +172,24 @@ def test_inverse():
         assert linalg.mat_eq(linalg.mat_mul(A, linalg.inverse(A)), linalg.identity(n))
     with pytest.raises(SingularMatrixError):
         linalg.inverse(linalg.mat([[1, 1], [1, 1]]))
+
+
+def test_inverse_raises_exactly_on_singular():
+    rng = random.Random(11)
+    for trial in range(60):
+        n = rng.randint(1, 5)
+        A = rand_mat(rng, n, n)
+        if trial % 2:
+            # replace a row by a combination of (up to) two others
+            k = rng.randrange(n)
+            picks = rng.sample([r for r in range(n) if r != k], min(2, n - 1))
+            coeffs = [rand_frac(rng) for _ in picks]
+            A[k] = [sum((c * A[p][j] for c, p in zip(coeffs, picks)), F(0)) for j in range(n)]
+        if linalg.rank(A) < n:
+            with pytest.raises(SingularMatrixError):
+                linalg.inverse(A)
+        else:
+            assert linalg.mat_eq(linalg.mat_mul(A, linalg.inverse(A)), linalg.identity(n))
 
 
 def test_subspace_canonical_equality():

@@ -45,7 +45,7 @@ def killing_oracle(m):
                 )
                 row.append(val)
             rows.append(row)
-    return Subspace.span(n, linalg.kernel_basis(rows, ncols=n))
+    return linalg.kernel(rows)
 
 
 def test_construction_validation():

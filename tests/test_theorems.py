@@ -145,6 +145,17 @@ def test_companion_random_true_instances():
         assert c1.two_solvable and c1.unimodular and c1.geodesically_complete
 
 
+def test_companion_is_a_rank_one_change_fixing_the_derived_factor():
+    for dim in range(3, 8):
+        m = sweeps.theorem1_true_instance(random.Random(100 + dim), dim)
+        G, G2 = m.gram_rows(), riemannian_companion(m).gram_rows()
+        assert linalg.rank(linalg.mat_sub(G2, G)) == 1
+        split = theorem1_check(m).split
+        S, D = split.killing, split.derived
+        assert linalg.restrict_form(G2, D) == linalg.restrict_form(G, D)
+        assert all(linalg.form_value(G2, s, d) == 0 for s in S.basis for d in D.basis)
+
+
 def test_same_connection():
     m = catalog.build("rot3")
     assert same_connection(m, m)
