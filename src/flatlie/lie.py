@@ -36,6 +36,14 @@ def _freeze(c: Sequence[Sequence[Sequence]]) -> Tensor:
     return tuple(tuple(tuple(frac(x) for x in row) for row in plane) for plane in c)
 
 
+def _jacobi_residual(c: Tensor, i: int, j: int, k: int) -> Vec:
+    """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] for the
+    structure constants c (Fraction or int)."""
+    e = linalg.units(len(c))
+    terms = [linalg.bilinear(c, e[a], c[b][cc]) for a, b, cc in ((i, j, k), (j, k, i), (k, i, j))]
+    return [x + y + z for x, y, z in zip(*terms)]
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
@@ -54,12 +62,12 @@ class LieAlgebra:
                 for k in range(n):
                     if self.c[i][j][k] != -self.c[j][i][k]:
                         raise AntisymmetryError(i, j, k)
+        C, _ = linalg.clear_tensor_denominators(self.c)  # scales each residual by a constant
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    r = self._jacobi_residual(i, j, k)
-                    if not linalg.is_zero_vec(r):
-                        raise JacobiError(i, j, k, r)
+                    if not linalg.is_zero_vec(_jacobi_residual(C, i, j, k)):
+                        raise JacobiError(i, j, k, _jacobi_residual(self.c, i, j, k))
 
     @classmethod
     def from_structure_constants(cls, dim: int, c, labels: Sequence[str] | None = None) -> "LieAlgebra":
@@ -88,12 +96,6 @@ class LieAlgebra:
     @classmethod
     def abelian(cls, dim: int, labels: Sequence[str] | None = None) -> "LieAlgebra":
         return cls.from_brackets(dim, {}, labels)
-
-    def _jacobi_residual(self, i: int, j: int, k: int) -> Vec:
-        """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]."""
-        e = linalg.identity(self.dim)
-        terms = [self.bracket(e[a], self.c[b][cc]) for a, b, cc in ((i, j, k), (j, k, i), (k, i, j))]
-        return [x + y + z for x, y, z in zip(*terms)]
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         return linalg.bilinear(self.c, x, y)

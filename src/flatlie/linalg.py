@@ -3,10 +3,17 @@
 Vectors are lists/tuples of Fraction, matrices are lists of row lists.
 Every operation here is pure and exact: no floating point, no tolerances,
 so "equals zero" is a real decision, not a threshold.
+
+The hot exact work runs in Python ints: `clear_denominators` scales a
+matrix or tensor to integers over one common denominator, and `mat_vec`,
+`mat_mul`, `bilinear`, `left_matrix` and `right_matrix` keep int data int
+(their sums start at int 0, so an entry with no nonzero term is the int 0,
+which equals Fraction(0)).  `rref` clears each row's denominators itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -44,24 +51,44 @@ def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def units(n: int) -> list[list[int]]:
+    """The unit vectors e_0 .. e_{n-1} as int rows: contracting with them
+    keeps int data int and Fraction data Fraction."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def clear_denominators(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(d A, d) for the least d > 0 that makes every entry of the matrix
+    d A an integer; entries may be Fractions or ints."""
+    d = math.lcm(*(x.denominator for row in A for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
+
+
+def clear_tensor_denominators(T: Sequence[Sequence[Sequence]]) -> tuple[list[list[list[int]]], int]:
+    """clear_denominators for an n x n x n tensor: one d for all entries."""
+    rows, d = clear_denominators([row for plane in T for row in plane])
+    n = len(T)
+    return [rows[i * n:(i + 1) * n] for i in range(n)], d
+
+
 def transpose(A: Sequence[Sequence[Fraction]]) -> Mat:
     return [list(col) for col in zip(*A)] if A else []
 
 
 def mat_vec(A: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
-    return [sum((a * x for a, x in zip(row, v) if a and x), ZERO) for row in A]
+    return [sum((a * x for a, x in zip(row, v) if a and x), 0) for row in A]
 
 
 def mat_mul(A: Sequence[Sequence[Fraction]], B: Sequence[Sequence[Fraction]]) -> Mat:
     Bt = transpose(B)
-    return [[sum((a * b for a, b in zip(row, col) if a and b), ZERO) for col in Bt] for row in A]
+    return [[sum((a * b for a, b in zip(row, col) if a and b), 0) for col in Bt] for row in A]
 
 
 def bilinear(T: Tensor, x: Sequence, y: Sequence) -> Vec:
     """T(x, y) = sum_ij x_i y_j T[i][j] for an n x n x n tensor whose
     T[i][j][k] is the e_k coefficient of T(e_i, e_j).  Every contraction of
     a 3-tensor goes through here; zero coefficients are skipped."""
-    out = [ZERO] * len(T)
+    out = [0] * len(T)
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for xi, plane in zip(x, T):
         if xi:
@@ -75,12 +102,12 @@ def bilinear(T: Tensor, x: Sequence, y: Sequence) -> Vec:
 
 def left_matrix(T: Tensor, x: Sequence) -> Mat:
     """Matrix of y -> T(x, y)."""
-    return transpose([bilinear(T, x, e) for e in identity(len(T))])
+    return transpose([bilinear(T, x, e) for e in units(len(T))])
 
 
 def right_matrix(T: Tensor, y: Sequence) -> Mat:
     """Matrix of x -> T(x, y)."""
-    return transpose([bilinear(T, e, y) for e in identity(len(T))])
+    return transpose([bilinear(T, e, y) for e in units(len(T))])
 
 
 def transport(T: Tensor, P: Sequence[Sequence]) -> Tensor:
@@ -136,31 +163,49 @@ def form_value(G: Sequence[Sequence[Fraction]], x: Sequence[Fraction], y: Sequen
     return sum((xi * gij * yj for xi, row in zip(x, G) if xi for gij, yj in zip(row, y) if gij and yj), ZERO)
 
 
+def _primitive_row(row: Sequence) -> list[int]:
+    """The row scaled to integers with no common factor.  Dropping the
+    common factor too, such as one lcm a caller applied to a whole matrix,
+    keeps the minors of the elimination small."""
+    (ints,), _ = clear_denominators([row])
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def rref(A: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    rows = [list(r) for r in A]
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    Fraction-free Gauss-Jordan (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968).  Each row is first scaled to primitive integers.  A pivot step
+    at (r, c) replaces every other row by
+    (pivot * row - row[c] * pivot_row) / prev, prev the previous pivot; by
+    Sylvester's identity every entry stays a minor, so the division is
+    exact.  After the last step every pivot equals the last one, d, and R
+    is the integer matrix over d: Fractions are built once, at the end."""
+    rows = [_primitive_row(row) for row in A]
     if not rows:
         return [], []
-    ncols = len(rows[0])
     pivots: list[int] = []
+    prev = 1
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return [[Fraction(x, prev) if x else ZERO for x in row] for row in rows], pivots
 
 
 def rank(A: Sequence[Sequence[Fraction]]) -> int:

@@ -20,7 +20,7 @@ from typing import Sequence
 from . import linalg
 from .errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
 from .lie import LieAlgebra, memoized
-from .linalg import Mat, Signature, Subspace, Tensor, Vec, frac
+from .linalg import ZERO, Mat, Signature, Subspace, Tensor, Vec, frac
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,22 @@ def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
 
     With the structure constants lowered once, low[i][j][k] =
     <[e_i, e_j], e_k>, the right-hand side for (i, j) is read off as
-    (low[i][j][k] - low[j][k][i] + low[k][i][j]) / 2."""
+    (low[i][j][k] - low[j][k][i] + low[k][i][j]) / 2.  The work runs in
+    ints: with G = Gi / g, c = C / e and G^-1 = H / h, the lowered constants
+    are Gi C / (g e) and each product constant is an entry of
+    H (Koszul sum) over 2 h g e, made a Fraction once."""
     n = m.dim
-    Ginv = gram_inverse(m)
-    low = [[linalg.mat_vec(m.gram, cij) for cij in plane] for plane in m.algebra.c]
+    Gi, g = linalg.clear_denominators(m.gram)
+    H, h = linalg.clear_denominators(gram_inverse(m))
+    C, e = linalg.clear_tensor_denominators(m.algebra.c)
+    low = [[linalg.mat_vec(Gi, cij) for cij in plane] for plane in C]
+    den = 2 * h * g * e
     p = tuple(
         tuple(
-            tuple(linalg.mat_vec(Ginv, [(low[i][j][k] - low[j][k][i] + low[k][i][j]) / 2 for k in range(n)]))
+            tuple(
+                Fraction(x, den) if x else ZERO
+                for x in linalg.mat_vec(H, [low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)])
+            )
             for j in range(n)
         )
         for i in range(n)
@@ -143,14 +152,28 @@ def curvature(algebra: LieAlgebra, p: LeviCivitaProduct, u: Sequence, v: Sequenc
 
 @memoized
 def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
-    """Check K(e_i, e_j) = 0 on all basis pairs (sufficient by bilinearity)."""
+    """Check K(e_i, e_j) = 0 on all basis pairs (sufficient by bilinearity).
+
+    Decided in ints: with p = P / D and c = C / E, L_k = A_k / D for the
+    integer matrix A_k of v -> P(e_k, v), so K(e_i, e_j) = 0 iff
+    D sum_k C_ijk A_k == E (A_i A_j - A_j A_i).  Only the first failing
+    pair is recomputed with `curvature`, to build the witness."""
     n = m.dim
     p = levi_civita(m)
-    basis = linalg.identity(n)
+    P, D = linalg.clear_tensor_denominators(p.p)
+    C, E = linalg.clear_tensor_denominators(m.algebra.c)
+    A = [linalg.transpose(plane) for plane in P]  # column j of A_k is P(e_k, e_j)
     for i in range(n):
         for j in range(i + 1, n):
-            K = curvature(m.algebra, p, basis[i], basis[j])
-            if not linalg.is_zero_mat(K):
+            bracket_term = linalg.left_matrix(P, C[i][j])
+            commutator = zip(linalg.mat_mul(A[i], A[j]), linalg.mat_mul(A[j], A[i]))
+            if any(
+                D * s != E * (x - y)
+                for srow, (xrow, yrow) in zip(bracket_term, commutator)
+                for s, x, y in zip(srow, xrow, yrow)
+            ):
+                basis = linalg.identity(n)
+                K = curvature(m.algebra, p, basis[i], basis[j])
                 return CurvatureVerdict(False, (i, j, tuple(tuple(r) for r in K)))
     return CurvatureVerdict(True, None)
 
@@ -160,13 +183,14 @@ def killing_subalgebra(m: MetricLieAlgebra) -> Subspace:
     """{u : ad_u + (ad_u)* = 0}: values at the identity of the left-invariant
     Killing fields.  Since (ad_u)* = G^-1 ad_u^T G with G invertible, this is
     {u : G ad_u + ad_u^T G = 0}; the condition is linear in u and the matrix
-    is symmetric, so it is the kernel of an n(n+1)/2 x n constraint matrix."""
+    is symmetric, so it is the kernel of an n(n+1)/2 x n constraint matrix.
+    G and c are scaled to integers first, which scales every row alike."""
     n = m.dim
-    G = m.gram
-    basis = linalg.identity(n)
+    G, _ = linalg.clear_denominators(m.gram)
+    C, _ = linalg.clear_tensor_denominators(m.algebra.c)
     ops = []
-    for a in range(n):
-        GA = linalg.mat_mul(G, m.algebra.ad(basis[a]))
+    for plane in C:  # ad(e_a) is the transpose of plane a
+        GA = linalg.mat_mul(G, linalg.transpose(plane))
         ops.append(linalg.mat_add(GA, linalg.transpose(GA)))
     constraints = [[ops[a][i][j] for a in range(n)] for i in range(n) for j in range(i, n)]
     return linalg.kernel(constraints)

@@ -91,6 +91,53 @@ def test_validate_rejects_float_metric(capsys, tmp_path):
     assert "float" in err
 
 
+def test_analyze_rejects_oversized_rationals(capsys, tmp_path):
+    """More than MAX_DIGITS digits in a numerator or denominator is exit 2
+    naming the field: a 5001-digit entry used to be a ValueError traceback
+    (exit 1) at parse time, and a 4000-digit bracket coefficient one when
+    the curvature witness was serialized."""
+    heisenberg = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": ["0", "0", "1"]}],
+                  "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    metric_entry = json.loads(json.dumps(heisenberg))
+    metric_entry["metric"][0][0] = "1" + "0" * 5000
+    coefficient = json.loads(json.dumps(heisenberg))
+    coefficient["brackets"][0]["coeffs"][2] = "1" + "0" * 3999
+    denominator = json.loads(json.dumps(heisenberg))
+    denominator["metric"][1][1] = "1/" + "9" * (inputdoc.MAX_DIGITS + 1)
+    cases = [
+        (json.dumps(metric_entry), "metric[0][0]"),
+        (json.dumps(coefficient), "brackets[0].coeffs[2]"),
+        (json.dumps(denominator), "metric[1][1]"),
+        (json.dumps(heisenberg).replace('"0", "0", "1"]}', '"0", "0", 1' + "0" * 5000 + "]}"), "brackets[0].coeffs[2]"),
+    ]
+    for text, field in cases:
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", "--json", "-i", str(path))
+        assert (code, out) == (2, "")
+        assert field in err and f"more than {inputdoc.MAX_DIGITS} digits" in err
+    at_cap = json.loads(json.dumps(heisenberg))
+    at_cap["metric"][0][0] = "9" * inputdoc.MAX_DIGITS + "/" + "7" * inputdoc.MAX_DIGITS
+    at_cap["brackets"][0]["coeffs"][2] = -int("9" * inputdoc.MAX_DIGITS)
+    path.write_text(json.dumps(at_cap))
+    code, out, _ = run(capsys, "analyze", "--json", "-i", str(path))
+    assert code == 0 and json.loads(out)["flatness"]["flat"] is False
+
+
+def test_validate_rejects_oversized_dim(capsys, tmp_path):
+    def doc(n):
+        return {"dim": n, "metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)]}
+
+    path = tmp_path / "dim.json"
+    for n in (inputdoc.MAX_DIM + 1, 10**9):
+        path.write_text(json.dumps(doc(n) if n < 100 else {"dim": n, "metric": []}))
+        code, _, err = run(capsys, "validate", "-i", str(path))
+        assert code == 2 and "dim" in err and str(inputdoc.MAX_DIM) in err
+    path.write_text(json.dumps(doc(inputdoc.MAX_DIM)))
+    code, out, _ = run(capsys, "validate", "-i", str(path))
+    assert code == 0 and "ok" in out
+
+
 def test_validate_rejects_duplicate_brackets(capsys, tmp_path):
     doc = {
         "dim": 2,

@@ -13,19 +13,36 @@ def _instance():
     return sweeps.theorem1_true_instance(random.Random(5), 5)
 
 
-def test_analysis_report_evaluates_each_curvature_pair_once(monkeypatch):
-    m = _instance()
-    calls = []
-    original = metric.curvature
+def _golden_input(name):
+    path = Path(__file__).parent / "golden" / "inputs" / f"{name}.json"
+    return inputdoc.loads(path.read_text(encoding="utf-8"))
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
 
-    monkeypatch.setattr(metric, "curvature", counted)
-    report.analysis_report(m)
-    assert is_flat(m).flat
-    assert len(calls) == m.dim * (m.dim - 1) // 2 == 10
+def test_analysis_report_builds_curvature_only_for_the_witness(monkeypatch):
+    """is_flat decides in ints; the Fraction curvature runs only to build
+    the witness of a non-flat metric, and the body of is_flat runs once."""
+    counts = {"curvature": 0, "is_flat": 0}
+    curvature, verdict = metric.curvature, metric.CurvatureVerdict
+
+    def counted_curvature(*args):
+        counts["curvature"] += 1
+        return curvature(*args)
+
+    def counted_verdict(*args):  # each is_flat body builds one verdict
+        counts["is_flat"] += 1
+        return verdict(*args)
+
+    monkeypatch.setattr(metric, "curvature", counted_curvature)
+    monkeypatch.setattr(metric, "CurvatureVerdict", counted_verdict)
+    for m, flat, curvature_calls in (
+        (_instance(), True, 0),
+        (_golden_input("dim6_flat_split_lorentzian"), True, 0),
+        (_golden_input("dim6_nonflat_lorentzian"), False, 1),
+    ):
+        counts.update(curvature=0, is_flat=0)
+        section = report.analysis_report(m)["flatness"]
+        assert section["flat"] is flat and is_flat(m).flat is flat
+        assert counts == {"curvature": curvature_calls, "is_flat": 1}
 
 
 def test_repeated_calls_return_the_same_object():
@@ -58,8 +75,7 @@ def test_derived_instances_start_with_an_empty_memo():
 def test_class_c_analysis_detects_once(monkeypatch):
     """One analyze of a flat class-C metric runs the bodies of detect,
     theorem2_check and the derived-algebra radical once each."""
-    path = Path(__file__).parent / "golden" / "inputs" / "dim6_flat_class_c.json"
-    m = inputdoc.loads(path.read_text(encoding="utf-8"))
+    m = _golden_input("dim6_flat_class_c")
     counts = {"detect": 0, "theorem2": 0, "radical": 0}
 
     def counting(name, fn):
