@@ -108,6 +108,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.sweep is not None and args.sweep < 1:
+        raise ParseError(f"--sweep: expected a positive number of instances, got {args.sweep}")
     m = _read_input(args.input)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()

@@ -160,20 +160,33 @@ def loads(text: str) -> MetricLieAlgebra:
 
 def emit_document(m: MetricLieAlgebra) -> dict:
     """Canonical document for a metric Lie algebra: nonzero upper-triangle
-    brackets in (i, j) order, all rationals as canonical strings."""
+    brackets in (i, j) order, all rationals as canonical strings.
+
+    The caps of `parse_document` apply here too, so every emitted document
+    loads: an algebra beyond MAX_DIM or a rational beyond MAX_DIGITS raises
+    a ParseError naming the field."""
     n = m.dim
+    if n > MAX_DIM:
+        raise ParseError(f"dim: expected an integer from 1 to {MAX_DIM}, got {n!r}")
+
+    def emit(x, where: str) -> str:
+        text = str(x)
+        parse_rational(text, where)
+        return text
+
     brackets = []
     for i in range(n):
         for j in range(i + 1, n):
             coeffs = m.algebra.c[i][j]
             if any(coeffs):
+                where = f"brackets[{len(brackets)}].coeffs"
                 brackets.append(
-                    {"i": i + 1, "j": j + 1, "coeffs": [str(x) for x in coeffs]}
+                    {"i": i + 1, "j": j + 1, "coeffs": [emit(x, f"{where}[{k}]") for k, x in enumerate(coeffs)]}
                 )
     doc = {
         "dim": n,
         "brackets": brackets,
-        "metric": [[str(x) for x in row] for row in m.gram],
+        "metric": [[emit(x, f"metric[{r}][{c}]") for c, x in enumerate(row)] for r, row in enumerate(m.gram)],
     }
     if m.algebra.labels:
         doc["labels"] = list(m.algebra.labels)

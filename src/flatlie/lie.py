@@ -8,12 +8,13 @@ downstream may assume a genuine Lie algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import wraps
 from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import AntisymmetryError, JacobiError
-from .linalg import Mat, Subspace, Tensor, Vec, ZERO, frac
+from .linalg import IntTensor, Mat, Subspace, Tensor, Vec, ZERO, frac
 
 
 def memoized(fn):
@@ -36,11 +37,11 @@ def _freeze(c: Sequence[Sequence[Sequence]]) -> Tensor:
     return tuple(tuple(tuple(frac(x) for x in row) for row in plane) for plane in c)
 
 
-def _jacobi_residual(c: Tensor, i: int, j: int, k: int) -> Vec:
+def _jacobi_residual(C: IntTensor, i: int, j: int, k: int) -> list[int]:
     """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] for the
-    structure constants c (Fraction or int)."""
-    e = linalg.units(len(c))
-    terms = [linalg.bilinear(c, e[a], c[b][cc]) for a, b, cc in ((i, j, k), (j, k, i), (k, i, j))]
+    integer structure constants C."""
+    e = linalg.units(len(C))
+    terms = [linalg.bilinear(C, e[a], C[b][cc]) for a, b, cc in ((i, j, k), (j, k, i), (k, i, j))]
     return [x + y + z for x, y, z in zip(*terms)]
 
 
@@ -62,12 +63,13 @@ class LieAlgebra:
                 for k in range(n):
                     if self.c[i][j][k] != -self.c[j][i][k]:
                         raise AntisymmetryError(i, j, k)
-        C, _ = linalg.clear_tensor_denominators(self.c)  # scales each residual by a constant
+        C, E = self.integer_constants()
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    if not linalg.is_zero_vec(_jacobi_residual(C, i, j, k)):
-                        raise JacobiError(i, j, k, _jacobi_residual(self.c, i, j, k))
+                    residual = _jacobi_residual(C, i, j, k)
+                    if not linalg.is_zero_vec(residual):  # quadratic in c = C / E
+                        raise JacobiError(i, j, k, [Fraction(x, E * E) for x in residual])
 
     @classmethod
     def from_structure_constants(cls, dim: int, c, labels: Sequence[str] | None = None) -> "LieAlgebra":
@@ -97,6 +99,12 @@ class LieAlgebra:
     def abelian(cls, dim: int, labels: Sequence[str] | None = None) -> "LieAlgebra":
         return cls.from_brackets(dim, {}, labels)
 
+    @memoized
+    def integer_constants(self) -> tuple[IntTensor, int]:
+        """(C, E) with c = C / E for the least E > 0: the one integer view of
+        the structure constants that every exact layer reads."""
+        return linalg.clear_tensor_denominators(self.c)
+
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         return linalg.bilinear(self.c, x, y)
 
@@ -121,9 +129,12 @@ class LieAlgebra:
         return all(sum((self.c[i][j][j] for j in range(n)), ZERO) == 0 for i in range(n))
 
     def is_abelian_subspace(self, V: Subspace) -> bool:
-        rows = V.basis_rows()
+        """Decided in ints: the brackets of the integer-scaled basis rows
+        under C are nonzero multiples of the true ones."""
+        C, _ = self.integer_constants()
+        rows, _ = linalg.clear_denominators(V.basis)
         return all(
-            linalg.is_zero_vec(self.bracket(rows[a], rows[b]))
+            linalg.is_zero_vec(linalg.bilinear(C, rows[a], rows[b]))
             for a in range(len(rows))
             for b in range(a + 1, len(rows))
         )

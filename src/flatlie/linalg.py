@@ -8,7 +8,9 @@ The hot exact work runs in Python ints: `clear_denominators` scales a
 matrix or tensor to integers over one common denominator, and `mat_vec`,
 `mat_mul`, `bilinear`, `left_matrix` and `right_matrix` keep int data int
 (their sums start at int 0, so an entry with no nonzero term is the int 0,
-which equals Fraction(0)).  `rref` clears each row's denominators itself.
+which equals Fraction(0)).  A tensor is cleared in two places only, the
+memoized views `LieAlgebra.integer_constants` and `metric.integer_product`;
+`rref` clears each row's denominators itself.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import DegenerateFormError, NonSymmetricError, SingularMatrixError
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 Tensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
+IntTensor = tuple[tuple[tuple[int, ...], ...], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,11 +67,12 @@ def clear_denominators(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
 
 
-def clear_tensor_denominators(T: Sequence[Sequence[Sequence]]) -> tuple[list[list[list[int]]], int]:
-    """clear_denominators for an n x n x n tensor: one d for all entries."""
+def clear_tensor_denominators(T: Sequence[Sequence[Sequence]]) -> tuple[IntTensor, int]:
+    """clear_denominators for an n x n x n tensor: one d for all entries.
+    The result is nested tuples, so a memo may share it."""
     rows, d = clear_denominators([row for plane in T for row in plane])
     n = len(T)
-    return [rows[i * n:(i + 1) * n] for i in range(n)], d
+    return tuple(tuple(map(tuple, rows[i * n:(i + 1) * n])) for i in range(n)), d
 
 
 def transpose(A: Sequence[Sequence[Fraction]]) -> Mat:

@@ -20,7 +20,7 @@ from typing import Sequence
 from . import linalg
 from .errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
 from .lie import LieAlgebra, memoized
-from .linalg import ZERO, Mat, Signature, Subspace, Tensor, Vec, frac
+from .linalg import ZERO, IntTensor, Mat, Signature, Subspace, Tensor, Vec, frac
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,6 @@ class CurvatureVerdict:
 
 
 @memoized
-def gram_inverse(m: MetricLieAlgebra) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row) for row in linalg.inverse(m.gram))
-
-
-@memoized
 def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
     """Solve the defining linear system of the product, pair by pair.
 
@@ -115,8 +110,8 @@ def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
     H (Koszul sum) over 2 h g e, made a Fraction once."""
     n = m.dim
     Gi, g = linalg.clear_denominators(m.gram)
-    H, h = linalg.clear_denominators(gram_inverse(m))
-    C, e = linalg.clear_tensor_denominators(m.algebra.c)
+    H, h = linalg.clear_denominators(linalg.inverse(m.gram))
+    C, e = m.algebra.integer_constants()
     low = [[linalg.mat_vec(Gi, cij) for cij in plane] for plane in C]
     den = 2 * h * g * e
     p = tuple(
@@ -132,6 +127,13 @@ def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
     return LeviCivitaProduct(n, p)
 
 
+@memoized
+def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
+    """(P, D) with p = P / D for the least D > 0: the one integer view of the
+    Levi-Civita product that every exact layer reads."""
+    return linalg.clear_tensor_denominators(levi_civita(m).p)
+
+
 def left_mult(p: LeviCivitaProduct, u: Sequence) -> Mat:
     """Matrix of v -> u v."""
     return linalg.left_matrix(p.p, u)
@@ -143,7 +145,8 @@ def right_mult(p: LeviCivitaProduct, u: Sequence) -> Mat:
 
 
 def curvature(algebra: LieAlgebra, p: LeviCivitaProduct, u: Sequence, v: Sequence) -> Mat:
-    """K(u, v) = L_[u,v] - (L_u L_v - L_v L_u), exact."""
+    """K(u, v) = L_[u,v] - (L_u L_v - L_v L_u), exact, straight from the
+    definition in Fractions; `is_flat` decides on the integer views."""
     Lu = left_mult(p, [frac(x) for x in u])
     Lv = left_mult(p, [frac(x) for x in v])
     Lbr = left_mult(p, algebra.bracket(u, v))
@@ -154,27 +157,26 @@ def curvature(algebra: LieAlgebra, p: LeviCivitaProduct, u: Sequence, v: Sequenc
 def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     """Check K(e_i, e_j) = 0 on all basis pairs (sufficient by bilinearity).
 
-    Decided in ints: with p = P / D and c = C / E, L_k = A_k / D for the
-    integer matrix A_k of v -> P(e_k, v), so K(e_i, e_j) = 0 iff
-    D sum_k C_ijk A_k == E (A_i A_j - A_j A_i).  Only the first failing
-    pair is recomputed with `curvature`, to build the witness."""
+    Decided in ints, on the views p = P / D and c = C / E: L_k = A_k / D for
+    the integer matrix A_k of v -> P(e_k, v), and L_[e_i, e_j] = S / (E D)
+    with S = sum_k C_ijk A_k, so
+    K(e_i, e_j) = (D S - E (A_i A_j - A_j A_i)) / (E D^2).  The first
+    nonzero one is the witness."""
     n = m.dim
-    p = levi_civita(m)
-    P, D = linalg.clear_tensor_denominators(p.p)
-    C, E = linalg.clear_tensor_denominators(m.algebra.c)
+    P, D = integer_product(m)
+    C, E = m.algebra.integer_constants()
     A = [linalg.transpose(plane) for plane in P]  # column j of A_k is P(e_k, e_j)
+    den = E * D * D
     for i in range(n):
         for j in range(i + 1, n):
             bracket_term = linalg.left_matrix(P, C[i][j])
             commutator = zip(linalg.mat_mul(A[i], A[j]), linalg.mat_mul(A[j], A[i]))
-            if any(
-                D * s != E * (x - y)
+            K = [
+                [D * s - E * (x - y) for s, x, y in zip(srow, xrow, yrow)]
                 for srow, (xrow, yrow) in zip(bracket_term, commutator)
-                for s, x, y in zip(srow, xrow, yrow)
-            ):
-                basis = linalg.identity(n)
-                K = curvature(m.algebra, p, basis[i], basis[j])
-                return CurvatureVerdict(False, (i, j, tuple(tuple(r) for r in K)))
+            ]
+            if not linalg.is_zero_mat(K):
+                return CurvatureVerdict(False, (i, j, tuple(tuple(Fraction(x, den) for x in row) for row in K)))
     return CurvatureVerdict(True, None)
 
 
@@ -184,10 +186,11 @@ def killing_subalgebra(m: MetricLieAlgebra) -> Subspace:
     Killing fields.  Since (ad_u)* = G^-1 ad_u^T G with G invertible, this is
     {u : G ad_u + ad_u^T G = 0}; the condition is linear in u and the matrix
     is symmetric, so it is the kernel of an n(n+1)/2 x n constraint matrix.
-    G and c are scaled to integers first, which scales every row alike."""
+    It is built from G scaled to integers and the algebra's integer view C,
+    which scales every row alike."""
     n = m.dim
     G, _ = linalg.clear_denominators(m.gram)
-    C, _ = linalg.clear_tensor_denominators(m.algebra.c)
+    C, _ = m.algebra.integer_constants()
     ops = []
     for plane in C:  # ad(e_a) is the transpose of plane a
         GA = linalg.mat_mul(G, linalg.transpose(plane))

@@ -26,9 +26,9 @@ from .linalg import Subspace
 from .metric import (
     MetricLieAlgebra,
     has_timelike_vector,
+    integer_product,
     is_flat,
     killing_subalgebra,
-    left_mult,
     levi_civita,
 )
 
@@ -63,21 +63,24 @@ class Theorem1Report:
 
 def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
     """Check the closed-form product on a valid split: L_s = ad_s for s in
-    the Killing subalgebra and L_h = 0 on the derived algebra, exactly."""
+    the Killing subalgebra and L_h = 0 on the derived algebra, exactly.
+
+    Decided in ints, on the views p = P / D and c = C / E and the split's
+    bases scaled to integers: L_s = ad_s iff E L(P, s) == D L(C, s)."""
     if split.killing != killing_subalgebra(m) or split.derived != m.algebra.derived_subalgebra():
         raise InvalidSplitError("split does not match this metric's Killing/derived subspaces")
     if split.killing.dim + split.derived.dim != m.dim or any(
         x != 0 for row in split.cross_gram for x in row
     ):
         raise InvalidSplitError("split is not an orthogonal direct-sum decomposition")
-    p = levi_civita(m)
-    for s in split.killing.basis:
-        if not linalg.mat_eq(left_mult(p, list(s)), m.algebra.ad(list(s))):
+    P, D = integer_product(m)
+    C, E = m.algebra.integer_constants()
+    killing, _ = linalg.clear_denominators(split.killing.basis)
+    derived, _ = linalg.clear_denominators(split.derived.basis)
+    for s in killing:
+        if linalg.mat_scale(linalg.left_matrix(P, s), E) != linalg.mat_scale(linalg.left_matrix(C, s), D):
             return False
-    for h in split.derived.basis:
-        if not linalg.is_zero_mat(left_mult(p, list(h))):
-            return False
-    return True
+    return all(linalg.is_zero_mat(linalg.left_matrix(P, h)) for h in derived)
 
 
 @memoized
@@ -212,12 +215,10 @@ def corollary2_forward_check(m: MetricLieAlgebra) -> Corollary2Report:
     Riemannian metric would force a timelike direction into the Killing
     subalgebra via the shared split), so both flags come out false.
     """
-    if not m.is_lorentzian:
-        raise NotLorentzianError(f"signature {tuple(m.signature)} is not Lorentzian")
-    if not is_flat(m).flat:
+    report = theorem1_check(m)
+    if not report.flat:
         raise HypothesisNotMetError("requires a flat metric")
-    timelike = has_timelike_vector(m, killing_subalgebra(m))
-    if not timelike:
+    if not report.timelike_killing:
         return Corollary2Report(False, False, None, None)
     companion = riemannian_companion(m)
     return Corollary2Report(True, True, same_connection(m, companion), companion)

@@ -1,7 +1,14 @@
 import json
+import random
+from fractions import Fraction as F
 
-from flatlie import catalog, inputdoc
+import pytest
+
+from flatlie import catalog, inputdoc, linalg, sweeps
 from flatlie.cli import main
+from flatlie.errors import ParseError
+from flatlie.lie import LieAlgebra
+from flatlie.metric import MetricLieAlgebra
 
 
 def run(capsys, *argv):
@@ -122,6 +129,25 @@ def test_analyze_rejects_oversized_rationals(capsys, tmp_path):
     path.write_text(json.dumps(at_cap))
     code, out, _ = run(capsys, "analyze", "--json", "-i", str(path))
     assert code == 0 and json.loads(out)["flatness"]["flat"] is False
+
+
+def test_emit_document_refuses_what_loads_refuses():
+    """emit_document applies the input caps, so every document it returns
+    loads.  A dim-20 flat instance moved to the basis I + N (N strictly
+    upper triangular, entries in {-1, 0, 1}/{1, 2}) has rationals with more
+    than MAX_DIGITS digits: emitting it raises and names the field."""
+    n = inputdoc.MAX_DIM
+    rng = random.Random(0)
+    m = sweeps.theorem1_true_instance(rng, n)
+    assert inputdoc.loads(json.dumps(inputdoc.emit_document(m))) == m
+    P = [[F(int(i == j)) if i >= j else F(rng.choice((-1, 0, 1)), rng.choice((1, 2))) for j in range(n)]
+         for i in range(n)]
+    with pytest.raises(ParseError, match=rf"^brackets\[\d+\]\.coeffs\[\d+\]: .* more than {inputdoc.MAX_DIGITS} digits"):
+        inputdoc.emit_document(m.change_basis(P))
+    n = inputdoc.MAX_DIM + 1
+    too_big = MetricLieAlgebra.make(LieAlgebra.abelian(n), linalg.identity(n))
+    with pytest.raises(ParseError, match=rf"^dim: .*{inputdoc.MAX_DIM}"):
+        inputdoc.emit_document(too_big)
 
 
 def test_validate_rejects_oversized_dim(capsys, tmp_path):
@@ -262,6 +288,13 @@ def test_analyze_json_and_text_agree(capsys, tmp_path):
     assert "flat: yes" in out_text
     assert rep["class_c"]["incompleteness"]["verdict"] == "incomplete"
     assert "incomplete" in out_text
+
+
+def test_analyze_sweep_usage_errors(capsys, tmp_path):
+    doc = write_doc(tmp_path, "rot3")
+    for n in ("-5", "0"):
+        code, out, err = run(capsys, "analyze", "--json", "--sweep", n, "-i", doc)
+        assert code == 2 and "--sweep" in err and out == "", n
 
 
 def test_analyze_sweep_section(capsys, tmp_path):

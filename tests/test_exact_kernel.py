@@ -1,9 +1,10 @@
 """Differential tests of the integer exact kernel against Fraction oracles.
 
-`linalg.rref`, `metric.levi_civita` and `metric.is_flat` clear denominators
-and work in Python ints.  Here each is compared with a plain Fraction
-computation on seeded instances of dims 2-9, flat and non-flat, with Gram
-matrices and structure constants that have non-unit denominators.
+`linalg.rref`, `metric.levi_civita`, `metric.is_flat`,
+`theorems.verify_eq2` and `LieAlgebra.is_abelian_subspace` work in Python
+ints.  Here each is compared with a plain Fraction computation on seeded
+instances of dims 2-9, flat and non-flat, with Gram matrices and structure
+constants that have non-unit denominators.
 """
 
 import random
@@ -12,7 +13,10 @@ from fractions import Fraction as F
 import pytest
 
 from flatlie import linalg, sweeps
-from flatlie.metric import curvature, is_flat, levi_civita
+from flatlie.errors import InvalidSplitError
+from flatlie.linalg import Subspace
+from flatlie.metric import MetricLieAlgebra, curvature, is_flat, killing_subalgebra, levi_civita
+from flatlie.theorems import SplitData, verify_eq2
 
 DIMS = range(2, 10)
 
@@ -58,6 +62,26 @@ def levi_civita_oracle(m):
     return out
 
 
+def left_mult_oracle(T, u):
+    """Matrix of v -> T(u, v): entry (k, j) is the e_k coefficient of T(u, e_j)."""
+    n = len(T)
+    return [[sum((u[i] * T[i][j][k] for i in range(n)), F(0)) for j in range(n)] for k in range(n)]
+
+
+def bracket_oracle(c, x, y):
+    n = len(c)
+    return [sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)), F(0)) for k in range(n)]
+
+
+def eq2_oracle(m, S, D):
+    """L_s = ad_s on the Killing basis and L_h = 0 on the derived basis,
+    with the product from the Fraction Koszul oracle."""
+    p, c = levi_civita_oracle(m), m.algebra.c
+    return all(left_mult_oracle(p, s) == left_mult_oracle(c, s) for s in S.basis) and all(
+        x == 0 for h in D.basis for row in left_mult_oracle(p, h) for x in row
+    )
+
+
 def rational_basis(rng, n):
     """An invertible matrix with non-unit denominators."""
     while True:
@@ -84,8 +108,24 @@ def instances():
     return out
 
 
+def eq2_fails():
+    """so(3) + R^(n-3) with distinct weights on so(3), moved to a rational
+    basis: the Killing subalgebra is the abelian factor, an orthogonal
+    complement of [g, g] = so(3), and the metric is not flat, so eq. (2)
+    fails on a valid split."""
+    out = []
+    for n in range(4, 8):
+        rng = random.Random(2000 + n)
+        weights = [F(1), F(2), F(3)] + [F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(n - 3)]
+        gram = [[w if i == j else F(0) for j, w in enumerate(weights)] for i in range(n)]
+        m = MetricLieAlgebra.make(sweeps.simple3(n), gram)
+        out.append((f"so3sum{n}-rational", m.change_basis(rational_basis(rng, n))))
+    return out
+
+
 INSTANCES = instances()
 IDS = [label for label, _ in INSTANCES]
+EQ2_FAILS = eq2_fails()
 
 
 def test_population_has_both_verdicts_and_fractional_data():
@@ -159,3 +199,69 @@ def test_is_flat_verdict_and_witness_match_curvature_on_every_pair(label, m):
     verdict = is_flat(m)
     assert verdict.flat == (not nonzero)
     assert verdict.witness == (nonzero[0] if nonzero else None)
+
+
+def _split(m):
+    S, D = killing_subalgebra(m), m.algebra.derived_subalgebra()
+    return SplitData(S, D, tuple(tuple(m.inner(list(s), list(d)) for d in D.basis) for s in S.basis))
+
+
+def _is_valid_split(split):
+    return split.killing.dim + split.derived.dim == split.killing.ambient_dim and not any(
+        x for row in split.cross_gram for x in row
+    )
+
+
+@pytest.mark.parametrize("label,m", INSTANCES + EQ2_FAILS, ids=IDS + [label for label, _ in EQ2_FAILS])
+def test_verify_eq2_matches_fraction_left_multiplication(label, m):
+    split = _split(m)
+    if _is_valid_split(split):
+        assert verify_eq2(m, split) == eq2_oracle(m, split.killing, split.derived)
+    else:
+        with pytest.raises(InvalidSplitError):
+            verify_eq2(m, split)
+
+
+def test_verify_eq2_population_reaches_both_outcomes():
+    outcomes = [verify_eq2(m, split) for _, m in INSTANCES + EQ2_FAILS for split in [_split(m)] if _is_valid_split(split)]
+    assert outcomes.count(True) >= 5 and outcomes.count(False) == len(EQ2_FAILS)
+    assert all(not is_flat(m).flat for _, m in EQ2_FAILS)
+
+
+def subspaces(rng, a):
+    """The derived algebra, the center, spans of random elements of the
+    derived algebra and of the whole algebra, with rational coefficients."""
+    n = a.dim
+    D = a.derived_subalgebra()
+    yield D
+    yield a.center()
+    for source in (D.basis, linalg.identity(n)):
+        if source:
+            k = rng.randint(1, 3)
+            yield Subspace.span(n, [
+                [sum((F(rng.randint(-3, 3), rng.choice((1, 2, 3))) * row[j] for row in source), F(0)) for j in range(n)]
+                for _ in range(k)
+            ])
+
+
+def abelian_oracle(a, V):
+    rows = V.basis
+    return all(not any(bracket_oracle(a.c, x, y)) for x in rows for y in rows)
+
+
+@pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
+def test_is_abelian_subspace_matches_fraction_brackets(label, m):
+    rng = random.Random(label)
+    a = m.algebra
+    for V in list(subspaces(rng, a)) + [killing_subalgebra(m)]:
+        assert a.is_abelian_subspace(V) == abelian_oracle(a, V)
+
+
+def test_is_abelian_subspace_population_reaches_both_outcomes():
+    outcomes = [
+        m.algebra.is_abelian_subspace(V)
+        for label, m in INSTANCES
+        for V in subspaces(random.Random(label), m.algebra)
+        if V.dim >= 2
+    ]
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from flatlie import catalog
+from flatlie import catalog, inputdoc
 from flatlie.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,3 +44,14 @@ def test_catalog_analyze_json_matches_golden(capsys, tmp_path, name):
 @pytest.mark.parametrize("name", INPUTS)
 def test_input_analyze_json_matches_golden(capsys, name):
     assert _analyze(capsys, GOLDEN / "inputs" / f"{name}.json") == _expected(name)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_input_documents_round_trip_through_emit_document(name):
+    """Each input was written by emit_document, so loading it and emitting
+    again gives the same document, which loads to the same metric."""
+    doc = json.loads((GOLDEN / "inputs" / f"{name}.json").read_text(encoding="utf-8"))
+    m = inputdoc.parse_document(doc)
+    emitted = inputdoc.emit_document(m)
+    assert emitted == doc
+    assert inputdoc.loads(json.dumps(emitted)) == m

@@ -4,6 +4,8 @@ import pickle
 import random
 from pathlib import Path
 
+import pytest
+
 from flatlie import classc, inputdoc, linalg, metric, report, sweeps
 from flatlie.metric import is_flat, killing_subalgebra, levi_civita
 from flatlie.theorems import theorem1_check
@@ -13,14 +15,17 @@ def _instance():
     return sweeps.theorem1_true_instance(random.Random(5), 5)
 
 
+GOLDEN_INPUTS = sorted(p.stem for p in (Path(__file__).parent / "golden" / "inputs").glob("*.json"))
+
+
 def _golden_input(name):
     path = Path(__file__).parent / "golden" / "inputs" / f"{name}.json"
     return inputdoc.loads(path.read_text(encoding="utf-8"))
 
 
 def test_analysis_report_builds_curvature_only_for_the_witness(monkeypatch):
-    """is_flat decides in ints; the Fraction curvature runs only to build
-    the witness of a non-flat metric, and the body of is_flat runs once."""
+    """is_flat decides in ints and builds its witness from the same ints:
+    the Fraction curvature never runs, and the body of is_flat runs once."""
     counts = {"curvature": 0, "is_flat": 0}
     curvature, verdict = metric.curvature, metric.CurvatureVerdict
 
@@ -34,15 +39,37 @@ def test_analysis_report_builds_curvature_only_for_the_witness(monkeypatch):
 
     monkeypatch.setattr(metric, "curvature", counted_curvature)
     monkeypatch.setattr(metric, "CurvatureVerdict", counted_verdict)
-    for m, flat, curvature_calls in (
-        (_instance(), True, 0),
-        (_golden_input("dim6_flat_split_lorentzian"), True, 0),
-        (_golden_input("dim6_nonflat_lorentzian"), False, 1),
+    for m, flat in (
+        (_instance(), True),
+        (_golden_input("dim6_flat_split_lorentzian"), True),
+        (_golden_input("dim6_nonflat_lorentzian"), False),
     ):
         counts.update(curvature=0, is_flat=0)
         section = report.analysis_report(m)["flatness"]
         assert section["flat"] is flat and is_flat(m).flat is flat
-        assert counts == {"curvature": curvature_calls, "is_flat": 1}
+        assert counts == {"curvature": 0, "is_flat": 1}
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_structure_constants_and_product_are_cleared_once(monkeypatch, name):
+    """Each LieAlgebra clears its structure constants once, at construction;
+    one analysis then clears only the Levi-Civita product, once."""
+    calls = []
+    clear = linalg.clear_tensor_denominators
+
+    def counted(T):
+        calls.append(len(T))
+        return clear(T)
+
+    monkeypatch.setattr(linalg, "clear_tensor_denominators", counted)
+    m = _golden_input(name)
+    assert len(calls) == 1
+    calls.clear()
+    report.analysis_report(m)
+    assert len(calls) == 1
+    calls.clear()
+    m.algebra.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
+    assert len(calls) == 1
 
 
 def test_repeated_calls_return_the_same_object():
@@ -52,12 +79,18 @@ def test_repeated_calls_return_the_same_object():
     assert m.algebra.derived_subalgebra() is m.algebra.derived_subalgebra()
 
 
+def _holds_only_its_integer_constants(a):
+    """The memo of an algebra nothing has been asked of: the integer view
+    its Jacobi check read, cleared from its own structure constants."""
+    return a._memo == {"flatlie.lie.LieAlgebra.integer_constants": linalg.clear_tensor_denominators(a.c)}
+
+
 def test_memo_is_invisible_to_eq_hash_and_repr():
     m = _instance()
     fresh = _instance()
     report.analysis_report(m)
-    assert m._memo and m.algebra._memo
-    assert not fresh._memo and not fresh.algebra._memo
+    assert m._memo and len(m.algebra._memo) > 1
+    assert not fresh._memo and _holds_only_its_integer_constants(fresh.algebra)
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
     assert m.algebra == fresh.algebra and hash(m.algebra) == hash(fresh.algebra)
     assert repr(m.algebra) == repr(fresh.algebra)
@@ -69,7 +102,7 @@ def test_derived_instances_start_with_an_empty_memo():
     report.analysis_report(m)
     assert m.scale_gram(2)._memo == {}
     moved = m.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
-    assert moved._memo == {} and moved.algebra._memo == {}
+    assert moved._memo == {} and _holds_only_its_integer_constants(moved.algebra)
 
 
 def test_class_c_analysis_detects_once(monkeypatch):
