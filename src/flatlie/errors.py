@@ -96,17 +96,17 @@ class InvalidWitnessError(FlatLieError):
     """Witness basis data is internally inconsistent."""
 
 
-class InvalidToleranceError(FlatLieError):
-    """Integrator tolerance outside the accepted range."""
-
-
 class InvalidGeodesicInputError(FlatLieError):
-    """Unusable integrator argument; `field` names it (t_max or v0)."""
+    """Unusable integrator argument; `field` names it (rel_tol, t_max or v0)."""
 
     def __init__(self, field: str, reason: str):
         self.field = field
         self.reason = reason
         super().__init__(f"{field} {reason}")
+
+
+class InvalidToleranceError(InvalidGeodesicInputError):
+    """Integrator tolerance outside the accepted range (field rel_tol)."""
 
 
 class NonPositiveProductError(FlatLieError):

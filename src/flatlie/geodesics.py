@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidGeodesicInputError, InvalidToleranceError, NonPositiveProductError
 from .metric import LeviCivitaProduct, MetricLieAlgebra, levi_civita
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOWUP_NORM = 1e12
 MIN_STEP = 1e-14
@@ -45,6 +46,8 @@ _RK_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 def product_as_floats(p: LeviCivitaProduct) -> np.ndarray:
     """One-time conversion of the exact product constants to a float tensor."""
+    import numpy as np
+
     return np.array(
         [[[float(x) for x in row] for row in plane] for plane in p.p], dtype=float
     )
@@ -52,6 +55,8 @@ def product_as_floats(p: LeviCivitaProduct) -> np.ndarray:
 
 def euler_arnold_rhs(p_float: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Velocity equation right-hand side: -(v . v) by bilinear evaluation."""
+    import numpy as np
+
     return -np.einsum("i,j,ijk->k", v, v, p_float)
 
 
@@ -95,19 +100,22 @@ def integrate(
     far are returned as STEP_LIMIT.
     """
     if not (1e-14 < rel_tol < 1e-2):
-        raise InvalidToleranceError(f"rel_tol {rel_tol} outside (1e-14, 1e-2)")
+        raise InvalidToleranceError("rel_tol", f"must be in (1e-14, 1e-2), got {rel_tol}")
     if not (0 < t_max < math.inf):
         raise InvalidGeodesicInputError("t_max", f"must be finite and positive, got {t_max}")
-    v = np.array([float(x) for x in v0], dtype=float)
-    if v.shape != (m.dim,):
+    components = [float(x) for x in v0]
+    if len(components) != m.dim:
         raise ValueError(f"initial velocity must have {m.dim} components")
-    if not np.isfinite(v).all():
-        raise InvalidGeodesicInputError("v0", f"must have finite components, got {v.tolist()}")
+    if not all(map(math.isfinite, components)):
+        raise InvalidGeodesicInputError("v0", f"must have finite components, got {components}")
+    import numpy as np
+
+    v = np.array(components, dtype=float)
     P = product_as_floats(levi_civita(m))
     G = np.array([[float(x) for x in row] for row in m.gram], dtype=float)
     if not (math.hypot(*v) < BLOWUP_NORM and math.isfinite(v @ G @ v)):
         raise InvalidGeodesicInputError(
-            "v0", f"must have norm below {BLOWUP_NORM:g} and finite energy, got {v.tolist()}"
+            "v0", f"must have norm below {BLOWUP_NORM:g} and finite energy, got {components}"
         )
     t = 0.0
     evals = 0

@@ -32,15 +32,15 @@ _TOP_KEYS = {"dim", "brackets", "metric", "labels"}
 
 #: Largest accepted dimension.  The exact analysis costs about dim^5
 #: big-integer operations; a dense document at both caps (dim 20, every
-#: entry a 6-digit numerator over a 6-digit denominator) runs
-#: `analyze --json` in under 40 s on a 2-vCPU Xeon.
+#: entry a 6-digit numerator over a 6-digit denominator) ran
+#: `analyze --json` in 247 s on a 2-vCPU Xeon.
 MAX_DIM = 20
 
 #: Most digits accepted in one numerator or denominator, as written.
 #: Distinct denominators multiply into common denominators of about
-#: dim^2 * MAX_DIGITS digits; in the reports of dense documents at both
-#: caps the largest number measured has 2,711 digits, inside Python's
-#: 4,300-digit int/str conversion limit.
+#: dim^2 * MAX_DIGITS digits; that dense document has a 4,984-digit
+#: curvature witness entry, beyond Python's default 4,300-digit int/str
+#: conversion limit, so the reports format rationals without that limit.
 MAX_DIGITS = 6
 
 

@@ -8,6 +8,7 @@ ever appear in the human-readable rendering).
 from __future__ import annotations
 
 import json
+import sys
 
 from . import classc as classc_mod
 from . import theorems
@@ -16,12 +17,35 @@ from .linalg import Subspace
 from .metric import MetricLieAlgebra, is_flat, killing_subalgebra, levi_civita
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n, however many.  str() refuses an int of more than
+    sys.get_int_max_str_digits() digits, which a curvature witness can reach
+    inside the input caps; such an int is written in chunks below the limit."""
+    try:
+        return str(n)
+    except ValueError:
+        width = sys.get_int_max_str_digits()
+    base, q, chunks = 10**width, abs(n), []
+    while q:
+        q, r = divmod(q, base)
+        chunks.append(r)
+    head = str(chunks.pop())
+    return ("-" if n < 0 else "") + head + "".join(str(r).zfill(width) for r in reversed(chunks))
+
+
+def _rational_str(x) -> str:
+    """str(x) of an int or Fraction, free of the int/str digit limit."""
+    if x.denominator == 1:
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+
+
 def vec_json(v) -> list[str]:
-    return [str(x) for x in v]
+    return [_rational_str(x) for x in v]
 
 
 def mat_json(rows) -> list[list[str]]:
-    return [[str(x) for x in row] for row in rows]
+    return [vec_json(row) for row in rows]
 
 
 def subspace_json(V: Subspace) -> dict:
@@ -124,7 +148,7 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
                 "e": vec_json(w.e),
                 "d": vec_json(w.d),
                 "b_sector_basis": [vec_json(row) for row in w.b_basis.basis],
-                "alpha": str(alpha),
+                "alpha": _rational_str(alpha),
                 "closed_form_matches": table.p == transported.p,
             }
         except (NotDegenerateError, RadicalDimensionError):
@@ -133,7 +157,7 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
     inc = classc_mod.incompleteness_verdict(m)
     section["incompleteness"] = {
         "unimodular": inc.unimodular,
-        "b_trace": str(inc.b_trace),
+        "b_trace": _rational_str(inc.b_trace),
         "flat": inc.flat,
         "verdict": inc.verdict,
     }

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import numpy as np
 
 from . import linalg
 from .errors import (
@@ -246,6 +245,8 @@ def rotation_form(m: MetricLieAlgebra, split: SplitData) -> RotationForm:
     the derived algebra.  Works in floats: the rotation rates are generically
     irrational, so this stays quarantined from every exact verdict.
     """
+    import numpy as np
+
     S, D = split.killing, split.derived
     G = m.gram_rows()
     if linalg.signature(linalg.restrict_form(G, D)) != linalg.Signature(D.dim, 0, 0):

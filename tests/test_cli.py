@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from flatlie import catalog, inputdoc, linalg, sweeps
 from flatlie.cli import main
 from flatlie.errors import ParseError
 from flatlie.lie import LieAlgebra
-from flatlie.metric import MetricLieAlgebra
+from flatlie.metric import MetricLieAlgebra, is_flat
 
 
 def run(capsys, *argv):
@@ -129,6 +130,41 @@ def test_analyze_rejects_oversized_rationals(capsys, tmp_path):
     path.write_text(json.dumps(at_cap))
     code, out, _ = run(capsys, "analyze", "--json", "-i", str(path))
     assert code == 0 and json.loads(out)["flatness"]["flat"] is False
+
+
+def test_analyze_prints_witnesses_beyond_the_int_str_digit_limit(capsys, tmp_path):
+    """A curvature witness may have more digits than str() converts under
+    sys.get_int_max_str_digits(); analyze --json still prints it in full as
+    valid JSON (it used to exit 1 with a ValueError traceback), and leaves
+    the process-wide limit as it was."""
+    rng = random.Random(3)
+
+    def entry():
+        return f"{rng.choice((-1, 1)) * rng.randint(100000, 999999)}/{rng.randint(100000, 999999)}"
+
+    n = 7
+    metric = [[None] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            metric[r][c] = metric[c][r] = entry()
+    doc = {"dim": n, "metric": metric,
+           "brackets": [{"i": 1, "j": j, "coeffs": ["0"] + [entry() for _ in range(n - 1)]}
+                        for j in range(2, n + 1)]}
+    path = tmp_path / "dense7.json"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "analyze", "--json", "-i", str(path))
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    witness = json.loads(out)["flatness"]["witness"]
+    i, j, K = is_flat(inputdoc.loads(path.read_text())).witness
+    assert (witness["i"], witness["j"]) == (i + 1, j + 1)
+    assert witness["curvature"] == [[str(x) for x in row] for row in K]
+    assert max(len(x) for row in witness["curvature"] for x in row) > 640
 
 
 def test_emit_document_refuses_what_loads_refuses():
@@ -258,6 +294,10 @@ def test_geodesic_usage_errors(capsys, tmp_path):
     for v0 in ("nan,0,0", "inf,0,0", "0,-inf,0", "1e400,0,0", "1e200,1e200,0", "1e12,0,0"):
         code, out, err = run(capsys, "geodesic", "-i", doc, "--v0", v0, "--t-max", "5", "--json")
         assert code == 2 and "--v0" in err and out == "", v0
+    for rel_tol in ("0.5", "1e-15", "nan"):
+        code, out, err = run(capsys, "geodesic", "-i", doc, "--v0", "1,0,0", "--t-max", "5",
+                             "--rel-tol", rel_tol, "--json")
+        assert code == 2 and "--rel-tol" in err and out == "", rel_tol
 
 
 def test_geodesic_accepts_rational_v0(capsys, tmp_path):
