@@ -84,16 +84,17 @@ class LieAlgebra:
     ) -> "LieAlgebra":
         """Build from the strict upper triangle only: keys (i, j) with i < j,
         0-based; the antisymmetric completion is automatic."""
-        c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        zero = (ZERO,) * dim
+        c = [[zero] * dim for _ in range(dim)]
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
             if len(coeffs) != dim:
                 raise ValueError(f"bracket ({i}, {j}) has {len(coeffs)} coefficients, expected {dim}")
-            v = [frac(x) for x in coeffs]
+            v = tuple(frac(x) for x in coeffs)
             c[i][j] = v
-            c[j][i] = [-x for x in v]
-        return cls(dim, _freeze(c), tuple(labels) if labels else None)
+            c[j][i] = tuple(-x for x in v)
+        return cls(dim, tuple(map(tuple, c)), tuple(labels) if labels else None)
 
     @classmethod
     def abelian(cls, dim: int, labels: Sequence[str] | None = None) -> "LieAlgebra":

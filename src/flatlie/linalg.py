@@ -8,9 +8,10 @@ The hot exact work runs in Python ints: `clear_denominators` scales a
 matrix or tensor to integers over one common denominator, and `mat_vec`,
 `mat_mul`, `bilinear`, `left_matrix` and `right_matrix` keep int data int
 (their sums start at int 0, so an entry with no nonzero term is the int 0,
-which equals Fraction(0)).  A tensor is cleared in two places only, the
-memoized views `LieAlgebra.integer_constants` and `metric.integer_product`;
-`rref` clears each row's denominators itself.
+which equals Fraction(0)).  A tensor is cleared in one place only, the
+memoized view `LieAlgebra.integer_constants`; `metric.lowered_constants`
+clears the Gram matrix, `metric.integer_product` is solved in ints from
+it, and `rref` clears each row's denominators itself.
 """
 
 from __future__ import annotations

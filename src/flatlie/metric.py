@@ -13,6 +13,7 @@ basis pairs with exact arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -99,39 +100,44 @@ class CurvatureVerdict:
 
 
 @memoized
-def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
-    """Solve the defining linear system of the product, pair by pair.
-
-    With the structure constants lowered once, low[i][j][k] =
-    <[e_i, e_j], e_k>, the right-hand side for (i, j) is read off as
-    (low[i][j][k] - low[j][k][i] + low[k][i][j]) / 2.  The work runs in
-    ints: with G = Gi / g, c = C / e and G^-1 = H / h, the lowered constants
-    are Gi C / (g e) and each product constant is an entry of
-    H (Koszul sum) over 2 h g e, made a Fraction once."""
-    n = m.dim
+def lowered_constants(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
+    """(Low, L) with <[e_i, e_j], e_k> = Low[i][j][k] / L: the one integer
+    view of the lowered structure constants, which the Levi-Civita solve and
+    the Killing constraints both read.  With G = Gi / g and c = C / e it is
+    Gi C over g e; the only place G is cleared."""
     Gi, g = linalg.clear_denominators(m.gram)
-    H, h = linalg.clear_denominators(linalg.inverse(m.gram))
     C, e = m.algebra.integer_constants()
-    low = [[linalg.mat_vec(Gi, cij) for cij in plane] for plane in C]
-    den = 2 * h * g * e
-    p = tuple(
-        tuple(
-            tuple(
-                Fraction(x, den) if x else ZERO
-                for x in linalg.mat_vec(H, [low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)])
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return LeviCivitaProduct(n, p)
+    return tuple(tuple(tuple(linalg.mat_vec(Gi, cij)) for cij in plane) for plane in C), g * e
 
 
 @memoized
 def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     """(P, D) with p = P / D for the least D > 0: the one integer view of the
-    Levi-Civita product that every exact layer reads."""
-    return linalg.clear_tensor_denominators(levi_civita(m).p)
+    Levi-Civita product that every exact layer reads.
+
+    Solved pair by pair in ints: with G^-1 = H / h, the Koszul right-hand
+    side for (i, j) is (Low[i][j][k] - Low[j][k][i] + Low[k][i][j]) / 2L, so
+    each product constant is an entry of H (Koszul sum) over 2 h L; dividing
+    by the gcd of 2 h L and every numerator leaves the least D."""
+    n = m.dim
+    low, L = lowered_constants(m)
+    H, h = linalg.clear_denominators(linalg.inverse(m.gram))
+    num = [
+        [linalg.mat_vec(H, [low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)]) for j in range(n)]
+        for i in range(n)
+    ]
+    den = 2 * h * L
+    d = math.gcd(den, *(x for plane in num for row in plane for x in row))
+    return tuple(tuple(tuple(x // d for x in row) for row in plane) for plane in num), den // d
+
+
+@memoized
+def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
+    """The product p = P / D of `integer_product`, one Fraction per entry."""
+    P, D = integer_product(m)
+    return LeviCivitaProduct(
+        m.dim, tuple(tuple(tuple(Fraction(x, D) if x else ZERO for x in row) for row in plane) for plane in P)
+    )
 
 
 def left_mult(p: LeviCivitaProduct, u: Sequence) -> Mat:
@@ -184,19 +190,13 @@ def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
 def killing_subalgebra(m: MetricLieAlgebra) -> Subspace:
     """{u : ad_u + (ad_u)* = 0}: values at the identity of the left-invariant
     Killing fields.  Since (ad_u)* = G^-1 ad_u^T G with G invertible, this is
-    {u : G ad_u + ad_u^T G = 0}; the condition is linear in u and the matrix
-    is symmetric, so it is the kernel of an n(n+1)/2 x n constraint matrix.
-    It is built from G scaled to integers and the algebra's integer view C,
-    which scales every row alike."""
+    {u : <[u, x], y> + <x, [u, y]> = 0 for all x, y}; the condition is linear
+    in u and symmetric in (x, y), so it is the kernel of an n(n+1)/2 x n
+    constraint matrix.  Row (i, j) at column a is Low[a][j][i] + Low[a][i][j]:
+    the common denominator L scales every row alike."""
     n = m.dim
-    G, _ = linalg.clear_denominators(m.gram)
-    C, _ = m.algebra.integer_constants()
-    ops = []
-    for plane in C:  # ad(e_a) is the transpose of plane a
-        GA = linalg.mat_mul(G, linalg.transpose(plane))
-        ops.append(linalg.mat_add(GA, linalg.transpose(GA)))
-    constraints = [[ops[a][i][j] for a in range(n)] for i in range(n) for j in range(i, n)]
-    return linalg.kernel(constraints)
+    low, _ = lowered_constants(m)
+    return linalg.kernel([[low[a][j][i] + low[a][i][j] for a in range(n)] for i in range(n) for j in range(i, n)])
 
 
 def has_timelike_vector(m: MetricLieAlgebra, V: Subspace) -> bool:

@@ -12,7 +12,7 @@ import sys
 
 from . import classc as classc_mod
 from . import theorems
-from .errors import AbelianInputError, NotDegenerateError, RadicalDimensionError
+from .errors import AbelianInputError
 from .linalg import Subspace
 from .metric import MetricLieAlgebra, is_flat, killing_subalgebra, levi_civita
 
@@ -137,22 +137,17 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
     }
     witness = None
     if t2.degenerate_restriction and t2.radical_dim == 1:
-        try:
-            w = classc_mod.construct_witness(m)
-            alpha = classc_mod.witness_scale(m.algebra, w)
-            table = classc_mod.closed_form_products(w, alpha)
-            transported = classc_mod.transport_product(
-                levi_civita(m), classc_mod.witness_change_of_basis(w)
-            )
-            witness = {
-                "e": vec_json(w.e),
-                "d": vec_json(w.d),
-                "b_sector_basis": [vec_json(row) for row in w.b_basis.basis],
-                "alpha": _rational_str(alpha),
-                "closed_form_matches": table.p == transported.p,
-            }
-        except (NotDegenerateError, RadicalDimensionError):
-            witness = None
+        w = classc_mod.construct_witness(m)
+        alpha = classc_mod.witness_scale(m.algebra, w)
+        table = classc_mod.closed_form_products(w, alpha)
+        transported = classc_mod.transport_product(levi_civita(m), classc_mod.witness_change_of_basis(w))
+        witness = {
+            "e": vec_json(w.e),
+            "d": vec_json(w.d),
+            "b_sector_basis": [vec_json(row) for row in w.b_basis.basis],
+            "alpha": _rational_str(alpha),
+            "closed_form_matches": table.p == transported.p,
+        }
     section["witness"] = witness
     inc = classc_mod.incompleteness_verdict(m)
     section["incompleteness"] = {

@@ -26,7 +26,7 @@ from .metric import (
     right_mult,
     verify_killing_triple_identity,
 )
-from .theorems import theorem1_check
+from .theorems import same_connection, theorem1_check
 
 
 def rational(rng: random.Random, zero_ok: bool = True) -> Fraction:
@@ -346,7 +346,7 @@ def sweep_gram_scaling(seed: int, count: int, dims=(2, 3, 4, 5)) -> SweepResult:
         factor = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         scaled = m.scale_gram(factor)
         tag = f"instance {idx} (dim {dim}, factor {factor})"
-        if levi_civita(m).p != levi_civita(scaled).p:
+        if not same_connection(m, scaled):
             failures.append(f"{tag}: product changed under gram scaling")
         if is_flat(m).flat != is_flat(scaled).flat:
             failures.append(f"{tag}: flatness verdict changed under gram scaling")

@@ -28,7 +28,6 @@ from .metric import (
     integer_product,
     is_flat,
     killing_subalgebra,
-    levi_civita,
 )
 
 #: residual / commutator tolerance for the floating-point rotation normal form
@@ -157,10 +156,12 @@ def corollary1_check(m: MetricLieAlgebra) -> Corollary1Report:
 
 
 def same_connection(m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> bool:
-    """True iff both metrics induce identical Levi-Civita product constants."""
+    """True iff both metrics induce identical Levi-Civita product constants.
+    Each product is solved on its own; the views (P, D) are canonical (least
+    D), so they are equal exactly when the products are."""
     if m1.algebra != m2.algebra:
         raise MismatchedAlgebrasError("metrics live on different Lie algebras")
-    return levi_civita(m1).p == levi_civita(m2).p
+    return integer_product(m1) == integer_product(m2)
 
 
 def riemannian_companion(m: MetricLieAlgebra) -> MetricLieAlgebra:

@@ -53,7 +53,8 @@ def test_analysis_report_builds_curvature_only_for_the_witness(monkeypatch):
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
 def test_structure_constants_and_product_are_cleared_once(monkeypatch, name):
     """Each LieAlgebra clears its structure constants once, at construction;
-    one analysis then clears only the Levi-Civita product, once."""
+    one analysis then clears no tensor: the Levi-Civita product is solved
+    straight into its integer view."""
     calls = []
     clear = linalg.clear_tensor_denominators
 
@@ -66,10 +67,43 @@ def test_structure_constants_and_product_are_cleared_once(monkeypatch, name):
     assert len(calls) == 1
     calls.clear()
     report.analysis_report(m)
-    assert len(calls) == 1
-    calls.clear()
+    assert len(calls) == 0
     m.algebra.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_gram_matrix_is_cleared_once_per_analysis(monkeypatch, name):
+    """The Levi-Civita solve and the Killing constraints read one lowered
+    view of the structure constants, the only place G is cleared."""
+    m = _golden_input(name)
+    calls = []
+    clear = linalg.clear_denominators
+
+    def counted(A):
+        calls.append(A is m.gram)
+        return clear(A)
+
+    monkeypatch.setattr(linalg, "clear_denominators", counted)
+    report.analysis_report(m)
+    assert calls.count(True) == 1
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_only_the_class_c_witness_builds_the_fraction_product(monkeypatch, name):
+    """Every exact layer reads (P, D); only the class-C witness transports
+    the Fraction product, so no other analysis builds it."""
+    built = []
+    product = metric.LeviCivitaProduct
+
+    def counted(*args):
+        built.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(metric, "LeviCivitaProduct", counted)
+    m = _golden_input(name)
+    section = report.analysis_report(m)
+    assert len(built) == (1 if section["class_c"]["detected"] else 0)
 
 
 def test_repeated_calls_return_the_same_object():
