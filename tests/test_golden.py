@@ -7,6 +7,13 @@ Riemannian, non-flat Lorentzian).  Regenerate a file only when the report
 is meant to change:
 
     PYTHONPATH=src python -m flatlie.cli analyze --json -i DOC > tests/golden/analyze/NAME.json
+
+`golden/sweep/rot3_seed<S>.json` is the stdout of `analyze --json --sweep 40
+--seed S` on the `rot3` catalog entry, which pins the generators' random
+stream and every sweep verdict.  Regenerate with
+
+    PYTHONPATH=src python -m flatlie.cli catalog show rot3 > rot3.json
+    PYTHONPATH=src python -m flatlie.cli analyze --json --sweep 40 --seed S -i rot3.json > tests/golden/sweep/rot3_seedS.json
 """
 
 import json
@@ -21,8 +28,8 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = sorted(p.stem for p in (GOLDEN / "inputs").glob("*.json"))
 
 
-def _analyze(capsys, path) -> str:
-    assert main(["analyze", "--json", "-i", str(path)]) == 0
+def _analyze(capsys, path, *opts) -> str:
+    assert main(["analyze", "--json", *opts, "-i", str(path)]) == 0
     return capsys.readouterr().out
 
 
@@ -44,6 +51,14 @@ def test_catalog_analyze_json_matches_golden(capsys, tmp_path, name):
 @pytest.mark.parametrize("name", INPUTS)
 def test_input_analyze_json_matches_golden(capsys, name):
     assert _analyze(capsys, GOLDEN / "inputs" / f"{name}.json") == _expected(name)
+
+
+@pytest.mark.parametrize("seed", [5, 9])
+def test_rot3_sweep_json_matches_golden(capsys, tmp_path, seed):
+    path = tmp_path / "rot3.json"
+    path.write_text(json.dumps(catalog.get("rot3").document))
+    out = _analyze(capsys, path, "--sweep", "40", "--seed", str(seed))
+    assert out == (GOLDEN / "sweep" / f"rot3_seed{seed}.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", INPUTS)
