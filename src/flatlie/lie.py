@@ -151,6 +151,8 @@ class LieAlgebra:
 
     def change_basis(self, P: Sequence[Sequence]) -> "LieAlgebra":
         """Transport to the basis whose j-th vector is column j of P (old
-        coordinates).  Jacobi is re-validated on construction; a singular P
-        raises SingularMatrixError."""
-        return LieAlgebra(self.dim, linalg.transport(self.c, P))
+        coordinates).  Transported from the integer view (C, E); Jacobi is
+        re-validated on construction; a singular P raises
+        SingularMatrixError."""
+        C, E = self.integer_constants()
+        return LieAlgebra(self.dim, linalg.transport(C, P, E))

@@ -11,7 +11,8 @@ matrix or tensor to integers over one common denominator, and `mat_vec`,
 which equals Fraction(0)).  A tensor is cleared in one place only, the
 memoized view `LieAlgebra.integer_constants`; `metric.lowered_constants`
 clears the Gram matrix, `metric.integer_product` is solved in ints from
-it, and `rref` clears each row's denominators itself.
+it, `rref` clears each row's denominators itself, and `transport` and
+`symmetric_diagonalize` clear their own matrices.
 """
 
 from __future__ import annotations
@@ -115,13 +116,20 @@ def right_matrix(T: Tensor, y: Sequence) -> Mat:
     return transpose([bilinear(T, e, y) for e in units(len(T))])
 
 
-def transport(T: Tensor, P: Sequence[Sequence]) -> Tensor:
-    """T in the basis given by the columns of P: entry (a, b) is
-    P^-1 T(P_a, P_b).  Raises SingularMatrixError for a singular P."""
+def transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1) -> Tensor:
+    """The tensor T / t in the basis given by the columns of P: entry (a, b)
+    is P^-1 T(P_a, P_b) / t.  T may hold ints or Fractions.  In ints: with
+    P = Pi / p and P^-1 = Qi / q, the entry is Qi T(Pi_a, Pi_b) over q t p^2,
+    one Fraction per entry.  Raises SingularMatrixError for a singular P."""
     P = mat(P)
-    Pinv = inverse(P)
-    cols = transpose(P)
-    return tuple(tuple(tuple(mat_vec(Pinv, bilinear(T, a, b))) for b in cols) for a in cols)
+    Qi, q = clear_denominators(inverse(P))
+    Pi, p = clear_denominators(P)
+    cols = transpose(Pi)
+    den = q * t * p * p
+    return tuple(
+        tuple(tuple(Fraction(x, den) if x else ZERO for x in mat_vec(Qi, bilinear(T, a, b))) for b in cols)
+        for a in cols
+    )
 
 
 def mat_sub(A, B) -> Mat:
@@ -258,53 +266,67 @@ class Signature(NamedTuple):
 def symmetric_diagonalize(S: Sequence[Sequence[Fraction]]) -> tuple[Mat, Vec]:
     """Exact congruence diagonalization: returns (E, d) with E S E^T = diag(d).
 
-    Uses simultaneous row/column pivoting; when the whole remaining diagonal
-    vanishes, a row+column addition manufactures a nonzero diagonal entry
-    (2 S[r][c] != 0 in characteristic zero), so no square roots are needed.
+    Fraction-free, with the pivots of symmetric elimination: take a nonzero
+    diagonal pivot, swapping rows and columns alike; when the whole
+    remaining diagonal vanishes, e_r += e_c for the first A[r][c] != 0
+    makes the pivot 2 A[r][c] (characteristic zero), so no square roots
+    are needed.
+
+    Each row r is first scaled by nu[r], the lcm of its own denominators,
+    so A = diag(nu) S is integral and E starts as diag(nu).  A Bareiss pass
+    then keeps A[r][c] = E_r S F_c^T, where F_c is e_c plus the vectors
+    row-added into it, and replaces each later row by
+    (piv row - A[r][i] pivot_row) / prev, exact by Sylvester's identity.
+    Every row of E stays a common factor (prev, the last pivot) times
+    nu[r] times the row that elimination in Fractions gives; a row add
+    weights its two rows by the other one's nu to keep it so.  Hence
+    d[i] = E_i S E_i^T = prev * nu[i] * piv.  Scaling the rows only, not
+    also the columns, keeps each minor one row-lcm per row in size.
     """
     n = len(S)
     if not is_symmetric(S):
         raise NonSymmetricError("symmetric_diagonalize requires a symmetric matrix")
-    A = [list(r) for r in S]
-    E = identity(n)
-
-    def add_row_col(dst: int, src: int, f: Fraction) -> None:
-        A[dst] = [x + f * y for x, y in zip(A[dst], A[src])]
-        for r in range(n):
-            A[r][dst] += f * A[r][src]
-        E[dst] = [x + f * y for x, y in zip(E[dst], E[src])]
+    nu = [math.lcm(*(x.denominator for x in row)) for row in S]
+    A = [[x.numerator * (lr // x.denominator) for x in row] for row, lr in zip(S, nu)]
+    E = [[lr if r == c else 0 for c in range(n)] for r, lr in enumerate(nu)]
+    d = [0] * n
 
     def swap(i: int, j: int) -> None:
         A[i], A[j] = A[j], A[i]
-        for r in range(n):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
+        for row in A:
+            row[i], row[j] = row[j], row[i]
         E[i], E[j] = E[j], E[i]
+        nu[i], nu[j] = nu[j], nu[i]
 
+    prev = 1
     for i in range(n):
-        if A[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if A[j][j] != 0), None)
+        if not A[i][i]:
+            j = next((j for j in range(i + 1, n) if A[j][j]), None)
             if j is not None:
                 swap(i, j)
             else:
-                found = None
-                for r in range(i, n):
-                    for c in range(r + 1, n):
-                        if A[r][c] != 0:
-                            found = (r, c)
-                            break
-                    if found:
-                        break
+                found = next(((r, c) for r in range(i, n) for c in range(r + 1, n) if A[r][c]), None)
                 if found is None:
                     break  # remaining block is identically zero
                 r, c = found
-                add_row_col(r, c, ONE)
+                g = math.gcd(nu[r], nu[c])
+                a, b = nu[c] // g, nu[r] // g
+                A[r] = [a * x + b * y for x, y in zip(A[r], A[c])]
+                E[r] = [a * x + b * y for x, y in zip(E[r], E[c])]
+                nu[r] *= a
+                for row in A:  # F_r += F_c
+                    row[r] += row[c]
                 if r != i:
                     swap(i, r)
         piv = A[i][i]
+        d[i] = prev * nu[i] * piv
+        prow, erow = A[i], E[i]
         for r in range(i + 1, n):
-            if A[r][i] != 0:
-                add_row_col(r, i, -A[r][i] / piv)
-    return E, [A[i][i] for i in range(n)]
+            f = A[r][i]
+            A[r][i + 1:] = [(piv * x - f * y) // prev for x, y in zip(A[r][i + 1:], prow[i + 1:])]
+            E[r] = [(piv * x - f * y) // prev for x, y in zip(E[r], erow)]
+        prev = piv
+    return [[Fraction(x) for x in row] for row in E], [Fraction(x) for x in d]
 
 
 def signature(S: Sequence[Sequence[Fraction]]) -> Signature:

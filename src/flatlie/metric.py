@@ -74,11 +74,15 @@ class MetricLieAlgebra:
 
     def change_basis(self, P: Sequence[Sequence]) -> "MetricLieAlgebra":
         """Transport algebra and inner product to the basis given by the
-        columns of P (gram -> P^T gram P)."""
+        columns of P (gram -> P^T gram P).  With gram = Gi / g and
+        P = Pi / p the new Gram matrix is Pi^T Gi Pi over g p^2."""
         Pm = linalg.mat(P)
         new_alg = self.algebra.change_basis(Pm)
-        new_gram = linalg.mat_mul(linalg.transpose(Pm), linalg.mat_mul(self.gram_rows(), Pm))
-        return MetricLieAlgebra.make(new_alg, new_gram)
+        Gi, g = linalg.clear_denominators(self.gram)
+        Pi, p = linalg.clear_denominators(Pm)
+        den = g * p * p
+        M = linalg.mat_mul(linalg.transpose(Pi), linalg.mat_mul(Gi, Pi))
+        return MetricLieAlgebra(new_alg, tuple(tuple(Fraction(x, den) if x else ZERO for x in row) for row in M))
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ def lowered_constants(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     """(Low, L) with <[e_i, e_j], e_k> = Low[i][j][k] / L: the one integer
     view of the lowered structure constants, which the Levi-Civita solve and
     the Killing constraints both read.  With G = Gi / g and c = C / e it is
-    Gi C over g e; the only place G is cleared."""
+    Gi C over g e; the only place an analysis clears G."""
     Gi, g = linalg.clear_denominators(m.gram)
     C, e = m.algebra.integer_constants()
     return tuple(tuple(tuple(linalg.mat_vec(Gi, cij)) for cij in plane) for plane in C), g * e

@@ -14,18 +14,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, metric
 from .classc import theorem2_check
 from .lie import LieAlgebra
 from .linalg import ONE, ZERO
-from .metric import (
-    MetricLieAlgebra,
-    is_flat,
-    left_mult,
-    levi_civita,
-    right_mult,
-    verify_killing_triple_identity,
-)
+from .metric import MetricLieAlgebra, is_flat, verify_killing_triple_identity
 from .theorems import same_connection, theorem1_check
 
 
@@ -37,28 +30,28 @@ def rational(rng: random.Random, zero_ok: bool = True) -> Fraction:
     return Fraction(num, rng.choice((1, 1, 2, 3)))
 
 
-def unimodular_int_matrix(rng: random.Random, n: int) -> linalg.Mat:
+def unimodular_int_matrix(rng: random.Random, n: int) -> list[list[int]]:
     """Random invertible integer matrix built as L U with unit diagonals
     (det = 1, entries stay small)."""
-    L = linalg.identity(n)
-    U = linalg.identity(n)
+    L = linalg.units(n)
+    U = linalg.units(n)
     for i in range(n):
         for j in range(i):
-            L[i][j] = Fraction(rng.randint(-1, 1))
+            L[i][j] = rng.randint(-1, 1)
         for j in range(i + 1, n):
-            U[i][j] = Fraction(rng.randint(-1, 1))
+            U[i][j] = rng.randint(-1, 1)
     P = linalg.mat_mul(L, U)
     perm = list(range(n))
     rng.shuffle(perm)
     return [[P[i][perm[j]] for j in range(n)] for i in range(n)]
 
 
-def gram_with_signature(rng: random.Random, n_plus: int, n_minus: int) -> linalg.Mat:
+def gram_with_signature(rng: random.Random, n_plus: int, n_minus: int) -> list[list[int]]:
     """P^T diag(+-1) P for random invertible P: exact prescribed signature."""
     n = n_plus + n_minus
-    diag = [ONE] * n_plus + [-ONE] * n_minus
+    diag = [1] * n_plus + [-1] * n_minus
     rng.shuffle(diag)
-    D = [[diag[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+    D = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     P = unimodular_int_matrix(rng, n)
     return linalg.mat_mul(linalg.transpose(P), linalg.mat_mul(D, P))
 
@@ -228,43 +221,40 @@ class SweepResult:
 
 
 def _connection_failures(m: MetricLieAlgebra, tag: str) -> list[str]:
-    """Defining identity of the product plus the connection axioms, exactly."""
+    """Defining identity of the product plus the connection axioms, exactly.
+
+    Decided in ints on c = C / E, p = P / D and G = Gi / g, with the lowered
+    constants low = Gi C computed here rather than read from the metric's
+    memo, so the solve is checked against an independent right-hand side:
+    2 E (Gi P_ij)_k == D (low_ijk - low_jki + low_kij),
+    E (L_a - R_a) == D ad_a, L_a^T Gi + Gi L_a == 0 and
+    E (P_ab - P_ba) == D C_ab."""
     failures = []
     n = m.dim
-    G = m.gram_rows()
-    c = m.algebra.c
-    p = levi_civita(m)
-    paired = [[linalg.mat_vec(G, list(p.p[i][j])) for j in range(n)] for i in range(n)]
-
-    def pair_with_basis(v, k):
-        return sum((v[l] * G[l][k] for l in range(n) if v[l]), ZERO)
+    C, E = m.algebra.integer_constants()
+    P, D = metric.integer_product(m)
+    Gi, _ = linalg.clear_denominators(m.gram)
+    low = [[linalg.mat_vec(Gi, C[i][j]) for j in range(n)] for i in range(n)]
 
     for i in range(n):
         for j in range(n):
+            paired = linalg.mat_vec(Gi, P[i][j])
             for k in range(n):
-                lhs = 2 * paired[i][j][k]
-                rhs = (
-                    pair_with_basis(c[i][j], k)
-                    - pair_with_basis(c[j][k], i)
-                    + pair_with_basis(c[k][i], j)
-                )
-                if lhs != rhs:
+                if 2 * E * paired[k] != D * (low[i][j][k] - low[j][k][i] + low[k][i][j]):
                     failures.append(f"{tag}: defining identity fails at ({i}, {j}, {k})")
 
-    basis = linalg.identity(n)
+    basis = linalg.units(n)
     for a in range(n):
-        L = left_mult(p, basis[a])
-        R = right_mult(p, basis[a])
-        if not linalg.mat_eq(linalg.mat_sub(L, R), m.algebra.ad(basis[a])):
+        L = linalg.left_matrix(P, basis[a])
+        R = linalg.right_matrix(P, basis[a])
+        ad = linalg.left_matrix(C, basis[a])
+        if any(E * (x - y) != D * z for lr, rr, ar in zip(L, R, ad) for x, y, z in zip(lr, rr, ar)):
             failures.append(f"{tag}: L - R != ad for basis vector {a}")
-        skew = linalg.mat_add(linalg.mat_mul(linalg.transpose(L), G), linalg.mat_mul(G, L))
+        skew = linalg.mat_add(linalg.mat_mul(linalg.transpose(L), Gi), linalg.mat_mul(Gi, L))
         if not linalg.is_zero_mat(skew):
             failures.append(f"{tag}: L_u not skew-symmetric for basis vector {a}")
         for b in range(n):
-            torsion = linalg.vec_sub(
-                p.product(basis[a], basis[b]), p.product(basis[b], basis[a])
-            )
-            if torsion != m.algebra.bracket(basis[a], basis[b]):
+            if any(E * (x - y) != D * z for x, y, z in zip(P[a][b], P[b][a], C[a][b])):
                 failures.append(f"{tag}: torsion-freeness fails at ({a}, {b})")
     return failures
 

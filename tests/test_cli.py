@@ -332,7 +332,7 @@ def test_analyze_json_and_text_agree(capsys, tmp_path):
 
 def test_analyze_sweep_usage_errors(capsys, tmp_path):
     doc = write_doc(tmp_path, "rot3")
-    for n in ("-5", "0"):
+    for n in ("-5", "0", "10001", str(10**30)):
         code, out, err = run(capsys, "analyze", "--json", "--sweep", n, "-i", doc)
         assert code == 2 and "--sweep" in err and out == "", n
 

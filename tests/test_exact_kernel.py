@@ -1,10 +1,11 @@
 """Differential tests of the integer exact kernel against Fraction oracles.
 
-`linalg.rref`, `metric.levi_civita`, `metric.is_flat`,
-`theorems.verify_eq2` and `LieAlgebra.is_abelian_subspace` work in Python
-ints.  Here each is compared with a plain Fraction computation on seeded
-instances of dims 2-9, flat and non-flat, with Gram matrices and structure
-constants that have non-unit denominators.
+`linalg.rref`, `linalg.symmetric_diagonalize`, `linalg.transport`,
+`metric.levi_civita`, `metric.is_flat`, `theorems.verify_eq2`,
+`LieAlgebra.is_abelian_subspace` and the sweeps' connection check work in
+Python ints.  Here each is compared with a plain Fraction computation on
+seeded instances of dims 1-9, flat and non-flat, with Gram matrices and
+structure constants that have non-unit denominators.
 """
 
 import random
@@ -12,8 +13,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from flatlie import linalg, sweeps
+from flatlie import linalg, metric, sweeps
 from flatlie.errors import InvalidSplitError
+from flatlie.lie import LieAlgebra
 from flatlie.linalg import Subspace
 from flatlie.metric import MetricLieAlgebra, curvature, is_flat, killing_subalgebra, levi_civita
 from flatlie.theorems import SplitData, verify_eq2
@@ -265,3 +267,168 @@ def test_is_abelian_subspace_population_reaches_both_outcomes():
         if V.dim >= 2
     ]
     assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+def symmetric_diagonalize_oracle(S):
+    """Fraction congruence diagonalization: (E, d) with E S E^T = diag(d).
+    Symmetric pivoting; when the remaining diagonal vanishes, e_r += e_c
+    for the first nonzero off-diagonal entry makes a nonzero pivot."""
+    n = len(S)
+    A = [[F(x) for x in row] for row in S]
+    E = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def add_row_col(dst, src, f):
+        A[dst] = [x + f * y for x, y in zip(A[dst], A[src])]
+        for r in range(n):
+            A[r][dst] += f * A[r][src]
+        E[dst] = [x + f * y for x, y in zip(E[dst], E[src])]
+
+    def swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        for r in range(n):
+            A[r][i], A[r][j] = A[r][j], A[r][i]
+        E[i], E[j] = E[j], E[i]
+
+    for i in range(n):
+        if A[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if A[j][j] != 0), None)
+            if j is not None:
+                swap(i, j)
+            else:
+                found = next(((r, c) for r in range(i, n) for c in range(r + 1, n) if A[r][c] != 0), None)
+                if found is None:
+                    break
+                r, c = found
+                add_row_col(r, c, F(1))
+                if r != i:
+                    swap(i, r)
+        piv = A[i][i]
+        for r in range(i + 1, n):
+            if A[r][i] != 0:
+                add_row_col(r, i, -A[r][i] / piv)
+    return E, [A[i][i] for i in range(n)]
+
+
+def symmetric_matrices():
+    """Seeded symmetric matrices of dims 1-8: dense with distinct
+    denominators, degenerate (B^T diag(d) B over k <= n rows), all-zero
+    diagonal (the row-add branch) and a pivot block beside a zero-diagonal
+    block (row adds after pivot steps, on rows of different scales)."""
+    for seed in range(1000):
+        rng = random.Random(seed)
+        n, kind = 1 + seed % 8, seed // 8 % 4
+        S = [[F(0)] * n for _ in range(n)]
+        if kind == 0:
+            for i in range(n):
+                for j in range(i, n):
+                    S[i][j] = S[j][i] = F(rng.randint(-9, 9), rng.randint(1, 60))
+        elif kind == 1:
+            k = rng.randint(1, n)
+            B = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(n)] for _ in range(k)]
+            d = [F(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(k)]
+            S = [[sum((B[l][i] * d[l] * B[l][j] for l in range(k)), F(0)) for j in range(n)] for i in range(n)]
+        else:
+            # z pivots first; with no coupling the rest keeps a zero diagonal
+            z = 0 if kind == 2 else rng.randint(1, max(1, n - 1))
+            coupling = 0.3 if seed % 2 else 0.0
+            for i in range(n):
+                if i < z:
+                    S[i][i] = F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 7))
+                for j in range(i + 1, n):
+                    if rng.random() < 0.6 and (i >= z or j < z or rng.random() < coupling):
+                        S[i][j] = S[j][i] = F(rng.randint(-5, 5), rng.randint(1, 12))
+        yield S
+
+
+def test_symmetric_diagonalize_matches_fraction_congruence():
+    """E S E^T = diag(d), every row of E a nonzero multiple of the oracle's
+    row and every d[i] of the oracle's sign: the reflection that
+    `riemannian_companion` builds from a row is unchanged under scaling."""
+    sign = lambda x: (x > 0) - (x < 0)  # noqa: E731
+    counts = {"row_add": 0, "degenerate": 0}
+    for S in symmetric_matrices():
+        n = len(S)
+        E, d = linalg.symmetric_diagonalize(S)
+        O, od = symmetric_diagonalize_oracle(S)
+        ES = [[sum((e * S[k][j] for k, e in enumerate(row) if e), F(0)) for j in range(n)] for row in E]
+        ESEt = [[sum((x * y for x, y in zip(row, col)), F(0)) for col in E] for row in ES]
+        assert ESEt == [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for row, orow in zip(E, O):
+            k = next(k for k, x in enumerate(orow) if x)
+            assert row[k] != 0 and all(x * orow[k] == y * row[k] for x, y in zip(row, orow))
+        assert [sign(x) for x in d] == [sign(x) for x in od]
+        assert tuple(linalg.signature(S)) == (
+            sum(x > 0 for x in od), sum(x < 0 for x in od), sum(x == 0 for x in od)
+        )
+        assert all(isinstance(x, F) for row in E for x in row) and all(isinstance(x, F) for x in d)
+        counts["row_add"] += n > 1 and all(S[i][i] == 0 for i in range(n)) and any(map(any, S))
+        counts["degenerate"] += any(x == 0 for x in od)
+    assert counts["row_add"] >= 100 and counts["degenerate"] >= 100
+
+
+def transport_oracle(T, P):
+    """P^-1 T(P_a, P_b), in Fractions."""
+    n = len(P)
+    R, _ = rref_oracle([[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(P)])
+    Pinv = [row[n:] for row in R]
+    P = [[F(x) for x in row] for row in P]
+    out = []
+    for a in range(n):
+        # T(P_a, e_j), then T(P_a, P_b) = sum_j P[j][b] T(P_a, e_j)
+        Ta = [[sum((P[i][a] * T[i][j][k] for i in range(n)), F(0)) for k in range(n)] for j in range(n)]
+        Tab = [[sum((P[j][b] * Ta[j][k] for j in range(n)), F(0)) for k in range(n)] for b in range(n)]
+        out.append(tuple(tuple(sum((Pinv[k][l] * v[l] for l in range(n)), F(0)) for k in range(n)) for v in Tab))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_transport_matches_fraction_change_of_basis(n):
+    rng = random.Random(300 + n)
+    for _ in range(4):
+        T_int = tuple(tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n)) for _ in range(n))
+        T_frac = tuple(tuple(tuple(F(x, rng.randint(1, 9)) for x in row) for row in plane) for plane in T_int)
+        for P in (sweeps.unimodular_int_matrix(rng, n), rational_basis(rng, n)):
+            for T in (T_int, T_frac):
+                moved = linalg.transport(T, P)
+                assert moved == transport_oracle(T, P)
+                assert all(isinstance(x, F) for plane in moved for row in plane for x in row)
+            t = rng.randint(2, 30)
+            scaled = tuple(tuple(tuple(F(x, t) for x in row) for row in plane) for plane in T_int)
+            assert linalg.transport(T_int, P, t) == transport_oracle(scaled, P)
+
+
+def _axioms_instance():
+    """R acting on R^2 with rational rates, and a diagonal Gram matrix with
+    non-unit denominators: each product entry P[i][j][k] enters the
+    defining identity at (i, j, k) only."""
+    a = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, F(1, 2)], (0, 2): [0, F(-3, 2), 0]})
+    return metric.MetricLieAlgebra.make(a, [[F(-1, 3), 0, 0], [0, 2, 0], [0, 0, F(5, 7)]])
+
+
+def _perturbed_failures(monkeypatch, entry):
+    product = metric.integer_product
+
+    def perturbed(m):
+        P, D = product(m)
+        P = [[list(row) for row in plane] for plane in P]
+        i, j, k = entry
+        P[i][j][k] += 1
+        return tuple(tuple(map(tuple, plane)) for plane in P), D
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metric, "integer_product", perturbed)
+        return sweeps._connection_failures(_axioms_instance(), "t")
+
+
+def test_connection_check_reports_a_perturbed_product_entry(monkeypatch):
+    assert sweeps._connection_failures(_axioms_instance(), "t") == []
+    failures = _perturbed_failures(monkeypatch, (0, 1, 2))
+    assert [f for f in failures if "defining identity" in f] == ["t: defining identity fails at (0, 1, 2)"]
+    assert "t: torsion-freeness fails at (0, 1)" in failures
+    failures = _perturbed_failures(monkeypatch, (1, 2, 0))
+    assert [f for f in failures if "defining identity" in f] == ["t: defining identity fails at (1, 2, 0)"]
+    assert "t: L - R != ad for basis vector 1" in failures
+    # a diagonal entry keeps L - R = ad but breaks the defining identity
+    failures = _perturbed_failures(monkeypatch, (2, 2, 1))
+    assert failures and not any("torsion" in f or "L - R" in f for f in failures)
+    assert "t: defining identity fails at (2, 2, 1)" in failures
