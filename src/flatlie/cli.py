@@ -99,6 +99,8 @@ def _parse_v0(text: str, dim: int) -> list[float]:
             out.append(float(Fraction(s)) if "/" in s else float(s))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"--v0: invalid number {s!r}") from None
+        except OverflowError:
+            raise ParseError(f"--v0: rational {s[:20]}... is beyond the float range") from None
     return out
 
 

@@ -54,10 +54,10 @@ def product_as_floats(p: LeviCivitaProduct) -> np.ndarray:
 
 
 def euler_arnold_rhs(p_float: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Velocity equation right-hand side: -(v . v) by bilinear evaluation."""
-    import numpy as np
-
-    return -np.einsum("i,j,ijk->k", v, v, p_float)
+    """Velocity equation right-hand side: -(v . v) by bilinear evaluation,
+    as two matrix-vector products on the (n, n^2) view of the product."""
+    n = len(v)
+    return -v.dot(v.dot(p_float.reshape(n, n * n)).reshape(n, n))
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,9 @@ def integrate(
         raise InvalidToleranceError("rel_tol", f"must be in (1e-14, 1e-2), got {rel_tol}")
     if not (0 < t_max < math.inf):
         raise InvalidGeodesicInputError("t_max", f"must be finite and positive, got {t_max}")
+    if t_max < 10 * MIN_STEP:
+        # the first step is t_max / 10: below MIN_STEP it would end as a false STEP_UNDERFLOW
+        raise InvalidGeodesicInputError("t_max", f"must be at least {10 * MIN_STEP:g}, got {t_max}")
     components = [float(x) for x in v0]
     if len(components) != m.dim:
         raise ValueError(f"initial velocity must have {m.dim} components")
@@ -117,59 +120,66 @@ def integrate(
         raise InvalidGeodesicInputError(
             "v0", f"must have norm below {BLOWUP_NORM:g} and finite energy, got {components}"
         )
+    # Stage derivatives live in the rows of K; stage s reads the views K[:s].
+    K = np.empty((6, m.dim))
+    stages = [(np.array(_RK_A[s]), K[:s], K[s]) for s in range(1, 6)]
+    # One product gives the 5th-order increment and the error estimate v5 - v4.
+    weights = np.array([_RK_B5, [b5 - b4 for b5, b4 in zip(_RK_B5, _RK_B4)]])
+
     t = 0.0
-    evals = 0
+    norm = math.hypot(*components)
+    # accepted states as Python floats; energies are formed once, at return
+    ts, vs, norms = [t], [components], [norm]
 
-    def sample(tc: float, vc: np.ndarray) -> TrajectorySample:
-        return TrajectorySample(
-            t=tc,
-            v=tuple(float(x) for x in vc),
-            norm=float(np.linalg.norm(vc)),
-            energy=float(vc @ G @ vc),
+    def trajectory(outcome: str, blowup_time: float | None = None) -> GeodesicTrajectory:
+        V = np.array(vs)
+        energies = np.einsum("si,ij,sj->s", V, G, V).tolist()
+        samples = tuple(
+            TrajectorySample(tc, tuple(vc), nc, ec) for tc, vc, nc, ec in zip(ts, vs, norms, energies)
         )
+        return GeodesicTrajectory(samples, outcome, blowup_time, evals)
 
-    samples = [sample(t, v)]
-    norm0 = max(1.0, float(np.linalg.norm(v)))
-
+    norm0 = max(1.0, norm)
     f0 = euler_arnold_rhs(P, v)
-    evals += 1
-    h = min(0.1, t_max / 10.0, rel_tol ** 0.2 / (1.0 + float(np.linalg.norm(f0))))
+    evals = 1
+    h = min(0.1, t_max / 10.0, rel_tol ** 0.2 / (1.0 + math.hypot(*f0.tolist())))
 
     while t < t_max:
-        if len(samples) > MAX_STEPS:
-            return GeodesicTrajectory(tuple(samples), STEP_LIMIT, None, evals)
+        if len(ts) > MAX_STEPS:
+            return trajectory(STEP_LIMIT)
         h = min(h, t_max - t)
-        ks = [euler_arnold_rhs(P, v)]
-        evals += 1
-        for stage in range(1, 6):
-            vs = v + h * sum(a * k for a, k in zip(_RK_A[stage], ks))
-            ks.append(euler_arnold_rhs(P, vs))
-            evals += 1
-        v5 = v + h * sum(b * k for b, k in zip(_RK_B5, ks))
-        v4 = v + h * sum(b * k for b, k in zip(_RK_B4, ks))
-        err = float(np.linalg.norm(v5 - v4))
-        scale = rel_tol * (1.0 + float(np.linalg.norm(v)))
+        K[0] = euler_arnold_rhs(P, v)
+        for a, k_prev, k in stages:
+            k[:] = euler_arnold_rhs(P, v + h * a.dot(k_prev))
+        evals += 6
+        step, delta = h * weights.dot(K)
+        err = math.hypot(*delta.tolist())
+        scale = rel_tol * (1.0 + norm)
 
-        if np.isfinite(err) and err <= scale:
+        if math.isfinite(err) and err <= scale:
             t += h
-            v = v5
-            if not np.isfinite(v).all():
-                return GeodesicTrajectory(tuple(samples), BLOW_UP_DETECTED, samples[-1].t, evals)
-            samples.append(sample(t, v))
-            if np.linalg.norm(v) > BLOWUP_NORM:
-                return GeodesicTrajectory(tuple(samples), BLOW_UP_DETECTED, t, evals)
+            v = v + step
+            vl = v.tolist()
+            if not all(map(math.isfinite, vl)):
+                return trajectory(BLOW_UP_DETECTED, ts[-1])
+            norm = math.hypot(*vl)
+            ts.append(t)
+            vs.append(vl)
+            norms.append(norm)
+            if norm > BLOWUP_NORM:
+                return trajectory(BLOW_UP_DETECTED, t)
 
-        if not np.isfinite(err) or err > 0:
-            ratio = (scale / err) ** 0.2 if np.isfinite(err) and err > 0 else 0.2
+        if not math.isfinite(err) or err > 0:
+            ratio = (scale / err) ** 0.2 if math.isfinite(err) and err > 0 else 0.2
             h *= min(5.0, max(0.2, 0.9 * ratio))
         else:
             h *= 5.0
         if h < MIN_STEP and t < t_max:
-            if float(np.linalg.norm(v)) > 1e3 * norm0:
-                return GeodesicTrajectory(tuple(samples), BLOW_UP_DETECTED, t, evals)
-            return GeodesicTrajectory(tuple(samples), STEP_UNDERFLOW, None, evals)
+            if norm > 1e3 * norm0:
+                return trajectory(BLOW_UP_DETECTED, t)
+            return trajectory(STEP_UNDERFLOW)
 
-    return GeodesicTrajectory(tuple(samples), REACHED_HORIZON, None, evals)
+    return trajectory(REACHED_HORIZON)
 
 
 def blowup_time_classc(alpha, scale) -> float:

@@ -58,12 +58,12 @@ class LieAlgebra:
             raise ValueError("dimension must be a positive integer")
         if len(self.c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in self.c):
             raise ValueError("structure constant tensor must be n x n x n")
+        C, E = self.integer_constants()
         for i in range(n):
             for j in range(i, n):
                 for k in range(n):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
+                    if C[i][j][k] != -C[j][i][k]:  # one denominator E: same test as on c
                         raise AntisymmetryError(i, j, k)
-        C, E = self.integer_constants()
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):

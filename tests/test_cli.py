@@ -288,10 +288,12 @@ def test_geodesic_usage_errors(capsys, tmp_path):
     assert code == 2 and "components" in err
     code, _, err = run(capsys, "geodesic", "-i", doc, "--v0", "1,x,0", "--t-max", "5")
     assert code == 2
-    for t_max in ("-1", "0", "nan", "inf"):
+    for t_max in ("-1", "0", "nan", "inf", "1e-20", "1e-320"):
         code, out, err = run(capsys, "geodesic", "-i", doc, "--v0", "1,0,0", "--t-max", t_max, "--json")
         assert code == 2 and "--t-max" in err and out == "", t_max
-    for v0 in ("nan,0,0", "inf,0,0", "0,-inf,0", "1e400,0,0", "1e200,1e200,0", "1e12,0,0"):
+    huge = "1" + "0" * 400
+    for v0 in ("nan,0,0", "inf,0,0", "0,-inf,0", "1e400,0,0", "1e200,1e200,0", "1e12,0,0",
+               f"{huge}/1,0,0", f"0,-{huge}/3,0"):
         code, out, err = run(capsys, "geodesic", "-i", doc, "--v0", v0, "--t-max", "5", "--json")
         assert code == 2 and "--v0" in err and out == "", v0
     for rel_tol in ("0.5", "1e-15", "nan"):

@@ -1,15 +1,21 @@
 import csv
+import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from flatlie import catalog, geodesics
+from flatlie import catalog, geodesics, sweeps
 from flatlie.errors import InvalidGeodesicInputError, InvalidToleranceError, NonPositiveProductError
 from flatlie.geodesics import (
     BLOW_UP_DETECTED,
+    MIN_STEP,
     REACHED_HORIZON,
     STEP_LIMIT,
+    STEP_UNDERFLOW,
+    GeodesicTrajectory,
+    TrajectorySample,
     blowup_time_classc,
     euler_arnold_rhs,
     integrate,
@@ -17,7 +23,7 @@ from flatlie.geodesics import (
     write_csv,
 )
 from flatlie.lie import LieAlgebra
-from flatlie.metric import MetricLieAlgebra, levi_civita
+from flatlie.metric import MetricLieAlgebra, is_flat, levi_civita
 
 
 def classc2_with_alpha(alpha):
@@ -128,10 +134,19 @@ def test_tolerance_validated():
 
 def test_horizon_and_initial_velocity_validated():
     m = catalog.build("rot3")
-    for t_max in (-1.0, 0.0, float("nan"), float("inf")):
+    for t_max in (-1.0, 0.0, float("nan"), float("inf"), 1e-20, 1e-320):
         with pytest.raises(InvalidGeodesicInputError) as info:
             integrate(m, [1.0, 0.0, 0.0], t_max=t_max)
         assert info.value.field == "t_max"
+    # a horizon whose first step (t_max / 10) would be below MIN_STEP is
+    # refused, not reported as a false step_underflow; from the bound up the
+    # horizon is reached
+    with pytest.raises(InvalidGeodesicInputError) as info:
+        integrate(catalog.build("classc2_flat"), [1.0, 1.0], t_max=1e-14)
+    assert info.value.field == "t_max" and "1e-13" in info.value.reason
+    for name, v0 in (("rot3", [1.0, 1.0, 0.0]), ("classc2_flat", [1.0, 1.0])):
+        for t_max in (10 * MIN_STEP, 5e-13):
+            assert integrate(catalog.build(name), v0, t_max=t_max).outcome == REACHED_HORIZON
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidGeodesicInputError) as info:
             integrate(m, [1.0, bad, 0.0], t_max=1.0)
@@ -165,3 +180,161 @@ def test_csv_export(tmp_path):
     assert rows[0] == ["t", "v_1", "v_2", "v_3", "norm"]
     assert len(rows) == len(traj.samples) + 1
     assert float(rows[1][0]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# differential test: the stepper against the loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_integrate(m, v0, t_max, rel_tol=1e-9):
+    """The earlier stepper, kept as the oracle: the same Fehlberg 4(5) pair
+    and step rule, with an einsum right-hand side, stages summed in Python,
+    v4 formed explicitly and each sample built as it is accepted."""
+    P = product_as_floats(levi_civita(m))
+    G = np.array([[float(x) for x in row] for row in m.gram], dtype=float)
+
+    def rhs(v):
+        return -np.einsum("i,j,ijk->k", v, v, P)
+
+    def sample(tc, vc):
+        return TrajectorySample(tc, tuple(float(x) for x in vc), float(np.linalg.norm(vc)), float(vc @ G @ vc))
+
+    v = np.array([float(x) for x in v0])
+    t = 0.0
+    samples = [sample(t, v)]
+    norm0 = max(1.0, float(np.linalg.norm(v)))
+    evals = 1
+    h = min(0.1, t_max / 10.0, rel_tol ** 0.2 / (1.0 + float(np.linalg.norm(rhs(v)))))
+    while t < t_max:
+        if len(samples) > geodesics.MAX_STEPS:
+            return GeodesicTrajectory(tuple(samples), STEP_LIMIT, None, evals)
+        h = min(h, t_max - t)
+        ks = [rhs(v)]
+        for stage in range(1, 6):
+            ks.append(rhs(v + h * sum(a * k for a, k in zip(geodesics._RK_A[stage], ks))))
+        evals += 6
+        v5 = v + h * sum(b * k for b, k in zip(geodesics._RK_B5, ks))
+        v4 = v + h * sum(b * k for b, k in zip(geodesics._RK_B4, ks))
+        err = float(np.linalg.norm(v5 - v4))
+        scale = rel_tol * (1.0 + float(np.linalg.norm(v)))
+        if np.isfinite(err) and err <= scale:
+            t += h
+            v = v5
+            if not np.isfinite(v).all():
+                return GeodesicTrajectory(tuple(samples), BLOW_UP_DETECTED, samples[-1].t, evals)
+            samples.append(sample(t, v))
+            if np.linalg.norm(v) > geodesics.BLOWUP_NORM:
+                return GeodesicTrajectory(tuple(samples), BLOW_UP_DETECTED, t, evals)
+        if not np.isfinite(err) or err > 0:
+            ratio = (scale / err) ** 0.2 if np.isfinite(err) and err > 0 else 0.2
+            h *= min(5.0, max(0.2, 0.9 * ratio))
+        else:
+            h *= 5.0
+        if h < MIN_STEP and t < t_max:
+            if float(np.linalg.norm(v)) > 1e3 * norm0:
+                return GeodesicTrajectory(tuple(samples), BLOW_UP_DETECTED, t, evals)
+            return GeodesicTrajectory(tuple(samples), STEP_UNDERFLOW, None, evals)
+    return GeodesicTrajectory(tuple(samples), REACHED_HORIZON, None, evals)
+
+
+def assert_matches_reference(m, v0, t_max, label):
+    got, want = integrate(m, v0, t_max), reference_integrate(m, v0, t_max)
+    assert (got.outcome, len(got.samples), got.rhs_evaluations) == (
+        want.outcome, len(want.samples), want.rhs_evaluations), label
+    if want.outcome == BLOW_UP_DETECTED:
+        assert abs(got.blowup_time - want.blowup_time) <= 1e-9 * want.blowup_time, label
+    else:
+        v, w = np.array(got.final.v), np.array(want.final.v)
+        assert np.linalg.norm(v - w) <= 1e-9 * (1.0 + np.linalg.norm(w)), label
+        # Under an indefinite metric |v| can grow while <v, v> stays put, so
+        # the energy is measured on the scale of its terms, |G| |v|^2.
+        G = np.array([[float(x) for x in row] for row in m.gram])
+        terms = np.linalg.norm(G, 2) * max(s.norm for s in want.samples) ** 2
+        e0 = want.samples[0].energy
+        assert abs(got.energy_drift() - want.energy_drift()) <= 1e-12 * (1.0 + max(abs(e0), terms)), label
+    return want.outcome
+
+
+def test_rhs_matches_einsum():
+    rng = np.random.default_rng(20)
+    for n in range(1, 21):
+        P = rng.standard_normal((n, n, n))
+        v = rng.standard_normal(n)
+        np.testing.assert_allclose(euler_arnold_rhs(P, v), -np.einsum("i,j,ijk->k", v, v, P), rtol=1e-12)
+
+
+def test_stepper_matches_reference_on_catalog():
+    outcomes = set()
+    for name in catalog.names():
+        m = catalog.build(name)
+        n = m.dim
+        for v0 in [[float(i == j) for i in range(n)] for j in range(n)] + [[1.0] * n]:
+            for t_max in (5.0, 50.0):
+                outcomes.add(assert_matches_reference(m, v0, t_max, (name, v0, t_max)))
+    assert outcomes == {REACHED_HORIZON, BLOW_UP_DETECTED}
+
+
+def flat_classc_ray(rng, dim):
+    """[t, u_j] = alpha u_j with <u_1, u_1> = 0 and <t, u_1> = 1: flat, and
+    v = f d along the null d = t - (<t, t>/2) u_1 obeys f' = alpha f^2, so
+    f0 with alpha f0 > 0 blows up at 1 / (alpha f0)."""
+    algebra = sweeps.class_c_algebra(rng, dim)
+    alpha = algebra.c[0][1][1]
+    gram = [[F(0)] * dim for _ in range(dim)]
+    gram[0][0] = sweeps.rational(rng)
+    gram[0][1] = gram[1][0] = F(1)
+    for j in range(2, dim):
+        gram[0][j] = gram[j][0] = sweeps.rational(rng)
+        gram[j][j] = F(rng.randint(1, 3))
+    f0 = rng.randint(1, 3) * (1 if alpha > 0 else -1)
+    d = [F(0)] * dim
+    d[0], d[1] = F(f0), -f0 * gram[0][0] / 2
+    return MetricLieAlgebra.make(algebra, gram), d, float(2 / (alpha * f0))
+
+
+def nonflat_riemannian(rng, dim):
+    """so(3) or Heisenberg-like (the solvable class-C pair in dim 2), plus
+    abelian directions, under a diagonal Riemannian metric: never flat, and
+    the flow is a bounded, integrable top."""
+    if dim == 2:
+        algebra = sweeps.class_c_algebra(rng, 2)
+    else:
+        algebra = sweeps.simple3(dim) if dim % 2 else sweeps.heisenberg_like(rng, dim)
+    gram = [[F(rng.randint(1, 3) if i == j else 0) for j in range(dim)] for i in range(dim)]
+    return MetricLieAlgebra.make(algebra, gram)
+
+
+def test_stepper_matches_reference_on_generated_instances():
+    rng = random.Random(10)
+    for dim in range(2, 10):
+        flat = sweeps.theorem1_true_instance(rng, dim)
+        assert is_flat(flat).flat
+        v0 = [rng.randint(-2, 2) for _ in range(dim)]
+        v0[0] = 1
+        assert assert_matches_reference(flat, v0, 5.0, ("rotation", dim)) == REACHED_HORIZON
+
+        classc, d, t_max = flat_classc_ray(rng, dim)
+        assert is_flat(classc).flat
+        assert assert_matches_reference(classc, d, t_max, ("classc", dim)) == BLOW_UP_DETECTED
+
+        nonflat = nonflat_riemannian(rng, dim)
+        assert not is_flat(nonflat).flat
+        v0 = [rng.randint(-2, 2) for _ in range(dim)]
+        v0[-1] = 1
+        assert assert_matches_reference(nonflat, v0, 5.0, ("nonflat", dim)) == REACHED_HORIZON
+
+
+def test_stepper_matches_reference_on_a_dense_dim20_document():
+    """[e_1, e_j] dense in e_2..e_20 under a dense Riemannian metric."""
+    rng = random.Random(20)
+    n = 20
+    brackets = {(0, j): [F(0)] + [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n - 1)]
+                for j in range(1, n)}
+    gram = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = F(2 * n)
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = F(rng.randint(-1, 1))
+    m = MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
+    v0 = [rng.choice((-1.0, 1.0)) / math.sqrt(n) for _ in range(n)]
+    assert assert_matches_reference(m, v0, 2.0, "dense20") == REACHED_HORIZON

@@ -84,6 +84,27 @@ def test_antisymmetry_violation_on_full_tensor():
         LieAlgebra.from_structure_constants(2, c)
 
 
+def test_antisymmetry_violation_names_the_first_triple():
+    """The first (i, j, k) in loop order (i <= j, then k) is reported: a
+    nonzero diagonal c[i][i][k], and a 1/2 vs -1/3 pair that a common
+    denominator must not make equal."""
+    def zeros():
+        return [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+
+    c = zeros()
+    c[1][1][2] = F(5)
+    c[2][2][0] = F(1)
+    with pytest.raises(AntisymmetryError) as exc:
+        LieAlgebra.from_structure_constants(3, c)
+    assert exc.value.triple == (1, 1, 2)
+    c = zeros()
+    c[0][2][1], c[2][0][1] = F(1, 2), F(-1, 3)
+    c[1][2][0], c[2][1][0] = F(1), F(1)
+    with pytest.raises(AntisymmetryError) as exc:
+        LieAlgebra.from_structure_constants(3, c)
+    assert exc.value.triple == (0, 2, 1)
+
+
 def test_ad_matrices():
     assert linalg.is_zero_mat(LieAlgebra.abelian(3).ad([F(1), F(2), F(3)]))
     a = solvable2()
