@@ -23,7 +23,7 @@ from .errors import (
 )
 from .lie import LieAlgebra, memoized
 from .linalg import Mat, Subspace, ZERO, frac
-from .metric import LeviCivitaProduct, MetricLieAlgebra, is_flat
+from .metric import LeviCivitaProduct, MetricLieAlgebra, integer_product, is_flat
 
 
 @dataclass(frozen=True)
@@ -226,9 +226,12 @@ def closed_form_products(w: WitnessBasis, alpha) -> LeviCivitaProduct:
     return LeviCivitaProduct(n, tuple(tuple(tuple(r) for r in plane) for plane in p))
 
 
-def transport_product(p: LeviCivitaProduct, P: Sequence[Sequence]) -> LeviCivitaProduct:
-    """Product constants in the basis given by the columns of P."""
-    return LeviCivitaProduct(p.dim, linalg.transport(p.p, P))
+def transport_product(m: MetricLieAlgebra, P: Sequence[Sequence]) -> LeviCivitaProduct:
+    """Levi-Civita product constants of m in the basis given by the columns
+    of P (ints or Fractions), transported from the integer view (P, D) as
+    `LieAlgebra.change_basis` transports (C, E)."""
+    prod, D = integer_product(m)
+    return LeviCivitaProduct(m.dim, linalg.transport(prod, P, D))
 
 
 @dataclass(frozen=True)

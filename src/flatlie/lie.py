@@ -37,12 +37,13 @@ def _freeze(c: Sequence[Sequence[Sequence]]) -> Tensor:
     return tuple(tuple(tuple(frac(x) for x in row) for row in plane) for plane in c)
 
 
-def _jacobi_residual(C: IntTensor, i: int, j: int, k: int) -> list[int]:
+def _jacobi_residual(ad: IntTensor, C: IntTensor, i: int, j: int, k: int) -> list[int]:
     """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] for the
-    integer structure constants C."""
-    e = linalg.units(len(C))
-    terms = [linalg.bilinear(C, e[a], C[b][cc]) for a, b, cc in ((i, j, k), (j, k, i), (k, i, j))]
-    return [x + y + z for x, y, z in zip(*terms)]
+    integer structure constants C.  ad[a] is the transpose of C[a], the rows
+    of the matrix of ad_{e_a}, so entry m of [e_a, v] is dot(ad[a][m], v)."""
+    cjk, cki, cij = C[j][k], C[k][i], C[i][j]
+    dot = linalg.dot
+    return [dot(x, cjk) + dot(y, cki) + dot(z, cij) for x, y, z in zip(ad[i], ad[j], ad[k])]
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,12 @@ class LieAlgebra:
                 for k in range(n):
                     if C[i][j][k] != -C[j][i][k]:  # one denominator E: same test as on c
                         raise AntisymmetryError(i, j, k)
+        ad = [tuple(zip(*plane)) for plane in C]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    residual = _jacobi_residual(C, i, j, k)
-                    if not linalg.is_zero_vec(residual):  # quadratic in c = C / E
+                    residual = _jacobi_residual(ad, C, i, j, k)
+                    if any(residual):  # quadratic in c = C / E
                         raise JacobiError(i, j, k, [Fraction(x, E * E) for x in residual])
 
     @classmethod
@@ -151,8 +153,8 @@ class LieAlgebra:
 
     def change_basis(self, P: Sequence[Sequence]) -> "LieAlgebra":
         """Transport to the basis whose j-th vector is column j of P (old
-        coordinates).  Transported from the integer view (C, E); Jacobi is
-        re-validated on construction; a singular P raises
-        SingularMatrixError."""
+        coordinates), which holds ints or Fractions.  Transported from the
+        integer view (C, E); Jacobi is re-validated on construction; a
+        singular P raises SingularMatrixError."""
         C, E = self.integer_constants()
         return LieAlgebra(self.dim, linalg.transport(C, P, E))

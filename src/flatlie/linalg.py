@@ -5,14 +5,15 @@ Every operation here is pure and exact: no floating point, no tolerances,
 so "equals zero" is a real decision, not a threshold.
 
 The hot exact work runs in Python ints: `clear_denominators` scales a
-matrix or tensor to integers over one common denominator, and `mat_vec`,
-`mat_mul`, `bilinear`, `left_matrix` and `right_matrix` keep int data int
-(their sums start at int 0, so an entry with no nonzero term is the int 0,
-which equals Fraction(0)).  A tensor is cleared in one place only, the
-memoized view `LieAlgebra.integer_constants`; `metric.lowered_constants`
-clears the Gram matrix, `metric.integer_product` is solved in ints from
-it, `rref` clears each row's denominators itself, and `transport` and
-`symmetric_diagonalize` clear their own matrices.
+matrix or tensor to integers over one common denominator, and `dot`,
+`mat_vec`, `mat_mul`, `bilinear`, `left_matrix` and `right_matrix` keep
+int data int (their sums start at int 0, so an entry with no nonzero term
+is the int 0, which equals Fraction(0)).  A tensor is cleared in one place
+only, the memoized view `LieAlgebra.integer_constants`;
+`metric.lowered_constants` clears the Gram matrix,
+`metric.integer_product` is solved in ints from it, `rref` clears each
+row's denominators itself, and `transport` and the congruence pass behind
+`symmetric_diagonalize` and `signature` clear their own matrices.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateFormError, NonSymmetricError, SingularMatrixError
@@ -81,6 +83,12 @@ def transpose(A: Sequence[Sequence[Fraction]]) -> Mat:
     return [list(col) for col in zip(*A)] if A else []
 
 
+def dot(x: Sequence, y: Sequence):
+    """sum_k x_k y_k, one C-level pass: the inner loop of the integer rows
+    that `is_flat` and the Jacobi check build once and then only read."""
+    return sum(map(mul, x, y))
+
+
 def mat_vec(A: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
     return [sum((a * x for a, x in zip(row, v) if a and x), 0) for row in A]
 
@@ -118,10 +126,10 @@ def right_matrix(T: Tensor, y: Sequence) -> Mat:
 
 def transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1) -> Tensor:
     """The tensor T / t in the basis given by the columns of P: entry (a, b)
-    is P^-1 T(P_a, P_b) / t.  T may hold ints or Fractions.  In ints: with
-    P = Pi / p and P^-1 = Qi / q, the entry is Qi T(Pi_a, Pi_b) over q t p^2,
-    one Fraction per entry.  Raises SingularMatrixError for a singular P."""
-    P = mat(P)
+    is P^-1 T(P_a, P_b) / t.  T and P may hold ints or Fractions; callers
+    coerce outside input with `mat` first.  In ints: with P = Pi / p and
+    P^-1 = Qi / q, the entry is Qi T(Pi_a, Pi_b) over q t p^2, one Fraction
+    per entry.  Raises SingularMatrixError for a singular P."""
     Qi, q = clear_denominators(inverse(P))
     Pi, p = clear_denominators(P)
     cols = transpose(Pi)
@@ -264,7 +272,14 @@ class Signature(NamedTuple):
 
 
 def symmetric_diagonalize(S: Sequence[Sequence[Fraction]]) -> tuple[Mat, Vec]:
-    """Exact congruence diagonalization: returns (E, d) with E S E^T = diag(d).
+    """Exact congruence diagonalization: returns (E, d) with E S E^T = diag(d),
+    the integer pass of `_congruence` as Fractions."""
+    E, d = _congruence(S)
+    return [[Fraction(x) for x in row] for row in E], [Fraction(x) for x in d]
+
+
+def _congruence(S: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """(E, d) in ints with E S E^T = diag(d).
 
     Fraction-free, with the pivots of symmetric elimination: take a nonzero
     diagonal pivot, swapping rows and columns alike; when the whole
@@ -326,12 +341,13 @@ def symmetric_diagonalize(S: Sequence[Sequence[Fraction]]) -> tuple[Mat, Vec]:
             A[r][i + 1:] = [(piv * x - f * y) // prev for x, y in zip(A[r][i + 1:], prow[i + 1:])]
             E[r] = [(piv * x - f * y) // prev for x, y in zip(E[r], erow)]
         prev = piv
-    return [[Fraction(x) for x in row] for row in E], [Fraction(x) for x in d]
+    return E, d
 
 
 def signature(S: Sequence[Sequence[Fraction]]) -> Signature:
-    """Sylvester signature of a symmetric matrix, computed exactly."""
-    _, d = symmetric_diagonalize(S)
+    """Sylvester signature of a symmetric matrix, computed exactly: the
+    signs of the integer diagonal of `_congruence`."""
+    _, d = _congruence(S)
     return Signature(
         n_plus=sum(1 for x in d if x > 0),
         n_minus=sum(1 for x in d if x < 0),

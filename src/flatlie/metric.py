@@ -76,7 +76,7 @@ class MetricLieAlgebra:
         """Transport algebra and inner product to the basis given by the
         columns of P (gram -> P^T gram P).  With gram = Gi / g and
         P = Pi / p the new Gram matrix is Pi^T Gi Pi over g p^2."""
-        Pm = linalg.mat(P)
+        Pm = linalg.mat(P)  # the one coercion of P: transport reads Pm as is
         new_alg = self.algebra.change_basis(Pm)
         Gi, g = linalg.clear_denominators(self.gram)
         Pi, p = linalg.clear_denominators(Pm)
@@ -171,21 +171,27 @@ def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     the integer matrix A_k of v -> P(e_k, v), and L_[e_i, e_j] = S / (E D)
     with S = sum_k C_ijk A_k, so
     K(e_i, e_j) = (D S - E (A_i A_j - A_j A_i)) / (E D^2).  The first
-    nonzero one is the witness."""
+    nonzero one is the witness.
+
+    The int rows are built once: the rows of each A_k, its columns (the
+    plane P[k]: column c of A_k is P(e_k, e_c)) and, for each entry (r, c),
+    the stack (A_0[r][c] .. A_{n-1}[r][c]).  Entry (r, c) of K is then
+    D dot(C_ij, stack) - E (dot(row r of A_i, P[j][c]) - dot(row r of A_j, P[i][c]))."""
     n = m.dim
     P, D = integer_product(m)
     C, E = m.algebra.integer_constants()
-    A = [linalg.transpose(plane) for plane in P]  # column j of A_k is P(e_k, e_j)
+    rows = [tuple(zip(*plane)) for plane in P]  # rows[k][r][c] = A_k[r][c] = P[k][c][r]
+    stacks = [[tuple(plane[c][r] for plane in P) for c in range(n)] for r in range(n)]
+    dot = linalg.dot
     den = E * D * D
     for i in range(n):
         for j in range(i + 1, n):
-            bracket_term = linalg.left_matrix(P, C[i][j])
-            commutator = zip(linalg.mat_mul(A[i], A[j]), linalg.mat_mul(A[j], A[i]))
+            cij, Pi, Pj = C[i][j], P[i], P[j]
             K = [
-                [D * s - E * (x - y) for s, x, y in zip(srow, xrow, yrow)]
-                for srow, (xrow, yrow) in zip(bracket_term, commutator)
+                [D * dot(cij, s) - E * (dot(ai, pj) - dot(aj, pi)) for s, pi, pj in zip(srow, Pi, Pj)]
+                for srow, ai, aj in zip(stacks, rows[i], rows[j])
             ]
-            if not linalg.is_zero_mat(K):
+            if any(map(any, K)):
                 return CurvatureVerdict(False, (i, j, tuple(tuple(Fraction(x, den) for x in row) for row in K)))
     return CurvatureVerdict(True, None)
 

@@ -14,7 +14,7 @@ from . import classc as classc_mod
 from . import theorems
 from .errors import AbelianInputError
 from .linalg import Subspace
-from .metric import MetricLieAlgebra, is_flat, killing_subalgebra, levi_civita
+from .metric import MetricLieAlgebra, is_flat, killing_subalgebra
 
 
 def _int_str(n: int) -> str:
@@ -140,7 +140,7 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
         w = classc_mod.construct_witness(m)
         alpha = classc_mod.witness_scale(m.algebra, w)
         table = classc_mod.closed_form_products(w, alpha)
-        transported = classc_mod.transport_product(levi_civita(m), classc_mod.witness_change_of_basis(w))
+        transported = classc_mod.transport_product(m, classc_mod.witness_change_of_basis(w))
         witness = {
             "e": vec_json(w.e),
             "d": vec_json(w.d),

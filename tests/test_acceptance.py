@@ -211,7 +211,7 @@ def test_criterion_6_witness_construction_fidelity():
         alpha = witness_scale(m.algebra, w)
         table = closed_form_products(w, alpha)
         P = witness_change_of_basis(w)
-        assert table.p == transport_product(levi_civita(m), P).p
+        assert table.p == transport_product(m, P).p
         alg_w = m.algebra.change_basis(P)
         basis = linalg.identity(m.dim)
         for i in range(m.dim):

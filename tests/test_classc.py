@@ -157,7 +157,7 @@ def test_closed_form_matches_transported_product():
         alpha = witness_scale(m.algebra, w)
         table = closed_form_products(w, alpha)
         P = witness_change_of_basis(w)
-        assert table.p == transport_product(levi_civita(m), P).p
+        assert table.p == transport_product(m, P).p
         # uu' sector is symmetric
         nb = w.b_basis.dim
         for j in range(1, nb + 1):
@@ -169,6 +169,36 @@ def test_closed_form_matches_transported_product():
         for i in range(m.dim):
             for j in range(i + 1, m.dim):
                 assert linalg.is_zero_mat(curvature(alg_w, table, basis[i], basis[j]))
+
+
+def _witness_population():
+    """Flat class-C metrics of dims 2-9 with a one-dimensional radical:
+    the catalog pair, 40 generated ones, and every third generated one also
+    scaled and moved to a basis with non-unit denominators (a unimodular
+    matrix with its columns scaled)."""
+    out = [catalog.build("classc2_flat"), catalog.build("classc3_flat")]
+    rng = random.Random(11)
+    for k in range(40):
+        m = sweeps.class_c_instance(rng, 2 + k % 8, True)
+        out.append(m)
+        if k % 3 == 0:
+            scales = [F(rng.choice((-2, 1, 3)), rng.choice((1, 2, 5))) for _ in range(m.dim)]
+            P = [[x * f for x, f in zip(row, scales)] for row in sweeps.unimodular_int_matrix(rng, m.dim)]
+            out.append(m.scale_gram(F(-3, 7)).change_basis(P))
+    return out
+
+
+def test_transport_product_matches_the_fraction_transport():
+    """The witness reads (P, D); the transport of the Fraction product is
+    the oracle, and the closed-form table matches both."""
+    population = _witness_population()
+    assert len(population) == 56 and {m.dim for m in population} == set(range(2, 10))
+    for m in population:
+        w = construct_witness(m)
+        W = witness_change_of_basis(w)
+        transported = transport_product(m, W)
+        assert transported.p == linalg.transport(levi_civita(m).p, W)
+        assert closed_form_products(w, witness_scale(m.algebra, w)).p == transported.p
 
 
 def test_witness_brackets_in_witness_coordinates():

@@ -125,9 +125,47 @@ def eq2_fails():
     return out
 
 
+def hyperbolic_last(rng, n):
+    """[e_j, e_{n-1}] = -e_j for j < n - 1 (class C, t last) under a
+    positive diagonal metric, moved to a rational basis whose first n - 1
+    columns stay in the abelian ideal: the restriction to the ideal is
+    nondegenerate, so the metric is not flat, yet C_01 = 0."""
+    brackets = {(j, n - 1): [F(-int(k == j)) for k in range(n)] for j in range(n - 1)}
+    weights = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)]
+    gram = [[w if i == j else F(0) for j, w in enumerate(weights)] for i in range(n)]
+    m = MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
+    while True:
+        P = rational_basis(rng, n)
+        P[n - 1][: n - 1] = [F(0)] * (n - 1)
+        if len(rref_oracle(P)[1]) == n:
+            return m.change_basis(P)
+
+
+def high_nonflat():
+    """Non-flat instances of dims 10-12, where a wrong entry of K has more
+    room to hide: class C, random shapes, the C_ij = 0 witness case and a
+    witness behind all but three of the pairs."""
+    out = []
+    for n in (10, 11, 12):
+        rng = random.Random(3000 + n)
+        out.append((f"nonflat{n}", sweeps.class_c_instance(rng, n, degenerate=False)))
+        out.append((f"hyperbolic{n}-rational", hyperbolic_last(rng, n)))
+        # so(3) in the last three coordinates: every earlier pair is flat
+        gram = [[F(i + 1, 2) if i == j else F(0) for j in range(n)] for i in range(n)]
+        shift = [[int(i == (j + 3) % n) for j in range(n)] for i in range(n)]  # column j is e_{j+3 mod n}
+        out.append((f"so3last{n}", MetricLieAlgebra.make(sweeps.simple3(n), gram).change_basis(shift)))
+    rng = random.Random(3100)
+    while len(out) < 11:
+        m = sweeps.random_metric_algebra(rng, 10 + len(out) % 3)
+        if not is_flat(m).flat:
+            out.append((f"random{m.dim}", m))
+    return out
+
+
 INSTANCES = instances()
 IDS = [label for label, _ in INSTANCES]
 EQ2_FAILS = eq2_fails()
+HIGH_NONFLAT = high_nonflat()
 
 
 def test_population_has_both_verdicts_and_fractional_data():
@@ -186,21 +224,38 @@ def test_levi_civita_matches_fraction_koszul(label, m):
     assert all(isinstance(x, F) for plane in p for row in plane for x in row)
 
 
-@pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
+@pytest.mark.parametrize(
+    "label,m", INSTANCES + HIGH_NONFLAT, ids=IDS + [label for label, _ in HIGH_NONFLAT]
+)
 def test_is_flat_verdict_and_witness_match_curvature_on_every_pair(label, m):
+    """The Fraction curvature on each basis pair in order, up to the first
+    nonzero one, against is_flat's verdict and witness."""
     n = m.dim
     p = levi_civita(m)
     basis = linalg.identity(n)
-    nonzero = [
+    nonzero = (
         (i, j, tuple(tuple(r) for r in K))
         for i in range(n)
         for j in range(i + 1, n)
         for K in [curvature(m.algebra, p, basis[i], basis[j])]
         if not linalg.is_zero_mat(K)
-    ]
+    )
+    first = next(nonzero, None)
     verdict = is_flat(m)
-    assert verdict.flat == (not nonzero)
-    assert verdict.witness == (nonzero[0] if nonzero else None)
+    assert verdict.flat == (first is None)
+    assert verdict.witness == first
+
+
+def test_high_nonflat_population_reaches_its_witness_cases():
+    """Each dims-10-12 instance is non-flat; on the hyperbolic ones the
+    witness pair has C_ij = 0, so K is the commutator term alone, and on
+    the so3last ones the witness is the first pair inside so(3)."""
+    for label, m in HIGH_NONFLAT:
+        i, j, _ = is_flat(m).witness
+        if label.startswith("hyperbolic"):
+            assert linalg.is_zero_vec(m.algebra.c[i][j])
+        if label.startswith("so3last"):
+            assert (i, j) == (m.dim - 3, m.dim - 2)
 
 
 def _split(m):

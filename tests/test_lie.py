@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from flatlie import linalg
+from flatlie import linalg, sweeps
 from flatlie.errors import AntisymmetryError, JacobiError, SingularMatrixError
 from flatlie.lie import LieAlgebra
 from flatlie.linalg import Subspace
@@ -27,10 +27,11 @@ def rot3():
     return LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]})
 
 
-def brute_jacobi_residuals(dim, bracket_fn):
-    """Independent oracle: evaluate the cyclic Jacobi sum directly."""
+def jacobi_residuals(dim, bracket_fn):
+    """Independent oracle, for any dim: the cyclic Jacobi sum of each triple
+    i < j < k, evaluated directly and yielded lazily in the constructor's
+    loop order."""
     basis = linalg.identity(dim)
-    residuals = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
@@ -39,8 +40,63 @@ def brute_jacobi_residuals(dim, bracket_fn):
                     inner = bracket_fn(basis[b], basis[c])
                     term = bracket_fn(basis[a], inner)
                     r = [x + y for x, y in zip(r, term)]
-                residuals[(i, j, k)] = r
-    return residuals
+                yield (i, j, k), r
+
+
+def brute_jacobi_residuals(dim, bracket_fn):
+    return dict(jacobi_residuals(dim, bracket_fn))
+
+
+def tensor_bracket(c):
+    """[x, y] = sum_ij x_i y_j c[i][j], in Fractions, for a full tensor c."""
+    n = len(c)
+
+    def bracket(x, y):
+        out = [F(0)] * n
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                if xi and yj:
+                    out = [o + xi * yj * t for o, t in zip(out, c[i][j])]
+        return out
+
+    return bracket
+
+
+def perturbed_tensor(rng, dim):
+    """(upper-triangle brackets, full tensor) of a generated Lie algebra of
+    dim with one to three bracket entries moved by a random rational: some
+    of these still satisfy Jacobi, most do not."""
+    a = sweeps.random_algebra(rng, dim)
+    brackets = {(i, j): list(a.c[i][j]) for i in range(dim) for j in range(i + 1, dim)}
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.sample(range(dim), 2))
+        brackets[(i, j)][rng.randrange(dim)] += F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), v in brackets.items():
+        c[i][j], c[j][i] = v, [-x for x in v]
+    return brackets, c
+
+
+def test_jacobi_check_matches_the_oracle_on_perturbed_tensors():
+    """Dims 3-9: the constructor accepts exactly the tensors whose oracle
+    residuals all vanish, and otherwise names the oracle's first failing
+    triple with its residual."""
+    rng = random.Random(3)
+    outcomes = {"accepted": 0, "rejected": 0}
+    for k in range(70):
+        dim = 3 + k % 7
+        brackets, c = perturbed_tensor(rng, dim)
+        residuals = jacobi_residuals(dim, tensor_bracket(c))
+        failing = next(((t, r) for t, r in residuals if not linalg.is_zero_vec(r)), None)
+        if failing is None:
+            LieAlgebra.from_brackets(dim, brackets)
+            outcomes["accepted"] += 1
+            continue
+        with pytest.raises(JacobiError) as exc:
+            LieAlgebra.from_brackets(dim, brackets)
+        assert (exc.value.triple, list(exc.value.residual)) == failing
+        outcomes["rejected"] += 1
+    assert outcomes["accepted"] >= 5 and outcomes["rejected"] >= 30
 
 
 def test_validate_abelian_and_dim2():

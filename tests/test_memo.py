@@ -90,9 +90,9 @@ def test_gram_matrix_is_cleared_once_per_analysis(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
-def test_only_the_class_c_witness_builds_the_fraction_product(monkeypatch, name):
-    """Every exact layer reads (P, D); only the class-C witness transports
-    the Fraction product, so no other analysis builds it."""
+def test_no_analysis_builds_the_fraction_product(monkeypatch, name):
+    """Every exact layer, the class-C witness included, reads (P, D), so no
+    analysis builds the Fraction product of `levi_civita`."""
     built = []
     product = metric.LeviCivitaProduct
 
@@ -103,7 +103,9 @@ def test_only_the_class_c_witness_builds_the_fraction_product(monkeypatch, name)
     monkeypatch.setattr(metric, "LeviCivitaProduct", counted)
     m = _golden_input(name)
     section = report.analysis_report(m)
-    assert len(built) == (1 if section["class_c"]["detected"] else 0)
+    if section["class_c"]["detected"]:  # the witness was checked, on (P, D)
+        assert section["class_c"]["witness"]["closed_form_matches"]
+    assert built == []
 
 
 def test_repeated_calls_return_the_same_object():
