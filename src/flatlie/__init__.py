@@ -1,111 +1,87 @@
 """flatlie: exact analysis of flat left-invariant pseudo-Riemannian metrics
-on finite-dimensional Lie algebras, plus a numerical geodesic probe."""
+on finite-dimensional Lie algebras, plus a numerical geodesic probe.
 
-from .classc import (
-    ClassCStructure,
-    IncompletenessReport,
-    Theorem2Report,
-    WitnessBasis,
-    closed_form_products,
-    construct_witness,
-    detect,
-    incompleteness_verdict,
-    theorem2_check,
-    transport_product,
-    witness_change_of_basis,
-    witness_scale,
-)
-from .geodesics import (
-    BLOW_UP_DETECTED,
-    REACHED_HORIZON,
-    STEP_LIMIT,
-    STEP_UNDERFLOW,
-    GeodesicTrajectory,
-    blowup_time_classc,
-    euler_arnold_rhs,
-    integrate,
-)
-from .lie import LieAlgebra
-from .linalg import Signature, Subspace
-from .metric import (
-    CurvatureVerdict,
-    LeviCivitaProduct,
-    MetricLieAlgebra,
-    curvature,
-    has_timelike_vector,
-    is_flat,
-    killing_subalgebra,
-    left_mult,
-    levi_civita,
-    product_span,
-    right_mult,
-    verify_killing_triple_identity,
-)
-from .theorems import (
-    Corollary1Report,
-    Corollary2Report,
-    RotationForm,
-    SplitData,
-    Theorem1Report,
-    corollary1_check,
-    corollary2_forward_check,
-    riemannian_companion,
-    riemannian_flat_check,
-    rotation_form,
-    same_connection,
-    theorem1_check,
-    verify_eq2,
-)
+The exported names resolve on first use (PEP 562): `import flatlie` loads
+no submodule, and `flatlie.X` imports only the module that defines X, so a
+cold command pays for the modules it runs and no others.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LieAlgebra",
-    "MetricLieAlgebra",
-    "Subspace",
-    "Signature",
-    "LeviCivitaProduct",
-    "CurvatureVerdict",
-    "levi_civita",
-    "left_mult",
-    "right_mult",
-    "curvature",
-    "is_flat",
-    "killing_subalgebra",
-    "has_timelike_vector",
-    "product_span",
-    "verify_killing_triple_identity",
-    "SplitData",
-    "Theorem1Report",
-    "theorem1_check",
-    "verify_eq2",
-    "riemannian_flat_check",
-    "Corollary1Report",
-    "corollary1_check",
-    "riemannian_companion",
-    "same_connection",
-    "Corollary2Report",
-    "corollary2_forward_check",
-    "RotationForm",
-    "rotation_form",
-    "ClassCStructure",
-    "detect",
-    "Theorem2Report",
-    "theorem2_check",
-    "WitnessBasis",
-    "construct_witness",
-    "witness_change_of_basis",
-    "witness_scale",
-    "closed_form_products",
-    "transport_product",
-    "IncompletenessReport",
-    "incompleteness_verdict",
-    "GeodesicTrajectory",
-    "integrate",
-    "euler_arnold_rhs",
-    "blowup_time_classc",
-    "REACHED_HORIZON",
-    "STEP_LIMIT",
-    "BLOW_UP_DETECTED",
-    "STEP_UNDERFLOW",
-]
+#: defining submodule -> the names this package exports from it
+_EXPORTS = {
+    "lie": ("LieAlgebra",),
+    "linalg": ("Subspace", "Signature"),
+    "metric": (
+        "MetricLieAlgebra",
+        "LeviCivitaProduct",
+        "CurvatureVerdict",
+        "levi_civita",
+        "left_mult",
+        "right_mult",
+        "curvature",
+        "is_flat",
+        "killing_subalgebra",
+        "has_timelike_vector",
+        "product_span",
+        "verify_killing_triple_identity",
+    ),
+    "theorems": (
+        "SplitData",
+        "Theorem1Report",
+        "theorem1_check",
+        "verify_eq2",
+        "riemannian_flat_check",
+        "Corollary1Report",
+        "corollary1_check",
+        "riemannian_companion",
+        "same_connection",
+        "Corollary2Report",
+        "corollary2_forward_check",
+        "RotationForm",
+        "rotation_form",
+    ),
+    "classc": (
+        "ClassCStructure",
+        "detect",
+        "Theorem2Report",
+        "theorem2_check",
+        "WitnessBasis",
+        "construct_witness",
+        "witness_change_of_basis",
+        "witness_scale",
+        "closed_form_products",
+        "transport_product",
+        "IncompletenessReport",
+        "incompleteness_verdict",
+    ),
+    "geodesics": (
+        "GeodesicTrajectory",
+        "integrate",
+        "euler_arnold_rhs",
+        "blowup_time_classc",
+        "REACHED_HORIZON",
+        "STEP_LIMIT",
+        "BLOW_UP_DETECTED",
+        "STEP_UNDERFLOW",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

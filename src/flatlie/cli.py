@@ -12,8 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import catalog, geodesics, inputdoc, report, sweeps, theorems
-from .classc import theorem2_check
+from . import inputdoc
 from .errors import (
     FlatLieError,
     HypothesisNotMetError,
@@ -30,10 +29,14 @@ MAX_SWEEP = 10_000
 
 
 def _read_input(path: str) -> MetricLieAlgebra:
-    if path == "-":
-        return inputdoc.loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return inputdoc.load(fh)
+    try:
+        if path == "-":
+            return inputdoc.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return inputdoc.load(fh)
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else repr(path)
+        raise ParseError(f"{name} is not valid UTF-8 (byte offset {exc.start}: {exc.reason})") from None
 
 
 def _add_input_opts(p: argparse.ArgumentParser) -> None:
@@ -105,6 +108,8 @@ def _parse_v0(text: str, dim: int) -> list[float]:
 
 
 def cmd_validate(args) -> int:
+    from . import report
+
     m = _read_input(args.input)
     if args.json:
         print(json.dumps({"ok": True, "dim": m.dim, "signature": report.signature_section(m)}, indent=2))
@@ -115,6 +120,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import report, sweeps
+
     if args.sweep is not None and not 1 <= args.sweep <= MAX_SWEEP:
         raise ParseError(f"--sweep: expected a number of instances from 1 to {MAX_SWEEP}, got {args.sweep}")
     m = _read_input(args.input)
@@ -146,6 +153,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_flat(args) -> int:
+    from . import report
+
     m = _read_input(args.input)
     section = report.flatness_section(m)
     if args.json:
@@ -159,6 +168,8 @@ def cmd_flat(args) -> int:
 
 
 def cmd_killing(args) -> int:
+    from . import report
+
     m = _read_input(args.input)
     section = report.subspace_json(killing_subalgebra(m))
     if args.json:
@@ -171,6 +182,8 @@ def cmd_killing(args) -> int:
 
 
 def cmd_theorem1(args) -> int:
+    from . import report
+
     m = _read_input(args.input)
     section = report.theorem1_section(m)
     if section is None:
@@ -186,6 +199,9 @@ def cmd_theorem1(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
+    from . import report
+    from .classc import theorem2_check
+
     m = _read_input(args.input)
     r = theorem2_check(m)
     section = report.theorem2_json(r)
@@ -200,6 +216,8 @@ def cmd_theorem2(args) -> int:
 
 
 def cmd_companion(args) -> int:
+    from . import report, theorems
+
     m = _read_input(args.input)
     if not m.is_lorentzian:
         raise NotLorentzianError(f"companion requires a Lorentzian input (signature {tuple(m.signature)})")
@@ -219,6 +237,8 @@ def cmd_companion(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    from . import geodesics
+
     m = _read_input(args.input)
     v0 = _parse_v0(args.v0, m.dim)
     try:
@@ -247,6 +267,8 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
+
     if args.action == "list":
         for name in catalog.names():
             entry = catalog.get(name)

@@ -36,7 +36,10 @@ ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce to Fraction; floats are refused to keep the kernel exact."""
+    """Coerce to Fraction; floats are refused to keep the kernel exact.
+    A Fraction is returned as it is: it is immutable, so sharing it is safe."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"refusing inexact float {x!r}")
     return Fraction(x)

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import classc as classc_mod
-from . import theorems
 from .errors import AbelianInputError
 from .linalg import Subspace
 from .metric import MetricLieAlgebra, is_flat, killing_subalgebra
+
+if TYPE_CHECKING:
+    from .classc import Theorem2Report
 
 
 def _int_str(n: int) -> str:
@@ -73,6 +75,8 @@ def flatness_section(m: MetricLieAlgebra) -> dict:
 
 
 def theorem1_section(m: MetricLieAlgebra) -> dict | None:
+    from . import theorems
+
     if not m.is_lorentzian:
         return None
     r = theorems.theorem1_check(m)
@@ -98,6 +102,8 @@ def theorem1_section(m: MetricLieAlgebra) -> dict | None:
 
 
 def riemannian_flat_section(m: MetricLieAlgebra) -> dict | None:
+    from . import theorems
+
     if not m.is_riemannian:
         return None
     r = theorems.riemannian_flat_check(m)
@@ -112,7 +118,7 @@ def riemannian_flat_section(m: MetricLieAlgebra) -> dict | None:
     }
 
 
-def theorem2_json(t2: classc_mod.Theorem2Report) -> dict:
+def theorem2_json(t2: Theorem2Report) -> dict:
     return {
         "degenerate_restriction": t2.degenerate_restriction,
         "radical_dim": t2.radical_dim,
@@ -122,13 +128,15 @@ def theorem2_json(t2: classc_mod.Theorem2Report) -> dict:
 
 
 def class_c_section(m: MetricLieAlgebra) -> dict:
+    from . import classc
+
     try:
-        structure = classc_mod.detect(m.algebra)
+        structure = classc.detect(m.algebra)
     except AbelianInputError:
         structure = None
     if structure is None:
         return {"detected": False}
-    t2 = classc_mod.theorem2_check(m)
+    t2 = classc.theorem2_check(m)
     section = {
         "detected": True,
         "b": vec_json(structure.b),
@@ -137,10 +145,10 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
     }
     witness = None
     if t2.degenerate_restriction and t2.radical_dim == 1:
-        w = classc_mod.construct_witness(m)
-        alpha = classc_mod.witness_scale(m.algebra, w)
-        table = classc_mod.closed_form_products(w, alpha)
-        transported = classc_mod.transport_product(m, classc_mod.witness_change_of_basis(w))
+        w = classc.construct_witness(m)
+        alpha = classc.witness_scale(m.algebra, w)
+        table = classc.closed_form_products(w, alpha)
+        transported = classc.transport_product(m, classc.witness_change_of_basis(w))
         witness = {
             "e": vec_json(w.e),
             "d": vec_json(w.d),
@@ -149,7 +157,7 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
             "closed_form_matches": table.p == transported.p,
         }
     section["witness"] = witness
-    inc = classc_mod.incompleteness_verdict(m)
+    inc = classc.incompleteness_verdict(m)
     section["incompleteness"] = {
         "unimodular": inc.unimodular,
         "b_trace": _rational_str(inc.b_trace),
@@ -160,6 +168,8 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
 
 
 def companion_json(m: MetricLieAlgebra, companion: MetricLieAlgebra) -> dict:
+    from . import theorems
+
     return {
         "gram": mat_json(companion.gram),
         "same_connection": theorems.same_connection(m, companion),
@@ -167,6 +177,8 @@ def companion_json(m: MetricLieAlgebra, companion: MetricLieAlgebra) -> dict:
 
 
 def companion_section(m: MetricLieAlgebra) -> dict | None:
+    from . import theorems
+
     if not m.is_lorentzian:
         return None
     r = theorems.theorem1_check(m)

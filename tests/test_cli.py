@@ -362,3 +362,23 @@ def test_analyze_missing_input_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "flat", "-i", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {str(path)!r} is not valid UTF-8 (byte offset 0: invalid start byte)\n"
+
+
+def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch):
+    import io
+
+    raw = io.BytesIO(b'{"dim": 1\xc3(')
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8", errors="strict"))
+    code, out, err = run(capsys, "analyze", "--json", "-i", "-")
+    assert code == 2
+    assert out == ""
+    assert err == "error: stdin is not valid UTF-8 (byte offset 9: invalid continuation byte)\n"

@@ -1,7 +1,10 @@
-"""The exact commands never load numpy; only the float geodesic probe and
-rotation_form do.  Each check runs in a fresh interpreter, because this test
-process already holds numpy through the geodesic tests."""
+"""A cold command loads only the modules it runs.  The exact commands never
+load numpy; only the float geodesic probe and rotation_form do.  `import
+flatlie` loads no submodule: the package resolves its exported names on
+first use.  Each import check runs in a fresh interpreter, because this test
+process already holds numpy and every flatlie module."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -20,8 +23,13 @@ import contextlib, io, sys
 import flatlie.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = flatlie.cli.main(sys.argv[1:])
-print(code, int("numpy" in sys.modules))
+print(code, int("numpy" in sys.modules), ",".join(sorted(m for m in sys.modules if m.startswith("flatlie"))))
 """
+
+#: what every command loads: the CLI, the input parser and the exact kernel
+BASE = {"flatlie", "flatlie.cli", "flatlie.errors", "flatlie.inputdoc",
+        "flatlie.lie", "flatlie.linalg", "flatlie.metric"}
+REPORT = BASE | {"flatlie.report"}
 
 
 def _python(*args):
@@ -31,10 +39,16 @@ def _python(*args):
     return proc.stdout.split()
 
 
+def _run_cli(*argv):
+    """(exit code, whether numpy was loaded, the flatlie modules loaded) of
+    one cold flatlie.cli.main run."""
+    code, loaded, modules = _python("-c", RUN_CLI, *argv)
+    return int(code), bool(int(loaded)), set(modules.split(","))
+
+
 def _cli(*argv):
     """(exit code, whether numpy was loaded) of one cold flatlie.cli.main run."""
-    code, loaded = _python("-c", RUN_CLI, *argv)
-    return int(code), bool(int(loaded))
+    return _run_cli(*argv)[:2]
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +89,54 @@ def test_exact_commands_and_usage_errors_do_not_load_numpy(docs, argv, expected)
 
 def test_geodesic_loads_numpy(docs):
     assert _cli("geodesic", "-i", docs["@rot3"], "--v0", "1,0,0", "--t-max", "1") == (0, True)
+
+
+def test_import_flatlie_loads_no_submodule():
+    script = "import sys, flatlie; print(*sorted(m for m in sys.modules if m.startswith('flatlie')))"
+    assert _python("-c", script) == ["flatlie"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (("validate", "-i", "@rot3"), REPORT),
+    (("analyze", "--json", "-i", "@rot3"),
+     REPORT | {"flatlie.sweeps", "flatlie.theorems", "flatlie.classc"}),
+    (("analyze", "--sweep", "2", "-i", "@rot3"),
+     REPORT | {"flatlie.sweeps", "flatlie.theorems", "flatlie.classc"}),
+    (("flat", "-i", "@rot3"), REPORT),
+    (("killing", "-i", "@rot3"), REPORT),
+    (("theorem1", "-i", "@rot3"), REPORT | {"flatlie.theorems"}),
+    (("theorem2", "-i", "@classc2_flat"), REPORT | {"flatlie.classc"}),
+    (("companion", "-i", "@rot3"), REPORT | {"flatlie.theorems"}),
+    (("geodesic", "-i", "@rot3", "--v0", "1,0,0", "--t-max", "1"), BASE | {"flatlie.geodesics"}),
+    (("catalog", "list"), BASE | {"flatlie.catalog"}),
+    (("catalog", "show", "rot3"), BASE | {"flatlie.catalog"}),
+])
+def test_each_command_loads_only_the_modules_it_runs(docs, argv, modules):
+    """An argument "@name" stands for the path of catalog entry name."""
+    code, _, loaded = _run_cli(*[docs.get(a, a) for a in argv])
+    assert code == 0
+    assert loaded == modules
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    names = [name for names in flatlie._EXPORTS.values() for name in names]
+    assert flatlie.__all__ == names
+    for module, exported in flatlie._EXPORTS.items():
+        owner = importlib.import_module(f"flatlie.{module}")
+        for name in exported:
+            assert getattr(flatlie, name) is getattr(owner, name), name
+    assert set(flatlie.__all__) <= set(dir(flatlie))
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from flatlie import *", namespace)
+    for name in flatlie.__all__:
+        assert namespace[name] is getattr(flatlie, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flatlie.no_such_name
+    with pytest.raises(ImportError):
+        exec("from flatlie import no_such_name", {})

@@ -38,6 +38,19 @@ def test_rational_round_trips():
             assert (a * b) / b == a
 
 
+def test_frac_shares_fractions_and_refuses_floats():
+    x = F(3, 7)
+    assert linalg.frac(x) is x
+    assert linalg.frac(2) == F(2) and type(linalg.frac(2)) is F
+    assert linalg.frac("-4/6") == F(-2, 3)
+    with pytest.raises(TypeError):
+        linalg.frac(0.5)
+    with pytest.raises(TypeError):
+        linalg.vec([F(1), 0.5])
+    with pytest.raises(TypeError):
+        Subspace.span(2, [[1, 0], [F(1, 2), 0.25]])
+
+
 def test_kernel_identity_is_zero_subspace():
     assert linalg.kernel(linalg.identity(2)).dim == 0
 
