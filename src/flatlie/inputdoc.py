@@ -155,6 +155,8 @@ def loads(text: str) -> MetricLieAlgebra:
         doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ParseError("invalid JSON: nested too deep") from None
     return parse_document(doc)
 
 

@@ -37,15 +37,6 @@ def _freeze(c: Sequence[Sequence[Sequence]]) -> Tensor:
     return tuple(tuple(tuple(frac(x) for x in row) for row in plane) for plane in c)
 
 
-def _jacobi_residual(ad: IntTensor, C: IntTensor, i: int, j: int, k: int) -> list[int]:
-    """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] for the
-    integer structure constants C.  ad[a] is the transpose of C[a], the rows
-    of the matrix of ad_{e_a}, so entry m of [e_a, v] is dot(ad[a][m], v)."""
-    cjk, cki, cij = C[j][k], C[k][i], C[i][j]
-    dot = linalg.dot
-    return [dot(x, cjk) + dot(y, cki) + dot(z, cij) for x, y, z in zip(ad[i], ad[j], ad[k])]
-
-
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
@@ -65,13 +56,20 @@ class LieAlgebra:
                 for k in range(n):
                     if C[i][j][k] != -C[j][i][k]:  # one denominator E: same test as on c
                         raise AntisymmetryError(i, j, k)
-        ad = [tuple(zip(*plane)) for plane in C]
+        # Entry m of [e_a, v] is sum_x v_x C[a][x][m], so with PC[a][x] the
+        # packed row C[a][x] (`linalg.pack_row`), dot(v, PC[a]) is [e_a, v]
+        # packed.  A residual entry is at most 3 n c^2 with c = max |C|,
+        # which sets the slot width.
+        w = linalg.slot_width(3 * n * linalg.max_abs(C) ** 2)
+        PC = [tuple(zip(*(linalg.pack_row(row, w) for row in plane))) for plane in C]  # PC[a][q][x]
+        dot = linalg.dot
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    residual = _jacobi_residual(ad, C, i, j, k)
+                    cjk, cki, cij = C[j][k], C[k][i], C[i][j]
+                    residual = [dot(cjk, x) + dot(cki, y) + dot(cij, z) for x, y, z in zip(PC[i], PC[j], PC[k])]
                     if any(residual):  # quadratic in c = C / E
-                        raise JacobiError(i, j, k, [Fraction(x, E * E) for x in residual])
+                        raise JacobiError(i, j, k, [Fraction(x, E * E) for x in linalg.unpack_row(residual, w, n)])
 
     @classmethod
     def from_structure_constants(cls, dim: int, c, labels: Sequence[str] | None = None) -> "LieAlgebra":

@@ -171,28 +171,46 @@ def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     the integer matrix A_k of v -> P(e_k, v), and L_[e_i, e_j] = S / (E D)
     with S = sum_k C_ijk A_k, so
     K(e_i, e_j) = (D S - E (A_i A_j - A_j A_i)) / (E D^2).  The first
-    nonzero one is the witness.
+    nonzero one is the witness.  D and E are first divided by their gcd g,
+    which divides D S - E (A_i A_j - A_j A_i) by g and keeps K.
 
-    The int rows are built once: the rows of each A_k, its columns (the
-    plane P[k]: column c of A_k is P(e_k, e_c)) and, for each entry (r, c),
-    the stack (A_0[r][c] .. A_{n-1}[r][c]).  Entry (r, c) of K is then
-    D dot(C_ij, stack) - E (dot(row r of A_i, P[j][c]) - dot(row r of A_j, P[i][c]))."""
+    Each row of K is decided packed (`linalg.pack_row`).  With a = max |P|
+    and c = max |C|, every entry of D S - E (A_i A_j - A_j A_i) is at most
+    n a (D c + 2 E a) in absolute value, which sets the slot width w, so a
+    packed row is 0 iff the row is.  The rows of each A_k are packed once
+    per metric, PR[k][r] = pack_row(row r of A_k); row r of A_i A_j is then
+    dot(row r of A_i, PR[j]) and row r of S is dot(C_ij, stack_r) with
+    stack_r = (PR[0][r] .. PR[n-1][r]): three dots per packed int of a
+    row, one packed int per row up to linalg.MAX_PACKED_WIDTH.  The
+    witness rows are unpacked."""
     n = m.dim
     P, D = integer_product(m)
     C, E = m.algebra.integer_constants()
+    g = math.gcd(D, E)
+    den = E * D * D // g
+    D, E = D // g, E // g
+    a, c = linalg.max_abs(P), linalg.max_abs(C)
+    w = linalg.slot_width(n * a * (D * c + 2 * E * a))
     rows = [tuple(zip(*plane)) for plane in P]  # rows[k][r][c] = A_k[r][c] = P[k][c][r]
-    stacks = [[tuple(plane[c][r] for plane in P) for c in range(n)] for r in range(n)]
+    packed = [[linalg.pack_row(row, w) for row in A] for A in rows]  # packed[k][r][q]: q-th int of row r
+    q = len(packed[0][0])
+    # K lists the packed ints of its rows in order, q per row: int t of row r
+    # reads row r of A_i and A_j (rows_at), int t of every packed row of A_j
+    # and A_i (cols_at) and int t of packed row r of every A_k (stacks)
+    rows_at = [[row for row in A for _ in range(q)] for A in rows]
+    cols_at = [list(zip(*PR)) * n for PR in packed]
+    stacks = [s for PRr in zip(*packed) for s in zip(*PRr)]
     dot = linalg.dot
-    den = E * D * D
     for i in range(n):
         for j in range(i + 1, n):
-            cij, Pi, Pj = C[i][j], P[i], P[j]
+            cij = C[i][j]
             K = [
-                [D * dot(cij, s) - E * (dot(ai, pj) - dot(aj, pi)) for s, pi, pj in zip(srow, Pi, Pj)]
-                for srow, ai, aj in zip(stacks, rows[i], rows[j])
+                D * dot(cij, s) - E * (dot(ai, pj) - dot(aj, pi))
+                for s, ai, aj, pi, pj in zip(stacks, rows_at[i], rows_at[j], cols_at[i], cols_at[j])
             ]
-            if any(map(any, K)):
-                return CurvatureVerdict(False, (i, j, tuple(tuple(Fraction(x, den) for x in row) for row in K)))
+            if any(K):
+                witness = (linalg.unpack_row(K[r * q:(r + 1) * q], w, n) for r in range(n))
+                return CurvatureVerdict(False, (i, j, tuple(tuple(Fraction(x, den) for x in row) for row in witness)))
     return CurvatureVerdict(True, None)
 
 

@@ -382,3 +382,22 @@ def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: stdin is not valid UTF-8 (byte offset 9: invalid continuation byte)\n"
+
+
+@pytest.mark.parametrize("depth", [2000, 100000])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path, monkeypatch, depth, source):
+    """The JSON decoder recurses once per nesting level; a document nested
+    deeper than the recursion limit exits 2 with one line, not a
+    RecursionError traceback and exit 1."""
+    import io
+
+    text = "[" * depth + "]" * depth
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        path = "-"
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+    code, out, err = run(capsys, "analyze", "--json", "-i", str(path))
+    assert (code, out, err) == (2, "", "error: invalid JSON: nested too deep\n")

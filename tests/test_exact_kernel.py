@@ -8,6 +8,7 @@ seeded instances of dims 1-9, flat and non-flat, with Gram matrices and
 structure constants that have non-unit denominators.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -162,10 +163,97 @@ def high_nonflat():
     return out
 
 
+def six_digit(rng):
+    """A rational with a 6-digit numerator over a 6-digit denominator."""
+    return F(rng.choice((-1, 1)) * rng.randint(100000, 999999), rng.randint(100000, 999999))
+
+
+def six_digit_basis(rng, n, blocks):
+    """I plus entries k / b with |k| <= 9 and b of 6 digits, inside each
+    block of indices, so a change of basis keeps blocks that are
+    orthogonal ideals orthogonal ideals."""
+    while True:
+        P = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        for block in blocks:
+            for i in block:
+                for j in block:
+                    if rng.random() < 0.5:
+                        P[i][j] += F(rng.randint(-9, 9), rng.randint(100000, 999999))
+        if len(rref_oracle(P)[1]) == n:
+            return P
+
+
+def late_witness(rng, n):
+    """R^(n-3) + (R x_M R^2), M of 6-digit rationals, under a metric with 6-digit
+    entries that makes the two ideals orthogonal, moved by a basis of each.
+    Every pair that meets the abelian ideal is flat, so the witness is the
+    first pair of the last three coordinates, (n - 3, n - 2)."""
+    t, u, v = n - 3, n - 2, n - 1
+    M = [[six_digit(rng) for _ in range(2)] for _ in range(2)]
+    brackets = {(t, u): [F(0)] * n, (t, v): [F(0)] * n}
+    brackets[(t, u)][u], brackets[(t, u)][v] = M[0][0], M[1][0]
+    brackets[(t, v)][u], brackets[(t, v)][v] = M[0][1], M[1][1]
+    blocks = [range(0, t), range(t, n)]
+    gram = [[F(0)] * n for _ in range(n)]
+    for block in blocks:
+        for i in block:
+            for j in block:
+                if i < j:
+                    gram[i][j] = gram[j][i] = six_digit(rng) / 10
+            gram[i][i] = abs(six_digit(rng)) * 10  # diagonally dominant: nondegenerate
+    gram[t][t] = -gram[t][t]
+    m = MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
+    return m.change_basis(six_digit_basis(rng, n, blocks))
+
+
+def big_entry():
+    """Dims 3-8 with 6-digit data: flat instances scaled by a 6-digit rational
+    and moved to a basis with 6-digit denominators, non-flat class C moved the
+    same way, and late_witness.  Their slot widths run from a few hundred
+    bits to several thousand, on both sides of linalg.MAX_PACKED_WIDTH."""
+    out = []
+    for n in range(3, 9):
+        rng = random.Random(4000 + n)
+        everything = [range(n)]
+        flat = (sweeps.class_c_instance(rng, n, degenerate=True) if n % 2 else sweeps.theorem1_true_instance(rng, n))
+        nonflat = sweeps.class_c_instance(rng, n, degenerate=False)
+        out.append((f"bigflat{n}", flat.scale_gram(six_digit(rng)).change_basis(six_digit_basis(rng, n, everything))))
+        out.append((f"bignonflat{n}", nonflat.scale_gram(six_digit(rng)).change_basis(six_digit_basis(rng, n, everything))))
+        if n >= 4:
+            out.append((f"latewitness{n}", late_witness(rng, n)))
+    return out
+
+
+def anisotropic():
+    """Generated algebras of dims 3-6 under diagonal metrics with weights
+    among 1, 999999 and 1/999999: the product constants dwarf the structure
+    constants, so the commutator term 2 E a of the width bound outweighs
+    D c, and a width that left it out would let the witness rows overflow."""
+    out = []
+    for s in range(40):
+        rng = random.Random(5000 + s)
+        n = rng.randint(3, 6)
+        weights = [F(rng.choice((1, 999999)), rng.choice((1, 999999))) for _ in range(n)]
+        gram = [[w if i == j else F(0) for j in range(n)] for i, w in enumerate(weights)]
+        out.append((f"anisotropic{s}", MetricLieAlgebra.make(sweeps.random_algebra(rng, n), gram)))
+    return out
+
+
+def slot_width(m):
+    """The slot width is_flat packs at, from its bound n a (D c + 2 E a)."""
+    P, D = metric.integer_product(m)
+    C, E = m.algebra.integer_constants()
+    g = math.gcd(D, E)
+    a, c = linalg.max_abs(P), linalg.max_abs(C)
+    return linalg.slot_width(m.dim * a * (D // g * c + 2 * E // g * a))
+
+
 INSTANCES = instances()
 IDS = [label for label, _ in INSTANCES]
 EQ2_FAILS = eq2_fails()
 HIGH_NONFLAT = high_nonflat()
+BIG_ENTRY = big_entry()
+ANISOTROPIC = anisotropic()
 
 
 def test_population_has_both_verdicts_and_fractional_data():
@@ -225,7 +313,9 @@ def test_levi_civita_matches_fraction_koszul(label, m):
 
 
 @pytest.mark.parametrize(
-    "label,m", INSTANCES + HIGH_NONFLAT, ids=IDS + [label for label, _ in HIGH_NONFLAT]
+    "label,m",
+    INSTANCES + HIGH_NONFLAT + BIG_ENTRY + ANISOTROPIC,
+    ids=IDS + [label for label, _ in HIGH_NONFLAT + BIG_ENTRY + ANISOTROPIC],
 )
 def test_is_flat_verdict_and_witness_match_curvature_on_every_pair(label, m):
     """The Fraction curvature on each basis pair in order, up to the first
@@ -256,6 +346,31 @@ def test_high_nonflat_population_reaches_its_witness_cases():
             assert linalg.is_zero_vec(m.algebra.c[i][j])
         if label.startswith("so3last"):
             assert (i, j) == (m.dim - 3, m.dim - 2)
+
+
+def test_big_entry_population_reaches_both_packings_and_late_witnesses():
+    """The 6-digit instances are decided with whole rows packed at slots of
+    more than 500 bits and one slot per int beyond MAX_PACKED_WIDTH; both
+    verdicts occur, and each late_witness instance has its witness at
+    (n - 3, n - 2), not at the first pair."""
+    widths = [slot_width(m) for _, m in BIG_ENTRY]
+    assert any(500 < w <= linalg.MAX_PACKED_WIDTH for w in widths)
+    assert sum(w > linalg.MAX_PACKED_WIDTH for w in widths) >= 5 and max(widths) > 2000
+    assert {is_flat(m).flat for _, m in BIG_ENTRY} == {True, False}
+    for label, m in BIG_ENTRY:
+        if label.startswith("latewitness"):
+            assert is_flat(m).witness[:2] == (m.dim - 3, m.dim - 2)
+
+
+def test_anisotropic_population_has_the_commutator_term_dominate_the_width():
+    dominated = 0
+    for _, m in ANISOTROPIC:
+        P, D = metric.integer_product(m)
+        C, E = m.algebra.integer_constants()
+        g = math.gcd(D, E)
+        dominated += 2 * (E // g) * linalg.max_abs(P) > (D // g) * linalg.max_abs(C) > 0
+    assert dominated >= 10
+    assert {is_flat(m).flat for _, m in ANISOTROPIC} == {True, False}
 
 
 def _split(m):

@@ -1,9 +1,12 @@
 """`analyze --json` pinned byte for byte across refactors.
 
 `golden/analyze/<name>.json` is the expected stdout for each catalog entry
-and for each document in `golden/inputs/` (dim-6 instances written with
-`inputdoc.emit_document`: flat split Lorentzian, flat class C, flat
-Riemannian, non-flat Lorentzian).  Regenerate a file only when the report
+and for each document in `golden/inputs/`, all written with
+`inputdoc.emit_document`: four dim-6 instances (flat split Lorentzian, flat
+class C, flat Riemannian, non-flat Lorentzian) and a non-flat Lorentzian
+dim-8 document of 6-digit rationals, an orthogonal sum of a flat rotation
+algebra, an abelian plane and a non-flat R x R^2 with interleaved
+coordinates, so its curvature witness is the pair (3, 6), not the first.  Regenerate a file only when the report
 is meant to change:
 
     PYTHONPATH=src python -m flatlie.cli analyze --json -i DOC > tests/golden/analyze/NAME.json
@@ -38,7 +41,7 @@ def _expected(name: str) -> str:
 
 
 def test_golden_inputs_present():
-    assert len(INPUTS) == 4
+    assert len(INPUTS) == 5
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -99,6 +99,62 @@ def test_jacobi_check_matches_the_oracle_on_perturbed_tensors():
     assert outcomes["accepted"] >= 5 and outcomes["rejected"] >= 30
 
 
+def six_digit(rng):
+    return F(rng.choice((-1, 1)) * rng.randint(100000, 999999), rng.randint(100000, 999999))
+
+
+def big_entry_tensor(rng, dim):
+    """(upper-triangle brackets, full tensor) of a non-abelian generated
+    algebra moved to a basis with 6-digit denominators, then, in three
+    cases out of four, one or two bracket entries moved by a 6-digit
+    rational: entries of hundreds to thousands of bits."""
+    a = sweeps.random_algebra(rng, dim)
+    while a.is_abelian():
+        a = sweeps.random_algebra(rng, dim)
+    while True:
+        P = [[F(int(i == j)) + six_digit(rng) * (rng.random() < 0.6)
+              for j in range(dim)] for i in range(dim)]
+        if linalg.rank(P) == dim:
+            break
+    a = a.change_basis(P)
+    brackets = {(i, j): list(a.c[i][j]) for i in range(dim) for j in range(i + 1, dim)}
+    if rng.random() < 0.75:
+        for _ in range(rng.randint(1, 2)):
+            i, j = sorted(rng.sample(range(dim), 2))
+            brackets[(i, j)][rng.randrange(dim)] += six_digit(rng)
+    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), v in brackets.items():
+        c[i][j], c[j][i] = v, [-x for x in v]
+    return brackets, c
+
+
+def test_jacobi_check_matches_the_brute_oracle_on_big_entry_tensors():
+    """Dims 3-7 with 6-digit data, on both sides of the packing width
+    (the residual slot width is about twice the bits of the largest
+    integer structure constant): accepted iff every oracle residual
+    vanishes, else the oracle's first triple and its residual."""
+    rng = random.Random(5)
+    outcomes = {"accepted": 0, "rejected": 0}
+    widths = []
+    for k in range(30):
+        dim = 3 + k % 5
+        brackets, c = big_entry_tensor(rng, dim)
+        C, _ = linalg.clear_tensor_denominators(c)
+        widths.append(linalg.slot_width(3 * dim * linalg.max_abs(C) ** 2))
+        oracle = brute_jacobi_residuals(dim, tensor_bracket(c))
+        failing = next(((t, r) for t, r in oracle.items() if not linalg.is_zero_vec(r)), None)
+        if failing is None:
+            LieAlgebra.from_brackets(dim, brackets)
+            outcomes["accepted"] += 1
+            continue
+        with pytest.raises(JacobiError) as exc:
+            LieAlgebra.from_brackets(dim, brackets)
+        assert (exc.value.triple, list(exc.value.residual)) == failing
+        outcomes["rejected"] += 1
+    assert outcomes["accepted"] >= 5 and outcomes["rejected"] >= 10
+    assert sum(w > linalg.MAX_PACKED_WIDTH for w in widths) >= 5 and min(widths) <= linalg.MAX_PACKED_WIDTH
+
+
 def test_validate_abelian_and_dim2():
     LieAlgebra.abelian(4)
     solvable2()  # Jacobi vacuous in dim 2

@@ -51,6 +51,83 @@ def test_frac_shares_fractions_and_refuses_floats():
         Subspace.span(2, [[1, 0], [F(1, 2), 0.25]])
 
 
+@pytest.mark.parametrize("w", [1, 2, 3, 8, 61, 1001])
+def test_pack_round_trips_at_the_slot_limits(w):
+    top = 2 ** (w - 1) - 1  # slot_width's bound: |v| < 2^(w-1)
+    assert linalg.slot_width(top) == w
+    rng = random.Random(w)
+    for n in (1, 2, 5, 9):
+        for row in ([top] * n, [-top] * n, [rng.choice((-top, 0, top)) for _ in range(n)],
+                    [rng.randint(-top, top) for _ in range(n)]):
+            assert linalg.unpack(linalg.pack(row, w), w, n) == row
+
+
+def test_pack_borrows_across_slots():
+    """A negative slot borrows 1 from the slot above it; unpack returns it."""
+    assert linalg.pack([-1, 1], 8) == 255
+    assert linalg.unpack(255, 8, 2) == [-1, 1]
+    assert linalg.unpack(linalg.pack([-127, 127, -127], 8), 8, 3) == [-127, 127, -127]
+    assert linalg.unpack(linalg.pack([-3, 0, 0, 2], 4), 4, 4) == [-3, 0, 0, 2]
+
+
+@pytest.mark.parametrize("w", [2, 5, 64])
+def test_pack_a_lone_nonzero_in_the_first_or_last_slot(w):
+    top = 2 ** (w - 1) - 1
+    for n in (1, 4, 7):
+        for v in (1, -1, top, -top):
+            for at in (0, n - 1):
+                row = [0] * n
+                row[at] = v
+                x = linalg.pack(row, w)
+                assert x == v << (w * at) and x != 0
+                assert linalg.unpack(x, w, n) == row
+
+
+def test_packed_row_is_zero_iff_every_slot_is():
+    rng = random.Random(11)
+    for _ in range(500):
+        n, bound = rng.randint(1, 9), rng.choice((1, 7, 2**20, 10**40))
+        w = linalg.slot_width(bound)
+        row = [rng.choice((0, 0, rng.randint(-bound, bound))) for _ in range(n)]
+        x = linalg.pack(row, w)
+        assert (x == 0) == (not any(row))
+        assert linalg.unpack(x, w, n) == row
+        # a combination of packed rows is the packed combination, as long as it fits
+        other = [rng.randint(-bound, bound) for _ in range(n)]
+        w2 = linalg.slot_width(3 * bound)
+        assert linalg.unpack(2 * linalg.pack(row, w2) - linalg.pack(other, w2), w2, n) == [
+            2 * a - b for a, b in zip(row, other)
+        ]
+
+
+def test_pack_one_bit_too_narrow_lets_two_rows_collide():
+    """Slots bounded by 5 need w = slot_width(5) = 4.  At w = 3 the rows
+    (4, 0) and (-4, 1) both pack to 4."""
+    assert linalg.slot_width(5) == 4
+    assert linalg.pack([4, 0], 3) == linalg.pack([-4, 1], 3) == 4
+    assert linalg.pack([4, 0], 4) != linalg.pack([-4, 1], 4)
+    assert linalg.unpack(linalg.pack([-4, 1], 4), 4, 2) == [-4, 1]
+
+
+def test_pack_row_packs_whole_rows_up_to_the_max_width():
+    """Up to MAX_PACKED_WIDTH a row is one packed int; beyond it, one int
+    per slot.  unpack_row reads either, also from a combination of rows."""
+    rng = random.Random(12)
+    for w in (2, 64, linalg.MAX_PACKED_WIDTH, linalg.MAX_PACKED_WIDTH + 1, 3000):
+        top = 2 ** (w - 2) - 1  # a difference of two rows stays below 2^(w-1)
+        for n in (1, 3, 8):
+            row, other = ([rng.randint(-top, top) for _ in range(n)] for _ in range(2))
+            xs, ys = linalg.pack_row(row, w), linalg.pack_row(other, w)
+            assert xs == ((linalg.pack(row, w),) if w <= linalg.MAX_PACKED_WIDTH else tuple(row))
+            assert linalg.unpack_row(xs, w, n) == row
+            assert linalg.unpack_row([x - y for x, y in zip(xs, ys)], w, n) == [a - b for a, b in zip(row, other)]
+
+
+def test_max_abs_of_an_int_tensor():
+    assert linalg.max_abs((((0, -7), (3, 0)), ((2, 0), (0, 6)))) == 7
+    assert linalg.max_abs((((0,),),)) == 0
+
+
 def test_kernel_identity_is_zero_subspace():
     assert linalg.kernel(linalg.identity(2)).dim == 0
 
