@@ -9,7 +9,7 @@ outside it acting on U as the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,9 +32,9 @@ class ClassCStructure:
     [b, x] = x on the ideal, and the scale of the detection transversal
     (t = alpha b + u0)."""
 
-    ideal: Subspace
     b: tuple[Fraction, ...]
-    alpha: Fraction
+    ideal: Subspace = field(metadata={"json": "ideal_basis"})
+    alpha: Fraction = field(metadata={"json": None})
 
 
 def scalar_action(a: LieAlgebra, U: Subspace, t: Sequence) -> Fraction | None:
@@ -81,7 +81,7 @@ def detect(a: LieAlgebra) -> ClassCStructure | None:
     if alpha is None or alpha == 0:
         return None
     b = tuple(x / alpha for x in t)
-    return ClassCStructure(U, b, alpha)
+    return ClassCStructure(b=b, ideal=U, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ class WitnessBasis:
 
     e: tuple[Fraction, ...]
     d: tuple[Fraction, ...]
-    b_basis: Subspace
-    gram_b: tuple[tuple[Fraction, ...], ...]
+    b_basis: Subspace = field(metadata={"json": "b_sector_basis"})
+    gram_b: tuple[tuple[Fraction, ...], ...] = field(metadata={"json": None})
 
 
 def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:

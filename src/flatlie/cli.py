@@ -204,7 +204,7 @@ def cmd_theorem2(args) -> int:
 
     m = _read_input(args.input)
     r = theorem2_check(m)
-    section = report.theorem2_json(r)
+    section = report.to_data(r)
     if args.json:
         print(json.dumps(section, indent=2))
     else:
@@ -270,9 +270,11 @@ def cmd_catalog(args) -> int:
     from . import catalog
 
     if args.action == "list":
-        for name in catalog.names():
-            entry = catalog.get(name)
-            print(f"{name}: {entry.description}" if not args.json else name)
+        if args.json:
+            print(json.dumps(catalog.names(), indent=2))
+        else:
+            for name in catalog.names():
+                print(f"{name}: {catalog.get(name).description}")
         return 0
     if not args.name:
         raise ParseError("catalog show requires an entry name")

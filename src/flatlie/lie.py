@@ -33,10 +33,6 @@ def memoized(fn):
     return wrapper
 
 
-def _freeze(c: Sequence[Sequence[Sequence]]) -> Tensor:
-    return tuple(tuple(tuple(frac(x) for x in row) for row in plane) for plane in c)
-
-
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
@@ -70,10 +66,6 @@ class LieAlgebra:
                     residual = [dot(cjk, x) + dot(cki, y) + dot(cij, z) for x, y, z in zip(PC[i], PC[j], PC[k])]
                     if any(residual):  # quadratic in c = C / E
                         raise JacobiError(i, j, k, [Fraction(x, E * E) for x in linalg.unpack_row(residual, w, n)])
-
-    @classmethod
-    def from_structure_constants(cls, dim: int, c, labels: Sequence[str] | None = None) -> "LieAlgebra":
-        return cls(dim, _freeze(c), tuple(labels) if labels else None)
 
     @classmethod
     def from_brackets(
@@ -118,12 +110,6 @@ class LieAlgebra:
         """[g, g]: the span of all basis brackets."""
         vectors = [list(self.c[i][j]) for i in range(self.dim) for j in range(i + 1, self.dim)]
         return Subspace.span(self.dim, vectors)
-
-    def center(self) -> Subspace:
-        """{x : [x, y] = 0 for all y}, computed as an exact kernel."""
-        n = self.dim
-        constraints = [[self.c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
-        return linalg.kernel(constraints)
 
     def is_unimodular(self) -> bool:
         n = self.dim

@@ -223,10 +223,6 @@ def mat_scale(A, f: Fraction) -> Mat:
     return [[f * a for a in row] for row in A]
 
 
-def mat_eq(A, B) -> bool:
-    return [list(r) for r in A] == [list(r) for r in B]
-
-
 def is_zero_mat(A) -> bool:
     return all(x == 0 for row in A for x in row)
 
@@ -450,10 +446,6 @@ class Subspace:
             return Subspace(ambient_dim, ())
         R, pivots = rref(vecs)
         return Subspace(ambient_dim, tuple(tuple(row) for row in R[: len(pivots)]))
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":

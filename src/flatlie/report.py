@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import TYPE_CHECKING
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
 from .errors import AbelianInputError
 from .linalg import Subspace
 from .metric import MetricLieAlgebra, is_flat, killing_subalgebra
 
-if TYPE_CHECKING:
-    from .classc import Theorem2Report
+#: the keys of `riemannian_flat`: the theorem1 object without the
+#: Lorentzian-only and split fields
+RIEMANNIAN_FLAT_KEYS = ("direct_side", "structural_side", "equivalent", "orthogonal_split",
+                        "killing_abelian", "derived_abelian", "eq2_verified")
 
 
 def _int_str(n: int) -> str:
@@ -42,16 +45,35 @@ def _rational_str(x) -> str:
     return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
-def vec_json(v) -> list[str]:
-    return [_rational_str(x) for x in v]
+def to_data(x):
+    """The JSON value of a report object.
 
-
-def mat_json(rows) -> list[list[str]]:
-    return [vec_json(row) for row in rows]
+    A dataclass becomes an object of its fields in declaration order, each
+    under the name in its `field(metadata={"json": ...})` (its own name by
+    default; None leaves the field out).  A Subspace becomes its canonical
+    basis rows, a Fraction its canonical string, a tuple or list an array;
+    bools, ints, strings and None pass through.
+    """
+    if isinstance(x, (tuple, list)):
+        return [to_data(v) for v in x]
+    if isinstance(x, Fraction):
+        return _rational_str(x)
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    if isinstance(x, Subspace):
+        return to_data(x.basis)
+    if is_dataclass(x):
+        data = {}
+        for f in fields(x):
+            name = f.metadata.get("json", f.name)
+            if name is not None:
+                data[name] = to_data(getattr(x, f.name))
+        return data
+    raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
 def subspace_json(V: Subspace) -> dict:
-    return {"dim": V.dim, "basis": [vec_json(row) for row in V.basis]}
+    return {"dim": V.dim, "basis": to_data(V)}
 
 
 def signature_section(m: MetricLieAlgebra) -> dict:
@@ -70,7 +92,7 @@ def flatness_section(m: MetricLieAlgebra) -> dict:
     witness = None
     if verdict.witness is not None:
         i, j, K = verdict.witness
-        witness = {"i": i + 1, "j": j + 1, "curvature": mat_json(K)}
+        witness = {"i": i + 1, "j": j + 1, "curvature": to_data(K)}
     return {"flat": verdict.flat, "witness": witness}
 
 
@@ -79,26 +101,7 @@ def theorem1_section(m: MetricLieAlgebra) -> dict | None:
 
     if not m.is_lorentzian:
         return None
-    r = theorems.theorem1_check(m)
-    split = None
-    if r.split is not None:
-        split = {
-            "killing_basis": [vec_json(row) for row in r.split.killing.basis],
-            "derived_basis": [vec_json(row) for row in r.split.derived.basis],
-        }
-    return {
-        "direct_side": r.direct_side,
-        "structural_side": r.structural_side,
-        "equivalent": r.equivalent,
-        "flat": r.flat,
-        "timelike_killing": r.timelike_killing,
-        "orthogonal_split": r.orthogonal,
-        "killing_abelian": r.killing_abelian,
-        "derived_abelian": r.derived_abelian,
-        "even_dim_derived": r.even_dim_derived,
-        "eq2_verified": r.eq2_verified,
-        "split": split,
-    }
+    return to_data(theorems.theorem1_check(m))
 
 
 def riemannian_flat_section(m: MetricLieAlgebra) -> dict | None:
@@ -106,25 +109,8 @@ def riemannian_flat_section(m: MetricLieAlgebra) -> dict | None:
 
     if not m.is_riemannian:
         return None
-    r = theorems.riemannian_flat_check(m)
-    return {
-        "direct_side": r.direct_side,
-        "structural_side": r.structural_side,
-        "equivalent": r.equivalent,
-        "orthogonal_split": r.orthogonal,
-        "killing_abelian": r.killing_abelian,
-        "derived_abelian": r.derived_abelian,
-        "eq2_verified": r.eq2_verified,
-    }
-
-
-def theorem2_json(t2: Theorem2Report) -> dict:
-    return {
-        "degenerate_restriction": t2.degenerate_restriction,
-        "radical_dim": t2.radical_dim,
-        "flat": t2.flat,
-        "equivalent": t2.equivalent,
-    }
+    data = to_data(theorems.riemannian_flat_check(m))
+    return {key: data[key] for key in RIEMANNIAN_FLAT_KEYS}
 
 
 def class_c_section(m: MetricLieAlgebra) -> dict:
@@ -137,41 +123,27 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
     if structure is None:
         return {"detected": False}
     t2 = classc.theorem2_check(m)
-    section = {
-        "detected": True,
-        "b": vec_json(structure.b),
-        "ideal_basis": [vec_json(row) for row in structure.ideal.basis],
-        "theorem2": theorem2_json(t2),
-    }
     witness = None
     if t2.degenerate_restriction and t2.radical_dim == 1:
         w = classc.construct_witness(m)
         alpha = classc.witness_scale(m.algebra, w)
         table = classc.closed_form_products(w, alpha)
         transported = classc.transport_product(m, classc.witness_change_of_basis(w))
-        witness = {
-            "e": vec_json(w.e),
-            "d": vec_json(w.d),
-            "b_sector_basis": [vec_json(row) for row in w.b_basis.basis],
-            "alpha": _rational_str(alpha),
-            "closed_form_matches": table.p == transported.p,
-        }
-    section["witness"] = witness
-    inc = classc.incompleteness_verdict(m)
-    section["incompleteness"] = {
-        "unimodular": inc.unimodular,
-        "b_trace": _rational_str(inc.b_trace),
-        "flat": inc.flat,
-        "verdict": inc.verdict,
+        witness = {**to_data(w), "alpha": to_data(alpha), "closed_form_matches": table.p == transported.p}
+    return {
+        "detected": True,
+        **to_data(structure),
+        "theorem2": to_data(t2),
+        "witness": witness,
+        "incompleteness": to_data(classc.incompleteness_verdict(m)),
     }
-    return section
 
 
 def companion_json(m: MetricLieAlgebra, companion: MetricLieAlgebra) -> dict:
     from . import theorems
 
     return {
-        "gram": mat_json(companion.gram),
+        "gram": to_data(companion.gram),
         "same_connection": theorems.same_connection(m, companion),
     }
 

@@ -7,7 +7,7 @@ module verifies, it does not assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -38,25 +38,28 @@ ROTATION_TOL = 1e-9
 class SplitData:
     """Killing/derived decomposition with its orthogonality witness."""
 
-    killing: Subspace
-    derived: Subspace
-    cross_gram: tuple[tuple[Fraction, ...], ...]  # <s_i, d_j>; all zero iff orthogonal
+    killing: Subspace = field(metadata={"json": "killing_basis"})
+    derived: Subspace = field(metadata={"json": "derived_basis"})
+    cross_gram: tuple[tuple[Fraction, ...], ...] = field(metadata={"json": None})  # <s_i, d_j>; all zero iff orthogonal
 
 
 @dataclass(frozen=True)
 class Theorem1Report:
-    flat: bool
-    timelike_killing: bool
+    """Both sides of the split characterization, fields in report order
+    (`report.to_data` writes them under their `json` names)."""
+
     direct_side: bool
-    spans_directly: bool
-    orthogonal: bool
-    killing_abelian: bool
-    derived_abelian: bool
     structural_side: bool
     equivalent: bool
+    flat: bool
+    timelike_killing: bool
+    orthogonal: bool = field(metadata={"json": "orthogonal_split"})
+    killing_abelian: bool
+    derived_abelian: bool
     even_dim_derived: bool | None
     eq2_verified: bool | None
     split: SplitData | None
+    spans_directly: bool = field(metadata={"json": None})
 
 
 def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:

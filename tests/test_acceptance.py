@@ -109,7 +109,7 @@ def test_criterion_2_connection_axioms():
         for a in range(n):
             L = left_mult(p, basis[a])
             R = right_mult(p, basis[a])
-            assert linalg.mat_eq(linalg.mat_sub(L, R), m.algebra.ad(basis[a]))
+            assert linalg.mat_sub(L, R) == m.algebra.ad(basis[a])
             skew = linalg.mat_add(
                 linalg.mat_mul(linalg.transpose(L), G), linalg.mat_mul(G, L)
             )

@@ -31,6 +31,12 @@ def test_catalog_list(capsys):
         assert name in out
 
 
+def test_catalog_list_json_is_the_array_of_names(capsys):
+    code, out, _ = run(capsys, "catalog", "list", "--json")
+    assert code == 0
+    assert json.loads(out) == catalog.names()
+
+
 def test_catalog_show_round_trips(capsys):
     for name in catalog.names():
         code, out, _ = run(capsys, "catalog", "show", name)

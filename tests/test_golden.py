@@ -73,3 +73,40 @@ def test_input_documents_round_trip_through_emit_document(name):
     emitted = inputdoc.emit_document(m)
     assert emitted == doc
     assert inputdoc.loads(json.dumps(emitted)) == m
+
+
+def _input(tmp_path, name) -> Path:
+    if name in INPUTS:
+        return GOLDEN / "inputs" / f"{name}.json"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(catalog.get(name).document))
+    return path
+
+
+@pytest.mark.parametrize("name", catalog.names() + INPUTS)
+def test_subcommands_serialize_like_the_report(capsys, tmp_path, name):
+    """Each subcommand's --json output is the matching part of the golden
+    report, and its exit code follows that part's verdict."""
+    golden = json.loads(_expected(name))
+    path = _input(tmp_path, name)
+
+    def run(command):
+        code = main([command, "--json", "-i", str(path)])
+        out = capsys.readouterr().out
+        return code, json.loads(out) if out else None
+
+    assert run("validate") == (0, {"ok": True, "dim": golden["validation"]["dim"], "signature": golden["signature"]})
+    flatness = golden["flatness"]
+    assert run("flat") == (0 if flatness["flat"] else 1, flatness)
+    assert run("killing") == (0, golden["killing_subalgebra"])
+    t1 = golden["theorem1"]
+    assert run("theorem1") == ((2, None) if t1 is None else (0 if t1["direct_side"] else 1, t1))
+    class_c = golden["class_c"]
+    t2 = class_c.get("theorem2")
+    assert run("theorem2") == ((2, None) if t2 is None else (0 if t2["flat"] else 1, t2))
+    companion = golden["companion"]
+    if golden["signature"]["kind"] != "lorentzian":
+        expected = (2, None)
+    else:
+        expected = (1, None) if companion is None else (0, companion)
+    assert run("companion") == expected

@@ -27,6 +27,12 @@ def rot3():
     return LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]})
 
 
+def center(a):
+    """{x : [x, y] = 0 for all y}, as an exact kernel."""
+    n = a.dim
+    return linalg.kernel([[a.c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)])
+
+
 def jacobi_residuals(dim, bracket_fn):
     """Independent oracle, for any dim: the cyclic Jacobi sum of each triple
     i < j < k, evaluated directly and yielded lazily in the constructor's
@@ -193,7 +199,7 @@ def test_antisymmetry_violation_on_full_tensor():
     c[0][1][1] = F(1)
     c[1][0][1] = F(1)  # should be -1
     with pytest.raises(AntisymmetryError):
-        LieAlgebra.from_structure_constants(2, c)
+        LieAlgebra(2, c)
 
 
 def test_antisymmetry_violation_names_the_first_triple():
@@ -207,13 +213,13 @@ def test_antisymmetry_violation_names_the_first_triple():
     c[1][1][2] = F(5)
     c[2][2][0] = F(1)
     with pytest.raises(AntisymmetryError) as exc:
-        LieAlgebra.from_structure_constants(3, c)
+        LieAlgebra(3, c)
     assert exc.value.triple == (1, 1, 2)
     c = zeros()
     c[0][2][1], c[2][0][1] = F(1, 2), F(-1, 3)
     c[1][2][0], c[2][1][0] = F(1), F(1)
     with pytest.raises(AntisymmetryError) as exc:
-        LieAlgebra.from_structure_constants(3, c)
+        LieAlgebra(3, c)
     assert exc.value.triple == (0, 2, 1)
 
 
@@ -250,12 +256,6 @@ def test_derived_is_ideal():
         for e in basis:
             for d in D.basis:
                 assert D.contains(alg.bracket(e, list(d)))
-
-
-def test_center():
-    assert LieAlgebra.abelian(3).center() == Subspace.full(3)
-    assert solvable2().center().dim == 0
-    assert heisenberg().center() == Subspace.span(3, [[0, 0, 1]])
 
 
 def test_unimodular():
@@ -312,7 +312,7 @@ def test_change_basis_preserves_structure():
         assert b.is_2_solvable() == alg.is_2_solvable()
         assert b.is_abelian() == alg.is_abelian()
         assert b.derived_subalgebra().dim == alg.derived_subalgebra().dim
-        assert b.center().dim == alg.center().dim
+        assert center(b).dim == center(alg).dim
 
 
 def test_change_basis_rejects_singular():

@@ -79,7 +79,7 @@ def test_levi_civita_rot3_eq2_table():
     m = catalog.build("rot3")
     p = levi_civita(m)
     basis = linalg.identity(3)
-    assert linalg.mat_eq(left_mult(p, basis[0]), m.algebra.ad(basis[0]))
+    assert left_mult(p, basis[0]) == m.algebra.ad(basis[0])
     assert linalg.is_zero_mat(left_mult(p, basis[1]))
     assert linalg.is_zero_mat(left_mult(p, basis[2]))
 
@@ -113,7 +113,7 @@ def test_connection_axioms_random():
         u = [F(rng.randint(-3, 3)) for _ in range(n)]
         L = left_mult(p, u)
         R = right_mult(p, u)
-        assert linalg.mat_eq(linalg.mat_sub(L, R), m.algebra.ad(u))
+        assert linalg.mat_sub(L, R) == m.algebra.ad(u)
         # metric compatibility: <L_u v, w> + <v, L_u w> = 0
         for v in basis:
             for w in basis:
@@ -134,7 +134,7 @@ def test_curvature_antisymmetry():
         v = [F(rng.randint(-3, 3)) for _ in range(m.dim)]
         Kuv = curvature(m.algebra, p, u, v)
         Kvu = curvature(m.algebra, p, v, u)
-        assert linalg.mat_eq(Kuv, linalg.mat_scale(Kvu, F(-1)))
+        assert Kuv == linalg.mat_scale(Kvu, F(-1))
 
 
 def test_is_flat_verdicts():
@@ -166,7 +166,7 @@ def test_has_timelike_vector():
     assert not has_timelike_vector(m, Subspace.span(3, [[0, 1, 0]]))
     # null direction: t + x has <v, v> = 0
     assert not has_timelike_vector(m, Subspace.span(3, [[1, 1, 0]]))
-    assert not has_timelike_vector(m, Subspace.zero(3))
+    assert not has_timelike_vector(m, Subspace(3, ()))
     assert killing_subalgebra(catalog.build("rot3")) == Subspace.span(3, [[1, 0, 0]])
     assert has_timelike_vector(catalog.build("rot3"), Subspace.span(3, [[1, 0, 0]]))
 

@@ -1,0 +1,59 @@
+"""`report.to_data`, the one serializer from report objects to JSON values."""
+
+import json
+from dataclasses import dataclass, field
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from flatlie import catalog, inputdoc
+from flatlie.linalg import Subspace
+from flatlie.report import to_data
+from flatlie.theorems import theorem1_check
+
+GOLDEN = Path(__file__).parent / "golden" / "analyze"
+
+
+@dataclass(frozen=True)
+class Sample:
+    count: int
+    ratio: F = field(metadata={"json": "scale"})
+    note: str = field(metadata={"json": None})
+    span: Subspace
+    entries: tuple[F, ...]
+    flag: bool | None
+
+
+def test_to_data_renames_omits_and_keeps_declaration_order():
+    span = Subspace.span(3, [[2, 0, F(2, 3)], [0, 0, 0]])
+    data = to_data(Sample(3, F(-1, 2), "left out", span, (F(0), F(10, 2), F(-7, 2)), None))
+    assert data == {
+        "count": 3,
+        "scale": "-1/2",
+        "span": [["1", "0", "1/3"]],
+        "entries": ["0", "5", "-7/2"],
+        "flag": None,
+    }
+    assert list(data) == ["count", "scale", "span", "entries", "flag"]
+    # an int count stays a JSON number; every Fraction, zero and integral
+    # ones included, is a string
+    assert json.dumps(data) == (
+        '{"count": 3, "scale": "-1/2", "span": [["1", "0", "1/3"]], '
+        '"entries": ["0", "5", "-7/2"], "flag": null}'
+    )
+
+
+def test_to_data_passes_plain_values_and_rejects_other_types():
+    assert to_data([True, 0, "x", None, (1, F(1))]) == [True, 0, "x", None, [1, "1"]]
+    with pytest.raises(TypeError):
+        to_data(0.5)
+
+
+def test_theorem1_object_has_the_golden_key_order():
+    m = inputdoc.parse_document(catalog.get("rot3").document)
+    expected = json.loads((GOLDEN / "rot3.json").read_text(encoding="utf-8"))["theorem1"]
+    data = to_data(theorem1_check(m))
+    assert list(data) == list(expected)
+    assert list(data["split"]) == list(expected["split"]) == ["killing_basis", "derived_basis"]
+    assert data == expected
