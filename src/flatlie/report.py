@@ -16,8 +16,7 @@ from .errors import AbelianInputError
 from .linalg import Subspace
 from .metric import MetricLieAlgebra, is_flat, killing_subalgebra
 
-#: the keys of `riemannian_flat`: the theorem1 object without the
-#: Lorentzian-only and split fields
+#: the keys of `riemannian_flat`, a subset of the theorem1 object's
 RIEMANNIAN_FLAT_KEYS = ("direct_side", "structural_side", "equivalent", "orthogonal_split",
                         "killing_abelian", "derived_abelian", "eq2_verified")
 
