@@ -7,15 +7,14 @@ to produce; the tests replay those expectations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnknownExampleError
 from .inputdoc import parse_document
 from .metric import MetricLieAlgebra
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     description: str
     document: dict

@@ -9,9 +9,8 @@ outside it acting on U as the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -26,15 +25,15 @@ from .linalg import Mat, Subspace, ZERO, frac
 from .metric import LeviCivitaProduct, MetricLieAlgebra, integer_product, is_flat
 
 
-@dataclass(frozen=True)
-class ClassCStructure:
+class ClassCStructure(NamedTuple):
     """Abelian codimension-1 ideal, the normalized generator b with
     [b, x] = x on the ideal, and the scale of the detection transversal
     (t = alpha b + u0)."""
 
     b: tuple[Fraction, ...]
-    ideal: Subspace = field(metadata={"json": "ideal_basis"})
-    alpha: Fraction = field(metadata={"json": None})
+    ideal: Subspace
+    alpha: Fraction
+    _json = {"ideal": "ideal_basis", "alpha": None}
 
 
 def scalar_action(a: LieAlgebra, U: Subspace, t: Sequence) -> Fraction | None:
@@ -84,8 +83,7 @@ def detect(a: LieAlgebra) -> ClassCStructure | None:
     return ClassCStructure(b=b, ideal=U, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
+class Theorem2Report(NamedTuple):
     degenerate_restriction: bool
     radical_dim: int
     flat: bool
@@ -121,8 +119,7 @@ def _require_class_c(a: LieAlgebra) -> ClassCStructure:
     return structure
 
 
-@dataclass(frozen=True)
-class WitnessBasis:
+class WitnessBasis(NamedTuple):
     """Adapted basis for a flat class-C metric: e spans the radical of the
     restricted form, d is a null transversal with <d, e> = 1, and b_basis
     spans the orthogonal complement of span{e, d} (inside the derived
@@ -130,8 +127,9 @@ class WitnessBasis:
 
     e: tuple[Fraction, ...]
     d: tuple[Fraction, ...]
-    b_basis: Subspace = field(metadata={"json": "b_sector_basis"})
-    gram_b: tuple[tuple[Fraction, ...], ...] = field(metadata={"json": None})
+    b_basis: Subspace
+    gram_b: tuple[tuple[Fraction, ...], ...]
+    _json = {"b_basis": "b_sector_basis", "gram_b": None}
 
 
 def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
@@ -234,8 +232,7 @@ def transport_product(m: MetricLieAlgebra, P: Sequence[Sequence]) -> LeviCivitaP
     return LeviCivitaProduct(m.dim, linalg.transport(prod, P, D))
 
 
-@dataclass(frozen=True)
-class IncompletenessReport:
+class IncompletenessReport(NamedTuple):
     unimodular: bool
     b_trace: Fraction
     flat: bool

@@ -120,7 +120,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from . import report, sweeps
+    from . import report
 
     if args.sweep is not None and not 1 <= args.sweep <= MAX_SWEEP:
         raise ParseError(f"--sweep: expected a number of instances from 1 to {MAX_SWEEP}, got {args.sweep}")
@@ -131,6 +131,8 @@ def cmd_analyze(args) -> int:
     timings["analysis"] = time.perf_counter() - t0
     sweep_failures = 0
     if args.sweep:
+        from . import sweeps
+
         t0 = time.perf_counter()
         results = sweeps.run_all(args.seed, args.sweep)
         timings["sweeps"] = time.perf_counter() - t0

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidGeodesicInputError, InvalidToleranceError, NonPositiveProductError
 from .metric import LeviCivitaProduct, MetricLieAlgebra, levi_civita
@@ -60,20 +59,18 @@ def euler_arnold_rhs(p_float: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -v.dot(v.dot(p_float.reshape(n, n * n)).reshape(n, n))
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     t: float
     v: tuple[float, ...]
     norm: float     # Euclidean norm, the blow-up monitor
     energy: float   # <v, v> under the metric; conserved along exact geodesics
 
 
-@dataclass(frozen=True)
-class GeodesicTrajectory:
+class GeodesicTrajectory(NamedTuple):
     samples: tuple[TrajectorySample, ...]
     outcome: str  # REACHED_HORIZON | BLOW_UP_DETECTED | STEP_UNDERFLOW | STEP_LIMIT
     blowup_time: float | None = None
-    rhs_evaluations: int = field(default=0, compare=False)
+    rhs_evaluations: int = 0
 
     @property
     def final(self) -> TrajectorySample:

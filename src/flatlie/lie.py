@@ -7,10 +7,9 @@ downstream may assume a genuine Lie algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import AntisymmetryError, JacobiError
@@ -33,18 +32,38 @@ def memoized(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class CheckedRecord:
+    """Mixin, listed before its NamedTuple base, for a record whose own
+    `__init__` checks the fields and starts the per-instance `_memo`.  The
+    copies made by `_make`, `_replace` and pickle go through the constructor
+    too, so each is checked and starts with an empty memo."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class _LieFields(NamedTuple):
     dim: int
     c: Tensor
     labels: tuple[str, ...] | None = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        n = self.dim
+
+class LieAlgebra(CheckedRecord, _LieFields):
+    """The fields are the tuple's entries, so they cannot be rebound; the
+    per-instance `_memo` lives outside the tuple, out of ==, hash and repr."""
+
+    def __init__(self, dim: int, c: Tensor, labels: tuple[str, ...] | None = None):
+        self._memo = {}
+        n = dim
         if n < 1:
             raise ValueError("dimension must be a positive integer")
-        if len(self.c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in self.c):
+        if len(c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in c):
             raise ValueError("structure constant tensor must be n x n x n")
         C, E = self.integer_constants()
         for i in range(n):

@@ -22,7 +22,6 @@ take one `dot` per term of a row rather than of each entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import lshift, mul
@@ -422,12 +421,12 @@ def signature(S: Sequence[Sequence[Fraction]]) -> Signature:
     )
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Linear subspace of Q^n with a canonical reduced-row-echelon basis.
 
     Equality of subspaces is plain equality of the canonical bases.  The
-    empty basis is the zero subspace.
+    empty basis is the zero subspace.  Being a tuple, len and iteration
+    run over (ambient_dim, basis): `dim` is the dimension.
     """
 
     ambient_dim: int

@@ -14,35 +14,42 @@ basis pairs with exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
-from .lie import LieAlgebra, memoized
+from .lie import CheckedRecord, LieAlgebra, memoized
 from .linalg import ZERO, IntTensor, Mat, Signature, Subspace, Tensor, Vec, frac
 
 
-@dataclass(frozen=True)
-class MetricLieAlgebra:
-    """A Lie algebra together with a nondegenerate symmetric inner product."""
-
+class _MetricFields(NamedTuple):
     algebra: LieAlgebra
     gram: tuple[tuple[Fraction, ...], ...]
-    signature: Signature = None  # type: ignore[assignment]  # computed below
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        n = self.algebra.dim
-        if len(self.gram) != n or any(len(r) != n for r in self.gram):
+
+class MetricLieAlgebra(CheckedRecord, _MetricFields):
+    """A Lie algebra together with a nondegenerate symmetric inner product.
+
+    As for `LieAlgebra`, the fields are the tuple's entries; `signature` is
+    derived from the Gram matrix at construction and, like `_memo`, lives
+    outside the tuple."""
+
+    def __init__(self, algebra: LieAlgebra, gram: tuple[tuple[Fraction, ...], ...]):
+        self._memo = {}
+        n = algebra.dim
+        if len(gram) != n or any(len(r) != n for r in gram):
             raise ValueError("Gram matrix size must match the algebra dimension")
-        if not linalg.is_symmetric(self.gram):
+        if not linalg.is_symmetric(gram):
             raise NonSymmetricError("inner product matrix must be symmetric")
-        sig = linalg.signature(self.gram)
+        sig = linalg.signature(gram)
         if sig.n_zero:
             raise DegenerateFormError("inner product must be nondegenerate (ambient radical is nonzero)")
-        object.__setattr__(self, "signature", sig)
+        self._signature = sig
+
+    @property
+    def signature(self) -> Signature:
+        return self._signature
 
     @classmethod
     def make(cls, algebra: LieAlgebra, gram: Sequence[Sequence]) -> "MetricLieAlgebra":
@@ -85,8 +92,7 @@ class MetricLieAlgebra:
         return MetricLieAlgebra(new_alg, tuple(tuple(Fraction(x, den) if x else ZERO for x in row) for row in M))
 
 
-@dataclass(frozen=True)
-class LeviCivitaProduct:
+class LeviCivitaProduct(NamedTuple):
     """Product constants p[i][j][k] of the Levi-Civita connection."""
 
     dim: int
@@ -96,8 +102,7 @@ class LeviCivitaProduct:
         return linalg.bilinear(self.p, u, v)
 
 
-@dataclass(frozen=True)
-class CurvatureVerdict:
+class CurvatureVerdict(NamedTuple):
     flat: bool
     # (i, j, K(e_i, e_j)) for the first basis pair with nonzero curvature
     witness: tuple[int, int, tuple[tuple[Fraction, ...], ...]] | None = None
@@ -250,8 +255,7 @@ def right_mult_kernel(p: LeviCivitaProduct) -> Subspace:
     return linalg.kernel(constraints)
 
 
-@dataclass(frozen=True)
-class KillingTripleReport:
+class KillingTripleReport(NamedTuple):
     """The three flat-case characterizations of the Killing subalgebra."""
 
     killing: Subspace

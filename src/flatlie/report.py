@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .errors import AbelianInputError
@@ -47,27 +46,28 @@ def _rational_str(x) -> str:
 def to_data(x):
     """The JSON value of a report object.
 
-    A dataclass becomes an object of its fields in declaration order, each
-    under the name in its `field(metadata={"json": ...})` (its own name by
-    default; None leaves the field out).  A Subspace becomes its canonical
-    basis rows, a Fraction its canonical string, a tuple or list an array;
-    bools, ints, strings and None pass through.
+    A record (a NamedTuple) becomes an object of its fields in declaration
+    order, each under the name its class's `_json` table maps it to (its own
+    name by default; None leaves the field out).  A Subspace becomes its
+    canonical basis rows, a Fraction its canonical string, any other tuple
+    or a list an array; bools, ints, strings and None pass through.
     """
+    if isinstance(x, Subspace):
+        return to_data(x.basis)
+    if isinstance(x, tuple) and hasattr(x, "_fields"):  # a record, tested before the plain tuple
+        names = getattr(x, "_json", {})
+        data = {}
+        for field, value in zip(x._fields, x):
+            name = names.get(field, field)
+            if name is not None:
+                data[name] = to_data(value)
+        return data
     if isinstance(x, (tuple, list)):
         return [to_data(v) for v in x]
     if isinstance(x, Fraction):
         return _rational_str(x)
     if x is None or isinstance(x, (bool, int, str)):
         return x
-    if isinstance(x, Subspace):
-        return to_data(x.basis)
-    if is_dataclass(x):
-        data = {}
-        for f in fields(x):
-            name = f.metadata.get("json", f.name)
-            if name is not None:
-                data[name] = to_data(getattr(x, f.name))
-        return data
     raise TypeError(f"no JSON form for {type(x).__name__}")
 
 

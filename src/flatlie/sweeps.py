@@ -11,8 +11,8 @@ when the property held on every instance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg, metric
 from .classc import theorem2_check
@@ -208,8 +208,7 @@ def class_c_instance(rng: random.Random, dim: int, degenerate: bool) -> MetricLi
 # sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     name: str
     count: int
     failures: tuple[str, ...]

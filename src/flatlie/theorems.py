@@ -7,8 +7,8 @@ module verifies, it does not assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .errors import (
@@ -34,32 +34,32 @@ from .metric import (
 ROTATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SplitData:
+class SplitData(NamedTuple):
     """Killing/derived decomposition with its orthogonality witness."""
 
-    killing: Subspace = field(metadata={"json": "killing_basis"})
-    derived: Subspace = field(metadata={"json": "derived_basis"})
-    cross_gram: tuple[tuple[Fraction, ...], ...] = field(metadata={"json": None})  # <s_i, d_j>; all zero iff orthogonal
+    killing: Subspace
+    derived: Subspace
+    cross_gram: tuple[tuple[Fraction, ...], ...]  # <s_i, d_j>; all zero iff orthogonal
+    _json = {"killing": "killing_basis", "derived": "derived_basis", "cross_gram": None}
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     """Both sides of the split characterization, fields in report order
-    (`report.to_data` writes them under their `json` names)."""
+    (`report.to_data` writes them under their `_json` names)."""
 
     direct_side: bool
     structural_side: bool
     equivalent: bool
     flat: bool
     timelike_killing: bool
-    orthogonal: bool = field(metadata={"json": "orthogonal_split"})
+    orthogonal: bool
     killing_abelian: bool
     derived_abelian: bool
     even_dim_derived: bool | None
     eq2_verified: bool | None
     split: SplitData | None
-    spans_directly: bool = field(metadata={"json": None})
+    spans_directly: bool
+    _json = {"orthogonal": "orthogonal_split", "spans_directly": None}
 
 
 def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
@@ -140,8 +140,7 @@ def riemannian_flat_check(m: MetricLieAlgebra) -> Theorem1Report:
     return _split_check(m)
 
 
-@dataclass(frozen=True)
-class Corollary1Report:
+class Corollary1Report(NamedTuple):
     two_solvable: bool
     unimodular: bool
     geodesically_complete: bool
@@ -201,8 +200,7 @@ def riemannian_companion(m: MetricLieAlgebra) -> MetricLieAlgebra:
     return companion
 
 
-@dataclass(frozen=True)
-class Corollary2Report:
+class Corollary2Report(NamedTuple):
     timelike_killing_exists: bool
     companion_exists: bool
     connection_verified: bool | None
@@ -227,8 +225,7 @@ def corollary2_forward_check(m: MetricLieAlgebra) -> Corollary2Report:
     return Corollary2Report(True, True, same_connection(m, companion), companion)
 
 
-@dataclass(frozen=True)
-class RotationForm:
+class RotationForm(NamedTuple):
     """Floating-point normal form of the Killing action on the derived
     algebra: commuting skew operators block-diagonalized into 2-planes.
 

@@ -23,7 +23,8 @@ import contextlib, io, sys
 import flatlie.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = flatlie.cli.main(sys.argv[1:])
-print(code, int("numpy" in sys.modules), ",".join(sorted(m for m in sys.modules if m.startswith("flatlie"))))
+print(code, int("numpy" in sys.modules), int("dataclasses" in sys.modules),
+      ",".join(sorted(m for m in sys.modules if m.startswith("flatlie"))))
 """
 
 #: what every command loads: the CLI, the input parser and the exact kernel
@@ -40,10 +41,10 @@ def _python(*args):
 
 
 def _run_cli(*argv):
-    """(exit code, whether numpy was loaded, the flatlie modules loaded) of
-    one cold flatlie.cli.main run."""
-    code, loaded, modules = _python("-c", RUN_CLI, *argv)
-    return int(code), bool(int(loaded)), set(modules.split(","))
+    """(exit code, whether numpy was loaded, whether dataclasses was loaded,
+    the flatlie modules loaded) of one cold flatlie.cli.main run."""
+    code, numpy, dataclasses, modules = _python("-c", RUN_CLI, *argv)
+    return int(code), bool(int(numpy)), bool(int(dataclasses)), set(modules.split(","))
 
 
 def _cli(*argv):
@@ -98,8 +99,7 @@ def test_import_flatlie_loads_no_submodule():
 
 @pytest.mark.parametrize("argv, modules", [
     (("validate", "-i", "@rot3"), REPORT),
-    (("analyze", "--json", "-i", "@rot3"),
-     REPORT | {"flatlie.sweeps", "flatlie.theorems", "flatlie.classc"}),
+    (("analyze", "--json", "-i", "@rot3"), REPORT | {"flatlie.theorems", "flatlie.classc"}),
     (("analyze", "--sweep", "2", "-i", "@rot3"),
      REPORT | {"flatlie.sweeps", "flatlie.theorems", "flatlie.classc"}),
     (("flat", "-i", "@rot3"), REPORT),
@@ -112,10 +112,24 @@ def test_import_flatlie_loads_no_submodule():
     (("catalog", "show", "rot3"), BASE | {"flatlie.catalog"}),
 ])
 def test_each_command_loads_only_the_modules_it_runs(docs, argv, modules):
-    """An argument "@name" stands for the path of catalog entry name."""
-    code, _, loaded = _run_cli(*[docs.get(a, a) for a in argv])
+    """An argument "@name" stands for the path of catalog entry name.  No
+    command loads dataclasses: its import and class creation would be most
+    of flatlie's share of a cold start."""
+    code, _, dataclasses, loaded = _run_cli(*[docs.get(a, a) for a in argv])
     assert code == 0
     assert loaded == modules
+    assert not dataclasses
+
+
+def test_no_flatlie_module_loads_dataclasses():
+    """Importing the package and all 12 of its submodules leaves dataclasses
+    unloaded."""
+    names = sorted(f"flatlie.{p.stem}" for p in Path(flatlie.__file__).parent.glob("*.py") if p.stem != "__init__")
+    script = (f"import sys, {', '.join(names)}\n"
+              "print(int('dataclasses' in sys.modules), *sorted(m for m in sys.modules if m.startswith('flatlie.')))")
+    loaded, *modules = _python("-c", script)
+    assert len(names) == 12 and modules == names
+    assert loaded == "0"
 
 
 def test_every_exported_name_is_its_defining_modules_object():

@@ -1,5 +1,6 @@
 """Derived quantities are computed at most once per metric instance."""
 
+import copy
 import pickle
 import random
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from flatlie import classc, inputdoc, linalg, metric, report, sweeps
+from flatlie.errors import AntisymmetryError
 from flatlie.metric import is_flat, killing_subalgebra, levi_civita
 from flatlie.theorems import theorem1_check
 
@@ -131,6 +133,21 @@ def test_memo_is_invisible_to_eq_hash_and_repr():
     assert m.algebra == fresh.algebra and hash(m.algebra) == hash(fresh.algebra)
     assert repr(m.algebra) == repr(fresh.algebra)
     assert pickle.loads(pickle.dumps(m)) == m
+
+
+def test_copies_are_rebuilt_by_the_constructor_without_the_memo():
+    """Pickle, copy and _replace go through the checking constructor, so a
+    copy starts with an empty memo and a bad replacement is refused."""
+    m = _instance()
+    report.analysis_report(m)
+    for copy_of_m in (pickle.loads(pickle.dumps(m)), copy.copy(m), m._replace(gram=m.gram)):
+        assert copy_of_m == m and copy_of_m is not m
+        assert copy_of_m._memo == {} and copy_of_m.signature == m.signature
+    assert _holds_only_its_integer_constants(pickle.loads(pickle.dumps(m.algebra)))
+    c = [list(plane) for plane in m.algebra.c]
+    c[0][1] = tuple(x + 1 for x in c[0][1])  # no longer -c[1][0]
+    with pytest.raises(AntisymmetryError):
+        m.algebra._replace(c=tuple(map(tuple, c)))
 
 
 def test_derived_instances_start_with_an_empty_memo():

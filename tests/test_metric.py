@@ -59,6 +59,22 @@ def test_construction_validation():
     assert m.is_lorentzian and not m.is_riemannian
 
 
+def test_signature_is_derived_not_passed():
+    """The signature is read off the Gram matrix; a caller cannot supply one."""
+    a = LieAlgebra.abelian(2)
+    gram = ((F(0), F(1)), (F(1), F(0)))
+    with pytest.raises(TypeError):
+        MetricLieAlgebra(a, gram, linalg.Signature(9, 9, 9))
+    with pytest.raises(TypeError):
+        MetricLieAlgebra(a, gram, signature=linalg.Signature(9, 9, 9))
+    m = MetricLieAlgebra(a, gram)
+    assert m.signature == linalg.Signature(1, 1, 0)
+    with pytest.raises(AttributeError):
+        m.signature = linalg.Signature(2, 0, 0)
+    with pytest.raises(AttributeError):
+        m.gram = ((F(1), F(0)), (F(0), F(1)))
+
+
 def test_levi_civita_abelian_is_zero():
     m = abelian_minkowski()
     p = levi_civita(m)

@@ -1,9 +1,9 @@
 """`report.to_data`, the one serializer from report objects to JSON values."""
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction as F
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -15,14 +15,19 @@ from flatlie.theorems import theorem1_check
 GOLDEN = Path(__file__).parent / "golden" / "analyze"
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     count: int
-    ratio: F = field(metadata={"json": "scale"})
-    note: str = field(metadata={"json": None})
+    ratio: F
+    note: str
     span: Subspace
     entries: tuple[F, ...]
     flag: bool | None
+    _json = {"ratio": "scale", "note": None}
+
+
+class Pair(NamedTuple):
+    left: int
+    right: F
 
 
 def test_to_data_renames_omits_and_keeps_declaration_order():
@@ -42,6 +47,15 @@ def test_to_data_renames_omits_and_keeps_declaration_order():
         '{"count": 3, "scale": "-1/2", "span": [["1", "0", "1/3"]], '
         '"entries": ["0", "5", "-7/2"], "flag": null}'
     )
+
+
+def test_to_data_writes_nested_records_as_objects_and_plain_tuples_as_arrays():
+    records = [Pair(1, F(1, 2)), (Pair(2, F(3)), (2, F(3)))]
+    assert to_data(records) == [
+        {"left": 1, "right": "1/2"},
+        [{"left": 2, "right": "3"}, [2, "3"]],
+    ]
+    assert to_data((Pair(0, F(0)),)) == [{"left": 0, "right": "0"}]
 
 
 def test_to_data_passes_plain_values_and_rejects_other_types():
