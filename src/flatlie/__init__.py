@@ -40,8 +40,6 @@ _EXPORTS = {
         "same_connection",
         "Corollary2Report",
         "corollary2_forward_check",
-        "RotationForm",
-        "rotation_form",
     ),
     "classc": (
         "ClassCStructure",

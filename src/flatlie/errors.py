@@ -68,14 +68,6 @@ class MismatchedAlgebrasError(FlatLieError):
     """Two metric Lie algebras do not share the same underlying algebra."""
 
 
-class NonCommutingFamilyError(FlatLieError):
-    """The restricted adjoint operators fail to commute (or to pair into planes)."""
-
-
-class OddDimensionError(FlatLieError):
-    """The derived algebra has odd dimension where an even one was guaranteed."""
-
-
 class AbelianInputError(FlatLieError):
     """Operation is only defined for non-abelian Lie algebras."""
 

@@ -1,8 +1,9 @@
-"""Decision procedures for the structure theorems on flat metric Lie algebras.
+"""Exact decision procedures for the structure theorems on flat metric Lie algebras.
 
 Each check computes both sides of its equivalence independently (curvature on
 one side, subspace structure on the other) and reports them separately: the
-module verifies, it does not assume.
+module verifies, it does not assume, except Corollary 2's converse, which
+`corollary2_forward_check` takes by argument (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from .errors import (
     HypothesisNotMetError,
     InvalidSplitError,
     MismatchedAlgebrasError,
-    NonCommutingFamilyError,
     NotLorentzianError,
     NotRiemannianError,
-    OddDimensionError,
 )
 from .lie import memoized
 from .linalg import Subspace
@@ -29,9 +28,6 @@ from .metric import (
     is_flat,
     killing_subalgebra,
 )
-
-#: residual / commutator tolerance for the floating-point rotation normal form
-ROTATION_TOL = 1e-9
 
 
 class SplitData(NamedTuple):
@@ -201,6 +197,9 @@ def riemannian_companion(m: MetricLieAlgebra) -> MetricLieAlgebra:
 
 
 class Corollary2Report(NamedTuple):
+    """`companion_exists` is computed only when `timelike_killing_exists`
+    holds; otherwise it is False by argument, not by search (ROADMAP item 5)."""
+
     timelike_killing_exists: bool
     companion_exists: bool
     connection_verified: bool | None
@@ -211,10 +210,10 @@ def corollary2_forward_check(m: MetricLieAlgebra) -> Corollary2Report:
     """On a flat Lorentzian instance: a timelike left-invariant Killing
     vector exists iff a same-connection Riemannian metric does.
 
-    When a timelike vector exists the companion is constructed explicitly;
-    when none exists, no companion can exist either (a same-connection
-    Riemannian metric would force a timelike direction into the Killing
-    subalgebra via the shared split), so both flags come out false.
+    When a timelike vector exists the companion is constructed and checked.
+    When none exists, nothing is computed: both flags are false by argument (a
+    same-connection Riemannian metric would force a timelike Killing direction
+    via the shared split), so that direction is assumed (ROADMAP item 5).
     """
     report = theorem1_check(m)
     if not report.flat:
@@ -223,98 +222,3 @@ def corollary2_forward_check(m: MetricLieAlgebra) -> Corollary2Report:
         return Corollary2Report(False, False, None, None)
     companion = riemannian_companion(m)
     return Corollary2Report(True, True, same_connection(m, companion), companion)
-
-
-class RotationForm(NamedTuple):
-    """Floating-point normal form of the Killing action on the derived
-    algebra: commuting skew operators block-diagonalized into 2-planes.
-
-    Reporting artifact only; nothing exact ever depends on it.
-    frequencies[a][i] is the rotation rate of Killing generator a on plane i.
-    """
-
-    frequencies: tuple[tuple[float, ...], ...]
-    planes: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
-    residual: float
-    tolerance: float = ROTATION_TOL
-
-
-def rotation_form(m: MetricLieAlgebra, split: SplitData) -> RotationForm:
-    """Simultaneously block-diagonalize the restricted adjoint action.
-
-    Requires a valid structural split with positive definite restriction to
-    the derived algebra.  Works in floats: the rotation rates are generically
-    irrational, so this stays quarantined from every exact verdict.
-    """
-    import numpy as np
-
-    S, D = split.killing, split.derived
-    G = m.gram_rows()
-    if linalg.signature(linalg.restrict_form(G, D)) != linalg.Signature(D.dim, 0, 0):
-        raise HypothesisNotMetError("restriction to the derived algebra must be positive definite")
-    if D.dim % 2 != 0:
-        raise OddDimensionError("derived algebra dimension is odd; split data is inconsistent")
-    if D.dim == 0:
-        return RotationForm(tuple(() for _ in S.basis), (), 0.0)
-
-    Gf = np.array([[float(x) for x in row] for row in G])
-    rows = np.array([[float(x) for x in r] for r in D.basis])
-    # Gram-Schmidt the derived basis w.r.t. the (positive definite) restriction
-    onb = []
-    for r in rows:
-        v = r.copy()
-        for f in onb:
-            v -= (f @ Gf @ v) * f
-        v /= np.sqrt(v @ Gf @ v)
-        onb.append(v)
-    F = np.array(onb)  # rows: orthonormal basis of D
-
-    ops = []
-    for s in S.basis:
-        ad_s = np.array([[float(x) for x in row] for row in m.algebra.ad(list(s))])
-        ops.append(F @ Gf @ ad_s @ F.T)  # A[k][l] = <f_k, ad_s f_l>
-    scale = max(1.0, max(np.abs(A).max() for A in ops))
-    for a in range(len(ops)):
-        for b in range(a + 1, len(ops)):
-            if np.abs(ops[a] @ ops[b] - ops[b] @ ops[a]).max() > ROTATION_TOL * scale:
-                raise NonCommutingFamilyError("restricted adjoint operators do not commute")
-
-    p = D.dim // 2
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        combo = sum(c * A for c, A in zip(rng.standard_normal(len(ops)), ops))
-        eig, vecs = np.linalg.eig(combo)
-        idx = [i for i in range(len(eig)) if eig[i].imag > ROTATION_TOL * scale]
-        if len(idx) == p:
-            break
-    else:
-        raise NonCommutingFamilyError("could not pair the derived algebra into rotation planes")
-    idx.sort(key=lambda i: -eig[i].imag)
-
-    planes_coords = []
-    for i in idx:
-        z = vecs[:, i]
-        u, w = z.imag.copy(), z.real.copy()
-        u /= np.linalg.norm(u)
-        w -= (w @ u) * u
-        w /= np.linalg.norm(w)
-        planes_coords.append((u, w))
-
-    freqs = []
-    residual = 0.0
-    for A in ops:
-        row = []
-        for u, w in planes_coords:
-            lam = float(w @ (A @ u))
-            row.append(lam)
-            residual = max(
-                residual,
-                float(np.abs(A @ u - lam * w).max()),
-                float(np.abs(A @ w + lam * u).max()),
-            )
-        freqs.append(tuple(row))
-
-    planes_ambient = tuple(
-        (tuple(float(x) for x in u @ F), tuple(float(x) for x in w @ F)) for u, w in planes_coords
-    )
-    return RotationForm(tuple(freqs), planes_ambient, residual)

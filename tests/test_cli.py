@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,10 @@ from flatlie.cli import main
 from flatlie.errors import ParseError
 from flatlie.lie import LieAlgebra
 from flatlie.metric import MetricLieAlgebra, is_flat
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_INPUTS = sorted(p.stem for p in (GOLDEN / "inputs").glob("*.json"))
 
 
 def run(capsys, *argv):
@@ -327,15 +332,24 @@ def test_analyze_json_deterministic(capsys, tmp_path):
         json.loads(out1)  # well-formed
 
 
-def test_analyze_json_and_text_agree(capsys, tmp_path):
-    doc = write_doc(tmp_path, "classc2_flat")
+def _verdict(text, label):
+    """The word after "label: " on the text report's line for label."""
+    line = next(line for line in text.splitlines() if line.startswith(f"{label}: "))
+    return line[len(label) + 2:].split()[0].rstrip(";")
+
+
+@pytest.mark.parametrize("name", catalog.names() + GOLDEN_INPUTS)
+def test_analyze_json_and_text_agree(capsys, tmp_path, name):
+    doc = str(GOLDEN / "inputs" / f"{name}.json") if name in GOLDEN_INPUTS else write_doc(tmp_path, name)
     _, out_json, _ = run(capsys, "analyze", "--json", "-i", doc)
     rep = json.loads(out_json)
-    _, out_text, _ = run(capsys, "analyze", "-i", doc)
-    assert rep["flatness"]["flat"] is True
-    assert "flat: yes" in out_text
-    assert rep["class_c"]["incompleteness"]["verdict"] == "incomplete"
-    assert "incomplete" in out_text
+    code, out_text, _ = run(capsys, "analyze", "-i", doc)
+    assert code == 0
+    assert _verdict(out_text, "flat") == ("yes" if rep["flatness"]["flat"] else "no")
+    assert _verdict(out_text, "class C") == ("yes" if rep["class_c"]["detected"] else "no")
+    incompleteness = rep["class_c"].get("incompleteness")
+    if incompleteness:
+        assert f"verdict: {incompleteness['verdict']}" in out_text
 
 
 def test_analyze_sweep_usage_errors(capsys, tmp_path):

@@ -1,5 +1,5 @@
 """A cold command loads only the modules it runs.  The exact commands never
-load numpy; only the float geodesic probe and rotation_form do.  `import
+load numpy; only the float geodesic probe does.  `import
 flatlie` loads no submodule: the package resolves its exported names on
 first use.  Each import check runs in a fresh interpreter, because this test
 process already holds numpy and every flatlie module."""
@@ -90,6 +90,11 @@ def test_exact_commands_and_usage_errors_do_not_load_numpy(docs, argv, expected)
 
 def test_geodesic_loads_numpy(docs):
     assert _cli("geodesic", "-i", docs["@rot3"], "--v0", "1,0,0", "--t-max", "1") == (0, True)
+
+
+def test_only_the_geodesic_integrator_mentions_numpy():
+    sources = Path(flatlie.__file__).parent.glob("*.py")
+    assert [p.name for p in sources if "numpy" in p.read_text()] == ["geodesics.py"]
 
 
 def test_import_flatlie_loads_no_submodule():

@@ -9,18 +9,15 @@ from flatlie.errors import (
     MismatchedAlgebrasError,
     NotLorentzianError,
     NotRiemannianError,
-    OddDimensionError,
 )
 from flatlie.lie import LieAlgebra
 from flatlie.linalg import Subspace
-from flatlie.metric import MetricLieAlgebra, killing_subalgebra
+from flatlie.metric import MetricLieAlgebra
 from flatlie.theorems import (
-    SplitData,
     corollary1_check,
     corollary2_forward_check,
     riemannian_companion,
     riemannian_flat_check,
-    rotation_form,
     same_connection,
     theorem1_check,
     verify_eq2,
@@ -54,6 +51,17 @@ def test_theorem1_rot3():
     assert r.split.derived.dim == 2
     assert r.even_dim_derived is True
     assert r.eq2_verified is True
+
+
+def test_theorem1_two_planes_dim5():
+    m = two_plane_dim5()
+    r = theorem1_check(m)
+    assert r.direct_side and r.structural_side
+    assert r.split.killing.dim == 1 and r.split.derived.dim == 4
+    assert r.even_dim_derived is True
+    assert r.eq2_verified is True
+    comp = riemannian_companion(m)
+    assert comp.is_riemannian and same_connection(m, comp)
 
 
 def test_theorem1_classc2_flat_both_false():
@@ -178,48 +186,3 @@ def test_corollary2():
                 catalog.build("classc2_flat").algebra, [[-1, 0], [0, 1]]
             )
         )  # Lorentzian but not flat
-
-
-def test_rotation_form_rot3():
-    m = catalog.build("rot3")
-    rf = rotation_form(m, theorem1_check(m).split)
-    assert len(rf.planes) == 1
-    assert abs(rf.frequencies[0][0] - 1.0) < 1e-9
-    assert rf.residual < 1e-9
-
-
-def test_rotation_form_abelian_empty():
-    m = catalog.build("abelian_minkowski")
-    rf = rotation_form(m, theorem1_check(m).split)
-    assert rf.planes == ()
-    assert rf.residual == 0.0
-
-
-def test_rotation_form_two_planes():
-    m = two_plane_dim5()
-    r = theorem1_check(m)
-    assert r.direct_side and r.structural_side
-    rf = rotation_form(m, r.split)
-    assert len(rf.planes) == 2
-    rates = sorted(abs(x) for x in rf.frequencies[0])
-    assert abs(rates[0] - 1.0) < 1e-9 and abs(rates[1] - 2.0) < 1e-9
-    assert rf.residual < 1e-9
-
-
-def test_rotation_form_guards():
-    heis = catalog.build("heisenberg_euclidean")
-    split = SplitData(
-        killing_subalgebra(heis),
-        heis.algebra.derived_subalgebra(),
-        ((),),
-    )
-    with pytest.raises(OddDimensionError):
-        rotation_form(heis, split)
-    mink = catalog.build("abelian_minkowski")
-    bad_split = SplitData(
-        Subspace.span(3, [[0, 1, 0], [0, 0, 1]]),
-        Subspace.span(3, [[1, 0, 0]]),  # restriction [[-1]] is not positive definite
-        ((),),
-    )
-    with pytest.raises(HypothesisNotMetError):
-        rotation_form(mink, bad_split)
