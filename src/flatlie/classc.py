@@ -39,23 +39,31 @@ class ClassCStructure(NamedTuple):
 def scalar_action(a: LieAlgebra, U: Subspace, t: Sequence) -> Fraction | None:
     """alpha such that ad_t restricted to U equals alpha * id, or None.
 
-    The restriction is computed exactly in U's canonical basis; any bracket
-    [t, u] falling outside U also returns None.
+    Decided in ints: with c = C / E, t = ti / s and U's basis cleared to
+    rows u, the matrix A[k][x] = sum_i ti[i] C[i][x][k] is built once, so
+    [t, u] = A u / (E s).  That is alpha u for one alpha shared by every
+    row iff each A u equals lam u, with lam = (A u)[p] / u[p] at the row's
+    pivot p, tested by cross-multiplying; then alpha = lam / (E s).
     """
     if U.dim == 0:
         return None
-    alpha = None
-    for idx, u in enumerate(U.basis):
-        coords = U.coordinates(a.bracket(t, u))
-        if coords is None:
+    n = a.dim
+    C, E = a.integer_constants()
+    (ti,), s = linalg.clear_denominators([t])
+    dot = linalg.dot
+    A = [[dot(ti, [Ci[x][k] for Ci in C]) for x in range(n)] for k in range(n)]
+    rows, _ = linalg.clear_denominators(U.basis)
+    lam = None  # (numerator, denominator) of the shared ratio
+    for u in rows:
+        p = next(j for j, x in enumerate(u) if x)
+        Au = [dot(row, u) for row in A]
+        if any(y * u[p] != Au[p] * x for x, y in zip(u, Au)):
             return None
-        if alpha is None:
-            alpha = coords[idx]
-        expected = [ZERO] * U.dim
-        expected[idx] = alpha
-        if coords != expected:
+        if lam is None:
+            lam = (Au[p], u[p])
+        elif Au[p] * lam[1] != lam[0] * u[p]:
             return None
-    return alpha
+    return Fraction(lam[0], lam[1] * E * s)
 
 
 @memoized
@@ -94,7 +102,8 @@ class Theorem2Report(NamedTuple):
 def _derived_radical(m: MetricLieAlgebra) -> Subspace:
     """Radical of the inner product restricted to the derived algebra."""
     D = m.algebra.derived_subalgebra()
-    return linalg.radical(linalg.restrict_form(m.gram_rows(), D), D)
+    Gi, g = m.integer_gram()
+    return linalg.radical(linalg.restrict_form(Gi, D, g), D)
 
 
 @memoized
@@ -156,27 +165,31 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
         raise RadicalDimensionError(f"restricted-form radical has dimension {rad.dim}")
     e = list(rad.basis[0])
 
-    basis = linalg.identity(n)
-    y = next((basis[i] for i in range(n) if m.inner(basis[i], e) != 0), None)
-    if y is None:
+    # <x, e> = dot(x, Ge) / (g k) for e = ei / k and the cleared Gram Gi / g
+    Gi, g = m.integer_gram()
+    (ei,), k = linalg.clear_denominators([e])
+    Ge = [linalg.dot(row, ei) for row in Gi]
+    i = next((i for i, x in enumerate(Ge) if x), None)
+    if i is None:
         raise AssertionError("nondegenerate form pairs e with some basis vector")
-    ye = m.inner(y, e)
-    yy = m.inner(y, y)
+    y = linalg.identity(n)[i]
+    ye = Fraction(Ge[i], g * k)
+    yy = Fraction(Gi[i][i], g)
     d = linalg.vec_sub(linalg.vec_scale(y, 1 / ye), linalg.vec_scale(e, yy / (2 * ye * ye)))
 
     span_ed = Subspace.span(n, [e, d])
-    B = linalg.orthogonal_complement(span_ed, m.gram_rows())
+    B = linalg.orthogonal_complement(span_ed, Gi)
 
     if m.inner(d, e) != 1 or m.inner(d, d) != 0:
         raise InvalidWitnessError("null transversal postconditions failed")
-    if any(m.inner(e, list(x)) != 0 for x in D.basis):
+    if any(linalg.dot(x, Ge) for x in linalg.clear_denominators(D.basis)[0]):
         raise InvalidWitnessError("radical vector is not orthogonal to the derived algebra")
     if linalg.subspace_sum(span_ed, B).dim != n or B.dim != n - 2:
         raise InvalidWitnessError("span{e, d} + B does not decompose the algebra")
     if linalg.subspace_sum(Subspace.span(n, [e]), B) != D:
         raise InvalidWitnessError("span{e} + B is not the derived algebra")
 
-    gram_b = linalg.restrict_form(m.gram_rows(), B)
+    gram_b = linalg.restrict_form(Gi, B, g)
     return WitnessBasis(tuple(e), tuple(d), B, tuple(tuple(r) for r in gram_b))
 
 

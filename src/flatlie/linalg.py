@@ -8,15 +8,17 @@ The hot exact work runs in Python ints: `clear_denominators` scales a
 matrix or tensor to integers over one common denominator, and `dot`,
 `mat_vec`, `mat_mul`, `bilinear`, `left_matrix` and `right_matrix` keep
 int data int (their sums start at int 0, so an entry with no nonzero term
-is the int 0, which equals Fraction(0)).  A tensor is cleared in one place
-only, the memoized view `LieAlgebra.integer_constants`;
-`metric.lowered_constants` clears the Gram matrix,
-`metric.integer_product` is solved in ints from it, `rref` clears each
-row's denominators itself, and `transport` and the congruence pass behind
-`symmetric_diagonalize` and `signature` clear their own matrices.
+is the int 0, which equals Fraction(0)).  Each instance clears its data
+once, in memoized views: the structure constants in
+`LieAlgebra.integer_constants`, the Gram matrix in
+`MetricLieAlgebra.integer_gram`, and `metric.integer_product` is solved in
+ints from them.  `rref` clears each row's denominators itself, and its
+Bareiss loop also gives the int inverse view `integer_inverse`;
+`restrict_form`, `orthogonal_complement` and the congruence pass behind
+`symmetric_diagonalize` and `signature` take int or Fraction matrices.
 `pack` turns an int row into one integer with exact zero test and
-read-back (`slot_width`, `unpack`), so `is_flat` and the Jacobi check
-take one `dot` per term of a row rather than of each entry.
+read-back (`slot_width`, `unpack`), so `is_flat`, the Jacobi check and
+`transport` take one `dot` per term of a row rather than of each entry.
 """
 
 from __future__ import annotations
@@ -197,16 +199,35 @@ def right_matrix(T: Tensor, y: Sequence) -> Mat:
 def transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1) -> Tensor:
     """The tensor T / t in the basis given by the columns of P: entry (a, b)
     is P^-1 T(P_a, P_b) / t.  T and P may hold ints or Fractions; callers
-    coerce outside input with `mat` first.  In ints: with P = Pi / p and
-    P^-1 = Qi / q, the entry is Qi T(Pi_a, Pi_b) over q t p^2, one Fraction
-    per entry.  Raises SingularMatrixError for a singular P."""
-    Qi, q = clear_denominators(inverse(P))
+    coerce outside input with `mat` first.  Raises SingularMatrixError for
+    a singular P.
+
+    In ints: with T = Ti / s, P = Pi / p and P^-1 = Qi / q
+    (`integer_inverse`), entry (a, b) is Qi Ti(Pi_a, Pi_b) over q s t p^2.
+    The columns of Qi are packed over the output index (`pack_row`), so
+    Qi Ti[i][j] is one dot per packed int; contracting i with column a of
+    Pi and then j with column b takes one dot each: three passes of n^2
+    dots, after which each entry (a, b) is unpacked once.  Every slot is at
+    most (row sum of |Qi|) (column sum of |Pi|)^2 max |Ti|, which sets the
+    slot width."""
+    n = len(P)
+    Qi, q = integer_inverse(P)
     Pi, p = clear_denominators(P)
-    cols = transpose(Pi)
-    den = q * t * p * p
+    flat, s = clear_denominators([row for plane in T for row in plane])
+    Ti = [flat[i * n:(i + 1) * n] for i in range(n)]
+    cols = list(zip(*Pi))
+    bound = max(sum(map(abs, row)) for row in Qi) * max(sum(map(abs, col)) for col in cols) ** 2
+    w = slot_width(bound * max(map(abs, chain.from_iterable(flat))))
+    X = [[[] for _ in range(n)] for _ in range(n)]  # X[a][b]: the packed ints of entry (a, b)
+    for part in zip(*(pack_row(col, w) for col in zip(*Qi))):  # part[l]: one packed int of column l
+        QT = list(zip(*([dot(Tij, part) for Tij in plane] for plane in Ti)))  # QT[j][i]
+        for a, Pa in enumerate(cols):
+            U = [dot(Pa, QTj) for QTj in QT]  # U[j]: Qi Ti(Pi_a, e_j), packed
+            for b, Pb in enumerate(cols):
+                X[a][b].append(dot(Pb, U))
+    den = q * s * t * p * p
     return tuple(
-        tuple(tuple(Fraction(x, den) if x else ZERO for x in mat_vec(Qi, bilinear(T, a, b))) for b in cols)
-        for a in cols
+        tuple(tuple(Fraction(x, den) if x else ZERO for x in unpack_row(Xab, w, n)) for Xab in Xa) for Xa in X
     )
 
 
@@ -245,11 +266,6 @@ def is_symmetric(A) -> bool:
     )
 
 
-def form_value(G: Sequence[Sequence[Fraction]], x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    """<x, y> for the bilinear form with Gram matrix G."""
-    return sum((xi * gij * yj for xi, row in zip(x, G) if xi for gij, yj in zip(row, y) if gij and yj), ZERO)
-
-
 def _primitive_row(row: Sequence) -> list[int]:
     """The row scaled to integers with no common factor.  Dropping the
     common factor too, such as one lcm a caller applied to a whole matrix,
@@ -259,8 +275,8 @@ def _primitive_row(row: Sequence) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def rref(A: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (R, pivot_columns).
+def _bareiss(A: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
+    """(R, pivots, d): the reduced row echelon form of A is R / d, R in ints.
 
     Fraction-free Gauss-Jordan (Bareiss, "Sylvester's identity and
     multistep integer-preserving Gaussian elimination", Math. Comp. 22,
@@ -268,15 +284,12 @@ def rref(A: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
     at (r, c) replaces every other row by
     (pivot * row - row[c] * pivot_row) / prev, prev the previous pivot; by
     Sylvester's identity every entry stays a minor, so the division is
-    exact.  After the last step every pivot equals the last one, d, and R
-    is the integer matrix over d: Fractions are built once, at the end."""
+    exact.  After the last step every pivot equals the last one, d."""
     rows = [_primitive_row(row) for row in A]
-    if not rows:
-        return [], []
     pivots: list[int] = []
     prev = 1
     r = 0
-    for c in range(len(rows[0])):
+    for c in range(len(rows[0]) if rows else 0):
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
@@ -292,7 +305,14 @@ def rref(A: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
         r += 1
         if r == len(rows):
             break
-    return [[Fraction(x, prev) if x else ZERO for x in row] for row in rows], pivots
+    return rows, pivots, prev
+
+
+def rref(A: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form; returns (R, pivot_columns).  The integer
+    matrix of `_bareiss` over its last pivot: Fractions are built once."""
+    rows, pivots, d = _bareiss(A)
+    return [[Fraction(x, d) if x else ZERO for x in row] for row in rows], pivots
 
 
 def rank(A: Sequence[Sequence[Fraction]]) -> int:
@@ -316,13 +336,24 @@ def kernel(A: Sequence[Sequence[Fraction]]) -> "Subspace":
     return Subspace.span(n, basis)
 
 
-def inverse(A: Sequence[Sequence[Fraction]]) -> Mat:
-    """A^-1, read off the right half of rref([A | I])."""
+def integer_inverse(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(Qi, q) with A^-1 = Qi / q for the least q > 0: the right half of
+    the integer reduced form of [A | I] that `_bareiss` leaves over its
+    last pivot.  A holds ints or Fractions.  Raises SingularMatrixError."""
     n = len(A)
-    R, pivots = rref([list(row) + irow for row, irow in zip(A, identity(n))])
+    R, pivots, d = _bareiss([list(row) + irow for row, irow in zip(A, units(n))])
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")
-    return [row[n:] for row in R]
+    g = math.gcd(d, *(x for row in R for x in row[n:]))
+    if d < 0:
+        g = -g
+    return [[x // g for x in row[n:]] for row in R], d // g
+
+
+def inverse(A: Sequence[Sequence[Fraction]]) -> Mat:
+    """A^-1 in Fractions, from its integer view `integer_inverse`."""
+    Qi, q = integer_inverse(A)
+    return [[Fraction(x, q) if x else ZERO for x in row] for row in Qi]
 
 
 class Signature(NamedTuple):
@@ -479,21 +510,31 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     return Subspace.span(U.ambient_dim, list(U.basis) + list(V.basis))
 
 
-def restrict_form(G: Sequence[Sequence[Fraction]], V: Subspace) -> Mat:
-    """Gram matrix of the form restricted to V, in V's canonical basis."""
-    B = V.basis_rows()
-    return mat_mul(B, mat_mul(G, transpose(B))) if B else []
+def restrict_form(G: Sequence[Sequence], V: Subspace, g: int = 1, W: Subspace | None = None) -> Mat:
+    """Gram matrix of the form G / g restricted to V, in V's canonical
+    basis; with W, the block of values <v_r, w_c> between the canonical
+    bases of V and W.  G holds ints, such as a metric's cleared view
+    `MetricLieAlgebra.integer_gram`, or Fractions.  The bases are cleared
+    to integers, so each entry is int dots over one denominator."""
+    W = V if W is None else W
+    B, b = clear_denominators(V.basis)
+    C, c = clear_denominators(W.basis)
+    den = g * b * c
+    GC = [[dot(row, w) for row in G] for w in C]
+    return [[Fraction(x, den) if x else ZERO for x in (dot(v, Gw) for Gw in GC)] for v in B]
 
 
-def orthogonal_complement(V: Subspace, G: Sequence[Sequence[Fraction]]) -> Subspace:
-    """V-perp for a nondegenerate symmetric form G on the ambient space."""
+def orthogonal_complement(V: Subspace, G: Sequence[Sequence]) -> Subspace:
+    """V-perp for a nondegenerate symmetric form G (ints or Fractions) on
+    the ambient space: the kernel of the rows G v, for the basis of V
+    cleared to integers."""
     if rank(G) < len(G):
         raise DegenerateFormError("orthogonal complement requires a nondegenerate ambient form")
     n = V.ambient_dim
     if V.dim == 0:
         return Subspace.full(n)
-    constraints = mat_mul(V.basis_rows(), G)
-    return kernel(constraints)
+    B, _ = clear_denominators(V.basis)
+    return kernel([[dot(row, v) for row in G] for v in B])
 
 
 def radical(form_restricted: Sequence[Sequence[Fraction]], on: Subspace) -> Subspace:

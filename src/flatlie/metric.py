@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -70,8 +71,23 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
     def gram_rows(self) -> Mat:
         return [list(r) for r in self.gram]
 
+    @memoized
+    def integer_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(Gi, g) with gram = Gi / g for the least g > 0: the one integer
+        view of the Gram matrix, the only place it is cleared."""
+        Gi, g = linalg.clear_denominators(self.gram)
+        return tuple(map(tuple, Gi)), g
+
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
-        return linalg.form_value(self.gram, x, y)
+        """<x, y> for vectors of ints or Fractions (floats are refused with
+        TypeError, as `linalg.frac` does): x and y are cleared to integers,
+        so the value is int dots over one denominator."""
+        bad = next((v for v in chain(x, y) if isinstance(v, float)), None)
+        if bad is not None:
+            raise TypeError(f"refusing inexact float {bad!r}")
+        G, g = self.integer_gram()
+        (xi, yi), d = linalg.clear_denominators([x, y])
+        return Fraction(linalg.dot(xi, [linalg.dot(row, yi) for row in G]), g * d * d)
 
     def scale_gram(self, f) -> "MetricLieAlgebra":
         f = frac(f)
@@ -85,7 +101,7 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
         P = Pi / p the new Gram matrix is Pi^T Gi Pi over g p^2."""
         Pm = linalg.mat(P)  # the one coercion of P: transport reads Pm as is
         new_alg = self.algebra.change_basis(Pm)
-        Gi, g = linalg.clear_denominators(self.gram)
+        Gi, g = self.integer_gram()
         Pi, p = linalg.clear_denominators(Pm)
         den = g * p * p
         M = linalg.mat_mul(linalg.transpose(Pi), linalg.mat_mul(Gi, Pi))
@@ -113,10 +129,10 @@ def lowered_constants(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     """(Low, L) with <[e_i, e_j], e_k> = Low[i][j][k] / L: the one integer
     view of the lowered structure constants, which the Levi-Civita solve and
     the Killing constraints both read.  With G = Gi / g and c = C / e it is
-    Gi C over g e; the only place an analysis clears G."""
-    Gi, g = linalg.clear_denominators(m.gram)
+    Gi C over g e, read off the cleared Gram `integer_gram`."""
+    Gi, g = m.integer_gram()
     C, e = m.algebra.integer_constants()
-    return tuple(tuple(tuple(linalg.mat_vec(Gi, cij)) for cij in plane) for plane in C), g * e
+    return tuple(tuple(tuple(linalg.dot(row, cij) for row in Gi) for cij in plane) for plane in C), g * e
 
 
 @memoized
@@ -124,18 +140,20 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     """(P, D) with p = P / D for the least D > 0: the one integer view of the
     Levi-Civita product that every exact layer reads.
 
-    Solved pair by pair in ints: with G^-1 = H / h, the Koszul right-hand
-    side for (i, j) is (Low[i][j][k] - Low[j][k][i] + Low[k][i][j]) / 2L, so
-    each product constant is an entry of H (Koszul sum) over 2 h L; dividing
-    by the gcd of 2 h L and every numerator leaves the least D."""
+    Solved pair by pair in ints: with G = Gi / g and Gi^-1 = Qi / q
+    (`linalg.integer_inverse`), G^-1 = H / q for H = g Qi.  The Koszul
+    right-hand side for (i, j) is
+    (Low[i][j][k] - Low[j][k][i] + Low[k][i][j]) / 2L, so each product
+    constant is an entry of H (Koszul sum) over 2 q L; dividing by the gcd
+    of 2 q L and every numerator leaves the least D."""
     n = m.dim
     low, L = lowered_constants(m)
-    H, h = linalg.clear_denominators(linalg.inverse(m.gram))
-    num = [
-        [linalg.mat_vec(H, [low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)]) for j in range(n)]
-        for i in range(n)
-    ]
-    den = 2 * h * L
+    Gi, g = m.integer_gram()
+    Qi, q = linalg.integer_inverse(Gi)
+    H = [[g * x for x in row] for row in Qi]
+    koszul = [[[low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
+    num = [[[linalg.dot(row, rhs) for row in H] for rhs in plane] for plane in koszul]
+    den = 2 * q * L
     d = math.gcd(den, *(x for plane in num for row in plane for x in row))
     return tuple(tuple(tuple(x // d for x in row) for row in plane) for plane in num), den // d
 
@@ -239,7 +257,8 @@ def has_timelike_vector(m: MetricLieAlgebra, V: Subspace) -> bool:
     suffices, so degenerate restrictions are fine."""
     if V.dim == 0:
         return False
-    return linalg.signature(linalg.restrict_form(m.gram_rows(), V)).n_minus >= 1
+    Gi, g = m.integer_gram()
+    return linalg.signature(linalg.restrict_form(Gi, V, g)).n_minus >= 1
 
 
 def product_span(p: LeviCivitaProduct) -> Subspace:
@@ -274,7 +293,7 @@ def verify_killing_triple_identity(m: MetricLieAlgebra) -> KillingTripleReport:
         raise HypothesisNotMetError("triple identity requires a flat metric")
     p = levi_civita(m)
     s1 = killing_subalgebra(m)
-    s2 = linalg.orthogonal_complement(product_span(p), m.gram_rows())
+    s2 = linalg.orthogonal_complement(product_span(p), m.integer_gram()[0])
     s3 = right_mult_kernel(p)
     equal = s1 == s2 == s3
     return KillingTripleReport(s1, s2, s3, equal, m.algebra.is_abelian_subspace(s1))

@@ -232,7 +232,7 @@ def _connection_failures(m: MetricLieAlgebra, tag: str) -> list[str]:
     n = m.dim
     C, E = m.algebra.integer_constants()
     P, D = metric.integer_product(m)
-    Gi, _ = linalg.clear_denominators(m.gram)
+    Gi, _ = m.integer_gram()
     low = [[linalg.mat_vec(Gi, C[i][j]) for j in range(n)] for i in range(n)]
 
     for i in range(n):

@@ -93,7 +93,8 @@ def _split_check(m: MetricLieAlgebra) -> Theorem1Report:
     a = m.algebra
     S = killing_subalgebra(m)
     D = a.derived_subalgebra()
-    cross = tuple(tuple(m.inner(list(s), list(d)) for d in D.basis) for s in S.basis)
+    Gi, g = m.integer_gram()
+    cross = tuple(map(tuple, linalg.restrict_form(Gi, S, g, D)))
     split = SplitData(S, D, cross)
     spans = S.dim + D.dim == m.dim and linalg.subspace_sum(S, D).dim == m.dim
     orthogonal = all(x == 0 for row in cross for x in row)
@@ -154,12 +155,27 @@ def corollary1_check(m: MetricLieAlgebra) -> Corollary1Report:
 
 
 def same_connection(m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> bool:
-    """True iff both metrics induce identical Levi-Civita product constants.
-    Each product is solved on its own; the views (P, D) are canonical (least
-    D), so they are equal exactly when the products are."""
+    """True iff m2's Levi-Civita connection is m1's, decided one-sided on
+    m1's product and m2's form, with no second Koszul solve.
+
+    The Levi-Civita connection of a form is its unique torsion-free
+    connection that makes every L_u skew for the form, and m1's product
+    p = P / D is torsion-free.  So it is m2's iff
+    <L_k e_c, e_r> + <e_c, L_k e_r> = 0 for all k, r, c.  With m2's Gram
+    matrix H / h (`integer_gram`), M_k[r][c] = dot(H[r], P[k][c]) is
+    h D <L_k e_c, e_r>, and the test is M_k + M_k^T = 0 for every k:
+    n^3 int dots."""
     if m1.algebra != m2.algebra:
         raise MismatchedAlgebrasError("metrics live on different Lie algebras")
-    return integer_product(m1) == integer_product(m2)
+    P, _ = integer_product(m1)
+    H, _ = m2.integer_gram()
+    n = m1.dim
+    dot = linalg.dot
+    for plane in P:
+        M = [[dot(row, v) for v in plane] for row in H]
+        if any(M[r][c] + M[c][r] for r in range(n) for c in range(r, n)):
+            return False
+    return True
 
 
 def riemannian_companion(m: MetricLieAlgebra) -> MetricLieAlgebra:
@@ -178,17 +194,20 @@ def riemannian_companion(m: MetricLieAlgebra) -> MetricLieAlgebra:
         raise HypothesisNotMetError("requires a flat Lorentzian metric with a timelike Killing vector")
     assert report.split is not None
     S = report.split.killing
-    G = m.gram_rows()
+    Gi, g = m.integer_gram()
 
-    E, diag = linalg.symmetric_diagonalize(linalg.restrict_form(G, S))
+    E, diag = linalg.symmetric_diagonalize(linalg.restrict_form(Gi, S, g))
     if any(d == 0 for d in diag):
         raise HypothesisNotMetError("restriction to the Killing subalgebra is degenerate")
     i = next(i for i, d in enumerate(diag) if d < 0)
-    s = linalg.mat_vec(linalg.transpose(S.basis), E[i])
-    Gs = linalg.mat_vec(G, s)
-    new_gram = [[g - 2 * a * b / diag[i] for g, b in zip(row, Gs)] for row, a in zip(G, Gs)]
+    # in ints: with G = Gi / g and s cleared to si, v = Gi si and q = <si, v>,
+    # the reflected form is (q Gi - 2 v v^T) / (g q)
+    (si,), _ = linalg.clear_denominators([linalg.mat_vec(linalg.transpose(S.basis), E[i])])
+    v = [linalg.dot(row, si) for row in Gi]
+    q = linalg.dot(si, v)
+    new_gram = tuple(tuple(Fraction(q * x - 2 * a * b, g * q) for x, b in zip(row, v)) for row, a in zip(Gi, v))
 
-    companion = MetricLieAlgebra.make(m.algebra, new_gram)
+    companion = MetricLieAlgebra(m.algebra, new_gram)
     if not companion.is_riemannian:
         raise AssertionError("companion construction produced a non-positive-definite form")
     if not same_connection(m, companion):

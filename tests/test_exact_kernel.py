@@ -1,9 +1,11 @@
 """Differential tests of the integer exact kernel against Fraction oracles.
 
-`linalg.rref`, `linalg.symmetric_diagonalize`, `linalg.transport`,
-`metric.levi_civita`, `metric.is_flat`, `theorems.verify_eq2`,
+`linalg.rref`, `linalg.integer_inverse`, `linalg.symmetric_diagonalize`,
+`linalg.transport`, `metric.levi_civita`, `metric.is_flat`,
+`theorems.verify_eq2`, `theorems.same_connection`, `classc.scalar_action`,
 `LieAlgebra.is_abelian_subspace` and the sweeps' connection check work in
-Python ints.  Here each is compared with a plain Fraction computation on
+Python ints.  Here each is compared with a plain Fraction computation (or,
+for `same_connection`, with equality of the two solved products) on
 seeded instances of dims 1-9, flat and non-flat, with Gram matrices and
 structure constants that have non-unit denominators.
 """
@@ -15,11 +17,12 @@ from fractions import Fraction as F
 import pytest
 
 from flatlie import linalg, metric, sweeps
-from flatlie.errors import InvalidSplitError
+from flatlie.classc import scalar_action
+from flatlie.errors import DegenerateFormError, InvalidSplitError
 from flatlie.lie import LieAlgebra
 from flatlie.linalg import Subspace
 from flatlie.metric import MetricLieAlgebra, curvature, is_flat, killing_subalgebra, levi_civita
-from flatlie.theorems import SplitData, verify_eq2
+from flatlie.theorems import SplitData, riemannian_companion, same_connection, verify_eq2
 
 DIMS = range(2, 10)
 
@@ -608,3 +611,177 @@ def test_connection_check_reports_a_perturbed_product_entry(monkeypatch):
     failures = _perturbed_failures(monkeypatch, (2, 2, 1))
     assert failures and not any("torsion" in f or "L - R" in f for f in failures)
     assert "t: defining identity fails at (2, 2, 1)" in failures
+
+
+def test_transport_beyond_the_packed_width(monkeypatch):
+    """6-digit rationals in P and T give slots wider than
+    linalg.MAX_PACKED_WIDTH, so transport keeps one int per slot; small
+    data packs whole columns.  Both agree with the oracle."""
+    widths = []
+    pack_row = linalg.pack_row
+
+    def spied(row, w):
+        widths.append(w)
+        return pack_row(row, w)
+
+    monkeypatch.setattr(linalg, "pack_row", spied)
+    for n in (4, 5):
+        rng = random.Random(310 + n)
+        T = tuple(tuple(tuple(six_digit(rng) for _ in range(n)) for _ in range(n)) for _ in range(n))
+        P = [[six_digit(rng) for _ in range(n)] for _ in range(n)]
+        widths.clear()
+        assert linalg.transport(T, P) == transport_oracle(T, P)
+        assert min(widths) > linalg.MAX_PACKED_WIDTH
+        T_int = tuple(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)) for _ in range(n))
+        P_small = rational_basis(rng, n)
+        widths.clear()
+        assert linalg.transport(T_int, P_small) == transport_oracle(T_int, P_small)
+        assert max(widths) <= linalg.MAX_PACKED_WIDTH
+
+
+def test_integer_inverse_is_the_least_denominator_view():
+    rng = random.Random(320)
+    for n in range(1, 7):
+        for P in (rational_basis(rng, n), six_digit_basis(rng, n, [range(n)]), sweeps.unimodular_int_matrix(rng, n)):
+            Qi, q = linalg.integer_inverse(P)
+            R, _ = rref_oracle([[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(P)])
+            assert [[F(x, q) for x in row] for row in Qi] == [row[n:] for row in R]
+            assert q > 0 and math.gcd(q, *(x for row in Qi for x in row)) == 1
+
+
+def same_connection_oracle(m1, m2):
+    """Both products solved on their own and compared: (P, D) is canonical
+    (least D), so equal views mean equal products."""
+    return metric.integer_product(m1) == metric.integer_product(m2)
+
+
+def _perturbed(m, rng):
+    """m's Gram matrix with one entry (and its mirror) moved, when the
+    result is still nondegenerate."""
+    n = m.dim
+    i, j = rng.randrange(n), rng.randrange(n)
+    gram = [list(row) for row in m.gram]
+    gram[i][j] += F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+    gram[j][i] = gram[i][j]
+    try:
+        return MetricLieAlgebra.make(m.algebra, gram)
+    except DegenerateFormError:
+        return None
+
+
+def connection_pairs():
+    """(m1, m2) pairs on one algebra: flat split metrics with their
+    Riemannian companions and perturbed companions, and sweep instances
+    with a rescaled, a perturbed and an unrelated Gram matrix."""
+    pairs = []
+    for n in range(3, 8):
+        rng = random.Random(600 + n)
+        for _ in range(4):
+            m = sweeps.theorem1_true_instance(rng, n)
+            comp = riemannian_companion(m)
+            pairs += [(m, comp), (comp, m)]
+            for _ in range(3):
+                pert = _perturbed(comp, rng)
+                if pert is not None:
+                    pairs += [(m, pert), (pert, m)]
+    for n in range(2, 7):
+        rng = random.Random(700 + n)
+        for kind in ("any", "lorentzian", "riemannian"):
+            m = sweeps.random_metric_algebra(rng, n, kind)
+            other = MetricLieAlgebra.make(m.algebra, sweeps.gram_with_signature(rng, n - 1, 1))
+            pairs += [(m, m.scale_gram(sweeps.rational(rng, zero_ok=False))), (m, other)]
+            pert = _perturbed(m, rng)
+            if pert is not None:
+                pairs.append((m, pert))
+        m = sweeps.class_c_instance(rng, n, degenerate=True)
+        pairs += [(m, m.scale_gram(F(-3, 2))), (m, m.change_basis(linalg.identity(n)))]
+    return pairs
+
+
+CONNECTION_PAIRS = connection_pairs()
+
+
+def test_same_connection_matches_product_equality():
+    answers = [same_connection(m1, m2) for m1, m2 in CONNECTION_PAIRS]
+    assert answers == [same_connection_oracle(m1, m2) for m1, m2 in CONNECTION_PAIRS]
+    assert answers.count(True) >= 60 and answers.count(False) >= 60
+
+
+def rotation_at(n, k):
+    """so(2) acting on R^2 plus R^(n-3) under diag(-1, 1, ..., 1), the
+    generator moved to position k: L_{e_k} = ad_{e_k} is the only nonzero
+    left multiplication.  The second metric weights one rotated vector 2,
+    so the rotation is no isometry: only L_{e_k} fails to be skew."""
+    brackets = {(0, 1): [0, 0, 1] + [0] * (n - 3), (0, 2): [0, -1, 0] + [0] * (n - 3)}
+    a = LieAlgebra.from_brackets(n, brackets)
+    perm = list(range(n))
+    perm[0], perm[k] = k, 0
+    swap = [[int(i == perm[j]) for j in range(n)] for i in range(n)]  # column k is e_0
+    m = MetricLieAlgebra.make(a, [[-1 if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+    h = [[2 if i == j == 1 else x for j, x in enumerate(row)] for i, row in enumerate(m.gram)]
+    return m.change_basis(swap), MetricLieAlgebra.make(a, h).change_basis(swap)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_same_connection_checks_every_left_multiplication(n):
+    for k in range(n):
+        m, other = rotation_at(n, k)
+        left = [linalg.left_matrix(metric.integer_product(m)[0], e) for e in linalg.units(n)]
+        assert [j for j, L in enumerate(left) if not linalg.is_zero_mat(L)] == [k]
+        assert same_connection(m, m.scale_gram(3)) and same_connection_oracle(m, m.scale_gram(3))
+        assert not same_connection(m, other) and not same_connection_oracle(m, other)
+
+
+def scalar_action_oracle(a, U, t):
+    """ad_t on U in Fractions: the coordinates of [t, u] in U's canonical
+    basis are its entries at the pivots, [t, u] must be their combination,
+    and the matrix they form must be alpha * id."""
+    if U.dim == 0:
+        return None
+    pivots = [next(j for j, x in enumerate(u) if x) for u in U.basis]
+    alpha = None
+    for idx, u in enumerate(U.basis):
+        v = bracket_oracle(a.c, t, u)
+        coords = [v[p] for p in pivots]
+        back = [sum((c * w[j] for c, w in zip(coords, U.basis)), F(0)) for j in range(len(v))]
+        if back != v:
+            return None
+        alpha = coords[idx] if alpha is None else alpha
+        if coords != [alpha if i == idx else 0 for i in range(U.dim)]:
+            return None
+    return alpha
+
+
+def scalar_action_cases():
+    """(algebra, U, t): class C algebras, and near misses: R acting on
+    R^(n-1) by a non-scalar diagonal such as diag(1, 2) or by a nilpotent,
+    each also in a rational basis; U is the derived algebra, the span of
+    e_1 .. e_{n-1} or a random plane, t a unit or a rational vector."""
+    cases = []
+    for n in range(2, 8):
+        rng = random.Random(800 + n)
+        algebras = [sweeps.class_c_instance(rng, n, degenerate=rng.random() < 0.5).algebra]
+        if n >= 3:
+            for rates in ([1, 2] + [1] * (n - 3), [1] * (n - 2) + [F(-1, 2)]):
+                diagonal = {(0, j): [rates[j - 1] * (k == j) for k in range(n)] for j in range(1, n)}
+                algebras.append(LieAlgebra.from_brackets(n, diagonal))
+            nilpotent = {(0, j): [int(k == j + 1) for k in range(n)] for j in range(1, n - 1)}
+            algebras.append(LieAlgebra.from_brackets(n, nilpotent))
+        algebras += [a.change_basis(rational_basis(rng, n)) for a in algebras]
+        units = linalg.identity(n)
+        for a in algebras:
+            plane = Subspace.span(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)])
+            for U in (a.derived_subalgebra(), Subspace.span(n, units[1:]), plane):
+                for t in (units[0], units[-1], [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]):
+                    cases.append((a, U, t))
+    return cases
+
+
+def test_scalar_action_matches_the_fraction_restriction():
+    answers = []
+    for a, U, t in scalar_action_cases():
+        alpha = scalar_action(a, U, t)
+        assert alpha == scalar_action_oracle(a, U, t)
+        answers.append(alpha)
+    assert sum(x is None for x in answers) >= 100
+    assert sum(x is not None and x != 0 for x in answers) >= 30 and sum(x == 0 for x in answers) >= 10

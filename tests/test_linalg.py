@@ -24,6 +24,11 @@ def rand_invertible(rng, n):
             return P
 
 
+def form_value(G, x, y):
+    """<x, y> for the Gram matrix G, summed in Fractions."""
+    return sum((F(xi) * F(gij) * F(yj) for xi, row in zip(x, G) for gij, yj in zip(row, y)), F(0))
+
+
 def rand_symmetric(rng, n):
     A = rand_mat(rng, n, n)
     return [[A[i][j] + A[j][i] for j in range(n)] for i in range(n)]
@@ -211,6 +216,22 @@ def test_radical_cases():
     assert linalg.radical(linalg.mat([[0, 0], [0, 1]]), V) == Subspace.span(2, [[1, 0]])
 
 
+def test_restrict_form_on_an_integer_view():
+    """restrict_form on the cleared view Gi / g and on the Fraction G alike,
+    and the block between two subspaces, against Fraction sums."""
+    rng = random.Random(14)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        G = rand_symmetric(rng, n)
+        Gi, g = linalg.clear_denominators(G)
+        V = Subspace.span(n, rand_mat(rng, rng.randint(0, n), n))
+        W = Subspace.span(n, rand_mat(rng, rng.randint(0, n), n))
+        block = [[form_value(G, v, w) for w in W.basis] for v in V.basis]
+        assert linalg.restrict_form(Gi, V, g, W) == block == linalg.restrict_form(G, V, 1, W)
+        assert linalg.restrict_form(Gi, V, g) == [[form_value(G, v, w) for w in V.basis] for v in V.basis]
+        assert all(type(x) is F for row in linalg.restrict_form(Gi, V, g) for x in row)
+
+
 def test_radical_contained_and_counts_zeros():
     rng = random.Random(8)
     for _ in range(20):
@@ -225,7 +246,7 @@ def test_radical_contained_and_counts_zeros():
         for row in rad.basis:
             assert V.contains(row)
             for w in V.basis:
-                assert linalg.form_value(G, row, w) == 0
+                assert form_value(G, row, w) == 0
         # the induced form on V / radical is nondegenerate
         assert linalg.signature(R).n_zero == rad.dim
 
@@ -251,7 +272,7 @@ def test_orthogonal_complement_dimension_identity():
         assert V.dim + W.dim == n
         for v in V.basis:
             for w in W.basis:
-                assert linalg.form_value(G, v, w) == 0
+                assert form_value(G, v, w) == 0
 
 
 def test_inverse():

@@ -76,8 +76,8 @@ def test_structure_constants_and_product_are_cleared_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
 def test_gram_matrix_is_cleared_once_per_analysis(monkeypatch, name):
-    """The Levi-Civita solve and the Killing constraints read one lowered
-    view of the structure constants, the only place G is cleared."""
+    """Every layer reads the one cleared view `integer_gram`, so one
+    analysis clears G once."""
     m = _golden_input(name)
     calls = []
     clear = linalg.clear_denominators
@@ -89,6 +89,24 @@ def test_gram_matrix_is_cleared_once_per_analysis(monkeypatch, name):
     monkeypatch.setattr(linalg, "clear_denominators", counted)
     report.analysis_report(m)
     assert calls.count(True) == 1
+
+
+def test_companion_connection_is_checked_without_a_second_solve(monkeypatch):
+    """same_connection reads the metric's product and the companion's form:
+    an analysis with a companion inverts one Gram matrix, the metric's own,
+    and solves no Koszul product for the companion."""
+    m = _golden_input("dim6_flat_split_lorentzian")
+    inverted = []
+    integer_inverse = linalg.integer_inverse
+
+    def counted(A):
+        inverted.append(A)
+        return integer_inverse(A)
+
+    monkeypatch.setattr(linalg, "integer_inverse", counted)
+    section = report.analysis_report(m)
+    assert section["companion"]["same_connection"] is True
+    assert inverted == [m.integer_gram()[0]]
 
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)

@@ -59,6 +59,23 @@ def test_construction_validation():
     assert m.is_lorentzian and not m.is_riemannian
 
 
+def test_inner_is_exact_and_refuses_floats():
+    m = catalog.build("rot3")
+    with pytest.raises(TypeError):
+        m.inner([0.5, 0, 0], [1, 0, 0])
+    with pytest.raises(TypeError):
+        m.inner([1, 0, 0], (F(1), 2.0, 0))
+    rng = random.Random(12)
+    for m in random_instances(13, 20, dims=(2, 3, 4, 5)):
+        m = m.scale_gram(F(rng.randint(1, 9), rng.randint(1, 9)))
+        for _ in range(5):
+            x = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(m.dim)]
+            y = [rng.randint(-5, 5) for _ in range(m.dim)]
+            value = sum((x[i] * m.gram[i][j] * y[j] for i in range(m.dim) for j in range(m.dim)), F(0))
+            assert m.inner(x, y) == value == m.inner(y, x)
+            assert type(m.inner(x, y)) is F
+
+
 def test_signature_is_derived_not_passed():
     """The signature is read off the Gram matrix; a caller cannot supply one."""
     a = LieAlgebra.abelian(2)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -22,6 +23,11 @@ from flatlie.theorems import (
     theorem1_check,
     verify_eq2,
 )
+
+
+def form_value(G, x, y):
+    """<x, y> for the Gram matrix G, summed in Fractions."""
+    return sum((F(xi) * F(gij) * F(yj) for xi, row in zip(x, G) for gij, yj in zip(row, y)), F(0))
 
 
 def two_plane_dim5():
@@ -161,7 +167,7 @@ def test_companion_is_a_rank_one_change_fixing_the_derived_factor():
         split = theorem1_check(m).split
         S, D = split.killing, split.derived
         assert linalg.restrict_form(G2, D) == linalg.restrict_form(G, D)
-        assert all(linalg.form_value(G2, s, d) == 0 for s in S.basis for d in D.basis)
+        assert all(form_value(G2, s, d) == 0 for s in S.basis for d in D.basis)
 
 
 def test_same_connection():
