@@ -24,7 +24,7 @@ _EXPORTS = {
         "curvature",
         "is_flat",
         "killing_subalgebra",
-        "has_timelike_vector",
+        "timelike_vector",
         "product_span",
         "verify_killing_triple_identity",
     ),

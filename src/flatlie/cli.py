@@ -228,7 +228,7 @@ def cmd_companion(args) -> int:
     except HypothesisNotMetError as exc:
         print(f"no companion: {exc}", file=sys.stderr)
         return 1
-    section = report.companion_json(m, companion)
+    section = report.companion_json(companion)
     if args.json:
         print(json.dumps(section, indent=2))
     else:

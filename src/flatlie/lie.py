@@ -118,6 +118,8 @@ class LieAlgebra(CheckedRecord, _LieFields):
         return linalg.clear_tensor_denominators(self.c)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError(f"vector lengths {len(x)}, {len(y)} != algebra dimension {self.dim}")
         return linalg.bilinear(self.c, x, y)
 
     def ad(self, x: Sequence) -> Mat:

@@ -12,10 +12,11 @@ is the int 0, which equals Fraction(0)).  Each instance clears its data
 once, in memoized views: the structure constants in
 `LieAlgebra.integer_constants`, the Gram matrix in
 `MetricLieAlgebra.integer_gram`, and `metric.integer_product` is solved in
-ints from them.  `rref` clears each row's denominators itself, and its
-Bareiss loop also gives the int inverse view `integer_inverse`;
-`restrict_form`, `orthogonal_complement` and the congruence pass behind
-`symmetric_diagonalize` and `signature` take int or Fraction matrices.
+ints from them.  `_bareiss`, the one Gaussian elimination, clears each
+row's denominators itself; `rref`, `rank`, the one-pass `kernel` and the
+int inverse view `integer_inverse` read it.  `congruence` (behind
+`signature` and `metric.timelike_vector`), `restrict_form` and
+`orthogonal_complement` take int or Fraction matrices.
 `pack` turns an int row into one integer with exact zero test and
 read-back (`slot_width`, `unpack`), so `is_flat`, the Jacobi check and
 `transport` take one `dot` per term of a row rather than of each entry.
@@ -172,8 +173,8 @@ def mat_mul(A: Sequence[Sequence[Fraction]], B: Sequence[Sequence[Fraction]]) ->
 
 def bilinear(T: Tensor, x: Sequence, y: Sequence) -> Vec:
     """T(x, y) = sum_ij x_i y_j T[i][j] for an n x n x n tensor whose
-    T[i][j][k] is the e_k coefficient of T(e_i, e_j).  Every contraction of
-    a 3-tensor goes through here; zero coefficients are skipped."""
+    T[i][j][k] is the e_k coefficient of T(e_i, e_j).  The contraction of the
+    contraction behind bracket, ad, L_u and R_u; zero coefficients are skipped."""
     out = [0] * len(T)
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for xi, plane in zip(x, T):
@@ -316,24 +317,30 @@ def rref(A: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
 
 
 def rank(A: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(A)[1])
+    return len(_bareiss(A)[1])
 
 
 def kernel(A: Sequence[Sequence[Fraction]]) -> "Subspace":
-    """Null space {v : A v = 0} of a matrix with at least one row."""
+    """Null space {v : A v = 0} of a matrix with at least one row, in one
+    Bareiss pass over A's columns in reverse order: row r of the form R / d
+    is then zero after its pivot p_r, so the null vector of a free column f
+    (1 at f, -R[r][f] / d at each p_r) has its other entries at pivots
+    after f, and these vectors, by f, are the canonical basis of the kernel."""
     n = len(A[0])
-    R, pivots = rref(A)
-    pivot_set = set(pivots)
-    basis: list[Vec] = []
-    for free in range(n):
-        if free in pivot_set:
+    R, pivots, d = _bareiss([row[::-1] for row in A])
+    pivot_of = {n - 1 - c: row for c, row in zip(pivots, R)}
+    basis = []
+    for f in range(n):
+        if f in pivot_of:
             continue
         v = [ZERO] * n
-        v[free] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][free]
-        basis.append(v)
-    return Subspace.span(n, basis)
+        v[f] = ONE
+        for p, row in pivot_of.items():
+            x = row[n - 1 - f]
+            if x:
+                v[p] = Fraction(-x, d)
+        basis.append(tuple(v))
+    return Subspace(n, tuple(basis))
 
 
 def integer_inverse(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -350,12 +357,6 @@ def integer_inverse(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return [[x // g for x in row[n:]] for row in R], d // g
 
 
-def inverse(A: Sequence[Sequence[Fraction]]) -> Mat:
-    """A^-1 in Fractions, from its integer view `integer_inverse`."""
-    Qi, q = integer_inverse(A)
-    return [[Fraction(x, q) if x else ZERO for x in row] for row in Qi]
-
-
 class Signature(NamedTuple):
     """Sylvester signature (#positive, #negative, #zero) of a symmetric form."""
 
@@ -368,14 +369,7 @@ class Signature(NamedTuple):
         return self.n_plus + self.n_minus + self.n_zero
 
 
-def symmetric_diagonalize(S: Sequence[Sequence[Fraction]]) -> tuple[Mat, Vec]:
-    """Exact congruence diagonalization: returns (E, d) with E S E^T = diag(d),
-    the integer pass of `_congruence` as Fractions."""
-    E, d = _congruence(S)
-    return [[Fraction(x) for x in row] for row in E], [Fraction(x) for x in d]
-
-
-def _congruence(S: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+def congruence(S: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """(E, d) in ints with E S E^T = diag(d).
 
     Fraction-free, with the pivots of symmetric elimination: take a nonzero
@@ -397,7 +391,7 @@ def _congruence(S: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[
     """
     n = len(S)
     if not is_symmetric(S):
-        raise NonSymmetricError("symmetric_diagonalize requires a symmetric matrix")
+        raise NonSymmetricError("congruence requires a symmetric matrix")
     nu = [math.lcm(*(x.denominator for x in row)) for row in S]
     A = [[x.numerator * (lr // x.denominator) for x in row] for row, lr in zip(S, nu)]
     E = [[lr if r == c else 0 for c in range(n)] for r, lr in enumerate(nu)]
@@ -443,8 +437,8 @@ def _congruence(S: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[
 
 def signature(S: Sequence[Sequence[Fraction]]) -> Signature:
     """Sylvester signature of a symmetric matrix, computed exactly: the
-    signs of the integer diagonal of `_congruence`."""
-    _, d = _congruence(S)
+    signs of the integer diagonal of `congruence`."""
+    _, d = congruence(S)
     return Signature(
         n_plus=sum(1 for x in d if x > 0),
         n_minus=sum(1 for x in d if x < 0),
@@ -489,6 +483,8 @@ class Subspace(NamedTuple):
         """Coordinates of v in the canonical basis, or None if v is not in
         the subspace.  Each coordinate is read off its row's pivot."""
         w = vec(v)
+        if len(w) != self.ambient_dim:
+            raise ValueError(f"vector length {len(w)} != ambient dimension {self.ambient_dim}")
         coords = []
         for row in self.basis:
             f = w[next(j for j, x in enumerate(row) if x != 0)]

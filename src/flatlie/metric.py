@@ -81,7 +81,9 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
         """<x, y> for vectors of ints or Fractions (floats are refused with
         TypeError, as `linalg.frac` does): x and y are cleared to integers,
-        so the value is int dots over one denominator."""
+        so the value is int dots over one denominator.  Lengths are checked."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError(f"vector lengths {len(x)}, {len(y)} != algebra dimension {self.dim}")
         bad = next((v for v in chain(x, y) if isinstance(v, float)), None)
         if bad is not None:
             raise TypeError(f"refusing inexact float {bad!r}")
@@ -250,15 +252,20 @@ def killing_subalgebra(m: MetricLieAlgebra) -> Subspace:
     return linalg.kernel([[low[a][j][i] + low[a][i][j] for a in range(n)] for i in range(n) for j in range(i, n)])
 
 
-def has_timelike_vector(m: MetricLieAlgebra, V: Subspace) -> bool:
-    """True iff the form restricted to V takes a negative value.
-
-    An open condition: one negative diagonal entry after symmetric reduction
-    suffices, so degenerate restrictions are fine."""
+def timelike_vector(m: MetricLieAlgebra, V: Subspace) -> tuple[int, ...] | None:
+    """An int vector s in V with <s, s> < 0, or None iff the form restricted
+    to V takes no negative value: s = B^T E[i] for V's basis cleared to int
+    rows B, E R E^T = diag(d) the congruence of the restricted form R and
+    d[i] its first negative entry (so degenerate restrictions are fine)."""
     if V.dim == 0:
-        return False
+        return None
     Gi, g = m.integer_gram()
-    return linalg.signature(linalg.restrict_form(Gi, V, g)).n_minus >= 1
+    E, d = linalg.congruence(linalg.restrict_form(Gi, V, g))
+    i = next((i for i, x in enumerate(d) if x < 0), None)
+    if i is None:
+        return None
+    B, _ = linalg.clear_denominators(V.basis)
+    return tuple(linalg.dot(col, E[i]) for col in zip(*B))
 
 
 def product_span(p: LeviCivitaProduct) -> Subspace:

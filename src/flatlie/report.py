@@ -138,13 +138,9 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
     }
 
 
-def companion_json(m: MetricLieAlgebra, companion: MetricLieAlgebra) -> dict:
-    from . import theorems
-
-    return {
-        "gram": to_data(companion.gram),
-        "same_connection": theorems.same_connection(m, companion),
-    }
+def companion_json(companion: MetricLieAlgebra) -> dict:
+    """`riemannian_companion` returns a companion only with the same connection."""
+    return {"gram": to_data(companion.gram), "same_connection": True}
 
 
 def companion_section(m: MetricLieAlgebra) -> dict | None:
@@ -155,7 +151,7 @@ def companion_section(m: MetricLieAlgebra) -> dict | None:
     r = theorems.theorem1_check(m)
     if not r.direct_side:
         return None
-    return companion_json(m, theorems.riemannian_companion(m))
+    return companion_json(theorems.riemannian_companion(m))
 
 
 def analysis_report(m: MetricLieAlgebra) -> dict:

@@ -23,10 +23,10 @@ from .lie import memoized
 from .linalg import Subspace
 from .metric import (
     MetricLieAlgebra,
-    has_timelike_vector,
     integer_product,
     is_flat,
     killing_subalgebra,
+    timelike_vector,
 )
 
 
@@ -55,7 +55,8 @@ class Theorem1Report(NamedTuple):
     eq2_verified: bool | None
     split: SplitData | None
     spans_directly: bool
-    _json = {"orthogonal": "orthogonal_split", "spans_directly": None}
+    timelike_witness: tuple[int, ...] | None
+    _json = {"orthogonal": "orthogonal_split", "spans_directly": None, "timelike_witness": None}
 
 
 def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
@@ -100,7 +101,8 @@ def _split_check(m: MetricLieAlgebra) -> Theorem1Report:
     orthogonal = all(x == 0 for row in cross for x in row)
     s_abelian = a.is_abelian_subspace(S)
     d_abelian = a.is_abelian_subspace(D)
-    timelike = has_timelike_vector(m, S)
+    witness = timelike_vector(m, S)
+    timelike = witness is not None
     condition = timelike or not m.is_lorentzian
     flat = is_flat(m).flat
     direct = flat and condition
@@ -118,6 +120,7 @@ def _split_check(m: MetricLieAlgebra) -> Theorem1Report:
         even_dim_derived=D.dim % 2 == 0 if structural else None,
         eq2_verified=verify_eq2(m, split) if structural else None,
         split=split if structural else None,
+        timelike_witness=witness,
     )
 
 
@@ -178,33 +181,26 @@ def same_connection(m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> bool:
     return True
 
 
+@memoized
 def riemannian_companion(m: MetricLieAlgebra) -> MetricLieAlgebra:
     """Positive definite metric with the same Levi-Civita connection.
 
-    An exact congruence diagonalizes the (Lorentzian) restriction to the
-    Killing factor; its one negative entry belongs to a timelike Killing
-    vector s, orthogonal to the rest of the Killing basis and to the derived
-    factor.  The companion is the reflection in s,
+    The companion is the reflection in the timelike Killing vector s that
+    Theorem 1's check found (`Theorem1Report.timelike_witness`),
     <x, y>' = <x, y> - 2 <x, s> <y, s> / <s, s>, which flips the sign of
-    <s, s> and leaves s-perp alone.  The result is checked to be positive
-    definite with an identical product before it is returned.
+    <s, s> and leaves s-perp alone; it does not see the scale of s.  The
+    result is checked to be positive definite with the same connection
+    before it is returned, the one place that connection is checked.
     """
     report = theorem1_check(m)
     if not report.direct_side:
         raise HypothesisNotMetError("requires a flat Lorentzian metric with a timelike Killing vector")
-    assert report.split is not None
-    S = report.split.killing
+    s = report.timelike_witness
     Gi, g = m.integer_gram()
-
-    E, diag = linalg.symmetric_diagonalize(linalg.restrict_form(Gi, S, g))
-    if any(d == 0 for d in diag):
-        raise HypothesisNotMetError("restriction to the Killing subalgebra is degenerate")
-    i = next(i for i, d in enumerate(diag) if d < 0)
-    # in ints: with G = Gi / g and s cleared to si, v = Gi si and q = <si, v>,
-    # the reflected form is (q Gi - 2 v v^T) / (g q)
-    (si,), _ = linalg.clear_denominators([linalg.mat_vec(linalg.transpose(S.basis), E[i])])
-    v = [linalg.dot(row, si) for row in Gi]
-    q = linalg.dot(si, v)
+    # in ints: with G = Gi / g, v = Gi s and q = <s, v>, the reflected form
+    # is (q Gi - 2 v v^T) / (g q)
+    v = [linalg.dot(row, s) for row in Gi]
+    q = linalg.dot(s, v)
     new_gram = tuple(tuple(Fraction(q * x - 2 * a * b, g * q) for x, b in zip(row, v)) for row, a in zip(Gi, v))
 
     companion = MetricLieAlgebra(m.algebra, new_gram)
@@ -229,7 +225,8 @@ def corollary2_forward_check(m: MetricLieAlgebra) -> Corollary2Report:
     """On a flat Lorentzian instance: a timelike left-invariant Killing
     vector exists iff a same-connection Riemannian metric does.
 
-    When a timelike vector exists the companion is constructed and checked.
+    When a timelike vector exists the companion is built, and its connection
+    checked, by `riemannian_companion`.
     When none exists, nothing is computed: both flags are false by argument (a
     same-connection Riemannian metric would force a timelike Killing direction
     via the shared split), so that direction is assumed (ROADMAP item 5).
@@ -239,5 +236,4 @@ def corollary2_forward_check(m: MetricLieAlgebra) -> Corollary2Report:
         raise HypothesisNotMetError("requires a flat metric")
     if not report.timelike_killing:
         return Corollary2Report(False, False, None, None)
-    companion = riemannian_companion(m)
-    return Corollary2Report(True, True, same_connection(m, companion), companion)
+    return Corollary2Report(True, True, True, riemannian_companion(m))

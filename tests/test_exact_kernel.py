@@ -1,6 +1,6 @@
 """Differential tests of the integer exact kernel against Fraction oracles.
 
-`linalg.rref`, `linalg.integer_inverse`, `linalg.symmetric_diagonalize`,
+`linalg.rref`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`,
 `linalg.transport`, `metric.levi_civita`, `metric.is_flat`,
 `theorems.verify_eq2`, `theorems.same_connection`, `classc.scalar_action`,
 `LieAlgebra.is_abelian_subspace` and the sweeps' connection check work in
@@ -308,6 +308,65 @@ def test_rref_exact_on_huge_entries():
         assert linalg.rref(A) == rref_oracle(A)
 
 
+def kernel_oracle(A):
+    """Fraction Gauss-Jordan null space: for each free column f of
+    `rref_oracle`'s form, 1 at f and -R[r][f] at each pivot p_r.  Those
+    vectors are not in canonical form (the pivots before f are filled), so
+    the canonical basis is the oracle's reduced form of them."""
+    n = len(A[0])
+    R, pivots = rref_oracle(A)
+    vectors = []
+    for f in range(n):
+        if f not in pivots:
+            v = [F(0)] * n
+            v[f] = F(1)
+            for r, p in enumerate(pivots):
+                v[p] = -R[r][f]
+            vectors.append(v)
+    return tuple(map(tuple, rref_oracle(vectors)[0]))
+
+
+def assert_kernel_matches_oracle(A):
+    K = linalg.kernel(A)
+    assert K.ambient_dim == len(A[0]) and K.basis == kernel_oracle(A)
+    assert all(type(x) is F for row in K.basis for x in row)
+    assert linalg.rank(A) == len(rref_oracle(A)[1]) == len(A[0]) - K.dim
+
+
+@pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
+def test_kernel_matches_fraction_null_space(label, m):
+    """The one-pass kernel on the Killing constraint rows and on the
+    matrices of the rref tests."""
+    n = m.dim
+    low, _ = metric.lowered_constants(m)
+    assert_kernel_matches_oracle([[low[a][j][i] + low[a][i][j] for a in range(n)] for i in range(n) for j in range(i, n)])
+    for A in matrices(random.Random(label), m):
+        assert_kernel_matches_oracle(A)
+
+
+def test_kernel_matches_fraction_null_space_on_every_shape():
+    """Zero matrices, zero columns, wide and tall shapes, full rank and
+    rank-deficient matrices, with small entries on every shape up to 7 x 7
+    and with entries of 1,000 bits and more on a few."""
+    rng = random.Random(11)
+    small = lambda: F(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)))  # noqa: E731
+    big = lambda: F(rng.choice((-1, 1)) * rng.getrandbits(1100), rng.getrandbits(1000) | 1)  # noqa: E731
+    cases = [(r, c, small) for r in range(1, 8) for c in range(1, 8)]
+    cases += [(r, c, big) for r, c in ((1, 3), (3, 1), (2, 5), (5, 2), (4, 4), (3, 6), (6, 3))]
+    full = 0
+    for r, c, entry in cases:
+        assert_kernel_matches_oracle([[0] * c for _ in range(r)])
+        A = [[entry() for _ in range(c)] for _ in range(r)]
+        full += len(rref_oracle(A)[1]) == min(r, c)
+        assert_kernel_matches_oracle(A)
+        zeroed = set(rng.sample(range(c), rng.randint(1, c)))
+        assert_kernel_matches_oracle([[F(0) if j in zeroed else x for j, x in enumerate(row)] for row in A])
+        k = rng.randint(1, max(1, min(r, c) - 1))  # rank at most k
+        mix = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+        assert_kernel_matches_oracle([[sum((f * A[l][j] for l, f in enumerate(row)), F(0)) for j in range(c)] for row in mix])
+    assert full >= 45
+
+
 @pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
 def test_levi_civita_matches_fraction_koszul(label, m):
     p = levi_civita(m).p
@@ -448,7 +507,7 @@ def test_is_abelian_subspace_population_reaches_both_outcomes():
     assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
-def symmetric_diagonalize_oracle(S):
+def congruence_oracle(S):
     """Fraction congruence diagonalization: (E, d) with E S E^T = diag(d).
     Symmetric pivoting; when the remaining diagonal vanishes, e_r += e_c
     for the first nonzero off-diagonal entry makes a nonzero pivot."""
@@ -519,16 +578,17 @@ def symmetric_matrices():
         yield S
 
 
-def test_symmetric_diagonalize_matches_fraction_congruence():
-    """E S E^T = diag(d), every row of E a nonzero multiple of the oracle's
-    row and every d[i] of the oracle's sign: the reflection that
-    `riemannian_companion` builds from a row is unchanged under scaling."""
+def test_congruence_matches_fraction_congruence():
+    """E S E^T = diag(d) in ints, every row of E a nonzero multiple of the
+    oracle's row and every d[i] of the oracle's sign: the timelike vector
+    that `metric.timelike_vector` builds from a row is the oracle's up to
+    scale, and the companion's reflection in it does not see the scale."""
     sign = lambda x: (x > 0) - (x < 0)  # noqa: E731
     counts = {"row_add": 0, "degenerate": 0}
     for S in symmetric_matrices():
         n = len(S)
-        E, d = linalg.symmetric_diagonalize(S)
-        O, od = symmetric_diagonalize_oracle(S)
+        E, d = linalg.congruence(S)
+        O, od = congruence_oracle(S)
         ES = [[sum((e * S[k][j] for k, e in enumerate(row) if e), F(0)) for j in range(n)] for row in E]
         ESEt = [[sum((x * y for x, y in zip(row, col)), F(0)) for col in E] for row in ES]
         assert ESEt == [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
@@ -539,7 +599,7 @@ def test_symmetric_diagonalize_matches_fraction_congruence():
         assert tuple(linalg.signature(S)) == (
             sum(x > 0 for x in od), sum(x < 0 for x in od), sum(x == 0 for x in od)
         )
-        assert all(isinstance(x, F) for row in E for x in row) and all(isinstance(x, F) for x in d)
+        assert all(type(x) is int for row in E for x in row) and all(type(x) is int for x in d)
         counts["row_add"] += n > 1 and all(S[i][i] == 0 for i in range(n)) and any(map(any, S))
         counts["degenerate"] += any(x == 0 for x in od)
     assert counts["row_add"] >= 100 and counts["degenerate"] >= 100

@@ -27,6 +27,14 @@ def rot3():
     return LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]})
 
 
+def test_bracket_refuses_vectors_of_the_wrong_length():
+    a = rot3()
+    assert a.bracket([0, 1, 0], [0, 0, 1]) == [0, 0, 0]
+    for x, y in (([0, 1], [0, 0, 1]), ([0, 1, 0], [0, 0, 1, 0]), ([], [])):
+        with pytest.raises(ValueError, match="algebra dimension 3"):
+            a.bracket(x, y)
+
+
 def center(a):
     """{x : [x, y] = 0 for all y}, as an exact kernel."""
     n = a.dim
@@ -288,7 +296,8 @@ def test_change_basis_identity_and_roundtrip():
         if linalg.rank(P) == 3:
             break
     b = a.change_basis(P)
-    assert b.change_basis(linalg.inverse(P)).c == a.c
+    Qi, q = linalg.integer_inverse(P)
+    assert b.change_basis([[F(x, q) for x in row] for row in Qi]).c == a.c
 
 
 def test_change_basis_permutation():

@@ -24,6 +24,12 @@ def rand_invertible(rng, n):
             return P
 
 
+def fraction_inverse(A):
+    """A^-1 in Fractions, read off the int view `integer_inverse`."""
+    Qi, q = linalg.integer_inverse(A)
+    return [[F(x, q) for x in row] for row in Qi]
+
+
 def form_value(G, x, y):
     """<x, y> for the Gram matrix G, summed in Fractions."""
     return sum((F(xi) * F(gij) * F(yj) for xi, row in zip(x, G) for gij, yj in zip(row, y)), F(0))
@@ -199,12 +205,12 @@ def test_signature_congruence_invariance():
             assert linalg.signature(S2) == linalg.signature(S)
 
 
-def test_symmetric_diagonalize_is_exact_congruence():
+def test_congruence_is_exact():
     rng = random.Random(4)
     for n in range(1, 6):
         for _ in range(10):
             S = rand_symmetric(rng, n)
-            E, d = linalg.symmetric_diagonalize(S)
+            E, d = linalg.congruence(S)
             D = linalg.mat_mul(E, linalg.mat_mul(S, linalg.transpose(E)))
             assert all(D[i][j] == (d[i] if i == j else 0) for i in range(n) for j in range(n))
 
@@ -275,17 +281,17 @@ def test_orthogonal_complement_dimension_identity():
                 assert form_value(G, v, w) == 0
 
 
-def test_inverse():
+def test_integer_inverse():
     rng = random.Random(10)
     for _ in range(20):
         n = rng.randint(1, 5)
         A = rand_invertible(rng, n)
-        assert linalg.mat_mul(A, linalg.inverse(A)) == linalg.identity(n)
+        assert linalg.mat_mul(A, fraction_inverse(A)) == linalg.identity(n)
     with pytest.raises(SingularMatrixError):
-        linalg.inverse(linalg.mat([[1, 1], [1, 1]]))
+        linalg.integer_inverse(linalg.mat([[1, 1], [1, 1]]))
 
 
-def test_inverse_raises_exactly_on_singular():
+def test_integer_inverse_raises_exactly_on_singular():
     rng = random.Random(11)
     for trial in range(60):
         n = rng.randint(1, 5)
@@ -298,9 +304,9 @@ def test_inverse_raises_exactly_on_singular():
             A[k] = [sum((c * A[p][j] for c, p in zip(coeffs, picks)), F(0)) for j in range(n)]
         if linalg.rank(A) < n:
             with pytest.raises(SingularMatrixError):
-                linalg.inverse(A)
+                linalg.integer_inverse(A)
         else:
-            assert linalg.mat_mul(A, linalg.inverse(A)) == linalg.identity(n)
+            assert linalg.mat_mul(A, fraction_inverse(A)) == linalg.identity(n)
 
 
 def test_subspace_canonical_equality():
@@ -313,6 +319,17 @@ def test_subspace_canonical_equality():
     assert a.coordinates([3, 3, 5]) == [3, 5]
     assert a.coordinates([1, 0, 0]) is None
     assert Subspace(2, ()).coordinates([0, 0]) == []
+
+
+def test_coordinates_refuse_vectors_of_the_wrong_length():
+    V = Subspace.span(3, [[1, 0, 0]])
+    for v in ([1], [1, 0, 0, 5], []):
+        with pytest.raises(ValueError, match="ambient dimension 3"):
+            V.coordinates(v)
+        with pytest.raises(ValueError, match="ambient dimension 3"):
+            V.contains(v)
+    with pytest.raises(ValueError, match="ambient dimension 0"):
+        Subspace(0, ()).coordinates([0])
 
 
 def test_tensor_contraction_index_convention():
@@ -337,6 +354,6 @@ def test_tensor_contraction_index_convention():
     moved = linalg.transport(T, P)
     cols = linalg.transpose(P)
     assert linalg.mat_vec(P, moved[0][1]) == linalg.bilinear(T, cols[0], cols[1])
-    assert linalg.transport(moved, linalg.inverse(P)) == T
+    assert linalg.transport(moved, fraction_inverse(P)) == T
     with pytest.raises(SingularMatrixError):
         linalg.transport(T, linalg.zeros(n, n))

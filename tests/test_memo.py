@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from flatlie import classc, inputdoc, linalg, metric, report, sweeps
+from flatlie import classc, inputdoc, linalg, metric, report, sweeps, theorems
 from flatlie.errors import AntisymmetryError
 from flatlie.metric import is_flat, killing_subalgebra, levi_civita
 from flatlie.theorems import theorem1_check
@@ -107,6 +107,38 @@ def test_companion_connection_is_checked_without_a_second_solve(monkeypatch):
     section = report.analysis_report(m)
     assert section["companion"]["same_connection"] is True
     assert inverted == [m.integer_gram()[0]]
+
+
+def _counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_companion_reuses_the_timelike_witness_and_checks_once(monkeypatch):
+    """One analysis with a companion diagonalizes two forms, the Killing
+    restriction (for Theorem 1's timelike witness, which the companion
+    reflects in) and the companion's own Gram matrix (its signature), and
+    checks the companion's connection once.  Corollary 2 then reads the
+    memoized companion and repeats neither."""
+    m = _golden_input("dim6_flat_split_lorentzian")
+    counts = {"congruence": 0, "same_connection": 0}
+    monkeypatch.setattr(linalg, "congruence", _counting(counts, "congruence", linalg.congruence))
+    monkeypatch.setattr(theorems, "same_connection", _counting(counts, "same_connection", theorems.same_connection))
+    section = report.analysis_report(m)
+    assert section["companion"]["same_connection"] is True
+    assert counts == {"congruence": 2, "same_connection": 1}
+    r = theorems.corollary2_forward_check(m)
+    assert r.connection_verified is True and r.companion is theorems.riemannian_companion(m)
+    assert counts == {"congruence": 2, "same_connection": 1}
+
+
+def test_kernel_eliminates_once(monkeypatch):
+    counts = {"bareiss": 0}
+    monkeypatch.setattr(linalg, "_bareiss", _counting(counts, "bareiss", linalg._bareiss))
+    K = linalg.kernel([[1, 2, 3, 4], [2, 4, 7, 8]])
+    assert K.dim == 2 and counts == {"bareiss": 1}
 
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)

@@ -10,13 +10,13 @@ from flatlie.linalg import Subspace
 from flatlie.metric import (
     MetricLieAlgebra,
     curvature,
-    has_timelike_vector,
     is_flat,
     killing_subalgebra,
     left_mult,
     levi_civita,
     product_span,
     right_mult,
+    timelike_vector,
     verify_killing_triple_identity,
 )
 
@@ -74,6 +74,13 @@ def test_inner_is_exact_and_refuses_floats():
             value = sum((x[i] * m.gram[i][j] * y[j] for i in range(m.dim) for j in range(m.dim)), F(0))
             assert m.inner(x, y) == value == m.inner(y, x)
             assert type(m.inner(x, y)) is F
+
+
+def test_inner_refuses_vectors_of_the_wrong_length():
+    m = catalog.build("rot3")
+    for x, y in (([1], [1, 0, 0]), ([1, 2, 3, 4], [1, 0, 0, 9]), ([1, 0, 0], [1, 0])):
+        with pytest.raises(ValueError, match="algebra dimension 3"):
+            m.inner(x, y)
 
 
 def test_signature_is_derived_not_passed():
@@ -192,16 +199,41 @@ def test_killing_subalgebra_against_oracle():
         assert killing_subalgebra(m) == killing_oracle(m)
 
 
-def test_has_timelike_vector():
+def _checked_timelike_vector(m, V):
+    """timelike_vector(m, V), checked: an int vector of V with <s, s> < 0,
+    None exactly when the restricted signature has no minus."""
+    s = timelike_vector(m, V)
+    has_minus = V.dim > 0 and linalg.signature(linalg.restrict_form(m.gram, V)).n_minus >= 1
+    assert (s is not None) == has_minus
+    if s is not None:
+        assert all(type(x) is int for x in s)
+        assert V.contains(s) and m.inner(s, s) < 0
+    return s
+
+
+def test_timelike_vector():
     m = abelian_minkowski()
-    assert has_timelike_vector(m, Subspace.full(3))
-    assert has_timelike_vector(m, Subspace.span(3, [[1, 0, 0]]))
-    assert not has_timelike_vector(m, Subspace.span(3, [[0, 1, 0]]))
+    assert _checked_timelike_vector(m, Subspace.full(3)) is not None
+    assert _checked_timelike_vector(m, Subspace.span(3, [[1, 0, 0]])) is not None
+    assert _checked_timelike_vector(m, Subspace.span(3, [[0, 1, 0]])) is None
     # null direction: t + x has <v, v> = 0
-    assert not has_timelike_vector(m, Subspace.span(3, [[1, 1, 0]]))
-    assert not has_timelike_vector(m, Subspace(3, ()))
+    assert _checked_timelike_vector(m, Subspace.span(3, [[1, 1, 0]])) is None
+    assert _checked_timelike_vector(m, Subspace(3, ())) is None
     assert killing_subalgebra(catalog.build("rot3")) == Subspace.span(3, [[1, 0, 0]])
-    assert has_timelike_vector(catalog.build("rot3"), Subspace.span(3, [[1, 0, 0]]))
+    assert _checked_timelike_vector(catalog.build("rot3"), Subspace.span(3, [[1, 0, 0]])) is not None
+
+
+def test_timelike_vector_on_random_subspaces():
+    """Random metrics of every signature on rational subspaces: degenerate
+    and indefinite restrictions, with and without a timelike vector."""
+    rng = random.Random(17)
+    found = {True: 0, False: 0}
+    for m in random_instances(18, 40, dims=(2, 3, 4, 5)):
+        n = m.dim
+        for _ in range(3):
+            rows = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            found[_checked_timelike_vector(m, Subspace.span(n, rows)) is not None] += 1
+    assert min(found.values()) >= 20
 
 
 def test_product_span():
