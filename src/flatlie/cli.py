@@ -298,9 +298,14 @@ _HANDLERS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on first use, then shared by every call in the process
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (FlatLieError, OSError) as exc:

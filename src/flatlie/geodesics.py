@@ -16,7 +16,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidGeodesicInputError, InvalidToleranceError, NonPositiveProductError
-from .metric import LeviCivitaProduct, MetricLieAlgebra, levi_civita
+from .metric import MetricLieAlgebra, integer_product
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,20 +43,26 @@ _RK_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RK_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
-def product_as_floats(p: LeviCivitaProduct) -> np.ndarray:
-    """One-time conversion of the exact product constants to a float tensor."""
+def product_as_floats(m: MetricLieAlgebra) -> np.ndarray:
+    """The negated Levi-Civita product as the (n, n^2) float operator that
+    `euler_arnold_rhs` reads: row i holds -(e_i e_j)_k at column j n + k.
+
+    Built once per integration from the integer view p = P / D of
+    `integer_product`, as -(x / D) per entry: int true division is correctly
+    rounded, so each entry is exactly -float(Fraction(x, D)), and no
+    Fraction product is built."""
     import numpy as np
 
-    return np.array(
-        [[[float(x) for x in row] for row in plane] for plane in p.p], dtype=float
-    )
+    P, D = integer_product(m)
+    return np.array([[-(x / D) for plane in P[i] for x in plane] for i in range(m.dim)], dtype=float)
 
 
-def euler_arnold_rhs(p_float: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Velocity equation right-hand side: -(v . v) by bilinear evaluation,
-    as two matrix-vector products on the (n, n^2) view of the product."""
+def euler_arnold_rhs(op: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Velocity equation right-hand side -(v . v) by bilinear evaluation on
+    the negated operator of `product_as_floats`: two vector-matrix products
+    around one reshape, written into `out` when it is given."""
     n = len(v)
-    return -v.dot(v.dot(p_float.reshape(n, n * n)).reshape(n, n))
+    return v.dot(v.dot(op).reshape(n, n), out=out)
 
 
 class TrajectorySample(NamedTuple):
@@ -111,14 +117,16 @@ def integrate(
     import numpy as np
 
     v = np.array(components, dtype=float)
-    P = product_as_floats(levi_civita(m))
+    op = product_as_floats(m)
     G = np.array([[float(x) for x in row] for row in m.gram], dtype=float)
     if not (math.hypot(*v) < BLOWUP_NORM and math.isfinite(v @ G @ v)):
         raise InvalidGeodesicInputError(
             "v0", f"must have norm below {BLOWUP_NORM:g} and finite energy, got {components}"
         )
-    # Stage derivatives live in the rows of K; stage s reads the views K[:s].
+    # Stage derivatives are written in place into the rows of K; stage s
+    # reads the views K[:s] and forms its argument in buf.
     K = np.empty((6, m.dim))
+    k0, buf = K[0], np.empty(m.dim)
     stages = [(np.array(_RK_A[s]), K[:s], K[s]) for s in range(1, 6)]
     # One product gives the 5th-order increment and the error estimate v5 - v4.
     weights = np.array([_RK_B5, [b5 - b4 for b5, b4 in zip(_RK_B5, _RK_B4)]])
@@ -137,7 +145,7 @@ def integrate(
         return GeodesicTrajectory(samples, outcome, blowup_time, evals)
 
     norm0 = max(1.0, norm)
-    f0 = euler_arnold_rhs(P, v)
+    f0 = euler_arnold_rhs(op, v)
     evals = 1
     h = min(0.1, t_max / 10.0, rel_tol ** 0.2 / (1.0 + math.hypot(*f0.tolist())))
 
@@ -145,9 +153,13 @@ def integrate(
         if len(ts) > MAX_STEPS:
             return trajectory(STEP_LIMIT)
         h = min(h, t_max - t)
-        K[0] = euler_arnold_rhs(P, v)
+        euler_arnold_rhs(op, v, out=k0)
         for a, k_prev, k in stages:
-            k[:] = euler_arnold_rhs(P, v + h * a.dot(k_prev))
+            # the bits of v + h * a.dot(k_prev): IEEE * and + commute exactly
+            a.dot(k_prev, out=buf)
+            buf *= h
+            buf += v
+            euler_arnold_rhs(op, buf, out=k)
         evals += 6
         step, delta = h * weights.dot(K)
         err = math.hypot(*delta.tolist())

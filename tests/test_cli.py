@@ -421,3 +421,44 @@ def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path, monkeypatch, dept
         path.write_text(text)
     code, out, err = run(capsys, "analyze", "--json", "-i", str(path))
     assert (code, out, err) == (2, "", "error: invalid JSON: nested too deep\n")
+
+
+def test_the_parser_is_built_once_and_reused(capsys, monkeypatch, tmp_path):
+    """`main` builds its parser on first use and reuses it: two calls with a
+    usage error (exit 2) between them print and return what fresh calls do."""
+    from flatlie import cli
+
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    doc = write_doc(tmp_path, "rot3")
+    sequence = [
+        ["geodesic", "-i", doc, "--v0", "1,1,0", "--t-max", "5", "--json"],
+        ["geodesic", "-i", doc, "--v0", "1,1,0"],
+        ["flat", "-i", doc, "--json"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = [call(argv) for argv in sequence]
+    assert len(built) == 1
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(call(argv))
+    assert len(built) == 4
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0]
+    assert "--t-max" in reused[1][2] and reused[1][1] == ""

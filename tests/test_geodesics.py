@@ -34,20 +34,20 @@ def classc2_with_alpha(alpha):
 
 
 def test_rhs_abelian_zero():
-    P = product_as_floats(levi_civita(catalog.build("abelian_minkowski")))
+    P = product_as_floats(catalog.build("abelian_minkowski"))
     v = np.array([1.0, -2.0, 3.0])
     assert np.allclose(euler_arnold_rhs(P, v), 0.0)
 
 
 def test_rhs_classc_d_direction():
     # -(d d) = alpha d
-    P = product_as_floats(levi_civita(catalog.build("classc2_flat")))
+    P = product_as_floats(catalog.build("classc2_flat"))
     assert np.allclose(euler_arnold_rhs(P, np.array([1.0, 0.0])), [1.0, 0.0])
 
 
 def test_rhs_rot3_mixed():
     # v = s + e1: v.v = ad_s(e1) = e2, so the rhs is -e2
-    P = product_as_floats(levi_civita(catalog.build("rot3")))
+    P = product_as_floats(catalog.build("rot3"))
     assert np.allclose(euler_arnold_rhs(P, np.array([1.0, 1.0, 0.0])), [0.0, 0.0, -1.0])
 
 
@@ -186,11 +186,18 @@ def test_csv_export(tmp_path):
 # differential test: the stepper against the loop it replaced
 # ---------------------------------------------------------------------------
 
+def float_product(m):
+    """p[i][j][k] as floats, one float per Fraction of `levi_civita`."""
+    return np.array([[[float(x) for x in row] for row in plane] for plane in levi_civita(m).p], dtype=float)
+
+
 def reference_integrate(m, v0, t_max, rel_tol=1e-9):
     """The earlier stepper, kept as the oracle: the same Fehlberg 4(5) pair
     and step rule, with an einsum right-hand side, stages summed in Python,
-    v4 formed explicitly and each sample built as it is accepted."""
-    P = product_as_floats(levi_civita(m))
+    v4 formed explicitly and each sample built as it is accepted.  Its
+    float tensor comes from the Fraction product, not from the integer view
+    that `product_as_floats` reads."""
+    P = float_product(m)
     G = np.array([[float(x) for x in row] for row in m.gram], dtype=float)
 
     def rhs(v):
@@ -260,7 +267,25 @@ def test_rhs_matches_einsum():
     for n in range(1, 21):
         P = rng.standard_normal((n, n, n))
         v = rng.standard_normal(n)
-        np.testing.assert_allclose(euler_arnold_rhs(P, v), -np.einsum("i,j,ijk->k", v, v, P), rtol=1e-12)
+        np.testing.assert_allclose(euler_arnold_rhs(-P.reshape(n, n * n), v), -np.einsum("i,j,ijk->k", v, v, P), rtol=1e-12)
+    # on the operator of each catalog entry and generated instance, against
+    # the einsum of a tensor built from the Fraction product; `out` is
+    # written in place and returned
+    rng = random.Random(21)
+    instances = [catalog.build(name) for name in catalog.names()]
+    for dim in range(2, 7):
+        instances += [sweeps.theorem1_true_instance(rng, dim), flat_classc_ray(rng, dim)[0], nonflat_riemannian(rng, dim)]
+    for m in instances:
+        n = m.dim
+        P, op = float_product(m), product_as_floats(m)
+        assert op.shape == (n, n * n)
+        np.testing.assert_array_equal(op, -P.reshape(n, n * n))
+        for v in np.random.default_rng(n).standard_normal((3, n)):
+            out = np.empty(n)
+            assert euler_arnold_rhs(op, v, out=out) is out
+            scale = np.abs(P).max() * n * (v @ v)  # bounds the terms, so cancellation is allowed for
+            np.testing.assert_allclose(out, -np.einsum("i,j,ijk->k", v, v, P), rtol=1e-12, atol=1e-14 * scale)
+            np.testing.assert_array_equal(out, euler_arnold_rhs(op, v))
 
 
 def test_stepper_matches_reference_on_catalog():
@@ -338,3 +363,38 @@ def test_stepper_matches_reference_on_a_dense_dim20_document():
     m = MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
     v0 = [rng.choice((-1.0, 1.0)) / math.sqrt(n) for _ in range(n)]
     assert assert_matches_reference(m, v0, 2.0, "dense20") == REACHED_HORIZON
+
+
+def test_every_rhs_evaluation_is_one_call(monkeypatch):
+    """`rhs_evaluations` counts calls of the module-level `euler_arnold_rhs`:
+    one for the first step size, then the six stages of every attempted
+    step, accepted or rejected, each written into its own row of K."""
+    rows = []
+    rhs = geodesics.euler_arnold_rhs
+
+    def counted(op, v, out=None):
+        rows.append(None if out is None else out.__array_interface__["data"][0])
+        return rhs(op, v, out=out)
+
+    monkeypatch.setattr(geodesics, "euler_arnold_rhs", counted)
+
+    def attempts(m, v0, t_max):
+        rows.clear()
+        traj = integrate(m, v0, t_max)
+        stages = rows[1:7]
+        assert rows[0] is None and len(set(stages)) == 6 and None not in stages
+        attempted = (len(rows) - 1) // 6
+        assert rows[1:] == stages * attempted
+        assert len(rows) == traj.rhs_evaluations == 1 + 6 * attempted
+        return traj, attempted
+
+    outcomes = set()
+    for name in catalog.names():
+        m = catalog.build(name)
+        for v0 in ([1.0] * m.dim, [float(i == 0) for i in range(m.dim)]):
+            traj, attempted = attempts(m, v0, 5.0)
+            assert attempted >= len(traj.samples) - 1
+            outcomes.add(traj.outcome)
+    assert outcomes == {REACHED_HORIZON, BLOW_UP_DETECTED}
+    traj, attempted = attempts(catalog.build("classc2_nonflat"), [1.0, 1.0], 5.0)
+    assert attempted > len(traj.samples) - 1  # some steps were rejected

@@ -17,6 +17,18 @@ stream and every sweep verdict.  Regenerate with
 
     PYTHONPATH=src python -m flatlie.cli catalog show rot3 > rot3.json
     PYTHONPATH=src python -m flatlie.cli analyze --json --sweep 40 --seed S -i rot3.json > tests/golden/sweep/rot3_seedS.json
+
+`golden/geodesic/` pins the float integrator.  Each line of `cases.txt`
+reads `FILE NAME V0 T_MAX`: FILE is the `geodesic --json` stdout on the
+catalog entry NAME with `--v0=V0 --t-max T_MAX`, or, for a `.csv` FILE, the
+`--csv` export of that run, which prints every sample's `t`, `v` and norm
+with `repr`, signed zeros included.  Every catalog entry has a ray that
+reaches the horizon; `classc2_flat` and `classc3_flat` also have a blow-up
+ray.  Regenerate a file only when the trajectories are meant to change:
+
+    PYTHONPATH=src python -m flatlie.cli catalog show NAME > NAME.json
+    PYTHONPATH=src python -m flatlie.cli geodesic --json -i NAME.json --v0=V0 --t-max T_MAX > tests/golden/geodesic/FILE
+    PYTHONPATH=src python -m flatlie.cli geodesic -i NAME.json --v0=V0 --t-max T_MAX --csv tests/golden/geodesic/FILE
 """
 
 import json
@@ -29,6 +41,9 @@ from flatlie.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = sorted(p.stem for p in (GOLDEN / "inputs").glob("*.json"))
+GEODESIC_CASES = [
+    line.split() for line in (GOLDEN / "geodesic" / "cases.txt").read_text(encoding="utf-8").splitlines()
+]
 
 
 def _analyze(capsys, path, *opts) -> str:
@@ -62,6 +77,28 @@ def test_rot3_sweep_json_matches_golden(capsys, tmp_path, seed):
     path.write_text(json.dumps(catalog.get("rot3").document))
     out = _analyze(capsys, path, "--sweep", "40", "--seed", str(seed))
     assert out == (GOLDEN / "sweep" / f"rot3_seed{seed}.json").read_text(encoding="utf-8")
+
+
+def test_geodesic_cases_cover_the_catalog():
+    assert {name for _, name, _, _ in GEODESIC_CASES} == set(catalog.names())
+    files = {f for f, _, _, _ in GEODESIC_CASES}
+    assert {"classc2_flat_blowup.json", "classc3_flat_blowup.json", "rot3.csv", "classc2_flat_blowup.csv"} <= files
+    assert files == {p.name for p in (GOLDEN / "geodesic").iterdir()} - {"cases.txt"}
+
+
+@pytest.mark.parametrize("golden, name, v0, t_max", GEODESIC_CASES, ids=[c[0] for c in GEODESIC_CASES])
+def test_geodesic_output_matches_golden(capsys, tmp_path, golden, name, v0, t_max):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(catalog.get(name).document))
+    args = ["geodesic", "-i", str(path), f"--v0={v0}", "--t-max", t_max]
+    expected = (GOLDEN / "geodesic" / golden).read_bytes()
+    if golden.endswith(".csv"):
+        out = tmp_path / golden
+        assert main([*args, "--csv", str(out)]) == 0
+        assert out.read_bytes() == expected
+    else:
+        assert main([*args, "--json"]) == 0
+        assert capsys.readouterr().out.encode() == expected
 
 
 @pytest.mark.parametrize("name", INPUTS)

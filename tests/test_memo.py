@@ -1,13 +1,15 @@
 """Derived quantities are computed at most once per metric instance."""
 
 import copy
+import json
 import pickle
 import random
 from pathlib import Path
 
 import pytest
 
-from flatlie import classc, inputdoc, linalg, metric, report, sweeps, theorems
+from flatlie import catalog, classc, inputdoc, linalg, metric, report, sweeps, theorems
+from flatlie.cli import main
 from flatlie.errors import AntisymmetryError
 from flatlie.metric import is_flat, killing_subalgebra, levi_civita
 from flatlie.theorems import theorem1_check
@@ -157,6 +159,26 @@ def test_no_analysis_builds_the_fraction_product(monkeypatch, name):
     section = report.analysis_report(m)
     if section["class_c"]["detected"]:  # the witness was checked, on (P, D)
         assert section["class_c"]["witness"]["closed_form_matches"]
+    assert built == []
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_no_geodesic_run_builds_the_fraction_product(monkeypatch, capsys, tmp_path, name):
+    """The integrator's float operator is read off (P, D), so a `geodesic`
+    run builds no Fraction product either."""
+    built = []
+    product = metric.LeviCivitaProduct
+
+    def counted(*args):
+        built.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(metric, "LeviCivitaProduct", counted)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(catalog.get(name).document))
+    v0 = ",".join(["1"] * catalog.build(name).dim)
+    assert main(["geodesic", "--json", "-i", str(path), "--v0", v0, "--t-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] > 0
     assert built == []
 
 
