@@ -128,9 +128,10 @@ class LieAlgebra(CheckedRecord, _LieFields):
 
     @memoized
     def derived_subalgebra(self) -> Subspace:
-        """[g, g]: the span of all basis brackets."""
-        vectors = [list(self.c[i][j]) for i in range(self.dim) for j in range(i + 1, self.dim)]
-        return Subspace.span(self.dim, vectors)
+        """[g, g]: the span of all basis brackets, read off the int rows
+        C[i][j] = E c[i][j] of `integer_constants`."""
+        C, _ = self.integer_constants()
+        return Subspace.row_space(self.dim, [C[i][j] for i in range(self.dim) for j in range(i + 1, self.dim)])
 
     def is_unimodular(self) -> bool:
         n = self.dim

@@ -464,11 +464,18 @@ class Subspace(NamedTuple):
             w = vec(v)
             if len(w) != ambient_dim:
                 raise ValueError(f"vector length {len(w)} != ambient dimension {ambient_dim}")
-            if not is_zero_vec(w):
-                vecs.append(w)
-        if not vecs:
+            vecs.append(w)
+        return Subspace.row_space(ambient_dim, vecs)
+
+    @staticmethod
+    def row_space(ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
+        """The span of rows of ints or Fractions, each of length
+        ambient_dim, taken without coercing them: scaling a row by a nonzero
+        factor leaves the span, and so its canonical basis, unchanged."""
+        rows = [row for row in rows if any(row)]
+        if not rows:
             return Subspace(ambient_dim, ())
-        R, pivots = rref(vecs)
+        R, pivots = rref(rows)
         return Subspace(ambient_dim, tuple(tuple(row) for row in R[: len(pivots)]))
 
     @staticmethod

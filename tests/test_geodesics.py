@@ -94,6 +94,23 @@ def test_rot3_bounded_with_energy_conservation():
     assert traj.energy_drift() <= 1e-6 * (1.0 + abs(e0))
 
 
+def test_rot3_matches_its_closed_form():
+    """On rot3 ([s, e1] = e2, [s, e2] = -e1) the velocity v = a s + b e1 + c e2
+    keeps a, and (b, c) turns at rate a: b(t) = b0 cos(at) + c0 sin(at),
+    c(t) = c0 cos(at) - b0 sin(at).  A check that does not depend on the
+    integration method."""
+    m = catalog.build("rot3")
+    for v0 in ((1.0, 1.0, 0.0), (2.0, 0.5, -1.0), (-1.0, 1.0, 1.0), (0.5, 0.0, 3.0), (0.0, 1.0, 2.0)):
+        a, b0, c0 = v0
+        traj = integrate(m, v0, t_max=50.0)
+        assert traj.outcome == REACHED_HORIZON and traj.final.t == 50.0
+        bound = 1e-8 * (1.0 + math.hypot(*v0))
+        for s in traj.samples:
+            at = a * s.t
+            exact = (a, b0 * math.cos(at) + c0 * math.sin(at), c0 * math.cos(at) - b0 * math.sin(at))
+            assert math.dist(s.v, exact) <= bound, (v0, s.t)
+
+
 def test_energy_conservation_across_catalog():
     cases = [
         ("abelian_minkowski", [1.0, 1.0, 1.0]),
@@ -183,7 +200,7 @@ def test_csv_export(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# differential test: the stepper against the loop it replaced
+# differential test: the stepper against a plain loop of the same method
 # ---------------------------------------------------------------------------
 
 def float_product(m):
@@ -192,11 +209,12 @@ def float_product(m):
 
 
 def reference_integrate(m, v0, t_max, rel_tol=1e-9):
-    """The earlier stepper, kept as the oracle: the same Fehlberg 4(5) pair
-    and step rule, with an einsum right-hand side, stages summed in Python,
-    v4 formed explicitly and each sample built as it is accepted.  Its
-    float tensor comes from the Fraction product, not from the integer view
-    that `product_as_floats` reads."""
+    """An independent DOP853 loop, kept as the oracle: the same tableau and
+    step rule, with an einsum right-hand side, stages summed in Python, the
+    error vectors e5 and e3 formed explicitly and each sample built as it is
+    accepted.  f at an accepted velocity is kept as the next step's first
+    stage.  Its float tensor comes from the Fraction product, not from the
+    integer view that `product_as_floats` reads."""
     P = float_product(m)
     G = np.array([[float(x) for x in row] for row in m.gram], dtype=float)
 
@@ -210,30 +228,34 @@ def reference_integrate(m, v0, t_max, rel_tol=1e-9):
     t = 0.0
     samples = [sample(t, v)]
     norm0 = max(1.0, float(np.linalg.norm(v)))
+    f = rhs(v)
     evals = 1
-    h = min(0.1, t_max / 10.0, rel_tol ** 0.2 / (1.0 + float(np.linalg.norm(rhs(v)))))
+    h = min(0.1, t_max / 10.0, rel_tol ** 0.2 / (1.0 + float(np.linalg.norm(f))))
     while t < t_max:
         if len(samples) > geodesics.MAX_STEPS:
             return GeodesicTrajectory(tuple(samples), STEP_LIMIT, None, evals)
         h = min(h, t_max - t)
-        ks = [rhs(v)]
-        for stage in range(1, 6):
-            ks.append(rhs(v + h * sum(a * k for a, k in zip(geodesics._RK_A[stage], ks))))
-        evals += 6
-        v5 = v + h * sum(b * k for b, k in zip(geodesics._RK_B5, ks))
-        v4 = v + h * sum(b * k for b, k in zip(geodesics._RK_B4, ks))
-        err = float(np.linalg.norm(v5 - v4))
+        ks = [f]
+        for stage in range(1, 12):
+            ks.append(rhs(v + h * sum(a * k for a, k in zip(geodesics._A[stage], ks))))
+        v8 = v + h * sum(b * k for b, k in zip(geodesics._B, ks))
+        f8 = rhs(v8)
+        evals += 12
+        e5 = h * sum(e * k for e, k in zip(geodesics._E5, ks))
+        e3 = h * sum(e * k for e, k in zip(geodesics._E3, ks))
+        sq5, sq3 = float(e5 @ e5), float(e3 @ e3)
+        err = sq5 / math.sqrt(sq5 + 0.01 * sq3) if sq5 or sq3 else 0.0
         scale = rel_tol * (1.0 + float(np.linalg.norm(v)))
         if np.isfinite(err) and err <= scale:
             t += h
-            v = v5
+            v, f = v8, f8
             if not np.isfinite(v).all():
                 return GeodesicTrajectory(tuple(samples), BLOW_UP_DETECTED, samples[-1].t, evals)
             samples.append(sample(t, v))
             if np.linalg.norm(v) > geodesics.BLOWUP_NORM:
                 return GeodesicTrajectory(tuple(samples), BLOW_UP_DETECTED, t, evals)
         if not np.isfinite(err) or err > 0:
-            ratio = (scale / err) ** 0.2 if np.isfinite(err) and err > 0 else 0.2
+            ratio = (scale / err) ** (1 / 8) if np.isfinite(err) and err > 0 else 0.2
             h *= min(5.0, max(0.2, 0.9 * ratio))
         else:
             h *= 5.0
@@ -260,6 +282,46 @@ def assert_matches_reference(m, v0, t_max, label):
         e0 = want.samples[0].energy
         assert abs(got.energy_drift() - want.energy_drift()) <= 1e-12 * (1.0 + max(abs(e0), terms)), label
     return want.outcome
+
+
+#: the published nodes c_i of the DOP853 stages 0..11
+DOP853_NODES = (
+    0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490, 0.333333333333333333333333333333,
+    0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282, 0.6,
+    0.857142857142857142857142857142, 1.0,
+)
+
+
+def test_tableau_satisfies_its_order_conditions():
+    """Each stage's row sums to its node, the weights integrate c^(k-1)
+    exactly for k <= 8, and the embedded weights b - E5 and b - E3 for
+    k <= 5 and k <= 3."""
+    A, c = geodesics._A, DOP853_NODES
+    assert len(A) == len(c) == 12 and all(len(row) == s for s, row in enumerate(A))
+    for s, row in enumerate(A):
+        assert abs(math.fsum(row) - c[s]) <= 1e-14, s
+    b = geodesics._B
+    b5 = [x - e for x, e in zip(b, geodesics._E5)]
+    b3 = [x - e for x, e in zip(b, geodesics._E3)]
+    for weights, order in ((b, 8), (b5, 5), (b3, 3)):
+        assert len(weights) == 12
+        for k in range(1, order + 1):
+            assert abs(math.fsum(w * x ** (k - 1) for w, x in zip(weights, c)) - 1 / k) <= 1e-14, (order, k)
+
+
+def test_tableau_matches_scipy():
+    coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    A = np.zeros((12, 12))
+    for s, row in enumerate(geodesics._A):
+        A[s, :s] = row
+    np.testing.assert_array_equal(A, coefficients.A[:12, :12])
+    np.testing.assert_array_equal(geodesics._B, coefficients.B)
+    np.testing.assert_array_equal(DOP853_NODES, coefficients.C[:12])
+    # scipy pads the error weights with a zero for the stage at the new velocity
+    for ours, theirs in ((geodesics._E5, coefficients.E5), (geodesics._E3, coefficients.E3)):
+        np.testing.assert_array_equal(ours, theirs[:12])
+        assert theirs[12] == 0.0
 
 
 def test_rhs_matches_einsum():
@@ -367,25 +429,31 @@ def test_stepper_matches_reference_on_a_dense_dim20_document():
 
 def test_every_rhs_evaluation_is_one_call(monkeypatch):
     """`rhs_evaluations` counts calls of the module-level `euler_arnold_rhs`:
-    one for the first step size, then the six stages of every attempted
-    step, accepted or rejected, each written into its own row of K."""
-    rows = []
+    one at v0 into K[0], then twelve per attempted step, accepted or
+    rejected (eleven stages and f at the new velocity), each written into its
+    own row of K.  No call is at a velocity already evaluated: K[0] is never
+    written again, an accepted step's last row is copied into it."""
+    calls = []
     rhs = geodesics.euler_arnold_rhs
 
     def counted(op, v, out=None):
-        rows.append(None if out is None else out.__array_interface__["data"][0])
+        calls.append((None if out is None else out.__array_interface__["data"][0], v.tobytes()))
         return rhs(op, v, out=out)
 
     monkeypatch.setattr(geodesics, "euler_arnold_rhs", counted)
 
     def attempts(m, v0, t_max):
-        rows.clear()
+        calls.clear()
         traj = integrate(m, v0, t_max)
-        stages = rows[1:7]
-        assert rows[0] is None and len(set(stages)) == 6 and None not in stages
-        attempted = (len(rows) - 1) // 6
+        rows = [row for row, _ in calls]
+        first, stages = rows[0], rows[1:13]
+        assert None not in rows and len(set(stages)) == 12 and first not in stages
+        attempted = (len(rows) - 1) // 12
         assert rows[1:] == stages * attempted
-        assert len(rows) == traj.rhs_evaluations == 1 + 6 * attempted
+        assert len(rows) == traj.rhs_evaluations == 1 + 12 * attempted
+        if len({s.v for s in traj.samples}) > 1:  # on a moving velocity every argument is new
+            arguments = [v for _, v in calls]
+            assert len(set(arguments)) == len(arguments)
         return traj, attempted
 
     outcomes = set()

@@ -1,5 +1,5 @@
 """A cold command loads only the modules it runs.  The exact commands never
-load numpy; only the float geodesic probe does.  `import
+load numpy; only the float geodesic probe does, and it never loads scipy.  `import
 flatlie` loads no submodule: the package resolves its exported names on
 first use.  Each import check runs in a fresh interpreter, because this test
 process already holds numpy and every flatlie module."""
@@ -23,7 +23,7 @@ import contextlib, io, sys
 import flatlie.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = flatlie.cli.main(sys.argv[1:])
-print(code, int("numpy" in sys.modules), int("dataclasses" in sys.modules),
+print(code, int("numpy" in sys.modules), int("scipy" in sys.modules), int("dataclasses" in sys.modules),
       ",".join(sorted(m for m in sys.modules if m.startswith("flatlie"))))
 """
 
@@ -41,10 +41,10 @@ def _python(*args):
 
 
 def _run_cli(*argv):
-    """(exit code, whether numpy was loaded, whether dataclasses was loaded,
-    the flatlie modules loaded) of one cold flatlie.cli.main run."""
-    code, numpy, dataclasses, modules = _python("-c", RUN_CLI, *argv)
-    return int(code), bool(int(numpy)), bool(int(dataclasses)), set(modules.split(","))
+    """(exit code, whether numpy, scipy and dataclasses were loaded, the
+    flatlie modules loaded) of one cold flatlie.cli.main run."""
+    code, numpy, scipy, dataclasses, modules = _python("-c", RUN_CLI, *argv)
+    return int(code), bool(int(numpy)), bool(int(scipy)), bool(int(dataclasses)), set(modules.split(","))
 
 
 def _cli(*argv):
@@ -89,7 +89,10 @@ def test_exact_commands_and_usage_errors_do_not_load_numpy(docs, argv, expected)
 
 
 def test_geodesic_loads_numpy(docs):
-    assert _cli("geodesic", "-i", docs["@rot3"], "--v0", "1,0,0", "--t-max", "1") == (0, True)
+    """numpy, but not scipy: the DOP853 tableau is written out in
+    `geodesics`, so the stepper never imports scipy's copy of it."""
+    code, numpy, scipy, _, _ = _run_cli("geodesic", "-i", docs["@rot3"], "--v0", "1,0,0", "--t-max", "1")
+    assert (code, numpy, scipy) == (0, True, False)
 
 
 def test_only_the_geodesic_integrator_mentions_numpy():
@@ -120,7 +123,7 @@ def test_each_command_loads_only_the_modules_it_runs(docs, argv, modules):
     """An argument "@name" stands for the path of catalog entry name.  No
     command loads dataclasses: its import and class creation would be most
     of flatlie's share of a cold start."""
-    code, _, dataclasses, loaded = _run_cli(*[docs.get(a, a) for a in argv])
+    code, _, _, dataclasses, loaded = _run_cli(*[docs.get(a, a) for a in argv])
     assert code == 0
     assert loaded == modules
     assert not dataclasses

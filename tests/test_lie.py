@@ -257,6 +257,21 @@ def test_derived_subalgebra():
         assert a.derived_subalgebra().dim == n - 1
 
 
+def test_derived_subalgebra_is_the_span_of_the_fraction_brackets():
+    """The derived algebra is read off the int rows of `integer_constants`;
+    spanning the Fraction brackets gives the same canonical basis, entry by
+    entry, Fractions included."""
+    rng = random.Random(34)
+    algebras = [solvable2(), heisenberg(), so3(), rot3()]
+    for dim in range(2, 8):
+        algebras += [sweeps.theorem1_true_instance(rng, dim).algebra, sweeps.class_c_algebra(rng, dim)]
+    for a in algebras:
+        n = a.dim
+        D = a.derived_subalgebra()
+        assert D == Subspace.span(n, [a.c[i][j] for i in range(n) for j in range(i + 1, n)])
+        assert all(type(x) is F for row in D.basis for x in row)
+
+
 def test_derived_is_ideal():
     for alg in (solvable2(), heisenberg(), so3(), rot3()):
         D = alg.derived_subalgebra()
