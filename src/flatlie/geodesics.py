@@ -3,8 +3,11 @@
 For a left-invariant metric the geodesic through the identity is determined
 by its velocity curve in the Lie algebra, which satisfies v' = -(v . v) with
 the Levi-Civita product; extendability of that ODE to all time is exactly
-geodesic completeness (see README for the reduction).  This module
-integrates the velocity equation with an adaptive embedded Runge-Kutta pair
+geodesic completeness (see README for the reduction).  The right-hand side
+is a quadratic polynomial, so the Taylor coefficients of the velocity follow
+exactly from one Cauchy-product recurrence (`taylor_coefficients`).  This
+module steps by the series of order ORDER, with each step chosen a priori
+from its last two coefficients (Jorba & Zou, Experimental Math. 14 (2005)),
 and flags finite-time blow-up.  Floats only: the exact kernel is never used
 inside the stepper.
 """
@@ -24,66 +27,14 @@ if TYPE_CHECKING:
 BLOWUP_NORM = 1e12
 MIN_STEP = 1e-14
 MAX_STEPS = 100_000
+ORDER = 30
+# a step is at most this many times the previous one, so theta^ORDER is finite
+MAX_GROWTH = 1e6
 
 REACHED_HORIZON = "reached_horizon"
 BLOW_UP_DETECTED = "blow_up_detected"
 STEP_UNDERFLOW = "step_underflow"
 STEP_LIMIT = "step_limit"
-
-# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving Ordinary
-# Differential Equations I, 2nd ed., II.10; the coefficients of dop853.f).
-# Row s of _A forms stage s from stages 0..s-1; _B gives the 8th-order
-# increment; _E5 and _E3 give the 5th- and 3rd-order error vectors, where
-# _E3 is _B less the 3rd-order weights.  Stage 12 of a step, f at the new
-# velocity, is stage 0 of the next ("first same as last").
-_A = (
-    (),
-    (5.26001519587677318785587544488e-2,),
-    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
-    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
-    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
-     9.24834003261792003115737966543e-1),
-    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
-     1.25467687566822425016691814123e-1),
-    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
-     -1.7578125e-2),
-    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
-     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-     8.27378916381402288758473766002e-3),
-    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
-     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
-    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
-     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-     -2.03312017085086261358222928593e-2),
-    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
-     1.09143734899672957818500254654, -8.14978701074692612513997267357,
-     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-     2.49360555267965238987089396762, -3.0467644718982195003823669022),
-    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
-     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-     6.43392746015763530355970484046e-1),
-)
-_B = (
-    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
-    1.89151789931450038304281599044, -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
-    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
-    4.47106157277725905176885569043e-2,
-)
-_E5 = (
-    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e1,
-    -0.4957589496572501915214079952, 0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
-    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
-)
-# 3rd-order weights
-_B3 = (
-    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.733846688281611857341361741547,
-    0.0, 0.0, 0.220588235294117647058823529412e-1,
-)
-_E3 = tuple(b - b3 for b, b3 in zip(_B, _B3))
 
 
 def product_as_floats(m: MetricLieAlgebra) -> np.ndarray:
@@ -103,9 +54,35 @@ def product_as_floats(m: MetricLieAlgebra) -> np.ndarray:
 def euler_arnold_rhs(op: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Velocity equation right-hand side -(v . v) by bilinear evaluation on
     the negated operator of `product_as_floats`: two vector-matrix products
-    around one reshape, written into `out` when it is given."""
+    around one reshape, written into `out` when it is given.
+
+    The definition-level right-hand side: `integrate` never calls it, it
+    steps by `taylor_coefficients`, whose row 1 is s times this."""
     n = len(v)
     return v.dot(v.dot(op).reshape(n, n), out=out)
+
+
+def taylor_coefficients(B: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
+    """Rows w_0..w_ORDER of the Taylor series of the velocity through v,
+    scaled by s: w_k = a_k s^k for v(t + tau) = sum_k a_k tau^k, so that
+    v(t + theta s) = sum_k w_k theta^k.
+
+    B is the negated product as the (n^2, n) operator
+    `product_as_floats(m).reshape(n * n, n)`, so v' = B(v, v), and matching
+    powers of tau gives w_0 = v and
+    w_{k+1} = s / (k + 1) sum_m B(w_m, w_{k-m}): per order, one
+    (k + 1) x n matmul for the n x n matrix sum_m w_m (x) w_{k-m} and one
+    dot of it with B.  With s near the step to be taken every row stays near
+    |v| or below, where the unscaled a_k overflow near a blow-up."""
+    import numpy as np
+
+    W = np.empty((ORDER + 1, len(v)))
+    W[0] = v
+    for k in range(ORDER):
+        w = W[k + 1]
+        W[:k + 1].T.dot(W[k::-1]).ravel().dot(B, out=w)
+        w *= s / (k + 1)
+    return W
 
 
 class TrajectorySample(NamedTuple):
@@ -119,7 +96,7 @@ class GeodesicTrajectory(NamedTuple):
     samples: tuple[TrajectorySample, ...]
     outcome: str  # REACHED_HORIZON | BLOW_UP_DETECTED | STEP_UNDERFLOW | STEP_LIMIT
     blowup_time: float | None = None
-    rhs_evaluations: int = 0
+    series_terms: int = 0  # Taylor coefficients formed: ORDER per step
 
     @property
     def final(self) -> TrajectorySample:
@@ -136,22 +113,28 @@ def integrate(
     t_max: float,
     rel_tol: float = 1e-9,
 ) -> GeodesicTrajectory:
-    """Adaptive DOP853 integration of v' = -(v . v) from v(0) = v0.
+    """Taylor-series integration of v' = -(v . v) from v(0) = v0.
+
+    Each step forms the coefficients w_0..w_p (p = ORDER) scaled by the
+    previous step s, and takes the step theta s with
+    theta = min((tol / |w_{p-1}|)^(1/(p-1)), (tol / |w_p|)^(1/p)) e^(-0.7/(p-1)),
+    tol = rel_tol (1 + |v|), and theta at most MAX_GROWTH; the new velocity
+    is the series at theta, one dot of the powers theta^k with the rows.  No
+    step is rejected.
 
     Blow-up is declared when the velocity norm exceeds BLOWUP_NORM, or when
-    the step size collapses below MIN_STEP while the norm has grown by a
-    factor >= 1e3 (a collapsing step without growth is reported as
-    STEP_UNDERFLOW instead).  The final accepted time is the blow-up
-    estimate.  After MAX_STEPS accepted steps short of t_max the samples so
-    far are returned as STEP_LIMIT.  Every attempted step evaluates the
-    right-hand side 12 times, so rhs_evaluations is 1 + 12 x attempted.
+    the step falls below MIN_STEP while the norm has grown by a factor >= 1e3
+    (a collapsing step without growth is reported as STEP_UNDERFLOW instead).
+    The final step's time is the blow-up estimate.  After MAX_STEPS steps
+    short of t_max the samples so far are returned as STEP_LIMIT.
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise InvalidToleranceError("rel_tol", f"must be in (1e-14, 1e-2), got {rel_tol}")
     if not (0 < t_max < math.inf):
         raise InvalidGeodesicInputError("t_max", f"must be finite and positive, got {t_max}")
     if t_max < 10 * MIN_STEP:
-        # the first step is t_max / 10: below MIN_STEP it would end as a false STEP_UNDERFLOW
+        # the first scale is at most t_max / 10 and a step at most MAX_GROWTH
+        # scales: a far shorter horizon could end as a false STEP_UNDERFLOW
         raise InvalidGeodesicInputError("t_max", f"must be at least {10 * MIN_STEP:g}, got {t_max}")
     components = [float(x) for x in v0]
     if len(components) != m.dim:
@@ -167,20 +150,13 @@ def integrate(
         raise InvalidGeodesicInputError(
             "v0", f"must have norm below {BLOWUP_NORM:g} and finite energy, got {components}"
         )
-    # Stage derivatives are written in place into the rows of K; stage s
-    # reads the views K[:s] and forms its argument in buf.  K[0] holds f(v)
-    # for the current v: evaluated once at the start, then copied from
-    # K[12], f at the new velocity, when a step is accepted.
-    K = np.empty((13, m.dim))
-    k0, k_new, buf = K[0], K[12], np.empty(m.dim)
-    stages = [(np.array(_A[s]), K[:s], K[s]) for s in range(1, 12)]
-    # One product gives the 8th-order increment and both error vectors.
-    weights, K12 = np.array([_B, _E5, _E3]), K[:12]
+    B = op.reshape(m.dim * m.dim, m.dim)
 
     t = 0.0
     norm = math.hypot(*components)
-    # accepted states as Python floats; energies are formed once, at return
+    # states as Python floats; energies are formed once, at return
     ts, vs, norms = [t], [components], [norm]
+    terms = 0
 
     def trajectory(outcome: str, blowup_time: float | None = None) -> GeodesicTrajectory:
         V = np.array(vs)
@@ -188,56 +164,49 @@ def integrate(
         samples = tuple(
             TrajectorySample(tc, tuple(vc), nc, ec) for tc, vc, nc, ec in zip(ts, vs, norms, energies)
         )
-        return GeodesicTrajectory(samples, outcome, blowup_time, evals)
+        return GeodesicTrajectory(samples, outcome, blowup_time, terms)
 
     norm0 = max(1.0, norm)
-    euler_arnold_rhs(op, v, out=k0)
-    evals = 1
-    h = min(0.1, t_max / 10.0, rel_tol ** 0.2 / (1.0 + math.hypot(*k0.tolist())))
+    # The first scale is at most t_max / 10 and at most 1 / (beta (1 + |v0|))
+    # for beta = |B|_F: |B(x, y)| <= beta |x| |y| bounds the rows by
+    # |v0| (s beta |v0|)^k, so none of them can overflow.
+    beta_v = math.sqrt(float(np.vdot(op, op))) * (1.0 + norm)
+    s = t_max / 10 / (1.0 + t_max / 10 * beta_v)
+    safety = math.exp(-0.7 / (ORDER - 1))
+    powers = np.arange(ORDER + 1.0)
 
     while t < t_max:
         if len(ts) > MAX_STEPS:
             return trajectory(STEP_LIMIT)
-        h = min(h, t_max - t)
-        for a, k_prev, k in stages:
-            # the bits of v + h * a.dot(k_prev): IEEE * and + commute exactly
-            a.dot(k_prev, out=buf)
-            buf *= h
-            buf += v
-            euler_arnold_rhs(op, buf, out=k)
-        step, e5, e3 = h * weights.dot(K12)
-        v_new = v + step
-        euler_arnold_rhs(op, v_new, out=k_new)
-        evals += 12
-        n5, n3 = math.hypot(*e5.tolist()), math.hypot(*e3.tolist())
-        # Hairer's estimate |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), written so
-        # that no square can overflow
-        err = n5 * (n5 / math.hypot(n5, 0.1 * n3)) if n5 or n3 else 0.0
-        scale = rel_tol * (1.0 + norm)
-
-        if math.isfinite(err) and err <= scale:
-            t += h
-            v = v_new
-            k0[...] = k_new
-            vl = v.tolist()
-            if not all(map(math.isfinite, vl)):
-                return trajectory(BLOW_UP_DETECTED, ts[-1])
-            norm = math.hypot(*vl)
-            ts.append(t)
-            vs.append(vl)
-            norms.append(norm)
-            if norm > BLOWUP_NORM:
-                return trajectory(BLOW_UP_DETECTED, t)
-
-        if not math.isfinite(err) or err > 0:
-            ratio = (scale / err) ** 0.125 if math.isfinite(err) and err > 0 else 0.2
-            h *= min(5.0, max(0.2, 0.9 * ratio))
-        else:
-            h *= 5.0
-        if h < MIN_STEP and t < t_max:
+        W = taylor_coefficients(B, v, s)
+        terms += ORDER
+        tol = rel_tol * (1.0 + norm)
+        theta = MAX_GROWTH
+        for k in (ORDER - 1, ORDER):
+            c = math.hypot(*W[k].tolist())
+            if c:  # a row of 0 (a polynomial velocity, or an underflow) bounds nothing
+                theta = min(theta, safety * (tol / c) ** (1.0 / k))
+        h = theta * s
+        if h < MIN_STEP:
             if norm > 1e3 * norm0:
                 return trajectory(BLOW_UP_DETECTED, t)
             return trajectory(STEP_UNDERFLOW)
+        if t + h < t_max:
+            t += h
+        else:
+            h, t = t_max - t, t_max
+            theta = h / s
+        v = (theta ** powers).dot(W)
+        vl = v.tolist()
+        if not all(map(math.isfinite, vl)):
+            return trajectory(BLOW_UP_DETECTED, ts[-1])
+        norm = math.hypot(*vl)
+        ts.append(t)
+        vs.append(vl)
+        norms.append(norm)
+        if norm > BLOWUP_NORM:
+            return trajectory(BLOW_UP_DETECTED, t)
+        s = h
 
     return trajectory(REACHED_HORIZON)
 

@@ -142,17 +142,16 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     """(P, D) with p = P / D for the least D > 0: the one integer view of the
     Levi-Civita product that every exact layer reads.
 
-    Solved pair by pair in ints: with G = Gi / g and Gi^-1 = Qi / q
-    (`linalg.integer_inverse`), G^-1 = H / q for H = g Qi.  The Koszul
-    right-hand side for (i, j) is
+    Solved pair by pair in ints: G^-1 = H / q (`linalg.integer_inverse` of
+    the Fraction Gram, whose elimination clears each row on its own, so
+    dense entries with distinct denominators do not share one huge common
+    denominator).  The Koszul right-hand side for (i, j) is
     (Low[i][j][k] - Low[j][k][i] + Low[k][i][j]) / 2L, so each product
     constant is an entry of H (Koszul sum) over 2 q L; dividing by the gcd
     of 2 q L and every numerator leaves the least D."""
     n = m.dim
     low, L = lowered_constants(m)
-    Gi, g = m.integer_gram()
-    Qi, q = linalg.integer_inverse(Gi)
-    H = [[g * x for x in row] for row in Qi]
+    H, q = linalg.integer_inverse(m.gram)
     koszul = [[[low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
     num = [[[linalg.dot(row, rhs) for row in H] for rhs in plane] for plane in koszul]
     den = 2 * q * L

@@ -709,6 +709,38 @@ def test_integer_inverse_is_the_least_denominator_view():
             assert q > 0 and math.gcd(q, *(x for row in Qi for x in row)) == 1
 
 
+def dense_document(rng, n):
+    """[e_1, e_j] dense in e_2..e_n and a dense metric, every entry a 6-digit
+    rational over its own 6-digit denominator: the input caps' worst case."""
+    brackets = {(0, j): [F(0)] + [six_digit(rng) for _ in range(n - 1)] for j in range(1, n)}
+    gram = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = F(rng.randint(500000, 999999), rng.randint(100, 999))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = six_digit(rng)
+    gram[0][0] = -gram[0][0]
+    return MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
+
+
+def test_integer_product_matches_a_sympy_koszul_solve_on_a_dense_document():
+    """The product solved independently: the Koszul formula over
+    sympy.Rational with the Gram inverse from sympy.Matrix.inv."""
+    sympy = pytest.importorskip("sympy")
+    m = dense_document(random.Random(9), 9)
+    n = m.dim
+    G = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.gram])
+    Ginv = G.inv()
+    c = [[[sympy.Rational(x.numerator, x.denominator) for x in row] for row in plane] for plane in m.algebra.c]
+    low = [[[sum(G[k, l] * c[i][j][l] for l in range(n)) for k in range(n)] for j in range(n)] for i in range(n)]
+    P, D = metric.integer_product(m)
+    for i in range(n):
+        for j in range(n):
+            rhs = [(low[i][j][l] - low[j][l][i] + low[l][i][j]) / 2 for l in range(n)]
+            expected = [sum(Ginv[k, l] * rhs[l] for l in range(n)) for k in range(n)]
+            assert [sympy.Rational(x, D) for x in P[i][j]] == expected, (i, j)
+    assert D > 0 and math.gcd(D, *(x for plane in P for row in plane for x in row)) == 1
+
+
 def same_connection_oracle(m1, m2):
     """Both products solved on their own and compared: (P, D) is canonical
     (least D), so equal views mean equal products."""
