@@ -29,16 +29,26 @@ def memoized(fn):
             memo[key] = fn(obj)
         return memo[key]
 
+    wrapper.key = key  # the memo slot, for a constructor that already holds the value
     return wrapper
 
 
 class CheckedRecord:
     """Mixin, listed before its NamedTuple base, for a record whose own
-    `__init__` checks the fields and starts the per-instance `_memo`.  The
-    copies made by `_make`, `_replace` and pickle go through the constructor
-    too, so each is checked and starts with an empty memo."""
+    `__init__` starts the per-instance `_memo` and calls `_check`, the one
+    place its fields are checked.  The copies made by `_make`, `_replace`
+    and pickle go through the constructor too, so each is checked and
+    starts with an empty memo.  `_seeded` builds an instance whose memo
+    starts with views its maker already holds, and checks it the same way."""
 
     __slots__ = ()
+
+    @classmethod
+    def _seeded(cls, fields: tuple, memo: dict):
+        obj = cls.__new__(cls, *fields)
+        obj._memo = memo
+        obj._check()
+        return obj
 
     @classmethod
     def _make(cls, iterable):
@@ -60,7 +70,12 @@ class LieAlgebra(CheckedRecord, _LieFields):
 
     def __init__(self, dim: int, c: Tensor, labels: tuple[str, ...] | None = None):
         self._memo = {}
-        n = dim
+        self._check()
+
+    def _check(self) -> None:
+        """Shape, antisymmetry and the Jacobi identity, decided on the
+        integer view `integer_constants`."""
+        n, c = self.dim, self.c
         if n < 1:
             raise ValueError("dimension must be a positive integer")
         if len(c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in c):
@@ -159,8 +174,13 @@ class LieAlgebra(CheckedRecord, _LieFields):
 
     def change_basis(self, P: Sequence[Sequence]) -> "LieAlgebra":
         """Transport to the basis whose j-th vector is column j of P (old
-        coordinates), which holds ints or Fractions.  Transported from the
-        integer view (C, E); Jacobi is re-validated on construction; a
-        singular P raises SingularMatrixError."""
+        coordinates).  P holds ints, kept as ints, or anything `frac`
+        coerces; a float raises TypeError and a singular P
+        SingularMatrixError.  `linalg.integer_transport` moves the integer
+        view (C, E) to the least-terms view of the new algebra, which is its
+        `integer_constants` from the start, so its structure constants are
+        never cleared; antisymmetry and Jacobi are checked on it as in the
+        constructor."""
         C, E = self.integer_constants()
-        return LieAlgebra(self.dim, linalg.transport(C, P, E))
+        view = linalg.integer_transport(C, linalg.exact_mat(P), E)
+        return LieAlgebra._seeded((self.dim, linalg.fraction_tensor(*view)), {LieAlgebra.integer_constants.key: view})

@@ -8,18 +8,22 @@ The hot exact work runs in Python ints: `clear_denominators` scales a
 matrix or tensor to integers over one common denominator, and `dot`,
 `mat_vec`, `mat_mul`, `bilinear`, `left_matrix` and `right_matrix` keep
 int data int (their sums start at int 0, so an entry with no nonzero term
-is the int 0, which equals Fraction(0)).  Each instance clears its data
-once, in memoized views: the structure constants in
-`LieAlgebra.integer_constants`, the Gram matrix in
-`MetricLieAlgebra.integer_gram`, and `metric.integer_product` is solved in
-ints from them.  `_bareiss`, the one Gaussian elimination, clears each
-row's denominators itself; `rref`, `rank`, the one-pass `kernel` and the
-int inverse view `integer_inverse` read it.  `congruence` (behind
-`signature` and `metric.timelike_vector`), `restrict_form` and
-`orthogonal_complement` take int or Fraction matrices.
-`pack` turns an int row into one integer with exact zero test and
-read-back (`slot_width`, `unpack`), so `is_flat`, the Jacobi check and
-`transport` take one `dot` per term of a row rather than of each entry.
+is the int 0, which equals Fraction(0)).  Each instance has one integer
+view of its data, memoized and made once: the structure constants in
+`LieAlgebra.integer_constants` and the Gram matrix in
+`MetricLieAlgebra.integer_gram`, cleared from the fields of an instance
+that its constructor built, or handed over by the change of basis that
+built it, `integer_transport` for the constants and `transport_form` for
+the Gram matrix, both reduced to the least denominator by `least_terms`.
+`metric.integer_product` is solved in ints from the two views.
+`_bareiss`, the one Gaussian elimination, clears each row's denominators
+itself; `rref`, `rank`, the one-pass `kernel` and the int inverse view
+`integer_inverse` read it.  `congruence` (behind `signature` and
+`metric.timelike_vector`), `restrict_form` and `orthogonal_complement`
+take int or Fraction matrices.  `pack` turns an int row into one integer
+with exact zero test and read-back (`slot_width`, `unpack`), so `is_flat`,
+the Jacobi check and `integer_transport` take one `dot` per term of a row
+rather than of each entry.
 """
 
 from __future__ import annotations
@@ -59,6 +63,13 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return [vec(r) for r in rows]
 
 
+def exact_mat(rows: Iterable[Iterable]) -> list[list]:
+    """The matrix with its int entries kept as ints and every other entry
+    coerced by `frac` (so floats are refused): exact input for the integer
+    kernel, which reads ints and Fractions alike."""
+    return [[x if type(x) is int else frac(x) for x in row] for row in rows]
+
+
 def zeros(r: int, c: int) -> Mat:
     return [[ZERO] * c for _ in range(r)]
 
@@ -84,8 +95,27 @@ def clear_tensor_denominators(T: Sequence[Sequence[Sequence]]) -> tuple[IntTenso
     """clear_denominators for an n x n x n tensor: one d for all entries.
     The result is nested tuples, so a memo may share it."""
     rows, d = clear_denominators([row for plane in T for row in plane])
-    n = len(T)
-    return tuple(tuple(map(tuple, rows[i * n:(i + 1) * n])) for i in range(n)), d
+    return planes(rows, len(T)), d
+
+
+def least_terms(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows / h, d / h) for h = gcd(d, every entry), d > 0: the view
+    rows / d over its least denominator, the one `clear_denominators`
+    finds for the matrix of Fractions rows / d.  Stored as tuples, so a
+    memo may share it."""
+    h = math.gcd(d, *chain.from_iterable(rows))
+    return tuple(tuple(x // h for x in row) for row in rows), d // h
+
+
+def planes(rows: Sequence[Sequence[int]], n: int) -> IntTensor:
+    """The n^2 rows of an n x n x n tensor, plane by plane, as the tensor."""
+    return tuple(tuple(map(tuple, rows[i * n:(i + 1) * n])) for i in range(n))
+
+
+def fraction_tensor(X: Sequence[Sequence[Sequence[int]]], d: int) -> Tensor:
+    """The tensor X / d of an integer view, one Fraction per nonzero entry
+    (a zero entry is the shared ZERO)."""
+    return tuple(tuple(tuple(Fraction(x, d) if x else ZERO for x in row) for row in plane) for plane in X)
 
 
 def transpose(A: Sequence[Sequence[Fraction]]) -> Mat:
@@ -197,20 +227,22 @@ def right_matrix(T: Tensor, y: Sequence) -> Mat:
     return transpose([bilinear(T, e, y) for e in units(len(T))])
 
 
-def transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1) -> Tensor:
-    """The tensor T / t in the basis given by the columns of P: entry (a, b)
-    is P^-1 T(P_a, P_b) / t.  T and P may hold ints or Fractions; callers
-    coerce outside input with `mat` first.  Raises SingularMatrixError for
-    a singular P.
+def integer_transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1) -> tuple[IntTensor, int]:
+    """(X, e): the tensor T / t in the basis given by the columns of P, whose
+    entry (a, b) is P^-1 T(P_a, P_b) / t, as X / e for the least e > 0, the
+    view `clear_tensor_denominators` would find.  T and P hold ints or
+    Fractions; callers coerce outside input with `exact_mat` first.  Raises
+    SingularMatrixError for a singular P.
 
     In ints: with T = Ti / s, P = Pi / p and P^-1 = Qi / q
     (`integer_inverse`), entry (a, b) is Qi Ti(Pi_a, Pi_b) over q s t p^2.
     The columns of Qi are packed over the output index (`pack_row`), so
     Qi Ti[i][j] is one dot per packed int; contracting i with column a of
     Pi and then j with column b takes one dot each: three passes of n^2
-    dots, after which each entry (a, b) is unpacked once.  Every slot is at
-    most (row sum of |Qi|) (column sum of |Pi|)^2 max |Ti|, which sets the
-    slot width."""
+    dots, after which each entry (a, b) is unpacked once and the whole is
+    divided by its gcd with the denominator.  Every slot is at most
+    (row sum of |Qi|) (column sum of |Pi|)^2 max |Ti|, which sets the slot
+    width."""
     n = len(P)
     Qi, q = integer_inverse(P)
     Pi, p = clear_denominators(P)
@@ -226,10 +258,24 @@ def transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1
             U = [dot(Pa, QTj) for QTj in QT]  # U[j]: Qi Ti(Pi_a, e_j), packed
             for b, Pb in enumerate(cols):
                 X[a][b].append(dot(Pb, U))
-    den = q * s * t * p * p
-    return tuple(
-        tuple(tuple(Fraction(x, den) if x else ZERO for x in unpack_row(Xab, w, n)) for Xab in Xa) for Xa in X
-    )
+    rows, e = least_terms([unpack_row(Xab, w, n) for Xa in X for Xab in Xa], q * s * t * p * p)
+    return planes(rows, n), e
+
+
+def transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1) -> Tensor:
+    """The tensor T / t in the basis given by the columns of P, one Fraction
+    per entry of the view (X, e) of `integer_transport`."""
+    return fraction_tensor(*integer_transport(T, P, t))
+
+
+def transport_form(G: Sequence[Sequence], P: Sequence[Sequence], g: int = 1) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(M, h): the bilinear form G / g in the basis given by the columns of
+    P, P^T G P / g, as M / h for the least h > 0, the view
+    `clear_denominators` would find.  G and P hold ints or Fractions; with
+    G = Gi / s and P = Pi / p it is Pi^T Gi Pi over g s p^2."""
+    Gi, s = clear_denominators(G)
+    Pi, p = clear_denominators(P)
+    return least_terms(mat_mul(transpose(Pi), mat_mul(Gi, Pi)), g * s * p * p)
 
 
 def mat_sub(A, B) -> Mat:

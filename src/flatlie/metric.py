@@ -38,7 +38,12 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
 
     def __init__(self, algebra: LieAlgebra, gram: tuple[tuple[Fraction, ...], ...]):
         self._memo = {}
-        n = algebra.dim
+        self._check()
+
+    def _check(self) -> None:
+        """Size, symmetry and nondegeneracy of the Gram matrix; sets the
+        signature."""
+        n, gram = self.algebra.dim, self.gram
         if len(gram) != n or any(len(r) != n for r in gram):
             raise ValueError("Gram matrix size must match the algebra dimension")
         if not linalg.is_symmetric(gram):
@@ -97,17 +102,39 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
             raise ValueError("scale factor must be nonzero")
         return MetricLieAlgebra.make(self.algebra, linalg.mat_scale(self.gram_rows(), f))
 
+    @classmethod
+    def in_basis(
+        cls, algebra: LieAlgebra, gram: Sequence[Sequence], P: Sequence[Sequence], g: int = 1
+    ) -> "MetricLieAlgebra":
+        """The metric Lie algebra (algebra, gram / g) moved to the basis given
+        by the columns of P, built once, in that basis: the algebra by
+        `LieAlgebra.change_basis`, the Gram matrix P^T (gram / g) P by
+        `linalg.transport_form`, whose least-terms view is the new metric's
+        `integer_gram` from the start.  Symmetry and nondegeneracy are
+        checked on the new Gram matrix as in the constructor; an invertible
+        P keeps both, so the check covers gram too.  gram and P hold ints,
+        kept as ints, or anything `frac` coerces (floats raise TypeError),
+        and g is a positive int; a singular P raises SingularMatrixError."""
+        P = linalg.exact_mat(P)
+        n = algebra.dim
+        if len(gram) != n or any(len(r) != n for r in gram):
+            raise ValueError("Gram matrix size must match the algebra dimension")
+        if g < 1:
+            raise ValueError("the denominator g must be positive")
+        moved = algebra.change_basis(P)
+        view = linalg.transport_form(linalg.exact_mat(gram), P, g)
+        G, h = view
+        return cls._seeded(
+            (moved, tuple(tuple(Fraction(x, h) if x else ZERO for x in row) for row in G)),
+            {MetricLieAlgebra.integer_gram.key: view},
+        )
+
     def change_basis(self, P: Sequence[Sequence]) -> "MetricLieAlgebra":
         """Transport algebra and inner product to the basis given by the
-        columns of P (gram -> P^T gram P).  With gram = Gi / g and
-        P = Pi / p the new Gram matrix is Pi^T Gi Pi over g p^2."""
-        Pm = linalg.mat(P)  # the one coercion of P: transport reads Pm as is
-        new_alg = self.algebra.change_basis(Pm)
+        columns of P (gram -> P^T gram P), from the integer views (C, E) and
+        (Gi, g): see `in_basis`."""
         Gi, g = self.integer_gram()
-        Pi, p = linalg.clear_denominators(Pm)
-        den = g * p * p
-        M = linalg.mat_mul(linalg.transpose(Pi), linalg.mat_mul(Gi, Pi))
-        return MetricLieAlgebra(new_alg, tuple(tuple(Fraction(x, den) if x else ZERO for x in row) for row in M))
+        return MetricLieAlgebra.in_basis(self.algebra, Gi, P, g)
 
 
 class LeviCivitaProduct(NamedTuple):
@@ -153,19 +180,14 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     low, L = lowered_constants(m)
     H, q = linalg.integer_inverse(m.gram)
     koszul = [[[low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
-    num = [[[linalg.dot(row, rhs) for row in H] for rhs in plane] for plane in koszul]
-    den = 2 * q * L
-    d = math.gcd(den, *(x for plane in num for row in plane for x in row))
-    return tuple(tuple(tuple(x // d for x in row) for row in plane) for plane in num), den // d
+    rows, D = linalg.least_terms([[linalg.dot(row, rhs) for row in H] for plane in koszul for rhs in plane], 2 * q * L)
+    return linalg.planes(rows, n), D
 
 
 @memoized
 def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
     """The product p = P / D of `integer_product`, one Fraction per entry."""
-    P, D = integer_product(m)
-    return LeviCivitaProduct(
-        m.dim, tuple(tuple(tuple(Fraction(x, D) if x else ZERO for x in row) for row in plane) for plane in P)
-    )
+    return LeviCivitaProduct(m.dim, linalg.fraction_tensor(*integer_product(m)))
 
 
 def left_mult(p: LeviCivitaProduct, u: Sequence) -> Mat:

@@ -56,8 +56,10 @@ def gram_with_signature(rng: random.Random, n_plus: int, n_minus: int) -> list[l
     return linalg.mat_mul(linalg.transpose(P), linalg.mat_mul(D, P))
 
 
-def scramble(m: MetricLieAlgebra, rng: random.Random) -> MetricLieAlgebra:
-    return m.change_basis(unimodular_int_matrix(rng, m.dim))
+def scramble(algebra: LieAlgebra, gram: list[list], rng: random.Random) -> MetricLieAlgebra:
+    """The metric Lie algebra (algebra, gram) in a random unimodular integer
+    basis, built once, in that basis (`MetricLieAlgebra.in_basis`)."""
+    return MetricLieAlgebra.in_basis(algebra, gram, unimodular_int_matrix(rng, algebra.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +151,7 @@ def random_metric_algebra(rng: random.Random, dim: int, kind: str = "any") -> Me
         n_minus = 0
     else:
         n_minus = rng.randint(0, dim)
-    gram = gram_with_signature(rng, dim - n_minus, n_minus)
-    m = MetricLieAlgebra.make(algebra, gram)
-    return scramble(m, rng)
+    return scramble(algebra, gram_with_signature(rng, dim - n_minus, n_minus), rng)
 
 
 def theorem1_true_instance(rng: random.Random, dim: int) -> MetricLieAlgebra:
@@ -161,7 +161,7 @@ def theorem1_true_instance(rng: random.Random, dim: int) -> MetricLieAlgebra:
     if dim < 3:
         algebra = LieAlgebra.abelian(dim)
         gram = gram_with_signature(rng, dim - 1, 1)
-        return scramble(MetricLieAlgebra.make(algebra, gram), rng)
+        return scramble(algebra, gram, rng)
     algebra = rotation_algebra(rng, dim)
     p = algebra.derived_subalgebra().dim // 2
     k = dim - 2 * p
@@ -174,7 +174,7 @@ def theorem1_true_instance(rng: random.Random, dim: int) -> MetricLieAlgebra:
         weight = Fraction(rng.randint(1, 3))
         gram[k + 2 * plane][k + 2 * plane] = weight
         gram[k + 2 * plane + 1][k + 2 * plane + 1] = weight
-    return scramble(MetricLieAlgebra.make(algebra, gram), rng)
+    return scramble(algebra, gram, rng)
 
 
 def class_c_instance(rng: random.Random, dim: int, degenerate: bool) -> MetricLieAlgebra:
@@ -201,7 +201,7 @@ def class_c_instance(rng: random.Random, dim: int, degenerate: bool) -> MetricLi
                 gram[j][j] = rational(rng, zero_ok=False)
         if linalg.rank(gram) == n:
             break
-    return scramble(MetricLieAlgebra.make(algebra, gram), rng)
+    return scramble(algebra, gram, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -227,34 +227,36 @@ def _connection_failures(m: MetricLieAlgebra, tag: str) -> list[str]:
     memo, so the solve is checked against an independent right-hand side:
     2 E (Gi P_ij)_k == D (low_ijk - low_jki + low_kij),
     E (L_a - R_a) == D ad_a, L_a^T Gi + Gi L_a == 0 and
-    E (P_ab - P_ba) == D C_ab."""
+    E (P_ab - P_ba) == D C_ab.  The matrices are read off the int planes:
+    column b of L_a, R_a and ad_a is P[a][b], P[b][a] and C[a][b], so column
+    b of E (L_a - R_a) - D ad_a is the torsion residual at (a, b), and
+    (Gi L_a)[r][b] is (Gi P_ab)_r, which the defining identity already
+    formed; Gi is symmetric, so L_a^T Gi + Gi L_a = Gi L_a + (Gi L_a)^T."""
     failures = []
     n = m.dim
+    dot = linalg.dot
     C, E = m.algebra.integer_constants()
     P, D = metric.integer_product(m)
     Gi, _ = m.integer_gram()
-    low = [[linalg.mat_vec(Gi, C[i][j]) for j in range(n)] for i in range(n)]
+    low = [[[dot(row, cij) for row in Gi] for cij in plane] for plane in C]
+    paired = [[[dot(row, pij) for row in Gi] for pij in plane] for plane in P]  # paired[i][j] = Gi P_ij
 
     for i in range(n):
         for j in range(n):
-            paired = linalg.mat_vec(Gi, P[i][j])
             for k in range(n):
-                if 2 * E * paired[k] != D * (low[i][j][k] - low[j][k][i] + low[k][i][j]):
+                if 2 * E * paired[i][j][k] != D * (low[i][j][k] - low[j][k][i] + low[k][i][j]):
                     failures.append(f"{tag}: defining identity fails at ({i}, {j}, {k})")
 
-    basis = linalg.units(n)
     for a in range(n):
-        L = linalg.left_matrix(P, basis[a])
-        R = linalg.right_matrix(P, basis[a])
-        ad = linalg.left_matrix(C, basis[a])
-        if any(E * (x - y) != D * z for lr, rr, ar in zip(L, R, ad) for x, y, z in zip(lr, rr, ar)):
+        torsion = [
+            b for b in range(n) if any(E * (x - y) != D * z for x, y, z in zip(P[a][b], P[b][a], C[a][b]))
+        ]
+        if torsion:
             failures.append(f"{tag}: L - R != ad for basis vector {a}")
-        skew = linalg.mat_add(linalg.mat_mul(linalg.transpose(L), Gi), linalg.mat_mul(Gi, L))
-        if not linalg.is_zero_mat(skew):
+        GL = paired[a]  # GL[b][r] = (Gi L_a)[r][b]
+        if any(GL[b][r] + GL[r][b] for b in range(n) for r in range(b, n)):
             failures.append(f"{tag}: L_u not skew-symmetric for basis vector {a}")
-        for b in range(n):
-            if any(E * (x - y) != D * z for x, y, z in zip(P[a][b], P[b][a], C[a][b])):
-                failures.append(f"{tag}: torsion-freeness fails at ({a}, {b})")
+        failures += [f"{tag}: torsion-freeness fails at ({a}, {b})" for b in torsion]
     return failures
 
 

@@ -1,7 +1,7 @@
 """Differential tests of the integer exact kernel against Fraction oracles.
 
 `linalg.rref`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`,
-`linalg.transport`, `metric.levi_civita`, `metric.is_flat`,
+`linalg.transport`, both `change_basis` methods, `metric.levi_civita`, `metric.is_flat`,
 `theorems.verify_eq2`, `theorems.same_connection`, `classc.scalar_action`,
 `LieAlgebra.is_abelian_subspace` and the sweeps' connection check work in
 Python ints.  Here each is compared with a plain Fraction computation (or,
@@ -10,6 +10,7 @@ seeded instances of dims 1-9, flat and non-flat, with Gram matrices and
 structure constants that have non-unit denominators.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -18,7 +19,14 @@ import pytest
 
 from flatlie import linalg, metric, sweeps
 from flatlie.classc import scalar_action
-from flatlie.errors import DegenerateFormError, InvalidSplitError
+from flatlie.errors import (
+    AntisymmetryError,
+    DegenerateFormError,
+    InvalidSplitError,
+    JacobiError,
+    NonSymmetricError,
+    SingularMatrixError,
+)
 from flatlie.lie import LieAlgebra
 from flatlie.linalg import Subspace
 from flatlie.metric import MetricLieAlgebra, curvature, is_flat, killing_subalgebra, levi_civita
@@ -631,9 +639,107 @@ def test_transport_matches_fraction_change_of_basis(n):
                 moved = linalg.transport(T, P)
                 assert moved == transport_oracle(T, P)
                 assert all(isinstance(x, F) for plane in moved for row in plane for x in row)
+                assert linalg.integer_transport(T, P) == linalg.clear_tensor_denominators(moved)
             t = rng.randint(2, 30)
             scaled = tuple(tuple(tuple(F(x, t) for x in row) for row in plane) for plane in T_int)
             assert linalg.transport(T_int, P, t) == transport_oracle(scaled, P)
+
+
+def gram_oracle(G, P):
+    """P^T G P, in Fractions."""
+    n = len(P)
+    return tuple(
+        tuple(sum((F(P[i][a]) * G[i][j] * P[j][b] for i in range(n) for j in range(n)), F(0)) for b in range(n))
+        for a in range(n)
+    )
+
+
+def _change_of_basis_cases():
+    """(metric, P) with non-unit denominators in the metric, and P an int
+    unimodular matrix, a rational one and a six-digit one."""
+    for n in range(1, 7):
+        rng = random.Random(330 + n)
+        m = sweeps.random_metric_algebra(rng, n).scale_gram(F(-7, 3))
+        if n >= 2:
+            m = m.change_basis(rational_basis(rng, n))
+        for P in (sweeps.unimodular_int_matrix(rng, n), rational_basis(rng, n), six_digit_basis(rng, n, [range(n)])):
+            yield m, P
+
+
+def test_change_basis_hands_over_the_integer_views(monkeypatch):
+    """A change of basis gives the Fraction change of basis, and the new
+    instance's memo starts with its own integer views: each equal to
+    clearing its own fields, so both are in least terms.  An int P reaches
+    the transport as ints."""
+    seen = []
+    integer_transport = linalg.integer_transport
+
+    def spied(T, P, t=1):
+        seen.append({type(x) for row in P for x in row})
+        return integer_transport(T, P, t)
+
+    monkeypatch.setattr(linalg, "integer_transport", spied)
+    for m, P in _change_of_basis_cases():
+        seen.clear()
+        moved = m.change_basis(P)
+        assert moved.algebra.c == transport_oracle(m.algebra.c, P)
+        assert moved.gram == gram_oracle(m.gram, P)
+        Gi, g = linalg.clear_denominators(moved.gram)
+        assert moved._memo == {MetricLieAlgebra.integer_gram.key: (tuple(map(tuple, Gi)), g)}
+        assert moved.algebra._memo == {
+            LieAlgebra.integer_constants.key: linalg.clear_tensor_denominators(moved.algebra.c)
+        }
+        assert moved.signature == m.signature
+        if all(type(x) is int for row in P for x in row):
+            assert seen == [{int}]
+
+
+def test_change_basis_refuses_bad_input():
+    m = sweeps.random_metric_algebra(random.Random(340), 3)
+    singular = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
+    for target in (m, m.algebra):
+        with pytest.raises(SingularMatrixError):
+            target.change_basis(singular)
+        with pytest.raises(TypeError):
+            target.change_basis([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    identity = linalg.identity(3)
+    with pytest.raises(TypeError):
+        MetricLieAlgebra.in_basis(m.algebra, [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], identity)
+    with pytest.raises(ValueError):
+        MetricLieAlgebra.in_basis(m.algebra, [row[:2] for row in m.gram], identity)
+    with pytest.raises(ValueError):
+        MetricLieAlgebra.in_basis(m.algebra, m.gram, identity, 0)
+    assert MetricLieAlgebra.in_basis(m.algebra, m.gram, identity) == m
+
+
+def test_change_basis_checks_every_new_instance(monkeypatch):
+    """The views a change of basis hands over are checked as the
+    constructors check theirs: antisymmetry and Jacobi on the algebra,
+    symmetry and nondegeneracy on the Gram matrix."""
+    m = sweeps.random_metric_algebra(random.Random(341), 3)
+    P = sweeps.unimodular_int_matrix(random.Random(342), 3)
+    o = (0, 0, 0)
+    # [e0, e1] = e2, [e1, e2] = e1: antisymmetric, but the Jacobi sum of
+    # (e0, e1, e2) is [e0, e1] = e2
+    not_lie = ((o, (0, 0, 1), o), ((0, 0, -1), o, (0, 1, 0)), (o, (0, -1, 0), o))
+    not_antisymmetric = ((o, (0, 0, 1), o), (o, o, o), (o, o, o))
+    for tensor, error in ((not_lie, JacobiError), (not_antisymmetric, AntisymmetryError)):
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "integer_transport", lambda T, P, t=1: (tensor, 1))
+            for target in (m, m.algebra):
+                with pytest.raises(error):
+                    target.change_basis(P)
+            with pytest.raises(error):
+                sweeps.scramble(m.algebra, m.gram, random.Random(343))
+    not_symmetric = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    degenerate = ((1, 0, 0), (0, 1, 0), (0, 0, 0))
+    for form, error in ((not_symmetric, NonSymmetricError), (degenerate, DegenerateFormError)):
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "transport_form", lambda G, P, g=1: (form, 1))
+            with pytest.raises(error):
+                m.change_basis(P)
+            with pytest.raises(error):
+                sweeps.scramble(m.algebra, m.gram, random.Random(343))
 
 
 def _axioms_instance():
@@ -659,18 +765,45 @@ def _perturbed_failures(monkeypatch, entry):
         return sweeps._connection_failures(_axioms_instance(), "t")
 
 
+def _expected_failures(i, j, k):
+    """The full failure list of `_perturbed_failures` for entry (i, j, k).
+    The Gram matrix is diagonal, so the defining identity fails at
+    (i, j, k) alone, and Gi L_i + (Gi L_i)^T changes at (k, j) by a nonzero
+    multiple of Gi[k][k], so L_i is no longer skew.  Off the diagonal i != j, torsion
+    fails at (i, j) and (j, i), so L - R != ad for both i and j.  Each basis
+    vector a reports L - R, then skewness, then its torsion pairs."""
+    failures = [f"t: defining identity fails at ({i}, {j}, {k})"]
+    for a in range(3):
+        twisted = i != j and a in (i, j)
+        if twisted:
+            failures.append(f"t: L - R != ad for basis vector {a}")
+        if a == i:
+            failures.append(f"t: L_u not skew-symmetric for basis vector {a}")
+        if twisted:
+            failures.append(f"t: torsion-freeness fails at ({a}, {i + j - a})")
+    return failures
+
+
 def test_connection_check_reports_a_perturbed_product_entry(monkeypatch):
+    """Every single-entry +1 perturbation of the product gives the full
+    failure list, in order, that the check built from left_matrix,
+    right_matrix and mat_mul gave."""
     assert sweeps._connection_failures(_axioms_instance(), "t") == []
-    failures = _perturbed_failures(monkeypatch, (0, 1, 2))
-    assert [f for f in failures if "defining identity" in f] == ["t: defining identity fails at (0, 1, 2)"]
-    assert "t: torsion-freeness fails at (0, 1)" in failures
-    failures = _perturbed_failures(monkeypatch, (1, 2, 0))
-    assert [f for f in failures if "defining identity" in f] == ["t: defining identity fails at (1, 2, 0)"]
-    assert "t: L - R != ad for basis vector 1" in failures
-    # a diagonal entry keeps L - R = ad but breaks the defining identity
-    failures = _perturbed_failures(monkeypatch, (2, 2, 1))
-    assert failures and not any("torsion" in f or "L - R" in f for f in failures)
-    assert "t: defining identity fails at (2, 2, 1)" in failures
+    for entry in itertools.product(range(3), repeat=3):
+        assert _perturbed_failures(monkeypatch, entry) == _expected_failures(*entry), entry
+    # spot checks, written out: an off-diagonal entry and a diagonal one
+    assert _perturbed_failures(monkeypatch, (1, 2, 0)) == [
+        "t: defining identity fails at (1, 2, 0)",
+        "t: L - R != ad for basis vector 1",
+        "t: L_u not skew-symmetric for basis vector 1",
+        "t: torsion-freeness fails at (1, 2)",
+        "t: L - R != ad for basis vector 2",
+        "t: torsion-freeness fails at (2, 1)",
+    ]
+    assert _perturbed_failures(monkeypatch, (2, 2, 1)) == [
+        "t: defining identity fails at (2, 2, 1)",
+        "t: L_u not skew-symmetric for basis vector 2",
+    ]
 
 
 def test_transport_beyond_the_packed_width(monkeypatch):

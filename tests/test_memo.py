@@ -11,7 +11,8 @@ import pytest
 from flatlie import catalog, classc, inputdoc, linalg, metric, report, sweeps, theorems
 from flatlie.cli import main
 from flatlie.errors import AntisymmetryError
-from flatlie.metric import is_flat, killing_subalgebra, levi_civita
+from flatlie.lie import LieAlgebra
+from flatlie.metric import MetricLieAlgebra, is_flat, killing_subalgebra, levi_civita
 from flatlie.theorems import theorem1_check
 
 
@@ -56,9 +57,11 @@ def test_analysis_report_builds_curvature_only_for_the_witness(monkeypatch):
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
 def test_structure_constants_and_product_are_cleared_once(monkeypatch, name):
-    """Each LieAlgebra clears its structure constants once, at construction;
-    one analysis then clears no tensor: the Levi-Civita product is solved
-    straight into its integer view."""
+    """Each LieAlgebra built by its constructor clears its structure
+    constants once, at construction; one analysis then clears no tensor:
+    the Levi-Civita product is solved straight into its integer view.  A
+    change of basis clears none either: the transport hands the new algebra
+    its integer view, which equals clearing the new constants."""
     calls = []
     clear = linalg.clear_tensor_denominators
 
@@ -72,8 +75,9 @@ def test_structure_constants_and_product_are_cleared_once(monkeypatch, name):
     calls.clear()
     report.analysis_report(m)
     assert len(calls) == 0
-    m.algebra.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
-    assert len(calls) == 1
+    moved = m.algebra.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
+    assert len(calls) == 0
+    assert _holds_only_its_own_views(moved)
 
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
@@ -192,15 +196,29 @@ def test_repeated_calls_return_the_same_object():
 def _holds_only_its_integer_constants(a):
     """The memo of an algebra nothing has been asked of: the integer view
     its Jacobi check read, cleared from its own structure constants."""
-    return a._memo == {"flatlie.lie.LieAlgebra.integer_constants": linalg.clear_tensor_denominators(a.c)}
+    return a._memo == {LieAlgebra.integer_constants.key: linalg.clear_tensor_denominators(a.c)}
+
+
+def _holds_only_its_own_views(x):
+    """The memo of an instance built by a change of basis, nothing asked of
+    it yet: its own integer views, each equal to clearing its own fields,
+    and nothing else (the algebra's view alone, for a LieAlgebra)."""
+    if isinstance(x, LieAlgebra):
+        return _holds_only_its_integer_constants(x)
+    Gi, g = linalg.clear_denominators(x.gram)
+    own = {MetricLieAlgebra.integer_gram.key: (tuple(map(tuple, Gi)), g)}
+    return x._memo == own and _holds_only_its_own_views(x.algebra)
 
 
 def test_memo_is_invisible_to_eq_hash_and_repr():
+    """Sweep instances are built by a change of basis, so a fresh one holds
+    its own integer views; an analysed one holds many more values.  Neither
+    shows in ==, hash, repr or pickle."""
     m = _instance()
     fresh = _instance()
     report.analysis_report(m)
-    assert m._memo and len(m.algebra._memo) > 1
-    assert not fresh._memo and _holds_only_its_integer_constants(fresh.algebra)
+    assert len(m._memo) > 1 and len(m.algebra._memo) > 1
+    assert _holds_only_its_own_views(fresh)
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
     assert m.algebra == fresh.algebra and hash(m.algebra) == hash(fresh.algebra)
     assert repr(m.algebra) == repr(fresh.algebra)
@@ -222,12 +240,18 @@ def test_copies_are_rebuilt_by_the_constructor_without_the_memo():
         m.algebra._replace(c=tuple(map(tuple, c)))
 
 
-def test_derived_instances_start_with_an_empty_memo():
+def test_derived_instances_hold_only_their_own_views():
+    """A metric made by scale_gram starts with an empty memo.  One made by
+    change_basis starts with its own integer views, handed over by the
+    transport: equal to clearing its own fields, and nothing read or copied
+    from the analysed parent's memo."""
     m = _instance()
     report.analysis_report(m)
     assert m.scale_gram(2)._memo == {}
     moved = m.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
-    assert moved._memo == {} and _holds_only_its_integer_constants(moved.algebra)
+    assert _holds_only_its_own_views(moved)
+    parent_values = [id(v) for memo in (m._memo, m.algebra._memo) for v in memo.values()]
+    assert not any(id(v) in parent_values for memo in (moved._memo, moved.algebra._memo) for v in memo.values())
 
 
 def test_class_c_analysis_detects_once(monkeypatch):
