@@ -38,8 +38,6 @@ _EXPORTS = {
         "corollary1_check",
         "riemannian_companion",
         "same_connection",
-        "Corollary2Report",
-        "corollary2_forward_check",
     ),
     "classc": (
         "ClassCStructure",

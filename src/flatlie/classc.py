@@ -14,7 +14,6 @@ from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
-    AbelianInputError,
     InvalidWitnessError,
     NotClassCError,
     NotDegenerateError,
@@ -71,12 +70,12 @@ def detect(a: LieAlgebra) -> ClassCStructure | None:
     """Structural detection: derived algebra abelian of codimension 1 and a
     transversal acting on it by a nonzero scalar.
 
-    Returns None when any condition fails.  Sampling the span property
+    Returns None when any condition fails, abelian algebras included: their
+    derived algebra {0} has codimension 1 only in dim 1, where
+    `scalar_action` is None on U = {0}.  Sampling the span property
     [x, y] in span{x, y} cannot certify membership in the class, so it is
     only used as a cross-check in the tests.
     """
-    if a.is_abelian():
-        raise AbelianInputError("class-C detection is only defined for non-abelian algebras")
     U = a.derived_subalgebra()
     if U.dim != a.dim - 1 or not a.is_abelian_subspace(U):
         return None
@@ -119,10 +118,7 @@ def theorem2_check(m: MetricLieAlgebra) -> Theorem2Report:
 
 
 def _require_class_c(a: LieAlgebra) -> ClassCStructure:
-    try:
-        structure = detect(a)
-    except AbelianInputError:
-        raise NotClassCError("abelian algebras are not in class C") from None
+    structure = detect(a)
     if structure is None:
         raise NotClassCError("algebra has no abelian codimension-1 ideal with scalar transversal action")
     return structure

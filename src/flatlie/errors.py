@@ -68,10 +68,6 @@ class MismatchedAlgebrasError(FlatLieError):
     """Two metric Lie algebras do not share the same underlying algebra."""
 
 
-class AbelianInputError(FlatLieError):
-    """Operation is only defined for non-abelian Lie algebras."""
-
-
 class NotClassCError(FlatLieError):
     """The algebra has no abelian codimension-1 ideal with scalar transversal action."""
 

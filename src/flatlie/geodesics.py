@@ -138,7 +138,7 @@ def integrate(
         raise InvalidGeodesicInputError("t_max", f"must be at least {10 * MIN_STEP:g}, got {t_max}")
     components = [float(x) for x in v0]
     if len(components) != m.dim:
-        raise ValueError(f"initial velocity must have {m.dim} components")
+        raise InvalidGeodesicInputError("v0", f"must have {m.dim} components, got {len(components)}")
     if not all(map(math.isfinite, components)):
         raise InvalidGeodesicInputError("v0", f"must have finite components, got {components}")
     import numpy as np

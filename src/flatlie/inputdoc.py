@@ -172,9 +172,10 @@ def emit_document(m: MetricLieAlgebra) -> dict:
         raise ParseError(f"dim: expected an integer from 1 to {MAX_DIM}, got {n!r}")
 
     def emit(x, where: str) -> str:
-        text = str(x)
-        parse_rational(text, where)
-        return text
+        # capped before str(x), which refuses an int of more than 4,300 digits
+        if abs(x.numerator) >= 10**MAX_DIGITS or x.denominator >= 10**MAX_DIGITS:
+            raise _too_long(where, "the rational")
+        return str(x)
 
     brackets = []
     for i in range(n):

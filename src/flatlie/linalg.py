@@ -34,7 +34,7 @@ from itertools import chain
 from operator import lshift, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateFormError, NonSymmetricError, SingularMatrixError
+from .errors import NonSymmetricError, SingularMatrixError
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -574,11 +574,10 @@ def restrict_form(G: Sequence[Sequence], V: Subspace, g: int = 1, W: Subspace | 
 
 
 def orthogonal_complement(V: Subspace, G: Sequence[Sequence]) -> Subspace:
-    """V-perp for a nondegenerate symmetric form G (ints or Fractions) on
-    the ambient space: the kernel of the rows G v, for the basis of V
-    cleared to integers."""
-    if rank(G) < len(G):
-        raise DegenerateFormError("orthogonal complement requires a nondegenerate ambient form")
+    """V-perp {x : <v, x> = 0 for all v in V} for a symmetric form G (ints
+    or Fractions) on the ambient space: the kernel of the rows G v, for the
+    basis of V cleared to integers.  G is not checked to be nondegenerate:
+    the callers pass a metric's `integer_gram`, proved so at construction."""
     n = V.ambient_dim
     if V.dim == 0:
         return Subspace.full(n)

@@ -11,7 +11,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import AbelianInputError
 from .linalg import Subspace
 from .metric import MetricLieAlgebra, is_flat, killing_subalgebra
 
@@ -115,10 +114,7 @@ def riemannian_flat_section(m: MetricLieAlgebra) -> dict | None:
 def class_c_section(m: MetricLieAlgebra) -> dict:
     from . import classc
 
-    try:
-        structure = classc.detect(m.algebra)
-    except AbelianInputError:
-        structure = None
+    structure = classc.detect(m.algebra)
     if structure is None:
         return {"detected": False}
     t2 = classc.theorem2_check(m)

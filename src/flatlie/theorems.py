@@ -2,8 +2,10 @@
 
 Each check computes both sides of its equivalence independently (curvature on
 one side, subspace structure on the other) and reports them separately: the
-module verifies, it does not assume, except Corollary 2's converse, which
-`corollary2_forward_check` takes by argument (ROADMAP item 5).
+module verifies, it does not assume.  Of Corollary 2 only the forward
+direction is checked: `riemannian_companion` builds a same-connection
+Riemannian metric from a timelike Killing vector and checks it; the converse
+is not computed (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -209,31 +211,3 @@ def riemannian_companion(m: MetricLieAlgebra) -> MetricLieAlgebra:
     if not same_connection(m, companion):
         raise AssertionError("companion construction changed the Levi-Civita product")
     return companion
-
-
-class Corollary2Report(NamedTuple):
-    """`companion_exists` is computed only when `timelike_killing_exists`
-    holds; otherwise it is False by argument, not by search (ROADMAP item 5)."""
-
-    timelike_killing_exists: bool
-    companion_exists: bool
-    connection_verified: bool | None
-    companion: MetricLieAlgebra | None
-
-
-def corollary2_forward_check(m: MetricLieAlgebra) -> Corollary2Report:
-    """On a flat Lorentzian instance: a timelike left-invariant Killing
-    vector exists iff a same-connection Riemannian metric does.
-
-    When a timelike vector exists the companion is built, and its connection
-    checked, by `riemannian_companion`.
-    When none exists, nothing is computed: both flags are false by argument (a
-    same-connection Riemannian metric would force a timelike Killing direction
-    via the shared split), so that direction is assumed (ROADMAP item 5).
-    """
-    report = theorem1_check(m)
-    if not report.flat:
-        raise HypothesisNotMetError("requires a flat metric")
-    if not report.timelike_killing:
-        return Corollary2Report(False, False, None, None)
-    return Corollary2Report(True, True, True, riemannian_companion(m))

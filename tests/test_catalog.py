@@ -2,7 +2,6 @@ from fractions import Fraction as F
 
 from flatlie import catalog, linalg
 from flatlie.classc import detect, incompleteness_verdict, theorem2_check
-from flatlie.errors import AbelianInputError
 from flatlie.metric import is_flat, killing_subalgebra
 from flatlie.theorems import riemannian_flat_check, theorem1_check
 
@@ -47,7 +46,4 @@ def test_every_entry_matches_documented_verdicts():
             if "verdict" in exp:
                 assert incompleteness_verdict(m).verdict == exp["verdict"], name
         else:
-            try:
-                assert detect(m.algebra) is None, name
-            except AbelianInputError:
-                pass  # abelian entries are outside class C by definition
+            assert detect(m.algebra) is None, name

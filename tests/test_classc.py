@@ -14,7 +14,7 @@ from flatlie.classc import (
     witness_change_of_basis,
     witness_scale,
 )
-from flatlie.errors import AbelianInputError, NotClassCError, NotDegenerateError
+from flatlie.errors import NotClassCError, NotDegenerateError
 from flatlie.lie import LieAlgebra
 from flatlie.linalg import Subspace
 from flatlie.metric import MetricLieAlgebra, curvature, levi_civita
@@ -54,8 +54,10 @@ def test_detect_rejections():
     # abelian codimension-1 ideal but diagonal (non-scalar) action: not class C
     diag = LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, 2]})
     assert detect(diag) is None
-    with pytest.raises(AbelianInputError):
-        detect(LieAlgebra.abelian(3))
+    # abelian algebras are outside class C: from dim 2 the derived algebra
+    # {0} has the wrong codimension, in dim 1 no scalar acts on U = {0}
+    for n in range(1, 5):
+        assert detect(LieAlgebra.abelian(n)) is None, n
 
 
 def test_detect_survives_change_of_basis():

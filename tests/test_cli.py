@@ -195,6 +195,10 @@ def test_emit_document_refuses_what_loads_refuses():
     too_big = MetricLieAlgebra.make(LieAlgebra.abelian(n), linalg.identity(n))
     with pytest.raises(ParseError, match=rf"^dim: .*{inputdoc.MAX_DIM}"):
         inputdoc.emit_document(too_big)
+    # beyond the int/str digit limit, where str() of the rational raises
+    huge = MetricLieAlgebra.make(LieAlgebra.abelian(1), [[F(10**5000 + 1)]])
+    with pytest.raises(ParseError, match=rf"^metric\[0\]\[0\]: .* more than {inputdoc.MAX_DIGITS} digits"):
+        inputdoc.emit_document(huge)
 
 
 def test_validate_rejects_oversized_dim(capsys, tmp_path):
@@ -272,6 +276,27 @@ def test_companion_output(capsys, tmp_path):
     assert code == 1
     code, _, _ = run(capsys, "companion", "-i", write_doc(tmp_path, "heisenberg_euclidean"))
     assert code == 2
+
+
+def _expected_exit(command, expected):
+    """The exit code a single-verdict command owes a catalog entry:
+    0 = yes, 1 = the math says no, 2 = the command's precondition fails."""
+    lorentzian = expected["signature"][1:] == (1, 0)
+    if command == "flat":
+        return 0 if expected["flat"] else 1
+    if command in ("theorem1", "companion"):
+        return (0 if expected["theorem1"][0] else 1) if lorentzian else 2
+    return (0 if expected["flat"] else 1) if expected["class_c"] else 2
+
+
+@pytest.mark.parametrize("command", ["flat", "theorem1", "theorem2", "companion"])
+@pytest.mark.parametrize("name", catalog.names())
+def test_single_verdict_exit_codes_on_the_catalog(capsys, tmp_path, name, command):
+    want = _expected_exit(command, catalog.get(name).expected)
+    code, _, err = run(capsys, command, "-i", write_doc(tmp_path, name))
+    assert code == want
+    if code == 2 and command in ("theorem1", "companion"):
+        assert "Lorentzian" in err
 
 
 def test_geodesic_command(capsys, tmp_path):

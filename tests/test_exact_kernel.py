@@ -894,6 +894,15 @@ def _perturbed(m, rng):
         return None
 
 
+def _random_lorentzian(rng, n):
+    return sweeps.random_metric_algebra(rng, n, kind="lorentzian")
+
+
+def _random_riemannian(rng, n):
+    """A positive definite instance, drawn as `random_metric_algebra` draws."""
+    return sweeps.scramble(sweeps.random_algebra(rng, n), sweeps.gram_with_signature(rng, n, 0), rng)
+
+
 def connection_pairs():
     """(m1, m2) pairs on one algebra: flat split metrics with their
     Riemannian companions and perturbed companions, and sweep instances
@@ -911,8 +920,8 @@ def connection_pairs():
                     pairs += [(m, pert), (pert, m)]
     for n in range(2, 7):
         rng = random.Random(700 + n)
-        for kind in ("any", "lorentzian", "riemannian"):
-            m = sweeps.random_metric_algebra(rng, n, kind)
+        for make in (sweeps.random_metric_algebra, _random_lorentzian, _random_riemannian):
+            m = make(rng, n)
             other = MetricLieAlgebra.make(m.algebra, sweeps.gram_with_signature(rng, n - 1, 1))
             pairs += [(m, m.scale_gram(sweeps.rational(rng, zero_ok=False))), (m, other)]
             pert = _perturbed(m, rng)

@@ -192,6 +192,10 @@ def test_horizon_and_initial_velocity_validated():
         with pytest.raises(InvalidGeodesicInputError) as info:
             integrate(m, huge, t_max=1.0)
         assert info.value.field == "v0"
+    for short_or_long in ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(InvalidGeodesicInputError) as info:
+            integrate(m, short_or_long, t_max=1.0)
+        assert (info.value.field, info.value.reason) == ("v0", f"must have 3 components, got {len(short_or_long)}")
 
 
 def test_step_cap_ends_a_huge_horizon(monkeypatch):

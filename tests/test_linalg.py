@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from flatlie import linalg, sweeps
-from flatlie.errors import DegenerateFormError, NonSymmetricError, SingularMatrixError
+from flatlie.errors import NonSymmetricError, SingularMatrixError
 from flatlie.linalg import Subspace
 from flatlie.metric import levi_civita
 
@@ -262,8 +262,9 @@ def test_orthogonal_complement_cases():
     assert linalg.orthogonal_complement(Subspace.full(3), G).dim == 0
     V = Subspace.span(3, [[1, 0, 0]])
     assert linalg.orthogonal_complement(V, G) == Subspace.span(3, [[0, 1, 0], [0, 0, 1]])
-    with pytest.raises(DegenerateFormError):
-        linalg.orthogonal_complement(V, linalg.zeros(3, 3))
+    # a degenerate form is not refused: V-perp is {x : <v, x> = 0 on V}
+    degenerate = linalg.mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert linalg.orthogonal_complement(V, degenerate) == Subspace.span(3, [[0, 1, 0], [0, 0, 1]])
 
 
 def test_orthogonal_complement_dimension_identity():

@@ -126,7 +126,7 @@ def test_companion_reuses_the_timelike_witness_and_checks_once(monkeypatch):
     """One analysis with a companion diagonalizes two forms, the Killing
     restriction (for Theorem 1's timelike witness, which the companion
     reflects in) and the companion's own Gram matrix (its signature), and
-    checks the companion's connection once.  Corollary 2 then reads the
+    checks the companion's connection once.  A second call reads the
     memoized companion and repeats neither."""
     m = _golden_input("dim6_flat_split_lorentzian")
     counts = {"congruence": 0, "same_connection": 0}
@@ -135,8 +135,7 @@ def test_companion_reuses_the_timelike_witness_and_checks_once(monkeypatch):
     section = report.analysis_report(m)
     assert section["companion"]["same_connection"] is True
     assert counts == {"congruence": 2, "same_connection": 1}
-    r = theorems.corollary2_forward_check(m)
-    assert r.connection_verified is True and r.companion is theorems.riemannian_companion(m)
+    assert theorems.riemannian_companion(m).is_riemannian
     assert counts == {"congruence": 2, "same_connection": 1}
 
 

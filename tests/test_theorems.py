@@ -16,7 +16,6 @@ from flatlie.linalg import Subspace
 from flatlie.metric import MetricLieAlgebra
 from flatlie.theorems import (
     corollary1_check,
-    corollary2_forward_check,
     riemannian_companion,
     riemannian_flat_check,
     same_connection,
@@ -180,15 +179,20 @@ def test_same_connection():
 
 
 def test_corollary2():
-    r = corollary2_forward_check(catalog.build("rot3"))
-    assert r.timelike_killing_exists and r.companion_exists and r.connection_verified
-    r = corollary2_forward_check(catalog.build("abelian_minkowski"))
-    assert r.timelike_killing_exists and r.companion_exists
-    r = corollary2_forward_check(catalog.build("classc2_flat"))
-    assert not r.timelike_killing_exists and not r.companion_exists
+    """Corollary 2's forward direction: on a flat Lorentzian instance with a
+    timelike Killing vector, `riemannian_companion` returns a positive
+    definite metric with the same connection; without one it refuses."""
+    for name in ("rot3", "abelian_minkowski"):
+        m = catalog.build(name)
+        assert theorem1_check(m).timelike_killing
+        companion = riemannian_companion(m)
+        assert companion.is_riemannian and same_connection(m, companion)
+    m = catalog.build("classc2_flat")
+    r = theorem1_check(m)
+    assert r.flat and not r.timelike_killing
     with pytest.raises(HypothesisNotMetError):
-        corollary2_forward_check(
-            MetricLieAlgebra.make(
-                catalog.build("classc2_flat").algebra, [[-1, 0], [0, 1]]
-            )
-        )  # Lorentzian but not flat
+        riemannian_companion(m)
+    m = MetricLieAlgebra.make(catalog.build("classc2_flat").algebra, [[-1, 0], [0, 1]])
+    assert not theorem1_check(m).flat  # Lorentzian but not flat
+    with pytest.raises(HypothesisNotMetError):
+        riemannian_companion(m)
