@@ -18,7 +18,7 @@ from .metric import MetricLieAlgebra, killing_subalgebra
 
 
 #: Upper bound on `analyze --sweep N`, so the sweeps end in minutes
-#: (`--sweep 1000` takes about 6 s on a 2-vCPU Xeon).
+#: (`--sweep 1000` takes about 4.3 s on a 2-vCPU Xeon).
 MAX_SWEEP = 10_000
 
 

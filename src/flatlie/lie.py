@@ -172,15 +172,18 @@ class LieAlgebra(CheckedRecord, _LieFields):
         """True iff the derived subalgebra is abelian."""
         return self.is_abelian_subspace(self.derived_subalgebra())
 
+    @classmethod
+    def in_basis(cls, view: tuple[Sequence, int], P: Sequence[Sequence]) -> "LieAlgebra":
+        """The algebra C / E of the integer view (C, E), in any terms, built
+        once, in the basis whose j-th vector is column j of P (old
+        coordinates): `linalg.integer_transport` hands it its least-terms
+        `integer_constants`.  P holds ints, kept as ints, or anything `frac`
+        coerces (a float raises TypeError, a singular P SingularMatrixError).
+        Its antisymmetry and Jacobi check covers (C, E): P is invertible."""
+        C, E = view
+        moved = linalg.integer_transport(C, linalg.exact_mat(P), E)
+        return cls._seeded((len(C), linalg.fraction_tensor(*moved)), {cls.integer_constants.key: moved})
+
     def change_basis(self, P: Sequence[Sequence]) -> "LieAlgebra":
-        """Transport to the basis whose j-th vector is column j of P (old
-        coordinates).  P holds ints, kept as ints, or anything `frac`
-        coerces; a float raises TypeError and a singular P
-        SingularMatrixError.  `linalg.integer_transport` moves the integer
-        view (C, E) to the least-terms view of the new algebra, which is its
-        `integer_constants` from the start, so its structure constants are
-        never cleared; antisymmetry and Jacobi are checked on it as in the
-        constructor."""
-        C, E = self.integer_constants()
-        view = linalg.integer_transport(C, linalg.exact_mat(P), E)
-        return LieAlgebra._seeded((self.dim, linalg.fraction_tensor(*view)), {LieAlgebra.integer_constants.key: view})
+        """`in_basis` from `integer_constants`."""
+        return LieAlgebra.in_basis(self.integer_constants(), P)

@@ -275,7 +275,8 @@ def transport_form(G: Sequence[Sequence], P: Sequence[Sequence], g: int = 1) -> 
     G = Gi / s and P = Pi / p it is Pi^T Gi Pi over g s p^2."""
     Gi, s = clear_denominators(G)
     Pi, p = clear_denominators(P)
-    return least_terms(mat_mul(transpose(Pi), mat_mul(Gi, Pi)), g * s * p * p)
+    GP = [[dot(row, col) for row in Gi] for col in zip(*Pi)]  # GP[b]: column b of Gi Pi
+    return least_terms([[dot(col, GPb) for GPb in GP] for col in zip(*Pi)], g * s * p * p)
 
 
 def mat_sub(A, B) -> Mat:
@@ -485,11 +486,7 @@ def signature(S: Sequence[Sequence[Fraction]]) -> Signature:
     """Sylvester signature of a symmetric matrix, computed exactly: the
     signs of the integer diagonal of `congruence`."""
     _, d = congruence(S)
-    return Signature(
-        n_plus=sum(1 for x in d if x > 0),
-        n_minus=sum(1 for x in d if x < 0),
-        n_zero=sum(1 for x in d if x == 0),
-    )
+    return Signature(sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
 
 
 class Subspace(NamedTuple):

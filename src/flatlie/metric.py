@@ -104,11 +104,12 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
 
     @classmethod
     def in_basis(
-        cls, algebra: LieAlgebra, gram: Sequence[Sequence], P: Sequence[Sequence], g: int = 1
+        cls, view: tuple[Sequence, int], gram: Sequence[Sequence], P: Sequence[Sequence], g: int = 1
     ) -> "MetricLieAlgebra":
-        """The metric Lie algebra (algebra, gram / g) moved to the basis given
-        by the columns of P, built once, in that basis: the algebra by
-        `LieAlgebra.change_basis`, the Gram matrix P^T (gram / g) P by
+        """The metric Lie algebra (C / E, gram / g), for the integer view
+        view = (C, E) of its structure constants, built once, in the basis
+        given by the columns of P: the algebra by `LieAlgebra.in_basis`, the
+        Gram matrix P^T (gram / g) P by
         `linalg.transport_form`, whose least-terms view is the new metric's
         `integer_gram` from the start.  Symmetry and nondegeneracy are
         checked on the new Gram matrix as in the constructor; an invertible
@@ -116,17 +117,15 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
         kept as ints, or anything `frac` coerces (floats raise TypeError),
         and g is a positive int; a singular P raises SingularMatrixError."""
         P = linalg.exact_mat(P)
-        n = algebra.dim
-        if len(gram) != n or any(len(r) != n for r in gram):
+        moved = LieAlgebra.in_basis(view, P)
+        if len(gram) != moved.dim or any(len(r) != moved.dim for r in gram):
             raise ValueError("Gram matrix size must match the algebra dimension")
         if g < 1:
             raise ValueError("the denominator g must be positive")
-        moved = algebra.change_basis(P)
-        view = linalg.transport_form(linalg.exact_mat(gram), P, g)
-        G, h = view
+        G, h = form = linalg.transport_form(linalg.exact_mat(gram), P, g)
         return cls._seeded(
             (moved, tuple(tuple(Fraction(x, h) if x else ZERO for x in row) for row in G)),
-            {MetricLieAlgebra.integer_gram.key: view},
+            {MetricLieAlgebra.integer_gram.key: form},
         )
 
     def change_basis(self, P: Sequence[Sequence]) -> "MetricLieAlgebra":
@@ -134,7 +133,7 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
         columns of P (gram -> P^T gram P), from the integer views (C, E) and
         (Gi, g): see `in_basis`."""
         Gi, g = self.integer_gram()
-        return MetricLieAlgebra.in_basis(self.algebra, Gi, P, g)
+        return MetricLieAlgebra.in_basis(self.algebra.integer_constants(), Gi, P, g)
 
 
 class LeviCivitaProduct(NamedTuple):
@@ -186,7 +185,8 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
 
 @memoized
 def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
-    """The product p = P / D of `integer_product`, one Fraction per entry."""
+    """The product p = P / D of `integer_product`, one Fraction per entry,
+    for oracles and library callers: every exact layer reads (P, D)."""
     return LeviCivitaProduct(m.dim, linalg.fraction_tensor(*integer_product(m)))
 
 
@@ -290,16 +290,16 @@ def timelike_vector(m: MetricLieAlgebra, V: Subspace) -> tuple[int, ...] | None:
 
 
 def product_span(p: LeviCivitaProduct) -> Subspace:
-    """span{e_i e_j : all i, j} (the set g.g)."""
-    vectors = [list(p.p[i][j]) for i in range(p.dim) for j in range(p.dim)]
-    return Subspace.span(p.dim, vectors)
+    """span{e_i e_j : all i, j} (the set g.g), from the definition: an
+    oracle for `verify_killing_triple_identity`, which reads (P, D)."""
+    return Subspace.span(p.dim, chain(*p.p))
 
 
 def right_mult_kernel(p: LeviCivitaProduct) -> Subspace:
-    """{u : R_u = 0}, again a kernel since u -> R_u is linear."""
+    """{u : R_u = 0}, again a kernel since u -> R_u is linear: an oracle
+    from the definition, as `product_span` is."""
     n = p.dim
-    constraints = [[p.p[j][b][k] for b in range(n)] for j in range(n) for k in range(n)]
-    return linalg.kernel(constraints)
+    return linalg.kernel([[p.p[j][b][k] for b in range(n)] for j in range(n) for k in range(n)])
 
 
 class KillingTripleReport(NamedTuple):
@@ -314,14 +314,14 @@ class KillingTripleReport(NamedTuple):
 
 def verify_killing_triple_identity(m: MetricLieAlgebra) -> KillingTripleReport:
     """For a flat Riemannian or Lorentzian instance, compute independently
-    the Killing subalgebra, (g.g)-perp and ker(u -> R_u) and compare."""
+    the Killing subalgebra, (g.g)-perp and ker(u -> R_u) and compare, the
+    last two on the int planes of p = P / D (rows P[i][j] and (P[j][b][k])_b)."""
     if not (m.is_riemannian or m.is_lorentzian):
         raise HypothesisNotMetError("triple identity requires a Riemannian or Lorentzian signature")
     if not is_flat(m).flat:
         raise HypothesisNotMetError("triple identity requires a flat metric")
-    p = levi_civita(m)
+    (P, _), n = integer_product(m), m.dim
     s1 = killing_subalgebra(m)
-    s2 = linalg.orthogonal_complement(product_span(p), m.integer_gram()[0])
-    s3 = right_mult_kernel(p)
-    equal = s1 == s2 == s3
-    return KillingTripleReport(s1, s2, s3, equal, m.algebra.is_abelian_subspace(s1))
+    s2 = linalg.orthogonal_complement(Subspace.row_space(n, list(chain(*P))), m.integer_gram()[0])
+    s3 = linalg.kernel([[P[j][b][k] for b in range(n)] for j in range(n) for k in range(n)])
+    return KillingTripleReport(s1, s2, s3, s1 == s2 == s3, m.algebra.is_abelian_subspace(s1))

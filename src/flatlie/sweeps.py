@@ -1,25 +1,34 @@
 """Seeded random instance generators and the randomized property sweeps.
 
-Random Lie algebras are built from families that satisfy Jacobi by
-construction (abelian, scalar-bracket, nilpotent, torus-rotation, simple
-dim-3) and then scrambled by a random integer change of basis; Gram matrices
-are built by congruence from a chosen diagonal so their signatures are
-exact.  Every sweep returns a list of human-readable failure strings, empty
-when the property held on every instance.
+Random Lie algebras come from families that satisfy Jacobi by construction
+(abelian, scalar-bracket, nilpotent, torus-rotation, simple dim-3).  Each
+family draws a bracket table, the arguments of `LieAlgebra.from_brackets`,
+and builds no algebra: `scramble` clears the table to its integer view and
+builds the instance once, in a random unimodular integer basis, where its
+constructor checks run once.  Antisymmetry, Jacobi, symmetry and
+nondegeneracy are all kept by an invertible change of basis, so that one
+check covers the table too.  Gram matrices are built by congruence from a
+chosen diagonal so their signatures are exact.  Every sweep returns a list
+of human-readable failure strings, empty when the property held on every
+instance.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg, metric
 from .classc import theorem2_check
-from .lie import LieAlgebra
-from .linalg import ONE, ZERO
+from .linalg import ONE, ZERO, IntTensor
 from .metric import MetricLieAlgebra, is_flat, verify_killing_triple_identity
 from .theorems import same_connection, theorem1_check
+
+#: (dim, brackets): the arguments of `LieAlgebra.from_brackets`, keys
+#: (i, j) with i < j and Fraction coefficients.
+Table = tuple[int, dict[tuple[int, int], list[Fraction]]]
 
 
 def rational(rng: random.Random, zero_ok: bool = True) -> Fraction:
@@ -40,7 +49,7 @@ def unimodular_int_matrix(rng: random.Random, n: int) -> list[list[int]]:
             L[i][j] = rng.randint(-1, 1)
         for j in range(i + 1, n):
             U[i][j] = rng.randint(-1, 1)
-    P = linalg.mat_mul(L, U)
+    P = [[linalg.dot(row, col) for col in zip(*U)] for row in L]
     perm = list(range(n))
     rng.shuffle(perm)
     return [[P[i][perm[j]] for j in range(n)] for i in range(n)]
@@ -48,25 +57,38 @@ def unimodular_int_matrix(rng: random.Random, n: int) -> list[list[int]]:
 
 def gram_with_signature(rng: random.Random, n_plus: int, n_minus: int) -> list[list[int]]:
     """P^T diag(+-1) P for random invertible P: exact prescribed signature."""
-    n = n_plus + n_minus
     diag = [1] * n_plus + [-1] * n_minus
     rng.shuffle(diag)
-    D = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    P = unimodular_int_matrix(rng, n)
-    return linalg.mat_mul(linalg.transpose(P), linalg.mat_mul(D, P))
+    P = unimodular_int_matrix(rng, n_plus + n_minus)
+    DP = [[d * x for x in row] for d, row in zip(diag, P)]  # diag(+-1) P
+    return [[linalg.dot(a, b) for b in zip(*DP)] for a in zip(*P)]
 
 
-def scramble(algebra: LieAlgebra, gram: list[list], rng: random.Random) -> MetricLieAlgebra:
-    """The metric Lie algebra (algebra, gram) in a random unimodular integer
-    basis, built once, in that basis (`MetricLieAlgebra.in_basis`)."""
-    return MetricLieAlgebra.in_basis(algebra, gram, unimodular_int_matrix(rng, algebra.dim))
+def integer_view(table: Table) -> tuple[IntTensor, int]:
+    """(C, E) with C / E the structure constants of the table, antisymmetric
+    completion included, and E the lcm of its denominators: the view
+    `LieAlgebra.integer_constants` would clear from `from_brackets(*table)`."""
+    dim, brackets = table
+    E = math.lcm(*(x.denominator for v in brackets.values() for x in v))
+    C = [[(0,) * dim] * dim for _ in range(dim)]
+    for (i, j), v in brackets.items():
+        C[i][j] = tuple(x.numerator * (E // x.denominator) for x in v)
+        C[j][i] = tuple(-x for x in C[i][j])
+    return tuple(map(tuple, C)), E
+
+
+def scramble(table: Table, gram: list[list], rng: random.Random) -> MetricLieAlgebra:
+    """The metric Lie algebra (table, gram) in a random unimodular integer
+    basis, built once, in that basis, from the table's `integer_view`
+    (`MetricLieAlgebra.in_basis`); no algebra is built in the table's basis."""
+    return MetricLieAlgebra.in_basis(integer_view(table), gram, unimodular_int_matrix(rng, table[0]))
 
 
 # ---------------------------------------------------------------------------
-# algebra shapes (all satisfy Jacobi by construction)
+# algebra shapes: bracket tables that satisfy Jacobi by construction
 # ---------------------------------------------------------------------------
 
-def rotation_algebra(rng: random.Random, dim: int) -> LieAlgebra:
+def rotation_algebra(rng: random.Random, dim: int) -> Table:
     """k >= 1 commuting generators rotating p = (dim - k) / 2 planes."""
     p = rng.randint(1, (dim - 1) // 2)
     k = dim - 2 * p
@@ -89,10 +111,10 @@ def rotation_algebra(rng: random.Random, dim: int) -> LieAlgebra:
                 vy[x] = -lam
                 brackets[(a, x)] = vx
                 brackets[(a, y)] = vy
-    return LieAlgebra.from_brackets(dim, brackets)
+    return dim, brackets
 
 
-def class_c_algebra(rng: random.Random, dim: int) -> LieAlgebra:
+def class_c_algebra(rng: random.Random, dim: int) -> Table:
     """[t, u_j] = alpha u_j on the codimension-1 abelian ideal."""
     alpha = rational(rng, zero_ok=False)
     brackets = {}
@@ -100,27 +122,27 @@ def class_c_algebra(rng: random.Random, dim: int) -> LieAlgebra:
         v = [ZERO] * dim
         v[j] = alpha
         brackets[(0, j)] = v
-    return LieAlgebra.from_brackets(dim, brackets)
+    return dim, brackets
 
 
-def heisenberg_like(rng: random.Random, dim: int) -> LieAlgebra:
+def heisenberg_like(rng: random.Random, dim: int) -> Table:
     """[e_1, e_2] = c e_3 (+ abelian directions)."""
     v = [ZERO] * dim
     v[2] = rational(rng, zero_ok=False)
-    return LieAlgebra.from_brackets(dim, {(0, 1): v})
+    return dim, {(0, 1): v}
 
 
-def simple3(dim: int) -> LieAlgebra:
+def simple3(dim: int) -> Table:
     """so(3) in the first three coordinates."""
     def unit(k):
         v = [ZERO] * dim
         v[k] = ONE
         return v
 
-    return LieAlgebra.from_brackets(dim, {(0, 1): unit(2), (1, 2): unit(0), (0, 2): [-x for x in unit(1)]})
+    return dim, {(0, 1): unit(2), (1, 2): unit(0), (0, 2): [-x for x in unit(1)]}
 
 
-def random_algebra(rng: random.Random, dim: int) -> LieAlgebra:
+def random_algebra(rng: random.Random, dim: int) -> Table:
     shapes = ["abelian", "classc"]
     if dim >= 2:
         shapes.append("solvable2")
@@ -128,13 +150,13 @@ def random_algebra(rng: random.Random, dim: int) -> LieAlgebra:
         shapes += ["rotation", "heisenberg", "simple3"]
     shape = rng.choice(shapes)
     if shape == "abelian":
-        return LieAlgebra.abelian(dim)
+        return dim, {}
     if shape == "classc":
         return class_c_algebra(rng, dim)
     if shape == "solvable2":
         v = [ZERO] * dim
         v[1] = rational(rng, zero_ok=False)
-        return LieAlgebra.from_brackets(dim, {(0, 1): v})
+        return dim, {(0, 1): v}
     if shape == "rotation":
         return rotation_algebra(rng, dim)
     if shape == "heisenberg":
@@ -145,9 +167,9 @@ def random_algebra(rng: random.Random, dim: int) -> LieAlgebra:
 def random_metric_algebra(rng: random.Random, dim: int, kind: str = "any") -> MetricLieAlgebra:
     """Random valid metric Lie algebra; kind "lorentzian" fixes one negative
     direction, kind "any" draws the number of negative directions."""
-    algebra = random_algebra(rng, dim)
+    table = random_algebra(rng, dim)
     n_minus = 1 if kind == "lorentzian" else rng.randint(0, dim)
-    return scramble(algebra, gram_with_signature(rng, dim - n_minus, n_minus), rng)
+    return scramble(table, gram_with_signature(rng, dim - n_minus, n_minus), rng)
 
 
 def theorem1_true_instance(rng: random.Random, dim: int) -> MetricLieAlgebra:
@@ -155,11 +177,9 @@ def theorem1_true_instance(rng: random.Random, dim: int) -> MetricLieAlgebra:
     algebra with an adapted block metric (Lorentzian on the torus factor,
     equal positive weights inside each rotation plane), then scrambled."""
     if dim < 3:
-        algebra = LieAlgebra.abelian(dim)
-        gram = gram_with_signature(rng, dim - 1, 1)
-        return scramble(algebra, gram, rng)
-    algebra = rotation_algebra(rng, dim)
-    p = algebra.derived_subalgebra().dim // 2
+        return scramble((dim, {}), gram_with_signature(rng, dim - 1, 1), rng)
+    table = rotation_algebra(rng, dim)
+    p = len({j for _, j in table[1]}) // 2  # every plane has keys (a, x) and (a, y)
     k = dim - 2 * p
     gram = linalg.zeros(dim, dim)
     S_block = gram_with_signature(rng, k - 1, 1) if k > 1 else [[-ONE]]
@@ -170,13 +190,13 @@ def theorem1_true_instance(rng: random.Random, dim: int) -> MetricLieAlgebra:
         weight = Fraction(rng.randint(1, 3))
         gram[k + 2 * plane][k + 2 * plane] = weight
         gram[k + 2 * plane + 1][k + 2 * plane + 1] = weight
-    return scramble(algebra, gram, rng)
+    return scramble(table, gram, rng)
 
 
 def class_c_instance(rng: random.Random, dim: int, degenerate: bool) -> MetricLieAlgebra:
     """Class-C algebra with a metric whose restriction to the derived ideal
     is degenerate (1-dimensional radical) or nondegenerate, by construction."""
-    algebra = class_c_algebra(rng, dim)
+    table = class_c_algebra(rng, dim)
     n = dim
     while True:
         gram = linalg.zeros(n, n)
@@ -197,7 +217,7 @@ def class_c_instance(rng: random.Random, dim: int, degenerate: bool) -> MetricLi
                 gram[j][j] = rational(rng, zero_ok=False)
         if linalg.rank(gram) == n:
             break
-    return scramble(algebra, gram, rng)
+    return scramble(table, gram, rng)
 
 
 # ---------------------------------------------------------------------------

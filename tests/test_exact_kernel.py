@@ -132,7 +132,7 @@ def eq2_fails():
         rng = random.Random(2000 + n)
         weights = [F(1), F(2), F(3)] + [F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(n - 3)]
         gram = [[w if i == j else F(0) for j, w in enumerate(weights)] for i in range(n)]
-        m = MetricLieAlgebra.make(sweeps.simple3(n), gram)
+        m = MetricLieAlgebra.make(LieAlgebra.from_brackets(*sweeps.simple3(n)), gram)
         out.append((f"so3sum{n}-rational", m.change_basis(rational_basis(rng, n))))
     return out
 
@@ -165,7 +165,7 @@ def high_nonflat():
         # so(3) in the last three coordinates: every earlier pair is flat
         gram = [[F(i + 1, 2) if i == j else F(0) for j in range(n)] for i in range(n)]
         shift = [[int(i == (j + 3) % n) for j in range(n)] for i in range(n)]  # column j is e_{j+3 mod n}
-        out.append((f"so3last{n}", MetricLieAlgebra.make(sweeps.simple3(n), gram).change_basis(shift)))
+        out.append((f"so3last{n}", MetricLieAlgebra.make(LieAlgebra.from_brackets(*sweeps.simple3(n)), gram).change_basis(shift)))
     rng = random.Random(3100)
     while len(out) < 11:
         m = sweeps.random_metric_algebra(rng, 10 + len(out) % 3)
@@ -246,7 +246,7 @@ def anisotropic():
         n = rng.randint(3, 6)
         weights = [F(rng.choice((1, 999999)), rng.choice((1, 999999))) for _ in range(n)]
         gram = [[w if i == j else F(0) for j in range(n)] for i, w in enumerate(weights)]
-        out.append((f"anisotropic{s}", MetricLieAlgebra.make(sweeps.random_algebra(rng, n), gram)))
+        out.append((f"anisotropic{s}", MetricLieAlgebra.make(LieAlgebra.from_brackets(*sweeps.random_algebra(rng, n)), gram)))
     return out
 
 
@@ -704,12 +704,12 @@ def test_change_basis_refuses_bad_input():
             target.change_basis([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
     identity = linalg.identity(3)
     with pytest.raises(TypeError):
-        MetricLieAlgebra.in_basis(m.algebra, [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], identity)
+        MetricLieAlgebra.in_basis(m.algebra.integer_constants(), [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], identity)
     with pytest.raises(ValueError):
-        MetricLieAlgebra.in_basis(m.algebra, [row[:2] for row in m.gram], identity)
+        MetricLieAlgebra.in_basis(m.algebra.integer_constants(), [row[:2] for row in m.gram], identity)
     with pytest.raises(ValueError):
-        MetricLieAlgebra.in_basis(m.algebra, m.gram, identity, 0)
-    assert MetricLieAlgebra.in_basis(m.algebra, m.gram, identity) == m
+        MetricLieAlgebra.in_basis(m.algebra.integer_constants(), m.gram, identity, 0)
+    assert MetricLieAlgebra.in_basis(m.algebra.integer_constants(), m.gram, identity) == m
 
 
 def test_change_basis_checks_every_new_instance(monkeypatch):
@@ -718,6 +718,7 @@ def test_change_basis_checks_every_new_instance(monkeypatch):
     symmetry and nondegeneracy on the Gram matrix."""
     m = sweeps.random_metric_algebra(random.Random(341), 3)
     P = sweeps.unimodular_int_matrix(random.Random(342), 3)
+    table = sweeps.heisenberg_like(random.Random(343), 3)  # what `scramble` builds from
     o = (0, 0, 0)
     # [e0, e1] = e2, [e1, e2] = e1: antisymmetric, but the Jacobi sum of
     # (e0, e1, e2) is [e0, e1] = e2
@@ -730,7 +731,7 @@ def test_change_basis_checks_every_new_instance(monkeypatch):
                 with pytest.raises(error):
                     target.change_basis(P)
             with pytest.raises(error):
-                sweeps.scramble(m.algebra, m.gram, random.Random(343))
+                sweeps.scramble(table, m.gram, random.Random(343))
     not_symmetric = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     degenerate = ((1, 0, 0), (0, 1, 0), (0, 0, 0))
     for form, error in ((not_symmetric, NonSymmetricError), (degenerate, DegenerateFormError)):
@@ -739,7 +740,7 @@ def test_change_basis_checks_every_new_instance(monkeypatch):
             with pytest.raises(error):
                 m.change_basis(P)
             with pytest.raises(error):
-                sweeps.scramble(m.algebra, m.gram, random.Random(343))
+                sweeps.scramble(table, m.gram, random.Random(343))
 
 
 def _axioms_instance():

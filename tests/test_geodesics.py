@@ -262,7 +262,7 @@ def flat_classc_ray(rng, dim):
     """[t, u_j] = alpha u_j with <u_1, u_1> = 0 and <t, u_1> = 1: flat, and
     v = f d along the null d = t - (<t, t>/2) u_1 obeys f' = alpha f^2, so
     f0 with alpha f0 > 0 blows up at 1 / (alpha f0)."""
-    algebra = sweeps.class_c_algebra(rng, dim)
+    algebra = LieAlgebra.from_brackets(*sweeps.class_c_algebra(rng, dim))
     alpha = algebra.c[0][1][1]
     gram = [[F(0)] * dim for _ in range(dim)]
     gram[0][0] = sweeps.rational(rng)
@@ -281,9 +281,9 @@ def nonflat_riemannian(rng, dim):
     abelian directions, under a diagonal Riemannian metric: never flat, and
     the flow is a bounded, integrable top."""
     if dim == 2:
-        algebra = sweeps.class_c_algebra(rng, 2)
+        algebra = LieAlgebra.from_brackets(*sweeps.class_c_algebra(rng, 2))
     else:
-        algebra = sweeps.simple3(dim) if dim % 2 else sweeps.heisenberg_like(rng, dim)
+        algebra = LieAlgebra.from_brackets(*(sweeps.simple3(dim) if dim % 2 else sweeps.heisenberg_like(rng, dim)))
     gram = [[F(rng.randint(1, 3) if i == j else 0) for j in range(dim)] for i in range(dim)]
     return MetricLieAlgebra.make(algebra, gram)
 

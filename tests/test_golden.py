@@ -11,12 +11,13 @@ is meant to change:
 
     PYTHONPATH=src python -m flatlie.cli analyze --json -i DOC > tests/golden/analyze/NAME.json
 
-`golden/sweep/rot3_seed<S>.json` is the stdout of `analyze --json --sweep 40
---seed S` on the `rot3` catalog entry, which pins the generators' random
-stream and every sweep verdict.  Regenerate with
+`golden/sweep/rot3_seed<S>.json` is the stdout of `analyze --json --sweep N
+--seed S` on the `rot3` catalog entry, which pins every sweep verdict and
+count: N = 40 for seeds 5 and 9, and N = 100 for seed 13, which reaches
+more instances of dims 5 and 6.  Regenerate with
 
     PYTHONPATH=src python -m flatlie.cli catalog show rot3 > rot3.json
-    PYTHONPATH=src python -m flatlie.cli analyze --json --sweep 40 --seed S -i rot3.json > tests/golden/sweep/rot3_seedS.json
+    PYTHONPATH=src python -m flatlie.cli analyze --json --sweep N --seed S -i rot3.json > tests/golden/sweep/rot3_seedS.json
 
 `golden/geodesic/` pins the float integrator.  Each line of `cases.txt`
 reads `FILE NAME V0 T_MAX`: FILE is the `geodesic --json` stdout on the
@@ -71,11 +72,11 @@ def test_input_analyze_json_matches_golden(capsys, name):
     assert _analyze(capsys, GOLDEN / "inputs" / f"{name}.json") == _expected(name)
 
 
-@pytest.mark.parametrize("seed", [5, 9])
-def test_rot3_sweep_json_matches_golden(capsys, tmp_path, seed):
+@pytest.mark.parametrize("seed, count", [(5, 40), (9, 40), (13, 100)])
+def test_rot3_sweep_json_matches_golden(capsys, tmp_path, seed, count):
     path = tmp_path / "rot3.json"
     path.write_text(json.dumps(catalog.get("rot3").document))
-    out = _analyze(capsys, path, "--sweep", "40", "--seed", str(seed))
+    out = _analyze(capsys, path, "--sweep", str(count), "--seed", str(seed))
     assert out == (GOLDEN / "sweep" / f"rot3_seed{seed}.json").read_text(encoding="utf-8")
 
 

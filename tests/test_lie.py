@@ -80,7 +80,7 @@ def perturbed_tensor(rng, dim):
     """(upper-triangle brackets, full tensor) of a generated Lie algebra of
     dim with one to three bracket entries moved by a random rational: some
     of these still satisfy Jacobi, most do not."""
-    a = sweeps.random_algebra(rng, dim)
+    a = LieAlgebra.from_brackets(*sweeps.random_algebra(rng, dim))
     brackets = {(i, j): list(a.c[i][j]) for i in range(dim) for j in range(i + 1, dim)}
     for _ in range(rng.randint(1, 3)):
         i, j = sorted(rng.sample(range(dim), 2))
@@ -122,9 +122,9 @@ def big_entry_tensor(rng, dim):
     algebra moved to a basis with 6-digit denominators, then, in three
     cases out of four, one or two bracket entries moved by a 6-digit
     rational: entries of hundreds to thousands of bits."""
-    a = sweeps.random_algebra(rng, dim)
+    a = LieAlgebra.from_brackets(*sweeps.random_algebra(rng, dim))
     while a.is_abelian():
-        a = sweeps.random_algebra(rng, dim)
+        a = LieAlgebra.from_brackets(*sweeps.random_algebra(rng, dim))
     while True:
         P = [[F(int(i == j)) + six_digit(rng) * (rng.random() < 0.6)
               for j in range(dim)] for i in range(dim)]
@@ -264,7 +264,7 @@ def test_derived_subalgebra_is_the_span_of_the_fraction_brackets():
     rng = random.Random(34)
     algebras = [solvable2(), heisenberg(), so3(), rot3()]
     for dim in range(2, 8):
-        algebras += [sweeps.theorem1_true_instance(rng, dim).algebra, sweeps.class_c_algebra(rng, dim)]
+        algebras += [sweeps.theorem1_true_instance(rng, dim).algebra, LieAlgebra.from_brackets(*sweeps.class_c_algebra(rng, dim))]
     for a in algebras:
         n = a.dim
         D = a.derived_subalgebra()

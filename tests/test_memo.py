@@ -165,6 +165,26 @@ def test_no_analysis_builds_the_fraction_product(monkeypatch, name):
     assert built == []
 
 
+@pytest.mark.parametrize("seed", [0, 20])
+def test_no_sweep_builds_the_fraction_product(monkeypatch, seed):
+    """The Killing triple identity, checked on every flat instance of the
+    theorem-1 sweep, reads the int planes of (P, D), so no sweep builds the
+    Fraction product either."""
+    built = []
+    product = metric.LeviCivitaProduct
+
+    def counted(*args):
+        built.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(metric, "LeviCivitaProduct", counted)
+    results = sweeps.run_all(seed, 20)
+    assert all(r.ok for r in results)
+    theorem1 = next(r for r in results if r.name == "theorem1_equivalence")
+    assert int(theorem1.notes.split()[0]) > 0  # the triple identity ran
+    assert built == []
+
+
 @pytest.mark.parametrize("name", catalog.names())
 def test_no_geodesic_run_builds_the_fraction_product(monkeypatch, capsys, tmp_path, name):
     """The integrator's float operator is read off (P, D), so a `geodesic`
