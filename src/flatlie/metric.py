@@ -185,8 +185,8 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
 
 @memoized
 def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
-    """The product p = P / D of `integer_product`, one Fraction per entry,
-    for oracles and library callers: every exact layer reads (P, D)."""
+    """The product p = P / D of `integer_product`, one Fraction per entry:
+    definition-level API for the tests' oracles; every layer reads (P, D)."""
     return LeviCivitaProduct(m.dim, linalg.fraction_tensor(*integer_product(m)))
 
 
@@ -290,14 +290,14 @@ def timelike_vector(m: MetricLieAlgebra, V: Subspace) -> tuple[int, ...] | None:
 
 
 def product_span(p: LeviCivitaProduct) -> Subspace:
-    """span{e_i e_j : all i, j} (the set g.g), from the definition: an
-    oracle for `verify_killing_triple_identity`, which reads (P, D)."""
+    """span{e_i e_j : all i, j} (the set g.g), from the definition: for the
+    tests' oracles; `verify_killing_triple_identity` reads (P, D)."""
     return Subspace.span(p.dim, chain(*p.p))
 
 
 def right_mult_kernel(p: LeviCivitaProduct) -> Subspace:
-    """{u : R_u = 0}, again a kernel since u -> R_u is linear: an oracle
-    from the definition, as `product_span` is."""
+    """{u : R_u = 0}, again a kernel since u -> R_u is linear: from the
+    definition, for the tests' oracles, as `product_span` is."""
     n = p.dim
     return linalg.kernel([[p.p[j][b][k] for b in range(n)] for j in range(n) for k in range(n)])
 

@@ -16,6 +16,7 @@ from flatlie.metric import (
     levi_civita,
     product_span,
     right_mult,
+    right_mult_kernel,
     timelike_vector,
     verify_killing_triple_identity,
 )
@@ -263,6 +264,23 @@ def test_killing_triple_identity():
     )
     with pytest.raises(HypothesisNotMetError):
         verify_killing_triple_identity(split_sig)
+
+
+def test_killing_triple_sides_match_the_definition():
+    """The triple identity decides (g.g)-perp and ker(u -> R_u) on the int
+    planes of (P, D); the Fraction product's `product_span` and
+    `right_mult_kernel`, straight from the definition, give the same
+    subspaces, on flat instances with a nonzero and a zero Killing part."""
+    rng = random.Random(41)
+    flat = [sweeps.theorem1_true_instance(rng, dim) for dim in range(3, 8) for _ in range(3)]
+    flat += [catalog.build(name) for name in ("rot3", "classc2_flat", "classc3_flat", "abelian_minkowski")]
+    flat = [m for m in flat if (m.is_lorentzian or m.is_riemannian) and is_flat(m).flat]
+    assert len(flat) >= 17
+    for m in flat:
+        rep = verify_killing_triple_identity(m)
+        p = levi_civita(m)
+        assert rep.product_span_perp == linalg.orthogonal_complement(product_span(p), m.gram)
+        assert rep.right_mult_kernel == right_mult_kernel(p)
 
 
 def test_gram_scaling_leaves_product_and_flatness():
