@@ -13,6 +13,13 @@ Indices are 1-based with i < j; the antisymmetric completion is implied.
 `dim` is at most MAX_DIM and every numerator and denominator has at most
 MAX_DIGITS digits; larger input is refused with a ParseError naming the
 field.
+
+Loading reads each value once: `parse_rational` matches a rational string
+with one regex and builds its Fraction from the matched digits.  The
+bracket table goes to `LieAlgebra.from_brackets`, which clears it straight
+to the algebra's integer view (`lie.integer_view`) and checks antisymmetry
+and Jacobi once on that view, and the Gram matrix to
+`MetricLieAlgebra.make`, which checks symmetry and nondegeneracy.
 """
 
 from __future__ import annotations
@@ -24,23 +31,26 @@ from typing import IO
 
 from .errors import ParseError
 from .lie import LieAlgebra
+from .linalg import ZERO
 from .metric import MetricLieAlgebra
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+#: sign, numerator digits and denominator digits of a rational string
+_RATIONAL = re.compile(r"([+-]?)(\d+)(?:/([1-9]\d*))?")
 
 _TOP_KEYS = {"dim", "brackets", "metric", "labels"}
 
 #: Largest accepted dimension.  The exact analysis costs about dim^5
 #: big-integer operations; a dense document at both caps (dim 20, every
 #: entry a 6-digit numerator over a 6-digit denominator) ran
-#: `analyze --json` in 247 s on a 2-vCPU Xeon.
+#: `analyze --json` in about 55 s on one CPU of a 2-vCPU Xeon (Python 3.11).
 MAX_DIM = 20
 
 #: Most digits accepted in one numerator or denominator, as written.
 #: Distinct denominators multiply into common denominators of about
-#: dim^2 * MAX_DIGITS digits; that dense document has a 4,984-digit
-#: curvature witness entry, beyond Python's default 4,300-digit int/str
-#: conversion limit, so the reports format rationals without that limit.
+#: dim^2 * MAX_DIGITS digits; that dense document has a curvature witness
+#: entry with a 4,990-digit numerator, beyond Python's default 4,300-digit
+#: int/str conversion limit, so the reports format rationals without that
+#: limit.
 MAX_DIGITS = 6
 
 
@@ -65,6 +75,26 @@ def _too_long(where: str, what) -> ParseError:
 
 
 def parse_rational(x, where: str) -> Fraction:
+    """The exact value of one document entry: an int of at most MAX_DIGITS
+    digits, or a string "p" or "p/q", signed or not, padded with whitespace
+    or not, whose digit runs p and q have at most MAX_DIGITS digits each
+    and q starts with 1-9.  The string is matched once, and its Fraction is
+    built from the matched digits; zero is the shared `linalg.ZERO`.
+    Anything else raises a ParseError naming `where`."""
+    if isinstance(x, str):
+        text = x.strip()
+        match = _RATIONAL.fullmatch(text)
+        if match is None:
+            raise ParseError(f"{where}: invalid rational {x!r} (use 'p/q' or an integer string)")
+        sign, num, den = match.groups()
+        if len(num) > MAX_DIGITS or (den is not None and len(den) > MAX_DIGITS):
+            raise _too_long(where, f"the rational of {len(text)} characters")
+        n = int(num)
+        if not n:
+            return ZERO
+        if sign == "-":
+            n = -n
+        return Fraction(n) if den is None else Fraction(n, int(den))
     if isinstance(x, bool):
         raise ParseError(f"{where}: expected a rational, got a boolean")
     if isinstance(x, _LongInteger):
@@ -73,13 +103,6 @@ def parse_rational(x, where: str) -> Fraction:
         if abs(x) >= 10**MAX_DIGITS:
             raise _too_long(where, "the integer")
         return Fraction(x)
-    if isinstance(x, str):
-        text = x.strip()
-        if not _RATIONAL_RE.match(text):
-            raise ParseError(f"{where}: invalid rational {x!r} (use 'p/q' or an integer string)")
-        if any(len(part) > MAX_DIGITS for part in text.lstrip("+-").split("/")):
-            raise _too_long(where, f"the rational of {len(text)} characters")
-        return Fraction(text)
     if isinstance(x, float):
         raise ParseError(f"{where}: floats are not accepted; write the exact rational as a string")
     raise ParseError(f"{where}: invalid rational {x!r}")

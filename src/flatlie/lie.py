@@ -7,6 +7,7 @@ downstream may assume a genuine Lie algebra.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import wraps
 from typing import Mapping, NamedTuple, Sequence
@@ -56,6 +57,20 @@ class CheckedRecord:
 
     def __reduce__(self):
         return type(self), tuple(self)
+
+
+def integer_view(dim: int, brackets: Mapping[tuple[int, int], Sequence]) -> tuple[IntTensor, int]:
+    """(C, E) with C / E the structure constants of the bracket table of
+    `LieAlgebra.from_brackets`, antisymmetric completion included, and E
+    the lcm of the table's denominators: the view
+    `linalg.clear_tensor_denominators` would clear from the whole tensor.
+    The coefficients are ints or Fractions; keys are not checked."""
+    E = math.lcm(*(x.denominator for v in brackets.values() for x in v))
+    C = [[(0,) * dim] * dim for _ in range(dim)]
+    for (i, j), v in brackets.items():
+        C[i][j] = tuple(x.numerator * (E // x.denominator) for x in v)
+        C[j][i] = tuple(-x for x in C[i][j])
+    return tuple(map(tuple, C)), E
 
 
 class _LieFields(NamedTuple):
@@ -109,18 +124,23 @@ class LieAlgebra(CheckedRecord, _LieFields):
         labels: Sequence[str] | None = None,
     ) -> "LieAlgebra":
         """Build from the strict upper triangle only: keys (i, j) with i < j,
-        0-based; the antisymmetric completion is automatic."""
+        0-based; the antisymmetric completion is automatic.  The table is
+        cleared straight to the algebra's `integer_constants` by
+        `integer_view`, on which the constructor checks run once; the n^3
+        tensor `c` is never cleared."""
         zero = (ZERO,) * dim
         c = [[zero] * dim for _ in range(dim)]
+        table = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
             if len(coeffs) != dim:
                 raise ValueError(f"bracket ({i}, {j}) has {len(coeffs)} coefficients, expected {dim}")
-            v = tuple(frac(x) for x in coeffs)
+            v = table[i, j] = tuple(map(frac, coeffs))
             c[i][j] = v
-            c[j][i] = tuple(-x for x in v)
-        return cls(dim, tuple(map(tuple, c)), tuple(labels) if labels else None)
+            c[j][i] = tuple(-x if x else ZERO for x in v)
+        fields = (dim, tuple(map(tuple, c)), tuple(labels) if labels else None)
+        return cls._seeded(fields, {cls.integer_constants.key: integer_view(dim, table)})
 
     @classmethod
     def abelian(cls, dim: int, labels: Sequence[str] | None = None) -> "LieAlgebra":

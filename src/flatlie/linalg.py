@@ -11,10 +11,13 @@ int data int (their sums start at int 0, so an entry with no nonzero term
 is the int 0, which equals Fraction(0)).  Each instance has one integer
 view of its data, memoized and made once: the structure constants in
 `LieAlgebra.integer_constants` and the Gram matrix in
-`MetricLieAlgebra.integer_gram`, cleared from the fields of an instance
-that its constructor built, or handed over by the change of basis that
-built it, `integer_transport` for the constants and `transport_form` for
-the Gram matrix, both reduced to the least denominator by `least_terms`.
+`MetricLieAlgebra.integer_gram`.  Each is cleared from the fields of an
+instance that its constructor built, or handed over by whatever built it:
+`lie.integer_view` clears the bracket table of `LieAlgebra.from_brackets`
+(so of every loaded document and every sweep instance's shape), and a
+change of basis hands over `integer_transport` for the constants and
+`transport_form` for the Gram matrix, both reduced to the least
+denominator by `least_terms`.
 `metric.integer_product` is solved in ints from the two views.
 `_bareiss`, the one Gaussian elimination, clears each row's denominators
 itself; `rref`, `rank`, the one-pass `kernel` and the int inverse view
@@ -317,10 +320,11 @@ def is_symmetric(A) -> bool:
 def _primitive_row(row: Sequence) -> list[int]:
     """The row scaled to integers with no common factor.  Dropping the
     common factor too, such as one lcm a caller applied to a whole matrix,
-    keeps the minors of the elimination small."""
-    (ints,), _ = clear_denominators([row])
+    keeps the minors of the elimination small.  A row of ints, such as the
+    Killing constraints or [P | I] for an int P, needs no clearing."""
+    ints = row if all(type(x) is int for x in row) else clear_denominators([row])[0][0]
     g = math.gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    return [x // g for x in ints] if g > 1 else list(ints)
 
 
 def _bareiss(A: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:

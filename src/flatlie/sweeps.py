@@ -3,26 +3,27 @@
 Random Lie algebras come from families that satisfy Jacobi by construction
 (abelian, scalar-bracket, nilpotent, torus-rotation, simple dim-3).  Each
 family draws a bracket table, the arguments of `LieAlgebra.from_brackets`,
-and builds no algebra: `scramble` clears the table to its integer view and
-builds the instance once, in a random unimodular integer basis, where its
-constructor checks run once.  Antisymmetry, Jacobi, symmetry and
-nondegeneracy are all kept by an invertible change of basis, so that one
-check covers the table too.  Gram matrices are built by congruence from a
-chosen diagonal so their signatures are exact.  Every sweep returns a list
-of human-readable failure strings, empty when the property held on every
-instance.
+and builds no algebra: `scramble` clears the table to its integer view with
+`lie.integer_view`, the one routine that also clears the table of
+`from_brackets`, and so of every loaded document.  It then builds the
+instance once, in a random unimodular integer basis, where its constructor
+checks run once.  Antisymmetry, Jacobi, symmetry and nondegeneracy are all
+kept by an invertible change of basis, so that one check covers the table
+too.  Gram matrices are built by congruence from a chosen diagonal so their
+signatures are exact.  Every sweep returns a list of human-readable failure
+strings, empty when the property held on every instance.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg, metric
 from .classc import theorem2_check
-from .linalg import ONE, ZERO, IntTensor
+from .lie import integer_view
+from .linalg import ONE, ZERO
 from .metric import MetricLieAlgebra, is_flat, verify_killing_triple_identity
 from .theorems import same_connection, theorem1_check
 
@@ -64,24 +65,11 @@ def gram_with_signature(rng: random.Random, n_plus: int, n_minus: int) -> list[l
     return [[linalg.dot(a, b) for b in zip(*DP)] for a in zip(*P)]
 
 
-def integer_view(table: Table) -> tuple[IntTensor, int]:
-    """(C, E) with C / E the structure constants of the table, antisymmetric
-    completion included, and E the lcm of its denominators: the view
-    `LieAlgebra.integer_constants` would clear from `from_brackets(*table)`."""
-    dim, brackets = table
-    E = math.lcm(*(x.denominator for v in brackets.values() for x in v))
-    C = [[(0,) * dim] * dim for _ in range(dim)]
-    for (i, j), v in brackets.items():
-        C[i][j] = tuple(x.numerator * (E // x.denominator) for x in v)
-        C[j][i] = tuple(-x for x in C[i][j])
-    return tuple(map(tuple, C)), E
-
-
 def scramble(table: Table, gram: list[list], rng: random.Random) -> MetricLieAlgebra:
     """The metric Lie algebra (table, gram) in a random unimodular integer
-    basis, built once, in that basis, from the table's `integer_view`
+    basis, built once, in that basis, from the table's `lie.integer_view`
     (`MetricLieAlgebra.in_basis`); no algebra is built in the table's basis."""
-    return MetricLieAlgebra.in_basis(integer_view(table), gram, unimodular_int_matrix(rng, table[0]))
+    return MetricLieAlgebra.in_basis(integer_view(*table), gram, unimodular_int_matrix(rng, table[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ per generated instance."""
 import hashlib
 import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
-from flatlie import sweeps
+from flatlie import lie, linalg, sweeps
 from flatlie.lie import LieAlgebra
 from flatlie.metric import MetricLieAlgebra
 
@@ -50,15 +51,21 @@ def test_instance_stream_is_pinned():
 
 
 def test_integer_view_is_the_view_from_brackets_clears():
-    """`scramble` reads the table's integer view straight off the table; it
-    is the view the constructor of `from_brackets(*table)` clears."""
+    """`lie.integer_view` reads a table's integer view straight off the
+    table, for `scramble` and for `from_brackets` alike; it is the view
+    that clearing the whole structure tensor of `from_brackets(*table)`
+    finds, least common denominator included."""
     rng = random.Random(11)
+    tables = [(3, {(0, 1): [F(1, 6), F(3, 4), F(-5, 10)]})]  # distinct denominators: E = 12
     for dim in range(1, 7):
-        tables = [sweeps.random_algebra(rng, dim) for _ in range(8)] + [sweeps.class_c_algebra(rng, dim)]
+        tables += [sweeps.random_algebra(rng, dim) for _ in range(8)] + [sweeps.class_c_algebra(rng, dim)]
         if dim >= 3:
             tables += [sweeps.rotation_algebra(rng, dim), sweeps.heisenberg_like(rng, dim), sweeps.simple3(dim)]
-        for table in tables:
-            assert sweeps.integer_view(table) == LieAlgebra.from_brackets(*table).integer_constants()
+    for table in tables:
+        a = LieAlgebra.from_brackets(*table)
+        assert lie.integer_view(*table) == a.integer_constants() == linalg.clear_tensor_denominators(a.c)
+    C, E = lie.integer_view(*tables[0])
+    assert E == 12 and C[0][1] == (2, 9, -6) and C[1][0] == (-2, -9, 6)
 
 
 @pytest.mark.parametrize("name", GENERATORS)
