@@ -57,7 +57,8 @@ def euler_arnold_rhs(op: np.ndarray, v: np.ndarray, out: np.ndarray | None = Non
     around one reshape, written into `out` when it is given.
 
     The definition-level right-hand side: `integrate` never calls it, it
-    steps by `taylor_coefficients`, whose row 1 is s times this."""
+    steps by the series rows of `taylor_coefficients`, whose row 1 is s
+    times this."""
     n = len(v)
     return v.dot(v.dot(op).reshape(n, n), out=out)
 
@@ -70,19 +71,48 @@ def taylor_coefficients(B: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
     B is the negated product as the (n^2, n) operator
     `product_as_floats(m).reshape(n * n, n)`, so v' = B(v, v), and matching
     powers of tau gives w_0 = v and
-    w_{k+1} = s / (k + 1) sum_m B(w_m, w_{k-m}): per order, one
-    (k + 1) x n matmul for the n x n matrix sum_m w_m (x) w_{k-m} and one
-    dot of it with B.  With s near the step to be taken every row stays near
-    |v| or below, where the unscaled a_k overflow near a blow-up."""
-    import numpy as np
+    w_{k+1} = s / (k + 1) sum_m B(w_m, w_{k-m}).  With s near the step to be
+    taken every row stays near |v| or below, where the unscaled a_k overflow
+    near a blow-up.  A fresh array, formed by `SeriesWorkspace.rows` on a
+    workspace of its own."""
+    return SeriesWorkspace(B).rows(v, s)
 
-    W = np.empty((ORDER + 1, len(v)))
-    W[0] = v
-    for k in range(ORDER):
-        w = W[k + 1]
-        W[:k + 1].T.dot(W[k::-1]).ravel().dot(B, out=w)
-        w *= s / (k + 1)
-    return W
+
+class SeriesWorkspace:
+    """The buffers and views of the recurrence of `taylor_coefficients` for
+    one operator B, made once per integration.
+
+    It holds the (ORDER + 1) x n row buffer W, the n x n Cauchy-product
+    buffer C with its flat view, and for each order k the views W[:k+1].T,
+    W[k::-1] and W[k+1].  `rows` then forms order k in three numpy calls: one
+    (k + 1) x n matmul into C for sum_m w_m (x) w_{k-m}, one dot of C with B
+    into w_{k+1}, and its scaling by s / (k + 1), the same BLAS calls on the
+    same operands as views rebuilt every order."""
+
+    __slots__ = ("W", "_B", "_C", "_flat", "_orders")
+
+    def __init__(self, B: np.ndarray):
+        import numpy as np
+
+        n = B.shape[1]
+        self.W = W = np.empty((ORDER + 1, n))
+        self._B = B
+        self._C = np.empty((n, n))
+        self._flat = self._C.reshape(n * n)
+        self._orders = tuple((W[:k + 1].T, W[k::-1], W[k + 1], k + 1) for k in range(ORDER))
+
+    def rows(self, v: np.ndarray, s: float) -> np.ndarray:
+        """The rows w_0..w_ORDER of `taylor_coefficients(B, v, s)`, written
+        over the previous ones in the workspace's buffer W, which is
+        returned: every row is formed anew from v and s."""
+        B, C, flat = self._B, self._C, self._flat
+        W = self.W
+        W[0] = v
+        for head, tail, w, k1 in self._orders:
+            head.dot(tail, out=C)
+            flat.dot(B, out=w)
+            w *= s / k1
+        return W
 
 
 class TrajectorySample(NamedTuple):
@@ -115,8 +145,10 @@ def integrate(
 ) -> GeodesicTrajectory:
     """Taylor-series integration of v' = -(v . v) from v(0) = v0.
 
-    Each step forms the coefficients w_0..w_p (p = ORDER) scaled by the
-    previous step s, and takes the step theta s with
+    Each step forms the coefficients w_0..w_p (p = ORDER) of
+    `taylor_coefficients`, scaled by the previous step s, with one call of
+    `SeriesWorkspace.rows` on a workspace made once per integration, and
+    takes the step theta s with
     theta = min((tol / |w_{p-1}|)^(1/(p-1)), (tol / |w_p|)^(1/p)) e^(-0.7/(p-1)),
     tol = rel_tol (1 + |v|), and theta at most MAX_GROWTH; the new velocity
     is the series at theta, one dot of the powers theta^k with the rows.  No
@@ -150,7 +182,7 @@ def integrate(
         raise InvalidGeodesicInputError(
             "v0", f"must have norm below {BLOWUP_NORM:g} and finite energy, got {components}"
         )
-    B = op.reshape(m.dim * m.dim, m.dim)
+    series = SeriesWorkspace(op.reshape(m.dim * m.dim, m.dim))
 
     t = 0.0
     norm = math.hypot(*components)
@@ -178,7 +210,7 @@ def integrate(
     while t < t_max:
         if len(ts) > MAX_STEPS:
             return trajectory(STEP_LIMIT)
-        W = taylor_coefficients(B, v, s)
+        W = series.rows(v, s)
         terms += ORDER
         tol = rel_tol * (1.0 + norm)
         theta = MAX_GROWTH

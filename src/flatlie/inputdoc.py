@@ -108,6 +108,19 @@ def parse_rational(x, where: str) -> Fraction:
     raise ParseError(f"{where}: invalid rational {x!r}")
 
 
+def _parse_entries(values: list, where: str, *indices: int) -> list[Fraction]:
+    """`parse_rational` of each value, with entry k named
+    `where.format(*indices, k)`.  The names are formatted only when an entry
+    is refused: the values are then parsed again, named, up to the first
+    refused one, so its ParseError is the one `parse_rational` gives."""
+    try:
+        return [parse_rational(x, where) for x in values]
+    except ParseError:
+        for k, x in enumerate(values):
+            parse_rational(x, where.format(*indices, k))
+        raise
+
+
 def parse_document(doc) -> MetricLieAlgebra:
     """Validate a loaded JSON document and build the metric Lie algebra.
 
@@ -151,19 +164,14 @@ def parse_document(doc) -> MetricLieAlgebra:
         coeffs = entry["coeffs"]
         if not isinstance(coeffs, list) or len(coeffs) != dim:
             raise ParseError(f"{where}.coeffs: expected {dim} entries")
-        brackets[(i - 1, j - 1)] = [
-            parse_rational(x, f"{where}.coeffs[{k}]") for k, x in enumerate(coeffs)
-        ]
+        brackets[(i - 1, j - 1)] = _parse_entries(coeffs, "brackets[{}].coeffs[{}]", idx)
 
     metric = doc["metric"]
     if not isinstance(metric, list) or len(metric) != dim or any(
         not isinstance(row, list) or len(row) != dim for row in metric
     ):
         raise ParseError(f"metric: expected a {dim} x {dim} array")
-    gram = [
-        [parse_rational(x, f"metric[{r}][{c}]") for c, x in enumerate(row)]
-        for r, row in enumerate(metric)
-    ]
+    gram = [_parse_entries(row, "metric[{}][{}]", r) for r, row in enumerate(metric)]
 
     algebra = LieAlgebra.from_brackets(dim, brackets, labels)
     return MetricLieAlgebra.make(algebra, gram)

@@ -181,31 +181,50 @@ def theorem1_true_instance(rng: random.Random, dim: int) -> MetricLieAlgebra:
     return scramble(table, gram, rng)
 
 
+def arrow_gram(rng: random.Random, n: int, degenerate: bool) -> list[list[Fraction]]:
+    """One draw of the Gram matrix of `class_c_instance`: nonzero only in row
+    and column 0 and on the diagonal, with g_jj != 0 for j >= 2.  Its
+    restriction to span(u_1..u_{n-1}) is diagonal, and degenerate exactly
+    when <u_1, u_1> = 0."""
+    gram = linalg.zeros(n, n)
+    if degenerate:
+        # <u_1, u_1> = 0 is the radical direction; <t, u_1> = 1 rescues
+        # ambient nondegeneracy (determinant is -product of the others).
+        gram[0][0] = rational(rng)
+        gram[0][1] = gram[1][0] = ONE
+        for j in range(2, n):
+            w = rational(rng)
+            gram[0][j] = gram[j][0] = w
+            gram[j][j] = rational(rng, zero_ok=False)
+    else:
+        gram[0][0] = rational(rng)
+        for j in range(1, n):
+            w = rational(rng)
+            gram[0][j] = gram[j][0] = w
+            gram[j][j] = rational(rng, zero_ok=False)
+    return gram
+
+
+def arrow_nonsingular(gram: list[list[Fraction]]) -> bool:
+    """Whether a Gram matrix of `arrow_gram` is nonsingular, by the closed
+    form of its determinant.  With g_11 = 0 (the degenerate branch) it is
+    -g_01^2 prod_{j>=2} g_jj, never 0 there since g_01 = 1; otherwise it is
+    (g_00 - sum_{j>=1} g_0j^2 / g_jj) prod_{j>=1} g_jj."""
+    n = len(gram)
+    if n > 1 and not gram[1][1]:
+        return gram[0][1] != 0
+    return gram[0][0] != sum(gram[0][j] ** 2 / gram[j][j] for j in range(1, n))
+
+
 def class_c_instance(rng: random.Random, dim: int, degenerate: bool) -> MetricLieAlgebra:
     """Class-C algebra with a metric whose restriction to the derived ideal
-    is degenerate (1-dimensional radical) or nondegenerate, by construction."""
+    is degenerate (1-dimensional radical) or nondegenerate, by construction;
+    a singular Gram draw is drawn again."""
     table = class_c_algebra(rng, dim)
-    n = dim
     while True:
-        gram = linalg.zeros(n, n)
-        if degenerate:
-            # <u_1, u_1> = 0 is the radical direction; <t, u_1> = 1 rescues
-            # ambient nondegeneracy (determinant is -product of the others).
-            gram[0][0] = rational(rng)
-            gram[0][1] = gram[1][0] = ONE
-            for j in range(2, n):
-                w = rational(rng)
-                gram[0][j] = gram[j][0] = w
-                gram[j][j] = rational(rng, zero_ok=False)
-        else:
-            gram[0][0] = rational(rng)
-            for j in range(1, n):
-                w = rational(rng)
-                gram[0][j] = gram[j][0] = w
-                gram[j][j] = rational(rng, zero_ok=False)
-        if linalg.rank(gram) == n:
-            break
-    return scramble(table, gram, rng)
+        gram = arrow_gram(rng, dim, degenerate)
+        if arrow_nonsingular(gram):
+            return scramble(table, gram, rng)
 
 
 # ---------------------------------------------------------------------------

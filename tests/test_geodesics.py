@@ -419,3 +419,63 @@ def test_series_terms_count_order_per_step():
             assert traj.series_terms == geodesics.ORDER * (len(traj.samples) - 1), (name, v0)
             outcomes.add(traj.outcome)
     assert outcomes == {REACHED_HORIZON, BLOW_UP_DETECTED}
+
+
+def recurrence_rows(B, v, s):
+    """The series rows by the recurrence with its views rebuilt every order:
+    w_{k+1} = s / (k + 1) sum_m B(w_m, w_{k-m})."""
+    W = np.empty((geodesics.ORDER + 1, len(v)))
+    W[0] = v
+    for k in range(geodesics.ORDER):
+        w = W[k + 1]
+        W[:k + 1].T.dot(W[k::-1]).ravel().dot(B, out=w)
+        w *= s / (k + 1)
+    return W
+
+
+def test_workspace_rows_are_the_recurrence_bit_for_bit():
+    """One `SeriesWorkspace` per operator, reused across its (v, s) cases in
+    two orders, gives rows equal to the recurrence's bit for bit, so no state
+    carries from one step to the next; `taylor_coefficients` gives the same
+    rows in a fresh array.  Dims 1-9, steps s and velocity scales 1e-6 to 1e3
+    with s |v| at most 1, so every row is finite."""
+    rng = np.random.default_rng(26)
+    scales = (1e-6, 1e-3, 1.0, 1e3)
+    for n in range(1, 10):
+        B = rng.standard_normal((n * n, n)) / n
+        cases = [(rng.standard_normal(n) * vs, s) for s in scales for vs in scales if s * vs <= 1.0]
+        series = geodesics.SeriesWorkspace(B)
+        for v, s in cases + [cases[i] for i in rng.permutation(len(cases))]:
+            expected = recurrence_rows(B, v, s)
+            assert np.isfinite(expected).all()
+            assert np.array_equal(series.rows(v, s), expected), (n, s)
+            fresh = geodesics.taylor_coefficients(B, v, s)
+            assert fresh is not series.W and np.array_equal(fresh, expected), (n, s)
+
+
+def test_integrator_steps_by_the_recurrence_rows(monkeypatch):
+    """`integrate` forms each step's rows with one `SeriesWorkspace.rows`
+    call, and they are the recurrence's bit for bit: on flat class-C rays
+    (which blow up), Theorem 1 rotations and non-flat tops, dims 2-9."""
+    calls = []
+    rows = geodesics.SeriesWorkspace.rows
+
+    def recording(self, v, s):
+        W = rows(self, v, s)
+        calls.append((v.copy(), s, W.copy()))
+        return W
+
+    monkeypatch.setattr(geodesics.SeriesWorkspace, "rows", recording)
+    rng = random.Random(26)
+    for dim in range(2, 10):
+        ray, d, t_star = flat_classc_ray(rng, dim)
+        top = nonflat_riemannian(rng, dim)
+        rotation = sweeps.theorem1_true_instance(rng, dim)
+        for m, v0, t_max in ((ray, [float(x) for x in d], 2 * t_star),
+                             (top, [1.0] * dim, 5.0), (rotation, [1.0] * dim, 5.0)):
+            calls.clear()
+            traj = integrate(m, v0, t_max)
+            assert calls and len(calls) * geodesics.ORDER == traj.series_terms
+            B = operator(m)
+            for v, s, W in calls:
+                assert np.array_equal(W, recurrence_rows(B, v, s)), (dim, s)

@@ -89,8 +89,8 @@ def test_exact_commands_and_usage_errors_do_not_load_numpy(docs, argv, expected)
 
 
 def test_geodesic_loads_numpy(docs):
-    """numpy, but not scipy: the DOP853 tableau is written out in
-    `geodesics`, so the stepper never imports scipy's copy of it."""
+    """numpy, but not scipy: `geodesics` steps by its own Taylor series,
+    formed with numpy alone, so the stepper never imports scipy."""
     code, numpy, scipy, _, _ = _run_cli("geodesic", "-i", docs["@rot3"], "--v0", "1,0,0", "--t-max", "1")
     assert (code, numpy, scipy) == (0, True, False)
 

@@ -100,3 +100,20 @@ def test_each_generated_instance_is_checked_once(monkeypatch, name):
             "MetricLieAlgebra._check": 1,
             "MetricLieAlgebra.__init__": 0,
         }, dim
+
+
+def test_arrow_closed_form_agrees_with_rank():
+    """`sweeps.arrow_nonsingular` decides by the closed form of the arrow
+    determinant what `linalg.rank(gram) == n` decides by elimination, on
+    1,500 seeded draws of `arrow_gram` over both branches and dims 2-6: the
+    degenerate branch is never singular, and the other one sometimes is."""
+    rng = random.Random(26)
+    rejected = {True: 0, False: 0}
+    for dim in range(2, 7):
+        for degenerate in (True, False):
+            for _ in range(150):
+                gram = sweeps.arrow_gram(rng, dim, degenerate)
+                nonsingular = sweeps.arrow_nonsingular(gram)
+                assert nonsingular == (linalg.rank(gram) == dim), (dim, degenerate, gram)
+                rejected[degenerate] += not nonsingular
+    assert rejected[True] == 0 and rejected[False] > 0
