@@ -86,8 +86,9 @@ class SeriesWorkspace:
     buffer C with its flat view, and for each order k the views W[:k+1].T,
     W[k::-1] and W[k+1].  `rows` then forms order k in three numpy calls: one
     (k + 1) x n matmul into C for sum_m w_m (x) w_{k-m}, one dot of C with B
-    into w_{k+1}, and its scaling by s / (k + 1), the same BLAS calls on the
-    same operands as views rebuilt every order."""
+    into w_{k+1}, and its scaling by s / (k + 1).  These are the BLAS calls
+    and operands of the recurrence written with views rebuilt every order,
+    so the rows are its bits, without rebuilding them."""
 
     __slots__ = ("W", "_B", "_C", "_flat", "_orders")
 

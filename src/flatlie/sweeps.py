@@ -187,21 +187,14 @@ def arrow_gram(rng: random.Random, n: int, degenerate: bool) -> list[list[Fracti
     restriction to span(u_1..u_{n-1}) is diagonal, and degenerate exactly
     when <u_1, u_1> = 0."""
     gram = linalg.zeros(n, n)
+    gram[0][0] = rational(rng)
     if degenerate:
         # <u_1, u_1> = 0 is the radical direction; <t, u_1> = 1 rescues
         # ambient nondegeneracy (determinant is -product of the others).
-        gram[0][0] = rational(rng)
         gram[0][1] = gram[1][0] = ONE
-        for j in range(2, n):
-            w = rational(rng)
-            gram[0][j] = gram[j][0] = w
-            gram[j][j] = rational(rng, zero_ok=False)
-    else:
-        gram[0][0] = rational(rng)
-        for j in range(1, n):
-            w = rational(rng)
-            gram[0][j] = gram[j][0] = w
-            gram[j][j] = rational(rng, zero_ok=False)
+    for j in range(2 if degenerate else 1, n):
+        gram[0][j] = gram[j][0] = rational(rng)
+        gram[j][j] = rational(rng, zero_ok=False)
     return gram
 
 
