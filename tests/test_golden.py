@@ -6,7 +6,11 @@ and for each document in `golden/inputs/`, all written with
 class C, flat Riemannian, non-flat Lorentzian) and a non-flat Lorentzian
 dim-8 document of 6-digit rationals, an orthogonal sum of a flat rotation
 algebra, an abelian plane and a non-flat R x R^2 with interleaved
-coordinates, so its curvature witness is the pair (3, 6), not the first.  Regenerate a file only when the report
+coordinates, so its curvature witness is the pair (3, 6), not the first,
+and `dim9_dense_nonflat_lorentzian`, `test_exact_kernel.dense_document`
+with `random.Random(1)` and n = 9: every bracket of e_1 and every metric
+entry a 6-digit rational over its own 6-digit denominator, so the report
+pins entries of hundreds of digits.  Regenerate a file only when the report
 is meant to change:
 
     PYTHONPATH=src python -m flatlie.cli analyze --json -i DOC > tests/golden/analyze/NAME.json
@@ -57,7 +61,7 @@ def _expected(name: str) -> str:
 
 
 def test_golden_inputs_present():
-    assert len(INPUTS) == 5
+    assert len(INPUTS) == 6
 
 
 @pytest.mark.parametrize("name", catalog.names())
