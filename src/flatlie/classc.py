@@ -46,8 +46,7 @@ def scalar_action(a: LieAlgebra, U: Subspace, t: Sequence) -> Fraction | None:
     """
     if U.dim == 0:
         return None
-    n = a.dim
-    C, E = a.integer_constants()
+    n, C, E = a.dim, a.C, a.E
     (ti,), s = linalg.clear_denominators([t])
     dot = linalg.dot
     A = [[dot(ti, [Ci[x][k] for Ci in C]) for x in range(n)] for k in range(n)]
@@ -101,8 +100,7 @@ class Theorem2Report(NamedTuple):
 def _derived_radical(m: MetricLieAlgebra) -> Subspace:
     """Radical of the inner product restricted to the derived algebra."""
     D = m.algebra.derived_subalgebra()
-    Gi, g = m.integer_gram()
-    return linalg.radical(linalg.restrict_form(Gi, D, g), D)
+    return linalg.radical(linalg.restrict_form(m.G, D, m.g), D)
 
 
 @memoized
@@ -161,8 +159,8 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
         raise RadicalDimensionError(f"restricted-form radical has dimension {rad.dim}")
     e = list(rad.basis[0])
 
-    # <x, e> = dot(x, Ge) / (g k) for e = ei / k and the cleared Gram Gi / g
-    Gi, g = m.integer_gram()
+    # <x, e> = dot(x, Ge) / (g k) for e = ei / k and the Gram view Gi / g
+    Gi, g = m.G, m.g
     (ei,), k = linalg.clear_denominators([e])
     Ge = [linalg.dot(row, ei) for row in Gi]
     i = next((i for i, x in enumerate(Ge) if x), None)

@@ -178,7 +178,8 @@ def integrate(
 
     v = np.array(components, dtype=float)
     op = product_as_floats(m)
-    G = np.array([[float(x) for x in row] for row in m.gram], dtype=float)
+    # int true division is correctly rounded: each entry is float(Fraction(x, g))
+    G = np.array([[x / m.g for x in row] for row in m.G], dtype=float)
     if not (math.hypot(*v) < BLOWUP_NORM and math.isfinite(v @ G @ v)):
         raise InvalidGeodesicInputError(
             "v0", f"must have norm below {BLOWUP_NORM:g} and finite energy, got {components}"

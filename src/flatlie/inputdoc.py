@@ -17,9 +17,9 @@ field.
 Loading reads each value once: `parse_rational` matches a rational string
 with one regex and builds its Fraction from the matched digits.  The
 bracket table goes to `LieAlgebra.from_brackets`, which clears it straight
-to the algebra's integer view (`lie.integer_view`) and checks antisymmetry
-and Jacobi once on that view, and the Gram matrix to
-`MetricLieAlgebra.make`, which checks symmetry and nondegeneracy.
+to the algebra's fields (C, E) (`lie.integer_view`) and checks antisymmetry
+and Jacobi once on them, and the Gram matrix to `MetricLieAlgebra.make`,
+which clears it to (G, g) and checks symmetry and nondegeneracy.
 """
 
 from __future__ import annotations

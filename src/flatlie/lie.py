@@ -1,8 +1,9 @@
 """Lie algebras presented by rational structure constants.
 
-The tensor c[i][j][k] means [e_i, e_j] = sum_k c[i][j][k] e_k.  Antisymmetry
-and the Jacobi identity are checked exactly at construction, so everything
-downstream may assume a genuine Lie algebra.
+The tensor c[i][j][k] means [e_i, e_j] = sum_k c[i][j][k] e_k, held as
+its least-terms integer view c = C / E.  Antisymmetry and the Jacobi
+identity are checked exactly at construction, so everything downstream
+may assume a genuine Lie algebra.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import wraps
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import AntisymmetryError, JacobiError
-from .linalg import IntTensor, Mat, Subspace, Tensor, Vec, ZERO, frac
+from .linalg import IntTensor, Mat, Subspace, Tensor, Vec, frac
 
 
 def memoized(fn):
@@ -30,26 +32,18 @@ def memoized(fn):
             memo[key] = fn(obj)
         return memo[key]
 
-    wrapper.key = key  # the memo slot, for a constructor that already holds the value
     return wrapper
 
 
 class CheckedRecord:
     """Mixin, listed before its NamedTuple base, for a record whose own
     `__init__` starts the per-instance `_memo` and calls `_check`, the one
-    place its fields are checked.  The copies made by `_make`, `_replace`
-    and pickle go through the constructor too, so each is checked and
-    starts with an empty memo.  `_seeded` builds an instance whose memo
-    starts with views its maker already holds, and checks it the same way."""
+    place its fields are checked.  Every route to a record goes through
+    that constructor: its named constructors, and the copies made by
+    `_make`, `_replace` and pickle, so each is checked and starts with an
+    empty memo."""
 
     __slots__ = ()
-
-    @classmethod
-    def _seeded(cls, fields: tuple, memo: dict):
-        obj = cls.__new__(cls, *fields)
-        obj._memo = memo
-        obj._check()
-        return obj
 
     @classmethod
     def _make(cls, iterable):
@@ -59,11 +53,26 @@ class CheckedRecord:
         return type(self), tuple(self)
 
 
+def is_square(T, n: int) -> bool:
+    """Whether T is a tuple of n tuples of length n (so it is immutable)."""
+    return type(T) is tuple and len(T) == n and all(type(r) is tuple and len(r) == n for r in T)
+
+
+def check_view(rows: Sequence[Sequence], d, num: str, den: str) -> None:
+    """Refuse, naming the field, a view rows / d that is not in least terms
+    over ints: the one view of its value, so == and hash can follow it."""
+    if any(type(x) is not int for row in rows for x in row):
+        raise TypeError(f"{num}: entries must be ints")
+    if type(d) is not int or d < 1:
+        raise ValueError(f"{den}: the denominator must be a positive int, got {d!r}")
+    if math.gcd(d, *chain.from_iterable(rows)) != 1:
+        raise ValueError(f"{num}, {den}: the view is not in least terms")
+
+
 def integer_view(dim: int, brackets: Mapping[tuple[int, int], Sequence]) -> tuple[IntTensor, int]:
     """(C, E) with C / E the structure constants of the bracket table of
     `LieAlgebra.from_brackets`, antisymmetric completion included, and E
-    the lcm of the table's denominators: the view
-    `linalg.clear_tensor_denominators` would clear from the whole tensor.
+    the lcm of the table's denominators, so the view is in least terms.
     The coefficients are ints or Fractions; keys are not checked."""
     E = math.lcm(*(x.denominator for v in brackets.values() for x in v))
     C = [[(0,) * dim] * dim for _ in range(dim)]
@@ -73,29 +82,42 @@ def integer_view(dim: int, brackets: Mapping[tuple[int, int], Sequence]) -> tupl
     return tuple(map(tuple, C)), E
 
 
+def clear_vectors(n: int, *vectors: Sequence) -> tuple[list[list[int]], int]:
+    """Vectors of length n, of ints or Fractions, as int rows over one
+    denominator; a float raises TypeError, as in `linalg.frac`."""
+    if any(len(v) != n for v in vectors):
+        raise ValueError(f"vector lengths {', '.join(str(len(v)) for v in vectors)} != algebra dimension {n}")
+    bad = next((x for x in chain(*vectors) if isinstance(x, float)), None)
+    if bad is not None:
+        raise TypeError(f"refusing inexact float {bad!r}")
+    return linalg.clear_denominators(vectors)
+
+
 class _LieFields(NamedTuple):
     dim: int
-    c: Tensor
+    C: IntTensor
+    E: int
     labels: tuple[str, ...] | None = None
 
 
 class LieAlgebra(CheckedRecord, _LieFields):
-    """The fields are the tuple's entries, so they cannot be rebound; the
+    """The structure constants c = C / E held as their least-terms integer
+    view (`check_view`), so ==, hash and pickle follow the fields.  The
+    fields are the tuple's entries, so they cannot be rebound; the
     per-instance `_memo` lives outside the tuple, out of ==, hash and repr."""
 
-    def __init__(self, dim: int, c: Tensor, labels: tuple[str, ...] | None = None):
+    def __init__(self, dim: int, C: IntTensor, E: int, labels: tuple[str, ...] | None = None):
         self._memo = {}
         self._check()
 
     def _check(self) -> None:
-        """Shape, antisymmetry and the Jacobi identity, decided on the
-        integer view `integer_constants`."""
-        n, c = self.dim, self.c
-        if n < 1:
-            raise ValueError("dimension must be a positive integer")
-        if len(c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in c):
-            raise ValueError("structure constant tensor must be n x n x n")
-        C, E = self.integer_constants()
+        """The view (C, E) itself, then antisymmetry and Jacobi on it."""
+        n, C, E = self.dim, self.C, self.E
+        if type(n) is not int or n < 1:
+            raise ValueError("dim: dimension must be a positive integer")
+        if not (is_square(C, n) and all(is_square(plane, n) for plane in C)):
+            raise ValueError(f"C: the structure constants must be a {n} x {n} x {n} tuple of tuples")
+        check_view(list(chain.from_iterable(C)), E, "C", "E")
         for i in range(n):
             for j in range(i, n):
                 for k in range(n):
@@ -125,68 +147,60 @@ class LieAlgebra(CheckedRecord, _LieFields):
     ) -> "LieAlgebra":
         """Build from the strict upper triangle only: keys (i, j) with i < j,
         0-based; the antisymmetric completion is automatic.  The table is
-        cleared straight to the algebra's `integer_constants` by
-        `integer_view`, on which the constructor checks run once; the n^3
-        tensor `c` is never cleared."""
-        zero = (ZERO,) * dim
-        c = [[zero] * dim for _ in range(dim)]
+        cleared straight to the fields (C, E) by `integer_view`."""
         table = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
             if len(coeffs) != dim:
                 raise ValueError(f"bracket ({i}, {j}) has {len(coeffs)} coefficients, expected {dim}")
-            v = table[i, j] = tuple(map(frac, coeffs))
-            c[i][j] = v
-            c[j][i] = tuple(-x if x else ZERO for x in v)
-        fields = (dim, tuple(map(tuple, c)), tuple(labels) if labels else None)
-        return cls._seeded(fields, {cls.integer_constants.key: integer_view(dim, table)})
+            table[i, j] = tuple(map(frac, coeffs))
+        return cls(dim, *integer_view(dim, table), tuple(labels) if labels else None)
 
     @classmethod
     def abelian(cls, dim: int, labels: Sequence[str] | None = None) -> "LieAlgebra":
         return cls.from_brackets(dim, {}, labels)
 
+    @property
     @memoized
-    def integer_constants(self) -> tuple[IntTensor, int]:
-        """(C, E) with c = C / E for the least E > 0: the one integer view of
-        the structure constants that every exact layer reads."""
-        return linalg.clear_tensor_denominators(self.c)
+    def c(self) -> Tensor:
+        """C / E, one Fraction per entry: for the public boundary only."""
+        return linalg.fraction_tensor(self.C, self.E)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError(f"vector lengths {len(x)}, {len(y)} != algebra dimension {self.dim}")
-        return linalg.bilinear(self.c, x, y)
+        """[x, y] for x, y = xi / d, yi / d (`clear_vectors`): C(xi, yi) / (E d^2)."""
+        (xi, yi), d = clear_vectors(self.dim, x, y)
+        return [Fraction(v, self.E * d * d) for v in linalg.bilinear(self.C, xi, yi)]
 
     def ad(self, x: Sequence) -> Mat:
         """Matrix of v -> [x, v]; columns are the brackets with basis vectors."""
-        return linalg.left_matrix(self.c, x)
+        (xi,), d = clear_vectors(self.dim, x)
+        return [[Fraction(v, self.E * d) for v in row] for row in linalg.left_matrix(self.C, xi)]
 
     @memoized
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of all basis brackets, read off the int rows
-        C[i][j] = E c[i][j] of `integer_constants`."""
-        C, _ = self.integer_constants()
+        C[i][j] = E c[i][j]."""
+        C = self.C
         return Subspace.row_space(self.dim, [C[i][j] for i in range(self.dim) for j in range(i + 1, self.dim)])
 
     def is_unimodular(self) -> bool:
-        n = self.dim
-        return all(sum((self.c[i][j][j] for j in range(n)), ZERO) == 0 for i in range(n))
+        """tr ad_{e_i} = 0 for every i, on the int traces E tr ad_{e_i}."""
+        n, C = self.dim, self.C
+        return not any(sum(C[i][j][j] for j in range(n)) for i in range(n))
 
     def is_abelian_subspace(self, V: Subspace) -> bool:
         """Decided in ints: the brackets of the integer-scaled basis rows
         under C are nonzero multiples of the true ones."""
-        C, _ = self.integer_constants()
         rows, _ = linalg.clear_denominators(V.basis)
         return all(
-            linalg.is_zero_vec(linalg.bilinear(C, rows[a], rows[b]))
+            linalg.is_zero_vec(linalg.bilinear(self.C, rows[a], rows[b]))
             for a in range(len(rows))
             for b in range(a + 1, len(rows))
         )
 
     def is_abelian(self) -> bool:
-        return all(
-            linalg.is_zero_vec(self.c[i][j]) for i in range(self.dim) for j in range(i + 1, self.dim)
-        )
+        return not any(map(any, chain.from_iterable(self.C)))
 
     def is_2_solvable(self) -> bool:
         """True iff the derived subalgebra is abelian."""
@@ -194,16 +208,14 @@ class LieAlgebra(CheckedRecord, _LieFields):
 
     @classmethod
     def in_basis(cls, view: tuple[Sequence, int], P: Sequence[Sequence]) -> "LieAlgebra":
-        """The algebra C / E of the integer view (C, E), in any terms, built
-        once, in the basis whose j-th vector is column j of P (old
-        coordinates): `linalg.integer_transport` hands it its least-terms
-        `integer_constants`.  P holds ints, kept as ints, or anything `frac`
-        coerces (a float raises TypeError, a singular P SingularMatrixError).
-        Its antisymmetry and Jacobi check covers (C, E): P is invertible."""
+        """The algebra C / E of the integer view (C, E), in any terms, in the
+        basis whose j-th vector is column j of P (old coordinates), from
+        `linalg.integer_transport`.  P holds ints, kept as ints, or anything
+        `frac` coerces (a float raises TypeError, a singular P
+        SingularMatrixError).  The check covers (C, E): P is invertible."""
         C, E = view
-        moved = linalg.integer_transport(C, linalg.exact_mat(P), E)
-        return cls._seeded((len(C), linalg.fraction_tensor(*moved)), {cls.integer_constants.key: moved})
+        return cls(len(C), *linalg.integer_transport(C, linalg.exact_mat(P), E))
 
     def change_basis(self, P: Sequence[Sequence]) -> "LieAlgebra":
-        """`in_basis` from `integer_constants`."""
-        return LieAlgebra.in_basis(self.integer_constants(), P)
+        """`in_basis` from the fields (C, E)."""
+        return LieAlgebra.in_basis((self.C, self.E), P)

@@ -5,28 +5,26 @@ Every operation here is pure and exact: no floating point, no tolerances,
 so "equals zero" is a real decision, not a threshold.
 
 The hot exact work runs in Python ints: `clear_denominators` scales a
-matrix or tensor to integers over one common denominator, and `dot`,
-`mat_vec`, `mat_mul`, `bilinear`, `left_matrix` and `right_matrix` keep
-int data int (their sums start at int 0, so an entry with no nonzero term
-is the int 0, which equals Fraction(0)).  Each instance has one integer
-view of its data, memoized and made once: the structure constants in
-`LieAlgebra.integer_constants` and the Gram matrix in
-`MetricLieAlgebra.integer_gram`.  Each is cleared from the fields of an
-instance that its constructor built, or handed over by whatever built it:
-`lie.integer_view` clears the bracket table of `LieAlgebra.from_brackets`
-(so of every loaded document and every sweep instance's shape), and a
-change of basis hands over `integer_transport` for the constants and
-`transport_form` for the Gram matrix, both reduced to the least
-denominator by `least_terms`.
+matrix to integers over one common denominator, and `dot`, `mat_vec`,
+`mat_mul`, `bilinear`, `left_matrix` and `right_matrix` keep int data int
+(their sums start at int 0, so an entry with no nonzero term is the int 0,
+which equals Fraction(0)).  The records' fields are least-terms integer
+views: the structure constants (C, E), which `lie.integer_view` clears
+from the bracket table of `LieAlgebra.from_brackets` (so of every loaded
+document and every sweep instance's shape), and the Gram matrix (G, g).
+A change of basis makes both in the new basis, `integer_transport` for
+the constants and `transport_form` for the Gram matrix, both reduced to
+the least denominator by `least_terms`.
 `metric.integer_product` is solved in ints from the two views.
 `_bareiss`, the one Gaussian elimination, clears each row's denominators
 itself; `rref`, `rank`, the one-pass `kernel` and the int inverse view
 `integer_inverse` read it.  `congruence` (behind `signature` and
 `metric.timelike_vector`), `restrict_form` and `orthogonal_complement`
-take int or Fraction matrices.  `pack` turns an int row into one integer
-with exact zero test and read-back (`slot_width`, `unpack`), so `is_flat`,
-the Jacobi check and `integer_transport` take one `dot` per term of a row
-rather than of each entry.
+take int or Fraction matrices, and `integer_inverse` and `congruence` a
+view (G, g) too, cleared row by row, not over g.  `pack` turns an int row
+into one integer with exact zero test and read-back (`slot_width`,
+`unpack`), so `is_flat`, the Jacobi check and `integer_transport` take one
+`dot` per term of a row rather than of each entry.
 """
 
 from __future__ import annotations
@@ -94,18 +92,11 @@ def clear_denominators(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
 
 
-def clear_tensor_denominators(T: Sequence[Sequence[Sequence]]) -> tuple[IntTensor, int]:
-    """clear_denominators for an n x n x n tensor: one d for all entries.
-    The result is nested tuples, so a memo may share it."""
-    rows, d = clear_denominators([row for plane in T for row in plane])
-    return planes(rows, len(T)), d
-
-
 def least_terms(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(rows / h, d / h) for h = gcd(d, every entry), d > 0: the view
     rows / d over its least denominator, the one `clear_denominators`
     finds for the matrix of Fractions rows / d.  Stored as tuples, so a
-    memo may share it."""
+    record may hold it."""
     h = math.gcd(d, *chain.from_iterable(rows))
     return tuple(tuple(x // h for x in row) for row in rows), d // h
 
@@ -233,7 +224,7 @@ def right_matrix(T: Tensor, y: Sequence) -> Mat:
 def integer_transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1) -> tuple[IntTensor, int]:
     """(X, e): the tensor T / t in the basis given by the columns of P, whose
     entry (a, b) is P^-1 T(P_a, P_b) / t, as X / e for the least e > 0, the
-    view `clear_tensor_denominators` would find.  T and P hold ints or
+    view that clearing the Fraction tensor would find.  T and P hold ints or
     Fractions; callers coerce outside input with `exact_mat` first.  Raises
     SingularMatrixError for a singular P.
 
@@ -394,12 +385,14 @@ def kernel(A: Sequence[Sequence[Fraction]]) -> "Subspace":
     return Subspace(n, tuple(basis))
 
 
-def integer_inverse(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """(Qi, q) with A^-1 = Qi / q for the least q > 0: the right half of
-    the integer reduced form of [A | I] that `_bareiss` leaves over its
-    last pivot.  A holds ints or Fractions.  Raises SingularMatrixError."""
+def integer_inverse(A: Sequence[Sequence], a: int = 1) -> tuple[list[list[int]], int]:
+    """(Qi, q) with (A / a)^-1 = Qi / q for the least q > 0: the right half
+    of the integer reduced form of [A | a I] that `_bareiss` leaves over
+    its last pivot, for A of ints or Fractions and a positive int a.
+    `_bareiss` takes each row to its primitive part, so a view (G, g) is
+    eliminated on the rows of G / g, not over g.  Raises SingularMatrixError."""
     n = len(A)
-    R, pivots, d = _bareiss([list(row) + irow for row, irow in zip(A, units(n))])
+    R, pivots, d = _bareiss([list(row) + [a * x for x in irow] for row, irow in zip(A, units(n))])
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")
     g = math.gcd(d, *(x for row in R for x in row[n:]))
@@ -420,8 +413,9 @@ class Signature(NamedTuple):
         return self.n_plus + self.n_minus + self.n_zero
 
 
-def congruence(S: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """(E, d) in ints with E S E^T = diag(d).
+def congruence(S: Sequence[Sequence], s: int = 1) -> tuple[list[list[int]], list[int]]:
+    """(E, d) in ints with E (S / s) E^T = diag(d), for S of ints or
+    Fractions and s a positive int.
 
     Fraction-free, with the pivots of symmetric elimination: take a nonzero
     diagonal pivot, swapping rows and columns alike; when the whole
@@ -429,8 +423,10 @@ def congruence(S: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[i
     makes the pivot 2 A[r][c] (characteristic zero), so no square roots
     are needed.
 
-    Each row r is first scaled by nu[r], the lcm of its own denominators,
-    so A = diag(nu) S is integral and E starts as diag(nu).  A Bareiss pass
+    Each row r of S / s is first scaled by nu[r], the lcm of its own
+    denominators (l S[r] over l s, l the lcm of the entries' denominators,
+    divided by their gcd), so A = diag(nu) S / s is integral and E starts
+    as diag(nu): a view (G, g) gives the rows of G / g.  A Bareiss pass
     then keeps A[r][c] = E_r S F_c^T, where F_c is e_c plus the vectors
     row-added into it, and replaces each later row by
     (piv row - A[r][i] pivot_row) / prev, exact by Sylvester's identity.
@@ -443,8 +439,13 @@ def congruence(S: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[i
     n = len(S)
     if not is_symmetric(S):
         raise NonSymmetricError("congruence requires a symmetric matrix")
-    nu = [math.lcm(*(x.denominator for x in row)) for row in S]
-    A = [[x.numerator * (lr // x.denominator) for x in row] for row, lr in zip(S, nu)]
+    nu, A = [], []
+    for row in S:
+        lr = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (lr // x.denominator) for x in row]
+        h = math.gcd(lr * s, *ints)
+        nu.append(lr * s // h)
+        A.append([x // h for x in ints])
     E = [[lr if r == c else 0 for c in range(n)] for r, lr in enumerate(nu)]
     d = [0] * n
 
@@ -486,10 +487,10 @@ def congruence(S: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[i
     return E, d
 
 
-def signature(S: Sequence[Sequence[Fraction]]) -> Signature:
-    """Sylvester signature of a symmetric matrix, computed exactly: the
-    signs of the integer diagonal of `congruence`."""
-    _, d = congruence(S)
+def signature(S: Sequence[Sequence], s: int = 1) -> Signature:
+    """Sylvester signature of the symmetric matrix S / s, computed exactly:
+    the signs of the integer diagonal of `congruence`."""
+    _, d = congruence(S, s)
     return Signature(sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
 
 
@@ -563,8 +564,8 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
 def restrict_form(G: Sequence[Sequence], V: Subspace, g: int = 1, W: Subspace | None = None) -> Mat:
     """Gram matrix of the form G / g restricted to V, in V's canonical
     basis; with W, the block of values <v_r, w_c> between the canonical
-    bases of V and W.  G holds ints, such as a metric's cleared view
-    `MetricLieAlgebra.integer_gram`, or Fractions.  The bases are cleared
+    bases of V and W.  G holds ints, such as a metric's field G over g, or
+    Fractions.  The bases are cleared
     to integers, so each entry is int dots over one denominator."""
     W = V if W is None else W
     B, b = clear_denominators(V.basis)
@@ -578,7 +579,7 @@ def orthogonal_complement(V: Subspace, G: Sequence[Sequence]) -> Subspace:
     """V-perp {x : <v, x> = 0 for all v in V} for a symmetric form G (ints
     or Fractions) on the ambient space: the kernel of the rows G v, for the
     basis of V cleared to integers.  G is not checked to be nondegenerate:
-    the callers pass a metric's `integer_gram`, proved so at construction."""
+    the callers pass a metric's field G, proved so at construction."""
     n = V.ambient_dim
     if V.dim == 0:
         return Subspace.full(n)

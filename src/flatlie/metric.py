@@ -20,35 +20,36 @@ from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
-from .lie import CheckedRecord, LieAlgebra, memoized
+from .lie import CheckedRecord, LieAlgebra, check_view, clear_vectors, is_square, memoized
 from .linalg import ZERO, IntTensor, Mat, Signature, Subspace, Tensor, Vec, frac
 
 
 class _MetricFields(NamedTuple):
     algebra: LieAlgebra
-    gram: tuple[tuple[Fraction, ...], ...]
+    G: tuple[tuple[int, ...], ...]
+    g: int
 
 
 class MetricLieAlgebra(CheckedRecord, _MetricFields):
     """A Lie algebra together with a nondegenerate symmetric inner product.
 
-    As for `LieAlgebra`, the fields are the tuple's entries; `signature` is
-    derived from the Gram matrix at construction and, like `_memo`, lives
-    outside the tuple."""
+    The Gram matrix gram = G / g is held as its least-terms integer view,
+    as `LieAlgebra` holds c.  `signature` is derived from (G, g) at
+    construction and, like `_memo`, lives outside the tuple."""
 
-    def __init__(self, algebra: LieAlgebra, gram: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, algebra: LieAlgebra, G: tuple[tuple[int, ...], ...], g: int):
         self._memo = {}
         self._check()
 
     def _check(self) -> None:
-        """Size, symmetry and nondegeneracy of the Gram matrix; sets the
-        signature."""
-        n, gram = self.algebra.dim, self.gram
-        if len(gram) != n or any(len(r) != n for r in gram):
-            raise ValueError("Gram matrix size must match the algebra dimension")
-        if not linalg.is_symmetric(gram):
-            raise NonSymmetricError("inner product matrix must be symmetric")
-        sig = linalg.signature(gram)
+        """The view, symmetry and nondegeneracy; sets the signature."""
+        n, G, g = self.algebra.dim, self.G, self.g
+        if not is_square(G, n):
+            raise ValueError(f"G: the Gram matrix must be a {n} x {n} tuple of tuples, {n} the algebra dimension")
+        check_view(G, g, "G", "g")
+        if not linalg.is_symmetric(G):
+            raise NonSymmetricError("G: inner product matrix must be symmetric")
+        sig = linalg.signature(G, g)
         if sig.n_zero:
             raise DegenerateFormError("inner product must be nondegenerate (ambient radical is nonzero)")
         self._signature = sig
@@ -59,7 +60,9 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
 
     @classmethod
     def make(cls, algebra: LieAlgebra, gram: Sequence[Sequence]) -> "MetricLieAlgebra":
-        return cls(algebra, tuple(tuple(frac(x) for x in row) for row in gram))
+        """gram (ints, or anything `frac` coerces) cleared to (G, g)."""
+        G, g = linalg.clear_denominators(linalg.exact_mat(gram))
+        return cls(algebra, tuple(map(tuple, G)), g)
 
     @property
     def dim(self) -> int:
@@ -73,67 +76,52 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
     def is_riemannian(self) -> bool:
         return self.signature.n_minus == 0 and self.signature.n_zero == 0
 
-    def gram_rows(self) -> Mat:
-        return [list(r) for r in self.gram]
-
+    @property
     @memoized
-    def integer_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(Gi, g) with gram = Gi / g for the least g > 0: the one integer
-        view of the Gram matrix, the only place it is cleared."""
-        Gi, g = linalg.clear_denominators(self.gram)
-        return tuple(map(tuple, Gi)), g
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """G / g, one Fraction per entry: for the public boundary only."""
+        g = self.g
+        return tuple(tuple(Fraction(x, g) if x else ZERO for x in row) for row in self.G)
 
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
-        """<x, y> for vectors of ints or Fractions (floats are refused with
-        TypeError, as `linalg.frac` does): x and y are cleared to integers,
-        so the value is int dots over one denominator.  Lengths are checked."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError(f"vector lengths {len(x)}, {len(y)} != algebra dimension {self.dim}")
-        bad = next((v for v in chain(x, y) if isinstance(v, float)), None)
-        if bad is not None:
-            raise TypeError(f"refusing inexact float {bad!r}")
-        G, g = self.integer_gram()
-        (xi, yi), d = linalg.clear_denominators([x, y])
-        return Fraction(linalg.dot(xi, [linalg.dot(row, yi) for row in G]), g * d * d)
+        """<x, y> for vectors of ints or Fractions (`lie.clear_vectors`),
+        as int dots with G over one denominator."""
+        (xi, yi), d = clear_vectors(self.dim, x, y)
+        return Fraction(linalg.dot(xi, [linalg.dot(row, yi) for row in self.G]), self.g * d * d)
 
     def scale_gram(self, f) -> "MetricLieAlgebra":
+        """The metric f <., .> for f != 0: f G / g in least terms."""
         f = frac(f)
         if f == 0:
             raise ValueError("scale factor must be nonzero")
-        return MetricLieAlgebra.make(self.algebra, linalg.mat_scale(self.gram_rows(), f))
+        scaled = [[f.numerator * x for x in row] for row in self.G]
+        return MetricLieAlgebra(self.algebra, *linalg.least_terms(scaled, self.g * f.denominator))
 
     @classmethod
     def in_basis(
         cls, view: tuple[Sequence, int], gram: Sequence[Sequence], P: Sequence[Sequence], g: int = 1
     ) -> "MetricLieAlgebra":
-        """The metric Lie algebra (C / E, gram / g), for the integer view
-        view = (C, E) of its structure constants, built once, in the basis
-        given by the columns of P: the algebra by `LieAlgebra.in_basis`, the
-        Gram matrix P^T (gram / g) P by
-        `linalg.transport_form`, whose least-terms view is the new metric's
-        `integer_gram` from the start.  Symmetry and nondegeneracy are
-        checked on the new Gram matrix as in the constructor; an invertible
-        P keeps both, so the check covers gram too.  gram and P hold ints,
-        kept as ints, or anything `frac` coerces (floats raise TypeError),
-        and g is a positive int; a singular P raises SingularMatrixError."""
+        """The metric Lie algebra (C / E, gram / g) in the basis given by the
+        columns of P: the algebra by `LieAlgebra.in_basis` from view = (C, E),
+        the Gram view P^T (gram / g) P by `linalg.transport_form`.  The
+        constructor's check covers gram too: P is invertible.  gram and P
+        hold ints, kept as ints, or anything `frac` coerces (floats raise
+        TypeError), g is a positive int; a singular P raises
+        SingularMatrixError."""
         P = linalg.exact_mat(P)
         moved = LieAlgebra.in_basis(view, P)
         if len(gram) != moved.dim or any(len(r) != moved.dim for r in gram):
             raise ValueError("Gram matrix size must match the algebra dimension")
         if g < 1:
             raise ValueError("the denominator g must be positive")
-        G, h = form = linalg.transport_form(linalg.exact_mat(gram), P, g)
-        return cls._seeded(
-            (moved, tuple(tuple(Fraction(x, h) if x else ZERO for x in row) for row in G)),
-            {MetricLieAlgebra.integer_gram.key: form},
-        )
+        return cls(moved, *linalg.transport_form(linalg.exact_mat(gram), P, g))
 
     def change_basis(self, P: Sequence[Sequence]) -> "MetricLieAlgebra":
         """Transport algebra and inner product to the basis given by the
-        columns of P (gram -> P^T gram P), from the integer views (C, E) and
-        (Gi, g): see `in_basis`."""
-        Gi, g = self.integer_gram()
-        return MetricLieAlgebra.in_basis(self.algebra.integer_constants(), Gi, P, g)
+        columns of P (gram -> P^T gram P), from the fields (C, E) and
+        (G, g): see `in_basis`."""
+        a = self.algebra
+        return MetricLieAlgebra.in_basis((a.C, a.E), self.G, P, self.g)
 
 
 class LeviCivitaProduct(NamedTuple):
@@ -156,11 +144,10 @@ class CurvatureVerdict(NamedTuple):
 def lowered_constants(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     """(Low, L) with <[e_i, e_j], e_k> = Low[i][j][k] / L: the one integer
     view of the lowered structure constants, which the Levi-Civita solve and
-    the Killing constraints both read.  With G = Gi / g and c = C / e it is
-    Gi C over g e, read off the cleared Gram `integer_gram`."""
-    Gi, g = m.integer_gram()
-    C, e = m.algebra.integer_constants()
-    return tuple(tuple(tuple(linalg.dot(row, cij) for row in Gi) for cij in plane) for plane in C), g * e
+    the Killing constraints both read.  With gram = G / g and c = C / E it
+    is G C over g E."""
+    G, a = m.G, m.algebra
+    return tuple(tuple(tuple(linalg.dot(row, cij) for row in G) for cij in plane) for plane in a.C), m.g * a.E
 
 
 @memoized
@@ -168,8 +155,8 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     """(P, D) with p = P / D for the least D > 0: the one integer view of the
     Levi-Civita product that every exact layer reads.
 
-    Solved pair by pair in ints: G^-1 = H / q (`linalg.integer_inverse` of
-    the Fraction Gram, whose elimination clears each row on its own, so
+    Solved pair by pair in ints: (G / g)^-1 = H / q (`linalg.integer_inverse`
+    of the view (G, g), whose elimination clears each row on its own, so
     dense entries with distinct denominators do not share one huge common
     denominator).  The Koszul right-hand side for (i, j) is
     (Low[i][j][k] - Low[j][k][i] + Low[k][i][j]) / 2L, so each product
@@ -177,7 +164,7 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     of 2 q L and every numerator leaves the least D."""
     n = m.dim
     low, L = lowered_constants(m)
-    H, q = linalg.integer_inverse(m.gram)
+    H, q = linalg.integer_inverse(m.G, m.g)
     koszul = [[[low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
     rows, D = linalg.least_terms([[linalg.dot(row, rhs) for row in H] for plane in koszul for rhs in plane], 2 * q * L)
     return linalg.planes(rows, n), D
@@ -231,7 +218,7 @@ def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     witness rows are unpacked."""
     n = m.dim
     P, D = integer_product(m)
-    C, E = m.algebra.integer_constants()
+    C, E = m.algebra.C, m.algebra.E
     g = math.gcd(D, E)
     den = E * D * D // g
     D, E = D // g, E // g
@@ -280,8 +267,7 @@ def timelike_vector(m: MetricLieAlgebra, V: Subspace) -> tuple[int, ...] | None:
     d[i] its first negative entry (so degenerate restrictions are fine)."""
     if V.dim == 0:
         return None
-    Gi, g = m.integer_gram()
-    E, d = linalg.congruence(linalg.restrict_form(Gi, V, g))
+    E, d = linalg.congruence(linalg.restrict_form(m.G, V, m.g))
     i = next((i for i, x in enumerate(d) if x < 0), None)
     if i is None:
         return None
@@ -322,6 +308,6 @@ def verify_killing_triple_identity(m: MetricLieAlgebra) -> KillingTripleReport:
         raise HypothesisNotMetError("triple identity requires a flat metric")
     (P, _), n = integer_product(m), m.dim
     s1 = killing_subalgebra(m)
-    s2 = linalg.orthogonal_complement(Subspace.row_space(n, list(chain(*P))), m.integer_gram()[0])
+    s2 = linalg.orthogonal_complement(Subspace.row_space(n, list(chain(*P))), m.G)
     s3 = linalg.kernel([[P[j][b][k] for b in range(n)] for j in range(n) for k in range(n)])
     return KillingTripleReport(s1, s2, s3, s1 == s2 == s3, m.algebra.is_abelian_subspace(s1))

@@ -251,9 +251,9 @@ def _connection_failures(m: MetricLieAlgebra, tag: str) -> list[str]:
     failures = []
     n = m.dim
     dot = linalg.dot
-    C, E = m.algebra.integer_constants()
+    C, E = m.algebra.C, m.algebra.E
     P, D = metric.integer_product(m)
-    Gi, _ = m.integer_gram()
+    Gi = m.G
     low = [[[dot(row, cij) for row in Gi] for cij in plane] for plane in C]
     paired = [[[dot(row, pij) for row in Gi] for pij in plane] for plane in P]  # paired[i][j] = Gi P_ij
 

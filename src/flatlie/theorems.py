@@ -74,7 +74,7 @@ def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
     ):
         raise InvalidSplitError("split is not an orthogonal direct-sum decomposition")
     P, D = integer_product(m)
-    C, E = m.algebra.integer_constants()
+    C, E = m.algebra.C, m.algebra.E
     killing, _ = linalg.clear_denominators(split.killing.basis)
     derived, _ = linalg.clear_denominators(split.derived.basis)
     for s in killing:
@@ -96,8 +96,7 @@ def _split_check(m: MetricLieAlgebra) -> Theorem1Report:
     a = m.algebra
     S = killing_subalgebra(m)
     D = a.derived_subalgebra()
-    Gi, g = m.integer_gram()
-    cross = tuple(map(tuple, linalg.restrict_form(Gi, S, g, D)))
+    cross = tuple(map(tuple, linalg.restrict_form(m.G, S, m.g, D)))
     split = SplitData(S, D, cross)
     spans = S.dim + D.dim == m.dim and linalg.subspace_sum(S, D).dim == m.dim
     orthogonal = all(x == 0 for row in cross for x in row)
@@ -167,13 +166,13 @@ def same_connection(m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> bool:
     connection that makes every L_u skew for the form, and m1's product
     p = P / D is torsion-free.  So it is m2's iff
     <L_k e_c, e_r> + <e_c, L_k e_r> = 0 for all k, r, c.  With m2's Gram
-    matrix H / h (`integer_gram`), M_k[r][c] = dot(H[r], P[k][c]) is
+    matrix H / h (its fields (G, g)), M_k[r][c] = dot(H[r], P[k][c]) is
     h D <L_k e_c, e_r>, and the test is M_k + M_k^T = 0 for every k:
     n^3 int dots."""
     if m1.algebra != m2.algebra:
         raise MismatchedAlgebrasError("metrics live on different Lie algebras")
     P, _ = integer_product(m1)
-    H, _ = m2.integer_gram()
+    H = m2.G
     n = m1.dim
     dot = linalg.dot
     for plane in P:
@@ -198,14 +197,15 @@ def riemannian_companion(m: MetricLieAlgebra) -> MetricLieAlgebra:
     if not report.direct_side:
         raise HypothesisNotMetError("requires a flat Lorentzian metric with a timelike Killing vector")
     s = report.timelike_witness
-    Gi, g = m.integer_gram()
-    # in ints: with G = Gi / g, v = Gi s and q = <s, v>, the reflected form
-    # is (q Gi - 2 v v^T) / (g q)
+    Gi, g = m.G, m.g
+    # in ints: with gram = Gi / g, v = Gi s and q = g <s, s> = <s, v> < 0,
+    # the reflected form is (q Gi - 2 v v^T) / (g q) = (2 v v^T - q Gi) / (-g q),
+    # the companion's fields once in least terms
     v = [linalg.dot(row, s) for row in Gi]
     q = linalg.dot(s, v)
-    new_gram = tuple(tuple(Fraction(q * x - 2 * a * b, g * q) for x, b in zip(row, v)) for row, a in zip(Gi, v))
+    reflected = [[2 * a * b - q * x for x, b in zip(row, v)] for row, a in zip(Gi, v)]
 
-    companion = MetricLieAlgebra(m.algebra, new_gram)
+    companion = MetricLieAlgebra(m.algebra, *linalg.least_terms(reflected, -g * q))
     if not companion.is_riemannian:
         raise AssertionError("companion construction produced a non-positive-definite form")
     if not same_connection(m, companion):

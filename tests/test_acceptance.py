@@ -104,7 +104,7 @@ def test_criterion_2_connection_axioms():
     for m in population():
         n = m.dim
         p = levi_civita(m)
-        G = m.gram_rows()
+        G = [list(r) for r in m.gram]
         basis = linalg.identity(n)
         for a in range(n):
             L = left_mult(p, basis[a])

@@ -1,6 +1,7 @@
 """Differential tests of the integer exact kernel against Fraction oracles.
 
-`linalg.rref`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`,
+`linalg.rref`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`
+(on a Fraction matrix and on a metric's Gram view (G, g)),
 `linalg.transport`, both `change_basis` methods, `metric.levi_civita`, `metric.is_flat`,
 `theorems.verify_eq2`, `theorems.same_connection`, `classc.scalar_action`,
 `LieAlgebra.is_abelian_subspace` and the sweeps' connection check work in
@@ -94,6 +95,12 @@ def eq2_oracle(m, S, D):
     return all(left_mult_oracle(p, s) == left_mult_oracle(c, s) for s in S.basis) and all(
         x == 0 for h in D.basis for row in left_mult_oracle(p, h) for x in row
     )
+
+
+def in_least_terms(d, rows):
+    """Whether the int view rows / d has d > 0 and no factor common to d
+    and every entry: the view that clearing its Fractions finds."""
+    return d > 0 and math.gcd(d, *itertools.chain.from_iterable(rows)) == 1
 
 
 def rational_basis(rng, n):
@@ -253,7 +260,7 @@ def anisotropic():
 def slot_width(m):
     """The slot width is_flat packs at, from its bound n a (D c + 2 E a)."""
     P, D = metric.integer_product(m)
-    C, E = m.algebra.integer_constants()
+    C, E = m.algebra.C, m.algebra.E
     g = math.gcd(D, E)
     a, c = linalg.max_abs(P), linalg.max_abs(C)
     return linalg.slot_width(m.dim * a * (D // g * c + 2 * E // g * a))
@@ -277,7 +284,7 @@ def test_population_has_both_verdicts_and_fractional_data():
 def matrices(rng, m):
     """Matrices the kernel eliminates on, plus random rank-deficient ones."""
     n = m.dim
-    G = m.gram_rows()
+    G = [list(r) for r in m.gram]
     yield [row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(G)]
     yield [[m.algebra.c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
     yield [list(row) for plane in levi_civita(m).p for row in plane]
@@ -436,7 +443,7 @@ def test_anisotropic_population_has_the_commutator_term_dominate_the_width():
     dominated = 0
     for _, m in ANISOTROPIC:
         P, D = metric.integer_product(m)
-        C, E = m.algebra.integer_constants()
+        C, E = m.algebra.C, m.algebra.E
         g = math.gcd(D, E)
         dominated += 2 * (E // g) * linalg.max_abs(P) > (D // g) * linalg.max_abs(C) > 0
     assert dominated >= 10
@@ -639,7 +646,8 @@ def test_transport_matches_fraction_change_of_basis(n):
                 moved = linalg.transport(T, P)
                 assert moved == transport_oracle(T, P)
                 assert all(isinstance(x, F) for plane in moved for row in plane for x in row)
-                assert linalg.integer_transport(T, P) == linalg.clear_tensor_denominators(moved)
+                X, e = linalg.integer_transport(T, P)
+                assert linalg.fraction_tensor(X, e) == moved and in_least_terms(e, itertools.chain(*X))
             t = rng.randint(2, 30)
             scaled = tuple(tuple(tuple(F(x, t) for x in row) for row in plane) for plane in T_int)
             assert linalg.transport(T_int, P, t) == transport_oracle(scaled, P)
@@ -666,29 +674,38 @@ def _change_of_basis_cases():
             yield m, P
 
 
-def test_change_basis_hands_over_the_integer_views(monkeypatch):
-    """A change of basis gives the Fraction change of basis, and the new
-    instance's memo starts with its own integer views: each equal to
-    clearing its own fields, so both are in least terms.  An int P reaches
-    the transport as ints."""
+def test_change_basis_fields_are_the_cleared_fraction_change_of_basis(monkeypatch):
+    """A change of basis builds each new record once, and its fields
+    (C, E) and (G, g) are the Fraction change of basis in least terms, so
+    they equal clearing it.  An int P reaches the transport as ints."""
     seen = []
+    built = {LieAlgebra: 0, MetricLieAlgebra: 0}
     integer_transport = linalg.integer_transport
 
     def spied(T, P, t=1):
         seen.append({type(x) for row in P for x in row})
         return integer_transport(T, P, t)
 
+    def counted(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args):
+            built[cls] += 1
+            init(self, *args)
+        return wrapper
+
     monkeypatch.setattr(linalg, "integer_transport", spied)
+    for cls in built:
+        monkeypatch.setattr(cls, "__init__", counted(cls))
     for m, P in _change_of_basis_cases():
         seen.clear()
+        built.update(dict.fromkeys(built, 0))
         moved = m.change_basis(P)
-        assert moved.algebra.c == transport_oracle(m.algebra.c, P)
+        assert built == {LieAlgebra: 1, MetricLieAlgebra: 1}
+        a = moved.algebra
+        assert in_least_terms(a.E, itertools.chain(*a.C)) and in_least_terms(moved.g, moved.G)
+        assert a.c == transport_oracle(m.algebra.c, P)
         assert moved.gram == gram_oracle(m.gram, P)
-        Gi, g = linalg.clear_denominators(moved.gram)
-        assert moved._memo == {MetricLieAlgebra.integer_gram.key: (tuple(map(tuple, Gi)), g)}
-        assert moved.algebra._memo == {
-            LieAlgebra.integer_constants.key: linalg.clear_tensor_denominators(moved.algebra.c)
-        }
         assert moved.signature == m.signature
         if all(type(x) is int for row in P for x in row):
             assert seen == [{int}]
@@ -703,13 +720,14 @@ def test_change_basis_refuses_bad_input():
         with pytest.raises(TypeError):
             target.change_basis([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
     identity = linalg.identity(3)
+    view = m.algebra.C, m.algebra.E
     with pytest.raises(TypeError):
-        MetricLieAlgebra.in_basis(m.algebra.integer_constants(), [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], identity)
+        MetricLieAlgebra.in_basis(view, [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], identity)
     with pytest.raises(ValueError):
-        MetricLieAlgebra.in_basis(m.algebra.integer_constants(), [row[:2] for row in m.gram], identity)
+        MetricLieAlgebra.in_basis(view, [row[:2] for row in m.gram], identity)
     with pytest.raises(ValueError):
-        MetricLieAlgebra.in_basis(m.algebra.integer_constants(), m.gram, identity, 0)
-    assert MetricLieAlgebra.in_basis(m.algebra.integer_constants(), m.gram, identity) == m
+        MetricLieAlgebra.in_basis(view, m.gram, identity, 0)
+    assert MetricLieAlgebra.in_basis(view, m.gram, identity) == m
 
 
 def test_change_basis_checks_every_new_instance(monkeypatch):
@@ -854,6 +872,32 @@ def dense_document(rng, n):
             gram[i][j] = gram[j][i] = six_digit(rng)
     gram[0][0] = -gram[0][0]
     return MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
+
+
+def _elimination_cases():
+    """Dense documents of dims 2-9 over three seeds, and metrics of dims
+    2-6 from every sweep generator."""
+    for seed in range(3):
+        for n in range(2, 10):
+            yield dense_document(random.Random(seed), n)
+    rng = random.Random(350)
+    for dim in range(2, 7):
+        yield sweeps.random_metric_algebra(rng, dim)
+        yield sweeps.random_metric_algebra(rng, dim, kind="lorentzian")
+        yield sweeps.theorem1_true_instance(rng, dim)
+        yield sweeps.class_c_instance(rng, dim, True)
+        yield sweeps.class_c_instance(rng, dim, False)
+
+
+def test_eliminations_on_the_gram_view_match_the_fraction_gram():
+    """`congruence`, `signature` and `integer_inverse` clear each row of a
+    metric's fields (G, g) on its own, so they return exactly what they
+    return on the Fraction Gram G / g: the same E, d, H and q."""
+    for m in _elimination_cases():
+        gram = m.gram
+        assert linalg.congruence(m.G, m.g) == linalg.congruence(gram)
+        assert linalg.signature(m.G, m.g) == linalg.signature(gram) == m.signature
+        assert linalg.integer_inverse(m.G, m.g) == linalg.integer_inverse(gram)
 
 
 def test_integer_product_matches_a_sympy_koszul_solve_on_a_dense_document():

@@ -5,7 +5,7 @@ import pytest
 
 from flatlie import linalg, sweeps
 from flatlie.errors import AntisymmetryError, JacobiError, SingularMatrixError
-from flatlie.lie import LieAlgebra
+from flatlie.lie import LieAlgebra, integer_view
 from flatlie.linalg import Subspace
 
 
@@ -33,6 +33,54 @@ def test_bracket_refuses_vectors_of_the_wrong_length():
     for x, y in (([0, 1], [0, 0, 1]), ([0, 1, 0], [0, 0, 1, 0]), ([], [])):
         with pytest.raises(ValueError, match="algebra dimension 3"):
             a.bracket(x, y)
+
+
+def test_ad_refuses_vectors_of_the_wrong_length():
+    """A short vector is refused, not truncated by the contraction."""
+    a = rot3()
+    for x in ([1, 0], [1, 0, 0, 0], []):
+        with pytest.raises(ValueError, match="algebra dimension 3"):
+            a.ad(x)
+
+
+def test_bracket_and_ad_refuse_floats_and_return_fractions():
+    """Floats are refused, as `MetricLieAlgebra.inner` refuses them, and
+    every entry, zeros included, is a Fraction of the int contraction."""
+    a = rot3()
+    with pytest.raises(TypeError, match="inexact float"):
+        a.bracket([1.5, 0, 0], [0, 1, 0])
+    with pytest.raises(TypeError, match="inexact float"):
+        a.bracket([1, 0, 0], [0, 1.0, 0])
+    with pytest.raises(TypeError, match="inexact float"):
+        a.ad([0.5, 0, 0])
+    assert a.bracket([F(3, 2), 0, 0], [0, 1, 0]) == [0, 0, F(3, 2)]
+    assert all(type(x) is F for x in a.bracket([F(3, 2), 0, 0], [0, 1, 0]))
+    assert all(type(x) is F for row in a.ad([1, 0, 0]) for x in row)
+    half = LieAlgebra.from_brackets(2, {(0, 1): [0, F(1, 2)]})
+    assert half.bracket([F(1, 3), 0], [0, 6]) == [0, 1]
+    assert half.ad([F(1, 3), 0]) == [[0, 0], [0, F(1, 6)]]
+
+
+def test_constructor_refuses_a_bad_integer_view():
+    """`LieAlgebra(dim, C, E, labels)` checks the view itself, each refusal
+    naming its field: int entries, E >= 1 and least terms, on which
+    equality and hash rely."""
+    o = (0, 0)
+    C = ((o, (0, 2)), ((0, -2), o))  # [e0, e1] = 2 e1 / E
+    assert LieAlgebra(2, C, 3) == LieAlgebra.from_brackets(2, {(0, 1): [0, F(2, 3)]})
+    with pytest.raises(TypeError, match="C: "):
+        LieAlgebra(2, ((o, (0, F(2))), ((0, F(-2)), o)), 3)
+    with pytest.raises(TypeError, match="C: "):
+        LieAlgebra(2, ((o, (0, 2.0)), ((0, -2.0), o)), 3)
+    for E in (0, -3):
+        with pytest.raises(ValueError, match="E: "):
+            LieAlgebra(2, C, E)
+    with pytest.raises(ValueError, match="C, E: .*least terms"):
+        LieAlgebra(2, C, 4)  # 2 / 4 is 1 / 2: not the least view
+    with pytest.raises(ValueError, match="C: "):
+        LieAlgebra(2, [[list(o), [0, 2]], [[0, -2], list(o)]], 3)  # lists would make the record mutable
+    with pytest.raises(ValueError, match="C: "):
+        LieAlgebra(3, C, 3)
 
 
 def center(a):
@@ -153,7 +201,7 @@ def test_jacobi_check_matches_the_brute_oracle_on_big_entry_tensors():
     for k in range(30):
         dim = 3 + k % 5
         brackets, c = big_entry_tensor(rng, dim)
-        C, _ = linalg.clear_tensor_denominators(c)
+        C, _ = integer_view(dim, brackets)
         widths.append(linalg.slot_width(3 * dim * linalg.max_abs(C) ** 2))
         oracle = brute_jacobi_residuals(dim, tensor_bracket(c))
         failing = next(((t, r) for t, r in oracle.items() if not linalg.is_zero_vec(r)), None)
@@ -202,12 +250,18 @@ def test_jacobi_violation_reports_triple_and_residual():
     assert list(exc.value.residual) == oracle[(0, 1, 2)]
 
 
+def _view(c):
+    """The Fraction tensor c as the fields (C, E) of `LieAlgebra`."""
+    rows, E = linalg.clear_denominators([row for plane in c for row in plane])
+    return linalg.planes(rows, len(c)), E
+
+
 def test_antisymmetry_violation_on_full_tensor():
     c = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
     c[0][1][1] = F(1)
     c[1][0][1] = F(1)  # should be -1
     with pytest.raises(AntisymmetryError):
-        LieAlgebra(2, c)
+        LieAlgebra(2, *_view(c))
 
 
 def test_antisymmetry_violation_names_the_first_triple():
@@ -221,13 +275,13 @@ def test_antisymmetry_violation_names_the_first_triple():
     c[1][1][2] = F(5)
     c[2][2][0] = F(1)
     with pytest.raises(AntisymmetryError) as exc:
-        LieAlgebra(3, c)
+        LieAlgebra(3, *_view(c))
     assert exc.value.triple == (1, 1, 2)
     c = zeros()
     c[0][2][1], c[2][0][1] = F(1, 2), F(-1, 3)
     c[1][2][0], c[2][1][0] = F(1), F(1)
     with pytest.raises(AntisymmetryError) as exc:
-        LieAlgebra(3, c)
+        LieAlgebra(3, *_view(c))
     assert exc.value.triple == (0, 2, 1)
 
 
@@ -258,7 +312,7 @@ def test_derived_subalgebra():
 
 
 def test_derived_subalgebra_is_the_span_of_the_fraction_brackets():
-    """The derived algebra is read off the int rows of `integer_constants`;
+    """The derived algebra is read off the int rows of the field C;
     spanning the Fraction brackets gives the same canonical basis, entry by
     entry, Fractions included."""
     rng = random.Random(34)

@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -55,48 +56,80 @@ def test_analysis_report_builds_curvature_only_for_the_witness(monkeypatch):
         assert counts == {"curvature": 0, "is_flat": 1}
 
 
-@pytest.mark.parametrize("name", GOLDEN_INPUTS)
-def test_structure_constants_and_product_are_cleared_once(monkeypatch, name):
-    """A loaded document clears no tensor: `from_brackets` clears its
-    bracket table straight to the algebra's integer view, which equals
-    clearing the structure constants.  One analysis then clears no tensor
-    either: the Levi-Civita product is solved straight into its integer
-    view.  A change of basis clears none: the transport hands the new
-    algebra its integer view, which equals clearing the new constants."""
-    calls = []
-    clear = linalg.clear_tensor_denominators
+def _is_cleared_view(x):
+    """Whether the fields of a record are its Fraction view cleared over
+    its least denominator: (C, E) for an algebra, (G, g) for a metric."""
+    if isinstance(x, LieAlgebra):
+        rows, E = linalg.clear_denominators([row for plane in x.c for row in plane])
+        return (linalg.planes(rows, x.dim), E) == (x.C, x.E)
+    G, g = linalg.clear_denominators(x.gram)
+    return (tuple(map(tuple, G)), g) == (x.G, x.g) and _is_cleared_view(x.algebra)
 
-    def counted(T):
-        calls.append(len(T))
-        return clear(T)
 
-    monkeypatch.setattr(linalg, "clear_tensor_denominators", counted)
-    m = _golden_input(name)
-    assert len(calls) == 0
-    assert _holds_only_its_integer_constants(m.algebra)
-    calls.clear()
-    report.analysis_report(m)
-    assert len(calls) == 0
-    moved = m.algebra.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
-    assert len(calls) == 0
-    assert _holds_only_its_own_views(moved)
+def _fraction_views_built(monkeypatch):
+    """Record each record whose Fraction view, `LieAlgebra.c` or
+    `MetricLieAlgebra.gram`, is read from now on; returns that list."""
+    built = []
+    for cls, name in ((LieAlgebra, "c"), (MetricLieAlgebra, "gram")):
+        def counted(self, view=vars(cls)[name].fget):
+            built.append(self)
+            return view(self)
+
+        monkeypatch.setattr(cls, name, property(counted))
+    return built
 
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
-def test_gram_matrix_is_cleared_once_per_analysis(monkeypatch, name):
-    """Every layer reads the one cleared view `integer_gram`, so one
-    analysis clears G once."""
+def test_loaded_records_hold_their_cleared_views(name):
+    """A loaded document builds each record with nothing memoized:
+    `from_brackets` clears the bracket table straight to (C, E) and `make`
+    the Gram matrix to (G, g), and each equals clearing its record's
+    Fraction view.  A change of basis starts its new records empty too."""
     m = _golden_input(name)
-    calls = []
-    clear = linalg.clear_denominators
+    assert m._memo == {} and m.algebra._memo == {}
+    moved = m.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
+    assert moved._memo == {} and moved.algebra._memo == {}
+    assert _is_cleared_view(m) and _is_cleared_view(moved)
 
-    def counted(A):
-        calls.append(A is m.gram)
-        return clear(A)
 
-    monkeypatch.setattr(linalg, "clear_denominators", counted)
-    report.analysis_report(m)
-    assert calls.count(True) == 1
+def _counted_inits(monkeypatch):
+    """Count the `__init__` calls of both records from now on."""
+    counts = {LieAlgebra: 0, MetricLieAlgebra: 0}
+    for cls in counts:
+        def counted(self, *args, init=cls.__init__, cls=cls):
+            counts[cls] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def test_every_construction_route_runs_init_once(monkeypatch):
+    """Each named constructor, change of basis, rescaling, companion and
+    copy builds its new record through the one checking `__init__`, once."""
+    m = _golden_input("dim6_flat_split_lorentzian")
+    P = sweeps.unimodular_int_matrix(random.Random(2), m.dim)
+    counts = _counted_inits(monkeypatch)
+    routes = {
+        "from_brackets": (lambda: LieAlgebra.from_brackets(2, {(0, 1): [0, 1]}), 1, 0),
+        "abelian": (lambda: LieAlgebra.abelian(3), 1, 0),
+        "LieAlgebra.in_basis": (lambda: LieAlgebra.in_basis((m.algebra.C, m.algebra.E), P), 1, 0),
+        "LieAlgebra.change_basis": (lambda: m.algebra.change_basis(P), 1, 0),
+        "make": (lambda: MetricLieAlgebra.make(m.algebra, m.gram), 0, 1),
+        "MetricLieAlgebra.in_basis": (lambda: MetricLieAlgebra.in_basis((m.algebra.C, m.algebra.E), m.G, P, m.g), 1, 1),
+        "MetricLieAlgebra.change_basis": (lambda: m.change_basis(P), 1, 1),
+        "scale_gram": (lambda: m.scale_gram(F(-2, 3)), 0, 1),
+        "riemannian_companion": (lambda: theorems.riemannian_companion(m), 0, 1),
+        "parse_document": (lambda: inputdoc.parse_document(inputdoc.emit_document(m)), 1, 1),
+        "pickle": (lambda: pickle.loads(pickle.dumps(m)), 1, 1),
+        "copy": (lambda: copy.copy(m), 0, 1),
+        "_replace": (lambda: m._replace(g=m.g), 0, 1),
+        "_make": (lambda: LieAlgebra._make(m.algebra), 1, 0),
+    }
+    for route, (build, lie_inits, metric_inits) in routes.items():
+        counts.update(dict.fromkeys(counts, 0))
+        build()
+        assert counts == {LieAlgebra: lie_inits, MetricLieAlgebra: metric_inits}, route
 
 
 def test_companion_connection_is_checked_without_a_second_solve(monkeypatch):
@@ -107,14 +140,14 @@ def test_companion_connection_is_checked_without_a_second_solve(monkeypatch):
     inverted = []
     integer_inverse = linalg.integer_inverse
 
-    def counted(A):
+    def counted(A, a=1):
         inverted.append(A)
-        return integer_inverse(A)
+        return integer_inverse(A, a)
 
     monkeypatch.setattr(linalg, "integer_inverse", counted)
     section = report.analysis_report(m)
     assert section["companion"]["same_connection"] is True
-    assert inverted == [m.integer_gram()[0]]
+    assert inverted == [m.G]
 
 
 def _counting(counts, name, fn):
@@ -149,9 +182,12 @@ def test_kernel_eliminates_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
-def test_no_analysis_builds_the_fraction_product(monkeypatch, name):
+def test_no_analysis_builds_a_fraction_product_or_view(monkeypatch, name):
     """Every exact layer, the class-C witness included, reads (P, D), so no
-    analysis builds the Fraction product of `levi_civita`."""
+    analysis builds the Fraction product of `levi_civita`, and reads the
+    fields (C, E) and (G, g), so it reads neither `c` nor `gram` of the
+    loaded metric (the companion's Gram matrix is report output)."""
+    views = _fraction_views_built(monkeypatch)
     built = []
     product = metric.LeviCivitaProduct
 
@@ -164,14 +200,16 @@ def test_no_analysis_builds_the_fraction_product(monkeypatch, name):
     section = report.analysis_report(m)
     if section["class_c"]["detected"]:  # the witness was checked, on (P, D)
         assert section["class_c"]["witness"]["closed_form_matches"]
-    assert built == []
+    assert built == [] and not any(x is m or x is m.algebra for x in views)
 
 
 @pytest.mark.parametrize("seed", [0, 20])
-def test_no_sweep_builds_the_fraction_product(monkeypatch, seed):
+def test_no_sweep_builds_a_fraction_product_or_view(monkeypatch, seed):
     """The Killing triple identity, checked on every flat instance of the
     theorem-1 sweep, reads the int planes of (P, D), so no sweep builds the
-    Fraction product either."""
+    Fraction product either; and every sweep decides on the fields (C, E)
+    and (G, g), reading no instance's `c` or `gram`."""
+    views = _fraction_views_built(monkeypatch)
     built = []
     product = metric.LeviCivitaProduct
 
@@ -184,13 +222,15 @@ def test_no_sweep_builds_the_fraction_product(monkeypatch, seed):
     assert all(r.ok for r in results)
     theorem1 = next(r for r in results if r.name == "theorem1_equivalence")
     assert int(theorem1.notes.split()[0]) > 0  # the triple identity ran
-    assert built == []
+    assert built == [] and views == []
 
 
 @pytest.mark.parametrize("name", catalog.names())
-def test_no_geodesic_run_builds_the_fraction_product(monkeypatch, capsys, tmp_path, name):
-    """The integrator's float operator is read off (P, D), so a `geodesic`
-    run builds no Fraction product either."""
+def test_no_geodesic_run_builds_a_fraction_product_or_view(monkeypatch, capsys, tmp_path, name):
+    """The integrator's float operator is read off (P, D) and its energy
+    form off (G, g), so a `geodesic` run builds no Fraction product and
+    reads neither `c` nor `gram`."""
+    views = _fraction_views_built(monkeypatch)
     built = []
     product = metric.LeviCivitaProduct
 
@@ -204,7 +244,7 @@ def test_no_geodesic_run_builds_the_fraction_product(monkeypatch, capsys, tmp_pa
     v0 = ",".join(["1"] * catalog.build(name).dim)
     assert main(["geodesic", "--json", "-i", str(path), "--v0", v0, "--t-max", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["steps"] > 0
-    assert built == []
+    assert built == [] and views == []
 
 
 def test_repeated_calls_return_the_same_object():
@@ -214,32 +254,15 @@ def test_repeated_calls_return_the_same_object():
     assert m.algebra.derived_subalgebra() is m.algebra.derived_subalgebra()
 
 
-def _holds_only_its_integer_constants(a):
-    """The memo of an algebra nothing has been asked of: the integer view
-    its Jacobi check read, equal to clearing its own structure constants."""
-    return a._memo == {LieAlgebra.integer_constants.key: linalg.clear_tensor_denominators(a.c)}
-
-
-def _holds_only_its_own_views(x):
-    """The memo of an instance built by a change of basis, nothing asked of
-    it yet: its own integer views, each equal to clearing its own fields,
-    and nothing else (the algebra's view alone, for a LieAlgebra)."""
-    if isinstance(x, LieAlgebra):
-        return _holds_only_its_integer_constants(x)
-    Gi, g = linalg.clear_denominators(x.gram)
-    own = {MetricLieAlgebra.integer_gram.key: (tuple(map(tuple, Gi)), g)}
-    return x._memo == own and _holds_only_its_own_views(x.algebra)
-
-
 def test_memo_is_invisible_to_eq_hash_and_repr():
-    """Sweep instances are built by a change of basis, so a fresh one holds
-    its own integer views; an analysed one holds many more values.  Neither
-    shows in ==, hash, repr or pickle."""
+    """A fresh sweep instance holds nothing in its memo; an analysed one
+    holds many values.  Neither shows in ==, hash, repr or pickle, which
+    follow the fields."""
     m = _instance()
     fresh = _instance()
     report.analysis_report(m)
     assert len(m._memo) > 1 and len(m.algebra._memo) > 1
-    assert _holds_only_its_own_views(fresh)
+    assert fresh._memo == {} and fresh.algebra._memo == {}
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
     assert m.algebra == fresh.algebra and hash(m.algebra) == hash(fresh.algebra)
     assert repr(m.algebra) == repr(fresh.algebra)
@@ -251,28 +274,28 @@ def test_copies_are_rebuilt_by_the_constructor_without_the_memo():
     copy starts with an empty memo and a bad replacement is refused."""
     m = _instance()
     report.analysis_report(m)
-    for copy_of_m in (pickle.loads(pickle.dumps(m)), copy.copy(m), m._replace(gram=m.gram)):
+    for copy_of_m in (pickle.loads(pickle.dumps(m)), copy.copy(m), m._replace(G=m.G)):
         assert copy_of_m == m and copy_of_m is not m
         assert copy_of_m._memo == {} and copy_of_m.signature == m.signature
-    assert _holds_only_its_integer_constants(pickle.loads(pickle.dumps(m.algebra)))
-    c = [list(plane) for plane in m.algebra.c]
-    c[0][1] = tuple(x + 1 for x in c[0][1])  # no longer -c[1][0]
+    assert pickle.loads(pickle.dumps(m.algebra))._memo == {}
+    C = [list(plane) for plane in m.algebra.C]
+    C[0][1] = tuple(x + m.algebra.E for x in C[0][1])  # no longer -C[1][0]
     with pytest.raises(AntisymmetryError):
-        m.algebra._replace(c=tuple(map(tuple, c)))
+        m.algebra._replace(C=tuple(map(tuple, C)))
 
 
 def test_derived_instances_hold_only_their_own_views():
-    """A metric made by scale_gram starts with an empty memo.  One made by
-    change_basis starts with its own integer views, handed over by the
-    transport: equal to clearing its own fields, and nothing read or copied
-    from the analysed parent's memo."""
+    """A metric made by scale_gram or change_basis starts with an empty
+    memo, nothing copied from the analysed parent's, and its fields are
+    its own Fraction view cleared over its least denominator."""
     m = _instance()
     report.analysis_report(m)
-    assert m.scale_gram(2)._memo == {}
+    scaled = m.scale_gram(F(-4, 6))
     moved = m.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
-    assert _holds_only_its_own_views(moved)
-    parent_values = [id(v) for memo in (m._memo, m.algebra._memo) for v in memo.values()]
-    assert not any(id(v) in parent_values for memo in (moved._memo, moved.algebra._memo) for v in memo.values())
+    for x in (scaled, moved):
+        assert x._memo == {} and (x.algebra is m.algebra or x.algebra._memo == {})
+        assert _is_cleared_view(x)
+    assert scaled.gram == tuple(tuple(F(-2, 3) * v for v in row) for row in m.gram)
 
 
 def test_class_c_analysis_detects_once(monkeypatch):

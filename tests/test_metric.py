@@ -85,19 +85,50 @@ def test_inner_refuses_vectors_of_the_wrong_length():
 
 
 def test_signature_is_derived_not_passed():
-    """The signature is read off the Gram matrix; a caller cannot supply one."""
+    """The signature is read off the Gram view (G, g); a caller cannot
+    supply one, and neither the fields nor the Fraction view `gram` can be
+    rebound."""
     a = LieAlgebra.abelian(2)
-    gram = ((F(0), F(1)), (F(1), F(0)))
+    G = ((0, 1), (1, 0))
     with pytest.raises(TypeError):
-        MetricLieAlgebra(a, gram, linalg.Signature(9, 9, 9))
+        MetricLieAlgebra(a, G, 1, linalg.Signature(9, 9, 9))
     with pytest.raises(TypeError):
-        MetricLieAlgebra(a, gram, signature=linalg.Signature(9, 9, 9))
-    m = MetricLieAlgebra(a, gram)
+        MetricLieAlgebra(a, G, 1, signature=linalg.Signature(9, 9, 9))
+    m = MetricLieAlgebra(a, G, 1)
     assert m.signature == linalg.Signature(1, 1, 0)
+    assert m.gram == ((F(0), F(1)), (F(1), F(0)))
     with pytest.raises(AttributeError):
         m.signature = linalg.Signature(2, 0, 0)
     with pytest.raises(AttributeError):
         m.gram = ((F(1), F(0)), (F(0), F(1)))
+    with pytest.raises(AttributeError):
+        m.G = ((1, 0), (0, 1))
+
+
+def test_constructor_refuses_a_bad_gram_view():
+    """`MetricLieAlgebra(algebra, G, g)` checks the view itself, each
+    refusal naming its field: int entries, g >= 1, symmetry and least
+    terms, on which equality and hash rely."""
+    a = LieAlgebra.abelian(2)
+    G = ((2, 1), (1, -3))
+    assert MetricLieAlgebra(a, G, 5) == MetricLieAlgebra.make(a, [[F(2, 5), F(1, 5)], [F(1, 5), F(-3, 5)]])
+    with pytest.raises(TypeError, match="G: "):
+        MetricLieAlgebra(a, ((F(2), 1), (1, -3)), 5)
+    with pytest.raises(TypeError, match="G: "):
+        MetricLieAlgebra(a, ((2.0, 1), (1, -3)), 5)
+    for g in (0, -5):
+        with pytest.raises(ValueError, match="g: "):
+            MetricLieAlgebra(a, G, g)
+    with pytest.raises(NonSymmetricError, match="G: "):
+        MetricLieAlgebra(a, ((2, 1), (3, -3)), 5)
+    with pytest.raises(ValueError, match="G, g: .*least terms"):
+        MetricLieAlgebra(a, ((4, 2), (2, -6)), 10)  # G / g = G' / 5: not the least view
+    with pytest.raises(ValueError, match="G: "):
+        MetricLieAlgebra(a, [[2, 1], [1, -3]], 5)  # lists would make the record mutable
+    with pytest.raises(ValueError, match="G: "):
+        MetricLieAlgebra(a, ((1,),), 1)
+    with pytest.raises(DegenerateFormError):
+        MetricLieAlgebra(a, ((1, 1), (1, 1)), 1)
 
 
 def test_levi_civita_abelian_is_zero():
@@ -128,7 +159,7 @@ def test_levi_civita_rot3_eq2_table():
 def test_defining_identity_residual_zero():
     for m in [catalog.build(n) for n in catalog.names()] + random_instances(11, 30):
         n = m.dim
-        G = m.gram_rows()
+        G = [list(r) for r in m.gram]
         c = m.algebra.c
         p = levi_civita(m)
         basis = linalg.identity(n)
@@ -149,7 +180,7 @@ def test_connection_axioms_random():
     for m in random_instances(13, 25):
         n = m.dim
         p = levi_civita(m)
-        G = m.gram_rows()
+        G = [list(r) for r in m.gram]
         basis = linalg.identity(n)
         u = [F(rng.randint(-3, 3)) for _ in range(n)]
         L = left_mult(p, u)

@@ -52,9 +52,10 @@ def test_instance_stream_is_pinned():
 
 def test_integer_view_is_the_view_from_brackets_clears():
     """`lie.integer_view` reads a table's integer view straight off the
-    table, for `scramble` and for `from_brackets` alike; it is the view
-    that clearing the whole structure tensor of `from_brackets(*table)`
-    finds, least common denominator included."""
+    table, for `scramble` and for `from_brackets` alike: the fields (C, E)
+    of `from_brackets(*table)`, whose Fraction view is the table's
+    antisymmetric completion, and the view that clearing that whole
+    tensor finds, least common denominator included."""
     rng = random.Random(11)
     tables = [(3, {(0, 1): [F(1, 6), F(3, 4), F(-5, 10)]})]  # distinct denominators: E = 12
     for dim in range(1, 7):
@@ -63,7 +64,11 @@ def test_integer_view_is_the_view_from_brackets_clears():
             tables += [sweeps.rotation_algebra(rng, dim), sweeps.heisenberg_like(rng, dim), sweeps.simple3(dim)]
     for table in tables:
         a = LieAlgebra.from_brackets(*table)
-        assert lie.integer_view(*table) == a.integer_constants() == linalg.clear_tensor_denominators(a.c)
+        assert lie.integer_view(*table) == (a.C, a.E)
+        for (i, j), v in table[1].items():
+            assert a.c[i][j] == tuple(map(F, v)) and a.c[j][i] == tuple(-F(x) for x in v)
+        rows, E = linalg.clear_denominators([row for plane in a.c for row in plane])
+        assert (linalg.planes(rows, a.dim), E) == (a.C, a.E)
     C, E = lie.integer_view(*tables[0])
     assert E == 12 and C[0][1] == (2, 9, -6) and C[1][0] == (-2, -9, 6)
 
@@ -71,10 +76,10 @@ def test_integer_view_is_the_view_from_brackets_clears():
 @pytest.mark.parametrize("name", GENERATORS)
 def test_each_generated_instance_is_checked_once(monkeypatch, name):
     """Each generated instance is built once, in its scrambled basis: one
-    `LieAlgebra._check` (antisymmetry and Jacobi) and one
-    `MetricLieAlgebra._check` (symmetry and nondegeneracy), and no algebra
-    made by a constructor, as `from_brackets` makes one, in the generator's
-    basis."""
+    `LieAlgebra.__init__`, whose `_check` decides antisymmetry and Jacobi,
+    and one `MetricLieAlgebra.__init__`, whose `_check` decides symmetry
+    and nondegeneracy; no algebra is built, as `from_brackets` builds one,
+    in the generator's basis."""
     counts = {}
 
     def count(cls, method):
@@ -96,9 +101,9 @@ def test_each_generated_instance_is_checked_once(monkeypatch, name):
         GENERATORS[name](rng, dim)
         assert counts == {
             "LieAlgebra._check": 1,
-            "LieAlgebra.__init__": 0,
+            "LieAlgebra.__init__": 1,
             "MetricLieAlgebra._check": 1,
-            "MetricLieAlgebra.__init__": 0,
+            "MetricLieAlgebra.__init__": 1,
         }, dim
 
 

@@ -161,7 +161,7 @@ def test_companion_random_true_instances():
 def test_companion_is_a_rank_one_change_fixing_the_derived_factor():
     for dim in range(3, 8):
         m = sweeps.theorem1_true_instance(random.Random(100 + dim), dim)
-        G, G2 = m.gram_rows(), riemannian_companion(m).gram_rows()
+        G, G2 = [list(r) for r in m.gram], [list(r) for r in riemannian_companion(m).gram]
         assert linalg.rank(linalg.mat_sub(G2, G)) == 1
         split = theorem1_check(m).split
         S, D = split.killing, split.derived
