@@ -38,8 +38,8 @@ class ClassCStructure(NamedTuple):
 def scalar_action(a: LieAlgebra, U: Subspace, t: Sequence) -> Fraction | None:
     """alpha such that ad_t restricted to U equals alpha * id, or None.
 
-    Decided in ints: with c = C / E, t = ti / s and U's basis cleared to
-    rows u, the matrix A[k][x] = sum_i ti[i] C[i][x][k] is built once, so
+    Decided in ints: with c = C / E, t = ti / s and U's int rows u, the
+    matrix A[k][x] = sum_i ti[i] C[i][x][k] is built once, so
     [t, u] = A u / (E s).  That is alpha u for one alpha shared by every
     row iff each A u equals lam u, with lam = (A u)[p] / u[p] at the row's
     pivot p, tested by cross-multiplying; then alpha = lam / (E s).
@@ -50,9 +50,8 @@ def scalar_action(a: LieAlgebra, U: Subspace, t: Sequence) -> Fraction | None:
     (ti,), s = linalg.clear_denominators([t])
     dot = linalg.dot
     A = [[dot(ti, [Ci[x][k] for Ci in C]) for x in range(n)] for k in range(n)]
-    rows, _ = linalg.clear_denominators(U.basis)
     lam = None  # (numerator, denominator) of the shared ratio
-    for u in rows:
+    for u in U.B:
         p = next(j for j, x in enumerate(u) if x)
         Au = [dot(row, u) for row in A]
         if any(y * u[p] != Au[p] * x for x, y in zip(u, Au)):
@@ -159,9 +158,9 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
         raise RadicalDimensionError(f"restricted-form radical has dimension {rad.dim}")
     e = list(rad.basis[0])
 
-    # <x, e> = dot(x, Ge) / (g k) for e = ei / k and the Gram view Gi / g
+    # <x, e> = dot(x, Ge) / (g k) for the views e = ei / k and gram = Gi / g
     Gi, g = m.G, m.g
-    (ei,), k = linalg.clear_denominators([e])
+    (ei,), k = rad.B, rad.b
     Ge = [linalg.dot(row, ei) for row in Gi]
     i = next((i for i, x in enumerate(Ge) if x), None)
     if i is None:
@@ -176,7 +175,7 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
 
     if m.inner(d, e) != 1 or m.inner(d, d) != 0:
         raise InvalidWitnessError("null transversal postconditions failed")
-    if any(linalg.dot(x, Ge) for x in linalg.clear_denominators(D.basis)[0]):
+    if any(linalg.dot(x, Ge) for x in D.B):
         raise InvalidWitnessError("radical vector is not orthogonal to the derived algebra")
     if linalg.subspace_sum(span_ed, B).dim != n or B.dim != n - 2:
         raise InvalidWitnessError("span{e, d} + B does not decompose the algebra")
@@ -190,8 +189,7 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
 def witness_change_of_basis(w: WitnessBasis) -> Mat:
     """Columns e, B-basis..., d: the transport from witness coordinates to
     the original basis."""
-    rows = [list(w.e)] + w.b_basis.basis_rows() + [list(w.d)]
-    return linalg.transpose(rows)
+    return linalg.transpose([w.e, *w.b_basis.basis, w.d])
 
 
 def witness_scale(a: LieAlgebra, w: WitnessBasis) -> Fraction:

@@ -73,12 +73,13 @@ def integer_view(dim: int, brackets: Mapping[tuple[int, int], Sequence]) -> tupl
     """(C, E) with C / E the structure constants of the bracket table of
     `LieAlgebra.from_brackets`, antisymmetric completion included, and E
     the lcm of the table's denominators, so the view is in least terms.
-    The coefficients are ints or Fractions; keys are not checked."""
-    E = math.lcm(*(x.denominator for v in brackets.values() for x in v))
+    The coefficients are ints or Fractions, cleared by
+    `linalg.clear_denominators`; keys are not checked."""
+    rows, E = linalg.clear_denominators(list(brackets.values()))
     C = [[(0,) * dim] * dim for _ in range(dim)]
-    for (i, j), v in brackets.items():
-        C[i][j] = tuple(x.numerator * (E // x.denominator) for x in v)
-        C[j][i] = tuple(-x for x in C[i][j])
+    for (i, j), row in zip(brackets, rows):
+        C[i][j] = tuple(row)
+        C[j][i] = tuple(-x for x in row)
     return tuple(map(tuple, C)), E
 
 
@@ -111,10 +112,15 @@ class LieAlgebra(CheckedRecord, _LieFields):
         self._check()
 
     def _check(self) -> None:
-        """The view (C, E) itself, then antisymmetry and Jacobi on it."""
-        n, C, E = self.dim, self.C, self.E
+        """The view (C, E) itself and the labels, then antisymmetry and
+        Jacobi on the view."""
+        n, C, E, labels = self
         if type(n) is not int or n < 1:
             raise ValueError("dim: dimension must be a positive integer")
+        if labels is not None and not (
+            type(labels) is tuple and len(labels) == n and all(isinstance(x, str) for x in labels)
+        ):
+            raise ValueError(f"labels: expected None or a tuple of {n} strings, got {labels!r}")
         if not (is_square(C, n) and all(is_square(plane, n) for plane in C)):
             raise ValueError(f"C: the structure constants must be a {n} x {n} x {n} tuple of tuples")
         check_view(list(chain.from_iterable(C)), E, "C", "E")
@@ -190,9 +196,9 @@ class LieAlgebra(CheckedRecord, _LieFields):
         return not any(sum(C[i][j][j] for j in range(n)) for i in range(n))
 
     def is_abelian_subspace(self, V: Subspace) -> bool:
-        """Decided in ints: the brackets of the integer-scaled basis rows
-        under C are nonzero multiples of the true ones."""
-        rows, _ = linalg.clear_denominators(V.basis)
+        """Decided in ints: the brackets of V's int rows B under C are
+        nonzero multiples of the true ones."""
+        rows = V.B
         return all(
             linalg.is_zero_vec(linalg.bilinear(self.C, rows[a], rows[b]))
             for a in range(len(rows))

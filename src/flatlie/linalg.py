@@ -11,17 +11,19 @@ matrix to integers over one common denominator, and `dot`, `mat_vec`,
 which equals Fraction(0)).  The records' fields are least-terms integer
 views: the structure constants (C, E), which `lie.integer_view` clears
 from the bracket table of `LieAlgebra.from_brackets` (so of every loaded
-document and every sweep instance's shape), and the Gram matrix (G, g).
-A change of basis makes both in the new basis, `integer_transport` for
-the constants and `transport_form` for the Gram matrix, both reduced to
-the least denominator by `least_terms`.
-`metric.integer_product` is solved in ints from the two views.
-`_bareiss`, the one Gaussian elimination, clears each row's denominators
-itself; `rref`, `rank`, the one-pass `kernel` and the int inverse view
-`integer_inverse` read it.  `congruence` (behind `signature` and
-`metric.timelike_vector`), `restrict_form` and `orthogonal_complement`
-take int or Fraction matrices, and `integer_inverse` and `congruence` a
-view (G, g) too, cleared row by row, not over g.  `pack` turns an int row
+document and every sweep instance's shape), the Gram matrix (G, g) and
+a `Subspace`'s canonical basis (B, b).  A change of basis makes the first
+two in the new basis, `integer_transport` and `transport_form`, reduced
+to the least denominator by `least_terms`, as `integer_inverse` and
+every `Subspace` are.  `metric.integer_product` is solved in ints from
+the two views.  `_bareiss`, the one Gaussian elimination, clears each
+row's denominators itself; `Subspace.row_space`, `rank`, the one-pass
+`kernel` and the int inverse view `integer_inverse` read it, and the
+subspace operations combine the int rows B.  `congruence` (behind
+`signature` and `metric.timelike_vector`), `restrict_form` and
+`orthogonal_complement` take int or Fraction matrices, and
+`integer_inverse` and `congruence` a view (G, g) too, cleared row by row,
+not over g.  `pack` turns an int row
 into one integer with exact zero test and read-back (`slot_width`,
 `unpack`), so `is_flat`, the Jacobi check and `integer_transport` take one
 `dot` per term of a row rather than of each entry.
@@ -93,11 +95,13 @@ def clear_denominators(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
 
 
 def least_terms(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(rows / h, d / h) for h = gcd(d, every entry), d > 0: the view
-    rows / d over its least denominator, the one `clear_denominators`
-    finds for the matrix of Fractions rows / d.  Stored as tuples, so a
-    record may hold it."""
+    """(rows / h, d / h) for h = gcd(d, every entry) with the sign of the
+    nonzero int d: the view rows / d over its least positive denominator,
+    the one `clear_denominators` finds for the matrix of Fractions
+    rows / d.  Stored as tuples, so a record may hold it."""
     h = math.gcd(d, *chain.from_iterable(rows))
+    if d < 0:
+        h = -h
     return tuple(tuple(x // h for x in row) for row in rows), d // h
 
 
@@ -351,13 +355,6 @@ def _bareiss(A: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
     return rows, pivots, prev
 
 
-def rref(A: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (R, pivot_columns).  The integer
-    matrix of `_bareiss` over its last pivot: Fractions are built once."""
-    rows, pivots, d = _bareiss(A)
-    return [[Fraction(x, d) if x else ZERO for x in row] for row in rows], pivots
-
-
 def rank(A: Sequence[Sequence[Fraction]]) -> int:
     return len(_bareiss(A)[1])
 
@@ -367,7 +364,7 @@ def kernel(A: Sequence[Sequence[Fraction]]) -> "Subspace":
     Bareiss pass over A's columns in reverse order: row r of the form R / d
     is then zero after its pivot p_r, so the null vector of a free column f
     (1 at f, -R[r][f] / d at each p_r) has its other entries at pivots
-    after f, and these vectors, by f, are the canonical basis of the kernel."""
+    after f, and these vectors over d, by f, are the kernel's canonical basis."""
     n = len(A[0])
     R, pivots, d = _bareiss([row[::-1] for row in A])
     pivot_of = {n - 1 - c: row for c, row in zip(pivots, R)}
@@ -375,17 +372,15 @@ def kernel(A: Sequence[Sequence[Fraction]]) -> "Subspace":
     for f in range(n):
         if f in pivot_of:
             continue
-        v = [ZERO] * n
-        v[f] = ONE
+        v = [0] * n
+        v[f] = d
         for p, row in pivot_of.items():
-            x = row[n - 1 - f]
-            if x:
-                v[p] = Fraction(-x, d)
-        basis.append(tuple(v))
-    return Subspace(n, tuple(basis))
+            v[p] = -row[n - 1 - f]
+        basis.append(v)
+    return Subspace(n, *least_terms(basis, d))
 
 
-def integer_inverse(A: Sequence[Sequence], a: int = 1) -> tuple[list[list[int]], int]:
+def integer_inverse(A: Sequence[Sequence], a: int = 1) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(Qi, q) with (A / a)^-1 = Qi / q for the least q > 0: the right half
     of the integer reduced form of [A | a I] that `_bareiss` leaves over
     its last pivot, for A of ints or Fractions and a positive int a.
@@ -395,10 +390,7 @@ def integer_inverse(A: Sequence[Sequence], a: int = 1) -> tuple[list[list[int]],
     R, pivots, d = _bareiss([list(row) + [a * x for x in irow] for row, irow in zip(A, units(n))])
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")
-    g = math.gcd(d, *(x for row in R for x in row[n:]))
-    if d < 0:
-        g = -g
-    return [[x // g for x in row[n:]] for row in R], d // g
+    return least_terms([row[n:] for row in R], d)
 
 
 class Signature(NamedTuple):
@@ -495,107 +487,111 @@ def signature(S: Sequence[Sequence], s: int = 1) -> Signature:
 
 
 class Subspace(NamedTuple):
-    """Linear subspace of Q^n with a canonical reduced-row-echelon basis.
+    """Linear subspace of Q^n with a canonical reduced-row-echelon basis
+    held as its least-terms integer view B / b (`least_terms`), the one
+    that `clear_denominators` finds for it: each row of B is b at its pivot.
 
-    Equality of subspaces is plain equality of the canonical bases.  The
-    empty basis is the zero subspace.  Being a tuple, len and iteration
-    run over (ambient_dim, basis): `dim` is the dimension.
+    Equality of subspaces is plain equality of the fields.  The empty B
+    (over b = 1) is the zero subspace.  Being a tuple, len and iteration
+    run over (ambient_dim, B, b): `dim` is the dimension.
     """
 
     ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    B: tuple[tuple[int, ...], ...] = ()
+    b: int = 1
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = []
-        for v in vectors:
-            w = vec(v)
+        rows = exact_mat(vectors)
+        for w in rows:
             if len(w) != ambient_dim:
                 raise ValueError(f"vector length {len(w)} != ambient dimension {ambient_dim}")
-            vecs.append(w)
-        return Subspace.row_space(ambient_dim, vecs)
+        return Subspace.row_space(ambient_dim, rows)
 
     @staticmethod
     def row_space(ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
         """The span of rows of ints or Fractions, each of length
         ambient_dim, taken without coercing them: scaling a row by a nonzero
-        factor leaves the span, and so its canonical basis, unchanged."""
+        factor leaves the span, and so its canonical basis, the nonzero rows
+        of `_bareiss`, unchanged."""
         rows = [row for row in rows if any(row)]
         if not rows:
-            return Subspace(ambient_dim, ())
-        R, pivots = rref(rows)
-        return Subspace(ambient_dim, tuple(tuple(row) for row in R[: len(pivots)]))
+            return Subspace(ambient_dim)
+        R, pivots, d = _bareiss(rows)
+        return Subspace(ambient_dim, *least_terms(R[: len(pivots)], d))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.span(ambient_dim, identity(ambient_dim))
+        return Subspace(ambient_dim, tuple(map(tuple, units(ambient_dim))))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.B)
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """B / b, one Fraction per entry: for the public boundary only."""
+        b = self.b
+        return tuple(tuple(Fraction(x, b) if x else ZERO for x in row) for row in self.B)
 
     def coordinates(self, v: Sequence) -> Vec | None:
         """Coordinates of v in the canonical basis, or None if v is not in
-        the subspace.  Each coordinate is read off its row's pivot."""
-        w = vec(v)
-        if len(w) != self.ambient_dim:
-            raise ValueError(f"vector length {len(w)} != ambient dimension {self.ambient_dim}")
+        the subspace: coordinate r is v at row r's pivot p_r, and v is in
+        the subspace iff b v = sum_r v[p_r] B[r], decided in ints."""
+        (vi,), s = clear_denominators(exact_mat([v]))
+        if len(vi) != self.ambient_dim:
+            raise ValueError(f"vector length {len(vi)} != ambient dimension {self.ambient_dim}")
+        residual = [self.b * x for x in vi]
         coords = []
-        for row in self.basis:
-            f = w[next(j for j, x in enumerate(row) if x != 0)]
-            coords.append(f)
+        for row in self.B:
+            f = vi[next(j for j, x in enumerate(row) if x)]
+            coords.append(Fraction(f, s))
             if f:
-                w = [a - f * b for a, b in zip(w, row)]
-        return coords if is_zero_vec(w) else None
+                residual = [x - f * y for x, y in zip(residual, row)]
+        return None if any(residual) else coords
 
     def contains(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None
-
-    def basis_rows(self) -> Mat:
-        return [list(r) for r in self.basis]
 
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    return Subspace.span(U.ambient_dim, list(U.basis) + list(V.basis))
+    return Subspace.row_space(U.ambient_dim, U.B + V.B)
 
 
 def restrict_form(G: Sequence[Sequence], V: Subspace, g: int = 1, W: Subspace | None = None) -> Mat:
     """Gram matrix of the form G / g restricted to V, in V's canonical
     basis; with W, the block of values <v_r, w_c> between the canonical
     bases of V and W.  G holds ints, such as a metric's field G over g, or
-    Fractions.  The bases are cleared
-    to integers, so each entry is int dots over one denominator."""
+    Fractions.  On the int views B / b of the bases, each entry is int dots
+    over one denominator."""
     W = V if W is None else W
-    B, b = clear_denominators(V.basis)
-    C, c = clear_denominators(W.basis)
-    den = g * b * c
-    GC = [[dot(row, w) for row in G] for w in C]
-    return [[Fraction(x, den) if x else ZERO for x in (dot(v, Gw) for Gw in GC)] for v in B]
+    den = g * V.b * W.b
+    GC = [[dot(row, w) for row in G] for w in W.B]
+    return [[Fraction(x, den) if x else ZERO for x in (dot(v, Gw) for Gw in GC)] for v in V.B]
 
 
 def orthogonal_complement(V: Subspace, G: Sequence[Sequence]) -> Subspace:
     """V-perp {x : <v, x> = 0 for all v in V} for a symmetric form G (ints
     or Fractions) on the ambient space: the kernel of the rows G v, for the
-    basis of V cleared to integers.  G is not checked to be nondegenerate:
-    the callers pass a metric's field G, proved so at construction."""
-    n = V.ambient_dim
+    int rows v of V's view.  G is not checked to be nondegenerate: the
+    callers pass a metric's field G, proved so at construction."""
     if V.dim == 0:
-        return Subspace.full(n)
-    B, _ = clear_denominators(V.basis)
-    return kernel([[dot(row, v) for row in G] for v in B])
+        return Subspace.full(V.ambient_dim)
+    return kernel([[dot(row, v) for row in G] for v in V.B])
 
 
 def radical(form_restricted: Sequence[Sequence[Fraction]], on: Subspace) -> Subspace:
     """Radical {e in V : <e, x> = 0 for all x in V} of a restricted form.
 
     `form_restricted` must be the Gram matrix of the ambient form in V's
-    canonical basis; the result is expressed in ambient coordinates.
+    canonical basis; the result is expressed in ambient coordinates, as
+    int combinations of V's rows B.
     """
     if on.dim == 0:
         return on
     if not is_symmetric(form_restricted):
         raise NonSymmetricError("restricted form must be symmetric")
-    Bt = transpose(on.basis)
-    return Subspace.span(on.ambient_dim, [mat_vec(Bt, c) for c in kernel(form_restricted).basis])
+    cols = list(zip(*on.B))
+    return Subspace.row_space(on.ambient_dim, [[dot(k, col) for col in cols] for k in kernel(form_restricted).B])

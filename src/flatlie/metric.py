@@ -262,17 +262,16 @@ def killing_subalgebra(m: MetricLieAlgebra) -> Subspace:
 
 def timelike_vector(m: MetricLieAlgebra, V: Subspace) -> tuple[int, ...] | None:
     """An int vector s in V with <s, s> < 0, or None iff the form restricted
-    to V takes no negative value: s = B^T E[i] for V's basis cleared to int
-    rows B, E R E^T = diag(d) the congruence of the restricted form R and
-    d[i] its first negative entry (so degenerate restrictions are fine)."""
+    to V takes no negative value: s = B^T E[i] for V's int rows B,
+    E R E^T = diag(d) the congruence of the restricted form R and d[i] its
+    first negative entry (so degenerate restrictions are fine)."""
     if V.dim == 0:
         return None
     E, d = linalg.congruence(linalg.restrict_form(m.G, V, m.g))
     i = next((i for i, x in enumerate(d) if x < 0), None)
     if i is None:
         return None
-    B, _ = linalg.clear_denominators(V.basis)
-    return tuple(linalg.dot(col, E[i]) for col in zip(*B))
+    return tuple(linalg.dot(col, E[i]) for col in zip(*V.B))
 
 
 def product_span(p: LeviCivitaProduct) -> Subspace:

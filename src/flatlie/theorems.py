@@ -65,8 +65,8 @@ def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
     """Check the closed-form product on a valid split: L_s = ad_s for s in
     the Killing subalgebra and L_h = 0 on the derived algebra, exactly.
 
-    Decided in ints, on the views p = P / D and c = C / E and the split's
-    bases scaled to integers: L_s = ad_s iff E L(P, s) == D L(C, s)."""
+    Decided in ints, on the views p = P / D and c = C / E and the int rows
+    of the split's bases: L_s = ad_s iff E L(P, s) == D L(C, s)."""
     if split.killing != killing_subalgebra(m) or split.derived != m.algebra.derived_subalgebra():
         raise InvalidSplitError("split does not match this metric's Killing/derived subspaces")
     if split.killing.dim + split.derived.dim != m.dim or any(
@@ -75,12 +75,10 @@ def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
         raise InvalidSplitError("split is not an orthogonal direct-sum decomposition")
     P, D = integer_product(m)
     C, E = m.algebra.C, m.algebra.E
-    killing, _ = linalg.clear_denominators(split.killing.basis)
-    derived, _ = linalg.clear_denominators(split.derived.basis)
-    for s in killing:
+    for s in split.killing.B:
         if linalg.mat_scale(linalg.left_matrix(P, s), E) != linalg.mat_scale(linalg.left_matrix(C, s), D):
             return False
-    return all(linalg.is_zero_mat(linalg.left_matrix(P, h)) for h in derived)
+    return all(linalg.is_zero_mat(linalg.left_matrix(P, h)) for h in split.derived.B)
 
 
 @memoized

@@ -1,6 +1,6 @@
 """Differential tests of the integer exact kernel against Fraction oracles.
 
-`linalg.rref`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`
+`Subspace.row_space`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`
 (on a Fraction matrix and on a metric's Gram view (G, g)),
 `linalg.transport`, both `change_basis` methods, `metric.levi_civita`, `metric.is_flat`,
 `theorems.verify_eq2`, `theorems.same_connection`, `classc.scalar_action`,
@@ -8,7 +8,8 @@
 Python ints.  Here each is compared with a plain Fraction computation (or,
 for `same_connection`, with equality of the two solved products) on
 seeded instances of dims 1-9, flat and non-flat, with Gram matrices and
-structure constants that have non-unit denominators.
+structure constants that have non-unit denominators.  Every `Subspace`
+they build holds the least-terms int view of the oracle's canonical basis.
 """
 
 import itertools
@@ -294,15 +295,36 @@ def matrices(rng, m):
     yield A + [[2 * x - y for x, y in zip(A[0], A[-1])], [F(0)] * cols]
 
 
+def row_space_oracle(A):
+    """The canonical basis of the row space: the nonzero rows of `rref_oracle`."""
+    R, pivots = rref_oracle(A)
+    return tuple(map(tuple, R[: len(pivots)]))
+
+
+def assert_view_of(V, basis):
+    """V holds the oracle's canonical basis as its least-terms int view:
+    (B, b) is what clearing the Fraction basis finds, b > 0, gcd 1."""
+    rows, d = linalg.clear_denominators(basis)
+    assert (V.B, V.b) == (tuple(map(tuple, rows)), d) and in_least_terms(V.b, V.B)
+    assert V.basis == tuple(map(tuple, basis)) and all(type(x) is F for row in V.basis for x in row)
+
+
+def assert_row_space_matches_oracle(A):
+    V = Subspace.row_space(len(A[0]), A)
+    assert_view_of(V, row_space_oracle(A))
+    assert Subspace.span(len(A[0]), A) == V
+    assert linalg.rank(A) == len(rref_oracle(A)[1]) == V.dim
+
+
 @pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
-def test_rref_matches_fraction_gauss_jordan(label, m):
+def test_row_space_matches_fraction_gauss_jordan(label, m):
     rng = random.Random(label)
     for A in matrices(rng, m):
-        assert linalg.rref(A) == rref_oracle(A)
+        assert_row_space_matches_oracle(A)
 
 
 @pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
-def test_rref_matches_sympy_domain_matrix(label, m):
+def test_row_space_matches_sympy_domain_matrix(label, m):
     pytest.importorskip("sympy")
     from sympy import QQ
     from sympy.polys.matrices import DomainMatrix
@@ -311,16 +333,26 @@ def test_rref_matches_sympy_domain_matrix(label, m):
     for A in matrices(rng, m):
         dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in A], (len(A), len(A[0])), QQ)
         R, pivots = dm.rref()
-        expected = [[F(int(x.numerator), int(x.denominator)) for x in row] for row in R.to_list()]
-        assert linalg.rref(A) == (expected, list(pivots))
+        expected = [[F(int(x.numerator), int(x.denominator)) for x in row] for row in R.to_list()[: len(pivots)]]
+        assert_view_of(Subspace.row_space(len(A[0]), A), expected)
+        assert linalg.rank(A) == len(pivots)
 
 
-def test_rref_exact_on_huge_entries():
+def test_row_space_exact_on_huge_entries():
     rng = random.Random(7)
     for n in DIMS:
         A = [[F(rng.randint(-10**40, 10**40), rng.randint(1, 10**30)) for _ in range(n + 1)] for _ in range(n)]
         A.append([x + y for x, y in zip(A[0], A[1])])
-        assert linalg.rref(A) == rref_oracle(A)
+        assert_row_space_matches_oracle(A)
+
+
+def test_a_negative_last_pivot_gives_a_positive_denominator():
+    """`_bareiss` ends on pivot -1 for the row [-1, 2], which `row_space`
+    eliminates as it is and `kernel([[2, -1]])` column-reversed; both views
+    flip their signs to b = 1."""
+    assert linalg._bareiss([[-1, 2]])[2] == -1
+    assert Subspace.row_space(2, [[-1, 2]]) == Subspace(2, ((1, -2),), 1)
+    assert linalg.kernel([[2, -1]]) == Subspace(2, ((1, 2),), 1)
 
 
 def kernel_oracle(A):
@@ -338,20 +370,20 @@ def kernel_oracle(A):
             for r, p in enumerate(pivots):
                 v[p] = -R[r][f]
             vectors.append(v)
-    return tuple(map(tuple, rref_oracle(vectors)[0]))
+    return row_space_oracle(vectors)
 
 
 def assert_kernel_matches_oracle(A):
     K = linalg.kernel(A)
-    assert K.ambient_dim == len(A[0]) and K.basis == kernel_oracle(A)
-    assert all(type(x) is F for row in K.basis for x in row)
+    assert K.ambient_dim == len(A[0])
+    assert_view_of(K, kernel_oracle(A))
     assert linalg.rank(A) == len(rref_oracle(A)[1]) == len(A[0]) - K.dim
 
 
 @pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
 def test_kernel_matches_fraction_null_space(label, m):
     """The one-pass kernel on the Killing constraint rows and on the
-    matrices of the rref tests."""
+    matrices of the row-space tests."""
     n = m.dim
     low, _ = metric.lowered_constants(m)
     assert_kernel_matches_oracle([[low[a][j][i] + low[a][i][j] for a in range(n)] for i in range(n) for j in range(i, n)])
@@ -359,10 +391,42 @@ def test_kernel_matches_fraction_null_space(label, m):
         assert_kernel_matches_oracle(A)
 
 
+def complement_oracle(V, G):
+    """V-perp in Fractions: the null space of the rows G v, v in V's basis."""
+    n = V.ambient_dim
+    if V.dim == 0:
+        return linalg.identity(n)
+    return kernel_oracle([[sum((G[j][k] * v[k] for k in range(n)), F(0)) for j in range(n)] for v in V.basis])
+
+
+def radical_oracle(G, V):
+    """The radical of G on V in Fractions: the null space of the restricted
+    Gram matrix, mapped back to ambient coordinates by V's basis."""
+    if V.dim == 0:
+        return ()
+    n = V.ambient_dim
+    Gw = [[sum((G[j][k] * w[k] for k in range(n)), F(0)) for j in range(n)] for w in V.basis]
+    form = [[sum((x * y for x, y in zip(v, Gwc)), F(0)) for Gwc in Gw] for v in V.basis]
+    return row_space_oracle(
+        [[sum((x * v[j] for x, v in zip(k, V.basis)), F(0)) for j in range(n)] for k in kernel_oracle(form)]
+    )
+
+
+def assert_operations_match_oracle(U, V, G, g=1):
+    """The sum U + V, V-perp in the symmetric form G / g and the radical of
+    that form restricted to V, against the Fraction oracles."""
+    gram = [[F(x, g) for x in row] for row in G]
+    assert_view_of(linalg.subspace_sum(U, V), row_space_oracle(list(U.basis) + list(V.basis)))
+    assert_view_of(linalg.orthogonal_complement(V, G), complement_oracle(V, gram))
+    assert_view_of(linalg.radical(linalg.restrict_form(G, V, g), V), radical_oracle(gram, V))
+
+
 def test_kernel_matches_fraction_null_space_on_every_shape():
     """Zero matrices, zero columns, wide and tall shapes, full rank and
     rank-deficient matrices, with small entries on every shape up to 7 x 7
-    and with entries of 1,000 bits and more on a few."""
+    and with entries of 1,000 bits and more on a few; the row space too,
+    and its sum with the kernel, complement and radical in a symmetric
+    form with entries of the same kind."""
     rng = random.Random(11)
     small = lambda: F(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)))  # noqa: E731
     big = lambda: F(rng.choice((-1, 1)) * rng.getrandbits(1100), rng.getrandbits(1000) | 1)  # noqa: E731
@@ -370,15 +434,18 @@ def test_kernel_matches_fraction_null_space_on_every_shape():
     cases += [(r, c, big) for r, c in ((1, 3), (3, 1), (2, 5), (5, 2), (4, 4), (3, 6), (6, 3))]
     full = 0
     for r, c, entry in cases:
-        assert_kernel_matches_oracle([[0] * c for _ in range(r)])
         A = [[entry() for _ in range(c)] for _ in range(r)]
         full += len(rref_oracle(A)[1]) == min(r, c)
-        assert_kernel_matches_oracle(A)
         zeroed = set(rng.sample(range(c), rng.randint(1, c)))
-        assert_kernel_matches_oracle([[F(0) if j in zeroed else x for j, x in enumerate(row)] for row in A])
         k = rng.randint(1, max(1, min(r, c) - 1))  # rank at most k
         mix = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
-        assert_kernel_matches_oracle([[sum((f * A[l][j] for l, f in enumerate(row)), F(0)) for j in range(c)] for row in mix])
+        deficient = [[sum((f * A[l][j] for l, f in enumerate(row)), F(0)) for j in range(c)] for row in mix]
+        for M in ([[0] * c for _ in range(r)], A, [[F(0) if j in zeroed else x for j, x in enumerate(row)] for row in A], deficient):
+            assert_kernel_matches_oracle(M)
+            assert_row_space_matches_oracle(M)
+        S = [[entry() for _ in range(c)] for _ in range(c)]
+        S = [[S[min(i, j)][max(i, j)] for j in range(c)] for i in range(c)]
+        assert_operations_match_oracle(linalg.kernel(A), Subspace.row_space(c, deficient), S)
     assert full >= 45
 
 
@@ -520,6 +587,25 @@ def test_is_abelian_subspace_population_reaches_both_outcomes():
         if V.dim >= 2
     ]
     assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+@pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
+def test_subspace_operations_hold_the_cleared_oracle_basis(label, m):
+    """On the subspaces of each algebra and its Killing subalgebra: every
+    pairwise sum, the orthogonal complement in the metric and the radical
+    of the metric restricted to the subspace."""
+    Vs = list(subspaces(random.Random(label), m.algebra)) + [killing_subalgebra(m)]
+    for U, V in itertools.product(Vs, repeat=2):
+        assert_operations_match_oracle(U, V, m.G, m.g)
+
+
+def test_subspace_operations_population_has_nonzero_radicals():
+    radicals = [
+        linalg.radical(linalg.restrict_form(m.G, V, m.g), V).dim
+        for label, m in INSTANCES
+        for V in subspaces(random.Random(label), m.algebra)
+    ]
+    assert sum(r > 0 for r in radicals) >= 10 and sum(r == 0 for r in radicals) >= 10
 
 
 def congruence_oracle(S):

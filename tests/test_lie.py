@@ -64,7 +64,8 @@ def test_bracket_and_ad_refuse_floats_and_return_fractions():
 def test_constructor_refuses_a_bad_integer_view():
     """`LieAlgebra(dim, C, E, labels)` checks the view itself, each refusal
     naming its field: int entries, E >= 1 and least terms, on which
-    equality and hash rely."""
+    equality and hash rely; and the labels, None or one string per basis
+    vector, so every emitted document loads."""
     o = (0, 0)
     C = ((o, (0, 2)), ((0, -2), o))  # [e0, e1] = 2 e1 / E
     assert LieAlgebra(2, C, 3) == LieAlgebra.from_brackets(2, {(0, 1): [0, F(2, 3)]})
@@ -81,6 +82,13 @@ def test_constructor_refuses_a_bad_integer_view():
         LieAlgebra(2, [[list(o), [0, 2]], [[0, -2], list(o)]], 3)  # lists would make the record mutable
     with pytest.raises(ValueError, match="C: "):
         LieAlgebra(3, C, 3)
+    for labels in (["x"], [1, 2], ["x", "y", "z"]):
+        with pytest.raises(ValueError, match="labels: "):
+            LieAlgebra.from_brackets(2, {}, labels)
+    for labels in (("x",), ["x", "y"], ("x", 2)):
+        with pytest.raises(ValueError, match="labels: "):
+            LieAlgebra(2, C, 3, labels)
+    assert LieAlgebra.from_brackets(2, {}, ["x", "y"]).labels == ("x", "y")
 
 
 def center(a):

@@ -67,10 +67,11 @@ def _is_cleared_view(x):
 
 
 def _fraction_views_built(monkeypatch):
-    """Record each record whose Fraction view, `LieAlgebra.c` or
-    `MetricLieAlgebra.gram`, is read from now on; returns that list."""
+    """Record each record whose Fraction view, `LieAlgebra.c`,
+    `MetricLieAlgebra.gram` or `Subspace.basis`, is read from now on;
+    returns that list."""
     built = []
-    for cls, name in ((LieAlgebra, "c"), (MetricLieAlgebra, "gram")):
+    for cls, name in ((LieAlgebra, "c"), (MetricLieAlgebra, "gram"), (linalg.Subspace, "basis")):
         def counted(self, view=vars(cls)[name].fget):
             built.append(self)
             return view(self)
@@ -203,12 +204,29 @@ def test_no_analysis_builds_a_fraction_product_or_view(monkeypatch, name):
     assert built == [] and not any(x is m or x is m.algebra for x in views)
 
 
+@pytest.mark.parametrize("name", GOLDEN_INPUTS + catalog.names())
+def test_no_verdict_reads_a_fraction_view(monkeypatch, name):
+    """The Killing subalgebra, Theorem 1's split check (Lorentzian or
+    Riemannian) and, on a class-C algebra, Theorem 2's check decide on the
+    int fields alone: no `c`, `gram` or subspace `basis` is read."""
+    m = _golden_input(name) if name in GOLDEN_INPUTS else catalog.build(name)
+    views = _fraction_views_built(monkeypatch)
+    killing_subalgebra(m)
+    if m.is_lorentzian:
+        theorem1_check(m)
+    elif m.is_riemannian:
+        theorems.riemannian_flat_check(m)
+    if classc.detect(m.algebra) is not None:
+        classc.theorem2_check(m)
+    assert views == []
+
+
 @pytest.mark.parametrize("seed", [0, 20])
 def test_no_sweep_builds_a_fraction_product_or_view(monkeypatch, seed):
     """The Killing triple identity, checked on every flat instance of the
     theorem-1 sweep, reads the int planes of (P, D), so no sweep builds the
-    Fraction product either; and every sweep decides on the fields (C, E)
-    and (G, g), reading no instance's `c` or `gram`."""
+    Fraction product either; and every sweep decides on the fields (C, E),
+    (G, g) and each subspace's (B, b), reading no `c`, `gram` or `basis`."""
     views = _fraction_views_built(monkeypatch)
     built = []
     product = metric.LeviCivitaProduct
