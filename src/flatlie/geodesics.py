@@ -30,6 +30,9 @@ MAX_STEPS = 100_000
 ORDER = 30
 # a step is at most this many times the previous one, so theta^ORDER is finite
 MAX_GROWTH = 1e6
+# the rows are formed as xi_k = s w_k with s <= t_max and |w_k| near
+# |v| < BLOWUP_NORM, and the products xi_m xi_j must stay finite
+MAX_HORIZON = 1e100
 
 REACHED_HORIZON = "reached_horizon"
 BLOW_UP_DETECTED = "blow_up_detected"
@@ -69,12 +72,14 @@ def taylor_coefficients(B: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
     v(t + theta s) = sum_k w_k theta^k.
 
     B is the negated product as the (n^2, n) operator
-    `product_as_floats(m).reshape(n * n, n)`, so v' = B(v, v), and matching
-    powers of tau gives w_0 = v and
-    w_{k+1} = s / (k + 1) sum_m B(w_m, w_{k-m}).  With s near the step to be
-    taken every row stays near |v| or below, where the unscaled a_k overflow
-    near a blow-up.  A fresh array, formed by `SeriesWorkspace.rows` on a
-    workspace of its own."""
+    `product_as_floats(m).reshape(n * n, n)`, so v' = B(v, v).  The rows
+    come from the time-rescaled velocity x(tau) = s v(t + s tau), which
+    satisfies the same equation x' = B(x, x) with no step factor: its
+    coefficients xi_k = s w_k obey xi_0 = s v and
+    xi_{k+1} = sum_m B_k(xi_m, xi_{k-m}) for B_k = B / (k + 1), and
+    w_k = xi_k / s.  With s near the step to be taken every row stays near
+    |v| or below, where the unscaled a_k overflow near a blow-up.  A fresh
+    array, formed by `SeriesWorkspace.rows` on a workspace of its own."""
     return SeriesWorkspace(B).rows(v, s)
 
 
@@ -83,36 +88,39 @@ class SeriesWorkspace:
     one operator B, made once per integration.
 
     It holds the (ORDER + 1) x n row buffer W, the n x n Cauchy-product
-    buffer C with its flat view, and for each order k the views W[:k+1].T,
-    W[k::-1] and W[k+1].  `rows` then forms order k in three numpy calls: one
-    (k + 1) x n matmul into C for sum_m w_m (x) w_{k-m}, one dot of C with B
-    into w_{k+1}, and its scaling by s / (k + 1).  These are the BLAS calls
-    and operands of the recurrence written with views rebuilt every order,
-    so the rows are its bits, without rebuilding them."""
+    buffer C with its flat view, the operators B_k = B / (k + 1) as one
+    (ORDER, n^2, n) array, and for each order k the views W[:k+1].T,
+    W[k::-1], B_k and W[k+1].  `rows` then forms order k of the rescaled
+    recurrence in two numpy calls: one (k + 1) x n matmul into C for
+    sum_m xi_m (x) xi_{k-m}, and one dot of C with B_k into xi_{k+1}.
+    These are the BLAS calls and operands of the recurrence written with
+    views rebuilt every order, so the rows are its bits, without
+    rebuilding them."""
 
-    __slots__ = ("W", "_B", "_C", "_flat", "_orders")
+    __slots__ = ("W", "_C", "_flat", "_orders")
 
     def __init__(self, B: np.ndarray):
         import numpy as np
 
         n = B.shape[1]
         self.W = W = np.empty((ORDER + 1, n))
-        self._B = B
         self._C = np.empty((n, n))
         self._flat = self._C.reshape(n * n)
-        self._orders = tuple((W[:k + 1].T, W[k::-1], W[k + 1], k + 1) for k in range(ORDER))
+        Bk = B / np.arange(1.0, ORDER + 1.0)[:, None, None]
+        self._orders = tuple((W[:k + 1].T, W[k::-1], Bk[k], W[k + 1]) for k in range(ORDER))
 
     def rows(self, v: np.ndarray, s: float) -> np.ndarray:
         """The rows w_0..w_ORDER of `taylor_coefficients(B, v, s)`, written
         over the previous ones in the workspace's buffer W, which is
-        returned: every row is formed anew from v and s."""
-        B, C, flat = self._B, self._C, self._flat
+        returned: every row is formed anew from v and s, as xi_k and then
+        divided by s in one call."""
+        C, flat = self._C, self._flat
         W = self.W
-        W[0] = v
-        for head, tail, w, k1 in self._orders:
+        W[0] = v * s
+        for head, tail, Bk, w in self._orders:
             head.dot(tail, out=C)
-            flat.dot(B, out=w)
-            w *= s / k1
+            flat.dot(Bk, out=w)
+        W /= s
         return W
 
 
@@ -169,6 +177,8 @@ def integrate(
         # the first scale is at most t_max / 10 and a step at most MAX_GROWTH
         # scales: a far shorter horizon could end as a false STEP_UNDERFLOW
         raise InvalidGeodesicInputError("t_max", f"must be at least {10 * MIN_STEP:g}, got {t_max}")
+    if t_max > MAX_HORIZON:
+        raise InvalidGeodesicInputError("t_max", f"must be at most {MAX_HORIZON:g}, got {t_max}")
     components = [float(x) for x in v0]
     if len(components) != m.dim:
         raise InvalidGeodesicInputError("v0", f"must have {m.dim} components, got {len(components)}")

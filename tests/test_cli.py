@@ -324,7 +324,7 @@ def test_geodesic_usage_errors(capsys, tmp_path):
     assert code == 2 and "components" in err
     code, _, err = run(capsys, "geodesic", "-i", doc, "--v0", "1,x,0", "--t-max", "5")
     assert code == 2
-    for t_max in ("-1", "0", "nan", "inf", "1e-20", "1e-320"):
+    for t_max in ("-1", "0", "nan", "inf", "1e-20", "1e-320", "1e101"):
         code, out, err = run(capsys, "geodesic", "-i", doc, "--v0", "1,0,0", "--t-max", t_max, "--json")
         assert code == 2 and "--t-max" in err and out == "", t_max
     huge = "1" + "0" * 400

@@ -171,7 +171,7 @@ def test_tolerance_validated():
 
 def test_horizon_and_initial_velocity_validated():
     m = catalog.build("rot3")
-    for t_max in (-1.0, 0.0, float("nan"), float("inf"), 1e-20, 1e-320):
+    for t_max in (-1.0, 0.0, float("nan"), float("inf"), 1e-20, 1e-320, 1.01e100, 1e300):
         with pytest.raises(InvalidGeodesicInputError) as info:
             integrate(m, [1.0, 0.0, 0.0], t_max=t_max)
         assert info.value.field == "t_max"
@@ -196,6 +196,23 @@ def test_horizon_and_initial_velocity_validated():
         with pytest.raises(InvalidGeodesicInputError) as info:
             integrate(m, short_or_long, t_max=1.0)
         assert (info.value.field, info.value.reason) == ("v0", f"must have 3 components, got {len(short_or_long)}")
+
+
+def test_constant_rays_reach_the_largest_horizon_without_overflow():
+    """Rows of zeros bound nothing, so on a constant velocity each step is
+    MAX_GROWTH times the last and the rows are formed at scales up to
+    MAX_HORIZON: their products s^2 |v|^2 stay finite up to |v| near
+    BLOWUP_NORM (any floating-point overflow or invalid value raises here).
+    Beyond MAX_HORIZON the abelian ray's first products would overflow,
+    and inf times the zero operator would end it as a false blow-up."""
+    cases = [("abelian_minkowski", [1.0, 2.0, -1.0]), ("abelian_minkowski", [9e11, 0.0, 0.0]),
+             ("heisenberg_euclidean", [0.0, 0.0, 1.0]), ("heisenberg_euclidean", [0.0, 0.0, 9e11]),
+             ("classc2_flat", [0.0, 9e11])]
+    with np.errstate(over="raise", invalid="raise"):
+        for name, v0 in cases:
+            traj = integrate(catalog.build(name), v0, t_max=geodesics.MAX_HORIZON)
+            assert traj.outcome == REACHED_HORIZON and traj.final.t == geodesics.MAX_HORIZON, name
+            assert traj.final.v == pytest.approx(v0, rel=1e-15), name
 
 
 def test_step_cap_ends_a_huge_horizon(monkeypatch):
@@ -422,8 +439,21 @@ def test_series_terms_count_order_per_step():
 
 
 def recurrence_rows(B, v, s):
-    """The series rows by the recurrence with its views rebuilt every order:
-    w_{k+1} = s / (k + 1) sum_m B(w_m, w_{k-m})."""
+    """The series rows by the rescaled recurrence with its views rebuilt
+    every order: xi_0 = s v, xi_{k+1} = sum_m B / (k + 1) (xi_m, xi_{k-m}),
+    and w_k = xi_k / s."""
+    X = np.empty((geodesics.ORDER + 1, len(v)))
+    X[0] = v * s
+    for k in range(geodesics.ORDER):
+        X[:k + 1].T.dot(X[k::-1]).ravel().dot(B / (k + 1), out=X[k + 1])
+    X /= s
+    return X
+
+
+def step_factor_rows(B, v, s):
+    """The series rows by the recurrence on w_k itself, which carries the
+    step factor: w_0 = v, w_{k+1} = s / (k + 1) sum_m B(w_m, w_{k-m}).  An
+    oracle for the rescaled recurrence."""
     W = np.empty((geodesics.ORDER + 1, len(v)))
     W[0] = v
     for k in range(geodesics.ORDER):
@@ -433,17 +463,22 @@ def recurrence_rows(B, v, s):
     return W
 
 
-def test_workspace_rows_are_the_recurrence_bit_for_bit():
-    """One `SeriesWorkspace` per operator, reused across its (v, s) cases in
-    two orders, gives rows equal to the recurrence's bit for bit, so no state
-    carries from one step to the next; `taylor_coefficients` gives the same
-    rows in a fresh array.  Dims 1-9, steps s and velocity scales 1e-6 to 1e3
+def series_grid():
+    """(n, B, cases) for dims 1-9: steps s and velocity scales 1e-6 to 1e3
     with s |v| at most 1, so every row is finite."""
     rng = np.random.default_rng(26)
     scales = (1e-6, 1e-3, 1.0, 1e3)
     for n in range(1, 10):
         B = rng.standard_normal((n * n, n)) / n
-        cases = [(rng.standard_normal(n) * vs, s) for s in scales for vs in scales if s * vs <= 1.0]
+        yield n, B, [(rng.standard_normal(n) * vs, s) for s in scales for vs in scales if s * vs <= 1.0], rng
+
+
+def test_workspace_rows_are_the_recurrence_bit_for_bit():
+    """One `SeriesWorkspace` per operator, reused across its (v, s) cases in
+    two orders, gives rows equal to the recurrence's bit for bit, so no state
+    carries from one step to the next; `taylor_coefficients` gives the same
+    rows in a fresh array."""
+    for n, B, cases, rng in series_grid():
         series = geodesics.SeriesWorkspace(B)
         for v, s in cases + [cases[i] for i in rng.permutation(len(cases))]:
             expected = recurrence_rows(B, v, s)
@@ -451,6 +486,27 @@ def test_workspace_rows_are_the_recurrence_bit_for_bit():
             assert np.array_equal(series.rows(v, s), expected), (n, s)
             fresh = geodesics.taylor_coefficients(B, v, s)
             assert fresh is not series.W and np.array_equal(fresh, expected), (n, s)
+
+
+def test_rescaled_rows_agree_with_the_step_factor_recurrence():
+    """On the grid of the bit-for-bit test the rows agree with those of the
+    recurrence that carries the step factor to 1e-12 of each row's max (the
+    largest difference is 2e-14).  The rows s w_k are formed in floats, so
+    from the first one below the smallest normal float on they keep fewer
+    bits, a factor s sooner than the rows w_k do: only the s = |v| = 1e-6
+    cases reach that, past order 23, and those rows are left out."""
+    tiny = np.finfo(float).tiny
+    compared = 0
+    for n, B, cases, _ in series_grid():
+        for v, s in cases:
+            W, oracle = geodesics.taylor_coefficients(B, v, s), step_factor_rows(B, v, s)
+            for k, (w, expected) in enumerate(zip(W, oracle)):
+                if np.abs(w).max() * s < tiny:
+                    assert s * np.abs(v).max() < 1e-11 and k > 23, (n, s, k)
+                    break
+                assert np.abs(w - expected).max() <= 1e-12 * np.abs(expected).max(), (n, s, k)
+                compared += 1
+    assert compared > 3500
 
 
 def test_integrator_steps_by_the_recurrence_rows(monkeypatch):

@@ -29,11 +29,10 @@ catalog entry NAME with `--v0=V0 --t-max T_MAX`, or, for a `.csv` FILE, the
 `--csv` export of that run, which prints every sample's `t`, `v` and norm
 with `repr`, signed zeros included.  Every catalog entry has a ray that
 reaches the horizon; `classc2_flat` and `classc3_flat` also have a blow-up
-ray.  Regenerate a file only when the trajectories are meant to change:
+ray.  Regenerate them only when the trajectories are meant to change, all
+at once through `flatlie.cli.main`:
 
-    PYTHONPATH=src python -m flatlie.cli catalog show NAME > NAME.json
-    PYTHONPATH=src python -m flatlie.cli geodesic --json -i NAME.json --v0=V0 --t-max T_MAX > tests/golden/geodesic/FILE
-    PYTHONPATH=src python -m flatlie.cli geodesic -i NAME.json --v0=V0 --t-max T_MAX --csv tests/golden/geodesic/FILE
+    PYTHONPATH=src python tests/golden/regen_geodesic.py
 """
 
 import json
