@@ -77,8 +77,7 @@ def detect(a: LieAlgebra) -> ClassCStructure | None:
     U = a.derived_subalgebra()
     if U.dim != a.dim - 1 or not a.is_abelian_subspace(U):
         return None
-    basis = linalg.identity(a.dim)
-    t = next((basis[i] for i in range(a.dim) if not U.contains(basis[i])), None)
+    t = next((u for u in linalg.units(a.dim) if not U.contains(u)), None)
     if t is None:
         return None
     alpha = scalar_action(a, U, t)
@@ -97,9 +96,10 @@ class Theorem2Report(NamedTuple):
 
 @memoized
 def _derived_radical(m: MetricLieAlgebra) -> Subspace:
-    """Radical of the inner product restricted to the derived algebra."""
+    """Radical of the inner product restricted to the derived algebra,
+    read off the int rows of the restricted form's view."""
     D = m.algebra.derived_subalgebra()
-    return linalg.radical(linalg.restrict_form(m.G, D, m.g), D)
+    return linalg.radical(linalg.restrict_form(m.G, D, m.g)[0], D)
 
 
 @memoized
@@ -165,7 +165,7 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
     i = next((i for i, x in enumerate(Ge) if x), None)
     if i is None:
         raise AssertionError("nondegenerate form pairs e with some basis vector")
-    y = linalg.identity(n)[i]
+    y = linalg.units(n)[i]
     ye = Fraction(Ge[i], g * k)
     yy = Fraction(Gi[i][i], g)
     d = linalg.vec_sub(linalg.vec_scale(y, 1 / ye), linalg.vec_scale(e, yy / (2 * ye * ye)))
@@ -182,8 +182,7 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
     if linalg.subspace_sum(Subspace.span(n, [e]), B) != D:
         raise InvalidWitnessError("span{e} + B is not the derived algebra")
 
-    gram_b = linalg.restrict_form(Gi, B, g)
-    return WitnessBasis(tuple(e), tuple(d), B, tuple(tuple(r) for r in gram_b))
+    return WitnessBasis(tuple(e), tuple(d), B, linalg.fraction_matrix(*linalg.restrict_form(Gi, B, g)))
 
 
 def witness_change_of_basis(w: WitnessBasis) -> Mat:

@@ -23,7 +23,8 @@ subspace operations combine the int rows B.  `congruence` (behind
 `signature` and `metric.timelike_vector`), `restrict_form` and
 `orthogonal_complement` take int or Fraction matrices, and
 `integer_inverse` and `congruence` a view (G, g) too, cleared row by row,
-not over g.  `pack` turns an int row
+not over g; `restrict_form` returns such a view, which `radical` and
+`congruence` read as it is.  `pack` turns an int row
 into one integer with exact zero test and read-back (`slot_width`,
 `unpack`), so `is_flat`, the Jacobi check and `integer_transport` take one
 `dot` per term of a row rather than of each entry.
@@ -110,10 +111,16 @@ def planes(rows: Sequence[Sequence[int]], n: int) -> IntTensor:
     return tuple(tuple(map(tuple, rows[i * n:(i + 1) * n])) for i in range(n))
 
 
+def fraction_matrix(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix rows / d of an integer view, one Fraction per nonzero
+    entry (a zero entry is the shared ZERO): for the public boundary."""
+    return tuple(tuple(Fraction(x, d) if x else ZERO for x in row) for row in rows)
+
+
 def fraction_tensor(X: Sequence[Sequence[Sequence[int]]], d: int) -> Tensor:
     """The tensor X / d of an integer view, one Fraction per nonzero entry
     (a zero entry is the shared ZERO)."""
-    return tuple(tuple(tuple(Fraction(x, d) if x else ZERO for x in row) for row in plane) for plane in X)
+    return tuple(fraction_matrix(plane, d) for plane in X)
 
 
 def transpose(A: Sequence[Sequence[Fraction]]) -> Mat:
@@ -531,8 +538,7 @@ class Subspace(NamedTuple):
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """B / b, one Fraction per entry: for the public boundary only."""
-        b = self.b
-        return tuple(tuple(Fraction(x, b) if x else ZERO for x in row) for row in self.B)
+        return fraction_matrix(self.B, self.b)
 
     def coordinates(self, v: Sequence) -> Vec | None:
         """Coordinates of v in the canonical basis, or None if v is not in
@@ -560,16 +566,16 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     return Subspace.row_space(U.ambient_dim, U.B + V.B)
 
 
-def restrict_form(G: Sequence[Sequence], V: Subspace, g: int = 1, W: Subspace | None = None) -> Mat:
-    """Gram matrix of the form G / g restricted to V, in V's canonical
-    basis; with W, the block of values <v_r, w_c> between the canonical
-    bases of V and W.  G holds ints, such as a metric's field G over g, or
-    Fractions.  On the int views B / b of the bases, each entry is int dots
-    over one denominator."""
+def restrict_form(G: Sequence[Sequence], V: Subspace, g: int = 1, W: Subspace | None = None) -> tuple[list[list], int]:
+    """(R, den) with R / den the Gram matrix of the form G / g restricted
+    to V, in V's canonical basis; with W, the block of values <v_r, w_c>
+    between the canonical bases of V and W.  On the int views B / b of the
+    bases, R holds the dots of those rows through G, over the one positive
+    den = g V.b W.b, not reduced: ints for a G of ints, such as a metric's
+    field G over g, and Fractions for a G of Fractions."""
     W = V if W is None else W
-    den = g * V.b * W.b
     GC = [[dot(row, w) for row in G] for w in W.B]
-    return [[Fraction(x, den) if x else ZERO for x in (dot(v, Gw) for Gw in GC)] for v in V.B]
+    return [[dot(v, Gw) for Gw in GC] for v in V.B], g * V.b * W.b
 
 
 def orthogonal_complement(V: Subspace, G: Sequence[Sequence]) -> Subspace:
@@ -582,12 +588,13 @@ def orthogonal_complement(V: Subspace, G: Sequence[Sequence]) -> Subspace:
     return kernel([[dot(row, v) for row in G] for v in V.B])
 
 
-def radical(form_restricted: Sequence[Sequence[Fraction]], on: Subspace) -> Subspace:
+def radical(form_restricted: Sequence[Sequence], on: Subspace) -> Subspace:
     """Radical {e in V : <e, x> = 0 for all x in V} of a restricted form.
 
     `form_restricted` must be the Gram matrix of the ambient form in V's
-    canonical basis; the result is expressed in ambient coordinates, as
-    int combinations of V's rows B.
+    canonical basis up to a nonzero factor, such as the R of
+    `restrict_form`'s view (R, den), ints or Fractions; the result is
+    expressed in ambient coordinates, as int combinations of V's rows B.
     """
     if on.dim == 0:
         return on

@@ -267,7 +267,7 @@ def timelike_vector(m: MetricLieAlgebra, V: Subspace) -> tuple[int, ...] | None:
     first negative entry (so degenerate restrictions are fine)."""
     if V.dim == 0:
         return None
-    E, d = linalg.congruence(linalg.restrict_form(m.G, V, m.g))
+    E, d = linalg.congruence(*linalg.restrict_form(m.G, V, m.g))
     i = next((i for i, x in enumerate(d) if x < 0), None)
     if i is None:
         return None

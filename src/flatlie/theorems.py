@@ -94,10 +94,9 @@ def _split_check(m: MetricLieAlgebra) -> Theorem1Report:
     a = m.algebra
     S = killing_subalgebra(m)
     D = a.derived_subalgebra()
-    cross = tuple(map(tuple, linalg.restrict_form(m.G, S, m.g, D)))
-    split = SplitData(S, D, cross)
+    R, den = linalg.restrict_form(m.G, S, m.g, D)
     spans = S.dim + D.dim == m.dim and linalg.subspace_sum(S, D).dim == m.dim
-    orthogonal = all(x == 0 for row in cross for x in row)
+    orthogonal = not any(map(any, R))
     s_abelian = a.is_abelian_subspace(S)
     d_abelian = a.is_abelian_subspace(D)
     witness = timelike_vector(m, S)
@@ -106,6 +105,7 @@ def _split_check(m: MetricLieAlgebra) -> Theorem1Report:
     flat = is_flat(m).flat
     direct = flat and condition
     structural = spans and orthogonal and s_abelian and d_abelian and condition
+    split = SplitData(S, D, linalg.fraction_matrix(R, den)) if structural else None
     return Theorem1Report(
         flat=flat,
         timelike_killing=timelike,
@@ -118,7 +118,7 @@ def _split_check(m: MetricLieAlgebra) -> Theorem1Report:
         equivalent=direct == structural,
         even_dim_derived=D.dim % 2 == 0 if structural else None,
         eq2_verified=verify_eq2(m, split) if structural else None,
-        split=split if structural else None,
+        split=split,
         timelike_witness=witness,
     )
 

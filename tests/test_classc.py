@@ -99,7 +99,7 @@ def test_theorem2_dim3_block_restriction():
     gram = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     m = MetricLieAlgebra.make(a, gram)
     D = a.derived_subalgebra()
-    assert linalg.restrict_form([list(r) for r in m.gram], D) == linalg.mat([[1, 0], [0, 0]])
+    assert linalg.restrict_form(m.G, D, m.g) == ([[1, 0], [0, 0]], 1)
     r = theorem2_check(m)
     assert r.degenerate_restriction and r.flat
 

@@ -418,7 +418,7 @@ def assert_operations_match_oracle(U, V, G, g=1):
     gram = [[F(x, g) for x in row] for row in G]
     assert_view_of(linalg.subspace_sum(U, V), row_space_oracle(list(U.basis) + list(V.basis)))
     assert_view_of(linalg.orthogonal_complement(V, G), complement_oracle(V, gram))
-    assert_view_of(linalg.radical(linalg.restrict_form(G, V, g), V), radical_oracle(gram, V))
+    assert_view_of(linalg.radical(linalg.restrict_form(G, V, g)[0], V), radical_oracle(gram, V))
 
 
 def test_kernel_matches_fraction_null_space_on_every_shape():
@@ -601,7 +601,7 @@ def test_subspace_operations_hold_the_cleared_oracle_basis(label, m):
 
 def test_subspace_operations_population_has_nonzero_radicals():
     radicals = [
-        linalg.radical(linalg.restrict_form(m.G, V, m.g), V).dim
+        linalg.radical(linalg.restrict_form(m.G, V, m.g)[0], V).dim
         for label, m in INSTANCES
         for V in subspaces(random.Random(label), m.algebra)
     ]
@@ -1150,3 +1150,27 @@ def test_scalar_action_matches_the_fraction_restriction():
         answers.append(alpha)
     assert sum(x is None for x in answers) >= 100
     assert sum(x is not None and x != 0 for x in answers) >= 30 and sum(x == 0 for x in answers) >= 10
+
+
+def test_sweeps_reach_coordinates_and_elimination_with_int_rows(monkeypatch):
+    """`classc.detect` and `classc.construct_witness` test the int unit
+    vectors of `linalg.units`, and `restrict_form` hands `radical` and
+    `congruence` its int view, so over whole sweeps `Subspace.coordinates`
+    and the row clearing of `_bareiss` see ints only."""
+    seen = {"coordinates": [], "rows": []}
+    coordinates, primitive_row = Subspace.coordinates, linalg._primitive_row
+
+    def spied_coordinates(self, v):
+        seen["coordinates"].append(all(type(x) is int for x in v))
+        return coordinates(self, v)
+
+    def spied_row(row):
+        seen["rows"].append(all(type(x) is int for x in row))
+        return primitive_row(row)
+
+    monkeypatch.setattr(Subspace, "coordinates", spied_coordinates)
+    monkeypatch.setattr(linalg, "_primitive_row", spied_row)
+    for seed in (100, 101, 102):
+        sweeps.run_all(seed, 40)
+    assert len(seen["coordinates"]) > 100 and len(seen["rows"]) > 5000
+    assert all(seen["coordinates"]) and all(seen["rows"])

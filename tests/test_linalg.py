@@ -223,9 +223,15 @@ def test_radical_cases():
 
 
 def test_restrict_form_on_an_integer_view():
-    """restrict_form on the cleared view Gi / g and on the Fraction G alike,
-    and the block between two subspaces, against Fraction sums."""
+    """restrict_form's view (R, den) on the cleared view Gi / g and on the
+    Fraction G alike, and the block between two subspaces, against Fraction
+    sums: R holds ints for the int Gi, over den = g V.b W.b."""
     rng = random.Random(14)
+
+    def fractions(view):
+        R, den = view
+        return [[F(x) / den for x in row] for row in R]
+
     for _ in range(30):
         n = rng.randint(1, 5)
         G = rand_symmetric(rng, n)
@@ -233,9 +239,10 @@ def test_restrict_form_on_an_integer_view():
         V = Subspace.span(n, rand_mat(rng, rng.randint(0, n), n))
         W = Subspace.span(n, rand_mat(rng, rng.randint(0, n), n))
         block = [[form_value(G, v, w) for w in W.basis] for v in V.basis]
-        assert linalg.restrict_form(Gi, V, g, W) == block == linalg.restrict_form(G, V, 1, W)
-        assert linalg.restrict_form(Gi, V, g) == [[form_value(G, v, w) for w in V.basis] for v in V.basis]
-        assert all(type(x) is F for row in linalg.restrict_form(Gi, V, g) for x in row)
+        assert fractions(linalg.restrict_form(Gi, V, g, W)) == block == fractions(linalg.restrict_form(G, V, 1, W))
+        R, den = linalg.restrict_form(Gi, V, g)
+        assert fractions((R, den)) == [[form_value(G, v, w) for w in V.basis] for v in V.basis]
+        assert all(type(x) is int for row in R for x in row) and den == g * V.b * V.b
 
 
 def test_radical_contained_and_counts_zeros():
@@ -247,14 +254,14 @@ def test_radical_contained_and_counts_zeros():
         if V.dim == 0:
             continue
         G = rand_symmetric(rng, n)
-        R = linalg.restrict_form(G, V)
+        R, den = linalg.restrict_form(G, V)
         rad = linalg.radical(R, V)
         for row in rad.basis:
             assert V.contains(row)
             for w in V.basis:
                 assert form_value(G, row, w) == 0
         # the induced form on V / radical is nondegenerate
-        assert linalg.signature(R).n_zero == rad.dim
+        assert linalg.signature(R, den).n_zero == rad.dim
 
 
 def test_orthogonal_complement_cases():

@@ -235,7 +235,7 @@ def _checked_timelike_vector(m, V):
     """timelike_vector(m, V), checked: an int vector of V with <s, s> < 0,
     None exactly when the restricted signature has no minus."""
     s = timelike_vector(m, V)
-    has_minus = V.dim > 0 and linalg.signature(linalg.restrict_form(m.gram, V)).n_minus >= 1
+    has_minus = V.dim > 0 and linalg.signature(*linalg.restrict_form(m.gram, V)).n_minus >= 1
     assert (s is not None) == has_minus
     if s is not None:
         assert all(type(x) is int for x in s)
