@@ -5,7 +5,8 @@ by its velocity curve in the Lie algebra, which satisfies v' = -(v . v) with
 the Levi-Civita product; extendability of that ODE to all time is exactly
 geodesic completeness (see README for the reduction).  The right-hand side
 is a quadratic polynomial, so the Taylor coefficients of the velocity follow
-exactly from one Cauchy-product recurrence (`taylor_coefficients`).  This
+exactly from one Cauchy-product recurrence (`taylor_coefficients`), run on
+the time-rescaled velocity, whose recurrence carries no step factor.  This
 module steps by the series of order ORDER, with each step chosen a priori
 from its last two coefficients (Jorba & Zou, Experimental Math. 14 (2005)),
 and flags finite-time blow-up.  Floats only: the exact kernel is never used
