@@ -49,7 +49,7 @@ _EXPORTS = {
         "witness_change_of_basis",
         "witness_scale",
         "closed_form_products",
-        "transport_product",
+        "closed_form_matches",
         "IncompletenessReport",
         "incompleteness_verdict",
     ),

@@ -20,8 +20,8 @@ from .errors import (
     RadicalDimensionError,
 )
 from .lie import LieAlgebra, memoized
-from .linalg import Mat, Subspace, ZERO, frac
-from .metric import LeviCivitaProduct, MetricLieAlgebra, integer_product, is_flat
+from .linalg import IntTensor, Mat, Subspace, frac
+from .metric import MetricLieAlgebra, integer_product, is_flat
 
 
 class ClassCStructure(NamedTuple):
@@ -125,12 +125,13 @@ class WitnessBasis(NamedTuple):
     """Adapted basis for a flat class-C metric: e spans the radical of the
     restricted form, d is a null transversal with <d, e> = 1, and b_basis
     spans the orthogonal complement of span{e, d} (inside the derived
-    algebra).  gram_b is the restriction of the inner product to b_basis."""
+    algebra).  gram_b is the restriction of the inner product to b_basis,
+    as its least-terms integer view (R, den)."""
 
     e: tuple[Fraction, ...]
     d: tuple[Fraction, ...]
     b_basis: Subspace
-    gram_b: tuple[tuple[Fraction, ...], ...]
+    gram_b: tuple[tuple[tuple[int, ...], ...], int]
     _json = {"b_basis": "b_sector_basis", "gram_b": None}
 
 
@@ -143,8 +144,10 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
 
         d = y / <y, e> - (1/2) (<y, y> / <y, e>^2) e
 
-    gives <d, e> = 1 and <d, d> = 0.  All postconditions are re-verified
-    exactly before returning.
+    gives <d, e> = 1 and <d, d> = 0.  In ints, with e = ei / k, gram = G / g
+    and a = (G ei)[i] for y = e_i, d = (2 a g k y - G[i][i] g k ei) / (2 a^2)
+    in least terms.  All postconditions are re-verified exactly, in ints,
+    before returning.
     """
     _require_class_c(m.algebra)
     n = m.dim
@@ -156,7 +159,6 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
         # unreachable for a nondegenerate ambient form on a codimension-1
         # ideal, but guarded rather than assumed
         raise RadicalDimensionError(f"restricted-form radical has dimension {rad.dim}")
-    e = list(rad.basis[0])
 
     # <x, e> = dot(x, Ge) / (g k) for the views e = ei / k and gram = Gi / g
     Gi, g = m.G, m.g
@@ -165,24 +167,26 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
     i = next((i for i, x in enumerate(Ge) if x), None)
     if i is None:
         raise AssertionError("nondegenerate form pairs e with some basis vector")
-    y = linalg.units(n)[i]
-    ye = Fraction(Ge[i], g * k)
-    yy = Fraction(Gi[i][i], g)
-    d = linalg.vec_sub(linalg.vec_scale(y, 1 / ye), linalg.vec_scale(e, yy / (2 * ye * ye)))
+    a = Ge[i]
+    raw = [-Gi[i][i] * g * k * x for x in ei]
+    raw[i] += 2 * a * g * k
+    (di,), dd = linalg.least_terms([raw], 2 * a * a)
 
-    span_ed = Subspace.span(n, [e, d])
+    span_ed = Subspace.row_space(n, [ei, di])
     B = linalg.orthogonal_complement(span_ed, Gi)
 
-    if m.inner(d, e) != 1 or m.inner(d, d) != 0:
+    if linalg.dot(di, Ge) != g * k * dd or linalg.dot(di, [linalg.dot(row, di) for row in Gi]):
         raise InvalidWitnessError("null transversal postconditions failed")
     if any(linalg.dot(x, Ge) for x in D.B):
         raise InvalidWitnessError("radical vector is not orthogonal to the derived algebra")
     if linalg.subspace_sum(span_ed, B).dim != n or B.dim != n - 2:
         raise InvalidWitnessError("span{e, d} + B does not decompose the algebra")
-    if linalg.subspace_sum(Subspace.span(n, [e]), B) != D:
+    if linalg.subspace_sum(rad, B) != D:
         raise InvalidWitnessError("span{e} + B is not the derived algebra")
 
-    return WitnessBasis(tuple(e), tuple(d), B, linalg.fraction_matrix(*linalg.restrict_form(Gi, B, g)))
+    (e,) = rad.basis
+    (d,) = linalg.fraction_matrix((di,), dd)
+    return WitnessBasis(e, d, B, linalg.least_terms(*linalg.restrict_form(Gi, B, g)))
 
 
 def witness_change_of_basis(w: WitnessBasis) -> Mat:
@@ -200,40 +204,42 @@ def witness_scale(a: LieAlgebra, w: WitnessBasis) -> Fraction:
     return alpha
 
 
-def closed_form_products(w: WitnessBasis, alpha) -> LeviCivitaProduct:
-    """Assemble the flat product table in witness coordinates
-    (index 0 = e, 1..n-2 = B, n-1 = d):
+def closed_form_products(w: WitnessBasis, alpha) -> tuple[IntTensor, int]:
+    """The flat product table in witness coordinates (index 0 = e,
+    1..n-2 = B, n-1 = d) as its least-terms integer view (X, x):
 
         L_e = 0,  de = alpha e,  dd = -alpha d,
         du = ue = 0,  ud = -alpha u,  uu' = alpha <u, u'> e.
 
-    Must equal the metric-defined product after the witness change of basis;
-    the tests enforce that equality exactly.
+    With alpha = s / t and gram_b = R / den every entry is an int over
+    t den.  `closed_form_matches` compares it with the metric's product.
     """
     alpha = frac(alpha)
     if alpha == 0:
         raise InvalidWitnessError("scale alpha must be nonzero")
+    R, den = w.gram_b
     nb = w.b_basis.dim
     n = nb + 2
-    if len(w.gram_b) != nb:
+    if len(R) != nb:
         raise InvalidWitnessError("gram_b size does not match the B-sector dimension")
-    dd = n - 1
-    p = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    p[dd][0][0] = alpha          # de = alpha e
-    p[dd][dd][dd] = -alpha       # dd = -alpha d
+    s, dd = alpha.numerator, n - 1
+    X = [[[0] * n for _ in range(n)] for _ in range(n)]
+    X[dd][0][0] = s * den        # de = alpha e
+    X[dd][dd][dd] = -s * den     # dd = -alpha d
     for j in range(1, nb + 1):
-        p[j][dd][j] = -alpha     # ud = -alpha u
+        X[j][dd][j] = -s * den   # ud = -alpha u
         for k in range(1, nb + 1):
-            p[j][k][0] = alpha * w.gram_b[j - 1][k - 1]  # uu' = alpha <u,u'> e
-    return LeviCivitaProduct(n, tuple(tuple(tuple(r) for r in plane) for plane in p))
+            X[j][k][0] = s * R[j - 1][k - 1]  # uu' = alpha <u,u'> e
+    rows, x = linalg.least_terms([row for plane in X for row in plane], alpha.denominator * den)
+    return linalg.planes(rows, n), x
 
 
-def transport_product(m: MetricLieAlgebra, P: Sequence[Sequence]) -> LeviCivitaProduct:
-    """Levi-Civita product constants of m in the basis given by the columns
-    of P (ints or Fractions), transported from the integer view (P, D) as
-    `LieAlgebra.change_basis` transports (C, E)."""
-    prod, D = integer_product(m)
-    return LeviCivitaProduct(m.dim, linalg.transport(prod, P, D))
+def closed_form_matches(m: MetricLieAlgebra, w: WitnessBasis, alpha) -> bool:
+    """Whether the closed-form table equals the Levi-Civita product of m in
+    witness coordinates: two least-terms views, equal iff their values are,
+    the second transported from (P, D) by `linalg.integer_transport`."""
+    P, D = integer_product(m)
+    return closed_form_products(w, alpha) == linalg.integer_transport(P, witness_change_of_basis(w), D)
 
 
 class IncompletenessReport(NamedTuple):
@@ -247,11 +253,12 @@ def incompleteness_verdict(m: MetricLieAlgebra) -> IncompletenessReport:
     """Class-C algebras are never unimodular (trace ad_b = dim - 1), so a
     flat class-C metric is geodesically incomplete by the completeness
     criterion (flat complete iff unimodular).  For non-flat metrics that
-    criterion does not apply and the verdict says so."""
+    criterion does not apply and the verdict says so.  tr ad_b is read off
+    the int traces E tr ad_{e_i} that `is_unimodular` tests."""
     structure = _require_class_c(m.algebra)
-    ad_b = m.algebra.ad(structure.b)
-    b_trace = sum((ad_b[i][i] for i in range(m.dim)), ZERO)
-    unimodular = m.algebra.is_unimodular()
+    a = m.algebra
+    b_trace = Fraction(linalg.dot(structure.b, a.traces()), a.E)
+    unimodular = a.is_unimodular()
     flat = theorem2_check(m).flat
     verdict = "incomplete" if flat and not unimodular else "criterion inapplicable"
     return IncompletenessReport(unimodular, b_trace, flat, verdict)

@@ -190,10 +190,14 @@ class LieAlgebra(CheckedRecord, _LieFields):
         C = self.C
         return Subspace.row_space(self.dim, [C[i][j] for i in range(self.dim) for j in range(i + 1, self.dim)])
 
-    def is_unimodular(self) -> bool:
-        """tr ad_{e_i} = 0 for every i, on the int traces E tr ad_{e_i}."""
+    def traces(self) -> tuple[int, ...]:
+        """The int traces E tr ad_{e_i} = sum_j C[i][j][j], i by i."""
         n, C = self.dim, self.C
-        return not any(sum(C[i][j][j] for j in range(n)) for i in range(n))
+        return tuple(sum(C[i][j][j] for j in range(n)) for i in range(n))
+
+    def is_unimodular(self) -> bool:
+        """tr ad_{e_i} = 0 for every i, on the int `traces`."""
+        return not any(self.traces())
 
     def is_abelian_subspace(self, V: Subspace) -> bool:
         """Decided in ints: the brackets of V's int rows B under C are

@@ -5,8 +5,8 @@ Every operation here is pure and exact: no floating point, no tolerances,
 so "equals zero" is a real decision, not a threshold.
 
 The hot exact work runs in Python ints: `clear_denominators` scales a
-matrix to integers over one common denominator, and `dot`, `mat_vec`,
-`mat_mul`, `bilinear`, `left_matrix` and `right_matrix` keep int data int
+matrix to integers over one common denominator, and `dot`, `mat_mul`,
+`bilinear`, `left_matrix` and `right_matrix` keep int data int
 (their sums start at int 0, so an entry with no nonzero term is the int 0,
 which equals Fraction(0)).  The records' fields are least-terms integer
 views: the structure constants (C, E), which `lie.integer_view` clears
@@ -59,14 +59,6 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def vec(entries: Iterable) -> Vec:
-    return [frac(x) for x in entries]
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return [vec(r) for r in rows]
-
-
 def exact_mat(rows: Iterable[Iterable]) -> list[list]:
     """The matrix with its int entries kept as ints and every other entry
     coerced by `frac` (so floats are refused): exact input for the integer
@@ -76,10 +68,6 @@ def exact_mat(rows: Iterable[Iterable]) -> list[list]:
 
 def zeros(r: int, c: int) -> Mat:
     return [[ZERO] * c for _ in range(r)]
-
-
-def identity(n: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def units(n: int) -> list[list[int]]:
@@ -197,10 +185,6 @@ def unpack_row(xs: Sequence[int], w: int, n: int) -> list[int]:
     return [v for x in xs for v in unpack(x, w, n // len(xs))]
 
 
-def mat_vec(A: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
-    return [sum((a * x for a, x in zip(row, v) if a and x), 0) for row in A]
-
-
 def mat_mul(A: Sequence[Sequence[Fraction]], B: Sequence[Sequence[Fraction]]) -> Mat:
     Bt = transpose(B)
     return [[sum((a * b for a, b in zip(row, col) if a and b), 0) for col in Bt] for row in A]
@@ -267,12 +251,6 @@ def integer_transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t:
     return planes(rows, n), e
 
 
-def transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1) -> Tensor:
-    """The tensor T / t in the basis given by the columns of P, one Fraction
-    per entry of the view (X, e) of `integer_transport`."""
-    return fraction_tensor(*integer_transport(T, P, t))
-
-
 def transport_form(G: Sequence[Sequence], P: Sequence[Sequence], g: int = 1) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(M, h): the bilinear form G / g in the basis given by the columns of
     P, P^T G P / g, as M / h for the least h > 0, the view
@@ -288,10 +266,6 @@ def mat_sub(A, B) -> Mat:
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_add(A, B) -> Mat:
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_scale(A, f: Fraction) -> Mat:
     return [[f * a for a in row] for row in A]
 
@@ -302,14 +276,6 @@ def is_zero_mat(A) -> bool:
 
 def is_zero_vec(v) -> bool:
     return all(x == 0 for x in v)
-
-
-def vec_sub(u, v) -> Vec:
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(v, f: Fraction) -> Vec:
-    return [f * x for x in v]
 
 
 def is_symmetric(A) -> bool:

@@ -122,9 +122,7 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
     if t2.degenerate_restriction and t2.radical_dim == 1:
         w = classc.construct_witness(m)
         alpha = classc.witness_scale(m.algebra, w)
-        table = classc.closed_form_products(w, alpha)
-        transported = classc.transport_product(m, classc.witness_change_of_basis(w))
-        witness = {**to_data(w), "alpha": to_data(alpha), "closed_form_matches": table.p == transported.p}
+        witness = {**to_data(w), "alpha": to_data(alpha), "closed_form_matches": classc.closed_form_matches(m, w, alpha)}
     return {
         "detected": True,
         **to_data(structure),

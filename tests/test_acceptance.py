@@ -14,10 +14,10 @@ import pytest
 
 from flatlie import catalog, linalg, sweeps
 from flatlie.classc import (
+    closed_form_matches,
     closed_form_products,
     construct_witness,
     theorem2_check,
-    transport_product,
     witness_change_of_basis,
     witness_scale,
 )
@@ -25,6 +25,7 @@ from flatlie.cli import main
 from flatlie.errors import NotLorentzianError
 from flatlie.geodesics import BLOW_UP_DETECTED, REACHED_HORIZON, blowup_time_classc, integrate
 from flatlie.metric import (
+    LeviCivitaProduct,
     MetricLieAlgebra,
     curvature,
     is_flat,
@@ -84,7 +85,7 @@ def test_criterion_1_defining_identity_residual_zero():
         n = m.dim
         c = m.algebra.c
         p = levi_civita(m)
-        basis = linalg.identity(n)
+        basis = linalg.units(n)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -105,17 +106,14 @@ def test_criterion_2_connection_axioms():
         n = m.dim
         p = levi_civita(m)
         G = [list(r) for r in m.gram]
-        basis = linalg.identity(n)
+        basis = linalg.units(n)
         for a in range(n):
             L = left_mult(p, basis[a])
             R = right_mult(p, basis[a])
             assert linalg.mat_sub(L, R) == m.algebra.ad(basis[a])
-            skew = linalg.mat_add(
-                linalg.mat_mul(linalg.transpose(L), G), linalg.mat_mul(G, L)
-            )
-            assert linalg.is_zero_mat(skew)
+            assert linalg.mat_mul(linalg.transpose(L), G) == linalg.mat_scale(linalg.mat_mul(G, L), -1)
             for b in range(n):
-                torsion = linalg.vec_sub(p.product(basis[a], basis[b]), p.product(basis[b], basis[a]))
+                torsion = [x - y for x, y in zip(p.product(basis[a], basis[b]), p.product(basis[b], basis[a]))]
                 assert torsion == m.algebra.bracket(basis[a], basis[b])
     announce(2, "skew-symmetry, torsion-freeness, ad = L - R, exact")
 
@@ -209,11 +207,10 @@ def test_criterion_6_witness_construction_fidelity():
         assert m.inner(w.d, w.e) == 1
         assert m.inner(w.d, w.d) == 0
         alpha = witness_scale(m.algebra, w)
-        table = closed_form_products(w, alpha)
-        P = witness_change_of_basis(w)
-        assert table.p == transport_product(m, P).p
-        alg_w = m.algebra.change_basis(P)
-        basis = linalg.identity(m.dim)
+        assert closed_form_matches(m, w, alpha)
+        table = LeviCivitaProduct(m.dim, linalg.fraction_tensor(*closed_form_products(w, alpha)))
+        alg_w = m.algebra.change_basis(witness_change_of_basis(w))
+        basis = linalg.units(m.dim)
         for i in range(m.dim):
             for j in range(i + 1, m.dim):
                 assert linalg.is_zero_mat(curvature(alg_w, table, basis[i], basis[j]))

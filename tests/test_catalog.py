@@ -10,7 +10,7 @@ def test_every_entry_validates_with_zero_jacobi_residual():
     # brute-force cyclic sum, independent of the constructor's own check
     for name in catalog.names():
         a = catalog.build(name).algebra
-        basis = linalg.identity(a.dim)
+        basis = linalg.units(a.dim)
         for i in range(a.dim):
             for j in range(i + 1, a.dim):
                 for k in range(j + 1, a.dim):

@@ -5,19 +5,19 @@ import pytest
 
 from flatlie import catalog, linalg, sweeps
 from flatlie.classc import (
+    closed_form_matches,
     closed_form_products,
     construct_witness,
     detect,
     incompleteness_verdict,
     theorem2_check,
-    transport_product,
     witness_change_of_basis,
     witness_scale,
 )
 from flatlie.errors import NotClassCError, NotDegenerateError
 from flatlie.lie import LieAlgebra
 from flatlie.linalg import Subspace
-from flatlie.metric import MetricLieAlgebra, curvature, levi_civita
+from flatlie.metric import LeviCivitaProduct, MetricLieAlgebra, curvature, levi_civita
 
 
 def test_detect_dim2():
@@ -142,7 +142,7 @@ def test_witness_classc3():
     assert list(w.d) == [F(1), F(0), F(0)]
     assert w.b_basis == Subspace.span(3, [[0, 1, 0]])
     # B-sector is positive for this entry
-    assert linalg.signature(list(map(list, w.gram_b))) == linalg.Signature(1, 0, 0)
+    assert linalg.signature(*w.gram_b) == linalg.Signature(1, 0, 0)
 
 
 def test_witness_requires_degenerate():
@@ -157,17 +157,17 @@ def test_closed_form_matches_transported_product():
     for m in instances:
         w = construct_witness(m)
         alpha = witness_scale(m.algebra, w)
-        table = closed_form_products(w, alpha)
-        P = witness_change_of_basis(w)
-        assert table.p == transport_product(m, P).p
+        X, x = closed_form_products(w, alpha)
+        assert closed_form_matches(m, w, alpha)
         # uu' sector is symmetric
         nb = w.b_basis.dim
         for j in range(1, nb + 1):
             for k in range(1, nb + 1):
-                assert table.p[j][k] == table.p[k][j]
+                assert X[j][k] == X[k][j]
         # curvature of the assembled table vanishes identically
-        alg_w = m.algebra.change_basis(P)
-        basis = linalg.identity(m.dim)
+        table = LeviCivitaProduct(m.dim, linalg.fraction_tensor(X, x))
+        alg_w = m.algebra.change_basis(witness_change_of_basis(w))
+        basis = linalg.units(m.dim)
         for i in range(m.dim):
             for j in range(i + 1, m.dim):
                 assert linalg.is_zero_mat(curvature(alg_w, table, basis[i], basis[j]))
@@ -190,17 +190,41 @@ def _witness_population():
     return out
 
 
-def test_transport_product_matches_the_fraction_transport():
-    """The witness reads (P, D); the transport of the Fraction product is
-    the oracle, and the closed-form table matches both."""
+def fraction_transport(T, P):
+    """P^-1 T(P_a, P_b) for a Fraction tensor T, summed in Fractions, with
+    P^-1 read off `integer_inverse`."""
+    n = len(P)
+    Qi, q = linalg.integer_inverse(P)
+    out = []
+    for a in range(n):
+        # T(P_a, e_j), then T(P_a, P_b) = sum_j P[j][b] T(P_a, e_j)
+        Ta = [[sum((P[i][a] * T[i][j][k] for i in range(n)), F(0)) for k in range(n)] for j in range(n)]
+        Tab = [[sum((P[j][b] * Ta[j][k] for j in range(n)), F(0)) for k in range(n)] for b in range(n)]
+        out.append(tuple(tuple(sum((F(Qi[k][l], q) * v[l] for l in range(n)), F(0)) for k in range(n)) for v in Tab))
+    return tuple(out)
+
+
+def test_witness_matches_the_fraction_oracles():
+    """The int witness route against Fraction oracles: the closed-form view
+    equals the Fraction product of `levi_civita` transported to the witness
+    basis, d equals its Fraction formula, b_trace is tr ad_b, and the table
+    taken at 2 alpha matches on no instance."""
     population = _witness_population()
     assert len(population) == 56 and {m.dim for m in population} == set(range(2, 10))
     for m in population:
         w = construct_witness(m)
+        alpha = witness_scale(m.algebra, w)
         W = witness_change_of_basis(w)
-        transported = transport_product(m, W)
-        assert transported.p == linalg.transport(levi_civita(m).p, W)
-        assert closed_form_products(w, witness_scale(m.algebra, w)).p == transported.p
+        assert closed_form_matches(m, w, alpha)
+        assert linalg.fraction_tensor(*closed_form_products(w, alpha)) == fraction_transport(levi_civita(m).p, W)
+        # y is the first basis vector with <y, e> != 0
+        y = next(u for u in linalg.units(m.dim) if m.inner(u, w.e))
+        ye, yy = m.inner(y, w.e), m.inner(y, y)
+        assert list(w.d) == [x / ye - yy / (2 * ye * ye) * z for x, z in zip(y, w.e)]
+        b = detect(m.algebra).b
+        ad_b = m.algebra.ad(b)
+        assert incompleteness_verdict(m).b_trace == sum((ad_b[i][i] for i in range(m.dim)), F(0))
+        assert not closed_form_matches(m, w, 2 * alpha)
 
 
 def test_witness_brackets_in_witness_coordinates():
@@ -210,7 +234,7 @@ def test_witness_brackets_in_witness_coordinates():
     alpha = witness_scale(m.algebra, w)
     alg_w = m.algebra.change_basis(witness_change_of_basis(w))
     n = m.dim
-    basis = linalg.identity(n)
+    basis = linalg.units(n)
     d = basis[n - 1]
     for j in range(n - 1):
         expected = [alpha * x for x in basis[j]]

@@ -192,7 +192,7 @@ def test_emit_document_refuses_what_loads_refuses():
     with pytest.raises(ParseError, match=rf"^brackets\[\d+\]\.coeffs\[\d+\]: .* more than {inputdoc.MAX_DIGITS} digits"):
         inputdoc.emit_document(m.change_basis(P))
     n = inputdoc.MAX_DIM + 1
-    too_big = MetricLieAlgebra.make(LieAlgebra.abelian(n), linalg.identity(n))
+    too_big = MetricLieAlgebra.make(LieAlgebra.abelian(n), linalg.units(n))
     with pytest.raises(ParseError, match=rf"^dim: .*{inputdoc.MAX_DIM}"):
         inputdoc.emit_document(too_big)
     # beyond the int/str digit limit, where str() of the rational raises

@@ -2,7 +2,7 @@
 
 `Subspace.row_space`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`
 (on a Fraction matrix and on a metric's Gram view (G, g)),
-`linalg.transport`, both `change_basis` methods, `metric.levi_civita`, `metric.is_flat`,
+`linalg.integer_transport`, both `change_basis` methods, `metric.levi_civita`, `metric.is_flat`,
 `theorems.verify_eq2`, `theorems.same_connection`, `classc.scalar_action`,
 `LieAlgebra.is_abelian_subspace` and the sweeps' connection check work in
 Python ints.  Here each is compared with a plain Fraction computation (or,
@@ -395,7 +395,7 @@ def complement_oracle(V, G):
     """V-perp in Fractions: the null space of the rows G v, v in V's basis."""
     n = V.ambient_dim
     if V.dim == 0:
-        return linalg.identity(n)
+        return [[F(int(i == j)) for j in range(n)] for i in range(n)]
     return kernel_oracle([[sum((G[j][k] * v[k] for k in range(n)), F(0)) for j in range(n)] for v in V.basis])
 
 
@@ -466,7 +466,7 @@ def test_is_flat_verdict_and_witness_match_curvature_on_every_pair(label, m):
     nonzero one, against is_flat's verdict and witness."""
     n = m.dim
     p = levi_civita(m)
-    basis = linalg.identity(n)
+    basis = linalg.units(n)
     nonzero = (
         (i, j, tuple(tuple(r) for r in K))
         for i in range(n)
@@ -557,7 +557,7 @@ def subspaces(rng, a):
     D = a.derived_subalgebra()
     yield D
     yield center(a)
-    for source in (D.basis, linalg.identity(n)):
+    for source in (D.basis, linalg.units(n)):
         if source:
             k = rng.randint(1, 3)
             yield Subspace.span(n, [
@@ -729,14 +729,11 @@ def test_transport_matches_fraction_change_of_basis(n):
         T_frac = tuple(tuple(tuple(F(x, rng.randint(1, 9)) for x in row) for row in plane) for plane in T_int)
         for P in (sweeps.unimodular_int_matrix(rng, n), rational_basis(rng, n)):
             for T in (T_int, T_frac):
-                moved = linalg.transport(T, P)
-                assert moved == transport_oracle(T, P)
-                assert all(isinstance(x, F) for plane in moved for row in plane for x in row)
                 X, e = linalg.integer_transport(T, P)
-                assert linalg.fraction_tensor(X, e) == moved and in_least_terms(e, itertools.chain(*X))
+                assert linalg.fraction_tensor(X, e) == transport_oracle(T, P) and in_least_terms(e, itertools.chain(*X))
             t = rng.randint(2, 30)
             scaled = tuple(tuple(tuple(F(x, t) for x in row) for row in plane) for plane in T_int)
-            assert linalg.transport(T_int, P, t) == transport_oracle(scaled, P)
+            assert linalg.fraction_tensor(*linalg.integer_transport(T_int, P, t)) == transport_oracle(scaled, P)
 
 
 def gram_oracle(G, P):
@@ -805,7 +802,7 @@ def test_change_basis_refuses_bad_input():
             target.change_basis(singular)
         with pytest.raises(TypeError):
             target.change_basis([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
-    identity = linalg.identity(3)
+    identity = [[F(int(i == j)) for j in range(3)] for i in range(3)]
     view = m.algebra.C, m.algebra.E
     with pytest.raises(TypeError):
         MetricLieAlgebra.in_basis(view, [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], identity)
@@ -928,12 +925,12 @@ def test_transport_beyond_the_packed_width(monkeypatch):
         T = tuple(tuple(tuple(six_digit(rng) for _ in range(n)) for _ in range(n)) for _ in range(n))
         P = [[six_digit(rng) for _ in range(n)] for _ in range(n)]
         widths.clear()
-        assert linalg.transport(T, P) == transport_oracle(T, P)
+        assert linalg.fraction_tensor(*linalg.integer_transport(T, P)) == transport_oracle(T, P)
         assert min(widths) > linalg.MAX_PACKED_WIDTH
         T_int = tuple(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)) for _ in range(n))
         P_small = rational_basis(rng, n)
         widths.clear()
-        assert linalg.transport(T_int, P_small) == transport_oracle(T_int, P_small)
+        assert linalg.fraction_tensor(*linalg.integer_transport(T_int, P_small)) == transport_oracle(T_int, P_small)
         assert max(widths) <= linalg.MAX_PACKED_WIDTH
 
 
@@ -1059,7 +1056,7 @@ def connection_pairs():
             if pert is not None:
                 pairs.append((m, pert))
         m = sweeps.class_c_instance(rng, n, degenerate=True)
-        pairs += [(m, m.scale_gram(F(-3, 2))), (m, m.change_basis(linalg.identity(n)))]
+        pairs += [(m, m.scale_gram(F(-3, 2))), (m, m.change_basis([[F(int(i == j)) for j in range(n)] for i in range(n)]))]
     return pairs
 
 
@@ -1133,7 +1130,7 @@ def scalar_action_cases():
             nilpotent = {(0, j): [int(k == j + 1) for k in range(n)] for j in range(1, n - 1)}
             algebras.append(LieAlgebra.from_brackets(n, nilpotent))
         algebras += [a.change_basis(rational_basis(rng, n)) for a in algebras]
-        units = linalg.identity(n)
+        units = linalg.units(n)
         for a in algebras:
             plane = Subspace.span(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)])
             for U in (a.derived_subalgebra(), Subspace.span(n, units[1:]), plane):

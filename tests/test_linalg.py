@@ -57,7 +57,7 @@ def test_frac_shares_fractions_and_refuses_floats():
     with pytest.raises(TypeError):
         linalg.frac(0.5)
     with pytest.raises(TypeError):
-        linalg.vec([F(1), 0.5])
+        linalg.exact_mat([[F(1), 0.5]])
     with pytest.raises(TypeError):
         Subspace.span(2, [[1, 0], [F(1, 2), 0.25]])
 
@@ -140,7 +140,7 @@ def test_max_abs_of_an_int_tensor():
 
 
 def test_kernel_identity_is_zero_subspace():
-    assert linalg.kernel(linalg.identity(2)).dim == 0
+    assert linalg.kernel(linalg.units(2)).dim == 0
 
 
 def test_kernel_zero_matrix_is_everything():
@@ -148,11 +148,11 @@ def test_kernel_zero_matrix_is_everything():
 
 
 def test_kernel_rank_one():
-    A = linalg.mat([[1, 1], [2, 2]])
+    A = [[1, 1], [2, 2]]
     K = linalg.kernel(A)
     assert K.dim == 1
     for v in K.basis:
-        assert linalg.is_zero_vec(linalg.mat_vec(A, v))
+        assert not any(linalg.dot(row, v) for row in A)
     assert K == Subspace.span(2, [[1, -1]])
 
 
@@ -164,7 +164,7 @@ def test_kernel_rank_nullity():
         K = linalg.kernel(A)
         assert K.dim + linalg.rank(A) == c
         for v in K.basis:
-            assert linalg.is_zero_vec(linalg.mat_vec(A, v))
+            assert not any(linalg.dot(row, v) for row in A)
 
 
 @pytest.mark.parametrize(
@@ -177,12 +177,12 @@ def test_kernel_rank_nullity():
     ],
 )
 def test_signature_cases(S, expected):
-    assert tuple(linalg.signature(linalg.mat(S))) == expected
+    assert tuple(linalg.signature([[F(x) for x in row] for row in S])) == expected
 
 
 def test_signature_rejects_nonsymmetric():
     with pytest.raises(NonSymmetricError):
-        linalg.signature(linalg.mat([[0, 1], [0, 0]]))
+        linalg.signature([[0, 1], [0, 0]])
 
 
 def test_signature_congruence_invariance():
@@ -217,9 +217,9 @@ def test_congruence_is_exact():
 
 def test_radical_cases():
     V = Subspace.full(2)
-    assert linalg.radical(linalg.mat([[1, 0], [0, -1]]), V).dim == 0
+    assert linalg.radical([[1, 0], [0, -1]], V).dim == 0
     assert linalg.radical(linalg.zeros(2, 2), V) == V
-    assert linalg.radical(linalg.mat([[0, 0], [0, 1]]), V) == Subspace.span(2, [[1, 0]])
+    assert linalg.radical([[0, 0], [0, 1]], V) == Subspace.span(2, [[1, 0]])
 
 
 def test_restrict_form_on_an_integer_view():
@@ -265,12 +265,12 @@ def test_radical_contained_and_counts_zeros():
 
 
 def test_orthogonal_complement_cases():
-    G = linalg.mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    G = [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert linalg.orthogonal_complement(Subspace.full(3), G).dim == 0
     V = Subspace.span(3, [[1, 0, 0]])
     assert linalg.orthogonal_complement(V, G) == Subspace.span(3, [[0, 1, 0], [0, 0, 1]])
     # a degenerate form is not refused: V-perp is {x : <v, x> = 0 on V}
-    degenerate = linalg.mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    degenerate = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     assert linalg.orthogonal_complement(V, degenerate) == Subspace.span(3, [[0, 1, 0], [0, 0, 1]])
 
 
@@ -294,9 +294,9 @@ def test_integer_inverse():
     for _ in range(20):
         n = rng.randint(1, 5)
         A = rand_invertible(rng, n)
-        assert linalg.mat_mul(A, fraction_inverse(A)) == linalg.identity(n)
+        assert linalg.mat_mul(A, fraction_inverse(A)) == linalg.units(n)
     with pytest.raises(SingularMatrixError):
-        linalg.integer_inverse(linalg.mat([[1, 1], [1, 1]]))
+        linalg.integer_inverse([[1, 1], [1, 1]])
 
 
 def test_integer_inverse_raises_exactly_on_singular():
@@ -314,7 +314,7 @@ def test_integer_inverse_raises_exactly_on_singular():
             with pytest.raises(SingularMatrixError):
                 linalg.integer_inverse(A)
         else:
-            assert linalg.mat_mul(A, fraction_inverse(A)) == linalg.identity(n)
+            assert linalg.mat_mul(A, fraction_inverse(A)) == linalg.units(n)
 
 
 def test_subspace_canonical_equality():
@@ -347,7 +347,7 @@ def test_tensor_contraction_index_convention():
     T = levi_civita(sweeps.random_metric_algebra(rng, 4)).p
     n = len(T)
     assert any(T[i][j] != tuple(-x for x in T[j][i]) for i in range(n) for j in range(n))
-    e = linalg.identity(n)
+    e = linalg.units(n)
     for i in range(n):
         for j in range(n):
             assert linalg.bilinear(T, e[i], e[j]) == list(T[i][j])
@@ -355,13 +355,17 @@ def test_tensor_contraction_index_convention():
         x = [rand_frac(rng) for _ in range(n)]
         y = [rand_frac(rng) for _ in range(n)]
         Txy = linalg.bilinear(T, x, y)
-        assert linalg.mat_vec(linalg.left_matrix(T, x), y) == Txy
-        assert linalg.mat_vec(linalg.right_matrix(T, y), x) == Txy
-    assert linalg.transport(T, linalg.identity(n)) == T
+        assert [linalg.dot(row, y) for row in linalg.left_matrix(T, x)] == Txy
+        assert [linalg.dot(row, x) for row in linalg.right_matrix(T, y)] == Txy
+
+    def transport(T, P):
+        return linalg.fraction_tensor(*linalg.integer_transport(T, P))
+
+    assert transport(T, [[F(int(i == j)) for j in range(n)] for i in range(n)]) == T
     P = rand_invertible(rng, n)
-    moved = linalg.transport(T, P)
+    moved = transport(T, P)
     cols = linalg.transpose(P)
-    assert linalg.mat_vec(P, moved[0][1]) == linalg.bilinear(T, cols[0], cols[1])
-    assert linalg.transport(moved, fraction_inverse(P)) == T
+    assert [linalg.dot(row, moved[0][1]) for row in P] == linalg.bilinear(T, cols[0], cols[1])
+    assert transport(moved, fraction_inverse(P)) == T
     with pytest.raises(SingularMatrixError):
-        linalg.transport(T, linalg.zeros(n, n))
+        linalg.integer_transport(T, linalg.zeros(n, n))

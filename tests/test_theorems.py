@@ -105,10 +105,10 @@ def test_verify_eq2_rejects_foreign_split():
 
 def test_riemannian_flat_check():
     r = riemannian_flat_check(
-        MetricLieAlgebra.make(LieAlgebra.abelian(3), linalg.identity(3))
+        MetricLieAlgebra.make(LieAlgebra.abelian(3), linalg.units(3))
     )
     assert r.direct_side and r.structural_side
-    rot3_euclid = MetricLieAlgebra.make(catalog.build("rot3").algebra, linalg.identity(3))
+    rot3_euclid = MetricLieAlgebra.make(catalog.build("rot3").algebra, linalg.units(3))
     r = riemannian_flat_check(rot3_euclid)
     assert r.direct_side and r.structural_side and r.eq2_verified
     r = riemannian_flat_check(catalog.build("heisenberg_euclidean"))
@@ -132,7 +132,7 @@ def test_companion_rot3():
     m = catalog.build("rot3")
     comp = riemannian_companion(m)
     assert comp.is_riemannian
-    assert [list(r) for r in comp.gram] == linalg.identity(3)
+    assert [list(r) for r in comp.gram] == linalg.units(3)
     assert same_connection(m, comp)
     # deterministic construction; reapplying changes nothing
     assert riemannian_companion(m).gram == comp.gram
