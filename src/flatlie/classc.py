@@ -9,6 +9,7 @@ outside it acting on U as the identity.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -196,10 +197,24 @@ def witness_change_of_basis(w: WitnessBasis) -> Mat:
 
 
 def witness_scale(a: LieAlgebra, w: WitnessBasis) -> Fraction:
-    """alpha with [d, u] = alpha u on the derived algebra (d = alpha b + u0)."""
-    U = a.derived_subalgebra()
-    alpha = scalar_action(a, U, w.d)
-    if alpha is None or alpha == 0:
+    """alpha with [d, u] = alpha u on the derived algebra (d = alpha b + u0).
+
+    Read off `detect`'s b with [b, u] = u on the ideal U: d - alpha b
+    centralizes U, and U is its own centralizer, so d - alpha b is in U and
+    alpha = phi(d) / phi(b) for any linear form phi that vanishes on U.
+    With U's view B / b and f its one column with no pivot, phi(v) is
+    b v[f] - sum_r v[p_r] B[r][f]: b times the residual at f of v against
+    the rows (`Subspace.coordinates`)."""
+    structure = _require_class_c(a)
+    U = structure.ideal
+    pivots = [next(j for j, x in enumerate(row) if x) for row in U.B]
+    f = next(j for j in range(a.dim) if j not in pivots)
+
+    def phi(v: Sequence) -> Fraction:
+        return U.b * v[f] - sum(v[p] * row[f] for p, row in zip(pivots, U.B))
+
+    alpha = Fraction(phi(w.d)) / phi(structure.b)
+    if alpha == 0:
         raise InvalidWitnessError("witness transversal does not act by a nonzero scalar")
     return alpha
 
@@ -236,10 +251,37 @@ def closed_form_products(w: WitnessBasis, alpha) -> tuple[IntTensor, int]:
 
 def closed_form_matches(m: MetricLieAlgebra, w: WitnessBasis, alpha) -> bool:
     """Whether the closed-form table equals the Levi-Civita product of m in
-    witness coordinates: two least-terms views, equal iff their values are,
-    the second transported from (P, D) by `linalg.integer_transport`."""
+    witness coordinates, decided with no inverse of the witness basis.
+
+    With the columns of the witness change of basis W cleared to the int
+    rows Wi_a over one omega, p = P / D and the table X / x, the product of
+    the basis vectors a and b is P(Wi_a, Wi_b) / (D omega^2) and the table
+    says it is Wi X_ab / (x omega), so the two agree iff
+    x P(Wi_a, Wi_b) == D omega Wi X_ab.  Both sides are packed over the
+    output index (`linalg.pack_row`): the rows P[i][j] and Wi_c are packed
+    once, P(Wi_a, Wi_b) is dot(Wi_b, U_a) with U_a[j] = dot(Wi_a, (P[i][j])_i)
+    and Wi X_ab is dot(X_ab, (Wi_c)_c).  Every slot of the difference is at
+    most x max |P| (column sum of |W|)^2 + D omega max |X| (row sum of |W|),
+    which sets the slot width.  W is a basis (`construct_witness` checks
+    that span{e, d} + B is the whole algebra), so equal products on its
+    pairs are equal tensors."""
+    X, x = closed_form_products(w, alpha)
     P, D = integer_product(m)
-    return closed_form_products(w, alpha) == linalg.integer_transport(P, witness_change_of_basis(w), D)
+    (ei, di), s = linalg.clear_denominators([w.e, w.d])
+    B, b = w.b_basis.B, w.b_basis.b
+    omega = math.lcm(s, b)
+    Wi = [[v * (omega // s) for v in ei], *([v * (omega // b) for v in row] for row in B), [v * (omega // s) for v in di]]
+    col_sum = max(sum(map(abs, Wa)) for Wa in Wi)
+    row_sum = max(sum(map(abs, Wk)) for Wk in zip(*Wi))
+    width = linalg.slot_width(x * linalg.max_abs(P) * col_sum**2 + D * omega * linalg.max_abs(X) * row_sum)
+    cols = zip(*(linalg.pack_rows(Pj, width) for Pj in zip(*P)))  # cols[t][j]: int t of each packed P[i][j], by i
+    dot, scale = linalg.dot, D * omega
+    for col, Wt in zip(cols, linalg.pack_rows(Wi, width)):
+        for Wa, Xa in zip(Wi, X):
+            U = [dot(Wa, Pj) for Pj in col]  # U[j]: P(Wi_a, e_j), packed
+            if any(x * dot(Wb, U) != scale * dot(Xab, Wt) for Wb, Xab in zip(Wi, Xa)):
+                return False
+    return True
 
 
 class IncompletenessReport(NamedTuple):

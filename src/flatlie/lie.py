@@ -61,11 +61,21 @@ def is_square(T, n: int) -> bool:
 def check_view(rows: Sequence[Sequence], d, num: str, den: str) -> None:
     """Refuse, naming the field, a view rows / d that is not in least terms
     over ints: the one view of its value, so == and hash can follow it."""
+    check_ints(rows, d, num, den)
+    check_reduced(math.gcd(d, *chain.from_iterable(rows)), num, den)
+
+
+def check_ints(rows: Sequence[Sequence], d, num: str, den: str) -> None:
+    """The first half of `check_view`: int entries over a positive int d."""
     if any(type(x) is not int for row in rows for x in row):
         raise TypeError(f"{num}: entries must be ints")
     if type(d) is not int or d < 1:
         raise ValueError(f"{den}: the denominator must be a positive int, got {d!r}")
-    if math.gcd(d, *chain.from_iterable(rows)) != 1:
+
+
+def check_reduced(h: int, num: str, den: str) -> None:
+    """The second half of `check_view`, given h, the gcd of d and every entry."""
+    if h != 1:
         raise ValueError(f"{num}, {den}: the view is not in least terms")
 
 
@@ -134,7 +144,7 @@ class LieAlgebra(CheckedRecord, _LieFields):
         # packed.  A residual entry is at most 3 n c^2 with c = max |C|,
         # which sets the slot width.
         w = linalg.slot_width(3 * n * linalg.max_abs(C) ** 2)
-        PC = [tuple(zip(*(linalg.pack_row(row, w) for row in plane))) for plane in C]  # PC[a][q][x]
+        PC = [linalg.pack_rows(plane, w) for plane in C]  # PC[a][q][x]
         dot = linalg.dot
         for i in range(n):
             for j in range(i + 1, n):

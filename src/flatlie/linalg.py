@@ -26,8 +26,9 @@ subspace operations combine the int rows B.  `congruence` (behind
 not over g; `restrict_form` returns such a view, which `radical` and
 `congruence` read as it is.  `pack` turns an int row
 into one integer with exact zero test and read-back (`slot_width`,
-`unpack`), so `is_flat`, the Jacobi check and `integer_transport` take one
-`dot` per term of a row rather than of each entry.
+`unpack`), so `is_flat`, the Jacobi check, `integer_transport` and the
+lowered constants and connection, eq. (2) and class-C witness checks take
+one `dot` per term of a row rather than of each entry.
 """
 
 from __future__ import annotations
@@ -180,6 +181,12 @@ def pack_row(row: Sequence[int], w: int) -> tuple[int, ...]:
     return (pack(row, w),) if w <= MAX_PACKED_WIDTH else tuple(row)
 
 
+def pack_rows(rows: Iterable[Sequence[int]], w: int) -> list[tuple[int, ...]]:
+    """parts[t][l], int t of `pack_row(rows[l], w)`: dot(v, parts[t]) is
+    int t of the packed combination sum_l v[l] rows[l]."""
+    return list(zip(*(pack_row(row, w) for row in rows)))
+
+
 def unpack_row(xs: Sequence[int], w: int, n: int) -> list[int]:
     """The n slots of a combination of `pack_row` tuples of one shape."""
     return [v for x in xs for v in unpack(x, w, n // len(xs))]
@@ -241,7 +248,7 @@ def integer_transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t:
     bound = max(sum(map(abs, row)) for row in Qi) * max(sum(map(abs, col)) for col in cols) ** 2
     w = slot_width(bound * max(map(abs, chain.from_iterable(flat))))
     X = [[[] for _ in range(n)] for _ in range(n)]  # X[a][b]: the packed ints of entry (a, b)
-    for part in zip(*(pack_row(col, w) for col in zip(*Qi))):  # part[l]: one packed int of column l
+    for part in pack_rows(zip(*Qi), w):  # part[l]: one packed int of column l
         QT = list(zip(*([dot(Tij, part) for Tij in plane] for plane in Ti)))  # QT[j][i]
         for a, Pa in enumerate(cols):
             U = [dot(Pa, QTj) for QTj in QT]  # U[j]: Qi Ti(Pi_a, e_j), packed
@@ -264,14 +271,6 @@ def transport_form(G: Sequence[Sequence], P: Sequence[Sequence], g: int = 1) -> 
 
 def mat_sub(A, B) -> Mat:
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, f: Fraction) -> Mat:
-    return [[f * a for a in row] for row in A]
-
-
-def is_zero_mat(A) -> bool:
-    return all(x == 0 for row in A for x in row)
 
 
 def is_zero_vec(v) -> bool:
@@ -377,6 +376,11 @@ class Signature(NamedTuple):
     def dim(self) -> int:
         return self.n_plus + self.n_minus + self.n_zero
 
+    @classmethod
+    def of(cls, d: Sequence[int]) -> "Signature":
+        """The signs of the diagonal d of a congruence."""
+        return cls(sum(x > 0 for x in d), sum(x < 0 for x in d), sum(x == 0 for x in d))
+
 
 def congruence(S: Sequence[Sequence], s: int = 1) -> tuple[list[list[int]], list[int]]:
     """(E, d) in ints with E (S / s) E^T = diag(d), for S of ints or
@@ -401,9 +405,16 @@ def congruence(S: Sequence[Sequence], s: int = 1) -> tuple[list[list[int]], list
     d[i] = E_i S E_i^T = prev * nu[i] * piv.  Scaling the rows only, not
     also the columns, keeps each minor one row-lcm per row in size.
     """
-    n = len(S)
     if not is_symmetric(S):
         raise NonSymmetricError("congruence requires a symmetric matrix")
+    return congruence_of_rows(*row_scales(S, s))
+
+
+def row_scales(S: Sequence[Sequence], s: int = 1) -> tuple[list[int], list[list[int]]]:
+    """(nu, A): row r of S / s as A[r] / nu[r] in least terms, nu[r] > 0,
+    for S of ints or Fractions and s a positive int.  For a view (G, g),
+    nu[r] = g / gcd(g, G[r]), so the view is in least terms iff the lcm of
+    the nu[r] is g."""
     nu, A = [], []
     for row in S:
         lr = math.lcm(*(x.denominator for x in row))
@@ -411,6 +422,13 @@ def congruence(S: Sequence[Sequence], s: int = 1) -> tuple[list[list[int]], list
         h = math.gcd(lr * s, *ints)
         nu.append(lr * s // h)
         A.append([x // h for x in ints])
+    return nu, A
+
+
+def congruence_of_rows(nu: list[int], A: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """`congruence` of the symmetric matrix whose row r is A[r] / nu[r], the
+    rows of `row_scales`, which it takes over and changes."""
+    n = len(A)
     E = [[lr if r == c else 0 for c in range(n)] for r, lr in enumerate(nu)]
     d = [0] * n
 
@@ -455,8 +473,7 @@ def congruence(S: Sequence[Sequence], s: int = 1) -> tuple[list[list[int]], list
 def signature(S: Sequence[Sequence], s: int = 1) -> Signature:
     """Sylvester signature of the symmetric matrix S / s, computed exactly:
     the signs of the integer diagonal of `congruence`."""
-    _, d = congruence(S, s)
-    return Signature(sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
+    return Signature.of(congruence(S, s)[1])
 
 
 class Subspace(NamedTuple):

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
-from .lie import CheckedRecord, LieAlgebra, check_view, clear_vectors, is_square, memoized
+from .lie import CheckedRecord, LieAlgebra, check_ints, check_reduced, clear_vectors, is_square, memoized
 from .linalg import ZERO, IntTensor, Mat, Signature, Subspace, Tensor, Vec, frac
 
 
@@ -42,14 +42,19 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
         self._check()
 
     def _check(self) -> None:
-        """The view, symmetry and nondegeneracy; sets the signature."""
+        """The view, symmetry and nondegeneracy; sets the signature.  The
+        rows of G / g are cleared once (`linalg.row_scales`): the view is in
+        least terms iff the lcm of their denominators is g, and the
+        congruence behind the signature starts from them."""
         n, G, g = self.algebra.dim, self.G, self.g
         if not is_square(G, n):
             raise ValueError(f"G: the Gram matrix must be a {n} x {n} tuple of tuples, {n} the algebra dimension")
-        check_view(G, g, "G", "g")
+        check_ints(G, g, "G", "g")
+        nu, rows = linalg.row_scales(G, g)
+        check_reduced(g // math.lcm(*nu), "G", "g")
         if not linalg.is_symmetric(G):
             raise NonSymmetricError("G: inner product matrix must be symmetric")
-        sig = linalg.signature(G, g)
+        sig = Signature.of(linalg.congruence_of_rows(nu, rows)[1])
         if sig.n_zero:
             raise DegenerateFormError("inner product must be nondegenerate (ambient radical is nonzero)")
         self._signature = sig
@@ -142,12 +147,40 @@ class CurvatureVerdict(NamedTuple):
 
 @memoized
 def lowered_constants(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
-    """(Low, L) with <[e_i, e_j], e_k> = Low[i][j][k] / L: the one integer
-    view of the lowered structure constants, which the Levi-Civita solve and
-    the Killing constraints both read.  With gram = G / g and c = C / E it
-    is G C over g E."""
+    """(Low, L) with <[e_i, e_j], e_k> = Low[i][j][k] / L: the integer view
+    of the lowered structure constants, G C over L = g E for gram = G / g
+    and c = C / E.  `killing_rows` reads it.
+
+    Packed (`linalg.pack_row`): G is symmetric, so its rows packed over k
+    are its columns, and Low[i][j] = G C_ij is one dot of C_ij with them,
+    unpacked once.  Every slot is at most (row sum of |G|) max |C|, which
+    sets the slot width.  Only i < j is solved: Low[j][i] = -Low[i][j] and
+    Low[i][i] = 0."""
     G, a = m.G, m.algebra
-    return tuple(tuple(tuple(linalg.dot(row, cij) for row in G) for cij in plane) for plane in a.C), m.g * a.E
+    n, C = a.dim, a.C
+    w = linalg.slot_width(max(sum(map(abs, row)) for row in G) * linalg.max_abs(C))
+    parts = linalg.pack_rows(G, w)
+    dot = linalg.dot
+    low = [[(0,) * n] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = tuple(linalg.unpack_row([dot(C[i][j], part) for part in parts], w, n))
+            low[i][j], low[j][i] = row, tuple(-x for x in row)
+    return tuple(map(tuple, low)), m.g * a.E
+
+
+@memoized
+def killing_rows(m: MetricLieAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(A, L): the n(n+1)/2 x n int matrix of the Killing constraints over
+    the L of `lowered_constants`.  Row (i, j), i <= j in row-major order, at
+    column a is Low[a][j][i] + Low[a][i][j], that is L times
+    <[e_a, e_j], e_i> + <e_j, [e_a, e_i]>: `killing_subalgebra` is its
+    kernel, and regrouping the Koszul formula gives
+    2 L <e_i e_j, e_k> = Low[i][j][k] + A_(i,j)[k], which `integer_product`
+    solves."""
+    n = m.dim
+    low, L = lowered_constants(m)
+    return tuple(tuple(low[a][j][i] + low[a][i][j] for a in range(n)) for i in range(n) for j in range(i, n)), L
 
 
 @memoized
@@ -155,19 +188,28 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     """(P, D) with p = P / D for the least D > 0: the one integer view of the
     Levi-Civita product that every exact layer reads.
 
-    Solved pair by pair in ints: (G / g)^-1 = H / q (`linalg.integer_inverse`
-    of the view (G, g), whose elimination clears each row on its own, so
-    dense entries with distinct denominators do not share one huge common
-    denominator).  The Koszul right-hand side for (i, j) is
-    (Low[i][j][k] - Low[j][k][i] + Low[k][i][j]) / 2L, so each product
-    constant is an entry of H (Koszul sum) over 2 q L; dividing by the gcd
-    of 2 q L and every numerator leaves the least D."""
-    n = m.dim
-    low, L = lowered_constants(m)
+    Solved from the Killing rows (`killing_rows`): the Koszul formula reads
+    2 L gram p_ij = G C_ij + A_(i,j) over L = g E.  With
+    (G / g)^-1 = H / q (`linalg.integer_inverse` of the view (G, g), whose
+    elimination clears each row on its own, so dense entries with distinct
+    denominators do not share one huge common denominator), H G = q g I,
+    so p_ij = (q g C_ij + H A_(i,j)) / 2 q L.  A_(i,j) is symmetric in
+    (i, j) and C_ij antisymmetric, so p_ji = (H A_(i,j) - q g C_ij) / 2 q L:
+    n(n+1)/2 products with H.  Dividing by the gcd of 2 q L and every
+    numerator leaves the least D."""
+    n, C = m.dim, m.algebra.C
+    A, L = killing_rows(m)
     H, q = linalg.integer_inverse(m.G, m.g)
-    koszul = [[[low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
-    rows, D = linalg.least_terms([[linalg.dot(row, rhs) for row in H] for plane in koszul for rhs in plane], 2 * q * L)
-    return linalg.planes(rows, n), D
+    qg = q * m.g
+    dot = linalg.dot
+    rows = [()] * (n * n)
+    pairs = ((i, j) for i in range(n) for j in range(i, n))
+    for (i, j), a in zip(pairs, A):
+        HA = [dot(h, a) for h in H]
+        rows[i * n + j] = [x + qg * c for x, c in zip(HA, C[i][j])]
+        rows[j * n + i] = [x - qg * c for x, c in zip(HA, C[i][j])]
+    P, D = linalg.least_terms(rows, 2 * q * L)
+    return linalg.planes(P, n), D
 
 
 @memoized
@@ -252,12 +294,9 @@ def killing_subalgebra(m: MetricLieAlgebra) -> Subspace:
     """{u : ad_u + (ad_u)* = 0}: values at the identity of the left-invariant
     Killing fields.  Since (ad_u)* = G^-1 ad_u^T G with G invertible, this is
     {u : <[u, x], y> + <x, [u, y]> = 0 for all x, y}; the condition is linear
-    in u and symmetric in (x, y), so it is the kernel of an n(n+1)/2 x n
-    constraint matrix.  Row (i, j) at column a is Low[a][j][i] + Low[a][i][j]:
-    the common denominator L scales every row alike."""
-    n = m.dim
-    low, _ = lowered_constants(m)
-    return linalg.kernel([[low[a][j][i] + low[a][i][j] for a in range(n)] for i in range(n) for j in range(i, n)])
+    in u and symmetric in (x, y), so it is the kernel of the n(n+1)/2 x n
+    matrix of `killing_rows`: the common denominator L scales every row alike."""
+    return linalg.kernel(killing_rows(m)[0])
 
 
 def timelike_vector(m: MetricLieAlgebra, V: Subspace) -> tuple[int, ...] | None:

@@ -11,6 +11,7 @@ is not computed (ROADMAP item 4).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from . import linalg
@@ -66,7 +67,13 @@ def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
     the Killing subalgebra and L_h = 0 on the derived algebra, exactly.
 
     Decided in ints, on the views p = P / D and c = C / E and the int rows
-    of the split's bases: L_s = ad_s iff E L(P, s) == D L(C, s)."""
+    of the split's bases: L_s = ad_s iff E L(P, s) == D L(C, s).  The
+    matrix L(P, s) is sum_i s_i P[i], so with each plane P[i] packed whole,
+    its n^2 entries in one row (`linalg.pack_row`), L(P, s) is one dot of s
+    with the packed planes per packed int.  With sigma the largest sum |s|
+    over the rows of both bases, every slot of E L(P, s) - D L(C, s) and of
+    L(P, h) is at most sigma (E max |P| + D max |C|), which sets the slot
+    width."""
     if split.killing != killing_subalgebra(m) or split.derived != m.algebra.derived_subalgebra():
         raise InvalidSplitError("split does not match this metric's Killing/derived subspaces")
     if split.killing.dim + split.derived.dim != m.dim or any(
@@ -75,10 +82,14 @@ def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
         raise InvalidSplitError("split is not an orthogonal direct-sum decomposition")
     P, D = integer_product(m)
     C, E = m.algebra.C, m.algebra.E
+    sigma = max(sum(map(abs, v)) for v in split.killing.B + split.derived.B)
+    w = linalg.slot_width(sigma * (E * linalg.max_abs(P) + D * linalg.max_abs(C)))
+    dot = linalg.dot
+    Pp, Cp = (linalg.pack_rows([list(chain.from_iterable(plane)) for plane in T], w) for T in (P, C))
     for s in split.killing.B:
-        if linalg.mat_scale(linalg.left_matrix(P, s), E) != linalg.mat_scale(linalg.left_matrix(C, s), D):
+        if any(E * dot(s, p) != D * dot(s, c) for p, c in zip(Pp, Cp)):
             return False
-    return all(linalg.is_zero_mat(linalg.left_matrix(P, h)) for h in split.derived.B)
+    return not any(dot(h, p) for h in split.derived.B for p in Pp)
 
 
 @memoized
@@ -165,17 +176,24 @@ def same_connection(m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> bool:
     p = P / D is torsion-free.  So it is m2's iff
     <L_k e_c, e_r> + <e_c, L_k e_r> = 0 for all k, r, c.  With m2's Gram
     matrix H / h (its fields (G, g)), M_k[r][c] = dot(H[r], P[k][c]) is
-    h D <L_k e_c, e_r>, and the test is M_k + M_k^T = 0 for every k:
-    n^3 int dots."""
+    h D <L_k e_c, e_r>, and the test is M_k + M_k^T = 0 for every k.
+
+    Row by row, packed over c (`linalg.pack_row`): row r of M_k is
+    dot(H[r], PT_k) for the columns PT_k[l] = (P[k][c][l])_c of the plane
+    P[k] packed, and row r of M_k^T is dot(P[k][r], HP) for the packed rows
+    HP[l] of H (symmetric: its columns).  Every slot of the sum is at most
+    2 (row sum of |H|) max |P|, which sets the slot width: 2 n^2 dots per
+    packed int of a row."""
     if m1.algebra != m2.algebra:
         raise MismatchedAlgebrasError("metrics live on different Lie algebras")
     P, _ = integer_product(m1)
     H = m2.G
-    n = m1.dim
+    w = linalg.slot_width(2 * max(sum(map(abs, row)) for row in H) * linalg.max_abs(P))
     dot = linalg.dot
+    HP = linalg.pack_rows(H, w)
     for plane in P:
-        M = [[dot(row, v) for v in plane] for row in H]
-        if any(M[r][c] + M[c][r] for r in range(n) for c in range(r, n)):
+        PT = linalg.pack_rows(zip(*plane), w)
+        if any(dot(Hr, pt) + dot(Pr, hp) for Hr, Pr in zip(H, plane) for pt, hp in zip(PT, HP)):
             return False
     return True
 

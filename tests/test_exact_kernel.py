@@ -3,7 +3,10 @@
 `Subspace.row_space`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`
 (on a Fraction matrix and on a metric's Gram view (G, g)),
 `linalg.integer_transport`, both `change_basis` methods, `metric.levi_civita`, `metric.is_flat`,
-`theorems.verify_eq2`, `theorems.same_connection`, `classc.scalar_action`,
+`metric.integer_product` (against the n^3 Koszul solve it replaced),
+`theorems.verify_eq2`, `theorems.same_connection`, `classc.closed_form_matches`
+(each also against its definition on `left_matrix` or `integer_transport`),
+`classc.scalar_action`,
 `LieAlgebra.is_abelian_subspace` and the sweeps' connection check work in
 Python ints.  Here each is compared with a plain Fraction computation (or,
 for `same_connection`, with equality of the two solved products) on
@@ -16,10 +19,12 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from flatlie import linalg, metric, sweeps
+
+from flatlie import classc, inputdoc, linalg, metric, sweeps, theorems
 from flatlie.classc import scalar_action
 from flatlie.errors import (
     AntisymmetryError,
@@ -472,7 +477,7 @@ def test_is_flat_verdict_and_witness_match_curvature_on_every_pair(label, m):
         for i in range(n)
         for j in range(i + 1, n)
         for K in [curvature(m.algebra, p, basis[i], basis[j])]
-        if not linalg.is_zero_mat(K)
+        if any(map(any, K))
     )
     first = next(nonzero, None)
     verdict = is_flat(m)
@@ -957,6 +962,74 @@ def dense_document(rng, n):
     return MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
 
 
+def _dominant_block(rng, gram, k):
+    """A dense Lorentzian block on the first k coordinates: 6-digit
+    diagonal entries of at least 2.5, the first one negated, and 6-digit
+    off-diagonal entries of at most 1/4, so the block is diagonally dominant."""
+    for i in range(k):
+        gram[i][i] = F(rng.randint(500000, 999999), rng.randint(100000, 199999))
+        for j in range(i + 1, k):
+            gram[i][j] = gram[j][i] = F(rng.choice((-1, 1)) * rng.randint(100000, 199999), rng.randint(800000, 999999))
+    gram[0][0] = -gram[0][0]
+
+
+def _shuffled(rng, m):
+    """m with its basis vectors permuted: the entries keep their digits."""
+    n = m.dim
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return m.change_basis([[int(i == perm[j]) for j in range(n)] for i in range(n)])
+
+
+def dense_flat_split(rng, r, m):
+    """A flat split Lorentzian document of dim 1 + r + m with every entry
+    within the input caps but large views: s acts on R^m by a dense M,
+    skew for diag(d) with d_u distinct 3-digit primes (M[u][v] = x / q and
+    M[v][u] = -x d_u / (q d_v), q a further distinct prime), next to a
+    center R^r; s and the center carry `_dominant_block`.  The Killing
+    subalgebra is s plus the center, the derived algebra R^m, and the
+    product's slots pass linalg.MAX_PACKED_WIDTH in `same_connection` and
+    `verify_eq2` from r = 4, m = 12 on."""
+    k, n = r + 1, r + 1 + m
+    pool = [p for p in range(101, 1000) if all(p % q for q in range(2, 32))]
+    primes = iter(rng.sample(pool, m + m * (m - 1) // 2))
+    d = [next(primes) for _ in range(m)]
+    M = [[F(0)] * m for _ in range(m)]
+    for u in range(m):
+        for v in range(u + 1, m):
+            M[u][v] = F(rng.choice((-1, 1)) * rng.randint(100, 999), next(primes))
+            M[v][u] = -M[u][v] * d[u] / d[v]
+    brackets = {(0, k + v): [F(0)] * k + [M[u][v] for u in range(m)] for v in range(m)}
+    gram = [[F(0)] * n for _ in range(n)]
+    _dominant_block(rng, gram, k)
+    for u in range(m):
+        gram[k + u][k + u] = F(d[u])
+    return _shuffled(rng, MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram))
+
+
+def dense_flat_class_c(rng, n):
+    """A flat class-C Lorentzian document: [e_i, e_j] = beta_i e_j - beta_j e_i
+    for 6-digit beta with beta_1 = 0, so e_1 is in the ideal ker(beta), and
+    a dense 6-digit metric whose column 1 is beta, so e_1 is orthogonal to
+    that ideal: the restriction is degenerate.  From n = 6 on, the witness
+    check's slots pass linalg.MAX_PACKED_WIDTH."""
+    beta = [six_digit(rng) for _ in range(n)]
+    beta[1] = F(0)
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if beta[i] or beta[j]:
+                brackets[i, j] = [beta[i] if k == j else -beta[j] if k == i else F(0) for k in range(n)]
+    gram = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = F(rng.randint(500000, 999999), rng.randint(100, 999))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = six_digit(rng)
+    for i in range(n):
+        gram[i][1] = gram[1][i] = beta[i]
+    return MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
+
+
 def _elimination_cases():
     """Dense documents of dims 2-9 over three seeds, and metrics of dims
     2-6 from every sweep generator."""
@@ -1089,9 +1162,248 @@ def test_same_connection_checks_every_left_multiplication(n):
     for k in range(n):
         m, other = rotation_at(n, k)
         left = [linalg.left_matrix(metric.integer_product(m)[0], e) for e in linalg.units(n)]
-        assert [j for j, L in enumerate(left) if not linalg.is_zero_mat(L)] == [k]
+        assert [j for j, L in enumerate(left) if any(map(any, L))] == [k]
         assert same_connection(m, m.scale_gram(3)) and same_connection_oracle(m, m.scale_gram(3))
         assert not same_connection(m, other) and not same_connection_oracle(m, other)
+
+
+def koszul_product(m):
+    """The product solved on the n^3 Koszul right-hand sides, as before the
+    Killing rows: Low[i][j][k] - Low[j][k][i] + Low[k][i][j] on the
+    lowered constants Low[i][j] = G C_ij, each multiplied by H for
+    (G / g)^-1 = H / q, over 2 q g E in least terms."""
+    n, G, C = m.dim, m.G, m.algebra.C
+    low = [[[linalg.dot(row, cij) for row in G] for cij in plane] for plane in C]
+    H, q = linalg.integer_inverse(G, m.g)
+    rhs = ([low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)] for i in range(n) for j in range(n))
+    P, D = linalg.least_terms([[linalg.dot(h, r) for h in H] for r in rhs], 2 * q * m.g * m.algebra.E)
+    return linalg.planes(P, n), D
+
+
+def sweep_metrics(rng, dims):
+    """One metric of every sweep generator for each dim (the degenerate
+    class-C draw needs dim 2)."""
+    for n in dims:
+        yield sweeps.random_metric_algebra(rng, n)
+        yield _random_lorentzian(rng, n)
+        yield _random_riemannian(rng, n)
+        yield sweeps.theorem1_true_instance(rng, n)
+        if n > 1:
+            yield sweeps.class_c_instance(rng, n, degenerate=True)
+        yield sweeps.class_c_instance(rng, n, degenerate=False)
+
+
+def packed_widths(monkeypatch, check, *args):
+    """(result, widths): check(*args) and the slot widths of the
+    `linalg.pack_row` calls it makes itself (memoized layers it reads were
+    built before)."""
+    widths = []
+    pack_row = linalg.pack_row
+
+    def spied(row, w):
+        widths.append(w)
+        return pack_row(row, w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "pack_row", spied)
+        return check(*args), widths
+
+
+def test_killing_rows_regroup_the_koszul_formula():
+    """2 L gram p_ij = G C_ij + A_(i,j) with L = g E, so with p = P / D
+    2 E G P_ij = D (G C_ij + A_(i,j)) for every pair, A_(i,j) = A_(j,i) the
+    row of the Killing constraints; and the packed lowered constants are the
+    plain dots G C_ij."""
+    population = [m for _, m in INSTANCES + BIG_ENTRY] + list(sweep_metrics(random.Random(900), range(1, 10)))
+    for m in population:
+        n, G, C, E = m.dim, m.G, m.algebra.C, m.algebra.E
+        low, L = metric.lowered_constants(m)
+        assert low == tuple(tuple(tuple(linalg.dot(row, cij) for row in G) for cij in plane) for plane in C)
+        A, L_rows = metric.killing_rows(m)
+        assert L == L_rows == m.g * E and len(A) == n * (n + 1) // 2
+        row = dict(zip(((i, j) for i in range(n) for j in range(i, n)), A))
+        assert all(row[i, j] == tuple(low[a][j][i] + low[a][i][j] for a in range(n)) for i, j in row)
+        P, D = metric.integer_product(m)
+        for i in range(n):
+            for j in range(n):
+                a = row[min(i, j), max(i, j)]
+                assert [2 * E * linalg.dot(Gk, P[i][j]) for Gk in G] == [
+                    D * (linalg.dot(Gk, C[i][j]) + x) for Gk, x in zip(G, a)
+                ], (i, j)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_integer_product_matches_the_koszul_solve_on_every_sweep_generator(n):
+    for m in sweep_metrics(random.Random(910 + n), [n] * 3):
+        assert metric.integer_product(m) == koszul_product(m)
+
+
+def test_integer_product_matches_the_koszul_solve_past_the_packed_width(monkeypatch):
+    """The dense documents of dims 2-13: from dim 8 on, the lowered
+    constants' slots pass linalg.MAX_PACKED_WIDTH and keep one int each."""
+    wide = 0
+    for n in range(2, 14):
+        m = dense_document(random.Random(n), n)
+        _, widths = packed_widths(monkeypatch, metric.lowered_constants, m)
+        wide += min(widths) > linalg.MAX_PACKED_WIDTH
+        assert metric.integer_product(m) == koszul_product(m)
+    assert wide == 6
+
+
+def same_connection_definition(m1, m2):
+    """Every L_k = left_matrix(P, e_k) of m1's product P / D is skew for
+    m2's form: G L_k + (G L_k)^T = 0 with m2's field G, in ints."""
+    P, _ = metric.integer_product(m1)
+    n = m1.dim
+    for e in linalg.units(n):
+        GL = linalg.mat_mul(m2.G, linalg.left_matrix(P, e))
+        if any(GL[r][c] + GL[c][r] for r in range(n) for c in range(n)):
+            return False
+    return True
+
+
+def axis_rescaled(m, i):
+    """m's form with axis i stretched by 2: row and column i doubled."""
+    gram = [[x * (2 if r == i else 1) * (2 if c == i else 1) for c, x in enumerate(row)] for r, row in enumerate(m.gram)]
+    return MetricLieAlgebra.make(m.algebra, gram)
+
+
+def big_connection_pairs():
+    """Pairs on the big-entry metrics and the dense flat split document:
+    a 6-digit rescaling (the same connection), every axis rescaled, and a
+    dense 6-digit form."""
+    pairs = []
+    rng = random.Random(950)
+    for _, m in BIG_ENTRY:
+        n = m.dim
+        pairs.append((m, m.scale_gram(six_digit(rng))))
+        pairs += [(m, axis_rescaled(m, i)) for i in range(n)]
+        gram = [[F(0)] * n for _ in range(n)]
+        _dominant_block(rng, gram, n)
+        pairs.append((m, MetricLieAlgebra.make(m.algebra, gram)))
+    m = dense_flat_split(random.Random(1), 4, 12)
+    pairs += [(m, riemannian_companion(m)), (m, axis_rescaled(m, 0)), (m, axis_rescaled(m, 5))]
+    return pairs
+
+
+def test_same_connection_matches_its_definition(monkeypatch):
+    """The packed test against the skewness of every left multiplication,
+    on the connection pairs (small entries) and on big-entry pairs whose
+    slots pass linalg.MAX_PACKED_WIDTH; both outcomes occur on each side."""
+    outcomes = set()
+    for m1, m2 in CONNECTION_PAIRS + big_connection_pairs():
+        metric.integer_product(m1)
+        answer, widths = packed_widths(monkeypatch, same_connection, m1, m2)
+        assert answer == same_connection_definition(m1, m2)
+        outcomes.add((answer, widths[0] > linalg.MAX_PACKED_WIDTH))
+    assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def test_same_connection_rejects_a_form_rescaled_on_one_axis():
+    """On rotation_at(n, k) only L_{e_k} is nonzero, and it rotates the
+    plane of the other two rotated axes, so stretching either of them
+    breaks its skewness, and stretching any other axis does not."""
+    for n in range(3, 7):
+        for k in range(n):
+            m, _ = rotation_at(n, k)
+            rotated = {j for j in range(n) for i in range(n) if metric.integer_product(m)[0][k][j][i]}
+            assert len(rotated) == 2
+            for i in range(n):
+                assert same_connection(m, axis_rescaled(m, i)) == (i not in rotated)
+
+
+def eq2_definition(m, split):
+    """L_s = ad_s on the Killing rows and L_h = 0 on the derived rows, on
+    the matrices left_matrix(P, s) and left_matrix(C, s): E L(P, s) == D L(C, s)."""
+    P, D = metric.integer_product(m)
+    C, E = m.algebra.C, m.algebra.E
+    return all(
+        [[E * x for x in row] for row in linalg.left_matrix(P, s)] == [[D * x for x in row] for row in linalg.left_matrix(C, s)]
+        for s in split.killing.B
+    ) and not any(any(map(any, linalg.left_matrix(P, h))) for h in split.derived.B)
+
+
+def big_eq2_cases():
+    """so(3) + R^(n-3) with 6-digit weights, in a basis with 6-digit
+    denominators (eq. (2) fails on a valid split), and the dense flat split
+    document (it holds)."""
+    out = []
+    for n in range(4, 8):
+        rng = random.Random(2100 + n)
+        weights = [F(1), F(2), F(3)] + [abs(six_digit(rng)) for _ in range(n - 3)]
+        gram = [[w if i == j else F(0) for j, w in enumerate(weights)] for i in range(n)]
+        m = MetricLieAlgebra.make(LieAlgebra.from_brackets(*sweeps.simple3(n)), gram)
+        out.append(m.change_basis(six_digit_basis(rng, n, [range(n)])))
+    return out + [dense_flat_split(random.Random(1), 4, 12)]
+
+
+def test_verify_eq2_matches_its_definition(monkeypatch):
+    """The packed planes against left_matrix on every valid split of the
+    instances, eq. (2) failures and big-entry cases; both outcomes occur
+    with small slots and with slots past linalg.MAX_PACKED_WIDTH."""
+    population = [m for _, m in INSTANCES + EQ2_FAILS + BIG_ENTRY] + big_eq2_cases()
+    outcomes = set()
+    for m in population:
+        split = _split(m)
+        if not _is_valid_split(split):
+            continue
+        answer, widths = packed_widths(monkeypatch, verify_eq2, m, split)
+        assert answer == eq2_definition(m, split)
+        outcomes.add((answer, widths[0] > linalg.MAX_PACKED_WIDTH))
+    assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def closed_form_definition(m, w, alpha):
+    """The closed-form table against the product moved to the witness basis
+    by `linalg.integer_transport`, an inverse of the basis included."""
+    P, D = metric.integer_product(m)
+    return classc.closed_form_products(w, alpha) == linalg.integer_transport(P, classc.witness_change_of_basis(w), D)
+
+
+def flat_class_c_metrics():
+    rng = random.Random(960)
+    out = [sweeps.class_c_instance(rng, n, degenerate=True) for n in range(2, 10)]
+    out += [m for label, m in INSTANCES + BIG_ENTRY if label.startswith("flatc") or label in ("bigflat3", "bigflat5", "bigflat7")]
+    return out + [dense_flat_class_c(random.Random(n), n) for n in range(3, 9)]
+
+
+def test_closed_form_matches_its_definition(monkeypatch):
+    """The packed products of witness vectors against the transported
+    product, for the witness's alpha and three wrong ones, with small slots
+    and with slots past linalg.MAX_PACKED_WIDTH; only alpha matches."""
+    wide = set()
+    for m in flat_class_c_metrics():
+        metric.integer_product(m)
+        w = classc.construct_witness(m)
+        alpha = classc.witness_scale(m.algebra, w)
+        assert alpha == scalar_action(m.algebra, m.algebra.derived_subalgebra(), w.d)
+        for a in (alpha, 2 * alpha, -alpha, alpha / 3):
+            answer, widths = packed_widths(monkeypatch, classc.closed_form_matches, m, w, a)
+            assert answer == closed_form_definition(m, w, a) == (a == alpha)
+            wide.add(widths[0] > linalg.MAX_PACKED_WIDTH)
+    assert wide == {False, True}
+
+
+def test_dense_goldens_reach_the_wide_side_of_each_packed_check(monkeypatch):
+    """Each packed check meets slots past linalg.MAX_PACKED_WIDTH on a
+    golden input, so the CI diff of its golden report pins that side too."""
+    golden = Path(__file__).parent / "golden" / "inputs"
+
+    def load(name):
+        return inputdoc.loads((golden / f"{name}.json").read_text(encoding="utf-8"))
+
+    m = load("dim9_dense_nonflat_lorentzian")
+    assert min(packed_widths(monkeypatch, metric.lowered_constants, m)[1]) > linalg.MAX_PACKED_WIDTH
+    m = load("dim17_dense_flat_split_lorentzian")
+    companion = riemannian_companion(m)
+    assert min(packed_widths(monkeypatch, same_connection, m, companion)[1]) > linalg.MAX_PACKED_WIDTH
+    split = theorems.theorem1_check(m).split
+    assert min(packed_widths(monkeypatch, verify_eq2, m, split)[1]) > linalg.MAX_PACKED_WIDTH
+    m = load("dim7_dense_flat_class_c")
+    metric.integer_product(m)
+    w = classc.construct_witness(m)
+    widths = packed_widths(monkeypatch, classc.closed_form_matches, m, w, classc.witness_scale(m.algebra, w))[1]
+    assert min(widths) > linalg.MAX_PACKED_WIDTH
 
 
 def scalar_action_oracle(a, U, t):

@@ -10,8 +10,13 @@ coordinates, so its curvature witness is the pair (3, 6), not the first,
 and `dim9_dense_nonflat_lorentzian`, `test_exact_kernel.dense_document`
 with `random.Random(1)` and n = 9: every bracket of e_1 and every metric
 entry a 6-digit rational over its own 6-digit denominator, so the report
-pins entries of hundreds of digits.  Regenerate a file only when the report
-is meant to change:
+pins entries of hundreds of digits.  Two flat dense documents pin the wide
+side of the packed checks: `dim17_dense_flat_split_lorentzian` is
+`test_exact_kernel.dense_flat_split(random.Random(1), 4, 12)`, whose
+companion check and eq. (2) check pack slots past
+`linalg.MAX_PACKED_WIDTH`, and `dim7_dense_flat_class_c` is
+`test_exact_kernel.dense_flat_class_c(random.Random(1), 7)`, whose witness
+check does.  Regenerate a file only when the report is meant to change:
 
     PYTHONPATH=src python -m flatlie.cli analyze --json -i DOC > tests/golden/analyze/NAME.json
 
@@ -60,7 +65,7 @@ def _expected(name: str) -> str:
 
 
 def test_golden_inputs_present():
-    assert len(INPUTS) == 6
+    assert len(INPUTS) == 8
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -294,7 +294,7 @@ def test_antisymmetry_violation_names_the_first_triple():
 
 
 def test_ad_matrices():
-    assert linalg.is_zero_mat(LieAlgebra.abelian(3).ad([F(1), F(2), F(3)]))
+    assert not any(map(any, LieAlgebra.abelian(3).ad([F(1), F(2), F(3)])))
     a = solvable2()
     assert a.ad([F(1), F(0)]) == [[0, 0], [0, 1]]
     rng = random.Random(0)

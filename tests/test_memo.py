@@ -166,7 +166,8 @@ def test_companion_reuses_the_timelike_witness_and_checks_once(monkeypatch):
     memoized companion and repeats neither."""
     m = _golden_input("dim6_flat_split_lorentzian")
     counts = {"congruence": 0, "same_connection": 0}
-    monkeypatch.setattr(linalg, "congruence", _counting(counts, "congruence", linalg.congruence))
+    # `congruence` and the constructor both diagonalize through `congruence_of_rows`
+    monkeypatch.setattr(linalg, "congruence_of_rows", _counting(counts, "congruence", linalg.congruence_of_rows))
     monkeypatch.setattr(theorems, "same_connection", _counting(counts, "same_connection", theorems.same_connection))
     section = report.analysis_report(m)
     assert section["companion"]["same_connection"] is True
