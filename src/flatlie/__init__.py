@@ -16,16 +16,10 @@ _EXPORTS = {
     "linalg": ("Subspace", "Signature"),
     "metric": (
         "MetricLieAlgebra",
-        "LeviCivitaProduct",
         "CurvatureVerdict",
-        "levi_civita",
-        "left_mult",
-        "right_mult",
-        "curvature",
         "is_flat",
         "killing_subalgebra",
         "timelike_vector",
-        "product_span",
         "verify_killing_triple_identity",
     ),
     "theorems": (
@@ -56,8 +50,6 @@ _EXPORTS = {
     "geodesics": (
         "GeodesicTrajectory",
         "integrate",
-        "euler_arnold_rhs",
-        "blowup_time_classc",
         "REACHED_HORIZON",
         "STEP_LIMIT",
         "BLOW_UP_DETECTED",

@@ -97,9 +97,5 @@ class InvalidToleranceError(InvalidGeodesicInputError):
     """Integrator tolerance outside the accepted range (field rel_tol)."""
 
 
-class NonPositiveProductError(FlatLieError):
-    """No finite blow-up time on this ray (alpha * scale <= 0)."""
-
-
 class UnknownExampleError(FlatLieError):
     """Requested catalog entry does not exist."""

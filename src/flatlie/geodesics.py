@@ -5,9 +5,9 @@ by its velocity curve in the Lie algebra, which satisfies v' = -(v . v) with
 the Levi-Civita product; extendability of that ODE to all time is exactly
 geodesic completeness (see README for the reduction).  The right-hand side
 is a quadratic polynomial, so the Taylor coefficients of the velocity follow
-exactly from one Cauchy-product recurrence (`taylor_coefficients`), run on
-the time-rescaled velocity, whose recurrence carries no step factor.  This
-module steps by the series of order ORDER, with each step chosen a priori
+exactly from one Cauchy-product recurrence (`SeriesWorkspace.rows`), run
+on the time-rescaled velocity, whose recurrence carries no step factor.
+This module steps by the series of order ORDER, with each step chosen a priori
 from its last two coefficients (Jorba & Zou, Experimental Math. 14 (2005)),
 and flags finite-time blow-up.  Floats only: the exact kernel is never used
 inside the stepper.
@@ -19,7 +19,7 @@ import csv
 import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import InvalidGeodesicInputError, InvalidToleranceError, NonPositiveProductError
+from .errors import InvalidGeodesicInputError, InvalidToleranceError
 from .metric import MetricLieAlgebra, integer_product
 
 if TYPE_CHECKING:
@@ -42,8 +42,9 @@ STEP_LIMIT = "step_limit"
 
 
 def product_as_floats(m: MetricLieAlgebra) -> np.ndarray:
-    """The negated Levi-Civita product as the (n, n^2) float operator that
-    `euler_arnold_rhs` reads: row i holds -(e_i e_j)_k at column j n + k.
+    """The negated Levi-Civita product as an (n, n^2) float operator:
+    row i holds -(e_i e_j)_k at column j n + k, so its reshape to (n^2, n)
+    is the B of `SeriesWorkspace`, with -(v . v) = B(v, v).
 
     Built once per integration from the integer view p = P / D of
     `integer_product`, as -(x / D) per entry: int true division is correctly
@@ -55,38 +56,19 @@ def product_as_floats(m: MetricLieAlgebra) -> np.ndarray:
     return np.array([[-(x / D) for plane in P[i] for x in plane] for i in range(m.dim)], dtype=float)
 
 
-def euler_arnold_rhs(op: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Velocity equation right-hand side -(v . v) by bilinear evaluation on
-    the negated operator of `product_as_floats`: two vector-matrix products
-    around one reshape, written into `out` when it is given.
-
-    The definition-level right-hand side: `integrate` never calls it, it
-    steps by the series rows of `taylor_coefficients`, whose row 1 is s
-    times this."""
-    n = len(v)
-    return v.dot(v.dot(op).reshape(n, n), out=out)
-
-
-def taylor_coefficients(B: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
-    """Rows w_0..w_ORDER of the Taylor series of the velocity through v,
-    scaled by s: w_k = a_k s^k for v(t + tau) = sum_k a_k tau^k, so that
-    v(t + theta s) = sum_k w_k theta^k.
+class SeriesWorkspace:
+    """The buffers and views of the Taylor series recurrence for one
+    operator B, made once per integration.
 
     B is the negated product as the (n^2, n) operator
     `product_as_floats(m).reshape(n * n, n)`, so v' = B(v, v).  The rows
-    come from the time-rescaled velocity x(tau) = s v(t + s tau), which
-    satisfies the same equation x' = B(x, x) with no step factor: its
-    coefficients xi_k = s w_k obey xi_0 = s v and
-    xi_{k+1} = sum_m B_k(xi_m, xi_{k-m}) for B_k = B / (k + 1), and
-    w_k = xi_k / s.  With s near the step to be taken every row stays near
-    |v| or below, where the unscaled a_k overflow near a blow-up.  A fresh
-    array, formed by `SeriesWorkspace.rows` on a workspace of its own."""
-    return SeriesWorkspace(B).rows(v, s)
-
-
-class SeriesWorkspace:
-    """The buffers and views of the recurrence of `taylor_coefficients` for
-    one operator B, made once per integration.
+    w_k = a_k s^k of v(t + tau) = sum_k a_k tau^k, scaled by a step s, come
+    from the time-rescaled velocity x(tau) = s v(t + s tau), which satisfies
+    the same equation x' = B(x, x) with no step factor: its coefficients
+    xi_k = s w_k obey xi_0 = s v and xi_{k+1} = sum_m B_k(xi_m, xi_{k-m})
+    for B_k = B / (k + 1), and w_k = xi_k / s.  With s near the step to be
+    taken every row stays near |v| or below, where the unscaled a_k
+    overflow near a blow-up.
 
     It holds the (ORDER + 1) x n row buffer W, the n x n Cauchy-product
     buffer C with its flat view, the operators B_k = B / (k + 1) as one
@@ -111,10 +93,10 @@ class SeriesWorkspace:
         self._orders = tuple((W[:k + 1].T, W[k::-1], Bk[k], W[k + 1]) for k in range(ORDER))
 
     def rows(self, v: np.ndarray, s: float) -> np.ndarray:
-        """The rows w_0..w_ORDER of `taylor_coefficients(B, v, s)`, written
-        over the previous ones in the workspace's buffer W, which is
-        returned: every row is formed anew from v and s, as xi_k and then
-        divided by s in one call."""
+        """The rows w_0..w_ORDER, so that v(t + theta s) = sum_k w_k theta^k,
+        written over the previous ones in the workspace's buffer W, which
+        is returned: every row is formed anew from v and s, as xi_k and then
+        divided by s in one call.  Row 1 at s = 1 is -(v . v)."""
         C, flat = self._C, self._flat
         W = self.W
         W[0] = v * s
@@ -155,9 +137,9 @@ def integrate(
 ) -> GeodesicTrajectory:
     """Taylor-series integration of v' = -(v . v) from v(0) = v0.
 
-    Each step forms the coefficients w_0..w_p (p = ORDER) of
-    `taylor_coefficients`, scaled by the previous step s, with one call of
-    `SeriesWorkspace.rows` on a workspace made once per integration, and
+    Each step forms the Taylor coefficients w_0..w_p (p = ORDER), scaled by
+    the previous step s, with one call of `SeriesWorkspace.rows` on a
+    workspace made once per integration, and
     takes the step theta s with
     theta = min((tol / |w_{p-1}|)^(1/(p-1)), (tol / |w_p|)^(1/p)) e^(-0.7/(p-1)),
     tol = rel_tol (1 + |v|), and theta at most MAX_GROWTH; the new velocity
@@ -254,16 +236,6 @@ def integrate(
         s = h
 
     return trajectory(REACHED_HORIZON)
-
-
-def blowup_time_classc(alpha, scale) -> float:
-    """Exact blow-up time of f' = alpha f^2, f(0) = scale: geodesics along
-    the null transversal d of a flat class-C metric satisfy exactly this
-    scalar Riccati equation."""
-    product = float(alpha) * float(scale)
-    if product <= 0:
-        raise NonPositiveProductError("no finite blow-up on this ray (alpha * scale <= 0)")
-    return 1.0 / product
 
 
 def write_csv(trajectory: GeodesicTrajectory, path) -> None:

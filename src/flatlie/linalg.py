@@ -5,11 +5,10 @@ Every operation here is pure and exact: no floating point, no tolerances,
 so "equals zero" is a real decision, not a threshold.
 
 The hot exact work runs in Python ints: `clear_denominators` scales a
-matrix to integers over one common denominator, and `dot`, `mat_mul`,
-`bilinear`, `left_matrix` and `right_matrix` keep int data int
-(their sums start at int 0, so an entry with no nonzero term is the int 0,
-which equals Fraction(0)).  The records' fields are least-terms integer
-views: the structure constants (C, E), which `lie.integer_view` clears
+matrix to integers over one common denominator, and `dot`, `bilinear`
+and `left_matrix` keep int data int (their sums start at int 0, so an
+entry with no nonzero term is the int 0, which equals Fraction(0)).  The
+records' fields are least-terms integer views: the structure constants (C, E), which `lie.integer_view` clears
 from the bracket table of `LieAlgebra.from_brackets` (so of every loaded
 document and every sweep instance's shape), the Gram matrix (G, g) and
 a `Subspace`'s canonical basis (B, b).  A change of basis makes the first
@@ -17,9 +16,9 @@ two in the new basis, `integer_transport` and `transport_form`, reduced
 to the least denominator by `least_terms`, as `integer_inverse` and
 every `Subspace` are.  `metric.integer_product` is solved in ints from
 the two views.  `_bareiss`, the one Gaussian elimination, clears each
-row's denominators itself; `Subspace.row_space`, `rank`, the one-pass
-`kernel` and the int inverse view `integer_inverse` read it, and the
-subspace operations combine the int rows B.  `congruence` (behind
+row's denominators itself; `Subspace.row_space`, the one-pass `kernel`
+and the int inverse view `integer_inverse` read it, and the subspace
+operations combine the int rows B.  `congruence` (behind
 `signature` and `metric.timelike_vector`), `restrict_form` and
 `orthogonal_complement` take int or Fraction matrices, and
 `integer_inverse` and `congruence` a view (G, g) too, cleared row by row,
@@ -192,15 +191,11 @@ def unpack_row(xs: Sequence[int], w: int, n: int) -> list[int]:
     return [v for x in xs for v in unpack(x, w, n // len(xs))]
 
 
-def mat_mul(A: Sequence[Sequence[Fraction]], B: Sequence[Sequence[Fraction]]) -> Mat:
-    Bt = transpose(B)
-    return [[sum((a * b for a, b in zip(row, col) if a and b), 0) for col in Bt] for row in A]
-
-
 def bilinear(T: Tensor, x: Sequence, y: Sequence) -> Vec:
     """T(x, y) = sum_ij x_i y_j T[i][j] for an n x n x n tensor whose
-    T[i][j][k] is the e_k coefficient of T(e_i, e_j).  The contraction of the
-    contraction behind bracket, ad, L_u and R_u; zero coefficients are skipped."""
+    T[i][j][k] is the e_k coefficient of T(e_i, e_j): the contraction
+    behind bracket, ad and `LieAlgebra.is_abelian_subspace`; zero
+    coefficients are skipped."""
     out = [0] * len(T)
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for xi, plane in zip(x, T):
@@ -216,11 +211,6 @@ def bilinear(T: Tensor, x: Sequence, y: Sequence) -> Vec:
 def left_matrix(T: Tensor, x: Sequence) -> Mat:
     """Matrix of y -> T(x, y)."""
     return transpose([bilinear(T, x, e) for e in units(len(T))])
-
-
-def right_matrix(T: Tensor, y: Sequence) -> Mat:
-    """Matrix of x -> T(x, y)."""
-    return transpose([bilinear(T, e, y) for e in units(len(T))])
 
 
 def integer_transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1) -> tuple[IntTensor, int]:
@@ -267,10 +257,6 @@ def transport_form(G: Sequence[Sequence], P: Sequence[Sequence], g: int = 1) -> 
     Pi, p = clear_denominators(P)
     GP = [[dot(row, col) for row in Gi] for col in zip(*Pi)]  # GP[b]: column b of Gi Pi
     return least_terms([[dot(col, GPb) for GPb in GP] for col in zip(*Pi)], g * s * p * p)
-
-
-def mat_sub(A, B) -> Mat:
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def is_zero_vec(v) -> bool:
@@ -325,10 +311,6 @@ def _bareiss(A: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
         if r == len(rows):
             break
     return rows, pivots, prev
-
-
-def rank(A: Sequence[Sequence[Fraction]]) -> int:
-    return len(_bareiss(A)[1])
 
 
 def kernel(A: Sequence[Sequence[Fraction]]) -> "Subspace":

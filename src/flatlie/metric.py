@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 from . import linalg
 from .errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
 from .lie import CheckedRecord, LieAlgebra, check_ints, check_reduced, clear_vectors, is_square, memoized
-from .linalg import ZERO, IntTensor, Mat, Signature, Subspace, Tensor, Vec, frac
+from .linalg import ZERO, IntTensor, Signature, Subspace, frac
 
 
 class _MetricFields(NamedTuple):
@@ -129,16 +129,6 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
         return MetricLieAlgebra.in_basis((a.C, a.E), self.G, P, self.g)
 
 
-class LeviCivitaProduct(NamedTuple):
-    """Product constants p[i][j][k] of the Levi-Civita connection."""
-
-    dim: int
-    p: Tensor
-
-    def product(self, u: Sequence, v: Sequence) -> Vec:
-        return linalg.bilinear(self.p, u, v)
-
-
 class CurvatureVerdict(NamedTuple):
     flat: bool
     # (i, j, K(e_i, e_j)) for the first basis pair with nonzero curvature
@@ -210,32 +200,6 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
         rows[j * n + i] = [x - qg * c for x, c in zip(HA, C[i][j])]
     P, D = linalg.least_terms(rows, 2 * q * L)
     return linalg.planes(P, n), D
-
-
-@memoized
-def levi_civita(m: MetricLieAlgebra) -> LeviCivitaProduct:
-    """The product p = P / D of `integer_product`, one Fraction per entry:
-    definition-level API for the tests' oracles; every layer reads (P, D)."""
-    return LeviCivitaProduct(m.dim, linalg.fraction_tensor(*integer_product(m)))
-
-
-def left_mult(p: LeviCivitaProduct, u: Sequence) -> Mat:
-    """Matrix of v -> u v."""
-    return linalg.left_matrix(p.p, u)
-
-
-def right_mult(p: LeviCivitaProduct, u: Sequence) -> Mat:
-    """Matrix of v -> v u."""
-    return linalg.right_matrix(p.p, u)
-
-
-def curvature(algebra: LieAlgebra, p: LeviCivitaProduct, u: Sequence, v: Sequence) -> Mat:
-    """K(u, v) = L_[u,v] - (L_u L_v - L_v L_u), exact, straight from the
-    definition in Fractions; `is_flat` decides on the integer views."""
-    Lu = left_mult(p, [frac(x) for x in u])
-    Lv = left_mult(p, [frac(x) for x in v])
-    Lbr = left_mult(p, algebra.bracket(u, v))
-    return linalg.mat_sub(Lbr, linalg.mat_sub(linalg.mat_mul(Lu, Lv), linalg.mat_mul(Lv, Lu)))
 
 
 @memoized
@@ -311,19 +275,6 @@ def timelike_vector(m: MetricLieAlgebra, V: Subspace) -> tuple[int, ...] | None:
     if i is None:
         return None
     return tuple(linalg.dot(col, E[i]) for col in zip(*V.B))
-
-
-def product_span(p: LeviCivitaProduct) -> Subspace:
-    """span{e_i e_j : all i, j} (the set g.g), from the definition: for the
-    tests' oracles; `verify_killing_triple_identity` reads (P, D)."""
-    return Subspace.span(p.dim, chain(*p.p))
-
-
-def right_mult_kernel(p: LeviCivitaProduct) -> Subspace:
-    """{u : R_u = 0}, again a kernel since u -> R_u is linear: from the
-    definition, for the tests' oracles, as `product_span` is."""
-    n = p.dim
-    return linalg.kernel([[p.p[j][b][k] for b in range(n)] for j in range(n) for k in range(n)])
 
 
 class KillingTripleReport(NamedTuple):

@@ -2,14 +2,15 @@
 
 `Subspace.row_space`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`
 (on a Fraction matrix and on a metric's Gram view (G, g)),
-`linalg.integer_transport`, both `change_basis` methods, `metric.levi_civita`, `metric.is_flat`,
-`metric.integer_product` (against the n^3 Koszul solve it replaced),
+`linalg.integer_transport`, both `change_basis` methods, `metric.is_flat`,
+`metric.integer_product` (against the Koszul solve pair by pair),
 `theorems.verify_eq2`, `theorems.same_connection`, `classc.closed_form_matches`
 (each also against its definition on `left_matrix` or `integer_transport`),
 `classc.scalar_action`,
 `LieAlgebra.is_abelian_subspace` and the sweeps' connection check work in
-Python ints.  Here each is compared with a plain Fraction computation (or,
-for `same_connection`, with equality of the two solved products) on
+Python ints.  Here each is compared with the Fraction computation of the
+reference analyzer (`reference.py`; for `same_connection`, equality of the
+two products it solves) on
 seeded instances of dims 1-9, flat and non-flat, with Gram matrices and
 structure constants that have non-unit denominators.  Every `Subspace`
 they build holds the least-terms int view of the oracle's canonical basis.
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-
+import reference
 from flatlie import classc, inputdoc, linalg, metric, sweeps, theorems
 from flatlie.classc import scalar_action
 from flatlie.errors import (
@@ -36,71 +37,20 @@ from flatlie.errors import (
 )
 from flatlie.lie import LieAlgebra
 from flatlie.linalg import Subspace
-from flatlie.metric import MetricLieAlgebra, curvature, is_flat, killing_subalgebra, levi_civita
+from flatlie.metric import MetricLieAlgebra, is_flat, killing_subalgebra
 from flatlie.theorems import SplitData, riemannian_companion, same_connection, verify_eq2
 
 DIMS = range(2, 10)
 
 
-def rref_oracle(A):
-    """Fraction Gauss-Jordan: normalize each pivot row, clear its column."""
-    rows = [[F(x) for x in r] for r in A]
-    if not rows:
-        return [], []
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def product(m):
+    """The reference's product of m, solved from the Koszul formula."""
+    return reference.product(m.algebra.c, m.gram)
 
 
-def levi_civita_oracle(m):
-    """2 <e_i e_j, e_k> = <[e_i,e_j],e_k> - <[e_j,e_k],e_i> + <[e_k,e_i],e_j>,
-    solved with the oracle inverse of G, all in Fractions."""
-    n, G, c = m.dim, m.gram, m.algebra.c
-    R, _ = rref_oracle([list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(G)])
-    Ginv = [row[n:] for row in R]
-
-    low = [[[sum((G[k][l] * c[i][j][l] for l in range(n)), F(0)) for k in range(n)] for j in range(n)] for i in range(n)]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rhs = [(low[i][j][l] - low[j][l][i] + low[l][i][j]) / 2 for l in range(n)]
-            out[i][j] = [sum((Ginv[k][l] * rhs[l] for l in range(n)), F(0)) for k in range(n)]
-    return out
-
-
-def left_mult_oracle(T, u):
-    """Matrix of v -> T(u, v): entry (k, j) is the e_k coefficient of T(u, e_j)."""
-    n = len(T)
-    return [[sum((u[i] * T[i][j][k] for i in range(n)), F(0)) for j in range(n)] for k in range(n)]
-
-
-def bracket_oracle(c, x, y):
-    n = len(c)
-    return [sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)), F(0)) for k in range(n)]
-
-
-def eq2_oracle(m, S, D):
-    """L_s = ad_s on the Killing basis and L_h = 0 on the derived basis,
-    with the product from the Fraction Koszul oracle."""
-    p, c = levi_civita_oracle(m), m.algebra.c
-    return all(left_mult_oracle(p, s) == left_mult_oracle(c, s) for s in S.basis) and all(
-        x == 0 for h in D.basis for row in left_mult_oracle(p, h) for x in row
-    )
+def fraction_product(m):
+    """m's product p = P / D of `metric.integer_product`, one Fraction per entry."""
+    return linalg.fraction_tensor(*metric.integer_product(m))
 
 
 def in_least_terms(d, rows):
@@ -113,7 +63,7 @@ def rational_basis(rng, n):
     """An invertible matrix with non-unit denominators."""
     while True:
         P = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(n)] for _ in range(n)]
-        if len(rref_oracle(P)[1]) == n:
+        if reference.rank(P) == n:
             return P
 
 
@@ -162,7 +112,7 @@ def hyperbolic_last(rng, n):
     while True:
         P = rational_basis(rng, n)
         P[n - 1][: n - 1] = [F(0)] * (n - 1)
-        if len(rref_oracle(P)[1]) == n:
+        if reference.rank(P) == n:
             return m.change_basis(P)
 
 
@@ -203,7 +153,7 @@ def six_digit_basis(rng, n, blocks):
                 for j in block:
                     if rng.random() < 0.5:
                         P[i][j] += F(rng.randint(-9, 9), rng.randint(100000, 999999))
-        if len(rref_oracle(P)[1]) == n:
+        if reference.rank(P) == n:
             return P
 
 
@@ -293,17 +243,11 @@ def matrices(rng, m):
     G = [list(r) for r in m.gram]
     yield [row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(G)]
     yield [[m.algebra.c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
-    yield [list(row) for plane in levi_civita(m).p for row in plane]
+    yield [list(row) for plane in fraction_product(m) for row in plane]
     rows, cols = rng.randint(1, n + 2), rng.randint(1, n + 2)
     A = [[F(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) for _ in range(cols)] for _ in range(rows)]
     yield A
     yield A + [[2 * x - y for x, y in zip(A[0], A[-1])], [F(0)] * cols]
-
-
-def row_space_oracle(A):
-    """The canonical basis of the row space: the nonzero rows of `rref_oracle`."""
-    R, pivots = rref_oracle(A)
-    return tuple(map(tuple, R[: len(pivots)]))
 
 
 def assert_view_of(V, basis):
@@ -316,9 +260,8 @@ def assert_view_of(V, basis):
 
 def assert_row_space_matches_oracle(A):
     V = Subspace.row_space(len(A[0]), A)
-    assert_view_of(V, row_space_oracle(A))
+    assert_view_of(V, reference.row_space(A))
     assert Subspace.span(len(A[0]), A) == V
-    assert linalg.rank(A) == len(rref_oracle(A)[1]) == V.dim
 
 
 @pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
@@ -340,7 +283,7 @@ def test_row_space_matches_sympy_domain_matrix(label, m):
         R, pivots = dm.rref()
         expected = [[F(int(x.numerator), int(x.denominator)) for x in row] for row in R.to_list()[: len(pivots)]]
         assert_view_of(Subspace.row_space(len(A[0]), A), expected)
-        assert linalg.rank(A) == len(pivots)
+        assert reference.rank(A) == len(pivots)
 
 
 def test_row_space_exact_on_huge_entries():
@@ -360,29 +303,11 @@ def test_a_negative_last_pivot_gives_a_positive_denominator():
     assert linalg.kernel([[2, -1]]) == Subspace(2, ((1, 2),), 1)
 
 
-def kernel_oracle(A):
-    """Fraction Gauss-Jordan null space: for each free column f of
-    `rref_oracle`'s form, 1 at f and -R[r][f] at each pivot p_r.  Those
-    vectors are not in canonical form (the pivots before f are filled), so
-    the canonical basis is the oracle's reduced form of them."""
-    n = len(A[0])
-    R, pivots = rref_oracle(A)
-    vectors = []
-    for f in range(n):
-        if f not in pivots:
-            v = [F(0)] * n
-            v[f] = F(1)
-            for r, p in enumerate(pivots):
-                v[p] = -R[r][f]
-            vectors.append(v)
-    return row_space_oracle(vectors)
-
-
 def assert_kernel_matches_oracle(A):
     K = linalg.kernel(A)
     assert K.ambient_dim == len(A[0])
-    assert_view_of(K, kernel_oracle(A))
-    assert linalg.rank(A) == len(rref_oracle(A)[1]) == len(A[0]) - K.dim
+    assert_view_of(K, reference.kernel(A))
+    assert reference.rank(A) == len(A[0]) - K.dim
 
 
 @pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
@@ -396,34 +321,13 @@ def test_kernel_matches_fraction_null_space(label, m):
         assert_kernel_matches_oracle(A)
 
 
-def complement_oracle(V, G):
-    """V-perp in Fractions: the null space of the rows G v, v in V's basis."""
-    n = V.ambient_dim
-    if V.dim == 0:
-        return [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    return kernel_oracle([[sum((G[j][k] * v[k] for k in range(n)), F(0)) for j in range(n)] for v in V.basis])
-
-
-def radical_oracle(G, V):
-    """The radical of G on V in Fractions: the null space of the restricted
-    Gram matrix, mapped back to ambient coordinates by V's basis."""
-    if V.dim == 0:
-        return ()
-    n = V.ambient_dim
-    Gw = [[sum((G[j][k] * w[k] for k in range(n)), F(0)) for j in range(n)] for w in V.basis]
-    form = [[sum((x * y for x, y in zip(v, Gwc)), F(0)) for Gwc in Gw] for v in V.basis]
-    return row_space_oracle(
-        [[sum((x * v[j] for x, v in zip(k, V.basis)), F(0)) for j in range(n)] for k in kernel_oracle(form)]
-    )
-
-
 def assert_operations_match_oracle(U, V, G, g=1):
     """The sum U + V, V-perp in the symmetric form G / g and the radical of
     that form restricted to V, against the Fraction oracles."""
     gram = [[F(x, g) for x in row] for row in G]
-    assert_view_of(linalg.subspace_sum(U, V), row_space_oracle(list(U.basis) + list(V.basis)))
-    assert_view_of(linalg.orthogonal_complement(V, G), complement_oracle(V, gram))
-    assert_view_of(linalg.radical(linalg.restrict_form(G, V, g)[0], V), radical_oracle(gram, V))
+    assert_view_of(linalg.subspace_sum(U, V), reference.row_space(list(U.basis) + list(V.basis)))
+    assert_view_of(linalg.orthogonal_complement(V, G), reference.complement(V.basis, gram))
+    assert_view_of(linalg.radical(linalg.restrict_form(G, V, g)[0], V), reference.radical(gram, V.basis))
 
 
 def test_kernel_matches_fraction_null_space_on_every_shape():
@@ -440,7 +344,7 @@ def test_kernel_matches_fraction_null_space_on_every_shape():
     full = 0
     for r, c, entry in cases:
         A = [[entry() for _ in range(c)] for _ in range(r)]
-        full += len(rref_oracle(A)[1]) == min(r, c)
+        full += reference.rank(A) == min(r, c)
         zeroed = set(rng.sample(range(c), rng.randint(1, c)))
         k = rng.randint(1, max(1, min(r, c) - 1))  # rank at most k
         mix = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
@@ -456,8 +360,8 @@ def test_kernel_matches_fraction_null_space_on_every_shape():
 
 @pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
 def test_levi_civita_matches_fraction_koszul(label, m):
-    p = levi_civita(m).p
-    assert [[list(row) for row in plane] for plane in p] == levi_civita_oracle(m)
+    p = fraction_product(m)
+    assert p == product(m)
     assert all(isinstance(x, F) for plane in p for row in plane for x in row)
 
 
@@ -469,14 +373,14 @@ def test_levi_civita_matches_fraction_koszul(label, m):
 def test_is_flat_verdict_and_witness_match_curvature_on_every_pair(label, m):
     """The Fraction curvature on each basis pair in order, up to the first
     nonzero one, against is_flat's verdict and witness."""
-    n = m.dim
-    p = levi_civita(m)
-    basis = linalg.units(n)
+    n, c = m.dim, m.algebra.c
+    p = fraction_product(m)
+    basis = reference.units(n)
     nonzero = (
         (i, j, tuple(tuple(r) for r in K))
         for i in range(n)
         for j in range(i + 1, n)
-        for K in [curvature(m.algebra, p, basis[i], basis[j])]
+        for K in [reference.curvature(c, p, basis[i], basis[j])]
         if any(map(any, K))
     )
     first = next(nonzero, None)
@@ -537,7 +441,7 @@ def _is_valid_split(split):
 def test_verify_eq2_matches_fraction_left_multiplication(label, m):
     split = _split(m)
     if _is_valid_split(split):
-        assert verify_eq2(m, split) == eq2_oracle(m, split.killing, split.derived)
+        assert verify_eq2(m, split) == reference.eq2(m.algebra.c, product(m), split.killing.basis, split.derived.basis)
     else:
         with pytest.raises(InvalidSplitError):
             verify_eq2(m, split)
@@ -571,17 +475,12 @@ def subspaces(rng, a):
             ])
 
 
-def abelian_oracle(a, V):
-    rows = V.basis
-    return all(not any(bracket_oracle(a.c, x, y)) for x in rows for y in rows)
-
-
 @pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)
 def test_is_abelian_subspace_matches_fraction_brackets(label, m):
     rng = random.Random(label)
     a = m.algebra
     for V in list(subspaces(rng, a)) + [killing_subalgebra(m)]:
-        assert a.is_abelian_subspace(V) == abelian_oracle(a, V)
+        assert a.is_abelian_subspace(V) == reference.is_abelian(a.c, V.basis)
 
 
 def test_is_abelian_subspace_population_reaches_both_outcomes():
@@ -611,46 +510,6 @@ def test_subspace_operations_population_has_nonzero_radicals():
         for V in subspaces(random.Random(label), m.algebra)
     ]
     assert sum(r > 0 for r in radicals) >= 10 and sum(r == 0 for r in radicals) >= 10
-
-
-def congruence_oracle(S):
-    """Fraction congruence diagonalization: (E, d) with E S E^T = diag(d).
-    Symmetric pivoting; when the remaining diagonal vanishes, e_r += e_c
-    for the first nonzero off-diagonal entry makes a nonzero pivot."""
-    n = len(S)
-    A = [[F(x) for x in row] for row in S]
-    E = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def add_row_col(dst, src, f):
-        A[dst] = [x + f * y for x, y in zip(A[dst], A[src])]
-        for r in range(n):
-            A[r][dst] += f * A[r][src]
-        E[dst] = [x + f * y for x, y in zip(E[dst], E[src])]
-
-    def swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        for r in range(n):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        E[i], E[j] = E[j], E[i]
-
-    for i in range(n):
-        if A[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if A[j][j] != 0), None)
-            if j is not None:
-                swap(i, j)
-            else:
-                found = next(((r, c) for r in range(i, n) for c in range(r + 1, n) if A[r][c] != 0), None)
-                if found is None:
-                    break
-                r, c = found
-                add_row_col(r, c, F(1))
-                if r != i:
-                    swap(i, r)
-        piv = A[i][i]
-        for r in range(i + 1, n):
-            if A[r][i] != 0:
-                add_row_col(r, i, -A[r][i] / piv)
-    return E, [A[i][i] for i in range(n)]
 
 
 def symmetric_matrices():
@@ -694,7 +553,7 @@ def test_congruence_matches_fraction_congruence():
     for S in symmetric_matrices():
         n = len(S)
         E, d = linalg.congruence(S)
-        O, od = congruence_oracle(S)
+        O, od = reference.congruence(S)
         ES = [[sum((e * S[k][j] for k, e in enumerate(row) if e), F(0)) for j in range(n)] for row in E]
         ESEt = [[sum((x * y for x, y in zip(row, col)), F(0)) for col in E] for row in ES]
         assert ESEt == [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
@@ -711,21 +570,6 @@ def test_congruence_matches_fraction_congruence():
     assert counts["row_add"] >= 100 and counts["degenerate"] >= 100
 
 
-def transport_oracle(T, P):
-    """P^-1 T(P_a, P_b), in Fractions."""
-    n = len(P)
-    R, _ = rref_oracle([[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(P)])
-    Pinv = [row[n:] for row in R]
-    P = [[F(x) for x in row] for row in P]
-    out = []
-    for a in range(n):
-        # T(P_a, e_j), then T(P_a, P_b) = sum_j P[j][b] T(P_a, e_j)
-        Ta = [[sum((P[i][a] * T[i][j][k] for i in range(n)), F(0)) for k in range(n)] for j in range(n)]
-        Tab = [[sum((P[j][b] * Ta[j][k] for j in range(n)), F(0)) for k in range(n)] for b in range(n)]
-        out.append(tuple(tuple(sum((Pinv[k][l] * v[l] for l in range(n)), F(0)) for k in range(n)) for v in Tab))
-    return tuple(out)
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_transport_matches_fraction_change_of_basis(n):
     rng = random.Random(300 + n)
@@ -735,19 +579,10 @@ def test_transport_matches_fraction_change_of_basis(n):
         for P in (sweeps.unimodular_int_matrix(rng, n), rational_basis(rng, n)):
             for T in (T_int, T_frac):
                 X, e = linalg.integer_transport(T, P)
-                assert linalg.fraction_tensor(X, e) == transport_oracle(T, P) and in_least_terms(e, itertools.chain(*X))
+                assert linalg.fraction_tensor(X, e) == reference.transport(T, P) and in_least_terms(e, itertools.chain(*X))
             t = rng.randint(2, 30)
             scaled = tuple(tuple(tuple(F(x, t) for x in row) for row in plane) for plane in T_int)
-            assert linalg.fraction_tensor(*linalg.integer_transport(T_int, P, t)) == transport_oracle(scaled, P)
-
-
-def gram_oracle(G, P):
-    """P^T G P, in Fractions."""
-    n = len(P)
-    return tuple(
-        tuple(sum((F(P[i][a]) * G[i][j] * P[j][b] for i in range(n) for j in range(n)), F(0)) for b in range(n))
-        for a in range(n)
-    )
+            assert linalg.fraction_tensor(*linalg.integer_transport(T_int, P, t)) == reference.transport(scaled, P)
 
 
 def _change_of_basis_cases():
@@ -792,8 +627,8 @@ def test_change_basis_fields_are_the_cleared_fraction_change_of_basis(monkeypatc
         assert built == {LieAlgebra: 1, MetricLieAlgebra: 1}
         a = moved.algebra
         assert in_least_terms(a.E, itertools.chain(*a.C)) and in_least_terms(moved.g, moved.G)
-        assert a.c == transport_oracle(m.algebra.c, P)
-        assert moved.gram == gram_oracle(m.gram, P)
+        assert a.c == reference.transport(m.algebra.c, P)
+        assert moved.gram == reference.transport_form(m.gram, P)
         assert moved.signature == m.signature
         if all(type(x) is int for row in P for x in row):
             assert seen == [{int}]
@@ -930,12 +765,12 @@ def test_transport_beyond_the_packed_width(monkeypatch):
         T = tuple(tuple(tuple(six_digit(rng) for _ in range(n)) for _ in range(n)) for _ in range(n))
         P = [[six_digit(rng) for _ in range(n)] for _ in range(n)]
         widths.clear()
-        assert linalg.fraction_tensor(*linalg.integer_transport(T, P)) == transport_oracle(T, P)
+        assert linalg.fraction_tensor(*linalg.integer_transport(T, P)) == reference.transport(T, P)
         assert min(widths) > linalg.MAX_PACKED_WIDTH
         T_int = tuple(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)) for _ in range(n))
         P_small = rational_basis(rng, n)
         widths.clear()
-        assert linalg.fraction_tensor(*linalg.integer_transport(T_int, P_small)) == transport_oracle(T_int, P_small)
+        assert linalg.fraction_tensor(*linalg.integer_transport(T_int, P_small)) == reference.transport(T_int, P_small)
         assert max(widths) <= linalg.MAX_PACKED_WIDTH
 
 
@@ -944,8 +779,7 @@ def test_integer_inverse_is_the_least_denominator_view():
     for n in range(1, 7):
         for P in (rational_basis(rng, n), six_digit_basis(rng, n, [range(n)]), sweeps.unimodular_int_matrix(rng, n)):
             Qi, q = linalg.integer_inverse(P)
-            R, _ = rref_oracle([[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(P)])
-            assert [[F(x, q) for x in row] for row in Qi] == [row[n:] for row in R]
+            assert [[F(x, q) for x in row] for row in Qi] == reference.inverse(P)
             assert q > 0 and math.gcd(q, *(x for row in Qi for x in row)) == 1
 
 
@@ -1076,9 +910,8 @@ def test_integer_product_matches_a_sympy_koszul_solve_on_a_dense_document():
 
 
 def same_connection_oracle(m1, m2):
-    """Both products solved on their own and compared: (P, D) is canonical
-    (least D), so equal views mean equal products."""
-    return metric.integer_product(m1) == metric.integer_product(m2)
+    """Both products solved by the reference and compared."""
+    return product(m1) == product(m2)
 
 
 def _perturbed(m, rng):
@@ -1167,19 +1000,6 @@ def test_same_connection_checks_every_left_multiplication(n):
         assert not same_connection(m, other) and not same_connection_oracle(m, other)
 
 
-def koszul_product(m):
-    """The product solved on the n^3 Koszul right-hand sides, as before the
-    Killing rows: Low[i][j][k] - Low[j][k][i] + Low[k][i][j] on the
-    lowered constants Low[i][j] = G C_ij, each multiplied by H for
-    (G / g)^-1 = H / q, over 2 q g E in least terms."""
-    n, G, C = m.dim, m.G, m.algebra.C
-    low = [[[linalg.dot(row, cij) for row in G] for cij in plane] for plane in C]
-    H, q = linalg.integer_inverse(G, m.g)
-    rhs = ([low[i][j][k] - low[j][k][i] + low[k][i][j] for k in range(n)] for i in range(n) for j in range(n))
-    P, D = linalg.least_terms([[linalg.dot(h, r) for h in H] for r in rhs], 2 * q * m.g * m.algebra.E)
-    return linalg.planes(P, n), D
-
-
 def sweep_metrics(rng, dims):
     """One metric of every sweep generator for each dim (the degenerate
     class-C draw needs dim 2)."""
@@ -1235,7 +1055,8 @@ def test_killing_rows_regroup_the_koszul_formula():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_integer_product_matches_the_koszul_solve_on_every_sweep_generator(n):
     for m in sweep_metrics(random.Random(910 + n), [n] * 3):
-        assert metric.integer_product(m) == koszul_product(m)
+        P, D = metric.integer_product(m)
+        assert linalg.fraction_tensor(P, D) == product(m) and in_least_terms(D, itertools.chain(*P))
 
 
 def test_integer_product_matches_the_koszul_solve_past_the_packed_width(monkeypatch):
@@ -1246,7 +1067,8 @@ def test_integer_product_matches_the_koszul_solve_past_the_packed_width(monkeypa
         m = dense_document(random.Random(n), n)
         _, widths = packed_widths(monkeypatch, metric.lowered_constants, m)
         wide += min(widths) > linalg.MAX_PACKED_WIDTH
-        assert metric.integer_product(m) == koszul_product(m)
+        P, D = metric.integer_product(m)
+        assert linalg.fraction_tensor(P, D) == product(m) and in_least_terms(D, itertools.chain(*P))
     assert wide == 6
 
 
@@ -1256,7 +1078,7 @@ def same_connection_definition(m1, m2):
     P, _ = metric.integer_product(m1)
     n = m1.dim
     for e in linalg.units(n):
-        GL = linalg.mat_mul(m2.G, linalg.left_matrix(P, e))
+        GL = reference.mat_mul(m2.G, linalg.left_matrix(P, e))
         if any(GL[r][c] + GL[c][r] for r in range(n) for c in range(n)):
             return False
     return True
@@ -1406,26 +1228,6 @@ def test_dense_goldens_reach_the_wide_side_of_each_packed_check(monkeypatch):
     assert min(widths) > linalg.MAX_PACKED_WIDTH
 
 
-def scalar_action_oracle(a, U, t):
-    """ad_t on U in Fractions: the coordinates of [t, u] in U's canonical
-    basis are its entries at the pivots, [t, u] must be their combination,
-    and the matrix they form must be alpha * id."""
-    if U.dim == 0:
-        return None
-    pivots = [next(j for j, x in enumerate(u) if x) for u in U.basis]
-    alpha = None
-    for idx, u in enumerate(U.basis):
-        v = bracket_oracle(a.c, t, u)
-        coords = [v[p] for p in pivots]
-        back = [sum((c * w[j] for c, w in zip(coords, U.basis)), F(0)) for j in range(len(v))]
-        if back != v:
-            return None
-        alpha = coords[idx] if alpha is None else alpha
-        if coords != [alpha if i == idx else 0 for i in range(U.dim)]:
-            return None
-    return alpha
-
-
 def scalar_action_cases():
     """(algebra, U, t): class C algebras, and near misses: R acting on
     R^(n-1) by a non-scalar diagonal such as diag(1, 2) or by a nilpotent,
@@ -1455,7 +1257,7 @@ def test_scalar_action_matches_the_fraction_restriction():
     answers = []
     for a, U, t in scalar_action_cases():
         alpha = scalar_action(a, U, t)
-        assert alpha == scalar_action_oracle(a, U, t)
+        assert alpha == reference.scalar_action(a.c, U.basis, t)
         answers.append(alpha)
     assert sum(x is None for x in answers) >= 100
     assert sum(x is not None and x != 0 for x in answers) >= 30 and sum(x == 0 for x in answers) >= 10

@@ -6,21 +6,20 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import reference
 from flatlie import catalog, geodesics, sweeps
-from flatlie.errors import InvalidGeodesicInputError, InvalidToleranceError, NonPositiveProductError
+from flatlie.errors import InvalidGeodesicInputError, InvalidToleranceError
 from flatlie.geodesics import (
     BLOW_UP_DETECTED,
     MIN_STEP,
     REACHED_HORIZON,
     STEP_LIMIT,
-    blowup_time_classc,
-    euler_arnold_rhs,
     integrate,
     product_as_floats,
     write_csv,
 )
 from flatlie.lie import LieAlgebra
-from flatlie.metric import MetricLieAlgebra, killing_subalgebra, levi_civita
+from flatlie.metric import MetricLieAlgebra, killing_subalgebra
 
 
 def classc2_with_alpha(alpha):
@@ -30,22 +29,29 @@ def classc2_with_alpha(alpha):
     return MetricLieAlgebra.make(a, [[0, 1], [1, 0]])
 
 
+def rhs(op, v):
+    """-(v . v) on the (n, n^2) operator `op` of `product_as_floats`: row 1
+    of the series rows at s = 1, on a fresh workspace."""
+    n = len(v)
+    return geodesics.SeriesWorkspace(op.reshape(n * n, n)).rows(np.asarray(v, dtype=float), 1.0)[1]
+
+
 def test_rhs_abelian_zero():
     P = product_as_floats(catalog.build("abelian_minkowski"))
     v = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(euler_arnold_rhs(P, v), 0.0)
+    assert np.allclose(rhs(P, v), 0.0)
 
 
 def test_rhs_classc_d_direction():
     # -(d d) = alpha d
     P = product_as_floats(catalog.build("classc2_flat"))
-    assert np.allclose(euler_arnold_rhs(P, np.array([1.0, 0.0])), [1.0, 0.0])
+    assert np.allclose(rhs(P, np.array([1.0, 0.0])), [1.0, 0.0])
 
 
 def test_rhs_rot3_mixed():
     # v = s + e1: v.v = ad_s(e1) = e2, so the rhs is -e2
     P = product_as_floats(catalog.build("rot3"))
-    assert np.allclose(euler_arnold_rhs(P, np.array([1.0, 1.0, 0.0])), [0.0, 0.0, -1.0])
+    assert np.allclose(rhs(P, np.array([1.0, 1.0, 0.0])), [0.0, 0.0, -1.0])
 
 
 def test_integrate_abelian_constant():
@@ -61,7 +67,7 @@ def test_blowup_against_riccati_oracle():
         m = classc2_with_alpha(alpha)
         traj = integrate(m, [1.0, 0.0], t_max=10.0, rel_tol=1e-8)
         assert traj.outcome == BLOW_UP_DETECTED
-        expected = blowup_time_classc(alpha, 1)
+        expected = 1 / float(alpha)  # 1 / (alpha f0) with f0 = 1
         assert abs(traj.blowup_time - expected) / expected < 1e-3
 
 
@@ -70,12 +76,9 @@ def test_blowup_scale_dependence():
     traj = integrate(m, [2.0, 0.0], t_max=10.0, rel_tol=1e-8)
     assert traj.outcome == BLOW_UP_DETECTED
     assert abs(traj.blowup_time - 0.5) < 1e-3
-    assert blowup_time_classc(1, 2) == pytest.approx(0.5)
 
 
 def test_no_blowup_on_negative_ray():
-    with pytest.raises(NonPositiveProductError):
-        blowup_time_classc(1, -1)
     # f' = f^2 with f(0) = -1 decays toward zero: complete on this ray
     traj = integrate(classc2_with_alpha(1), [-1.0, 0.0], t_max=50.0)
     assert traj.outcome == REACHED_HORIZON
@@ -245,8 +248,8 @@ def test_csv_export(tmp_path):
 # ---------------------------------------------------------------------------
 
 def float_product(m):
-    """p[i][j][k] as floats, one float per Fraction of `levi_civita`."""
-    return np.array([[[float(x) for x in row] for row in plane] for plane in levi_civita(m).p], dtype=float)
+    """p[i][j][k] as floats, one float per Fraction of the reference's Koszul product."""
+    return np.array([[[float(x) for x in row] for row in plane] for plane in reference.product(m.algebra.c, m.gram)])
 
 
 def test_rhs_matches_einsum():
@@ -254,10 +257,9 @@ def test_rhs_matches_einsum():
     for n in range(1, 21):
         P = rng.standard_normal((n, n, n))
         v = rng.standard_normal(n)
-        np.testing.assert_allclose(euler_arnold_rhs(-P.reshape(n, n * n), v), -np.einsum("i,j,ijk->k", v, v, P), rtol=1e-12)
+        np.testing.assert_allclose(rhs(-P.reshape(n, n * n), v), -np.einsum("i,j,ijk->k", v, v, P), rtol=1e-12)
     # on the operator of each catalog entry and generated instance, against
-    # the einsum of a tensor built from the Fraction product; `out` is
-    # written in place and returned
+    # the einsum of a tensor built from the Fraction product
     rng = random.Random(21)
     instances = [catalog.build(name) for name in catalog.names()]
     for dim in range(2, 7):
@@ -268,11 +270,8 @@ def test_rhs_matches_einsum():
         assert op.shape == (n, n * n)
         np.testing.assert_array_equal(op, -P.reshape(n, n * n))
         for v in np.random.default_rng(n).standard_normal((3, n)):
-            out = np.empty(n)
-            assert euler_arnold_rhs(op, v, out=out) is out
             scale = np.abs(P).max() * n * (v @ v)  # bounds the terms, so cancellation is allowed for
-            np.testing.assert_allclose(out, -np.einsum("i,j,ijk->k", v, v, P), rtol=1e-12, atol=1e-14 * scale)
-            np.testing.assert_array_equal(out, euler_arnold_rhs(op, v))
+            np.testing.assert_allclose(rhs(op, v), -np.einsum("i,j,ijk->k", v, v, P), rtol=1e-12, atol=1e-14 * scale)
 
 
 def flat_classc_ray(rng, dim):
@@ -328,13 +327,13 @@ def test_coefficients_on_a_classc_ray_are_exact():
         B = operator(m)
         for f0, s in ((1.0, 1.0), (2.0, 0.1), (-0.5, 0.7)):
             v = f0 * d
-            W = geodesics.taylor_coefficients(B, v, s)
+            W = geodesics.SeriesWorkspace(B).rows(v, s)
             assert W.shape == (geodesics.ORDER + 1, m.dim)
             for k, w in enumerate(W):
                 exact = float(alpha) ** k * f0 ** (k + 1) * s ** k * d
                 np.testing.assert_allclose(w, exact, rtol=1e-12, atol=1e-14 * np.abs(exact).max(), err_msg=str(k))
-            np.testing.assert_allclose(geodesics.taylor_coefficients(B, v, 1.0)[1], euler_arnold_rhs(product_as_floats(m), v),
-                                       rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(geodesics.SeriesWorkspace(B).rows(v, 1.0)[1],
+                                       -np.einsum("i,j,ijk->k", v, v, float_product(m)), rtol=1e-13, atol=1e-15)
 
 
 def test_each_step_polynomial_matches_the_closed_forms():
@@ -352,7 +351,7 @@ def test_each_step_polynomial_matches_the_closed_forms():
         bound = 1e-8 * (1.0 + math.hypot(*v0))
         for s0, s1 in zip(traj.samples, traj.samples[1:]):
             h = s1.t - s0.t
-            W = geodesics.taylor_coefficients(B, np.array(s0.v), h)
+            W = geodesics.SeriesWorkspace(B).rows(np.array(s0.v), h)
             for theta in (0.2, 0.5, 0.8, 1.0):
                 at = a * (s0.t + theta * h)
                 exact = (a, b0 * math.cos(at) + c0 * math.sin(at), c0 * math.cos(at) - b0 * math.sin(at))
@@ -371,7 +370,7 @@ def test_each_step_polynomial_matches_the_closed_forms():
         assert abs(traj.blowup_time - t_star) <= 1e-9 * t_star
         for s0, s1 in zip(traj.samples, traj.samples[1:]):
             h = s1.t - s0.t
-            W = geodesics.taylor_coefficients(B, np.array(s0.v), h)
+            W = geodesics.SeriesWorkspace(B).rows(np.array(s0.v), h)
             for theta in (0.2, 0.5, 0.8, 1.0):
                 t, v = s0.t + theta * h, series_at(W, theta)
                 along = v @ v0 / (v0 @ v0)
@@ -417,7 +416,7 @@ def test_steep_classc_rays_blow_up_without_overflow():
             m = classc2_with_alpha(alpha)
             for f0 in (1.0, 1e3, 1e6):
                 traj = integrate(m, [f0, 0.0], t_max=10.0)
-                expected = blowup_time_classc(alpha, f0)
+                expected = 1 / (float(alpha) * f0)
                 assert traj.outcome == BLOW_UP_DETECTED
                 # The run stops once |v| = f0 / (1 - t / t*) passes BLOWUP_NORM,
                 # or once the step, about half the time left, is below MIN_STEP.
@@ -476,15 +475,15 @@ def series_grid():
 def test_workspace_rows_are_the_recurrence_bit_for_bit():
     """One `SeriesWorkspace` per operator, reused across its (v, s) cases in
     two orders, gives rows equal to the recurrence's bit for bit, so no state
-    carries from one step to the next; `taylor_coefficients` gives the same
-    rows in a fresh array."""
+    carries from one step to the next; a fresh workspace gives the same
+    rows in its own array."""
     for n, B, cases, rng in series_grid():
         series = geodesics.SeriesWorkspace(B)
         for v, s in cases + [cases[i] for i in rng.permutation(len(cases))]:
             expected = recurrence_rows(B, v, s)
             assert np.isfinite(expected).all()
             assert np.array_equal(series.rows(v, s), expected), (n, s)
-            fresh = geodesics.taylor_coefficients(B, v, s)
+            fresh = geodesics.SeriesWorkspace(B).rows(v, s)
             assert fresh is not series.W and np.array_equal(fresh, expected), (n, s)
 
 
@@ -499,7 +498,7 @@ def test_rescaled_rows_agree_with_the_step_factor_recurrence():
     compared = 0
     for n, B, cases, _ in series_grid():
         for v, s in cases:
-            W, oracle = geodesics.taylor_coefficients(B, v, s), step_factor_rows(B, v, s)
+            W, oracle = geodesics.SeriesWorkspace(B).rows(v, s), step_factor_rows(B, v, s)
             for k, (w, expected) in enumerate(zip(W, oracle)):
                 if np.abs(w).max() * s < tiny:
                     assert s * np.abs(v).max() < 1e-11 and k > 23, (n, s, k)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import reference
 from flatlie import linalg, sweeps
 from flatlie.errors import AntisymmetryError, JacobiError, SingularMatrixError
 from flatlie.lie import LieAlgebra, integer_view
@@ -184,7 +185,7 @@ def big_entry_tensor(rng, dim):
     while True:
         P = [[F(int(i == j)) + six_digit(rng) * (rng.random() < 0.6)
               for j in range(dim)] for i in range(dim)]
-        if linalg.rank(P) == dim:
+        if reference.rank(P) == dim:
             break
     a = a.change_basis(P)
     brackets = {(i, j): list(a.c[i][j]) for i in range(dim) for j in range(i + 1, dim)}
@@ -370,7 +371,7 @@ def test_change_basis_identity_and_roundtrip():
     rng = random.Random(1)
     while True:
         P = [[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-        if linalg.rank(P) == 3:
+        if reference.rank(P) == 3:
             break
     b = a.change_basis(P)
     Qi, q = linalg.integer_inverse(P)
@@ -391,7 +392,7 @@ def test_change_basis_preserves_structure():
         n = alg.dim
         while True:
             P = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-            if linalg.rank(P) == n:
+            if reference.rank(P) == n:
                 break
         b = alg.change_basis(P)
         assert b.is_unimodular() == alg.is_unimodular()

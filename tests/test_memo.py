@@ -13,7 +13,7 @@ from flatlie import catalog, classc, inputdoc, linalg, metric, report, sweeps, t
 from flatlie.cli import main
 from flatlie.errors import AntisymmetryError
 from flatlie.lie import LieAlgebra
-from flatlie.metric import MetricLieAlgebra, is_flat, killing_subalgebra, levi_civita
+from flatlie.metric import MetricLieAlgebra, integer_product, is_flat, killing_subalgebra
 from flatlie.theorems import theorem1_check
 
 
@@ -30,30 +30,25 @@ def _golden_input(name):
 
 
 def test_analysis_report_builds_curvature_only_for_the_witness(monkeypatch):
-    """is_flat decides in ints and builds its witness from the same ints:
-    the Fraction curvature never runs, and the body of is_flat runs once."""
-    counts = {"curvature": 0, "is_flat": 0}
-    curvature, verdict = metric.curvature, metric.CurvatureVerdict
-
-    def counted_curvature(*args):
-        counts["curvature"] += 1
-        return curvature(*args)
+    """is_flat decides in ints and builds its witness from the same ints,
+    and the body of is_flat runs once."""
+    counts = {"is_flat": 0}
+    verdict = metric.CurvatureVerdict
 
     def counted_verdict(*args):  # each is_flat body builds one verdict
         counts["is_flat"] += 1
         return verdict(*args)
 
-    monkeypatch.setattr(metric, "curvature", counted_curvature)
     monkeypatch.setattr(metric, "CurvatureVerdict", counted_verdict)
     for m, flat in (
         (_instance(), True),
         (_golden_input("dim6_flat_split_lorentzian"), True),
         (_golden_input("dim6_nonflat_lorentzian"), False),
     ):
-        counts.update(curvature=0, is_flat=0)
+        counts.update(is_flat=0)
         section = report.analysis_report(m)["flatness"]
         assert section["flat"] is flat and is_flat(m).flat is flat
-        assert counts == {"curvature": 0, "is_flat": 1}
+        assert counts == {"is_flat": 1}
 
 
 def _is_cleared_view(x):
@@ -184,33 +179,25 @@ def test_kernel_eliminates_once(monkeypatch):
 
 
 def _fraction_products_built(monkeypatch):
-    """Record each `linalg.fraction_tensor` call and each `LeviCivitaProduct`
-    construction from now on, through whichever module names them (patching
-    the class, not a module's name for it, also sees a module that imported
-    it by name); returns that list."""
+    """Record each `linalg.fraction_tensor` call from now on; returns that
+    list."""
     built = []
-    fraction_tensor, new = linalg.fraction_tensor, metric.LeviCivitaProduct.__new__
+    fraction_tensor = linalg.fraction_tensor
 
     def counted_tensor(*args):
         built.append(("fraction_tensor", args))
         return fraction_tensor(*args)
 
-    def counted_new(cls, *args):
-        built.append(("LeviCivitaProduct", args))
-        return new(cls, *args)
-
     monkeypatch.setattr(linalg, "fraction_tensor", counted_tensor)
-    monkeypatch.setattr(metric.LeviCivitaProduct, "__new__", counted_new)
     return built
 
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS + catalog.names())
 def test_no_analysis_builds_a_fraction_product_or_view(monkeypatch, name):
     """Every exact layer reads (P, D) and the class-C witness compares int
-    views, so no analysis builds a Fraction product tensor or a
-    `LeviCivitaProduct`; and every layer reads the fields (C, E) and (G, g),
-    so no analysis reads `c` or `gram` of the loaded metric (the
-    companion's Gram matrix is report output)."""
+    views, so no analysis builds a Fraction product tensor; and every layer
+    reads the fields (C, E) and (G, g), so no analysis reads `c` or `gram`
+    of the loaded metric (the companion's Gram matrix is report output)."""
     m = _golden_input(name) if name in GOLDEN_INPUTS else catalog.build(name)
     views = _fraction_views_built(monkeypatch)
     built = _fraction_products_built(monkeypatch)
@@ -270,7 +257,7 @@ def test_no_geodesic_run_builds_a_fraction_product_or_view(monkeypatch, capsys, 
 
 def test_repeated_calls_return_the_same_object():
     m = _instance()
-    for fn in (is_flat, levi_civita, killing_subalgebra, theorem1_check):
+    for fn in (is_flat, integer_product, killing_subalgebra, theorem1_check):
         assert fn(m) is fn(m)
     assert m.algebra.derived_subalgebra() is m.algebra.derived_subalgebra()
 

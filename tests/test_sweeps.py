@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import reference
 from flatlie import lie, linalg, sweeps
 from flatlie.lie import LieAlgebra
 from flatlie.metric import MetricLieAlgebra
@@ -109,7 +110,7 @@ def test_each_generated_instance_is_checked_once(monkeypatch, name):
 
 def test_arrow_closed_form_agrees_with_rank():
     """`sweeps.arrow_nonsingular` decides by the closed form of the arrow
-    determinant what `linalg.rank(gram) == n` decides by elimination, on
+    determinant what `reference.rank(gram) == n` decides by elimination, on
     1,500 seeded draws of `arrow_gram` over both branches and dims 2-6: the
     degenerate branch is never singular, and the other one sometimes is."""
     rng = random.Random(26)
@@ -119,6 +120,6 @@ def test_arrow_closed_form_agrees_with_rank():
             for _ in range(150):
                 gram = sweeps.arrow_gram(rng, dim, degenerate)
                 nonsingular = sweeps.arrow_nonsingular(gram)
-                assert nonsingular == (linalg.rank(gram) == dim), (dim, degenerate, gram)
+                assert nonsingular == (reference.rank(gram) == dim), (dim, degenerate, gram)
                 rejected[degenerate] += not nonsingular
     assert rejected[True] == 0 and rejected[False] > 0
