@@ -123,7 +123,10 @@ class LieAlgebra(CheckedRecord, _LieFields):
 
     def _check(self) -> None:
         """The view (C, E) itself and the labels, then antisymmetry and
-        Jacobi on the view."""
+        Jacobi on the view.  The Jacobi residual of a triple adds only its
+        nonzero bracket planes, and a triple with none is skipped: a zero
+        plane's term is 0, so every residual, and with it the first failing
+        triple that a JacobiError names, is the same."""
         n, C, E, labels = self
         if type(n) is not int or n < 1:
             raise ValueError("dim: dimension must be a positive integer")
@@ -145,13 +148,17 @@ class LieAlgebra(CheckedRecord, _LieFields):
         # which sets the slot width.
         w = linalg.slot_width(3 * n * linalg.max_abs(C) ** 2)
         PC = [linalg.pack_rows(plane, w) for plane in C]  # PC[a][q][x]
+        Z = [[row if any(row) else None for row in plane] for plane in C]  # the nonzero planes
         dot = linalg.dot
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    cjk, cki, cij = C[j][k], C[k][i], C[i][j]
-                    residual = [dot(cjk, x) + dot(cki, y) + dot(cij, z) for x, y, z in zip(PC[i], PC[j], PC[k])]
-                    if any(residual):  # quadratic in c = C / E
+                    residual = None
+                    for c, a in ((Z[j][k], i), (Z[k][i], j), (Z[i][j], k)):
+                        if c:
+                            term = [dot(c, x) for x in PC[a]]
+                            residual = term if residual is None else [u + v for u, v in zip(residual, term)]
+                    if residual and any(residual):  # quadratic in c = C / E
                         raise JacobiError(i, j, k, [Fraction(x, E * E) for x in linalg.unpack_row(residual, w, n)])
 
     @classmethod

@@ -15,10 +15,11 @@ a `Subspace`'s canonical basis (B, b).  A change of basis makes the first
 two in the new basis, `integer_transport` and `transport_form`, reduced
 to the least denominator by `least_terms`, as `integer_inverse` and
 every `Subspace` are.  `metric.integer_product` is solved in ints from
-the two views.  `_bareiss`, the one Gaussian elimination, clears each
-row's denominators itself; `Subspace.row_space`, the one-pass `kernel`
-and the int inverse view `integer_inverse` read it, and the subspace
-operations combine the int rows B.  `congruence` (behind
+the two views.  `_bareiss` is the one Gaussian elimination, on rows that
+`_primitive_row` clears to primitive ints; `Subspace.row_space` and the
+one-pass `kernel` hand it only their distinct nonzero rows
+(`_distinct_rows`), the int inverse view `integer_inverse` every row, and
+the subspace operations combine the int rows B.  `congruence` (behind
 `signature` and `metric.timelike_vector`), `restrict_form` and
 `orthogonal_complement` take int or Fraction matrices, and
 `integer_inverse` and `congruence` a view (G, g) too, cleared row by row,
@@ -280,17 +281,33 @@ def _primitive_row(row: Sequence) -> list[int]:
     return [x // g for x in ints] if g > 1 else list(ints)
 
 
-def _bareiss(A: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
-    """(R, pivots, d): the reduced row echelon form of A is R / d, R in ints.
+def _distinct_rows(A: Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """The distinct nonzero rows of A up to a nonzero factor, in order of
+    first appearance: each nonzero row as its primitive int row with its
+    first nonzero entry positive, once.  A zero row and a row that is a
+    multiple of an earlier one add nothing to the span, so A and these rows
+    have the same row space and null space: the same reduced echelon form,
+    whose pivot rows are all that `kernel` and `Subspace.row_space` read."""
+    out: dict[tuple[int, ...], None] = {}
+    for row in A:
+        if any(row):
+            p = _primitive_row(row)
+            out[tuple(p) if next(x for x in p if x) > 0 else tuple(-x for x in p)] = None
+    return list(out)
+
+
+def _bareiss(rows: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int]:
+    """(R, pivots, d): the reduced row echelon form of the int rows is
+    R / d, R in ints.  The list is taken over and changed.
 
     Fraction-free Gauss-Jordan (Bareiss, "Sylvester's identity and
     multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-    1968).  Each row is first scaled to primitive integers.  A pivot step
-    at (r, c) replaces every other row by
+    1968).  The callers hand in primitive rows (`_primitive_row`,
+    `_distinct_rows`), which keeps the minors small.  A pivot step at
+    (r, c) replaces every other row by
     (pivot * row - row[c] * pivot_row) / prev, prev the previous pivot; by
     Sylvester's identity every entry stays a minor, so the division is
     exact.  After the last step every pivot equals the last one, d."""
-    rows = [_primitive_row(row) for row in A]
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -318,9 +335,14 @@ def kernel(A: Sequence[Sequence[Fraction]]) -> "Subspace":
     Bareiss pass over A's columns in reverse order: row r of the form R / d
     is then zero after its pivot p_r, so the null vector of a free column f
     (1 at f, -R[r][f] / d at each p_r) has its other entries at pivots
-    after f, and these vectors over d, by f, are the kernel's canonical basis."""
+    after f, and these vectors over d, by f, are the kernel's canonical basis.
+
+    Only `_distinct_rows` is eliminated: zero rows and repeats up to a
+    factor, such as most Killing constraint rows of a sparse document, do
+    not change the null space, and `least_terms` takes the basis to its
+    one view whatever the last pivot d.  All-zero A gives `Subspace.full`."""
     n = len(A[0])
-    R, pivots, d = _bareiss([row[::-1] for row in A])
+    R, pivots, d = _bareiss(_distinct_rows([row[::-1] for row in A]))
     pivot_of = {n - 1 - c: row for c, row in zip(pivots, R)}
     basis = []
     for f in range(n):
@@ -338,10 +360,12 @@ def integer_inverse(A: Sequence[Sequence], a: int = 1) -> tuple[tuple[tuple[int,
     """(Qi, q) with (A / a)^-1 = Qi / q for the least q > 0: the right half
     of the integer reduced form of [A | a I] that `_bareiss` leaves over
     its last pivot, for A of ints or Fractions and a positive int a.
-    `_bareiss` takes each row to its primitive part, so a view (G, g) is
-    eliminated on the rows of G / g, not over g.  Raises SingularMatrixError."""
+    Each row goes in as its primitive part, so a view (G, g) is
+    eliminated on the rows of G / g, not over g.  The rows of [A | a I] are
+    nonzero and independent, so none is dropped as in `kernel`.  Raises
+    SingularMatrixError."""
     n = len(A)
-    R, pivots, d = _bareiss([list(row) + [a * x for x in irow] for row, irow in zip(A, units(n))])
+    R, pivots, d = _bareiss([_primitive_row(list(row) + [a * x for x in irow]) for row, irow in zip(A, units(n))])
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")
     return least_terms([row[n:] for row in R], d)
@@ -485,8 +509,10 @@ class Subspace(NamedTuple):
         """The span of rows of ints or Fractions, each of length
         ambient_dim, taken without coercing them: scaling a row by a nonzero
         factor leaves the span, and so its canonical basis, the nonzero rows
-        of `_bareiss`, unchanged."""
-        rows = [row for row in rows if any(row)]
+        of `_bareiss`, unchanged.  So only `_distinct_rows` is eliminated,
+        without the zero rows and the repeats up to a factor, such as the
+        zero brackets behind `LieAlgebra.derived_subalgebra`."""
+        rows = _distinct_rows(rows)
         if not rows:
             return Subspace(ambient_dim)
         R, pivots, d = _bareiss(rows)

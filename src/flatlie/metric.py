@@ -144,8 +144,9 @@ def lowered_constants(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     Packed (`linalg.pack_row`): G is symmetric, so its rows packed over k
     are its columns, and Low[i][j] = G C_ij is one dot of C_ij with them,
     unpacked once.  Every slot is at most (row sum of |G|) max |C|, which
-    sets the slot width.  Only i < j is solved: Low[j][i] = -Low[i][j] and
-    Low[i][i] = 0."""
+    sets the slot width.  Only i < j with C_ij != 0 is solved:
+    Low[j][i] = -Low[i][j], Low[i][i] = 0, and a zero bracket plane, about
+    half of them on a sparse document, lowers to the zero row as it is."""
     G, a = m.G, m.algebra
     n, C = a.dim, a.C
     w = linalg.slot_width(max(sum(map(abs, row)) for row in G) * linalg.max_abs(C))
@@ -154,8 +155,9 @@ def lowered_constants(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     low = [[(0,) * n] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            row = tuple(linalg.unpack_row([dot(C[i][j], part) for part in parts], w, n))
-            low[i][j], low[j][i] = row, tuple(-x for x in row)
+            if any(C[i][j]):
+                row = tuple(linalg.unpack_row([dot(C[i][j], part) for part in parts], w, n))
+                low[i][j], low[j][i] = row, tuple(-x for x in row)
     return tuple(map(tuple, low)), m.g * a.E
 
 
@@ -185,19 +187,26 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     denominators do not share one huge common denominator), H G = q g I,
     so p_ij = (q g C_ij + H A_(i,j)) / 2 q L.  A_(i,j) is symmetric in
     (i, j) and C_ij antisymmetric, so p_ji = (H A_(i,j) - q g C_ij) / 2 q L:
-    n(n+1)/2 products with H.  Dividing by the gcd of 2 q L and every
+    at most n(n+1)/2 products with H.  A zero Killing row (most of them on
+    a sparse document) has the zero product with H, and a zero C_ij adds
+    nothing, so neither is multiplied out: a pair with both zero has
+    p_ij = p_ji = 0 as it is.  Dividing by the gcd of 2 q L and every
     numerator leaves the least D."""
     n, C = m.dim, m.algebra.C
     A, L = killing_rows(m)
     H, q = linalg.integer_inverse(m.G, m.g)
     qg = q * m.g
     dot = linalg.dot
-    rows = [()] * (n * n)
+    zero = (0,) * n
+    rows = [zero] * (n * n)
     pairs = ((i, j) for i in range(n) for j in range(i, n))
     for (i, j), a in zip(pairs, A):
-        HA = [dot(h, a) for h in H]
-        rows[i * n + j] = [x + qg * c for x, c in zip(HA, C[i][j])]
-        rows[j * n + i] = [x - qg * c for x, c in zip(HA, C[i][j])]
+        HA = [dot(h, a) for h in H] if any(a) else zero
+        if any(C[i][j]):
+            rows[i * n + j] = [x + qg * c for x, c in zip(HA, C[i][j])]
+            rows[j * n + i] = [x - qg * c for x, c in zip(HA, C[i][j])]
+        else:
+            rows[i * n + j] = rows[j * n + i] = HA
     P, D = linalg.least_terms(rows, 2 * q * L)
     return linalg.planes(P, n), D
 
@@ -221,7 +230,14 @@ def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     dot(row r of A_i, PR[j]) and row r of S is dot(C_ij, stack_r) with
     stack_r = (PR[0][r] .. PR[n-1][r]): three dots per packed int of a
     row, one packed int per row up to linalg.MAX_PACKED_WIDTH.  The
-    witness rows are unpacked."""
+    witness rows are unpacked.
+
+    Exact zeros are skipped, not multiplied: the commutator term is dropped
+    when A_i or A_j is the zero matrix (most L_k of a sparse flat document)
+    and the S term when C_ij = 0, and a pair with both dropped has K = 0.
+    The dropped terms are 0, so each K, and with it the witness, the first
+    nonzero pair in the same order, is unchanged.  A zero A_k is not packed
+    either: its rows share one packed zero row in the stacks."""
     n = m.dim
     P, D = integer_product(m)
     C, E = m.algebra.C, m.algebra.E
@@ -231,7 +247,10 @@ def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     a, c = linalg.max_abs(P), linalg.max_abs(C)
     w = linalg.slot_width(n * a * (D * c + 2 * E * a))
     rows = [tuple(zip(*plane)) for plane in P]  # rows[k][r][c] = A_k[r][c] = P[k][c][r]
-    packed = [[linalg.pack_row(row, w) for row in A] for A in rows]  # packed[k][r][q]: q-th int of row r
+    zero = [not any(map(any, plane)) for plane in P]  # zero[k]: A_k = 0
+    blank = linalg.pack_row((0,) * n, w)
+    # packed[k][r][q]: q-th int of row r
+    packed = [[blank] * n if z else [linalg.pack_row(row, w) for row in A] for A, z in zip(rows, zero)]
     q = len(packed[0][0])
     # K lists the packed ints of its rows in order, q per row: int t of row r
     # reads row r of A_i and A_j (rows_at), int t of every packed row of A_j
@@ -243,10 +262,20 @@ def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     for i in range(n):
         for j in range(i + 1, n):
             cij = C[i][j]
-            K = [
-                D * dot(cij, s) - E * (dot(ai, pj) - dot(aj, pi))
-                for s, ai, aj, pi, pj in zip(stacks, rows_at[i], rows_at[j], cols_at[i], cols_at[j])
-            ]
+            if zero[i] or zero[j]:
+                if not any(cij):
+                    continue
+                K = [D * dot(cij, s) for s in stacks]
+            elif any(cij):
+                K = [
+                    D * dot(cij, s) - E * (dot(ai, pj) - dot(aj, pi))
+                    for s, ai, aj, pi, pj in zip(stacks, rows_at[i], rows_at[j], cols_at[i], cols_at[j])
+                ]
+            else:
+                K = [
+                    E * (dot(aj, pi) - dot(ai, pj))
+                    for ai, aj, pi, pj in zip(rows_at[i], rows_at[j], cols_at[i], cols_at[j])
+                ]
             if any(K):
                 witness = (linalg.unpack_row(K[r * q:(r + 1) * q], w, n) for r in range(n))
                 return CurvatureVerdict(False, (i, j, tuple(tuple(Fraction(x, den) for x in row) for row in witness)))

@@ -295,12 +295,18 @@ def test_row_space_exact_on_huge_entries():
 
 
 def test_a_negative_last_pivot_gives_a_positive_denominator():
-    """`_bareiss` ends on pivot -1 for the row [-1, 2], which `row_space`
-    eliminates as it is and `kernel([[2, -1]])` column-reversed; both views
-    flip their signs to b = 1."""
+    """`_bareiss` ends on pivot -1 for the row [-1, 2], and for the rows
+    [1, 1], [1, 0] too, although `_distinct_rows` makes every leading entry
+    positive: `row_space` eliminates those rows as they are, and
+    `kernel([[1, 1, 1], [0, 1, 1]])` eliminates them column-reversed.  Each
+    view flips its signs to b = 1."""
     assert linalg._bareiss([[-1, 2]])[2] == -1
     assert Subspace.row_space(2, [[-1, 2]]) == Subspace(2, ((1, -2),), 1)
     assert linalg.kernel([[2, -1]]) == Subspace(2, ((1, 2),), 1)
+    assert linalg._distinct_rows([[1, 1], [1, 0]]) == [(1, 1), (1, 0)]
+    assert linalg._bareiss([(1, 1), (1, 0)])[2] == linalg._bareiss([(1, 1, 1), (1, 1, 0)])[2] == -1
+    assert Subspace.row_space(2, [[1, 1], [1, 0]]) == Subspace.full(2)
+    assert linalg.kernel([[1, 1, 1], [0, 1, 1]]) == Subspace(3, ((0, 1, -1),), 1)
 
 
 def assert_kernel_matches_oracle(A):
@@ -356,6 +362,67 @@ def test_kernel_matches_fraction_null_space_on_every_shape():
         S = [[S[min(i, j)][max(i, j)] for j in range(c)] for i in range(c)]
         assert_operations_match_oracle(linalg.kernel(A), Subspace.row_space(c, deficient), S)
     assert full >= 45
+
+
+def row_classes(M):
+    """The number of distinct nonzero rows of M up to a nonzero factor."""
+    return len({tuple(F(x) / next(y for y in row if y) for x in row) for row in M if any(row)})
+
+
+def test_kernel_and_row_space_eliminate_the_distinct_nonzero_rows(monkeypatch):
+    """Tall matrices with zero rows and with rows repeated equal, negated
+    and scaled, rank-deficient ones, entries wider than
+    `linalg.MAX_PACKED_WIDTH`, all-zero matrices and single rows: the
+    kernel and the row space match the reference's Fraction `rref`, and
+    `_bareiss` sees each nonzero row once up to a factor.  An all-zero
+    matrix has the full kernel and the zero row space."""
+    eliminated = []
+    bareiss = linalg._bareiss
+
+    def spied(rows):
+        eliminated.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss", spied)
+    rng = random.Random(34)
+    small = lambda: F(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)))  # noqa: E731
+    wide = lambda: F(rng.choice((-1, 1)) * rng.getrandbits(linalg.MAX_PACKED_WIDTH + 100), rng.getrandbits(900) | 1)  # noqa: E731
+    integer = lambda: rng.randint(-3, 3)  # noqa: E731
+
+    def tall(base):
+        """base with zero rows and equal, negated and scaled copies of its rows, shuffled."""
+        c = len(base[0])
+        rows = list(base) + [[0] * c, [F(0)] * c]
+        for row in base:
+            f = F(rng.choice((-3, -2, 2, 5)), rng.choice((1, 3)))
+            rows += [list(row), [-x for x in row], [f * x for x in row]]
+        rng.shuffle(rows)
+        return rows
+
+    cases = []
+    for entry in (small, integer, wide):
+        for r, c in ((1, 1), (1, 4), (2, 5), (3, 3), (4, 6)):
+            A = [[entry() for _ in range(c)] for _ in range(r)]
+            k = rng.randint(1, max(1, min(r, c) - 1))
+            mix = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(r + 2)]
+            deficient = [[sum((f * A[l][j] for l, f in enumerate(row)), 0) for j in range(c)] for row in mix]
+            cases += [A, A[:1], tall(A), deficient, tall(deficient), [[0] * c for _ in range(r)], [[F(0)] * c]]
+    assert any(row_classes(M) < sum(map(any, M)) < len(M) for M in cases)
+    assert any(linalg.slot_width(max(abs(x.numerator) for row in M for x in row)) > linalg.MAX_PACKED_WIDTH
+               for M in cases if type(M[0][0]) is F)
+    zero = 0
+    for M in cases:
+        c, classes = len(M[0]), row_classes(M)
+        eliminated.clear()
+        assert_kernel_matches_oracle(M)
+        assert eliminated == [classes]
+        eliminated.clear()
+        assert_row_space_matches_oracle(M)
+        assert eliminated == ([classes] * 2 if classes else [])
+        if not classes:
+            zero += 1
+            assert linalg.kernel(M) == Subspace.full(c) and Subspace.row_space(c, M) == Subspace(c)
+    assert zero >= 15
 
 
 @pytest.mark.parametrize("label,m", INSTANCES, ids=IDS)

@@ -16,7 +16,11 @@ side of the packed checks: `dim17_dense_flat_split_lorentzian` is
 companion check and eq. (2) check pack slots past
 `linalg.MAX_PACKED_WIDTH`, and `dim7_dense_flat_class_c` is
 `test_exact_kernel.dense_flat_class_c(random.Random(1), 7)`, whose witness
-check does.  Regenerate a file only when the report is meant to change:
+check does.  `dim9_adapted_flat_split_lorentzian` is
+`sparse_documents.document(random.Random(1), "flat_split", 9,
+scramble=False)`, a flat split Lorentzian document in its adapted basis, so
+most brackets, left multiplications and Killing rows are exact zeros.
+Regenerate a file only when the report is meant to change:
 
     PYTHONPATH=src python -m flatlie.cli analyze --json -i DOC > tests/golden/analyze/NAME.json
 
@@ -65,7 +69,7 @@ def _expected(name: str) -> str:
 
 
 def test_golden_inputs_present():
-    assert len(INPUTS) == 8
+    assert len(INPUTS) == 9
 
 
 @pytest.mark.parametrize("name", catalog.names())

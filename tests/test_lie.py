@@ -250,6 +250,45 @@ def test_jacobi_violation_reports_triple_and_residual():
     assert list(exc.value.residual) == oracle[(0, 1, 2)]
 
 
+#: (dim, upper-triangle brackets, failing triple, its residual): sparse
+#: tables whose failing triple has one zero plane (the first two) or two
+#: (the last two), and whose earlier triples have zero planes too.  The
+#: triples and residuals were recorded from the Jacobi check that added
+#: all three planes of every triple.
+SPARSE_JACOBI_FAILURES = [
+    (6, {(1, 5): ["0", "-1/2", "0", "0", "0", "-3/2"], (2, 4): ["0", "1", "0", "0", "0", "0"],
+         (2, 5): ["0", "0", "0", "0", "-1", "-2"]},
+     (1, 2, 5), ["0", "1", "0", "0", "-3/2", "0"]),
+    (5, {(1, 3): ["0", "1", "0", "0", "0"], (1, 4): ["0", "1", "0", "0", "0"],
+         (2, 4): ["0", "-1", "-1/2", "0", "0"], (3, 4): ["0", "1/3", "0", "0", "0"]},
+     (2, 3, 4), ["0", "-1", "0", "0", "0"]),
+    (7, {(1, 2): ["0", "1", "0", "-1", "0", "-2", "-2/3"], (1, 6): ["0", "0", "0", "-1/3", "0", "0", "3/2"],
+         (5, 6): ["-2/3", "0", "2/3", "0", "-1/3", "0", "0"]},
+     (1, 2, 5), ["4/9", "0", "-4/9", "0", "2/9", "0", "0"]),
+    (7, {(1, 3): ["0", "0", "0", "-1", "0", "-1/2", "-3/2"], (2, 4): ["0", "0", "0", "0", "1", "0", "0"],
+         (2, 5): ["0", "0", "0", "-3", "0", "0", "-3/2"]},
+     (1, 2, 3), ["0", "0", "0", "-3/2", "0", "0", "-3/4"]),
+]
+
+
+@pytest.mark.parametrize("dim,brackets,triple,residual", SPARSE_JACOBI_FAILURES)
+def test_jacobi_check_skips_zero_planes_and_names_the_same_triple(dim, brackets, triple, residual):
+    """Adding only the nonzero planes of each triple leaves the first
+    failing triple and its residual as they were."""
+    i, j, k = triple
+    zero_planes = sum(not any(F(x) for x in brackets.get(p, ["0"])) for p in ((j, k), (i, k), (i, j)))
+    assert zero_planes in (1, 2)
+    with pytest.raises(JacobiError) as exc:
+        LieAlgebra.from_brackets(dim, brackets)
+    assert exc.value.triple == triple
+    assert exc.value.residual == tuple(F(x) for x in residual)
+    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (a, b), v in brackets.items():
+        c[a][b], c[b][a] = [F(x) for x in v], [-F(x) for x in v]
+    oracle = brute_jacobi_residuals(dim, tensor_bracket(c))
+    assert next((t, r) for t, r in oracle.items() if not linalg.is_zero_vec(r)) == (triple, list(exc.value.residual))
+
+
 def _view(c):
     """The Fraction tensor c as the fields (C, E) of `LieAlgebra`."""
     rows, E = linalg.clear_denominators([row for plane in c for row in plane])

@@ -48,7 +48,7 @@ def test_golden_population_reaches_every_section():
     the split, the class-C witness and the companion."""
     reports = [reference.analyze((INPUTS / f"{name}.json").read_text(encoding="utf-8")) for name in GOLDEN]
     reports += [reference.analyze(catalog.get(name).document) for name in catalog.names()]
-    assert len(GOLDEN) == 7
+    assert len(GOLDEN) == 8
     assert {r["flatness"]["flat"] for r in reports} == {True, False}
     assert any((r["theorem1"] or {}).get("split") for r in reports)
     assert any(r["class_c"].get("witness") for r in reports) and any(r["companion"] for r in reports)
