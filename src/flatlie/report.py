@@ -175,7 +175,8 @@ def _yesno(x) -> str:
     return "yes" if x else "no"
 
 
-def render_text(report: dict, timings: dict[str, float] | None = None) -> str:
+def render_text(report: dict, timings: dict[str, float] | None = None) -> list[str]:
+    """The lines of the human-readable report."""
     lines: list[str] = []
     v = report["validation"]
     lines.append(f"dimension {v['dim']}" + (f", basis {v['labels']}" if v["labels"] else ""))
@@ -234,4 +235,4 @@ def render_text(report: dict, timings: dict[str, float] | None = None) -> str:
         lines.append("timings:")
         for name, dt in timings.items():
             lines.append(f"  {name}: {dt * 1000:.1f} ms")
-    return "\n".join(lines) + "\n"
+    return lines

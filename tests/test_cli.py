@@ -1,5 +1,8 @@
+import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -15,6 +18,9 @@ from flatlie.metric import MetricLieAlgebra, is_flat
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = sorted(p.stem for p in (GOLDEN / "inputs").glob("*.json"))
+#: the document commands' output on every golden input and catalog entry,
+#: written by golden/regen_commands.py
+COMMAND_CASES = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -52,6 +58,12 @@ def test_catalog_show_round_trips(capsys):
         assert m1.algebra.c == m2.algebra.c
         assert m1.gram == m2.gram
         assert m1.algebra.labels == m2.algebra.labels
+
+
+def test_catalog_list_rejects_an_entry_name(capsys):
+    code, out, err = run(capsys, "catalog", "list", "extra")
+    assert (code, out) == (2, "")
+    assert "extra" in err and err.startswith("error: ")
 
 
 def test_catalog_unknown_entry(capsys):
@@ -487,3 +499,48 @@ def test_the_parser_is_built_once_and_reused(capsys, monkeypatch, tmp_path):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 2, 0]
     assert "--t-max" in reused[1][2] and reused[1][1] == ""
+
+
+def test_command_cases_cover_every_input_command_and_mode():
+    keys = {(c["input"], c["command"], c["json"]) for c in COMMAND_CASES}
+    commands = ("validate", "flat", "killing", "theorem1", "theorem2", "companion")
+    assert len(COMMAND_CASES) == len(keys) == 180
+    assert keys == {(name, command, as_json) for name in catalog.names() + GOLDEN_INPUTS
+                    for command in commands for as_json in (False, True)}
+
+
+@pytest.mark.parametrize("case", COMMAND_CASES,
+                         ids=[f"{c['input']}-{c['command']}-{'json' if c['json'] else 'text'}" for c in COMMAND_CASES])
+def test_document_command_matches_golden(capsys, tmp_path, case):
+    """Exit code, stderr and the SHA-256 of stdout of one document command
+    on one golden input or catalog entry, as golden/commands.json pins them."""
+    name = case["input"]
+    path = GOLDEN / "inputs" / f"{name}.json" if name in GOLDEN_INPUTS else write_doc(tmp_path, name)
+    code, out, err = run(capsys, case["command"], "-i", str(path), *(["--json"] if case["json"] else []))
+    assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (
+        case["code"], case["stderr"], case["stdout_sha256"])
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["catalog", "list"],
+    ["analyze", "--json", "-i", str(GOLDEN / "inputs" / "dim17_dense_flat_split_lorentzian.json")],
+], ids=["short", "long"])
+def test_closed_stdout_exits_2(argv, buffered):
+    """A stdout whose reader is gone gives one error line and exit 2, whether
+    stdout is block-buffered (the default for a pipe) or not, and whether the
+    output fits in the buffer (`catalog list`) or overflows it (an 11 kB
+    report)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "flatlie.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
