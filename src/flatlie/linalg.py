@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Vectors are lists/tuples of Fraction, matrices are lists of row lists.
-Every operation here is pure and exact: no floating point, no tolerances,
-so "equals zero" is a real decision, not a threshold.
+Functions take vectors and matrices (sequences of rows) of ints or
+Fractions; the records hold them as least-terms int views.  Every
+operation here is pure and exact: no floating point, no tolerances, so
+"equals zero" is a real decision, not a threshold.
 
 The hot exact work runs in Python ints: `clear_denominators` scales a
 matrix to integers over one common denominator, and `dot`, `bilinear`
@@ -20,7 +21,7 @@ the two views.  `_bareiss` is the one Gaussian elimination, on rows that
 one-pass `kernel` hand it only their distinct nonzero rows
 (`_distinct_rows`), the int inverse view `integer_inverse` every row, and
 the subspace operations combine the int rows B.  `congruence` (behind
-`signature` and `metric.timelike_vector`), `restrict_form` and
+`metric.timelike_vector`), `restrict_form` and
 `orthogonal_complement` take int or Fraction matrices, and
 `integer_inverse` and `congruence` a view (G, g) too, cleared row by row,
 not over g; `restrict_form` returns such a view, which `radical` and
@@ -474,12 +475,6 @@ def congruence_of_rows(nu: list[int], A: list[list[int]]) -> tuple[list[list[int
             E[r] = [(piv * x - f * y) // prev for x, y in zip(E[r], erow)]
         prev = piv
     return E, d
-
-
-def signature(S: Sequence[Sequence], s: int = 1) -> Signature:
-    """Sylvester signature of the symmetric matrix S / s, computed exactly:
-    the signs of the integer diagonal of `congruence`."""
-    return Signature.of(congruence(S, s)[1])
 
 
 class Subspace(NamedTuple):

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 from . import linalg
 from .errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
 from .lie import CheckedRecord, LieAlgebra, check_ints, check_reduced, clear_vectors, is_square, memoized
-from .linalg import ZERO, IntTensor, Signature, Subspace, frac
+from .linalg import IntTensor, Signature, Subspace, frac
 
 
 class _MetricFields(NamedTuple):
@@ -85,8 +85,7 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
     @memoized
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
         """G / g, one Fraction per entry: for the public boundary only."""
-        g = self.g
-        return tuple(tuple(Fraction(x, g) if x else ZERO for x in row) for row in self.G)
+        return linalg.fraction_matrix(self.G, self.g)
 
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
         """<x, y> for vectors of ints or Fractions (`lie.clear_vectors`),

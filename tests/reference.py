@@ -476,8 +476,9 @@ def _agree(expected, actual, path):
 def check(doc, report):
     """Assert that report, the parsed `analyze --json` output on doc, is
     `analyze(doc)` on every choice-free field, and that each chosen field
-    has its defining property."""
-    _agree(analyze(doc), report, "report")
+    has its defining property; return `analyze(doc)`."""
+    expected = analyze(doc)
+    _agree(expected, report, "report")
     m = read(doc)
     cc = report["class_c"]
     if cc["detected"]:
@@ -493,3 +494,4 @@ def check(doc, report):
         G2 = [vector(row) for row in report["companion"]["gram"]]
         assert G2 == transpose(G2) and signature(G2) == (m.dim, 0, 0), "companion.gram"
         assert product(m.c, G2) == product(m.c, m.gram), "companion.gram"
+    return expected

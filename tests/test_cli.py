@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import populations
 from flatlie import catalog, inputdoc, linalg, sweeps
 from flatlie.cli import main
 from flatlie.errors import ParseError
@@ -160,21 +161,8 @@ def test_analyze_prints_witnesses_beyond_the_int_str_digit_limit(capsys, tmp_pat
     sys.get_int_max_str_digits(); analyze --json still prints it in full as
     valid JSON (it used to exit 1 with a ValueError traceback), and leaves
     the process-wide limit as it was."""
-    rng = random.Random(3)
-
-    def entry():
-        return f"{rng.choice((-1, 1)) * rng.randint(100000, 999999)}/{rng.randint(100000, 999999)}"
-
-    n = 7
-    metric = [[None] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(r, n):
-            metric[r][c] = metric[c][r] = entry()
-    doc = {"dim": n, "metric": metric,
-           "brackets": [{"i": 1, "j": j, "coeffs": ["0"] + [entry() for _ in range(n - 1)]}
-                        for j in range(2, n + 1)]}
     path = tmp_path / "dense7.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(populations.dense_document(random.Random(3), 7)))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:

@@ -5,7 +5,7 @@
 `linalg.integer_transport`, both `change_basis` methods, `metric.is_flat`,
 `metric.integer_product` (against the Koszul solve pair by pair),
 `theorems.verify_eq2`, `theorems.same_connection`, `classc.closed_form_matches`
-(each also against its definition on `left_matrix` or `integer_transport`),
+(each also against its definition on `reference.left_mult` or `integer_transport`),
 `classc.scalar_action`,
 `LieAlgebra.is_abelian_subspace` and the sweeps' connection check work in
 Python ints.  Here each is compared with the Fraction computation of the
@@ -20,10 +20,10 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
+import populations
 import reference
 from flatlie import classc, inputdoc, linalg, metric, sweeps, theorems
 from flatlie.classc import scalar_action
@@ -39,6 +39,9 @@ from flatlie.lie import LieAlgebra
 from flatlie.linalg import Subspace
 from flatlie.metric import MetricLieAlgebra, is_flat, killing_subalgebra
 from flatlie.theorems import SplitData, riemannian_companion, same_connection, verify_eq2
+from populations import dominant_block, rational_basis, six_digit, six_digit_basis
+from test_lie import center
+from test_metric import fraction_product
 
 DIMS = range(2, 10)
 
@@ -48,23 +51,15 @@ def product(m):
     return reference.product(m.algebra.c, m.gram)
 
 
-def fraction_product(m):
-    """m's product p = P / D of `metric.integer_product`, one Fraction per entry."""
-    return linalg.fraction_tensor(*metric.integer_product(m))
+def load_shape(shape, seed, n):
+    """The `populations` document of shape built at random.Random(seed), loaded."""
+    return inputdoc.parse_document(populations.SHAPES[shape].build(random.Random(seed), n))
 
 
 def in_least_terms(d, rows):
     """Whether the int view rows / d has d > 0 and no factor common to d
     and every entry: the view that clearing its Fractions finds."""
     return d > 0 and math.gcd(d, *itertools.chain.from_iterable(rows)) == 1
-
-
-def rational_basis(rng, n):
-    """An invertible matrix with non-unit denominators."""
-    while True:
-        P = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(n)] for _ in range(n)]
-        if reference.rank(P) == n:
-            return P
 
 
 def instances():
@@ -85,18 +80,19 @@ def instances():
     return out
 
 
-def eq2_fails():
-    """so(3) + R^(n-3) with distinct weights on so(3), moved to a rational
-    basis: the Killing subalgebra is the abelian factor, an orthogonal
-    complement of [g, g] = so(3), and the metric is not flat, so eq. (2)
-    fails on a valid split."""
+def so3_sums(seed, weight, basis):
+    """so(3) + R^(n-3) for n = 4-7, with the distinct weights 1, 2, 3 on
+    so(3) and weight(rng) on R^(n-3), moved to the basis(rng, n): the
+    Killing subalgebra is the abelian factor, an orthogonal complement of
+    [g, g] = so(3), and the metric is not flat, so eq. (2) fails on a
+    valid split."""
     out = []
     for n in range(4, 8):
-        rng = random.Random(2000 + n)
-        weights = [F(1), F(2), F(3)] + [F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(n - 3)]
+        rng = random.Random(seed + n)
+        weights = [F(1), F(2), F(3)] + [weight(rng) for _ in range(n - 3)]
         gram = [[w if i == j else F(0) for j, w in enumerate(weights)] for i in range(n)]
         m = MetricLieAlgebra.make(LieAlgebra.from_brackets(*sweeps.simple3(n)), gram)
-        out.append((f"so3sum{n}-rational", m.change_basis(rational_basis(rng, n))))
+        out.append(m.change_basis(basis(rng, n)))
     return out
 
 
@@ -135,26 +131,6 @@ def high_nonflat():
         if not is_flat(m).flat:
             out.append((f"random{m.dim}", m))
     return out
-
-
-def six_digit(rng):
-    """A rational with a 6-digit numerator over a 6-digit denominator."""
-    return F(rng.choice((-1, 1)) * rng.randint(100000, 999999), rng.randint(100000, 999999))
-
-
-def six_digit_basis(rng, n, blocks):
-    """I plus entries k / b with |k| <= 9 and b of 6 digits, inside each
-    block of indices, so a change of basis keeps blocks that are
-    orthogonal ideals orthogonal ideals."""
-    while True:
-        P = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-        for block in blocks:
-            for i in block:
-                for j in block:
-                    if rng.random() < 0.5:
-                        P[i][j] += F(rng.randint(-9, 9), rng.randint(100000, 999999))
-        if reference.rank(P) == n:
-            return P
 
 
 def late_witness(rng, n):
@@ -224,7 +200,8 @@ def slot_width(m):
 
 INSTANCES = instances()
 IDS = [label for label, _ in INSTANCES]
-EQ2_FAILS = eq2_fails()
+EQ2_FAILS = [(f"so3sum{m.dim}-rational", m) for m in so3_sums(
+    2000, lambda rng: F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)), rational_basis)]
 HIGH_NONFLAT = high_nonflat()
 BIG_ENTRY = big_entry()
 ANISOTROPIC = anisotropic()
@@ -520,12 +497,6 @@ def test_verify_eq2_population_reaches_both_outcomes():
     assert all(not is_flat(m).flat for _, m in EQ2_FAILS)
 
 
-def center(a):
-    """{x : [x, y] = 0 for all y}, as an exact kernel."""
-    n = a.dim
-    return linalg.kernel([[a.c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)])
-
-
 def subspaces(rng, a):
     """The derived algebra, the center, spans of random elements of the
     derived algebra and of the whole algebra, with rational coefficients."""
@@ -628,9 +599,6 @@ def test_congruence_matches_fraction_congruence():
             k = next(k for k, x in enumerate(orow) if x)
             assert row[k] != 0 and all(x * orow[k] == y * row[k] for x, y in zip(row, orow))
         assert [sign(x) for x in d] == [sign(x) for x in od]
-        assert tuple(linalg.signature(S)) == (
-            sum(x > 0 for x in od), sum(x < 0 for x in od), sum(x == 0 for x in od)
-        )
         assert all(type(x) is int for row in E for x in row) and all(type(x) is int for x in d)
         counts["row_add"] += n > 1 and all(S[i][i] == 0 for i in range(n)) and any(map(any, S))
         counts["degenerate"] += any(x == 0 for x in od)
@@ -819,26 +787,16 @@ def test_transport_beyond_the_packed_width(monkeypatch):
     """6-digit rationals in P and T give slots wider than
     linalg.MAX_PACKED_WIDTH, so transport keeps one int per slot; small
     data packs whole columns.  Both agree with the oracle."""
-    widths = []
-    pack_row = linalg.pack_row
-
-    def spied(row, w):
-        widths.append(w)
-        return pack_row(row, w)
-
-    monkeypatch.setattr(linalg, "pack_row", spied)
     for n in (4, 5):
         rng = random.Random(310 + n)
         T = tuple(tuple(tuple(six_digit(rng) for _ in range(n)) for _ in range(n)) for _ in range(n))
         P = [[six_digit(rng) for _ in range(n)] for _ in range(n)]
-        widths.clear()
-        assert linalg.fraction_tensor(*linalg.integer_transport(T, P)) == reference.transport(T, P)
-        assert min(widths) > linalg.MAX_PACKED_WIDTH
-        T_int = tuple(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)) for _ in range(n))
-        P_small = rational_basis(rng, n)
-        widths.clear()
-        assert linalg.fraction_tensor(*linalg.integer_transport(T_int, P_small)) == reference.transport(T_int, P_small)
-        assert max(widths) <= linalg.MAX_PACKED_WIDTH
+        X, widths = packed_widths(monkeypatch, linalg.integer_transport, T, P)
+        assert linalg.fraction_tensor(*X) == reference.transport(T, P) and min(widths) > linalg.MAX_PACKED_WIDTH
+        T = tuple(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)) for _ in range(n))
+        P = rational_basis(rng, n)
+        X, widths = packed_widths(monkeypatch, linalg.integer_transport, T, P)
+        assert linalg.fraction_tensor(*X) == reference.transport(T, P) and max(widths) <= linalg.MAX_PACKED_WIDTH
 
 
 def test_integer_inverse_is_the_least_denominator_view():
@@ -850,93 +808,12 @@ def test_integer_inverse_is_the_least_denominator_view():
             assert q > 0 and math.gcd(q, *(x for row in Qi for x in row)) == 1
 
 
-def dense_document(rng, n):
-    """[e_1, e_j] dense in e_2..e_n and a dense metric, every entry a 6-digit
-    rational over its own 6-digit denominator: the input caps' worst case."""
-    brackets = {(0, j): [F(0)] + [six_digit(rng) for _ in range(n - 1)] for j in range(1, n)}
-    gram = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        gram[i][i] = F(rng.randint(500000, 999999), rng.randint(100, 999))
-        for j in range(i + 1, n):
-            gram[i][j] = gram[j][i] = six_digit(rng)
-    gram[0][0] = -gram[0][0]
-    return MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
-
-
-def _dominant_block(rng, gram, k):
-    """A dense Lorentzian block on the first k coordinates: 6-digit
-    diagonal entries of at least 2.5, the first one negated, and 6-digit
-    off-diagonal entries of at most 1/4, so the block is diagonally dominant."""
-    for i in range(k):
-        gram[i][i] = F(rng.randint(500000, 999999), rng.randint(100000, 199999))
-        for j in range(i + 1, k):
-            gram[i][j] = gram[j][i] = F(rng.choice((-1, 1)) * rng.randint(100000, 199999), rng.randint(800000, 999999))
-    gram[0][0] = -gram[0][0]
-
-
-def _shuffled(rng, m):
-    """m with its basis vectors permuted: the entries keep their digits."""
-    n = m.dim
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return m.change_basis([[int(i == perm[j]) for j in range(n)] for i in range(n)])
-
-
-def dense_flat_split(rng, r, m):
-    """A flat split Lorentzian document of dim 1 + r + m with every entry
-    within the input caps but large views: s acts on R^m by a dense M,
-    skew for diag(d) with d_u distinct 3-digit primes (M[u][v] = x / q and
-    M[v][u] = -x d_u / (q d_v), q a further distinct prime), next to a
-    center R^r; s and the center carry `_dominant_block`.  The Killing
-    subalgebra is s plus the center, the derived algebra R^m, and the
-    product's slots pass linalg.MAX_PACKED_WIDTH in `same_connection` and
-    `verify_eq2` from r = 4, m = 12 on."""
-    k, n = r + 1, r + 1 + m
-    pool = [p for p in range(101, 1000) if all(p % q for q in range(2, 32))]
-    primes = iter(rng.sample(pool, m + m * (m - 1) // 2))
-    d = [next(primes) for _ in range(m)]
-    M = [[F(0)] * m for _ in range(m)]
-    for u in range(m):
-        for v in range(u + 1, m):
-            M[u][v] = F(rng.choice((-1, 1)) * rng.randint(100, 999), next(primes))
-            M[v][u] = -M[u][v] * d[u] / d[v]
-    brackets = {(0, k + v): [F(0)] * k + [M[u][v] for u in range(m)] for v in range(m)}
-    gram = [[F(0)] * n for _ in range(n)]
-    _dominant_block(rng, gram, k)
-    for u in range(m):
-        gram[k + u][k + u] = F(d[u])
-    return _shuffled(rng, MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram))
-
-
-def dense_flat_class_c(rng, n):
-    """A flat class-C Lorentzian document: [e_i, e_j] = beta_i e_j - beta_j e_i
-    for 6-digit beta with beta_1 = 0, so e_1 is in the ideal ker(beta), and
-    a dense 6-digit metric whose column 1 is beta, so e_1 is orthogonal to
-    that ideal: the restriction is degenerate.  From n = 6 on, the witness
-    check's slots pass linalg.MAX_PACKED_WIDTH."""
-    beta = [six_digit(rng) for _ in range(n)]
-    beta[1] = F(0)
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if beta[i] or beta[j]:
-                brackets[i, j] = [beta[i] if k == j else -beta[j] if k == i else F(0) for k in range(n)]
-    gram = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        gram[i][i] = F(rng.randint(500000, 999999), rng.randint(100, 999))
-        for j in range(i + 1, n):
-            gram[i][j] = gram[j][i] = six_digit(rng)
-    for i in range(n):
-        gram[i][1] = gram[1][i] = beta[i]
-    return MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
-
-
 def _elimination_cases():
     """Dense documents of dims 2-9 over three seeds, and metrics of dims
     2-6 from every sweep generator."""
     for seed in range(3):
         for n in range(2, 10):
-            yield dense_document(random.Random(seed), n)
+            yield load_shape("dense_document", seed, n)
     rng = random.Random(350)
     for dim in range(2, 7):
         yield sweeps.random_metric_algebra(rng, dim)
@@ -947,13 +824,14 @@ def _elimination_cases():
 
 
 def test_eliminations_on_the_gram_view_match_the_fraction_gram():
-    """`congruence`, `signature` and `integer_inverse` clear each row of a
-    metric's fields (G, g) on its own, so they return exactly what they
-    return on the Fraction Gram G / g: the same E, d, H and q."""
+    """`congruence` and `integer_inverse` clear each row of a metric's
+    fields (G, g) on its own, so they return exactly what they return on
+    the Fraction Gram G / g: the same E, d, H and q; d has the signs of
+    the signature."""
     for m in _elimination_cases():
         gram = m.gram
         assert linalg.congruence(m.G, m.g) == linalg.congruence(gram)
-        assert linalg.signature(m.G, m.g) == linalg.signature(gram) == m.signature
+        assert tuple(m.signature) == reference.signature(gram)
         assert linalg.integer_inverse(m.G, m.g) == linalg.integer_inverse(gram)
 
 
@@ -961,7 +839,7 @@ def test_integer_product_matches_a_sympy_koszul_solve_on_a_dense_document():
     """The product solved independently: the Koszul formula over
     sympy.Rational with the Gram inverse from sympy.Matrix.inv."""
     sympy = pytest.importorskip("sympy")
-    m = dense_document(random.Random(9), 9)
+    m = load_shape("dense_document", 9, 9)
     n = m.dim
     G = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.gram])
     Ginv = G.inv()
@@ -974,11 +852,6 @@ def test_integer_product_matches_a_sympy_koszul_solve_on_a_dense_document():
             expected = [sum(Ginv[k, l] * rhs[l] for l in range(n)) for k in range(n)]
             assert [sympy.Rational(x, D) for x in P[i][j]] == expected, (i, j)
     assert D > 0 and math.gcd(D, *(x for plane in P for row in plane for x in row)) == 1
-
-
-def same_connection_oracle(m1, m2):
-    """Both products solved by the reference and compared."""
-    return product(m1) == product(m2)
 
 
 def _perturbed(m, rng):
@@ -1038,7 +911,7 @@ CONNECTION_PAIRS = connection_pairs()
 
 def test_same_connection_matches_product_equality():
     answers = [same_connection(m1, m2) for m1, m2 in CONNECTION_PAIRS]
-    assert answers == [same_connection_oracle(m1, m2) for m1, m2 in CONNECTION_PAIRS]
+    assert answers == [product(m1) == product(m2) for m1, m2 in CONNECTION_PAIRS]
     assert answers.count(True) >= 60 and answers.count(False) >= 60
 
 
@@ -1059,12 +932,18 @@ def rotation_at(n, k):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_same_connection_checks_every_left_multiplication(n):
+    """On rotation_at(n, k) only L_{e_k} is nonzero, and it rotates the
+    plane of the other two rotated axes, so stretching either of them
+    breaks its skewness, and stretching any other axis does not."""
     for k in range(n):
         m, other = rotation_at(n, k)
-        left = [linalg.left_matrix(metric.integer_product(m)[0], e) for e in linalg.units(n)]
+        left = [reference.left_mult(metric.integer_product(m)[0], e) for e in reference.units(n)]
         assert [j for j, L in enumerate(left) if any(map(any, L))] == [k]
-        assert same_connection(m, m.scale_gram(3)) and same_connection_oracle(m, m.scale_gram(3))
-        assert not same_connection(m, other) and not same_connection_oracle(m, other)
+        assert same_connection(m, m.scale_gram(3)) and product(m) == product(m.scale_gram(3))
+        assert not same_connection(m, other) and product(m) != product(other)
+        rotated = {j for row in left[k] for j, x in enumerate(row) if x}
+        assert len(rotated) == 2
+        assert [same_connection(m, axis_rescaled(m, i)) for i in range(n)] == [i not in rotated for i in range(n)]
 
 
 def sweep_metrics(rng, dims):
@@ -1131,7 +1010,7 @@ def test_integer_product_matches_the_koszul_solve_past_the_packed_width(monkeypa
     constants' slots pass linalg.MAX_PACKED_WIDTH and keep one int each."""
     wide = 0
     for n in range(2, 14):
-        m = dense_document(random.Random(n), n)
+        m = load_shape("dense_document", n, n)
         _, widths = packed_widths(monkeypatch, metric.lowered_constants, m)
         wide += min(widths) > linalg.MAX_PACKED_WIDTH
         P, D = metric.integer_product(m)
@@ -1140,12 +1019,12 @@ def test_integer_product_matches_the_koszul_solve_past_the_packed_width(monkeypa
 
 
 def same_connection_definition(m1, m2):
-    """Every L_k = left_matrix(P, e_k) of m1's product P / D is skew for
+    """Every L_k = left_mult(P, e_k) of m1's product P / D is skew for
     m2's form: G L_k + (G L_k)^T = 0 with m2's field G, in ints."""
     P, _ = metric.integer_product(m1)
     n = m1.dim
-    for e in linalg.units(n):
-        GL = reference.mat_mul(m2.G, linalg.left_matrix(P, e))
+    for e in reference.units(n):
+        GL = reference.mat_mul(m2.G, reference.left_mult(P, e))
         if any(GL[r][c] + GL[c][r] for r in range(n) for c in range(n)):
             return False
     return True
@@ -1168,9 +1047,9 @@ def big_connection_pairs():
         pairs.append((m, m.scale_gram(six_digit(rng))))
         pairs += [(m, axis_rescaled(m, i)) for i in range(n)]
         gram = [[F(0)] * n for _ in range(n)]
-        _dominant_block(rng, gram, n)
+        dominant_block(rng, gram, n)
         pairs.append((m, MetricLieAlgebra.make(m.algebra, gram)))
-    m = dense_flat_split(random.Random(1), 4, 12)
+    m = load_shape("dense_flat_split", 1, 17)
     pairs += [(m, riemannian_companion(m)), (m, axis_rescaled(m, 0)), (m, axis_rescaled(m, 5))]
     return pairs
 
@@ -1188,49 +1067,25 @@ def test_same_connection_matches_its_definition(monkeypatch):
     assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
 
 
-def test_same_connection_rejects_a_form_rescaled_on_one_axis():
-    """On rotation_at(n, k) only L_{e_k} is nonzero, and it rotates the
-    plane of the other two rotated axes, so stretching either of them
-    breaks its skewness, and stretching any other axis does not."""
-    for n in range(3, 7):
-        for k in range(n):
-            m, _ = rotation_at(n, k)
-            rotated = {j for j in range(n) for i in range(n) if metric.integer_product(m)[0][k][j][i]}
-            assert len(rotated) == 2
-            for i in range(n):
-                assert same_connection(m, axis_rescaled(m, i)) == (i not in rotated)
-
-
 def eq2_definition(m, split):
     """L_s = ad_s on the Killing rows and L_h = 0 on the derived rows, on
-    the matrices left_matrix(P, s) and left_matrix(C, s): E L(P, s) == D L(C, s)."""
+    the matrices left_mult(P, s) and left_mult(C, s): E L(P, s) == D L(C, s)."""
     P, D = metric.integer_product(m)
     C, E = m.algebra.C, m.algebra.E
     return all(
-        [[E * x for x in row] for row in linalg.left_matrix(P, s)] == [[D * x for x in row] for row in linalg.left_matrix(C, s)]
+        [[E * x for x in row] for row in reference.left_mult(P, s)] == [[D * x for x in row] for row in reference.left_mult(C, s)]
         for s in split.killing.B
-    ) and not any(any(map(any, linalg.left_matrix(P, h))) for h in split.derived.B)
-
-
-def big_eq2_cases():
-    """so(3) + R^(n-3) with 6-digit weights, in a basis with 6-digit
-    denominators (eq. (2) fails on a valid split), and the dense flat split
-    document (it holds)."""
-    out = []
-    for n in range(4, 8):
-        rng = random.Random(2100 + n)
-        weights = [F(1), F(2), F(3)] + [abs(six_digit(rng)) for _ in range(n - 3)]
-        gram = [[w if i == j else F(0) for j, w in enumerate(weights)] for i in range(n)]
-        m = MetricLieAlgebra.make(LieAlgebra.from_brackets(*sweeps.simple3(n)), gram)
-        out.append(m.change_basis(six_digit_basis(rng, n, [range(n)])))
-    return out + [dense_flat_split(random.Random(1), 4, 12)]
+    ) and not any(any(map(any, reference.left_mult(P, h))) for h in split.derived.B)
 
 
 def test_verify_eq2_matches_its_definition(monkeypatch):
-    """The packed planes against left_matrix on every valid split of the
+    """The packed planes against left_mult on every valid split of the
     instances, eq. (2) failures and big-entry cases; both outcomes occur
     with small slots and with slots past linalg.MAX_PACKED_WIDTH."""
-    population = [m for _, m in INSTANCES + EQ2_FAILS + BIG_ENTRY] + big_eq2_cases()
+    # so(3) sums with 6-digit weights in a 6-digit basis (eq. (2) fails on a
+    # valid split) and the dense flat split document (it holds)
+    big = so3_sums(2100, lambda rng: abs(six_digit(rng)), lambda rng, n: six_digit_basis(rng, n, [range(n)]))
+    population = [m for _, m in INSTANCES + EQ2_FAILS + BIG_ENTRY] + big + [load_shape("dense_flat_split", 1, 17)]
     outcomes = set()
     for m in population:
         split = _split(m)
@@ -1253,7 +1108,7 @@ def flat_class_c_metrics():
     rng = random.Random(960)
     out = [sweeps.class_c_instance(rng, n, degenerate=True) for n in range(2, 10)]
     out += [m for label, m in INSTANCES + BIG_ENTRY if label.startswith("flatc") or label in ("bigflat3", "bigflat5", "bigflat7")]
-    return out + [dense_flat_class_c(random.Random(n), n) for n in range(3, 9)]
+    return out + [load_shape("dense_flat_class_c", n, n) for n in range(3, 9)]
 
 
 def test_closed_form_matches_its_definition(monkeypatch):
@@ -1275,20 +1130,17 @@ def test_closed_form_matches_its_definition(monkeypatch):
 
 def test_dense_goldens_reach_the_wide_side_of_each_packed_check(monkeypatch):
     """Each packed check meets slots past linalg.MAX_PACKED_WIDTH on a
-    golden input, so the CI diff of its golden report pins that side too."""
-    golden = Path(__file__).parent / "golden" / "inputs"
-
-    def load(name):
-        return inputdoc.loads((golden / f"{name}.json").read_text(encoding="utf-8"))
-
-    m = load("dim9_dense_nonflat_lorentzian")
+    golden input (the documents at random.Random(1) that `test_golden`
+    traces to the registry), so the CI diff of its golden report pins that
+    side too."""
+    m = load_shape("dense_document", 1, 9)
     assert min(packed_widths(monkeypatch, metric.lowered_constants, m)[1]) > linalg.MAX_PACKED_WIDTH
-    m = load("dim17_dense_flat_split_lorentzian")
+    m = load_shape("dense_flat_split", 1, 17)
     companion = riemannian_companion(m)
     assert min(packed_widths(monkeypatch, same_connection, m, companion)[1]) > linalg.MAX_PACKED_WIDTH
     split = theorems.theorem1_check(m).split
     assert min(packed_widths(monkeypatch, verify_eq2, m, split)[1]) > linalg.MAX_PACKED_WIDTH
-    m = load("dim7_dense_flat_class_c")
+    m = load_shape("dense_flat_class_c", 1, 7)
     metric.integer_product(m)
     w = classc.construct_witness(m)
     widths = packed_widths(monkeypatch, classc.closed_form_matches, m, w, classc.witness_scale(m.algebra, w))[1]

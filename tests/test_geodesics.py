@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import populations
 import reference
-from flatlie import catalog, geodesics, sweeps
+from flatlie import catalog, geodesics, inputdoc, sweeps
 from flatlie.errors import InvalidGeodesicInputError, InvalidToleranceError
 from flatlie.geodesics import (
     BLOW_UP_DETECTED,
@@ -111,22 +112,6 @@ def test_rot3_matches_its_closed_form():
             assert math.dist(s.v, exact) <= bound, (v0, s.t)
 
 
-def dense_dim20():
-    """[e_1, e_j] dense in e_2..e_20 under a dense Riemannian metric, and a
-    unit initial velocity."""
-    rng = random.Random(20)
-    n = 20
-    brackets = {(0, j): [F(0)] + [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n - 1)]
-                for j in range(1, n)}
-    gram = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        gram[i][i] = F(2 * n)
-        for j in range(i + 1, n):
-            gram[i][j] = gram[j][i] = F(rng.randint(-1, 1))
-    m = MetricLieAlgebra.make(LieAlgebra.from_brackets(n, brackets), gram)
-    return m, [rng.choice((-1.0, 1.0)) / math.sqrt(n) for _ in range(n)]
-
-
 def test_energy_conservation_across_catalog():
     cases = [
         (catalog.build(name), v0) for name, v0 in (
@@ -135,7 +120,10 @@ def test_energy_conservation_across_catalog():
             ("classc2_nonflat", [1.0, 1.0]),
             ("heisenberg_euclidean", [1.0, 1.0, 1.0]),
         )
-    ] + [dense_dim20()]
+    ]
+    rng = random.Random(20)  # a dense dim-20 Riemannian metric and a unit initial velocity
+    m = inputdoc.parse_document(populations.dense_riemannian(rng, 20))
+    cases.append((m, [rng.choice((-1.0, 1.0)) / math.sqrt(20) for _ in range(20)]))
     rng = random.Random(10)
     for dim in range(2, 10):
         v0 = [float(rng.randint(-2, 2)) for _ in range(dim)]

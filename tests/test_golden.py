@@ -3,23 +3,14 @@
 `golden/analyze/<name>.json` is the expected stdout for each catalog entry
 and for each document in `golden/inputs/`, all written with
 `inputdoc.emit_document`: four dim-6 instances (flat split Lorentzian, flat
-class C, flat Riemannian, non-flat Lorentzian) and a non-flat Lorentzian
+class C, flat Riemannian, non-flat Lorentzian), a non-flat Lorentzian
 dim-8 document of 6-digit rationals, an orthogonal sum of a flat rotation
 algebra, an abelian plane and a non-flat R x R^2 with interleaved
 coordinates, so its curvature witness is the pair (3, 6), not the first,
-and `dim9_dense_nonflat_lorentzian`, `test_exact_kernel.dense_document`
-with `random.Random(1)` and n = 9: every bracket of e_1 and every metric
-entry a 6-digit rational over its own 6-digit denominator, so the report
-pins entries of hundreds of digits.  Two flat dense documents pin the wide
-side of the packed checks: `dim17_dense_flat_split_lorentzian` is
-`test_exact_kernel.dense_flat_split(random.Random(1), 4, 12)`, whose
-companion check and eq. (2) check pack slots past
-`linalg.MAX_PACKED_WIDTH`, and `dim7_dense_flat_class_c` is
-`test_exact_kernel.dense_flat_class_c(random.Random(1), 7)`, whose witness
-check does.  `dim9_adapted_flat_split_lorentzian` is
-`sparse_documents.document(random.Random(1), "flat_split", 9,
-scramble=False)`, a flat split Lorentzian document in its adapted basis, so
-most brackets, left multiplications and Killing rows are exact zeros.
+and the four `populations.SHAPES` documents of `GENERATED`, built at
+`random.Random(1)`: dense 6-digit documents whose reports pin entries of
+hundreds of digits and whose packed checks pass `linalg.MAX_PACKED_WIDTH`,
+and a flat split in its adapted basis, whose kernel skips exact zeros.
 Regenerate a file only when the report is meant to change:
 
     PYTHONPATH=src python -m flatlie.cli analyze --json -i DOC > tests/golden/analyze/NAME.json
@@ -45,15 +36,23 @@ at once through `flatlie.cli.main`:
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import populations
 from flatlie import catalog, inputdoc
 from flatlie.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = sorted(p.stem for p in (GOLDEN / "inputs").glob("*.json"))
+GENERATED = {  # input name: (shape, dim)
+    "dim9_dense_nonflat_lorentzian": ("dense_document", 9),
+    "dim17_dense_flat_split_lorentzian": ("dense_flat_split", 17),
+    "dim7_dense_flat_class_c": ("dense_flat_class_c", 7),
+    "dim9_adapted_flat_split_lorentzian": ("flat_split_adapted", 9),
+}
 GEODESIC_CASES = [
     line.split() for line in (GOLDEN / "geodesic" / "cases.txt").read_text(encoding="utf-8").splitlines()
 ]
@@ -70,6 +69,13 @@ def _expected(name: str) -> str:
 
 def test_golden_inputs_present():
     assert len(INPUTS) == 9
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_inputs_are_their_registry_documents(name):
+    shape, n = GENERATED[name]
+    doc = populations.SHAPES[shape].build(random.Random(1), n)
+    assert (GOLDEN / "inputs" / f"{name}.json").read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name", catalog.names())

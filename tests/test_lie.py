@@ -8,6 +8,7 @@ from flatlie import linalg, sweeps
 from flatlie.errors import AntisymmetryError, JacobiError, SingularMatrixError
 from flatlie.lie import LieAlgebra, integer_view
 from flatlie.linalg import Subspace
+from populations import six_digit
 
 
 def solvable2():
@@ -124,19 +125,39 @@ def tensor_bracket(c):
     return lambda x, y: reference.bilinear(c, x, y)
 
 
-def perturbed_tensor(rng, dim):
-    """(upper-triangle brackets, full tensor) of a generated Lie algebra of
-    dim with one to three bracket entries moved by a random rational: some
-    of these still satisfy Jacobi, most do not."""
+def full_tensor(dim, brackets):
+    """The full tensor of the upper-triangle brackets {(i, j): column}."""
+    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), v in brackets.items():
+        c[i][j], c[j][i] = [F(x) for x in v], [-F(x) for x in v]
+    return c
+
+
+def jacobi_check_matches_the_oracle(dim, brackets):
+    """Whether the constructor accepts brackets, asserting that it does
+    exactly when every oracle residual vanishes and otherwise names the
+    oracle's first failing triple with its residual."""
+    residuals = jacobi_residuals(dim, tensor_bracket(full_tensor(dim, brackets)))
+    failing = next(((t, r) for t, r in residuals if not linalg.is_zero_vec(r)), None)
+    if failing is None:
+        LieAlgebra.from_brackets(dim, brackets)
+        return True
+    with pytest.raises(JacobiError) as exc:
+        LieAlgebra.from_brackets(dim, brackets)
+    assert (exc.value.triple, list(exc.value.residual)) == failing
+    return False
+
+
+def perturbed_brackets(rng, dim):
+    """The upper-triangle brackets of a generated Lie algebra of dim with
+    one to three entries moved by a random rational: some of these still
+    satisfy Jacobi, most do not."""
     a = LieAlgebra.from_brackets(*sweeps.random_algebra(rng, dim))
     brackets = {(i, j): list(a.c[i][j]) for i in range(dim) for j in range(i + 1, dim)}
     for _ in range(rng.randint(1, 3)):
         i, j = sorted(rng.sample(range(dim), 2))
         brackets[(i, j)][rng.randrange(dim)] += F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
-    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), v in brackets.items():
-        c[i][j], c[j][i] = v, [-x for x in v]
-    return brackets, c
+    return brackets
 
 
 def test_jacobi_check_matches_the_oracle_on_perturbed_tensors():
@@ -144,32 +165,15 @@ def test_jacobi_check_matches_the_oracle_on_perturbed_tensors():
     residuals all vanish, and otherwise names the oracle's first failing
     triple with its residual."""
     rng = random.Random(3)
-    outcomes = {"accepted": 0, "rejected": 0}
-    for k in range(70):
-        dim = 3 + k % 7
-        brackets, c = perturbed_tensor(rng, dim)
-        residuals = jacobi_residuals(dim, tensor_bracket(c))
-        failing = next(((t, r) for t, r in residuals if not linalg.is_zero_vec(r)), None)
-        if failing is None:
-            LieAlgebra.from_brackets(dim, brackets)
-            outcomes["accepted"] += 1
-            continue
-        with pytest.raises(JacobiError) as exc:
-            LieAlgebra.from_brackets(dim, brackets)
-        assert (exc.value.triple, list(exc.value.residual)) == failing
-        outcomes["rejected"] += 1
-    assert outcomes["accepted"] >= 5 and outcomes["rejected"] >= 30
+    accepted = [jacobi_check_matches_the_oracle(3 + k % 7, perturbed_brackets(rng, 3 + k % 7)) for k in range(70)]
+    assert accepted.count(True) >= 5 and accepted.count(False) >= 30
 
 
-def six_digit(rng):
-    return F(rng.choice((-1, 1)) * rng.randint(100000, 999999), rng.randint(100000, 999999))
-
-
-def big_entry_tensor(rng, dim):
-    """(upper-triangle brackets, full tensor) of a non-abelian generated
-    algebra moved to a basis with 6-digit denominators, then, in three
-    cases out of four, one or two bracket entries moved by a 6-digit
-    rational: entries of hundreds to thousands of bits."""
+def big_entry_brackets(rng, dim):
+    """The upper-triangle brackets of a non-abelian generated algebra moved
+    to a basis with 6-digit denominators, then, in three cases out of four,
+    one or two entries moved by a 6-digit rational: entries of hundreds to
+    thousands of bits."""
     a = LieAlgebra.from_brackets(*sweeps.random_algebra(rng, dim))
     while a.is_abelian():
         a = LieAlgebra.from_brackets(*sweeps.random_algebra(rng, dim))
@@ -184,10 +188,7 @@ def big_entry_tensor(rng, dim):
         for _ in range(rng.randint(1, 2)):
             i, j = sorted(rng.sample(range(dim), 2))
             brackets[(i, j)][rng.randrange(dim)] += six_digit(rng)
-    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), v in brackets.items():
-        c[i][j], c[j][i] = v, [-x for x in v]
-    return brackets, c
+    return brackets
 
 
 def test_jacobi_check_matches_the_brute_oracle_on_big_entry_tensors():
@@ -196,24 +197,14 @@ def test_jacobi_check_matches_the_brute_oracle_on_big_entry_tensors():
     integer structure constant): accepted iff every oracle residual
     vanishes, else the oracle's first triple and its residual."""
     rng = random.Random(5)
-    outcomes = {"accepted": 0, "rejected": 0}
-    widths = []
+    accepted, widths = [], []
     for k in range(30):
         dim = 3 + k % 5
-        brackets, c = big_entry_tensor(rng, dim)
+        brackets = big_entry_brackets(rng, dim)
         C, _ = integer_view(dim, brackets)
         widths.append(linalg.slot_width(3 * dim * linalg.max_abs(C) ** 2))
-        oracle = brute_jacobi_residuals(dim, tensor_bracket(c))
-        failing = next(((t, r) for t, r in oracle.items() if not linalg.is_zero_vec(r)), None)
-        if failing is None:
-            LieAlgebra.from_brackets(dim, brackets)
-            outcomes["accepted"] += 1
-            continue
-        with pytest.raises(JacobiError) as exc:
-            LieAlgebra.from_brackets(dim, brackets)
-        assert (exc.value.triple, list(exc.value.residual)) == failing
-        outcomes["rejected"] += 1
-    assert outcomes["accepted"] >= 5 and outcomes["rejected"] >= 10
+        accepted.append(jacobi_check_matches_the_oracle(dim, brackets))
+    assert accepted.count(True) >= 5 and accepted.count(False) >= 10
     assert sum(w > linalg.MAX_PACKED_WIDTH for w in widths) >= 5 and min(widths) <= linalg.MAX_PACKED_WIDTH
 
 
@@ -282,10 +273,7 @@ def test_jacobi_check_skips_zero_planes_and_names_the_same_triple(dim, brackets,
         LieAlgebra.from_brackets(dim, brackets)
     assert exc.value.triple == triple
     assert exc.value.residual == tuple(F(x) for x in residual)
-    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (a, b), v in brackets.items():
-        c[a][b], c[b][a] = [F(x) for x in v], [-F(x) for x in v]
-    oracle = brute_jacobi_residuals(dim, tensor_bracket(c))
+    oracle = brute_jacobi_residuals(dim, tensor_bracket(full_tensor(dim, brackets)))
     assert next((t, r) for t, r in oracle.items() if not linalg.is_zero_vec(r)) == (triple, list(exc.value.residual))
 
 

@@ -6,23 +6,13 @@ import pytest
 import reference
 from flatlie import linalg, sweeps
 from flatlie.errors import NonSymmetricError, SingularMatrixError
-from flatlie.linalg import Subspace
+from flatlie.linalg import Signature, Subspace
 from flatlie.metric import integer_product
-
-
-def rand_frac(rng, lo=-5, hi=5):
-    return F(rng.randint(lo, hi), rng.choice([1, 2, 3]))
+from populations import rational, rational_basis
 
 
 def rand_mat(rng, r, c):
-    return [[rand_frac(rng) for _ in range(c)] for _ in range(r)]
-
-
-def rand_invertible(rng, n):
-    while True:
-        P = rand_mat(rng, n, n)
-        if reference.rank(P) == n:
-            return P
+    return [[rational(rng, 5) for _ in range(c)] for _ in range(r)]
 
 
 def fraction_inverse(A):
@@ -39,7 +29,7 @@ def rand_symmetric(rng, n):
 def test_rational_round_trips():
     rng = random.Random(1)
     for _ in range(300):
-        a, b = rand_frac(rng), rand_frac(rng)
+        a, b = rational(rng, 5), rational(rng, 5)
         assert (a + b) - b == a
         if b != 0:
             assert (a * b) / b == a
@@ -173,12 +163,12 @@ def test_kernel_rank_nullity():
     ],
 )
 def test_signature_cases(S, expected):
-    assert tuple(linalg.signature([[F(x) for x in row] for row in S])) == expected
+    assert tuple(Signature.of(linalg.congruence([[F(x) for x in row] for row in S])[1])) == expected
 
 
 def test_signature_rejects_nonsymmetric():
     with pytest.raises(NonSymmetricError):
-        linalg.signature([[0, 1], [0, 0]])
+        linalg.congruence([[0, 1], [0, 0]])
 
 
 def test_signature_congruence_invariance():
@@ -188,17 +178,17 @@ def test_signature_congruence_invariance():
         for _ in range(10):
             entries = [rng.choice([-2, -1, 0, 1, 3]) for _ in range(n)]
             D = [[F(entries[i]) if i == j else F(0) for j in range(n)] for i in range(n)]
-            Q = rand_invertible(rng, n)
+            Q = rational_basis(rng, n)
             S = reference.mat_mul(linalg.transpose(Q), reference.mat_mul(D, Q))
             expected = (
                 sum(1 for x in entries if x > 0),
                 sum(1 for x in entries if x < 0),
                 sum(1 for x in entries if x == 0),
             )
-            assert tuple(linalg.signature(S)) == expected
-            P = rand_invertible(rng, n)
+            assert tuple(Signature.of(linalg.congruence(S)[1])) == expected
+            P = rational_basis(rng, n)
             S2 = reference.mat_mul(linalg.transpose(P), reference.mat_mul(S, P))
-            assert linalg.signature(S2) == linalg.signature(S)
+            assert Signature.of(linalg.congruence(S2)[1]) == Signature.of(linalg.congruence(S)[1])
 
 
 def test_congruence_is_exact():
@@ -257,7 +247,7 @@ def test_radical_contained_and_counts_zeros():
             for w in V.basis:
                 assert reference.form(G, row, w) == 0
         # the induced form on V / radical is nondegenerate
-        assert linalg.signature(R, den).n_zero == rad.dim
+        assert Signature.of(linalg.congruence(R, den)[1]).n_zero == rad.dim
 
 
 def test_orthogonal_complement_cases():
@@ -289,7 +279,7 @@ def test_integer_inverse():
     rng = random.Random(10)
     for _ in range(20):
         n = rng.randint(1, 5)
-        A = rand_invertible(rng, n)
+        A = rational_basis(rng, n)
         assert reference.mat_mul(A, fraction_inverse(A)) == linalg.units(n)
     with pytest.raises(SingularMatrixError):
         linalg.integer_inverse([[1, 1], [1, 1]])
@@ -304,7 +294,7 @@ def test_integer_inverse_raises_exactly_on_singular():
             # replace a row by a combination of (up to) two others
             k = rng.randrange(n)
             picks = rng.sample([r for r in range(n) if r != k], min(2, n - 1))
-            coeffs = [rand_frac(rng) for _ in picks]
+            coeffs = [rational(rng, 5) for _ in picks]
             A[k] = [sum((c * A[p][j] for c, p in zip(coeffs, picks)), F(0)) for j in range(n)]
         if reference.rank(A) < n:
             with pytest.raises(SingularMatrixError):
@@ -348,8 +338,8 @@ def test_tensor_contraction_index_convention():
         for j in range(n):
             assert linalg.bilinear(T, e[i], e[j]) == list(T[i][j])
     for _ in range(5):
-        x = [rand_frac(rng) for _ in range(n)]
-        y = [rand_frac(rng) for _ in range(n)]
+        x = [rational(rng, 5) for _ in range(n)]
+        y = [rational(rng, 5) for _ in range(n)]
         Txy = linalg.bilinear(T, x, y)
         assert [linalg.dot(row, y) for row in linalg.left_matrix(T, x)] == Txy
         assert [linalg.dot(row, x) for row in reference.right_mult(T, y)] == Txy
@@ -358,7 +348,7 @@ def test_tensor_contraction_index_convention():
         return linalg.fraction_tensor(*linalg.integer_transport(T, P))
 
     assert transport(T, [[F(int(i == j)) for j in range(n)] for i in range(n)]) == T
-    P = rand_invertible(rng, n)
+    P = rational_basis(rng, n)
     moved = transport(T, P)
     cols = linalg.transpose(P)
     assert [linalg.dot(row, moved[0][1]) for row in P] == linalg.bilinear(T, cols[0], cols[1])

@@ -1,17 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import populations
 import reference
-from flatlie import catalog, linalg, sweeps
+from flatlie import catalog, inputdoc, linalg, sweeps
 from flatlie.errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
 from flatlie.lie import LieAlgebra
-from flatlie.linalg import Subspace
+from flatlie.linalg import Signature, Subspace
 from flatlie.metric import (
     MetricLieAlgebra,
     integer_product,
     is_flat,
+    killing_rows,
     killing_subalgebra,
     timelike_vector,
     verify_killing_triple_identity,
@@ -217,7 +220,7 @@ def _checked_timelike_vector(m, V):
     """timelike_vector(m, V), checked: an int vector of V with <s, s> < 0,
     None exactly when the restricted signature has no minus."""
     s = timelike_vector(m, V)
-    has_minus = V.dim > 0 and linalg.signature(*linalg.restrict_form(m.gram, V)).n_minus >= 1
+    has_minus = V.dim > 0 and Signature.of(linalg.congruence(*linalg.restrict_form(m.gram, V))[1]).n_minus >= 1
     assert (s is not None) == has_minus
     if s is not None:
         assert all(type(x) is int for x in s)
@@ -304,3 +307,27 @@ def test_gram_scaling_leaves_product_and_flatness():
             scaled = m.scale_gram(factor)
             assert fraction_product(m) == fraction_product(scaled)
             assert is_flat(m).flat == is_flat(scaled).flat
+
+
+def test_sparse_population_reaches_every_zero_skipping_branch():
+    """The sparse shapes of `populations` at dims 6-9 reach every branch
+    where the analyze kernel skips exact zeros: a zero `L_k`, a curvature
+    witness with a zero bracket, a pair with exactly one zero left
+    multiplication, and Killing rows that are zero or repeat another."""
+    reached = Counter()
+    for _, doc in populations.population(34, populations.SPARSE):
+        m = inputdoc.parse_document(doc)
+        n, C = m.dim, m.algebra.C
+        P, _ = integer_product(m)
+        zero = [not any(map(any, plane)) for plane in P]  # zero[k]: L_{e_k} = 0
+        reached["zero L_k"] += any(zero)
+        reached["one of L_i, L_j zero"] += any(zero[i] != zero[j] for i in range(n) for j in range(i + 1, n))
+        verdict = is_flat(m)
+        if not verdict.flat:
+            i, j, _ = verdict.witness
+            reached["witness with C_ij = 0"] += not any(C[i][j])
+        A, _ = killing_rows(m)
+        nonzero = [row for row in A if any(row)]
+        classes = {tuple(F(x, next(y for y in row if y)) for x in row) for row in nonzero}
+        reached["zero and repeated Killing rows"] += len(nonzero) < len(A) and len(classes) < len(nonzero)
+    assert len(reached) == 4 and min(reached.values()) >= 2, reached
