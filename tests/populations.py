@@ -127,6 +127,14 @@ def acting(n, columns):
     return c
 
 
+def unit_brackets(n, triples):
+    """The table of dim n with [e_i, e_j] = e_k for each (i, j, k)."""
+    c, _ = zero_table(n)
+    for i, j, k in triples:
+        add(c, i, j, k, F(1))
+    return c
+
+
 def dense_gram(rng, n):
     """A dense 6-digit Gram matrix whose diagonal entries are at least 500."""
     _, gram = zero_table(n)
@@ -219,9 +227,7 @@ def so3_sum(rng, n):
     """so(3) + R^(n-3) under a bi-invariant weight on so(3) and one negative
     weight on R^(n-3): not flat, and the curvature vanishes exactly on the
     pairs with zero bracket."""
-    c, gram = zero_table(n)
-    for i, j, k in SO3:
-        add(c, i, j, k, F(1))
+    c, gram = unit_brackets(n, SO3), zero_table(n)[1]
     w = small(rng, positive=True)
     for i in range(n):
         gram[i][i] = w if i < 3 else small(rng, positive=True)
@@ -241,31 +247,50 @@ def sparse(table, scramble=True):
     return build
 
 
-def table(shape):
-    """The builder of a shape whose Jacobi identity holds by its form: R
-    acting on R^(n-1) by a nonzero scalar ("scalar", the flat `class_c`
-    table), by a matrix skew for a diagonal form ("skew", the flat split
-    under that form) or by any matrix ("any"); so(3) ("simple") or the
-    Heisenberg algebra ("heisenberg") plus an abelian summand; or the
-    "abelian" algebra.  Half of the scalar and skew tables keep their form,
-    the others and the other shapes get a random nondegenerate one; each
-    is moved by a `triangular_scramble` whose entries fit the input caps."""
+def scalar_table(rng, n):
+    """R acting on R^(n-1) by a nonzero scalar, under its degenerate
+    adapted form: the flat `class_c` table."""
+    return class_c(rng, n, flat=True)
+
+
+def skew_table(rng, n):
+    """R acting on R^(n-1) by a matrix skew for a diagonal form, under that
+    form: the flat split of Theorem 1."""
+    w = [small(rng, positive=True) for _ in range(n)]
+    K = [[rational(rng) for _ in range(n - 1)] for _ in range(n - 1)]
+    c = acting(n, [[(K[k][j] - K[j][k]) / w[k + 1] for k in range(n - 1)] for j in range(n - 1)])
+    gram = [[w[i] * (i == j) for j in range(n)] for i in range(n)]
+    gram[0][0] *= rng.choice((-1, 1))
+    return c, gram
+
+
+def any_table(rng, n):
+    """R acting on R^(n-1) by any matrix, with no form of its own."""
+    return acting(n, [[rational(rng) for _ in range(n - 1)] for _ in range(n - 1)]), None
+
+
+def simple_table(rng, n):
+    """so(3) plus an abelian summand, with no form of its own."""
+    return unit_brackets(n, SO3), None
+
+
+def heisenberg_table(rng, n):
+    """The Heisenberg algebra plus an abelian summand, with no form of its own."""
+    return unit_brackets(n, ((0, 1, 2),)), None
+
+
+def abelian_table(rng, n):
+    """The abelian algebra, with no form of its own."""
+    return unit_brackets(n, ()), None
+
+
+def scrambled(table):
+    """The builder of a table shape, whose Jacobi identity holds by its
+    form: table's (c, gram), with a `random_form` in place of gram half of
+    the time and whenever gram is None, moved by a `triangular_scramble`
+    whose entries fit the input caps."""
     def build(rng, n):
-        gram = None
-        if shape == "scalar":
-            c, gram = class_c(rng, n, flat=True)
-        elif shape == "skew":
-            w = [small(rng, positive=True) for _ in range(n)]
-            K = [[rational(rng) for _ in range(n - 1)] for _ in range(n - 1)]
-            c = acting(n, [[(K[k][j] - K[j][k]) / w[k + 1] for k in range(n - 1)] for j in range(n - 1)])
-            gram = [[w[i] * (i == j) for j in range(n)] for i in range(n)]
-            gram[0][0] *= rng.choice((-1, 1))
-        elif shape == "any":
-            c = acting(n, [[rational(rng) for _ in range(n - 1)] for _ in range(n - 1)])
-        else:
-            c, _ = zero_table(n)
-            for i, j, k in {"simple": SO3, "heisenberg": ((0, 1, 2),), "abelian": ()}[shape]:
-                add(c, i, j, k, F(1))
+        c, gram = table(rng, n)
         if gram is None or rng.random() < 0.5:
             gram = random_form(rng, n)
         while True:
@@ -367,12 +392,12 @@ SHAPES = {
     "classc_nonflat": Shape(SPARSE_DIMS, sparse(lambda rng, n: class_c(rng, n, False)), {**CLASS_C, "flat": False}),
     "so3_lorentzian": Shape(SPARSE_DIMS, sparse(so3_sum), NONFLAT_LORENTZIAN),
     "flat_split_adapted": Shape(SPARSE_DIMS, sparse(lambda rng, n: rotations(rng, n, True), scramble=False), FLAT_SPLIT),
-    "scalar": Shape(TABLE_DIMS, table("scalar"), {"class_c": True}),
-    "skew": Shape(TABLE_DIMS, table("skew"), {"class_c": False}),
-    "any": Shape(TABLE_DIMS, table("any"), {}),
-    "abelian": Shape(TABLE_DIMS, table("abelian"), {"flat": True, "class_c": False}),
-    "simple": Shape(TABLE_DIMS[1:], table("simple"), {"class_c": False}),
-    "heisenberg": Shape(TABLE_DIMS[1:], table("heisenberg"), {"class_c": False}),
+    "scalar": Shape(TABLE_DIMS, scrambled(scalar_table), {"class_c": True}),
+    "skew": Shape(TABLE_DIMS, scrambled(skew_table), {"class_c": False}),
+    "any": Shape(TABLE_DIMS, scrambled(any_table), {}),
+    "abelian": Shape(TABLE_DIMS, scrambled(abelian_table), {"flat": True, "class_c": False}),
+    "simple": Shape(TABLE_DIMS[1:], scrambled(simple_table), {"class_c": False}),
+    "heisenberg": Shape(TABLE_DIMS[1:], scrambled(heisenberg_table), {"class_c": False}),
     "dense_document": Shape(DENSE_DIMS, dense_document, NONFLAT_LORENTZIAN),
     "dense_flat_split": Shape(DENSE_DIMS, dense_flat_split, FLAT_SPLIT),
     "dense_flat_class_c": Shape(DENSE_DIMS, dense_flat_class_c, {**CLASS_C, "flat": True}),

@@ -6,6 +6,7 @@ oracles (direct bilinear-form evaluation, the closed-form Riccati solution,
 brute-force subspace assembly), never by the code path under test.
 """
 
+import functools
 import json
 import random
 import time
@@ -28,43 +29,37 @@ from flatlie.geodesics import BLOW_UP_DETECTED, REACHED_HORIZON, integrate
 from flatlie.metric import MetricLieAlgebra, integer_product, is_flat, verify_killing_triple_identity
 from flatlie.theorems import riemannian_companion, riemannian_flat_check, same_connection, theorem1_check
 
-_population_cache = {}
-
-
+@functools.cache
 def population():
     """Catalog entries plus 200 seeded random metric Lie algebras (dims 2-5)."""
-    if "main" not in _population_cache:
-        rng = random.Random(20240808)
-        instances = [catalog.build(name) for name in catalog.names()]
-        for _ in range(200):
-            instances.append(sweeps.random_metric_algebra(rng, rng.choice((2, 3, 4, 5))))
-        _population_cache["main"] = instances
-    return _population_cache["main"]
+    rng = random.Random(20240808)
+    instances = [catalog.build(name) for name in catalog.names()]
+    for _ in range(200):
+        instances.append(sweeps.random_metric_algebra(rng, rng.choice((2, 3, 4, 5))))
+    return instances
 
 
+@functools.cache
 def lorentzian_population():
-    if "lorentzian" not in _population_cache:
-        rng = random.Random(5150)
-        instances = []
-        for idx in range(100):
-            dim = rng.choice((2, 3, 4, 5))
-            if idx % 3 == 0 and dim >= 3:
-                instances.append(sweeps.theorem1_true_instance(rng, dim))
-            else:
-                instances.append(sweeps.random_metric_algebra(rng, dim, kind="lorentzian"))
-        _population_cache["lorentzian"] = instances
-    return _population_cache["lorentzian"]
+    rng = random.Random(5150)
+    instances = []
+    for idx in range(100):
+        dim = rng.choice((2, 3, 4, 5))
+        if idx % 3 == 0 and dim >= 3:
+            instances.append(sweeps.theorem1_true_instance(rng, dim))
+        else:
+            instances.append(sweeps.random_metric_algebra(rng, dim, kind="lorentzian"))
+    return instances
 
 
+@functools.cache
 def class_c_population():
-    if "classc" not in _population_cache:
-        rng = random.Random(90210)
-        instances = []
-        for idx in range(110):
-            degenerate = idx % 2 == 0
-            instances.append((sweeps.class_c_instance(rng, rng.choice((2, 3, 4, 5, 6)), degenerate), degenerate))
-        _population_cache["classc"] = instances
-    return _population_cache["classc"]
+    rng = random.Random(90210)
+    instances = []
+    for idx in range(110):
+        degenerate = idx % 2 == 0
+        instances.append((sweeps.class_c_instance(rng, rng.choice((2, 3, 4, 5, 6)), degenerate), degenerate))
+    return instances
 
 
 def announce(num, name):

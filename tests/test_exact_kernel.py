@@ -80,19 +80,23 @@ def instances():
     return out
 
 
-def so3_sums(seed, weight, basis):
-    """so(3) + R^(n-3) for n = 4-7, with the distinct weights 1, 2, 3 on
-    so(3) and weight(rng) on R^(n-3), moved to the basis(rng, n): the
-    Killing subalgebra is the abelian factor, an orthogonal complement of
-    [g, g] = so(3), and the metric is not flat, so eq. (2) fails on a
-    valid split."""
+def so3_sum(weights):
+    """so(3) + R^(len(weights) - 3) under the diagonal form of weights."""
+    n = len(weights)
+    gram = [[w if i == j else F(0) for j, w in enumerate(weights)] for i in range(n)]
+    return MetricLieAlgebra.make(LieAlgebra.from_brackets(*sweeps.simple3(n)), gram)
+
+
+def eq2_fails():
+    """so(3) + R^(n-3) with distinct weights on so(3), moved to a rational
+    basis: the Killing subalgebra is the abelian factor, an orthogonal
+    complement of [g, g] = so(3), and the metric is not flat, so eq. (2)
+    fails on a valid split."""
     out = []
     for n in range(4, 8):
-        rng = random.Random(seed + n)
-        weights = [F(1), F(2), F(3)] + [weight(rng) for _ in range(n - 3)]
-        gram = [[w if i == j else F(0) for j, w in enumerate(weights)] for i in range(n)]
-        m = MetricLieAlgebra.make(LieAlgebra.from_brackets(*sweeps.simple3(n)), gram)
-        out.append(m.change_basis(basis(rng, n)))
+        rng = random.Random(2000 + n)
+        weights = [F(1), F(2), F(3)] + [F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(n - 3)]
+        out.append((f"so3sum{n}-rational", so3_sum(weights).change_basis(rational_basis(rng, n))))
     return out
 
 
@@ -200,8 +204,7 @@ def slot_width(m):
 
 INSTANCES = instances()
 IDS = [label for label, _ in INSTANCES]
-EQ2_FAILS = [(f"so3sum{m.dim}-rational", m) for m in so3_sums(
-    2000, lambda rng: F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)), rational_basis)]
+EQ2_FAILS = eq2_fails()
 HIGH_NONFLAT = high_nonflat()
 BIG_ENTRY = big_entry()
 ANISOTROPIC = anisotropic()
@@ -792,11 +795,13 @@ def test_transport_beyond_the_packed_width(monkeypatch):
         T = tuple(tuple(tuple(six_digit(rng) for _ in range(n)) for _ in range(n)) for _ in range(n))
         P = [[six_digit(rng) for _ in range(n)] for _ in range(n)]
         X, widths = packed_widths(monkeypatch, linalg.integer_transport, T, P)
-        assert linalg.fraction_tensor(*X) == reference.transport(T, P) and min(widths) > linalg.MAX_PACKED_WIDTH
+        assert linalg.fraction_tensor(*X) == reference.transport(T, P)
+        assert min(widths) > linalg.MAX_PACKED_WIDTH
         T = tuple(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)) for _ in range(n))
         P = rational_basis(rng, n)
         X, widths = packed_widths(monkeypatch, linalg.integer_transport, T, P)
-        assert linalg.fraction_tensor(*X) == reference.transport(T, P) and max(widths) <= linalg.MAX_PACKED_WIDTH
+        assert linalg.fraction_tensor(*X) == reference.transport(T, P)
+        assert max(widths) <= linalg.MAX_PACKED_WIDTH
 
 
 def test_integer_inverse_is_the_least_denominator_view():
@@ -1078,14 +1083,23 @@ def eq2_definition(m, split):
     ) and not any(any(map(any, reference.left_mult(P, h))) for h in split.derived.B)
 
 
+def big_eq2_cases():
+    """so(3) + R^(n-3) with 6-digit weights, in a basis with 6-digit
+    denominators (eq. (2) fails on a valid split), and the dense flat split
+    document (it holds)."""
+    out = []
+    for n in range(4, 8):
+        rng = random.Random(2100 + n)
+        weights = [F(1), F(2), F(3)] + [abs(six_digit(rng)) for _ in range(n - 3)]
+        out.append(so3_sum(weights).change_basis(six_digit_basis(rng, n, [range(n)])))
+    return out + [load_shape("dense_flat_split", 1, 17)]
+
+
 def test_verify_eq2_matches_its_definition(monkeypatch):
     """The packed planes against left_mult on every valid split of the
     instances, eq. (2) failures and big-entry cases; both outcomes occur
     with small slots and with slots past linalg.MAX_PACKED_WIDTH."""
-    # so(3) sums with 6-digit weights in a 6-digit basis (eq. (2) fails on a
-    # valid split) and the dense flat split document (it holds)
-    big = so3_sums(2100, lambda rng: abs(six_digit(rng)), lambda rng, n: six_digit_basis(rng, n, [range(n)]))
-    population = [m for _, m in INSTANCES + EQ2_FAILS + BIG_ENTRY] + big + [load_shape("dense_flat_split", 1, 17)]
+    population = [m for _, m in INSTANCES + EQ2_FAILS + BIG_ENTRY] + big_eq2_cases()
     outcomes = set()
     for m in population:
         split = _split(m)

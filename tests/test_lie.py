@@ -165,7 +165,10 @@ def test_jacobi_check_matches_the_oracle_on_perturbed_tensors():
     residuals all vanish, and otherwise names the oracle's first failing
     triple with its residual."""
     rng = random.Random(3)
-    accepted = [jacobi_check_matches_the_oracle(3 + k % 7, perturbed_brackets(rng, 3 + k % 7)) for k in range(70)]
+    accepted = []
+    for k in range(70):
+        dim = 3 + k % 7
+        accepted.append(jacobi_check_matches_the_oracle(dim, perturbed_brackets(rng, dim)))
     assert accepted.count(True) >= 5 and accepted.count(False) >= 30
 
 

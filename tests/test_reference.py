@@ -7,6 +7,7 @@ there."""
 
 import ast
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -37,6 +38,18 @@ def analyze_json(text):
     return json.loads(out.getvalue())
 
 
+@functools.cache
+def checked(text):
+    """`reference.check` of `analyze --json` on the document text: the
+    reference's analysis, computed once per document for the per-document
+    tests and the reach tests that read it again."""
+    return reference.check(text, analyze_json(text))
+
+
+def golden_text(name):
+    return (INPUTS / f"{name}.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("module", ["reference.py", "populations.py"])
 def test_oracle_modules_import_no_flatlie_module(module):
     tree = ast.parse((Path(__file__).parent / module).read_text(encoding="utf-8"))
@@ -47,14 +60,23 @@ def test_oracle_modules_import_no_flatlie_module(module):
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_analyze_matches_the_reference_on_the_golden_inputs(name):
-    text = (INPUTS / f"{name}.json").read_text(encoding="utf-8")
-    reference.check(text, analyze_json(text))
+    checked(golden_text(name))
 
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_analyze_matches_the_reference_on_the_catalog(name):
-    document = catalog.get(name).document
-    reference.check(document, analyze_json(json.dumps(document)))
+    checked(json.dumps(catalog.get(name).document))
+
+
+def test_golden_population_reaches_every_section():
+    """The golden inputs up to dim 9 and the catalog reach both verdicts,
+    the split, the class-C witness and the companion."""
+    reports = [checked(golden_text(name)) for name in GOLDEN]
+    reports += [checked(json.dumps(catalog.get(name).document)) for name in catalog.names()]
+    assert len(GOLDEN) == 8
+    assert {r["flatness"]["flat"] for r in reports} == {True, False}
+    assert any((r["theorem1"] or {}).get("split") for r in reports)
+    assert any(r["class_c"].get("witness") for r in reports) and any(r["companion"] for r in reports)
 
 
 # -- generated documents -----------------------------------------------------
@@ -67,13 +89,12 @@ def test_generated_documents_reach_their_declared_answers(name, doc):
     """Every shape of `populations.SHAPES`, four documents each: the report
     passes the reference's check, and the reference's answers are the ones
     the shape declares."""
-    text = json.dumps(doc)
-    expected = populations.answers(reference.check(text, analyze_json(text)))
+    expected = populations.answers(checked(json.dumps(doc)))
     assert {key: expected[key] for key in populations.SHAPES[name].answers} == populations.SHAPES[name].answers
 
 
 def test_generated_documents_reach_every_value_of_every_answer():
-    answers = [populations.answers(reference.analyze(doc)) for _, doc in POPULATION]
+    answers = [populations.answers(checked(json.dumps(doc))) for _, doc in POPULATION]
     assert {key: {a[key] for a in answers} for key in populations.VALUES} == populations.VALUES
 
 
