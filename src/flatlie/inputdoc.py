@@ -14,24 +14,25 @@ Indices are 1-based with i < j; the antisymmetric completion is implied.
 MAX_DIGITS digits; larger input is refused with a ParseError naming the
 field.
 
-Loading reads each value once: `parse_rational` matches a rational string
-with one regex and builds its Fraction from the matched digits.  The
-bracket table goes to `LieAlgebra.from_brackets`, which clears it straight
-to the algebra's fields (C, E) (`lie.integer_view`) and checks antisymmetry
-and Jacobi once on them, and the Gram matrix to `MetricLieAlgebra.make`,
-which clears it to (G, g) and checks symmetry and nondegeneracy.
+Loading reads each value once and builds no Fraction: `parse_rational`
+matches a rational string with one regex and returns its least-terms
+(numerator, denominator) ints from the matched digits.  The bracket table
+is cleared over the lcm of its denominators to the algebra's fields
+(C, E), completed antisymmetrically by `lie.complete_brackets`, and the
+Gram matrix likewise to (G, g); the `LieAlgebra` and `MetricLieAlgebra`
+constructors then check them once: the views, antisymmetry and Jacobi,
+symmetry and nondegeneracy.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
-from fractions import Fraction
 from typing import IO
 
 from .errors import ParseError
-from .lie import LieAlgebra
-from .linalg import ZERO
+from .lie import LieAlgebra, complete_brackets
 from .metric import MetricLieAlgebra
 
 #: sign, numerator digits and denominator digits of a rational string
@@ -74,12 +75,13 @@ def _too_long(where: str, what) -> ParseError:
     return ParseError(f"{where}: {what} has more than {MAX_DIGITS} digits in its numerator or denominator")
 
 
-def parse_rational(x, where: str) -> Fraction:
-    """The exact value of one document entry: an int of at most MAX_DIGITS
-    digits, or a string "p" or "p/q", signed or not, padded with whitespace
-    or not, whose digit runs p and q have at most MAX_DIGITS digits each
-    and q starts with 1-9.  The string is matched once, and its Fraction is
-    built from the matched digits; zero is the shared `linalg.ZERO`.
+def parse_rational(x, where: str) -> tuple[int, int]:
+    """The exact value of one document entry as its least-terms ints
+    (numerator, denominator), the denominator positive and zero (0, 1).
+    The entry is an int of at most MAX_DIGITS digits, or a string "p" or
+    "p/q", signed or not, padded with whitespace or not, whose digit runs p
+    and q have at most MAX_DIGITS digits each and q starts with 1-9.  The
+    string is matched once, and the pair is read off the matched digits.
     Anything else raises a ParseError naming `where`."""
     if isinstance(x, str):
         text = x.strip()
@@ -89,12 +91,12 @@ def parse_rational(x, where: str) -> Fraction:
         sign, num, den = match.groups()
         if len(num) > MAX_DIGITS or (den is not None and len(den) > MAX_DIGITS):
             raise _too_long(where, f"the rational of {len(text)} characters")
-        n = int(num)
-        if not n:
-            return ZERO
-        if sign == "-":
-            n = -n
-        return Fraction(n) if den is None else Fraction(n, int(den))
+        n = -int(num) if sign == "-" else int(num)
+        if den is None:
+            return n, 1
+        d = int(den)
+        h = math.gcd(n, d)
+        return n // h, d // h
     if isinstance(x, bool):
         raise ParseError(f"{where}: expected a rational, got a boolean")
     if isinstance(x, _LongInteger):
@@ -102,13 +104,13 @@ def parse_rational(x, where: str) -> Fraction:
     if isinstance(x, int):
         if abs(x) >= 10**MAX_DIGITS:
             raise _too_long(where, "the integer")
-        return Fraction(x)
+        return x, 1
     if isinstance(x, float):
         raise ParseError(f"{where}: floats are not accepted; write the exact rational as a string")
     raise ParseError(f"{where}: invalid rational {x!r}")
 
 
-def _parse_entries(values: list, where: str, *indices: int) -> list[Fraction]:
+def _parse_entries(values: list, where: str, *indices: int) -> list[tuple[int, int]]:
     """`parse_rational` of each value, with entry k named
     `where.format(*indices, k)`.  The names are formatted only when an entry
     is refused: the values are then parsed again, named, up to the first
@@ -119,6 +121,14 @@ def _parse_entries(values: list, where: str, *indices: int) -> list[Fraction]:
         for k, x in enumerate(values):
             parse_rational(x, where.format(*indices, k))
         raise
+
+
+def _clear(rows: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
+    """(d rows, d) for rows of least-terms pairs (numerator, denominator)
+    and d the lcm of their denominators: the view in least terms, as
+    `linalg.clear_denominators` finds it for the rows of Fractions."""
+    d = math.lcm(*(q for row in rows for _, q in row))
+    return [[p * (d // q) for p, q in row] for row in rows], d
 
 
 def parse_document(doc) -> MetricLieAlgebra:
@@ -145,7 +155,7 @@ def parse_document(doc) -> MetricLieAlgebra:
         if not isinstance(labels, list) or len(labels) != dim or not all(isinstance(s, str) for s in labels):
             raise ParseError(f"labels: expected a list of {dim} strings")
 
-    brackets: dict[tuple[int, int], list[Fraction]] = {}
+    brackets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     raw_brackets = doc.get("brackets", [])
     if not isinstance(raw_brackets, list):
         raise ParseError("brackets: expected a list")
@@ -173,8 +183,10 @@ def parse_document(doc) -> MetricLieAlgebra:
         raise ParseError(f"metric: expected a {dim} x {dim} array")
     gram = [_parse_entries(row, "metric[{}][{}]", r) for r, row in enumerate(metric)]
 
-    algebra = LieAlgebra.from_brackets(dim, brackets, labels)
-    return MetricLieAlgebra.make(algebra, gram)
+    rows, E = _clear(list(brackets.values()))
+    algebra = LieAlgebra(dim, complete_brackets(dim, zip(brackets, rows)), E, tuple(labels) if labels else None)
+    G, g = _clear(gram)
+    return MetricLieAlgebra(algebra, tuple(map(tuple, G)), g)
 
 
 def load(stream: IO[str]) -> MetricLieAlgebra:

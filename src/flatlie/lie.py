@@ -12,7 +12,8 @@ import math
 from fractions import Fraction
 from functools import wraps
 from itertools import chain
-from typing import Mapping, NamedTuple, Sequence
+from operator import neg
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import AntisymmetryError, JacobiError
@@ -67,7 +68,7 @@ def check_view(rows: Sequence[Sequence], d, num: str, den: str) -> None:
 
 def check_ints(rows: Sequence[Sequence], d, num: str, den: str) -> None:
     """The first half of `check_view`: int entries over a positive int d."""
-    if any(type(x) is not int for row in rows for x in row):
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
         raise TypeError(f"{num}: entries must be ints")
     if type(d) is not int or d < 1:
         raise ValueError(f"{den}: the denominator must be a positive int, got {d!r}")
@@ -86,11 +87,18 @@ def integer_view(dim: int, brackets: Mapping[tuple[int, int], Sequence]) -> tupl
     The coefficients are ints or Fractions, cleared by
     `linalg.clear_denominators`; keys are not checked."""
     rows, E = linalg.clear_denominators(list(brackets.values()))
+    return complete_brackets(dim, zip(brackets, rows)), E
+
+
+def complete_brackets(dim: int, rows: Iterable[tuple[tuple[int, int], Sequence[int]]]) -> IntTensor:
+    """The antisymmetric completion C of an upper-triangle table of int
+    rows: C[i][j] is the row of (i, j), C[j][i] its negative, and every
+    other row 0."""
     C = [[(0,) * dim] * dim for _ in range(dim)]
-    for (i, j), row in zip(brackets, rows):
+    for (i, j), row in rows:
         C[i][j] = tuple(row)
         C[j][i] = tuple(-x for x in row)
-    return tuple(map(tuple, C)), E
+    return tuple(map(tuple, C))
 
 
 def clear_vectors(n: int, *vectors: Sequence) -> tuple[list[list[int]], int]:
@@ -139,27 +147,34 @@ class LieAlgebra(CheckedRecord, _LieFields):
         check_view(list(chain.from_iterable(C)), E, "C", "E")
         for i in range(n):
             for j in range(i, n):
-                for k in range(n):
-                    if C[i][j][k] != -C[j][i][k]:  # one denominator E: same test as on c
-                        raise AntisymmetryError(i, j, k)
+                if C[i][j] != tuple(map(neg, C[j][i])):  # one denominator E: same test as on c
+                    raise AntisymmetryError(i, j, next(k for k in range(n) if C[i][j][k] != -C[j][i][k]))
         # Entry m of [e_a, v] is sum_x v_x C[a][x][m], so with PC[a][x] the
         # packed row C[a][x] (`linalg.pack_row`), dot(v, PC[a]) is [e_a, v]
         # packed.  A residual entry is at most 3 n c^2 with c = max |C|,
-        # which sets the slot width.
+        # which sets the slot width.  The residual of (i, j, k) is formed
+        # one packed int t at a time, PT[t][a] = PC[a][t].
         w = linalg.slot_width(3 * n * linalg.max_abs(C) ** 2)
-        PC = [linalg.pack_rows(plane, w) for plane in C]  # PC[a][q][x]
+        PT = list(zip(*(linalg.pack_rows(plane, w) for plane in C)))
         Z = [[row if any(row) else None for row in plane] for plane in C]  # the nonzero planes
         dot = linalg.dot
         for i in range(n):
             for j in range(i + 1, n):
+                cij = Z[i][j]
                 for k in range(j + 1, n):
-                    residual = None
-                    for c, a in ((Z[j][k], i), (Z[k][i], j), (Z[i][j], k)):
-                        if c:
-                            term = [dot(c, x) for x in PC[a]]
-                            residual = term if residual is None else [u + v for u, v in zip(residual, term)]
-                    if residual and any(residual):  # quadratic in c = C / E
-                        raise JacobiError(i, j, k, [Fraction(x, E * E) for x in linalg.unpack_row(residual, w, n)])
+                    cjk, cki = Z[j][k], Z[k][i]
+                    if not (cij or cjk or cki):
+                        continue
+                    for P in PT:
+                        r = dot(cjk, P[i]) if cjk else 0
+                        if cki:
+                            r += dot(cki, P[j])
+                        if cij:
+                            r += dot(cij, P[k])
+                        if r:  # quadratic in c = C / E
+                            terms = ((cjk, i), (cki, j), (cij, k))
+                            packed = [sum(dot(c, Q[a]) for c, a in terms if c) for Q in PT]
+                            raise JacobiError(i, j, k, [Fraction(x, E * E) for x in linalg.unpack_row(packed, w, n)])
 
     @classmethod
     def from_brackets(

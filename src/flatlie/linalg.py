@@ -9,10 +9,11 @@ The hot exact work runs in Python ints: `clear_denominators` scales a
 matrix to integers over one common denominator, and `dot`, `bilinear`
 and `left_matrix` keep int data int (their sums start at int 0, so an
 entry with no nonzero term is the int 0, which equals Fraction(0)).  The
-records' fields are least-terms integer views: the structure constants (C, E), which `lie.integer_view` clears
-from the bracket table of `LieAlgebra.from_brackets` (so of every loaded
-document and every sweep instance's shape), the Gram matrix (G, g) and
-a `Subspace`'s canonical basis (B, b).  A change of basis makes the first
+records' fields are least-terms integer views: the structure constants
+(C, E), which `lie.integer_view` clears from the bracket table of
+`LieAlgebra.from_brackets` (so of every sweep instance's shape) and the
+loader from a document's int pairs, the Gram matrix (G, g) and a
+`Subspace`'s canonical basis (B, b).  A change of basis makes the first
 two in the new basis, `integer_transport` and `transport_form`, reduced
 to the least denominator by `least_terms`, as `integer_inverse` and
 every `Subspace` are.  `metric.integer_product` is solved in ints from
@@ -308,7 +309,9 @@ def _bareiss(rows: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int],
     (r, c) replaces every other row by
     (pivot * row - row[c] * pivot_row) / prev, prev the previous pivot; by
     Sylvester's identity every entry stays a minor, so the division is
-    exact.  After the last step every pivot equals the last one, d."""
+    exact.  After the last step every pivot equals the last one, d.  A row
+    with row[c] = 0 only becomes pivot * row / prev, and stays as it is
+    when pivot = prev."""
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -322,7 +325,10 @@ def _bareiss(rows: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int],
         for i, row in enumerate(rows):
             if i != r:
                 f = row[c]
-                rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+                if f:
+                    rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+                elif pv != prev:
+                    rows[i] = [pv * x // prev for x in row]
         prev = pv
         pivots.append(c)
         r += 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
+from operator import add
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -168,10 +169,12 @@ def killing_rows(m: MetricLieAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]
     <[e_a, e_j], e_i> + <e_j, [e_a, e_i]>: `killing_subalgebra` is its
     kernel, and regrouping the Koszul formula gives
     2 L <e_i e_j, e_k> = Low[i][j][k] + A_(i,j)[k], which `integer_product`
-    solves."""
+    solves.  The rows are sums of the transposed planes LT[j][i][a] =
+    Low[a][j][i], built once."""
     n = m.dim
     low, L = lowered_constants(m)
-    return tuple(tuple(low[a][j][i] + low[a][i][j] for a in range(n)) for i in range(n) for j in range(i, n)), L
+    LT = [list(zip(*(plane[j] for plane in low))) for j in range(n)]
+    return tuple(tuple(map(add, LT[j][i], LT[i][j])) for i in range(n) for j in range(i, n)), L
 
 
 @memoized

@@ -8,8 +8,10 @@ ever appear in the human-readable rendering).
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from .linalg import Subspace
 from .metric import MetricLieAlgebra, is_flat, killing_subalgebra
@@ -35,11 +37,17 @@ def _int_str(n: int) -> str:
     return ("-" if n < 0 else "") + head + "".join(str(r).zfill(width) for r in reversed(chunks))
 
 
-def _rational_str(x) -> str:
-    """str(x) of an int or Fraction, free of the int/str digit limit."""
-    if x.denominator == 1:
-        return _int_str(x.numerator)
-    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+def _ratio_str(x: int, d: int) -> str:
+    """str(Fraction(x, d)) of ints x and d > 0 in least terms, free of the
+    int/str digit limit."""
+    return _int_str(x) if d == 1 else f"{_int_str(x)}/{_int_str(d)}"
+
+
+def _view_data(rows, d: int) -> list[list[str]]:
+    """The matrix rows / d of an integer view, entry by entry as its
+    canonical string, each x / d reduced by h = gcd(x, d): how a Subspace
+    (B, b) and a Gram matrix (G, g) are written, with no Fraction built."""
+    return [[_ratio_str(x // h, d // h) for x, h in zip(row, map(math.gcd, row, repeat(d)))] for row in rows]
 
 
 def to_data(x):
@@ -48,11 +56,12 @@ def to_data(x):
     A record (a NamedTuple) becomes an object of its fields in declaration
     order, each under the name its class's `_json` table maps it to (its own
     name by default; None leaves the field out).  A Subspace becomes its
-    canonical basis rows, a Fraction its canonical string, any other tuple
-    or a list an array; bools, ints, strings and None pass through.
+    canonical basis rows, written from its int view (B, b), a Fraction its
+    canonical string, any other tuple or a list an array; bools, ints,
+    strings and None pass through.
     """
     if isinstance(x, Subspace):
-        return to_data(x.basis)
+        return _view_data(x.B, x.b)
     if isinstance(x, tuple) and hasattr(x, "_fields"):  # a record, tested before the plain tuple
         names = getattr(x, "_json", {})
         data = {}
@@ -64,7 +73,7 @@ def to_data(x):
     if isinstance(x, (tuple, list)):
         return [to_data(v) for v in x]
     if isinstance(x, Fraction):
-        return _rational_str(x)
+        return _ratio_str(x.numerator, x.denominator)
     if x is None or isinstance(x, (bool, int, str)):
         return x
     raise TypeError(f"no JSON form for {type(x).__name__}")
@@ -134,7 +143,7 @@ def class_c_section(m: MetricLieAlgebra) -> dict:
 
 def companion_json(companion: MetricLieAlgebra) -> dict:
     """`riemannian_companion` returns a companion only with the same connection."""
-    return {"gram": to_data(companion.gram), "same_connection": True}
+    return {"gram": _view_data(companion.G, companion.g), "same_connection": True}
 
 
 def companion_section(m: MetricLieAlgebra) -> dict | None:

@@ -4,12 +4,11 @@ Random Lie algebras come from families that satisfy Jacobi by construction
 (abelian, scalar-bracket, nilpotent, torus-rotation, simple dim-3).  Each
 family draws a bracket table, the arguments of `LieAlgebra.from_brackets`,
 and builds no algebra: `scramble` clears the table to its integer view with
-`lie.integer_view`, the one routine that also clears the table of
-`from_brackets`, and so of every loaded document.  It then builds the
-instance once, in a random unimodular integer basis, where its constructor
-checks run once.  Antisymmetry, Jacobi, symmetry and nondegeneracy are all
-kept by an invertible change of basis, so that one check covers the table
-too.  Gram matrices are built by congruence from a chosen diagonal so their
+`lie.integer_view`, the routine that also clears the table of
+`from_brackets`.  It then builds the instance once, in a random unimodular
+integer basis, where its constructor checks run once.  Antisymmetry,
+Jacobi, symmetry and nondegeneracy are all kept by an invertible change of
+basis, so that one check covers the table too.  Gram matrices are built by congruence from a chosen diagonal so their
 signatures are exact.  Every sweep returns a list of human-readable failure
 strings, empty when the property held on every instance.
 """

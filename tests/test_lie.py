@@ -265,7 +265,27 @@ SPARSE_JACOBI_FAILURES = [
 ]
 
 
-@pytest.mark.parametrize("dim,brackets,triple,residual", SPARSE_JACOBI_FAILURES)
+def _scaled(case, f):
+    """The case with every structure constant f times as large: the same
+    failing triple, with the residual f^2 times as large."""
+    dim, brackets, triple, residual = case
+    return (dim, {key: [str(F(x) * f) for x in row] for key, row in brackets.items()},
+            triple, [str(F(x) * f * f) for x in residual])
+
+
+#: the first and last sparse failures with constants of about 200
+#: digits, whose Jacobi slots are wider than `linalg.MAX_PACKED_WIDTH`:
+#: each residual is then formed one int per entry, not one packed int per row
+WIDE_JACOBI_FAILURES = [_scaled(SPARSE_JACOBI_FAILURES[0], 10**200), _scaled(SPARSE_JACOBI_FAILURES[-1], -(7**240))]
+
+
+@pytest.mark.parametrize("dim,brackets,triple,residual", WIDE_JACOBI_FAILURES)
+def test_wide_jacobi_failures_are_not_packed(dim, brackets, triple, residual):
+    C, _ = integer_view(dim, {key: [F(x) for x in row] for key, row in brackets.items()})
+    assert linalg.slot_width(3 * dim * linalg.max_abs(C) ** 2) > linalg.MAX_PACKED_WIDTH
+
+
+@pytest.mark.parametrize("dim,brackets,triple,residual", SPARSE_JACOBI_FAILURES + WIDE_JACOBI_FAILURES)
 def test_jacobi_check_skips_zero_planes_and_names_the_same_triple(dim, brackets, triple, residual):
     """Adding only the nonzero planes of each triple leaves the first
     failing triple and its residual as they were."""

@@ -275,6 +275,41 @@ def test_orthogonal_complement_dimension_identity():
                 assert reference.form(G, v, w) == 0
 
 
+def _bareiss_cases():
+    """Int matrices for `_bareiss`: tall, rank-deficient (a row replaced by
+    an int combination of others), with zero columns, sparse (so many rows
+    meet a pivot column at 0) and with 30-digit entries."""
+    rng = random.Random(12)
+    cases = [[[0, 0], [0, 0]], [[0, 2, 0], [0, 0, 3], [0, 1, 0]], [[2, 1, 0], [1, 1, 0], [0, 0, 1]]]
+    for trial in range(80):
+        r, c = rng.randint(1, 9), rng.randint(1, 7)
+        if trial % 4 == 0:
+            r = c + rng.randint(2, 6)  # tall
+        big = 10**30 if trial % 5 == 0 else 1
+        A = [[rng.choice([0, 0, 0, rng.randint(-9, 9) * big]) for _ in range(c)] for _ in range(r)]
+        for j in rng.sample(range(c), rng.randint(0, c // 2)):  # zero columns
+            for row in A:
+                row[j] = 0
+        if r > 2 and trial % 2:
+            k, p, q = rng.sample(range(r), 3)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            A[k] = [a * x + b * y for x, y in zip(A[p], A[q])]
+        cases.append(A)
+    return cases
+
+
+def test_bareiss_matches_the_fraction_rref():
+    """R / d, the pivots and the zero rows after them are the reduced
+    echelon form that Fraction elimination finds, on every case."""
+    cases = _bareiss_cases()
+    assert sum(reference.rank(A) < min(len(A), len(A[0])) for A in cases) >= 20
+    for A in cases:
+        R, pivots, d = linalg._bareiss([list(row) for row in A])
+        expected, expected_pivots = reference.rref(A)
+        assert pivots == expected_pivots, A
+        assert [[F(x, d) for x in row] for row in R] == expected, A
+
+
 def test_integer_inverse():
     rng = random.Random(10)
     for _ in range(20):

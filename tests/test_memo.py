@@ -77,10 +77,10 @@ def _fraction_views_built(monkeypatch):
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
 def test_loaded_records_hold_their_cleared_views(name):
-    """A loaded document builds each record with nothing memoized:
-    `from_brackets` clears the bracket table straight to (C, E) and `make`
-    the Gram matrix to (G, g), and each equals clearing its record's
-    Fraction view.  A change of basis starts its new records empty too."""
+    """A loaded document builds each record with nothing memoized: the
+    loader clears the bracket table straight to (C, E) and the Gram matrix
+    to (G, g), and each equals clearing its record's Fraction view.  A
+    change of basis starts its new records empty too."""
     m = _golden_input(name)
     assert m._memo == {} and m.algebra._memo == {}
     moved = m.change_basis(sweeps.unimodular_int_matrix(random.Random(1), m.dim))
@@ -195,9 +195,11 @@ def _fraction_products_built(monkeypatch):
 @pytest.mark.parametrize("name", GOLDEN_INPUTS + catalog.names())
 def test_no_analysis_builds_a_fraction_product_or_view(monkeypatch, name):
     """Every exact layer reads (P, D) and the class-C witness compares int
-    views, so no analysis builds a Fraction product tensor; and every layer
-    reads the fields (C, E) and (G, g), so no analysis reads `c` or `gram`
-    of the loaded metric (the companion's Gram matrix is report output)."""
+    views, so no analysis builds a Fraction product tensor; every layer
+    reads the fields (C, E) and (G, g), and the report writes each subspace
+    and the companion's Gram matrix from their int views, so no analysis
+    reads any `c` or `gram`, and the one `Subspace.basis` it reads is the
+    class-C radical's, for the Fraction field `WitnessBasis.e`."""
     m = _golden_input(name) if name in GOLDEN_INPUTS else catalog.build(name)
     views = _fraction_views_built(monkeypatch)
     built = _fraction_products_built(monkeypatch)
@@ -205,7 +207,10 @@ def test_no_analysis_builds_a_fraction_product_or_view(monkeypatch, name):
     witness = section["class_c"].get("witness")
     if witness:  # the witness was checked, on int views
         assert witness["closed_form_matches"]
-    assert built == [] and not any(x is m or x is m.algebra for x in views)
+        assert len(views) == 1 and views[0] is classc._derived_radical(m)
+    else:
+        assert views == []
+    assert built == []
 
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS + catalog.names())

@@ -1,13 +1,14 @@
 """`report.to_data`, the one serializer from report objects to JSON values."""
 
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from flatlie import catalog, inputdoc
+from flatlie import catalog, inputdoc, report
 from flatlie.linalg import Subspace
 from flatlie.report import to_data
 from flatlie.theorems import theorem1_check
@@ -71,3 +72,25 @@ def test_theorem1_object_has_the_golden_key_order():
     assert list(data) == list(expected)
     assert list(data["split"]) == list(expected["split"]) == ["killing_basis", "derived_basis"]
     assert data == expected
+
+
+def test_view_strings_are_the_fraction_strings():
+    """A view rows / d is written entry by entry as str(Fraction(x, d)):
+    zero, negative and reducible entries, and entries beyond the int/str
+    digit limit, which the oracle lifts to write them."""
+    limit = sys.get_int_max_str_digits()
+    long = 7 ** (2 * max(limit, 4300))  # more digits than the limit
+    cases = [
+        ((0, 0, 5), 1), ((0, -3, 6, 4, -12), 6), ((-7, 14, 21), 7), ((3, -2, 9), 12),
+        ((long, -long, 2 * long, 0), 1), ((long, 3 * long + 1), 3), ((5, -1), long), ((long * 6, 9), 4 * long),
+    ]
+    for row, d in cases:
+        written = report._view_data([row, row[::-1]], d)
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [[str(F(x, d)) for x in r] for r in (row, row[::-1])]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert written == expected, (row, d)
+    span = Subspace.span(3, [[-6, 0, 4]])
+    assert (span.B, span.b) == (((3, 0, -2),), 3) and to_data(span) == [["1", "0", "-2/3"]]
