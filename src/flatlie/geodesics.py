@@ -70,27 +70,35 @@ class SeriesWorkspace:
     taken every row stays near |v| or below, where the unscaled a_k
     overflow near a blow-up.
 
-    It holds the (ORDER + 1) x n row buffer W, the n x n Cauchy-product
-    buffer C with its flat view, the operators B_k = B / (k + 1) as one
-    (ORDER, n^2, n) array, and for each order k the views W[:k+1].T,
-    W[k::-1], B_k and W[k+1].  `rows` then forms order k of the rescaled
-    recurrence in two numpy calls: one (k + 1) x n matmul into C for
-    sum_m xi_m (x) xi_{k-m}, and one dot of C with B_k into xi_{k+1}.
-    These are the BLAS calls and operands of the recurrence written with
-    views rebuilt every order, so the rows are its bits, without
-    rebuilding them."""
+    It holds the (ORDER + 1) x n row buffer W, a second (ORDER + 1) x n
+    buffer R with R[ORDER - m] = W[m] (the rows in reverse order), the
+    n x n Cauchy-product buffer C with its flat view, the operators
+    B_k = B / (k + 1) as one (ORDER, n^2, n) array, and for each order k
+    the views W[:k+1].T, R[ORDER-k:], B_k, W[k+1] and R[ORDER-k-1], all
+    made once.  `rows` then forms order k of the rescaled recurrence in two
+    numpy calls and one row copy: one (k + 1) x n matmul into C for
+    sum_m xi_m (x) xi_{k-m}, one dot of C with B_k into xi_{k+1}, and the
+    copy of xi_{k+1} into R.  Pairing xi_m with xi_{k-m} needs the rows in
+    both orders: R[ORDER-k:] holds xi_k .. xi_0 contiguously, which is the
+    operand numpy would otherwise copy out of the negative-stride view
+    W[k::-1] before every matmul.  So these are the BLAS calls and operands
+    of the recurrence written with the views W[k::-1], and the rows are its
+    bits, with no temporary array per order."""
 
-    __slots__ = ("W", "_C", "_flat", "_orders")
+    __slots__ = ("W", "_R", "_C", "_flat", "_orders")
 
     def __init__(self, B: np.ndarray):
         import numpy as np
 
         n = B.shape[1]
         self.W = W = np.empty((ORDER + 1, n))
+        self._R = R = np.empty((ORDER + 1, n))
         self._C = np.empty((n, n))
         self._flat = self._C.reshape(n * n)
         Bk = B / np.arange(1.0, ORDER + 1.0)[:, None, None]
-        self._orders = tuple((W[:k + 1].T, W[k::-1], Bk[k], W[k + 1]) for k in range(ORDER))
+        self._orders = tuple(
+            (W[:k + 1].T, R[ORDER - k:], Bk[k], W[k + 1], R[ORDER - k - 1]) for k in range(ORDER)
+        )
 
     def rows(self, v: np.ndarray, s: float) -> np.ndarray:
         """The rows w_0..w_ORDER, so that v(t + theta s) = sum_k w_k theta^k,
@@ -100,9 +108,11 @@ class SeriesWorkspace:
         C, flat = self._C, self._flat
         W = self.W
         W[0] = v * s
-        for head, tail, Bk, w in self._orders:
+        self._R[ORDER] = W[0]
+        for head, tail, Bk, w, r in self._orders:
             head.dot(tail, out=C)
             flat.dot(Bk, out=w)
+            r[...] = w
         W /= s
         return W
 

@@ -532,24 +532,32 @@ class Subspace(NamedTuple):
         """B / b, one Fraction per entry: for the public boundary only."""
         return fraction_matrix(self.B, self.b)
 
-    def coordinates(self, v: Sequence) -> Vec | None:
-        """Coordinates of v in the canonical basis, or None if v is not in
-        the subspace: coordinate r is v at row r's pivot p_r, and v is in
-        the subspace iff b v = sum_r v[p_r] B[r], decided in ints."""
+    def _pivot_entries(self, v: Sequence) -> tuple[list[int], int] | None:
+        """(f, s) with f_r / s the coordinate of v along row r, or None if v
+        is not in the subspace, decided in ints: coordinate r is v at row
+        r's pivot p_r, and v is in the subspace iff b v = sum_r v[p_r] B[r]
+        (v = vi / s cleared of denominators)."""
         (vi,), s = clear_denominators(exact_mat([v]))
         if len(vi) != self.ambient_dim:
             raise ValueError(f"vector length {len(vi)} != ambient dimension {self.ambient_dim}")
         residual = [self.b * x for x in vi]
-        coords = []
+        entries = []
         for row in self.B:
             f = vi[next(j for j, x in enumerate(row) if x)]
-            coords.append(Fraction(f, s))
+            entries.append(f)
             if f:
                 residual = [x - f * y for x, y in zip(residual, row)]
-        return None if any(residual) else coords
+        return None if any(residual) else (entries, s)
+
+    def coordinates(self, v: Sequence) -> Vec | None:
+        """Coordinates of v in the canonical basis, one Fraction each, or
+        None if v is not in the subspace."""
+        found = self._pivot_entries(v)
+        return None if found is None else [Fraction(f, found[1]) for f in found[0]]
 
     def contains(self, v: Sequence) -> bool:
-        return self.coordinates(v) is not None
+        """Membership on the int residual of `coordinates`: no Fraction."""
+        return self._pivot_entries(v) is not None
 
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:

@@ -1199,20 +1199,21 @@ def test_scalar_action_matches_the_fraction_restriction():
 def test_sweeps_reach_coordinates_and_elimination_with_int_rows(monkeypatch):
     """`classc.detect` and `classc.construct_witness` test the int unit
     vectors of `linalg.units`, and `restrict_form` hands `radical` and
-    `congruence` its int view, so over whole sweeps `Subspace.coordinates`
-    and the row clearing of `_bareiss` see ints only."""
+    `congruence` its int view, so over whole sweeps the membership test
+    under `Subspace.contains` and the row clearing of `_bareiss` see ints
+    only."""
     seen = {"coordinates": [], "rows": []}
-    coordinates, primitive_row = Subspace.coordinates, linalg._primitive_row
+    pivot_entries, primitive_row = Subspace._pivot_entries, linalg._primitive_row
 
-    def spied_coordinates(self, v):
+    def spied_entries(self, v):
         seen["coordinates"].append(all(type(x) is int for x in v))
-        return coordinates(self, v)
+        return pivot_entries(self, v)
 
     def spied_row(row):
         seen["rows"].append(all(type(x) is int for x in row))
         return primitive_row(row)
 
-    monkeypatch.setattr(Subspace, "coordinates", spied_coordinates)
+    monkeypatch.setattr(Subspace, "_pivot_entries", spied_entries)
     monkeypatch.setattr(linalg, "_primitive_row", spied_row)
     for seed in (100, 101, 102):
         sweeps.run_all(seed, 40)

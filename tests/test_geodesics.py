@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -451,11 +452,12 @@ def step_factor_rows(B, v, s):
 
 
 def series_grid():
-    """(n, B, cases) for dims 1-9: steps s and velocity scales 1e-6 to 1e3
-    with s |v| at most 1, so every row is finite."""
+    """(n, B, cases) for dims 1 to MAX_DIM, the largest workspace a document
+    can ask for: steps s and velocity scales 1e-6 to 1e3 with s |v| at most
+    1, so every row is finite."""
     rng = np.random.default_rng(26)
     scales = (1e-6, 1e-3, 1.0, 1e3)
-    for n in range(1, 10):
+    for n in range(1, inputdoc.MAX_DIM + 1):
         B = rng.standard_normal((n * n, n)) / n
         yield n, B, [(rng.standard_normal(n) * vs, s) for s in scales for vs in scales if s * vs <= 1.0], rng
 
@@ -473,6 +475,31 @@ def test_workspace_rows_are_the_recurrence_bit_for_bit():
             assert np.array_equal(series.rows(v, s), expected), (n, s)
             fresh = geodesics.SeriesWorkspace(B).rows(v, s)
             assert fresh is not series.W and np.array_equal(fresh, expected), (n, s)
+
+
+def test_rows_make_no_tail_sized_temporary():
+    """Order k pairs xi_m with xi_{k-m} on the workspace's kept reversed
+    rows, so no order copies its tail (rows xi_k .. xi_0) into a fresh
+    array: on a warmed workspace, the tracemalloc peak of one `rows` call
+    stays below half of one (ORDER + 1) x n float64 block, at n = 9 and at
+    the largest workspace (a copied tail of the last order alone is
+    ORDER x n floats)."""
+    rng = np.random.default_rng(38)
+    for n in (9, inputdoc.MAX_DIM):
+        series = geodesics.SeriesWorkspace(rng.standard_normal((n * n, n)) / n)
+        v = rng.standard_normal(n)
+        series.rows(v, 0.5)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            series.rows(v, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < (geodesics.ORDER + 1) * n * 8 / 2, (n, peak)
 
 
 def test_rescaled_rows_agree_with_the_step_factor_recurrence():
@@ -493,7 +520,7 @@ def test_rescaled_rows_agree_with_the_step_factor_recurrence():
                     break
                 assert np.abs(w - expected).max() <= 1e-12 * np.abs(expected).max(), (n, s, k)
                 compared += 1
-    assert compared > 3500
+    assert compared > 7500
 
 
 def test_integrator_steps_by_the_recurrence_rows(monkeypatch):

@@ -44,6 +44,7 @@ import pytest
 import populations
 from flatlie import catalog, inputdoc
 from flatlie.cli import main
+from flatlie.linalg import Subspace
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = sorted(p.stem for p in (GOLDEN / "inputs").glob("*.json"))
@@ -88,6 +89,23 @@ def test_catalog_analyze_json_matches_golden(capsys, tmp_path, name):
 @pytest.mark.parametrize("name", INPUTS)
 def test_input_analyze_json_matches_golden(capsys, name):
     assert _analyze(capsys, GOLDEN / "inputs" / f"{name}.json") == _expected(name)
+
+
+def test_class_c_goldens_need_no_coordinates(capsys, tmp_path, monkeypatch):
+    """`classc.detect` tests membership with `Subspace.contains`, which
+    forms no coordinates: with `Subspace.coordinates` made to raise, every
+    class-C golden still comes out byte for byte."""
+    def refuse(self, v):
+        raise AssertionError("Subspace.coordinates called")
+
+    monkeypatch.setattr(Subspace, "coordinates", refuse)
+    for name in ("classc2_flat", "classc2_nonflat", "classc3_flat", "dim6_flat_class_c", "dim7_dense_flat_class_c"):
+        assert json.loads(_expected(name))["class_c"]["detected"], name
+        path = GOLDEN / "inputs" / f"{name}.json"
+        if name not in INPUTS:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(catalog.get(name).document))
+        assert _analyze(capsys, path) == _expected(name), name
 
 
 @pytest.mark.parametrize("seed, count", [(5, 40), (9, 40), (13, 100)])

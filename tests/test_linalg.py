@@ -359,6 +359,38 @@ def test_coordinates_refuse_vectors_of_the_wrong_length():
             V.contains(v)
     with pytest.raises(ValueError, match="ambient dimension 0"):
         Subspace(0, ()).coordinates([0])
+    with pytest.raises(ValueError, match="ambient dimension 0"):
+        Subspace(0, ()).contains([0])
+
+
+def test_contains_is_coordinates_found(monkeypatch):
+    """`contains` decides membership on the int residual that `coordinates`
+    forms, so the two agree on members and non-members, int and Fraction
+    vectors, and the zero subspace; on int vectors `contains` builds no
+    Fraction at all."""
+    rng = random.Random(38)
+    cases = []
+    for n in range(1, 7):
+        for k in range(n + 1):
+            basis = rand_mat(rng, k, n)
+            V = Subspace.span(n, basis) if k else Subspace(n)
+            for _ in range(4):
+                coeffs = [rational(rng, 5) for _ in basis]
+                member = [sum((c * row[j] for c, row in zip(coeffs, basis)), F(0)) for j in range(n)]
+                (scaled,), _ = linalg.clear_denominators([member])
+                for v in (member, scaled, [rational(rng, 5) for _ in range(n)], [rng.randint(-3, 3) for _ in range(n)]):
+                    cases.append((V, v))
+    found = [V.coordinates(v) is not None for V, v in cases]
+    assert [V.contains(v) for V, v in cases] == found
+    assert sum(found) > 200 and len(found) - sum(found) > 100
+
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    ints = [i for i, (_, v) in enumerate(cases) if all(type(x) is int for x in v)]
+    assert len(ints) > 200 and 100 < sum(found[i] for i in ints) < len(ints) - 50
+    assert [cases[i][0].contains(cases[i][1]) for i in ints] == [found[i] for i in ints]
 
 
 def test_tensor_contraction_index_convention():
