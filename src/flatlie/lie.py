@@ -12,11 +12,10 @@ import math
 from fractions import Fraction
 from functools import wraps
 from itertools import chain
-from operator import neg
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
-from .errors import AntisymmetryError, JacobiError
+from .errors import JacobiError
 from .linalg import IntTensor, Mat, Subspace, Tensor, Vec, frac
 
 
@@ -145,10 +144,7 @@ class LieAlgebra(CheckedRecord, _LieFields):
         if not (is_square(C, n) and all(is_square(plane, n) for plane in C)):
             raise ValueError(f"C: the structure constants must be a {n} x {n} x {n} tuple of tuples")
         check_view(list(chain.from_iterable(C)), E, "C", "E")
-        for i in range(n):
-            for j in range(i, n):
-                if C[i][j] != tuple(map(neg, C[j][i])):  # one denominator E: same test as on c
-                    raise AntisymmetryError(i, j, next(k for k in range(n) if C[i][j][k] != -C[j][i][k]))
+        linalg.check_antisymmetric(C)  # one denominator E: same test as on c
         # Entry m of [e_a, v] is sum_x v_x C[a][x][m], so with PC[a][x] the
         # packed row C[a][x] (`linalg.pack_row`), dot(v, PC[a]) is [e_a, v]
         # packed.  A residual entry is at most 3 n c^2 with c = max |C|,
@@ -254,7 +250,9 @@ class LieAlgebra(CheckedRecord, _LieFields):
         basis whose j-th vector is column j of P (old coordinates), from
         `linalg.integer_transport`.  P holds ints, kept as ints, or anything
         `frac` coerces (a float raises TypeError, a singular P
-        SingularMatrixError).  The check covers (C, E): P is invertible."""
+        SingularMatrixError).  A C that is not antisymmetric raises
+        AntisymmetryError before P is read; the constructor's check of the
+        result covers (C, E) otherwise: P is invertible."""
         C, E = view
         return cls(len(C), *linalg.integer_transport(C, linalg.exact_mat(P), E))
 

@@ -14,10 +14,15 @@ records' fields are least-terms integer views: the structure constants
 `LieAlgebra.from_brackets` (so of every sweep instance's shape) and the
 loader from a document's int pairs, the Gram matrix (G, g) and a
 `Subspace`'s canonical basis (B, b).  A change of basis makes the first
-two in the new basis, `integer_transport` and `transport_form`, reduced
-to the least denominator by `least_terms`, as `integer_inverse` and
-every `Subspace` are.  `metric.integer_product` is solved in ints from
-the two views.  `_bareiss` is the one Gaussian elimination, on rows that
+two in the new basis: `integer_transport` moves the antisymmetric view
+(C, E) through the 2 x 2 minors of P, reading only the nonzero rows
+C[i][j] with i < j and forming only the entries a < b, and
+`transport_form` forms the upper triangle of P^T G P; each refuses
+input without its symmetry before any other work, reads int input as it
+is (`integer_matrix`) and is reduced to the least denominator by
+`least_terms`, as `integer_inverse` and every `Subspace` are.
+`metric.integer_product` is solved in ints from the two views.
+`_bareiss` is the one Gaussian elimination, on rows that
 `_primitive_row` clears to primitive ints; `Subspace.row_space` and the
 one-pass `kernel` hand it only their distinct nonzero rows
 (`_distinct_rows`), the int inverse view `integer_inverse` every row, and
@@ -38,10 +43,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import lshift, mul
+from operator import add, lshift, mul, neg
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import NonSymmetricError, SingularMatrixError
+from .errors import AntisymmetryError, NonSymmetricError, SingularMatrixError
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -76,7 +81,7 @@ def zeros(r: int, c: int) -> Mat:
 def units(n: int) -> list[list[int]]:
     """The unit vectors e_0 .. e_{n-1} as int rows: contracting with them
     keeps int data int and Fraction data Fraction."""
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def clear_denominators(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -92,6 +97,8 @@ def least_terms(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[tuple[int,
     the one `clear_denominators` finds for the matrix of Fractions
     rows / d.  Stored as tuples, so a record may hold it."""
     h = math.gcd(d, *chain.from_iterable(rows))
+    if h == 1 and d > 0:
+        return tuple(map(tuple, rows)), d
     if d < 0:
         h = -h
     return tuple(tuple(x // h for x in row) for row in rows), d // h
@@ -216,50 +223,89 @@ def left_matrix(T: Tensor, x: Sequence) -> Mat:
     return transpose([bilinear(T, x, e) for e in units(len(T))])
 
 
-def integer_transport(T: Sequence[Sequence[Sequence]], P: Sequence[Sequence], t: int = 1) -> tuple[IntTensor, int]:
-    """(X, e): the tensor T / t in the basis given by the columns of P, whose
-    entry (a, b) is P^-1 T(P_a, P_b) / t, as X / e for the least e > 0, the
-    view that clearing the Fraction tensor would find.  T and P hold ints or
-    Fractions; callers coerce outside input with `exact_mat` first.  Raises
-    SingularMatrixError for a singular P.
+def check_antisymmetric(T: Sequence[Sequence[Sequence[int]]]) -> None:
+    """Raise AntisymmetryError at the first (i, j, k), in the order i <= j,
+    then k, with T[i][j][k] != -T[j][i][k], for an n x n x n tensor."""
+    n = len(T)
+    for i in range(n):
+        Ti = T[i]
+        for j in range(i, n):
+            if any(map(add, Ti[j], T[j][i])):
+                raise AntisymmetryError(i, j, next(k for k, (x, y) in enumerate(zip(Ti[j], T[j][i])) if x != -y))
 
-    In ints: with T = Ti / s, P = Pi / p and P^-1 = Qi / q
-    (`integer_inverse`), entry (a, b) is Qi Ti(Pi_a, Pi_b) over q s t p^2.
+
+def integer_matrix(A: Sequence[Sequence]) -> tuple[Sequence[Sequence[int]], int]:
+    """(Ai, a) with A = Ai / a: a matrix of ints as it is, over 1, with no
+    copy; otherwise `clear_denominators(A)`."""
+    return (A, 1) if set(map(type, chain.from_iterable(A))) <= {int} else clear_denominators(A)
+
+
+def integer_transport(C: Sequence[Sequence[Sequence[int]]], P: Sequence[Sequence], E: int = 1) -> tuple[IntTensor, int]:
+    """(X, e): the antisymmetric tensor C / E, an int view in any terms
+    with E > 0, in the basis given by the columns of P, whose entry (a, b)
+    is P^-1 C(P_a, P_b) / E, as X / e for the least e > 0, the view that
+    clearing the Fraction tensor would find.  P holds ints, read as they
+    are, or Fractions; callers coerce outside input with `exact_mat` first.
+    Raises AntisymmetryError for a C that is not antisymmetric, before any
+    other work (`check_antisymmetric`), and SingularMatrixError for a
+    singular P.
+
+    Antisymmetry gives C(P_a, P_b) = sum_{i<j} m_ij(a, b) C[i][j] with
+    m_ij(a, b) = P_ia P_jb - P_ja P_ib, the 2 x 2 minors of P (its second
+    compound), so only the nonzero upper rows C[i][j], i < j, are read and
+    only the entries a < b are formed; X[b][a] = -X[a][b] and X[a][a] = 0.
+    In ints, with P = Pi / p and P^-1 = Qi / q (`integer_inverse`), entry
+    (a, b) is sum_{i<j} m_ij(a, b) Qi C[i][j] in Pi's minors, over q E p^2.
     The columns of Qi are packed over the output index (`pack_row`), so
-    Qi Ti[i][j] is one dot per packed int; contracting i with column a of
-    Pi and then j with column b takes one dot each: three passes of n^2
-    dots, after which each entry (a, b) is unpacked once and the whole is
-    divided by its gcd with the denominator.  Every slot is at most
-    (row sum of |Qi|) (column sum of |Pi|)^2 max |Ti|, which sets the slot
-    width."""
+    each Qi C[i][j] is one dot per packed int, formed once; each entry
+    a < b is then one dot of its minors with them, unpacked once, and the
+    whole is divided by its gcd with the denominator.  Every slot is at
+    most (row sum of |Qi|) (column sum of |Pi|)^2 max |C|, which sets the
+    slot width: the minors of a pair of columns sum to at most the product
+    of their sums in absolute value."""
+    check_antisymmetric(C)
     n = len(P)
     Qi, q = integer_inverse(P)
-    Pi, p = clear_denominators(P)
-    flat, s = clear_denominators([row for plane in T for row in plane])
-    Ti = [flat[i * n:(i + 1) * n] for i in range(n)]
+    Pi, p = integer_matrix(P)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if any(C[i][j])]
+    upper = [C[i][j] for i, j in pairs]
     cols = list(zip(*Pi))
     bound = max(sum(map(abs, row)) for row in Qi) * max(sum(map(abs, col)) for col in cols) ** 2
-    w = slot_width(bound * max(map(abs, chain.from_iterable(flat))))
-    X = [[[] for _ in range(n)] for _ in range(n)]  # X[a][b]: the packed ints of entry (a, b)
-    for part in pack_rows(zip(*Qi), w):  # part[l]: one packed int of column l
-        QT = list(zip(*([dot(Tij, part) for Tij in plane] for plane in Ti)))  # QT[j][i]
-        for a, Pa in enumerate(cols):
-            U = [dot(Pa, QTj) for QTj in QT]  # U[j]: Qi Ti(Pi_a, e_j), packed
-            for b, Pb in enumerate(cols):
-                X[a][b].append(dot(Pb, U))
-    rows, e = least_terms([unpack_row(Xab, w, n) for Xa in X for Xab in Xa], q * s * t * p * p)
-    return planes(rows, n), e
+    w = slot_width(bound * max(map(abs, chain.from_iterable(upper)), default=0))
+    QC = [[dot(row, part) for row in upper] for part in pack_rows(zip(*Qi), w)]  # QC[t][l]: int t of Qi upper[l]
+    X = []  # X[l]: entry (a, b) of the l-th pair a < b
+    for a, Pa in enumerate(cols):
+        for Pb in cols[a + 1:]:
+            minors = [Pa[i] * Pb[j] - Pa[j] * Pb[i] for i, j in pairs]
+            X.append(unpack_row([dot(minors, QCt) for QCt in QC], w, n))
+    rows, e = least_terms(X, q * E * p * p)
+    out = [[(0,) * n] * n for _ in range(n)]
+    rows = iter(rows)
+    for a in range(n):
+        for b in range(a + 1, n):
+            out[a][b] = row = next(rows)
+            out[b][a] = tuple(map(neg, row))
+    return tuple(map(tuple, out)), e
 
 
 def transport_form(G: Sequence[Sequence], P: Sequence[Sequence], g: int = 1) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(M, h): the bilinear form G / g in the basis given by the columns of
-    P, P^T G P / g, as M / h for the least h > 0, the view
-    `clear_denominators` would find.  G and P hold ints or Fractions; with
-    G = Gi / s and P = Pi / p it is Pi^T Gi Pi over g s p^2."""
-    Gi, s = clear_denominators(G)
-    Pi, p = clear_denominators(P)
-    GP = [[dot(row, col) for row in Gi] for col in zip(*Pi)]  # GP[b]: column b of Gi Pi
-    return least_terms([[dot(col, GPb) for GPb in GP] for col in zip(*Pi)], g * s * p * p)
+    """(M, h): the symmetric bilinear form G / g in the basis given by the
+    columns of P, P^T G P / g, as M / h for the least h > 0, the view
+    `clear_denominators` would find.  G and P hold ints, read as they are,
+    or Fractions; with G = Gi / s and P = Pi / p it is Pi^T Gi Pi over
+    g s p^2, formed for a <= b and mirrored.  Raises NonSymmetricError for
+    a G that is not symmetric, before any other work."""
+    if not is_symmetric(G):
+        raise NonSymmetricError("transport_form requires a symmetric form")
+    Gi, s = integer_matrix(G)
+    Pi, p = integer_matrix(P)
+    cols = list(zip(*Pi))
+    GP = [[dot(row, col) for row in Gi] for col in cols]  # GP[b]: column b of Gi Pi
+    M = [[0] * len(cols) for _ in cols]
+    for a, col in enumerate(cols):
+        for b in range(a, len(cols)):
+            M[a][b] = M[b][a] = dot(col, GP[b])
+    return least_terms(M, g * s * p * p)
 
 
 def is_zero_vec(v) -> bool:
@@ -278,7 +324,7 @@ def _primitive_row(row: Sequence) -> list[int]:
     common factor too, such as one lcm a caller applied to a whole matrix,
     keeps the minors of the elimination small.  A row of ints, such as the
     Killing constraints or [P | I] for an int P, needs no clearing."""
-    ints = row if all(type(x) is int for x in row) else clear_denominators([row])[0][0]
+    ints = row if set(map(type, row)) <= {int} else clear_denominators([row])[0][0]
     g = math.gcd(*ints)
     return [x // g for x in ints] if g > 1 else list(ints)
 
@@ -372,7 +418,7 @@ def integer_inverse(A: Sequence[Sequence], a: int = 1) -> tuple[tuple[tuple[int,
     nonzero and independent, so none is dropped as in `kernel`.  Raises
     SingularMatrixError."""
     n = len(A)
-    R, pivots, d = _bareiss([_primitive_row(list(row) + [a * x for x in irow]) for row, irow in zip(A, units(n))])
+    R, pivots, d = _bareiss([_primitive_row([*row] + [0] * i + [a] + [0] * (n - 1 - i)) for i, row in enumerate(A)])
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")
     return least_terms([row[n:] for row in R], d)

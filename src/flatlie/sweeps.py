@@ -6,11 +6,15 @@ family draws a bracket table, the arguments of `LieAlgebra.from_brackets`,
 and builds no algebra: `scramble` clears the table to its integer view with
 `lie.integer_view`, the routine that also clears the table of
 `from_brackets`.  It then builds the instance once, in a random unimodular
-integer basis, where its constructor checks run once.  Antisymmetry,
+integer basis P, where its constructor checks run once: the bracket view
+moves through the 2 x 2 minors of P, one term per nonzero bracket of the
+table (`linalg.integer_transport`), and the Gram matrix as P^T G P
+(`linalg.transport_form`), both reading the int P as it is.  Antisymmetry,
 Jacobi, symmetry and nondegeneracy are all kept by an invertible change of
-basis, so that one check covers the table too.  Gram matrices are built by congruence from a chosen diagonal so their
-signatures are exact.  Every sweep returns a list of human-readable failure
-strings, empty when the property held on every instance.
+basis, so that one check covers the table too.  Gram matrices are built by
+congruence from a chosen diagonal so their signatures are exact.  Every
+sweep returns a list of human-readable failure strings, empty when the
+property held on every instance.
 """
 
 from __future__ import annotations
@@ -31,28 +35,37 @@ from .theorems import same_connection, theorem1_check
 Table = tuple[int, dict[tuple[int, int], list[Fraction]]]
 
 
+#: The draws of `rational` and `unimodular_int_matrix`: rng.choice over a
+#: tuple spends one _randbelow(len), as rng.randint(a, b) spends one
+#: _randbelow(b - a + 1) for the values range(a, b + 1), so the draws are
+#: those of randint, in fewer calls.
+NUMERATORS = tuple(range(-3, 4))
+DENOMINATORS = (1, 1, 2, 3)
+UNIT_STEPS = (-1, 0, 1)
+
+
 def rational(rng: random.Random, zero_ok: bool = True) -> Fraction:
-    num = rng.randint(-3, 3)
+    choice = rng.choice
+    num = choice(NUMERATORS)
     if not zero_ok:
         while num == 0:
-            num = rng.randint(-3, 3)
-    return Fraction(num, rng.choice((1, 1, 2, 3)))
+            num = choice(NUMERATORS)
+    return Fraction(num, choice(DENOMINATORS))
 
 
 def unimodular_int_matrix(rng: random.Random, n: int) -> list[list[int]]:
     """Random invertible integer matrix built as L U with unit diagonals
-    (det = 1, entries stay small)."""
-    L = linalg.units(n)
-    U = linalg.units(n)
+    (det = 1, entries stay small), its columns shuffled.  Row i of L and
+    then row i of U are drawn, i by i."""
+    choice = rng.choice
+    L, U = [], []
     for i in range(n):
-        for j in range(i):
-            L[i][j] = rng.randint(-1, 1)
-        for j in range(i + 1, n):
-            U[i][j] = rng.randint(-1, 1)
-    P = [[linalg.dot(row, col) for col in zip(*U)] for row in L]
+        L.append([choice(UNIT_STEPS) for _ in range(i)] + [1] + [0] * (n - 1 - i))
+        U.append([0] * i + [1] + [choice(UNIT_STEPS) for _ in range(n - 1 - i)])
     perm = list(range(n))
     rng.shuffle(perm)
-    return [[P[i][perm[j]] for j in range(n)] for i in range(n)]
+    cols = list(zip(*U))
+    return [[linalg.dot(row, cols[c]) for c in perm] for row in L]
 
 
 def gram_with_signature(rng: random.Random, n_plus: int, n_minus: int) -> list[list[int]]:
@@ -240,7 +253,8 @@ def _connection_failures(m: MetricLieAlgebra, tag: str) -> list[str]:
     Decided in ints on c = C / E, p = P / D and G = Gi / g, with the lowered
     constants low = Gi C computed here rather than read from the metric's
     memo, so the solve is checked against an independent right-hand side:
-    2 E (Gi P_ij)_k == D (low_ijk - low_jki + low_kij),
+    2 E (Gi P_ij)_k == D (low_ijk - low_jki + low_kij), compared per
+    (i, j) as two whole rows over k, whose differing k are listed in order,
     E (L_a - R_a) == D ad_a, L_a^T Gi + Gi L_a == 0 and
     E (P_ab - P_ba) == D C_ab.  The matrices are read off the int planes:
     column b of L_a, R_a and ad_a is P[a][b], P[b][a] and C[a][b], so column
@@ -258,9 +272,10 @@ def _connection_failures(m: MetricLieAlgebra, tag: str) -> list[str]:
 
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                if 2 * E * paired[i][j][k] != D * (low[i][j][k] - low[j][k][i] + low[k][i][j]):
-                    failures.append(f"{tag}: defining identity fails at ({i}, {j}, {k})")
+            lhs = [2 * E * x for x in paired[i][j]]
+            rhs = [D * (x - y + z) for x, y, z in zip(low[i][j], (row[i] for row in low[j]), (plane[i][j] for plane in low))]
+            if lhs != rhs:
+                failures += [f"{tag}: defining identity fails at ({i}, {j}, {k})" for k in range(n) if lhs[k] != rhs[k]]
 
     for a in range(n):
         torsion = [

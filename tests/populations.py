@@ -118,6 +118,17 @@ def add(c, i, j, k, x):
     c[j][i][k] -= x
 
 
+def antisymmetric_tensor(rng, n, entry):
+    """An antisymmetric n x n x n tensor, Jacobi not imposed: entry(rng) at
+    each (i, j, k) with i < j, its negative at (j, i, k), 0 on the diagonal."""
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                add(c, i, j, k, entry(rng))
+    return c
+
+
 def acting(n, columns):
     """R acting on R^(n-1): [e_0, e_j] is columns[j - 1] on e_1..e_{n-1}."""
     c, _ = zero_table(n)

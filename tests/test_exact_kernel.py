@@ -5,7 +5,7 @@
 `linalg.integer_transport`, both `change_basis` methods, `metric.is_flat`,
 `metric.integer_product` (against the Koszul solve pair by pair),
 `theorems.verify_eq2`, `theorems.same_connection`, `classc.closed_form_matches`
-(each also against its definition on `reference.left_mult` or `integer_transport`),
+(each also against its definition on `reference.left_mult` or `reference.transport`),
 `classc.scalar_action`,
 `LieAlgebra.is_abelian_subspace` and the sweeps' connection check work in
 Python ints.  Here each is compared with the Fraction computation of the
@@ -40,7 +40,7 @@ from flatlie.linalg import Subspace
 from flatlie.metric import MetricLieAlgebra, is_flat, killing_subalgebra
 from flatlie.theorems import SplitData, riemannian_companion, same_connection, verify_eq2
 from populations import dominant_block, rational_basis, six_digit, six_digit_basis
-from test_lie import center
+from test_lie import center, tensor_view
 from test_metric import fraction_product
 
 DIMS = range(2, 10)
@@ -610,17 +610,89 @@ def test_congruence_matches_fraction_congruence():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_transport_matches_fraction_change_of_basis(n):
+    """The transport of antisymmetric int views (C, E), over 1 and over
+    the lcm of Fraction entries, and of C scaled by 1 / t, against the
+    reference's change of basis, for an int unimodular P, a rational one
+    and a six-digit one, each view in least terms; the zero table moves to
+    the zero table over 1."""
     rng = random.Random(300 + n)
+    zero = populations.zero_table(n)[0]
     for _ in range(4):
-        T_int = tuple(tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n)) for _ in range(n))
-        T_frac = tuple(tuple(tuple(F(x, rng.randint(1, 9)) for x in row) for row in plane) for plane in T_int)
-        for P in (sweeps.unimodular_int_matrix(rng, n), rational_basis(rng, n)):
-            for T in (T_int, T_frac):
-                X, e = linalg.integer_transport(T, P)
-                assert linalg.fraction_tensor(X, e) == reference.transport(T, P) and in_least_terms(e, itertools.chain(*X))
+        c_int = populations.antisymmetric_tensor(rng, n, lambda r: r.randint(-6, 6))
+        c_frac = populations.antisymmetric_tensor(rng, n, lambda r: F(r.randint(-6, 6), r.randint(1, 9)))
+        for P in (sweeps.unimodular_int_matrix(rng, n), rational_basis(rng, n), six_digit_basis(rng, n, [range(n)])):
+            for c in (c_int, c_frac, zero):
+                C, E = tensor_view(c)
+                X, e = linalg.integer_transport(C, P, E)
+                assert linalg.fraction_tensor(X, e) == reference.transport(c, P) and in_least_terms(e, itertools.chain(*X))
             t = rng.randint(2, 30)
-            scaled = tuple(tuple(tuple(F(x, t) for x in row) for row in plane) for plane in T_int)
-            assert linalg.fraction_tensor(*linalg.integer_transport(T_int, P, t)) == reference.transport(scaled, P)
+            scaled = [[[F(x, t) for x in row] for row in plane] for plane in c_int]
+            assert linalg.fraction_tensor(*linalg.integer_transport(c_int, P, t)) == reference.transport(scaled, P)
+        Z = tensor_view(zero)[0]
+        assert linalg.integer_transport(Z, P) == (Z, 1)
+
+
+def test_transport_refuses_a_singular_basis_and_a_non_antisymmetric_view():
+    """A singular P raises SingularMatrixError; a view with C[i][j] != -C[j][i]
+    raises AntisymmetryError naming the first such entry, before P is read,
+    so even with a singular P, and through `LieAlgebra.in_basis` too."""
+    rng = random.Random(350)
+    for n in range(2, 6):
+        C, E = tensor_view(populations.antisymmetric_tensor(rng, n, lambda r: F(r.randint(-6, 6), r.randint(1, 9))))
+        singular = [[0] * n] + rational_basis(rng, n)[1:]
+        for P in (singular, [row[:1] + row[:n - 1] for row in rational_basis(rng, n)]):
+            with pytest.raises(SingularMatrixError):
+                linalg.integer_transport(C, P, E)
+        bad = [[list(row) for row in plane] for plane in C]
+        bad[0][n - 1][1] += 1  # no longer -C[n-1][0][1]
+        for P in (sweeps.unimodular_int_matrix(rng, n), singular):
+            with pytest.raises(AntisymmetryError) as exc:
+                linalg.integer_transport(bad, P, E)
+            assert exc.value.triple == (0, n - 1, 1)
+            with pytest.raises(AntisymmetryError):
+                LieAlgebra.in_basis((bad, E), P)
+
+
+def test_transports_read_int_input_as_it_is(monkeypatch):
+    """An int view and an int P reach `integer_transport`, and an int Gram
+    matrix and P `transport_form`, with no `clear_denominators` copy; a
+    rational P too, and both agree with the reference."""
+    rng = random.Random(360)
+    cleared = []
+    clear_denominators = linalg.clear_denominators
+
+    def spied(A):
+        cleared.append(A)
+        return clear_denominators(A)
+
+    monkeypatch.setattr(linalg, "clear_denominators", spied)
+    for n in range(1, 7):
+        c = populations.antisymmetric_tensor(rng, n, lambda r: r.randint(-6, 6))
+        gram = sweeps.gram_with_signature(rng, n - 1, 1)
+        for P in (sweeps.unimodular_int_matrix(rng, n), rational_basis(rng, n)):
+            cleared.clear()
+            X, e = linalg.integer_transport(c, P)
+            M, h = linalg.transport_form(gram, P)
+            assert linalg.fraction_tensor(X, e) == reference.transport(c, P) and in_least_terms(e, itertools.chain(*X))
+            assert linalg.fraction_matrix(M, h) == reference.transport_form(gram, P) and in_least_terms(h, M)
+            if type(P[0][0]) is int:
+                assert cleared == []
+
+
+def test_transport_form_refuses_a_non_symmetric_gram():
+    """A non-symmetric Gram matrix raises NonSymmetricError in
+    `transport_form`, before P is read, and so through both `in_basis`
+    routes."""
+    m = sweeps.random_metric_algebra(random.Random(370), 3)
+    view = m.algebra.C, m.algebra.E
+    not_symmetric = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    singular = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
+    with pytest.raises(NonSymmetricError):
+        linalg.transport_form(not_symmetric, singular)
+    with pytest.raises(NonSymmetricError):
+        MetricLieAlgebra.in_basis(view, not_symmetric, sweeps.unimodular_int_matrix(random.Random(371), 3))
+    with pytest.raises(NonSymmetricError):
+        MetricLieAlgebra.in_basis(view, [[F(x, 3) for x in row] for row in not_symmetric], [[F(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def _change_of_basis_cases():
@@ -787,20 +859,21 @@ def test_connection_check_reports_a_perturbed_product_entry(monkeypatch):
 
 
 def test_transport_beyond_the_packed_width(monkeypatch):
-    """6-digit rationals in P and T give slots wider than
-    linalg.MAX_PACKED_WIDTH, so transport keeps one int per slot; small
-    data packs whole columns.  Both agree with the oracle."""
+    """6-digit rationals in P and in an antisymmetric c give slots wider
+    than linalg.MAX_PACKED_WIDTH, so transport keeps one int per slot;
+    small data packs whole columns.  Both agree with the oracle."""
     for n in (4, 5):
         rng = random.Random(310 + n)
-        T = tuple(tuple(tuple(six_digit(rng) for _ in range(n)) for _ in range(n)) for _ in range(n))
+        c = populations.antisymmetric_tensor(rng, n, six_digit)
         P = [[six_digit(rng) for _ in range(n)] for _ in range(n)]
-        X, widths = packed_widths(monkeypatch, linalg.integer_transport, T, P)
-        assert linalg.fraction_tensor(*X) == reference.transport(T, P)
+        C, E = tensor_view(c)
+        X, widths = packed_widths(monkeypatch, linalg.integer_transport, C, P, E)
+        assert linalg.fraction_tensor(*X) == reference.transport(c, P)
         assert min(widths) > linalg.MAX_PACKED_WIDTH
-        T = tuple(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)) for _ in range(n))
+        c = populations.antisymmetric_tensor(rng, n, lambda r: r.randint(-9, 9))
         P = rational_basis(rng, n)
-        X, widths = packed_widths(monkeypatch, linalg.integer_transport, T, P)
-        assert linalg.fraction_tensor(*X) == reference.transport(T, P)
+        X, widths = packed_widths(monkeypatch, linalg.integer_transport, c, P)
+        assert linalg.fraction_tensor(*X) == reference.transport(c, P)
         assert max(widths) <= linalg.MAX_PACKED_WIDTH
 
 
@@ -1111,11 +1184,15 @@ def test_verify_eq2_matches_its_definition(monkeypatch):
     assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
 
 
-def closed_form_definition(m, w, alpha):
-    """The closed-form table against the product moved to the witness basis
-    by `linalg.integer_transport`, an inverse of the basis included."""
-    P, D = metric.integer_product(m)
-    return classc.closed_form_products(w, alpha) == linalg.integer_transport(P, classc.witness_change_of_basis(w), D)
+def moved_product(m, w):
+    """The product of m moved to the witness basis by `reference.transport`,
+    an inverse of the basis included."""
+    return reference.transport(linalg.fraction_tensor(*metric.integer_product(m)), classc.witness_change_of_basis(w))
+
+
+def closed_form_definition(moved, w, alpha):
+    """The closed-form table against the `moved_product`."""
+    return linalg.fraction_tensor(*classc.closed_form_products(w, alpha)) == moved
 
 
 def flat_class_c_metrics():
@@ -1135,9 +1212,10 @@ def test_closed_form_matches_its_definition(monkeypatch):
         w = classc.construct_witness(m)
         alpha = classc.witness_scale(m.algebra, w)
         assert alpha == scalar_action(m.algebra, m.algebra.derived_subalgebra(), w.d)
+        moved = moved_product(m, w)
         for a in (alpha, 2 * alpha, -alpha, alpha / 3):
             answer, widths = packed_widths(monkeypatch, classc.closed_form_matches, m, w, a)
-            assert answer == closed_form_definition(m, w, a) == (a == alpha)
+            assert answer == closed_form_definition(moved, w, a) == (a == alpha)
             wide.add(widths[0] > linalg.MAX_PACKED_WIDTH)
     assert wide == {False, True}
 

@@ -300,7 +300,7 @@ def test_jacobi_check_skips_zero_planes_and_names_the_same_triple(dim, brackets,
     assert next((t, r) for t, r in oracle.items() if not linalg.is_zero_vec(r)) == (triple, list(exc.value.residual))
 
 
-def _view(c):
+def tensor_view(c):
     """The Fraction tensor c as the fields (C, E) of `LieAlgebra`."""
     rows, E = linalg.clear_denominators([row for plane in c for row in plane])
     return linalg.planes(rows, len(c)), E
@@ -311,7 +311,7 @@ def test_antisymmetry_violation_on_full_tensor():
     c[0][1][1] = F(1)
     c[1][0][1] = F(1)  # should be -1
     with pytest.raises(AntisymmetryError):
-        LieAlgebra(2, *_view(c))
+        LieAlgebra(2, *tensor_view(c))
 
 
 def test_antisymmetry_violation_names_the_first_triple():
@@ -325,13 +325,13 @@ def test_antisymmetry_violation_names_the_first_triple():
     c[1][1][2] = F(5)
     c[2][2][0] = F(1)
     with pytest.raises(AntisymmetryError) as exc:
-        LieAlgebra(3, *_view(c))
+        LieAlgebra(3, *tensor_view(c))
     assert exc.value.triple == (1, 1, 2)
     c = zeros()
     c[0][2][1], c[2][0][1] = F(1, 2), F(-1, 3)
     c[1][2][0], c[2][1][0] = F(1), F(1)
     with pytest.raises(AntisymmetryError) as exc:
-        LieAlgebra(3, *_view(c))
+        LieAlgebra(3, *tensor_view(c))
     assert exc.value.triple == (0, 2, 1)
 
 

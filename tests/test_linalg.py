@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import populations
 import reference
 from flatlie import linalg, sweeps
 from flatlie.errors import NonSymmetricError, SingularMatrixError
@@ -395,7 +396,8 @@ def test_contains_is_coordinates_found(monkeypatch):
 
 def test_tensor_contraction_index_convention():
     """T[i][j][k] is the e_k coefficient of T(e_i, e_j), pinned on a
-    Levi-Civita product, which is not antisymmetric."""
+    Levi-Civita product, which is not antisymmetric, and for the transport
+    on an antisymmetric tensor, the only kind it takes."""
     rng = random.Random(3)
     T = linalg.fraction_tensor(*integer_product(sweeps.random_metric_algebra(rng, 4)))
     n = len(T)
@@ -411,14 +413,19 @@ def test_tensor_contraction_index_convention():
         assert [linalg.dot(row, y) for row in linalg.left_matrix(T, x)] == Txy
         assert [linalg.dot(row, x) for row in reference.right_mult(T, y)] == Txy
 
-    def transport(T, P):
-        return linalg.fraction_tensor(*linalg.integer_transport(T, P))
+    # the transport of an antisymmetric view (C, E), pinned by the same contraction
+    C = populations.antisymmetric_tensor(rng, n, lambda r: r.randint(-5, 5))
+    c = linalg.fraction_tensor(C, 7)
 
-    assert transport(T, [[F(int(i == j)) for j in range(n)] for i in range(n)]) == T
+    def transport(C, P, E):
+        return linalg.fraction_tensor(*linalg.integer_transport(C, P, E))
+
+    assert transport(C, [[F(int(i == j)) for j in range(n)] for i in range(n)], 7) == c
     P = rational_basis(rng, n)
-    moved = transport(T, P)
+    X, x = linalg.integer_transport(C, P, 7)
+    moved = linalg.fraction_tensor(X, x)
     cols = linalg.transpose(P)
-    assert [linalg.dot(row, moved[0][1]) for row in P] == linalg.bilinear(T, cols[0], cols[1])
-    assert transport(moved, fraction_inverse(P)) == T
+    assert [linalg.dot(row, moved[0][1]) for row in P] == linalg.bilinear(c, cols[0], cols[1])
+    assert transport(X, fraction_inverse(P), x) == c
     with pytest.raises(SingularMatrixError):
-        linalg.integer_transport(T, linalg.zeros(n, n))
+        linalg.integer_transport(C, linalg.zeros(n, n), 7)
