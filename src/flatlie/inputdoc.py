@@ -14,9 +14,10 @@ Indices are 1-based with i < j; the antisymmetric completion is implied.
 MAX_DIGITS digits; larger input is refused with a ParseError naming the
 field.
 
-Loading reads each value once and builds no Fraction: `parse_rational`
-matches a rational string with one regex and returns its least-terms
-(numerator, denominator) ints from the matched digits.  The bracket table
+Loading builds no Fraction: `parse_rational` matches a rational string
+with one regex and returns its least-terms (numerator, denominator) ints
+from the matched digits, and each distinct string is parsed once per
+document, its repeats read from a dict.  The bracket table
 is cleared over the lcm of its denominators to the algebra's fields
 (C, E), completed antisymmetrically by `lie.complete_brackets`, and the
 Gram matrix likewise to (G, g); the `LieAlgebra` and `MetricLieAlgebra`
@@ -110,13 +111,26 @@ def parse_rational(x, where: str) -> tuple[int, int]:
     raise ParseError(f"{where}: invalid rational {x!r}")
 
 
-def _parse_entries(values: list, where: str, *indices: int) -> list[tuple[int, int]]:
+def _parse_entries(values: list, seen: dict[str, tuple[int, int]], where: str, *indices: int) -> list[tuple[int, int]]:
     """`parse_rational` of each value, with entry k named
-    `where.format(*indices, k)`.  The names are formatted only when an entry
-    is refused: the values are then parsed again, named, up to the first
-    refused one, so its ParseError is the one `parse_rational` gives."""
+    `where.format(*indices, k)`.  A string is parsed once per document:
+    `seen` maps each string already accepted to its pair.  Only strings
+    are kept there (True == 1 would make a bool find the int's pair), and
+    only accepted ones, so a refused string is refused wherever it first
+    appears.  The names are formatted only when an entry is refused: the
+    values are then parsed again, named, up to the first refused one, so
+    its ParseError is the one `parse_rational` gives."""
     try:
-        return [parse_rational(x, where) for x in values]
+        out = []
+        for x in values:
+            if type(x) is str:
+                pair = seen.get(x)
+                if pair is None:
+                    pair = seen[x] = parse_rational(x, where)
+            else:
+                pair = parse_rational(x, where)
+            out.append(pair)
+        return out
     except ParseError:
         for k, x in enumerate(values):
             parse_rational(x, where.format(*indices, k))
@@ -155,6 +169,7 @@ def parse_document(doc) -> MetricLieAlgebra:
         if not isinstance(labels, list) or len(labels) != dim or not all(isinstance(s, str) for s in labels):
             raise ParseError(f"labels: expected a list of {dim} strings")
 
+    seen: dict[str, tuple[int, int]] = {}  # each accepted entry string, parsed
     brackets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     raw_brackets = doc.get("brackets", [])
     if not isinstance(raw_brackets, list):
@@ -174,14 +189,14 @@ def parse_document(doc) -> MetricLieAlgebra:
         coeffs = entry["coeffs"]
         if not isinstance(coeffs, list) or len(coeffs) != dim:
             raise ParseError(f"{where}.coeffs: expected {dim} entries")
-        brackets[(i - 1, j - 1)] = _parse_entries(coeffs, "brackets[{}].coeffs[{}]", idx)
+        brackets[(i - 1, j - 1)] = _parse_entries(coeffs, seen, "brackets[{}].coeffs[{}]", idx)
 
     metric = doc["metric"]
     if not isinstance(metric, list) or len(metric) != dim or any(
         not isinstance(row, list) or len(row) != dim for row in metric
     ):
         raise ParseError(f"metric: expected a {dim} x {dim} array")
-    gram = [_parse_entries(row, "metric[{}][{}]", r) for r, row in enumerate(metric)]
+    gram = [_parse_entries(row, seen, "metric[{}][{}]", r) for r, row in enumerate(metric)]
 
     rows, E = _clear(list(brackets.values()))
     algebra = LieAlgebra(dim, complete_brackets(dim, zip(brackets, rows)), E, tuple(labels) if labels else None)

@@ -25,13 +25,16 @@ is (`integer_matrix`) and is reduced to the least denominator by
 `_bareiss` is the one Gaussian elimination, on rows that
 `_primitive_row` clears to primitive ints; `Subspace.row_space` and the
 one-pass `kernel` hand it only their distinct nonzero rows
-(`_distinct_rows`), the int inverse view `integer_inverse` every row, and
-the subspace operations combine the int rows B.  `congruence` (behind
-`metric.timelike_vector`), `restrict_form` and
-`orthogonal_complement` take int or Fraction matrices, and
-`integer_inverse` and `congruence` a view (G, g) too, cleared row by row,
-not over g; `restrict_form` returns such a view, which `radical` and
-`congruence` read as it is.  `pack` turns an int row
+(`_distinct_rows`), the int inverse view `integer_inverse` (behind
+`integer_transport`'s P^-1) every row, and the subspace operations
+combine the int rows B.  `congruence` (behind `metric.timelike_vector`),
+`restrict_form` and `orthogonal_complement` take int or Fraction
+matrices, and `congruence` a view (G, g) too, cleared row by row, not
+over g; `restrict_form` returns such a view, which `radical` and
+`congruence` read as it is.  A metric's constructor runs
+`congruence_of_rows` on the rows of its (G, g) for the signature and
+keeps the result, from which `congruence_inverse` reads G^-1 for
+`metric.integer_product` with no second elimination.  `pack` turns an int row
 into one integer with exact zero test and read-back (`slot_width`,
 `unpack`), so `is_flat`, the Jacobi check, `integer_transport` and the
 lowered constants and connection, eq. (2) and class-C witness checks take
@@ -409,16 +412,16 @@ def kernel(A: Sequence[Sequence[Fraction]]) -> "Subspace":
     return Subspace(n, *least_terms(basis, d))
 
 
-def integer_inverse(A: Sequence[Sequence], a: int = 1) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(Qi, q) with (A / a)^-1 = Qi / q for the least q > 0: the right half
-    of the integer reduced form of [A | a I] that `_bareiss` leaves over
-    its last pivot, for A of ints or Fractions and a positive int a.
-    Each row goes in as its primitive part, so a view (G, g) is
-    eliminated on the rows of G / g, not over g.  The rows of [A | a I] are
-    nonzero and independent, so none is dropped as in `kernel`.  Raises
-    SingularMatrixError."""
+def integer_inverse(A: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(Qi, q) with A^-1 = Qi / q for the least q > 0: the right half of
+    the integer reduced form of [A | I] that `_bareiss` leaves over its
+    last pivot, for A of ints or Fractions.  Each row goes in as its
+    primitive part.  The rows of [A | I] are nonzero and independent, so
+    none is dropped as in `kernel`.  Raises SingularMatrixError.  A
+    metric's Gram matrix is inverted from its congruence instead
+    (`congruence_inverse`)."""
     n = len(A)
-    R, pivots, d = _bareiss([_primitive_row([*row] + [0] * i + [a] + [0] * (n - 1 - i)) for i, row in enumerate(A)])
+    R, pivots, d = _bareiss([_primitive_row([*row] + [0] * i + [1] + [0] * (n - 1 - i)) for i, row in enumerate(A)])
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")
     return least_terms([row[n:] for row in R], d)
@@ -527,6 +530,54 @@ def congruence_of_rows(nu: list[int], A: list[list[int]]) -> tuple[list[list[int
             E[r] = [(piv * x - f * y) // prev for x, y in zip(E[r], erow)]
         prev = piv
     return E, d
+
+
+def congruence_inverse(E: Sequence[Sequence[int]], d: Sequence[int], nu: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(H, q) with S^-1 = H / q for the least q > 0, read off what
+    `congruence_of_rows` returns for a nondegenerate symmetric S: E and d
+    with E S E^T = diag(d), and nu, the row scales it leaves.  No second
+    elimination: S^-1 = E^T diag(d)^-1 E = sum_k E_k^T E_k / d_k.
+
+    Fraction-free, as `_bareiss` is.  Let S_k = sum_{i<=k} E_i^T E_i / d_i
+    and p_k = d_k / (p_{k-1} nu_k), p_0 = 1.  `congruence_of_rows` has
+    d_k = prev nu_k piv, so p_k is its k-th Bareiss pivot: the leading
+    k x k minor of diag(nu) M, M = U S U^T, where the int matrix U holds
+    the swaps and row adds e_r += e_c made up to step k (later ones move
+    only basis vectors after k); diag(nu) M is an int matrix, so row r
+    of M is an int row over nu_r.  The first k rows of E are a triangular
+    combination W of the first k rows U_k of U with W M_k W^T diagonal,
+    M_k the leading k x k block of M, so S_k = U_k^T M_k^-1 U_k and
+    p_k S_k = U_k^T (nu_1 .. nu_k) adj(M_k) U_k: a cofactor of M_k leaves
+    out one row, so (nu_1 .. nu_k) times it is an int, and p_k S_k is an
+    int matrix T_k, the nu-scaled adjugate of the leading block carried
+    through the swaps and row adds.  Hence in
+
+        T_k = (nu_k p_k T_{k-1} + E_k^T E_k) / (nu_k p_{k-1})
+
+    every division is exact.  It is accumulated on the upper triangle, and
+    T_n / p_n is S^-1, reduced by `least_terms`.  Entry (a, b) of T_k is 0
+    unless some E_i, i <= k, is nonzero at a and at b, so only the rows and
+    columns before `end`, one past the last nonzero entry of E_1 .. E_k,
+    are formed: with no swap, E is lower triangular and T_k fills its
+    leading k x k block."""
+    n = len(E)
+    T = [[0] * n for _ in range(n)]
+    prev = end = 1
+    for Ek, dk, vk in zip(E, d, nu):
+        p = dk // (prev * vk)
+        num, den = vk * p, vk * prev
+        end = max(end, 1 + max(i for i, x in enumerate(Ek) if x))
+        for a in range(end):
+            x, row = Ek[a], T[a]
+            if x:
+                row[a:end] = [(num * t + x * y) // den for t, y in zip(row[a:end], Ek[a:end])]
+            elif num != den:
+                row[a:end] = [num * t // den for t in row[a:end]]
+        prev = p
+    for a in range(n):
+        for b in range(a):
+            T[a][b] = T[b][a]
+    return least_terms(T, prev)
 
 
 class Subspace(NamedTuple):

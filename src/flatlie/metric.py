@@ -35,8 +35,9 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
     """A Lie algebra together with a nondegenerate symmetric inner product.
 
     The Gram matrix gram = G / g is held as its least-terms integer view,
-    as `LieAlgebra` holds c.  `signature` is derived from (G, g) at
-    construction and, like `_memo`, lives outside the tuple."""
+    as `LieAlgebra` holds c.  `signature` and the congruence it is read
+    from are derived from (G, g) at construction and, like `_memo`, live
+    outside the tuple."""
 
     def __init__(self, algebra: LieAlgebra, G: tuple[tuple[int, ...], ...], g: int):
         self._memo = {}
@@ -46,7 +47,9 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
         """The view, symmetry and nondegeneracy; sets the signature.  The
         rows of G / g are cleared once (`linalg.row_scales`): the view is in
         least terms iff the lcm of their denominators is g, and the
-        congruence behind the signature starts from them."""
+        congruence behind the signature starts from them.  Its E, d and
+        row scales nu are kept as `_congruence`, from which
+        `integer_product` reads G^-1 (`linalg.congruence_inverse`)."""
         n, G, g = self.algebra.dim, self.G, self.g
         if not is_square(G, n):
             raise ValueError(f"G: the Gram matrix must be a {n} x {n} tuple of tuples, {n} the algebra dimension")
@@ -55,10 +58,12 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
         check_reduced(g // math.lcm(*nu), "G", "g")
         if not linalg.is_symmetric(G):
             raise NonSymmetricError("G: inner product matrix must be symmetric")
-        sig = Signature.of(linalg.congruence_of_rows(nu, rows)[1])
+        E, d = linalg.congruence_of_rows(nu, rows)
+        sig = Signature.of(d)
         if sig.n_zero:
             raise DegenerateFormError("inner product must be nondegenerate (ambient radical is nonzero)")
         self._signature = sig
+        self._congruence = E, d, nu
 
     @property
     def signature(self) -> Signature:
@@ -107,14 +112,16 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
         cls, view: tuple[Sequence, int], gram: Sequence[Sequence], P: Sequence[Sequence], g: int = 1
     ) -> "MetricLieAlgebra":
         """The metric Lie algebra (C / E, gram / g) in the basis given by the
-        columns of P: the algebra by `LieAlgebra.in_basis` from view = (C, E),
-        the Gram view P^T (gram / g) P by `linalg.transport_form`.  The
-        constructor's check covers gram too: P is invertible.  gram and P
-        hold ints, kept as ints, or anything `frac` coerces (floats raise
-        TypeError), g is a positive int; a singular P raises
-        SingularMatrixError."""
+        columns of P: the algebra from view = (C, E) by
+        `linalg.integer_transport`, as `LieAlgebra.in_basis` moves it, the
+        Gram view P^T (gram / g) P by `linalg.transport_form`, both from P
+        coerced once.  The constructor's check covers gram too: P is
+        invertible.  gram and P hold ints, kept as ints, or anything `frac`
+        coerces (floats raise TypeError), g is a positive int; a singular P
+        raises SingularMatrixError."""
         P = linalg.exact_mat(P)
-        moved = LieAlgebra.in_basis(view, P)
+        C, E = view
+        moved = LieAlgebra(len(C), *linalg.integer_transport(C, P, E))
         if len(gram) != moved.dim or any(len(r) != moved.dim for r in gram):
             raise ValueError("Gram matrix size must match the algebra dimension")
         if g < 1:
@@ -184,8 +191,9 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
 
     Solved from the Killing rows (`killing_rows`): the Koszul formula reads
     2 L gram p_ij = G C_ij + A_(i,j) over L = g E.  With
-    (G / g)^-1 = H / q (`linalg.integer_inverse` of the view (G, g), whose
-    elimination clears each row on its own, so dense entries with distinct
+    (G / g)^-1 = H / q (`linalg.congruence_inverse`, read off the
+    congruence that the constructor ran for the signature, whose rows of
+    G / g are each cleared on their own, so dense entries with distinct
     denominators do not share one huge common denominator), H G = q g I,
     so p_ij = (q g C_ij + H A_(i,j)) / 2 q L.  A_(i,j) is symmetric in
     (i, j) and C_ij antisymmetric, so p_ji = (H A_(i,j) - q g C_ij) / 2 q L:
@@ -196,7 +204,7 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
     numerator leaves the least D."""
     n, C = m.dim, m.algebra.C
     A, L = killing_rows(m)
-    H, q = linalg.integer_inverse(m.G, m.g)
+    H, q = linalg.congruence_inverse(*m._congruence)
     qg = q * m.g
     dot = linalg.dot
     zero = (0,) * n

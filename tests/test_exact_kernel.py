@@ -1,7 +1,7 @@
 """Differential tests of the integer exact kernel against Fraction oracles.
 
 `Subspace.row_space`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`
-(on a Fraction matrix and on a metric's Gram view (G, g)),
+(on a Fraction matrix and on a metric's Gram view (G, g)), `linalg.congruence_inverse`,
 `linalg.integer_transport`, both `change_basis` methods, `metric.is_flat`,
 `metric.integer_product` (against the Koszul solve pair by pair),
 `theorems.verify_eq2`, `theorems.same_connection`, `classc.closed_form_matches`
@@ -902,15 +902,79 @@ def _elimination_cases():
 
 
 def test_eliminations_on_the_gram_view_match_the_fraction_gram():
-    """`congruence` and `integer_inverse` clear each row of a metric's
-    fields (G, g) on its own, so they return exactly what they return on
-    the Fraction Gram G / g: the same E, d, H and q; d has the signs of
-    the signature."""
+    """`congruence` clears each row of a metric's fields (G, g) on its own,
+    so it returns exactly what it returns on the Fraction Gram G / g: the
+    same E and d, d with the signs of the signature; the inverse read off
+    the congruence the constructor kept is the one `integer_inverse` finds
+    on the Fraction Gram."""
     for m in _elimination_cases():
         gram = m.gram
         assert linalg.congruence(m.G, m.g) == linalg.congruence(gram)
         assert tuple(m.signature) == reference.signature(gram)
-        assert linalg.integer_inverse(m.G, m.g) == linalg.integer_inverse(gram)
+        assert linalg.congruence_inverse(*m._congruence) == linalg.integer_inverse(gram)
+
+
+def _zero_diagonal_forms(rng, n):
+    """Seeded symmetric forms of dim n with zero diagonal entries, so that
+    `congruence_of_rows` swaps and row-adds: a random one with every
+    diagonal entry 0 and rational off-diagonal entries, the hyperbolic
+    [[0, 1], [1, 0]] blocks (with a -1 on the diagonal for odd n), and
+    those blocks moved to a random unimodular basis."""
+    S = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                S[i][j] = S[j][i] = F(rng.randint(-9, 9), rng.randint(1, 5))
+    yield S
+    H = [[F(0)] * n for _ in range(n)]
+    for i in range(0, n - 1, 2):
+        H[i][i + 1] = H[i + 1][i] = F(1)
+    if n % 2:
+        H[n - 1][n - 1] = F(-1)
+    yield H
+    P = sweeps.unimodular_int_matrix(rng, n)
+    yield [[reference.form(H, col_a, col_b) for col_b in zip(*P)] for col_a in zip(*P)]
+
+
+def _congruence_inverse(S):
+    """`congruence_inverse` of the congruence `congruence_of_rows` runs on
+    the rows of S, as a metric's constructor runs it."""
+    nu, rows = linalg.row_scales(S)
+    E, d = linalg.congruence_of_rows(nu, rows)
+    return linalg.congruence_inverse(E, d, nu)
+
+
+def _nondegenerate_forms():
+    """The Fraction Gram of every elimination case, seeded nondegenerate
+    forms of dims 1-8 with zero diagonals (the swap and row-add branches),
+    a 1 x 1 negative form and forms whose last pivot is negative."""
+    for m in _elimination_cases():
+        yield m.gram
+    rng = random.Random(380)
+    for n in range(1, 9):
+        for _ in range(3):
+            for S in _zero_diagonal_forms(rng, n):
+                if reference.signature(S)[2] == 0:
+                    yield S
+    yield [[F(-3, 7)]]
+    yield [[F(2), F(1)], [F(1), F(-5, 3)]]
+    yield [[F(1), F(0), F(0)], [F(0), F(4, 9), F(0)], [F(0), F(0), F(-2)]]
+
+
+def test_congruence_inverse_matches_the_elimination_and_the_reference():
+    """The inverse read off the congruence, on forms that reach every branch
+    of `congruence_of_rows`, is the least-terms view that `integer_inverse`
+    finds on the Fraction form and the reference's inverse."""
+    counts = {"zero diagonal": 0, "negative last pivot": 0}
+    for S in _nondegenerate_forms():
+        H, q = _congruence_inverse(S)
+        assert (H, q) == linalg.integer_inverse(S)
+        assert [[F(x, q) for x in row] for row in H] == reference.inverse(S)
+        assert in_least_terms(q, H)
+        counts["zero diagonal"] += any(S[i][i] == 0 for i in range(len(S)))
+        # d_k = p_(k-1) nu_k p_k with nu_k > 0, so prod(d) has the sign of p_n
+        counts["negative last pivot"] += math.prod(linalg.congruence(S)[1]) < 0
+    assert counts["zero diagonal"] >= 40 and counts["negative last pivot"] >= 20
 
 
 def test_integer_product_matches_a_sympy_koszul_solve_on_a_dense_document():

@@ -131,19 +131,23 @@ def test_every_construction_route_runs_init_once(monkeypatch):
 def test_companion_connection_is_checked_without_a_second_solve(monkeypatch):
     """same_connection reads the metric's product and the companion's form:
     an analysis with a companion inverts one Gram matrix, the metric's own,
-    and solves no Koszul product for the companion."""
+    from the congruence its constructor kept, runs no second elimination
+    for it, and solves no Koszul product for the companion."""
     m = _golden_input("dim6_flat_split_lorentzian")
-    inverted = []
-    integer_inverse = linalg.integer_inverse
+    calls = {"integer_inverse": [], "congruence_inverse": []}
 
-    def counted(A, a=1):
-        inverted.append(A)
-        return integer_inverse(A, a)
+    def recording(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(linalg, "integer_inverse", counted)
+    for name in calls:
+        monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
     section = report.analysis_report(m)
     assert section["companion"]["same_connection"] is True
-    assert inverted == [m.G]
+    assert theorems.riemannian_companion(m)._congruence != m._congruence
+    assert calls == {"integer_inverse": [], "congruence_inverse": [m._congruence]}
 
 
 def _counting(counts, name, fn):
