@@ -9,8 +9,11 @@ exactly from one Cauchy-product recurrence (`SeriesWorkspace.rows`), run
 on the time-rescaled velocity, whose recurrence carries no step factor.
 This module steps by the series of order ORDER, with each step chosen a priori
 from its last two coefficients (Jorba & Zou, Experimental Math. 14 (2005)),
-and flags finite-time blow-up.  Floats only: the exact kernel is never used
-inside the stepper.
+and flags finite-time blow-up.  Near a simple real pole the ratio of
+consecutive coefficients gives the distance to it (Corliss & Chang, ACM
+TOMS 8 (1982)), so a blow-up ray ends at the step whose rows show its pole,
+with the pole as its blow-up time.  Floats only: the exact kernel is never
+used inside the stepper.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 BLOWUP_NORM = 1e12
+# a run can end as a blow-up short of BLOWUP_NORM (at a collapsing step, or
+# at a pole that its rows show) only once |v| has grown this many times over
+# max(1, |v0|)
+BLOWUP_GROWTH = 1e3
 MIN_STEP = 1e-14
 MAX_STEPS = 100_000
 ORDER = 30
@@ -117,6 +124,39 @@ class SeriesWorkspace:
         return W
 
 
+def pole_ratio(W: np.ndarray, rel_tol: float) -> float | None:
+    """The ratio lambda of a simple real pole ahead, read off the last rows
+    of a step, or None.
+
+    If v(t + tau) is dominated by c / (rho - tau), its coefficients are
+    a_k = c rho^(-k-1), so the rows w_k = a_k s^k satisfy
+    w_k = lambda w_{k+1} with lambda = rho / s, and the pole is at
+    t + s lambda (the Corliss-Chang ratio estimate).  Each consecutive pair
+    of w_{p-3} .. w_p gets its least-squares ratio lambda_k; the rows count
+    as that pole's only if w_{p-2} .. w_p are nonzero and finite, the
+    spread of the lambda_k is at most rel_tol lambda_{p-1}, which is
+    returned, and every |w_k - lambda_k w_{k+1}| is at most rel_tol |w_k|."""
+    import numpy as np
+
+    # the checks reduce lists of Python floats: the first numpy reduction
+    # of a process allocates a 128 KB buffer, which raises its peak RSS
+    head, tail = W[ORDER - 3:ORDER], W[ORDER - 2:]
+    squares = np.einsum("ij,ij->i", tail, tail)
+    if not all(0.0 < x < math.inf for x in squares.tolist()):
+        return None
+    ratios = np.einsum("ij,ij->i", head, tail) / squares
+    listed = ratios.tolist()
+    lam = listed[-1]
+    # a spread of at most rel_tol lambda_{p-1} leaves every ratio positive
+    if not (all(map(math.isfinite, listed)) and max(listed) - min(listed) <= rel_tol * lam):
+        return None
+    residuals = head - ratios[:, None] * tail
+    off = np.einsum("ij,ij->i", residuals, residuals).tolist()
+    if any(r > rel_tol ** 2 * h for r, h in zip(off, np.einsum("ij,ij->i", head, head).tolist())):
+        return None
+    return lam
+
+
 class TrajectorySample(NamedTuple):
     t: float
     v: tuple[float, ...]
@@ -156,11 +196,20 @@ def integrate(
     is the series at theta, one dot of the powers theta^k with the rows.  No
     step is rejected.
 
-    Blow-up is declared when the velocity norm exceeds BLOWUP_NORM, or when
-    the step falls below MIN_STEP while the norm has grown by a factor >= 1e3
-    (a collapsing step without growth is reported as STEP_UNDERFLOW instead).
-    The final step's time is the blow-up estimate.  After MAX_STEPS steps
-    short of t_max the samples so far are returned as STEP_LIMIT.
+    Once |v| has grown BLOWUP_GROWTH-fold over max(1, |v0|), each step's
+    rows are tested for a simple real pole ahead (`pole_ratio`, the
+    Corliss-Chang estimate, with rel_tol as its tolerance).  If they show one
+    at t + s lambda < t_max, the step they were formed for is taken and the
+    run ends as BLOW_UP_DETECTED, with t + s lambda as the blow-up time; a
+    pole at or past t_max changes nothing.  The test only reads the rows, so
+    a run that ends any other way takes the same steps as without it.
+
+    As backstops for rays whose rows show no simple pole, blow-up is also
+    declared when the velocity norm exceeds BLOWUP_NORM, or when the step
+    falls below MIN_STEP after the same BLOWUP_GROWTH-fold growth (a
+    collapsing step without growth is reported as STEP_UNDERFLOW instead);
+    there the final step's time is the blow-up estimate.  After MAX_STEPS
+    steps short of t_max the samples so far are returned as STEP_LIMIT.
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise InvalidToleranceError("rel_tol", f"must be in (1e-14, 1e-2), got {rel_tol}")
@@ -224,10 +273,16 @@ def integrate(
             if c:  # a row of 0 (a polynomial velocity, or an underflow) bounds nothing
                 theta = min(theta, safety * (tol / c) ** (1.0 / k))
         h = theta * s
+        grown = norm > BLOWUP_GROWTH * norm0
         if h < MIN_STEP:
-            if norm > 1e3 * norm0:
+            if grown:
                 return trajectory(BLOW_UP_DETECTED, t)
             return trajectory(STEP_UNDERFLOW)
+        pole = None
+        if grown:
+            lam = pole_ratio(W, rel_tol)
+            if lam is not None and t + s * lam < t_max:
+                pole = t + s * lam
         if t + h < t_max:
             t += h
         else:
@@ -241,6 +296,8 @@ def integrate(
         ts.append(t)
         vs.append(vl)
         norms.append(norm)
+        if pole is not None:
+            return trajectory(BLOW_UP_DETECTED, pole)
         if norm > BLOWUP_NORM:
             return trajectory(BLOW_UP_DETECTED, t)
         s = h

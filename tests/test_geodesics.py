@@ -414,6 +414,134 @@ def test_steep_classc_rays_blow_up_without_overflow():
                 assert all(math.isfinite(x) for sample in traj.samples for x in sample.v)
 
 
+def test_pole_ratio_reads_a_simple_real_pole_only():
+    """Rows w_k = lambda^-k u are a simple real pole's: the ratio is read
+    back.  Rows that turn (a complex pair of poles), alternate in sign (a pole
+    behind), hold two real poles, are not parallel, end in a zero row or
+    hold a value that is not finite are not."""
+    p = geodesics.ORDER
+    u = np.array([3.0, -1.0, 2.0])
+    k = np.arange(p + 1.0)[:, None]
+    assert geodesics.pole_ratio(u * 1.7 ** -k, 1e-9) == pytest.approx(1.7, rel=1e-14)
+    assert geodesics.pole_ratio(u * (-1.7) ** -k, 1e-9) is None
+    turning = np.hstack([np.cos(0.3 * k), np.sin(0.3 * k)]) * 1.7 ** -k
+    assert geodesics.pole_ratio(turning, 1e-9) is None
+    two_poles = u * (1.7 ** -k + 2.0 ** -k)
+    assert geodesics.pole_ratio(two_poles, 1e-9) is None
+    bent = u * 1.7 ** -k + np.array([0.0, 1.0, 0.0]) * 1.2 ** -k
+    assert geodesics.pole_ratio(bent, 1e-9) is None
+    ended = u * 1.7 ** -k
+    ended[p] = 0.0
+    assert geodesics.pole_ratio(ended, 1e-9) is None
+    for bad in (np.nan, np.inf):
+        broken = u * 1.7 ** -k
+        broken[p - 2, 1] = bad
+        assert geodesics.pole_ratio(broken, 1e-9) is None
+
+
+def test_classc_rays_end_at_the_pole_their_rows_show():
+    """Along f0 d the rows are f (s / rho)^k d, a simple real pole at
+    rho = 1 / (alpha f) ahead: once |v| has grown BLOWUP_GROWTH-fold the run
+    takes that step and ends at the pole t + s lambda, with |v| still far
+    below BLOWUP_NORM, in at most 16 steps and within 1e-9 of
+    1 / (alpha f0).  On flat class-C rays of dims 2-9 and steep rays with
+    alpha up to 1e3 and f0 up to 1e6."""
+    rng = random.Random(41)
+    rays = []
+    for dim in range(2, 10):
+        m, d, t_max = flat_classc_ray(rng, dim)
+        rays.append((m, [float(x) for x in d], t_max, t_max / 2))
+    for alpha in (10, 100, 1000):
+        for f0 in (1.0, 1e3, 1e6):
+            rays.append((classc2_with_alpha(F(alpha)), [f0, 0.0], 10.0, 1 / (alpha * f0)))
+    for m, v0, t_max, t_star in rays:
+        traj = integrate(m, v0, t_max)
+        assert traj.outcome == BLOW_UP_DETECTED, (m.dim, v0)
+        assert traj.final.norm < geodesics.BLOWUP_NORM and traj.final.t < t_star, (m.dim, v0)
+        assert len(traj.samples) - 1 <= 16, (m.dim, v0)
+        assert abs(traj.blowup_time - t_star) <= 1e-9 * t_star, (m.dim, v0)
+
+
+def recording_pole_ratio(monkeypatch):
+    """Wrap `geodesics.pole_ratio` so that every ratio it returns is listed."""
+    ratios = []
+    pole_ratio = geodesics.pole_ratio
+
+    def recording(W, rel_tol):
+        ratios.append(pole_ratio(W, rel_tol))
+        return ratios[-1]
+
+    monkeypatch.setattr(geodesics, "pole_ratio", recording)
+    return ratios
+
+
+def test_a_pole_at_or_just_past_the_horizon_is_not_a_blow_up(monkeypatch):
+    """A class-C ray integrated to exactly its pole, or to 1e-9 short of it,
+    reaches the horizon: its rows show the pole, but at or past t_max."""
+    ratios = recording_pole_ratio(monkeypatch)
+    rng = random.Random(42)
+    rays = [(classc2_with_alpha(alpha), [f0, 0.0], 1 / (float(alpha) * f0))
+            for alpha in (F(1, 3), F(1), F(10)) for f0 in (1.0, 3.0)]
+    for dim in range(2, 10):
+        m, d, t_max = flat_classc_ray(rng, dim)
+        rays.append((m, [float(x) for x in d], t_max / 2))
+    for m, v0, t_star in rays:
+        for t_max in (t_star, t_star * (1 - 1e-9)):
+            ratios.clear()
+            traj = integrate(m, v0, t_max)
+            assert traj.outcome == REACHED_HORIZON and traj.final.t == t_max, (m.dim, v0, t_max)
+            assert traj.blowup_time is None
+            assert any(ratio is not None for ratio in ratios), (m.dim, v0, t_max)
+
+
+def test_rays_without_a_pole_step_as_if_there_were_no_pole_test(monkeypatch):
+    """The pole test only reads the rows, so a ray that reaches its horizon
+    runs the same steps, bit for bit, as with a pole test that never
+    accepts: on Theorem 1 rotations, non-flat tops, bi-invariant so(3) sums
+    (non-flat controls) and the non-flat catalog entries, to t_max 1, 10
+    and 50.  None of these grows BLOWUP_GROWTH-fold, so the population adds
+    the class-C ray v0 = (-1, 1) of f' = f^2, whose |v| grows like 1 + t,
+    to t_max 1e4: its rows show a pole behind it, at t = -1."""
+    rng = random.Random(43)
+    so3 = populations.SHAPES["so3_lorentzian"]
+    metrics = [m for dim in range(3, 10) for m in (sweeps.theorem1_true_instance(rng, dim), nonflat_riemannian(rng, dim))]
+    metrics += [inputdoc.parse_document(so3.build(rng, n)) for n in so3.dims]
+    rays = [(m, [float(rng.randint(-2, 2)) for _ in range(m.dim - 1)] + [1.0], t_max)
+            for m in metrics for t_max in (1.0, 10.0, 50.0)]
+    for name, v0 in (("classc2_nonflat", [1.0, 1.0]), ("heisenberg_euclidean", [1.0, 1.0, 1.0])):
+        rays += [(catalog.build(name), v0, t_max) for t_max in (1.0, 10.0, 50.0)]
+    rays.append((classc2_with_alpha(1), [-1.0, 1.0], 1e4))
+    tested = []
+    for m, v0, t_max in rays:
+        monkeypatch.undo()
+        ratios = recording_pole_ratio(monkeypatch)
+        traj = integrate(m, v0, t_max)
+        monkeypatch.setattr(geodesics, "pole_ratio", lambda W, rel_tol: None)
+        assert traj.outcome == REACHED_HORIZON and traj == integrate(m, v0, t_max), (m.dim, v0, t_max)
+        assert ratios == [None] * len(ratios), (m.dim, v0, t_max)
+        tested.append(len(ratios))
+    # only the class-C ray passes the guard, and its rows are tested at each step from there
+    assert not any(tested[:-1]) and tested[-1] > 0
+
+
+def test_nonflat_classc_blow_ups_agree_with_the_norm_backstop(monkeypatch):
+    """Non-flat class-C rays blow up too; there the pole stop ends the run
+    on the steps of a run that marches |v| to BLOWUP_NORM, sooner, and its
+    blow-up time agrees with that run's to 1e-8."""
+    rng = random.Random(44)
+    shape = populations.SHAPES["classc_nonflat"]
+    rays = [(inputdoc.parse_document(shape.build(rng, n)), [float(rng.randint(-2, 2)) for _ in range(n - 1)] + [1.0])
+            for n in shape.dims for _ in range(2)]
+    for m, v0 in rays:
+        monkeypatch.undo()
+        traj = integrate(m, v0, 10.0)
+        monkeypatch.setattr(geodesics, "pole_ratio", lambda W, rel_tol: None)
+        marched = integrate(m, v0, 10.0)
+        assert traj.outcome == marched.outcome == BLOW_UP_DETECTED, (m.dim, v0)
+        assert traj.samples == marched.samples[:len(traj.samples)] and len(traj.samples) < len(marched.samples)
+        assert abs(traj.blowup_time - marched.blowup_time) <= 1e-8 * marched.blowup_time, (m.dim, v0)
+
+
 def test_series_terms_count_order_per_step():
     """No step is rejected: each step forms ORDER coefficients."""
     outcomes = set()
