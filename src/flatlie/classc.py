@@ -22,7 +22,7 @@ from .errors import (
 )
 from .lie import LieAlgebra, memoized
 from .linalg import IntTensor, Mat, Subspace, frac
-from .metric import MetricLieAlgebra, integer_product, is_flat
+from .metric import MetricLieAlgebra, integer_product, is_flat, product_bound
 
 
 class ClassCStructure(NamedTuple):
@@ -41,16 +41,22 @@ def scalar_action(a: LieAlgebra, U: Subspace, t: Sequence) -> Fraction | None:
 
     Decided in ints: with c = C / E, t = ti / s and U's int rows u, the
     matrix A[k][x] = sum_i ti[i] C[i][x][k] is built once, so
-    [t, u] = A u / (E s).  That is alpha u for one alpha shared by every
-    row iff each A u equals lam u, with lam = (A u)[p] / u[p] at the row's
-    pivot p, tested by cross-multiplying; then alpha = lam / (E s).
+    [t, u] = A u / (E s).  Only the nonzero ti[i] are added, so for a unit
+    vector t, as `detect` passes, A is one transposed plane.  That is
+    alpha u for one alpha shared by every row iff each A u equals lam u,
+    with lam = (A u)[p] / u[p] at the row's pivot p, tested by
+    cross-multiplying; then alpha = lam / (E s).
     """
     if U.dim == 0:
         return None
     n, C, E = a.dim, a.C, a.E
     (ti,), s = linalg.clear_denominators([t])
     dot = linalg.dot
-    A = [[dot(ti, [Ci[x][k] for Ci in C]) for x in range(n)] for k in range(n)]
+    terms = [(x, C[i]) for i, x in enumerate(ti) if x]
+    if len(terms) == 1 and terms[0][0] == 1:
+        A = list(zip(*terms[0][1]))
+    else:
+        A = [[sum(x * Ci[col][k] for x, Ci in terms) for col in range(n)] for k in range(n)]
     lam = None  # (numerator, denominator) of the shared ratio
     for u in U.B:
         p = next(j for j, x in enumerate(u) if x)
@@ -74,13 +80,18 @@ def detect(a: LieAlgebra) -> ClassCStructure | None:
     `scalar_action` is None on U = {0}.  Sampling the span property
     [x, y] in span{x, y} cannot certify membership in the class, so it is
     only used as a cross-check in the tests.
+
+    The transversal t is the first unit vector outside U, read off U's
+    echelon rows (B, b): e_j lies in U iff some row is b e_j, the one row
+    with pivot j and no other nonzero entry, and U, of codimension 1,
+    misses at least one e_j.
     """
     U = a.derived_subalgebra()
-    if U.dim != a.dim - 1 or not a.is_abelian_subspace(U):
+    n = a.dim
+    if U.dim != n - 1 or not a.is_abelian_subspace(U):
         return None
-    t = next((u for u in linalg.units(a.dim) if not U.contains(u)), None)
-    if t is None:
-        return None
+    inside = {next(j for j, x in enumerate(row) if x) for row in U.B if sum(map(bool, row)) == 1}
+    t = linalg.units(n)[next(j for j in range(n) if j not in inside)]
     alpha = scalar_action(a, U, t)
     if alpha is None or alpha == 0:
         return None
@@ -262,9 +273,9 @@ def closed_form_matches(m: MetricLieAlgebra, w: WitnessBasis, alpha) -> bool:
     once, P(Wi_a, Wi_b) is dot(Wi_b, U_a) with U_a[j] = dot(Wi_a, (P[i][j])_i)
     and Wi X_ab is dot(X_ab, (Wi_c)_c).  Every slot of the difference is at
     most x max |P| (column sum of |W|)^2 + D omega max |X| (row sum of |W|),
-    which sets the slot width.  W is a basis (`construct_witness` checks
-    that span{e, d} + B is the whole algebra), so equal products on its
-    pairs are equal tensors."""
+    with max |P| from `metric.product_bound`, which sets the slot width.
+    W is a basis (`construct_witness` checks that span{e, d} + B is the
+    whole algebra), so equal products on its pairs are equal tensors."""
     X, x = closed_form_products(w, alpha)
     P, D = integer_product(m)
     (ei, di), s = linalg.clear_denominators([w.e, w.d])
@@ -273,7 +284,7 @@ def closed_form_matches(m: MetricLieAlgebra, w: WitnessBasis, alpha) -> bool:
     Wi = [[v * (omega // s) for v in ei], *([v * (omega // b) for v in row] for row in B), [v * (omega // s) for v in di]]
     col_sum = max(sum(map(abs, Wa)) for Wa in Wi)
     row_sum = max(sum(map(abs, Wk)) for Wk in zip(*Wi))
-    width = linalg.slot_width(x * linalg.max_abs(P) * col_sum**2 + D * omega * linalg.max_abs(X) * row_sum)
+    width = linalg.slot_width(x * product_bound(m) * col_sum**2 + D * omega * linalg.max_abs(X) * row_sum)
     cols = zip(*(linalg.pack_rows(Pj, width) for Pj in zip(*P)))  # cols[t][j]: int t of each packed P[i][j], by i
     dot, scale = linalg.dot, D * omega
     for col, Wt in zip(cols, linalg.pack_rows(Wi, width)):

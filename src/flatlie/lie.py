@@ -122,7 +122,8 @@ class LieAlgebra(CheckedRecord, _LieFields):
     """The structure constants c = C / E held as their least-terms integer
     view (`check_view`), so ==, hash and pickle follow the fields.  The
     fields are the tuple's entries, so they cannot be rebound; the
-    per-instance `_memo` lives outside the tuple, out of ==, hash and repr."""
+    per-instance `_memo` and `entry_bound`, read off C by the Jacobi check,
+    live outside the tuple, out of ==, hash and repr."""
 
     def __init__(self, dim: int, C: IntTensor, E: int, labels: tuple[str, ...] | None = None):
         self._memo = {}
@@ -148,9 +149,10 @@ class LieAlgebra(CheckedRecord, _LieFields):
         # Entry m of [e_a, v] is sum_x v_x C[a][x][m], so with PC[a][x] the
         # packed row C[a][x] (`linalg.pack_row`), dot(v, PC[a]) is [e_a, v]
         # packed.  A residual entry is at most 3 n c^2 with c = max |C|,
-        # which sets the slot width.  The residual of (i, j, k) is formed
-        # one packed int t at a time, PT[t][a] = PC[a][t].
-        w = linalg.slot_width(3 * n * linalg.max_abs(C) ** 2)
+        # kept as `entry_bound`, which sets the slot width.  The residual of
+        # (i, j, k) is formed one packed int t at a time, PT[t][a] = PC[a][t].
+        self._entry_bound = linalg.max_abs(C)
+        w = linalg.slot_width(3 * n * self._entry_bound**2)
         PT = list(zip(*(linalg.pack_rows(plane, w) for plane in C)))
         Z = [[row if any(row) else None for row in plane] for plane in C]  # the nonzero planes
         dot = linalg.dot
@@ -171,6 +173,11 @@ class LieAlgebra(CheckedRecord, _LieFields):
                             terms = ((cjk, i), (cki, j), (cij, k))
                             packed = [sum(dot(c, Q[a]) for c, a in terms if c) for Q in PT]
                             raise JacobiError(i, j, k, [Fraction(x, E * E) for x in linalg.unpack_row(packed, w, n)])
+
+    @property
+    def entry_bound(self) -> int:
+        """max |C|, the bound that every packed contraction with C reads."""
+        return self._entry_bound
 
     @classmethod
     def from_brackets(

@@ -150,13 +150,14 @@ def lowered_constants(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
 
     Packed (`linalg.pack_row`): G is symmetric, so its rows packed over k
     are its columns, and Low[i][j] = G C_ij is one dot of C_ij with them,
-    unpacked once.  Every slot is at most (row sum of |G|) max |C|, which
-    sets the slot width.  Only i < j with C_ij != 0 is solved:
-    Low[j][i] = -Low[i][j], Low[i][i] = 0, and a zero bracket plane, about
-    half of them on a sparse document, lowers to the zero row as it is."""
+    unpacked once.  Every slot is at most (row sum of |G|) max |C|
+    (`LieAlgebra.entry_bound`), which sets the slot width.  Only i < j
+    with C_ij != 0 is solved: Low[j][i] = -Low[i][j], Low[i][i] = 0, and a
+    zero bracket plane, about half of them on a sparse document, lowers to
+    the zero row as it is."""
     G, a = m.G, m.algebra
     n, C = a.dim, a.C
-    w = linalg.slot_width(max(sum(map(abs, row)) for row in G) * linalg.max_abs(C))
+    w = linalg.slot_width(max(sum(map(abs, row)) for row in G) * a.entry_bound)
     parts = linalg.pack_rows(G, w)
     dot = linalg.dot
     low = [[(0,) * n] * n for _ in range(n)]
@@ -222,6 +223,26 @@ def integer_product(m: MetricLieAlgebra) -> tuple[IntTensor, int]:
 
 
 @memoized
+def product_bound(m: MetricLieAlgebra) -> int:
+    """max |P| of `integer_product`, the bound every packed contraction
+    with P reads."""
+    return linalg.max_abs(integer_product(m)[0])
+
+
+#: Widest packed row of K, n slots of w bits, at which `is_flat` packs
+#: each whole matrix into one int instead of one int per row.  A block of
+#: b rows takes one Python-level product where b rows take b, but each
+#: product multiplies a column of the block, b ints n w bits apart, by a
+#: packed row of n w bits, about n w / 30 times the limb work of the b
+#: products it replaces.  On CPython 3.11 (2-vCPU Xeon), with the slot
+#: width forced to each row width at dims 7-20, whole matrices took
+#: 0.24-0.84 of the time of single rows up to rows of 320 bits, blocks of
+#: 2-8 rows less of a saving, and from about 360 bits on every block of 2
+#: or more rows lost to single rows, by 1.3-2.2x at 450 bits, whatever n.
+FLAT_ROW_BITS = 320
+
+
+@memoized
 def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     """Check K(e_i, e_j) = 0 on all basis pairs (sufficient by bilinearity).
 
@@ -232,42 +253,59 @@ def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
     nonzero one is the witness.  D and E are first divided by their gcd g,
     which divides D S - E (A_i A_j - A_j A_i) by g and keeps K.
 
-    Each row of K is decided packed (`linalg.pack_row`).  With a = max |P|
-    and c = max |C|, every entry of D S - E (A_i A_j - A_j A_i) is at most
-    n a (D c + 2 E a) in absolute value, which sets the slot width w, so a
-    packed row is 0 iff the row is.  The rows of each A_k are packed once
-    per metric, PR[k][r] = pack_row(row r of A_k); row r of A_i A_j is then
-    dot(row r of A_i, PR[j]) and row r of S is dot(C_ij, stack_r) with
-    stack_r = (PR[0][r] .. PR[n-1][r]): three dots per packed int of a
-    row, one packed int per row up to linalg.MAX_PACKED_WIDTH.  The
-    witness rows are unpacked.
+    K is decided packed (`linalg.pack`), in blocks of b rows.  With
+    a = max |P| and c = max |C| (`product_bound`, `LieAlgebra.entry_bound`),
+    every entry of D S - E (A_i A_j - A_j A_i) is at most n a (D c + 2 E a)
+    in absolute value, which sets the slot width w, so a packed block is 0
+    iff its rows are.  b = n, the whole matrix, when a row of n w bits is
+    at most FLAT_ROW_BITS wide, and b = 1 otherwise, as past
+    linalg.MAX_PACKED_WIDTH, where a packed row keeps one int per entry.
+    Per metric, the rows of each A_k are packed once,
+    PR_k[l] = pack_row(row l of A_k); so are its blocks of b rows whole,
+    M_k[beta], and its columns over each block at the spacing n w of a
+    row, CP_k[beta][l] = sum_{r in beta} A_k[r][l] 2^(n w (r - r0)) for a
+    block beta from row r0.  Block beta of K, packed, is then
+    D dot(C_ij, (M_k[beta])_k) - E (dot(CP_i[beta], PR_j) - dot(CP_j[beta], PR_i)):
+    three dots per packed int of a block.  At b = 1, CP_k[beta] is row r0
+    of A_k and M_k[beta] is PR_k[r0]; at b = n, one int holds K.  The
+    witness blocks are unpacked.
 
     Exact zeros are skipped, not multiplied: the commutator term is dropped
     when A_i or A_j is the zero matrix (most L_k of a sparse flat document)
     and the S term when C_ij = 0, and a pair with both dropped has K = 0.
     The dropped terms are 0, so each K, and with it the witness, the first
     nonzero pair in the same order, is unchanged.  A zero A_k is not packed
-    either: its rows share one packed zero row in the stacks."""
+    either: its blocks, rows and columns are shared zeros."""
     n = m.dim
     P, D = integer_product(m)
     C, E = m.algebra.C, m.algebra.E
     g = math.gcd(D, E)
     den = E * D * D // g
     D, E = D // g, E // g
-    a, c = linalg.max_abs(P), linalg.max_abs(C)
-    w = linalg.slot_width(n * a * (D * c + 2 * E * a))
-    rows = [tuple(zip(*plane)) for plane in P]  # rows[k][r][c] = A_k[r][c] = P[k][c][r]
+    a = product_bound(m)
+    w = linalg.slot_width(n * a * (D * m.algebra.entry_bound + 2 * E * a))
+    span = n * w  # bits of one packed row
+    q = 1 if w <= linalg.MAX_PACKED_WIDTH else n  # ints per packed row
+    b = n if q == 1 and span <= FLAT_ROW_BITS else 1
+    blocks = n // b
+
+    def blocked(lines):  # out[beta][x]: lines[x][r] over the rows r of block beta, span bits apart
+        return [tuple(linalg.pack(x, span) for x in lines)] if b > 1 else list(zip(*lines))
+
     zero = [not any(map(any, plane)) for plane in P]  # zero[k]: A_k = 0
-    blank = linalg.pack_row((0,) * n, w)
-    # packed[k][r][q]: q-th int of row r
-    packed = [[blank] * n if z else [linalg.pack_row(row, w) for row in A] for A, z in zip(rows, zero)]
-    q = len(packed[0][0])
-    # K lists the packed ints of its rows in order, q per row: int t of row r
-    # reads row r of A_i and A_j (rows_at), int t of every packed row of A_j
-    # and A_i (cols_at) and int t of packed row r of every A_k (stacks)
-    rows_at = [[row for row in A for _ in range(q)] for A in rows]
-    cols_at = [list(zip(*PR)) * n for PR in packed]
-    stacks = [s for PRr in zip(*packed) for s in zip(*PRr)]
+    blank = (0,) * n
+    packed, CP, M = [], [], []  # packed[k][t][l]: int t of PR_k[l]; CP[k][beta][l]; M[k][beta][t]
+    for plane, z in zip(P, zero):  # column c of A_k is P[k][c]
+        rows = [blank] * q if z else linalg.pack_rows(zip(*plane), w)
+        packed.append(rows)
+        CP.append([blank] * blocks if z else blocked(plane))
+        M.append([(0,) * q] * blocks if z else blocked(rows))
+    # K lists the packed ints of its blocks in order, q per block: int t of
+    # block beta reads CP_i[beta] and CP_j[beta] (blocks_at), int t of every
+    # packed row of A_j and A_i (cols_at) and int t of M_k[beta] (stacks)
+    blocks_at = [[cp for cp in CPk for _ in range(q)] for CPk in CP]
+    cols_at = [rows * blocks for rows in packed]
+    stacks = [s for Mb in zip(*M) for s in zip(*Mb)]
     dot = linalg.dot
     for i in range(n):
         for j in range(i + 1, n):
@@ -279,16 +317,17 @@ def is_flat(m: MetricLieAlgebra) -> CurvatureVerdict:
             elif any(cij):
                 K = [
                     D * dot(cij, s) - E * (dot(ai, pj) - dot(aj, pi))
-                    for s, ai, aj, pi, pj in zip(stacks, rows_at[i], rows_at[j], cols_at[i], cols_at[j])
+                    for s, ai, aj, pi, pj in zip(stacks, blocks_at[i], blocks_at[j], cols_at[i], cols_at[j])
                 ]
             else:
                 K = [
                     E * (dot(aj, pi) - dot(ai, pj))
-                    for ai, aj, pi, pj in zip(rows_at[i], rows_at[j], cols_at[i], cols_at[j])
+                    for ai, aj, pi, pj in zip(blocks_at[i], blocks_at[j], cols_at[i], cols_at[j])
                 ]
             if any(K):
-                witness = (linalg.unpack_row(K[r * q:(r + 1) * q], w, n) for r in range(n))
-                return CurvatureVerdict(False, (i, j, tuple(tuple(Fraction(x, den) for x in row) for row in witness)))
+                entries = chain.from_iterable(linalg.unpack_row(K[e:e + q], w, n * b) for e in range(0, len(K), q))
+                witness = tuple(tuple(Fraction(x, den) for x in row) for row in zip(*[entries] * n))
+                return CurvatureVerdict(False, (i, j, witness))
     return CurvatureVerdict(True, None)
 
 

@@ -29,6 +29,7 @@ from .metric import (
     integer_product,
     is_flat,
     killing_subalgebra,
+    product_bound,
     timelike_vector,
 )
 
@@ -72,8 +73,8 @@ def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
     its n^2 entries in one row (`linalg.pack_row`), L(P, s) is one dot of s
     with the packed planes per packed int.  With sigma the largest sum |s|
     over the rows of both bases, every slot of E L(P, s) - D L(C, s) and of
-    L(P, h) is at most sigma (E max |P| + D max |C|), which sets the slot
-    width."""
+    L(P, h) is at most sigma (E max |P| + D max |C|) (`product_bound`,
+    `LieAlgebra.entry_bound`), which sets the slot width."""
     if split.killing != killing_subalgebra(m) or split.derived != m.algebra.derived_subalgebra():
         raise InvalidSplitError("split does not match this metric's Killing/derived subspaces")
     if split.killing.dim + split.derived.dim != m.dim or any(
@@ -83,7 +84,7 @@ def verify_eq2(m: MetricLieAlgebra, split: SplitData) -> bool:
     P, D = integer_product(m)
     C, E = m.algebra.C, m.algebra.E
     sigma = max(sum(map(abs, v)) for v in split.killing.B + split.derived.B)
-    w = linalg.slot_width(sigma * (E * linalg.max_abs(P) + D * linalg.max_abs(C)))
+    w = linalg.slot_width(sigma * (E * product_bound(m) + D * m.algebra.entry_bound))
     dot = linalg.dot
     Pp, Cp = (linalg.pack_rows([list(chain.from_iterable(plane)) for plane in T], w) for T in (P, C))
     for s in split.killing.B:
@@ -182,13 +183,13 @@ def same_connection(m1: MetricLieAlgebra, m2: MetricLieAlgebra) -> bool:
     dot(H[r], PT_k) for the columns PT_k[l] = (P[k][c][l])_c of the plane
     P[k] packed, and row r of M_k^T is dot(P[k][r], HP) for the packed rows
     HP[l] of H (symmetric: its columns).  Every slot of the sum is at most
-    2 (row sum of |H|) max |P|, which sets the slot width: 2 n^2 dots per
-    packed int of a row."""
+    2 (row sum of |H|) max |P| (`product_bound`), which sets the slot
+    width: 2 n^2 dots per packed int of a row."""
     if m1.algebra != m2.algebra:
         raise MismatchedAlgebrasError("metrics live on different Lie algebras")
     P, _ = integer_product(m1)
     H = m2.G
-    w = linalg.slot_width(2 * max(sum(map(abs, row)) for row in H) * linalg.max_abs(P))
+    w = linalg.slot_width(2 * max(sum(map(abs, row)) for row in H) * product_bound(m1))
     dot = linalg.dot
     HP = linalg.pack_rows(H, w)
     for plane in P:

@@ -473,6 +473,74 @@ def test_anisotropic_population_has_the_commutator_term_dominate_the_width():
     assert {is_flat(m).flat for _, m in ANISOTROPIC} == {True, False}
 
 
+FLAT_POPULATION = INSTANCES + HIGH_NONFLAT + BIG_ENTRY + ANISOTROPIC
+
+
+def flat_regime(monkeypatch, m):
+    """(verdict, regime) of one run of the is_flat body on m, the block size
+    seen by spying on `linalg.pack`: "whole" (b = n) when it packs at the
+    row spacing n w, "rows" (b = 1) when it packs at w only, "entries"
+    (b = 1, one int per entry) when it packs no row at all, and "none"
+    when no A_k is packed (every A_k is 0)."""
+    metric.product_bound(m)  # and the product it reads
+    calls = {"pack": [], "pack_row": []}
+    fns = {name: getattr(linalg, name) for name in calls}
+
+    def spy(name):
+        def spied(row, w):
+            calls[name].append(w)
+            return fns[name](row, w)
+        return spied
+
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(linalg, name, spy(name))
+        verdict = metric.is_flat.__wrapped__(m)
+    w = slot_width(m)
+    if not calls["pack_row"]:
+        return verdict, "none"
+    return verdict, "whole" if m.dim * w in calls["pack"] else "rows" if calls["pack"] else "entries"
+
+
+def test_is_flat_reaches_every_block_size_with_both_verdicts(monkeypatch):
+    """The populations whose verdicts and witnesses match the Fraction
+    curvature pair by pair (`test_is_flat_verdict_and_witness_match_curvature_on_every_pair`)
+    are decided on whole matrices, on packed rows and on one int per entry,
+    each with both verdicts, as FLAT_ROW_BITS and MAX_PACKED_WIDTH set it.
+    In each, some witness has a zero first row, so its first nonzero block
+    is a later row of K (or of the one whole block), and some non-flat
+    metric mixes zero and nonzero A_k."""
+    seen, late, mixed = set(), set(), set()
+    for _, m in FLAT_POPULATION:
+        verdict, regime = flat_regime(monkeypatch, m)
+        assert verdict == is_flat(m)
+        w = slot_width(m)
+        if regime != "none":
+            wide = w > linalg.MAX_PACKED_WIDTH
+            assert regime == ("entries" if wide else "whole" if m.dim * w <= metric.FLAT_ROW_BITS else "rows")
+        seen.add((regime, verdict.flat))
+        if not verdict.flat:
+            zero = [not any(map(any, plane)) for plane in metric.integer_product(m)[0]]
+            if not any(verdict.witness[2][0]):
+                late.add(regime)
+            if any(zero) and not all(zero):
+                mixed.add(regime)
+    assert {(r, f) for r in ("whole", "rows", "entries") for f in (True, False)} <= seen
+    assert {"whole", "rows", "entries"} <= late & mixed
+
+
+@pytest.mark.parametrize("budget", [0, 10**9])
+def test_is_flat_gives_the_same_verdict_at_any_block_size(monkeypatch, budget):
+    """Forcing b = 1 (FLAT_ROW_BITS = 0) or b = n up to MAX_PACKED_WIDTH
+    leaves every verdict and witness as it is; the forced regime is seen
+    on every metric that packs its rows."""
+    expected = [is_flat(m) for _, m in FLAT_POPULATION]
+    monkeypatch.setattr(metric, "FLAT_ROW_BITS", budget)
+    runs = [flat_regime(monkeypatch, m) for _, m in FLAT_POPULATION]
+    assert [verdict for verdict, _ in runs] == expected
+    assert {regime for _, regime in runs} == {"none", "entries", "rows" if budget == 0 else "whole"}
+
+
 def _split(m):
     S, D = killing_subalgebra(m), m.algebra.derived_subalgebra()
     return SplitData(S, D, tuple(tuple(m.inner(list(s), list(d)) for d in D.basis) for s in S.basis))
@@ -1338,12 +1406,11 @@ def test_scalar_action_matches_the_fraction_restriction():
     assert sum(x is not None and x != 0 for x in answers) >= 30 and sum(x == 0 for x in answers) >= 10
 
 
-def test_sweeps_reach_coordinates_and_elimination_with_int_rows(monkeypatch):
-    """`classc.detect` and `classc.construct_witness` test the int unit
-    vectors of `linalg.units`, and `restrict_form` hands `radical` and
-    `congruence` its int view, so over whole sweeps the membership test
-    under `Subspace.contains` and the row clearing of `_bareiss` see ints
-    only."""
+def test_sweeps_run_no_membership_test_and_eliminate_int_rows(monkeypatch):
+    """`classc.detect` reads its transversal off the ideal's echelon rows,
+    so over whole sweeps no membership test under `Subspace.contains`
+    runs; and `restrict_form` hands `radical` and `congruence` its int
+    view, so the row clearing of `_bareiss` sees ints only."""
     seen = {"coordinates": [], "rows": []}
     pivot_entries, primitive_row = Subspace._pivot_entries, linalg._primitive_row
 
@@ -1359,5 +1426,5 @@ def test_sweeps_reach_coordinates_and_elimination_with_int_rows(monkeypatch):
     monkeypatch.setattr(linalg, "_primitive_row", spied_row)
     for seed in (100, 101, 102):
         sweeps.run_all(seed, 40)
-    assert len(seen["coordinates"]) > 100 and len(seen["rows"]) > 5000
-    assert all(seen["coordinates"]) and all(seen["rows"])
+    assert seen["coordinates"] == [] and len(seen["rows"]) > 5000
+    assert all(seen["rows"])

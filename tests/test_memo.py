@@ -301,6 +301,40 @@ def test_copies_are_rebuilt_by_the_constructor_without_the_memo():
         m.algebra._replace(C=tuple(map(tuple, C)))
 
 
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_analysis_reads_each_entry_bound_once(monkeypatch, name):
+    """Loading and analysing a golden input hands `linalg.max_abs` no
+    tensor twice: max |C| is read at construction (`entry_bound`), max |P|
+    once with the product view (`product_bound`), and every packed check
+    reads those two."""
+    seen = []
+    max_abs = linalg.max_abs
+
+    def spied(T):
+        seen.append(T)
+        return max_abs(T)
+
+    monkeypatch.setattr(linalg, "max_abs", spied)
+    m = _golden_input(name)
+    report.analysis_report(m)
+    assert len({id(T) for T in seen}) == len(seen)
+    assert any(T is m.algebra.C for T in seen) and any(T is integer_product(m)[0] for T in seen)
+
+
+def test_entry_bound_survives_every_copy():
+    """`entry_bound` lives outside the tuple and is set by `_check`, so
+    each copy that pickle, copy, `_replace` and `_make` builds holds
+    max |C| again; `product_bound` is max |P|."""
+    m = _instance()
+    a = m.algebra
+    copies = (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a), a._replace(E=a.E), LieAlgebra._make(a))
+    for x in (a, *copies, pickle.loads(pickle.dumps(m)).algebra):
+        assert x.entry_bound == linalg.max_abs(x.C) == linalg.max_abs(a.C) > 0
+        assert type(x.entry_bound) is int
+    assert metric.product_bound(m) == linalg.max_abs(integer_product(m)[0])
+    assert LieAlgebra.abelian(3).entry_bound == 0
+
+
 def test_derived_instances_hold_only_their_own_views():
     """A metric made by scale_gram or change_basis starts with an empty
     memo, nothing copied from the analysed parent's, and its fields are
