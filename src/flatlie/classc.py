@@ -88,7 +88,7 @@ def detect(a: LieAlgebra) -> ClassCStructure | None:
     """
     U = a.derived_subalgebra()
     n = a.dim
-    if U.dim != n - 1 or not a.is_abelian_subspace(U):
+    if U.dim != n - 1 or not a.is_2_solvable():
         return None
     inside = {next(j for j, x in enumerate(row) if x) for row in U.B if sum(map(bool, row)) == 1}
     t = linalg.units(n)[next(j for j in range(n) if j not in inside)]

@@ -11,15 +11,16 @@ This module steps by the series of order ORDER, with each step chosen a priori
 from its last two coefficients (Jorba & Zou, Experimental Math. 14 (2005)),
 and flags finite-time blow-up.  Near a simple real pole the ratio of
 consecutive coefficients gives the distance to it (Corliss & Chang, ACM
-TOMS 8 (1982)), so a blow-up ray ends at the step whose rows show its pole,
-with the pole as its blow-up time.  Floats only: the exact kernel is never
-used inside the stepper.
+TOMS 8 (1982)).  Every step's rows are tested, so a blow-up ray ends at the
+first step whose rows show its pole, with the pole as its blow-up time.
+Floats only: the exact kernel is never used inside the stepper.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidGeodesicInputError, InvalidToleranceError
@@ -29,9 +30,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 BLOWUP_NORM = 1e12
-# a run can end as a blow-up short of BLOWUP_NORM (at a collapsing step, or
-# at a pole that its rows show) only once |v| has grown this many times over
-# max(1, |v0|)
+# a step collapsing below MIN_STEP is a blow-up only once |v| has grown this
+# many times over max(1, |v0|), and a STEP_UNDERFLOW otherwise
 BLOWUP_GROWTH = 1e3
 MIN_STEP = 1e-14
 MAX_STEPS = 100_000
@@ -135,26 +135,28 @@ def pole_ratio(W: np.ndarray, rel_tol: float) -> float | None:
     of w_{p-3} .. w_p gets its least-squares ratio lambda_k; the rows count
     as that pole's only if w_{p-2} .. w_p are nonzero and finite, the
     spread of the lambda_k is at most rel_tol lambda_{p-1}, which is
-    returned, and every |w_k - lambda_k w_{k+1}| is at most rel_tol |w_k|."""
-    import numpy as np
+    returned, and every |w_k - lambda_k w_{k+1}| is at most rel_tol |w_k|.
 
-    # the checks reduce lists of Python floats: the first numpy reduction
-    # of a process allocates a 128 KB buffer, which raises its peak RSS
-    head, tail = W[ORDER - 3:ORDER], W[ORDER - 2:]
-    squares = np.einsum("ij,ij->i", tail, tail)
-    if not all(0.0 < x < math.inf for x in squares.tolist()):
-        return None
-    ratios = np.einsum("ij,ij->i", head, tail) / squares
-    listed = ratios.tolist()
-    lam = listed[-1]
-    # a spread of at most rel_tol lambda_{p-1} leaves every ratio positive
-    if not (all(map(math.isfinite, listed)) and max(listed) - min(listed) <= rel_tol * lam):
-        return None
-    residuals = head - ratios[:, None] * tail
-    off = np.einsum("ij,ij->i", residuals, residuals).tolist()
-    if any(r > rel_tol ** 2 * h for r, h in zip(off, np.einsum("ij,ij->i", head, head).tolist())):
-        return None
-    return lam
+    Every step's rows are tested, and most fail the spread, so the ratios
+    are formed in Python floats (four rows as lists, no numpy call per
+    check), last pair first, and the test ends at the first ratio that
+    widens the spread past rel_tol lambda_{p-1}."""
+    rows = W[ORDER - 3:].tolist()
+    pairs = (rows[2], rows[3]), (rows[1], rows[2]), (rows[0], rows[1])
+    ratios = []
+    for head, tail in pairs:
+        square = sum(map(mul, tail, tail))
+        if not 0.0 < square < math.inf:
+            return None
+        ratio = sum(map(mul, head, tail)) / square
+        ratios.append(ratio)
+        # a spread of at most rel_tol lambda_{p-1} leaves every ratio positive
+        if not (math.isfinite(ratio) and max(ratios) - min(ratios) <= rel_tol * ratios[0]):
+            return None
+    for (head, tail), ratio in zip(pairs, ratios):
+        if sum((h - ratio * x) ** 2 for h, x in zip(head, tail)) > rel_tol ** 2 * sum(map(mul, head, head)):
+            return None
+    return ratios[0]
 
 
 class TrajectorySample(NamedTuple):
@@ -196,18 +198,21 @@ def integrate(
     is the series at theta, one dot of the powers theta^k with the rows.  No
     step is rejected.
 
-    Once |v| has grown BLOWUP_GROWTH-fold over max(1, |v0|), each step's
-    rows are tested for a simple real pole ahead (`pole_ratio`, the
-    Corliss-Chang estimate, with rel_tol as its tolerance).  If they show one
-    at t + s lambda < t_max, the step they were formed for is taken and the
-    run ends as BLOW_UP_DETECTED, with t + s lambda as the blow-up time; a
-    pole at or past t_max changes nothing.  The test only reads the rows, so
-    a run that ends any other way takes the same steps as without it.
+    Every step's rows are tested for a simple real pole ahead
+    (`pole_ratio`, the Corliss-Chang estimate, with rel_tol as its
+    tolerance).  If they show one at t + s lambda with
+    t + s lambda (1 + rel_tol) < t_max, the step they were formed for is
+    taken and the run ends as BLOW_UP_DETECTED, with t + s lambda as the
+    blow-up time.  The ratios agree only to rel_tol lambda, so a pole at or
+    past t_max, or nearer t_max than that, changes nothing.  The test only
+    reads the rows, so a run that ends any other way takes the same steps
+    as without it.
 
     As backstops for rays whose rows show no simple pole, blow-up is also
     declared when the velocity norm exceeds BLOWUP_NORM, or when the step
-    falls below MIN_STEP after the same BLOWUP_GROWTH-fold growth (a
-    collapsing step without growth is reported as STEP_UNDERFLOW instead);
+    falls below MIN_STEP after |v| has grown BLOWUP_GROWTH-fold over
+    max(1, |v0|) (a collapsing step without that growth is reported as
+    STEP_UNDERFLOW instead);
     there the final step's time is the blow-up estimate.  After MAX_STEPS
     steps short of t_max the samples so far are returned as STEP_LIMIT.
     """
@@ -273,16 +278,16 @@ def integrate(
             if c:  # a row of 0 (a polynomial velocity, or an underflow) bounds nothing
                 theta = min(theta, safety * (tol / c) ** (1.0 / k))
         h = theta * s
-        grown = norm > BLOWUP_GROWTH * norm0
         if h < MIN_STEP:
-            if grown:
+            if norm > BLOWUP_GROWTH * norm0:
                 return trajectory(BLOW_UP_DETECTED, t)
             return trajectory(STEP_UNDERFLOW)
         pole = None
-        if grown:
-            lam = pole_ratio(W, rel_tol)
-            if lam is not None and t + s * lam < t_max:
-                pole = t + s * lam
+        lam = pole_ratio(W, rel_tol)
+        # the ratios agree only to rel_tol lambda: a pole nearer t_max than
+        # that is not resolved from one there
+        if lam is not None and t + s * lam * (1.0 + rel_tol) < t_max:
+            pole = t + s * lam
         if t + h < t_max:
             t += h
         else:

@@ -247,6 +247,7 @@ class LieAlgebra(CheckedRecord, _LieFields):
     def is_abelian(self) -> bool:
         return not any(map(any, chain.from_iterable(self.C)))
 
+    @memoized
     def is_2_solvable(self) -> bool:
         """True iff the derived subalgebra is abelian."""
         return self.is_abelian_subspace(self.derived_subalgebra())

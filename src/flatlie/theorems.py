@@ -110,7 +110,7 @@ def _split_check(m: MetricLieAlgebra) -> Theorem1Report:
     spans = S.dim + D.dim == m.dim and linalg.subspace_sum(S, D).dim == m.dim
     orthogonal = not any(map(any, R))
     s_abelian = a.is_abelian_subspace(S)
-    d_abelian = a.is_abelian_subspace(D)
+    d_abelian = a.is_2_solvable()
     witness = timelike_vector(m, S)
     timelike = witness is not None
     condition = timelike or not m.is_lorentzian

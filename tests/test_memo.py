@@ -368,3 +368,23 @@ def test_class_c_analysis_detects_once(monkeypatch):
     section = report.analysis_report(m)["class_c"]
     assert section["detected"] and section["witness"]["closed_form_matches"]
     assert counts == {"detect": 1, "theorem2": 1, "radical": 1}
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_analysis_tests_each_subspace_for_abelianness_once(monkeypatch, name):
+    """One analyze runs `LieAlgebra.is_abelian_subspace` at most once per
+    distinct (algebra, subspace) pair: the derived algebra, which
+    `classc.detect` and the split check both need, is tested through the
+    memoized `is_2_solvable`."""
+    pairs = []
+    is_abelian_subspace = LieAlgebra.is_abelian_subspace
+
+    def spied(a, V):
+        pairs.append((a, V))
+        return is_abelian_subspace(a, V)
+
+    monkeypatch.setattr(LieAlgebra, "is_abelian_subspace", spied)
+    m = _golden_input(name)
+    report.analysis_report(m)
+    assert pairs and len({(id(a), V) for a, V in pairs}) == len(pairs)
+    assert m.algebra.is_2_solvable() is is_abelian_subspace(m.algebra, m.algebra.derived_subalgebra())
