@@ -40,7 +40,6 @@ _EXPORTS = {
         "theorem2_check",
         "WitnessBasis",
         "construct_witness",
-        "witness_change_of_basis",
         "witness_scale",
         "closed_form_products",
         "closed_form_matches",

@@ -21,7 +21,7 @@ from .errors import (
     RadicalDimensionError,
 )
 from .lie import LieAlgebra, memoized
-from .linalg import IntTensor, Mat, Subspace, frac
+from .linalg import IntTensor, Subspace, frac
 from .metric import MetricLieAlgebra, integer_product, is_flat, product_bound
 
 
@@ -201,12 +201,6 @@ def construct_witness(m: MetricLieAlgebra) -> WitnessBasis:
     return WitnessBasis(e, d, B, linalg.least_terms(*linalg.restrict_form(Gi, B, g)))
 
 
-def witness_change_of_basis(w: WitnessBasis) -> Mat:
-    """Columns e, B-basis..., d: the transport from witness coordinates to
-    the original basis."""
-    return linalg.transpose([w.e, *w.b_basis.basis, w.d])
-
-
 def witness_scale(a: LieAlgebra, w: WitnessBasis) -> Fraction:
     """alpha with [d, u] = alpha u on the derived algebra (d = alpha b + u0).
 
@@ -214,8 +208,8 @@ def witness_scale(a: LieAlgebra, w: WitnessBasis) -> Fraction:
     centralizes U, and U is its own centralizer, so d - alpha b is in U and
     alpha = phi(d) / phi(b) for any linear form phi that vanishes on U.
     With U's view B / b and f its one column with no pivot, phi(v) is
-    b v[f] - sum_r v[p_r] B[r][f]: b times the residual at f of v against
-    the rows (`Subspace.coordinates`)."""
+    b v[f] - sum_r v[p_r] B[r][f]: b times the residual at f of v less
+    the combination of the rows with v's entries at their pivots."""
     structure = _require_class_c(a)
     U = structure.ideal
     pivots = [next(j for j, x in enumerate(row) if x) for row in U.B]

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import JacobiError
-from .linalg import IntTensor, Mat, Subspace, Tensor, Vec, frac
+from .linalg import IntTensor, Subspace, Tensor, frac
 
 
 def memoized(fn):
@@ -98,17 +98,6 @@ def complete_brackets(dim: int, rows: Iterable[tuple[tuple[int, int], Sequence[i
         C[i][j] = tuple(row)
         C[j][i] = tuple(-x for x in row)
     return tuple(map(tuple, C))
-
-
-def clear_vectors(n: int, *vectors: Sequence) -> tuple[list[list[int]], int]:
-    """Vectors of length n, of ints or Fractions, as int rows over one
-    denominator; a float raises TypeError, as in `linalg.frac`."""
-    if any(len(v) != n for v in vectors):
-        raise ValueError(f"vector lengths {', '.join(str(len(v)) for v in vectors)} != algebra dimension {n}")
-    bad = next((x for x in chain(*vectors) if isinstance(x, float)), None)
-    if bad is not None:
-        raise TypeError(f"refusing inexact float {bad!r}")
-    return linalg.clear_denominators(vectors)
 
 
 class _LieFields(NamedTuple):
@@ -208,16 +197,6 @@ class LieAlgebra(CheckedRecord, _LieFields):
         """C / E, one Fraction per entry: for the public boundary only."""
         return linalg.fraction_tensor(self.C, self.E)
 
-    def bracket(self, x: Sequence, y: Sequence) -> Vec:
-        """[x, y] for x, y = xi / d, yi / d (`clear_vectors`): C(xi, yi) / (E d^2)."""
-        (xi, yi), d = clear_vectors(self.dim, x, y)
-        return [Fraction(v, self.E * d * d) for v in linalg.bilinear(self.C, xi, yi)]
-
-    def ad(self, x: Sequence) -> Mat:
-        """Matrix of v -> [x, v]; columns are the brackets with basis vectors."""
-        (xi,), d = clear_vectors(self.dim, x)
-        return [[Fraction(v, self.E * d) for v in row] for row in linalg.left_matrix(self.C, xi)]
-
     @memoized
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of all basis brackets, read off the int rows
@@ -244,26 +223,7 @@ class LieAlgebra(CheckedRecord, _LieFields):
             for b in range(a + 1, len(rows))
         )
 
-    def is_abelian(self) -> bool:
-        return not any(map(any, chain.from_iterable(self.C)))
-
     @memoized
     def is_2_solvable(self) -> bool:
         """True iff the derived subalgebra is abelian."""
         return self.is_abelian_subspace(self.derived_subalgebra())
-
-    @classmethod
-    def in_basis(cls, view: tuple[Sequence, int], P: Sequence[Sequence]) -> "LieAlgebra":
-        """The algebra C / E of the integer view (C, E), in any terms, in the
-        basis whose j-th vector is column j of P (old coordinates), from
-        `linalg.integer_transport`.  P holds ints, kept as ints, or anything
-        `frac` coerces (a float raises TypeError, a singular P
-        SingularMatrixError).  A C that is not antisymmetric raises
-        AntisymmetryError before P is read; the constructor's check of the
-        result covers (C, E) otherwise: P is invertible."""
-        C, E = view
-        return cls(len(C), *linalg.integer_transport(C, linalg.exact_mat(P), E))
-
-    def change_basis(self, P: Sequence[Sequence]) -> "LieAlgebra":
-        """`in_basis` from the fields (C, E)."""
-        return LieAlgebra.in_basis((self.C, self.E), P)

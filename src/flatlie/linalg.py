@@ -6,9 +6,9 @@ operation here is pure and exact: no floating point, no tolerances, so
 "equals zero" is a real decision, not a threshold.
 
 The hot exact work runs in Python ints: `clear_denominators` scales a
-matrix to integers over one common denominator, and `dot`, `bilinear`
-and `left_matrix` keep int data int (their sums start at int 0, so an
-entry with no nonzero term is the int 0, which equals Fraction(0)).  The
+matrix to integers over one common denominator, and `dot` and `bilinear`
+keep int data int (their sums start at int 0, so an entry with no
+nonzero term is the int 0, which equals Fraction(0)).  The
 records' fields are least-terms integer views: the structure constants
 (C, E), which `lie.integer_view` clears from the bracket table of
 `LieAlgebra.from_brackets` (so of every sweep instance's shape) and the
@@ -124,10 +124,6 @@ def fraction_tensor(X: Sequence[Sequence[Sequence[int]]], d: int) -> Tensor:
     return tuple(fraction_matrix(plane, d) for plane in X)
 
 
-def transpose(A: Sequence[Sequence[Fraction]]) -> Mat:
-    return [list(col) for col in zip(*A)] if A else []
-
-
 def dot(x: Sequence, y: Sequence):
     """sum_k x_k y_k, one C-level pass: the inner loop of the packed rows
     that `is_flat` and the Jacobi check build once and then only read."""
@@ -207,8 +203,8 @@ def unpack_row(xs: Sequence[int], w: int, n: int) -> list[int]:
 def bilinear(T: Tensor, x: Sequence, y: Sequence) -> Vec:
     """T(x, y) = sum_ij x_i y_j T[i][j] for an n x n x n tensor whose
     T[i][j][k] is the e_k coefficient of T(e_i, e_j): the contraction
-    behind bracket, ad and `LieAlgebra.is_abelian_subspace`; zero
-    coefficients are skipped."""
+    behind `LieAlgebra.is_abelian_subspace`; zero coefficients are
+    skipped."""
     out = [0] * len(T)
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for xi, plane in zip(x, T):
@@ -219,11 +215,6 @@ def bilinear(T: Tensor, x: Sequence, y: Sequence) -> Vec:
                     if t:
                         out[k] += f * t
     return out
-
-
-def left_matrix(T: Tensor, x: Sequence) -> Mat:
-    """Matrix of y -> T(x, y)."""
-    return transpose([bilinear(T, x, e) for e in units(len(T))])
 
 
 def check_antisymmetric(T: Sequence[Sequence[Sequence[int]]]) -> None:
@@ -628,33 +619,6 @@ class Subspace(NamedTuple):
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """B / b, one Fraction per entry: for the public boundary only."""
         return fraction_matrix(self.B, self.b)
-
-    def _pivot_entries(self, v: Sequence) -> tuple[list[int], int] | None:
-        """(f, s) with f_r / s the coordinate of v along row r, or None if v
-        is not in the subspace, decided in ints: coordinate r is v at row
-        r's pivot p_r, and v is in the subspace iff b v = sum_r v[p_r] B[r]
-        (v = vi / s cleared of denominators)."""
-        (vi,), s = clear_denominators(exact_mat([v]))
-        if len(vi) != self.ambient_dim:
-            raise ValueError(f"vector length {len(vi)} != ambient dimension {self.ambient_dim}")
-        residual = [self.b * x for x in vi]
-        entries = []
-        for row in self.B:
-            f = vi[next(j for j, x in enumerate(row) if x)]
-            entries.append(f)
-            if f:
-                residual = [x - f * y for x, y in zip(residual, row)]
-        return None if any(residual) else (entries, s)
-
-    def coordinates(self, v: Sequence) -> Vec | None:
-        """Coordinates of v in the canonical basis, one Fraction each, or
-        None if v is not in the subspace."""
-        found = self._pivot_entries(v)
-        return None if found is None else [Fraction(f, found[1]) for f in found[0]]
-
-    def contains(self, v: Sequence) -> bool:
-        """Membership on the int residual of `coordinates`: no Fraction."""
-        return self._pivot_entries(v) is not None
 
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:

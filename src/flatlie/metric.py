@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import DegenerateFormError, HypothesisNotMetError, NonSymmetricError
-from .lie import CheckedRecord, LieAlgebra, check_ints, check_reduced, clear_vectors, is_square, memoized
+from .lie import CheckedRecord, LieAlgebra, check_ints, check_reduced, is_square, memoized
 from .linalg import IntTensor, Signature, Subspace, frac
 
 
@@ -93,12 +93,6 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
         """G / g, one Fraction per entry: for the public boundary only."""
         return linalg.fraction_matrix(self.G, self.g)
 
-    def inner(self, x: Sequence, y: Sequence) -> Fraction:
-        """<x, y> for vectors of ints or Fractions (`lie.clear_vectors`),
-        as int dots with G over one denominator."""
-        (xi, yi), d = clear_vectors(self.dim, x, y)
-        return Fraction(linalg.dot(xi, [linalg.dot(row, yi) for row in self.G]), self.g * d * d)
-
     def scale_gram(self, f) -> "MetricLieAlgebra":
         """The metric f <., .> for f != 0: f G / g in least terms."""
         f = frac(f)
@@ -113,12 +107,12 @@ class MetricLieAlgebra(CheckedRecord, _MetricFields):
     ) -> "MetricLieAlgebra":
         """The metric Lie algebra (C / E, gram / g) in the basis given by the
         columns of P: the algebra from view = (C, E) by
-        `linalg.integer_transport`, as `LieAlgebra.in_basis` moves it, the
-        Gram view P^T (gram / g) P by `linalg.transport_form`, both from P
-        coerced once.  The constructor's check covers gram too: P is
-        invertible.  gram and P hold ints, kept as ints, or anything `frac`
-        coerces (floats raise TypeError), g is a positive int; a singular P
-        raises SingularMatrixError."""
+        `linalg.integer_transport`, the Gram view P^T (gram / g) P by
+        `linalg.transport_form`, both from P coerced once.  The
+        constructor's check covers gram too: P is invertible.  gram and P
+        hold ints, kept as ints, or anything `frac` coerces (floats raise
+        TypeError), g is a positive int; a singular P raises
+        SingularMatrixError."""
         P = linalg.exact_mat(P)
         C, E = view
         moved = LieAlgebra(len(C), *linalg.integer_transport(C, P, E))

@@ -1,15 +1,25 @@
 """Every module-level function and class of `flatlie` has a use: another
 definition of the package refers to it, `flatlie._EXPORTS` exports it, or
 it is an entry point of the console script, the catalog or the input
-format.  A helper that only the tests call belongs in the tests."""
+format.  So has every method and property of its classes: another
+statement of the package reads it.  A helper that only the tests call
+belongs in the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import flatlie
 
 SRC = Path(flatlie.__file__).parent
 ENTRY_POINTS = {"cli.entry", "catalog.build", "inputdoc.load", "inputdoc.loads", "inputdoc.emit_document"}
+#: class members that no statement of the package reads, each with its use
+MEMBER_USES = {
+    "CheckedRecord._make": "the NamedTuple protocol: `_replace` builds its copy with it",
+    "MetricLieAlgebra.make": "the public constructor from a Gram matrix, called by a README python block",
+    "MetricLieAlgebra.change_basis": "the public change of basis, which README describes",
+    "Subspace.span": "the public constructor that checks vector lengths",
+}
 
 
 def unused_definitions():
@@ -47,3 +57,25 @@ def unused_definitions():
 
 def test_every_definition_has_a_use():
     assert unused_definitions() == []
+
+
+def unused_members():
+    """Class.name of each method or property, dunders aside, of a
+    module-level class that no other statement of the package reads as
+    `.name`: a member's reads of its own name do not count."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+
+    def reads(node):
+        return Counter(x.attr for x in ast.walk(node) if isinstance(x, ast.Attribute) and isinstance(x.ctx, ast.Load))
+
+    total = sum(map(reads, trees), Counter())
+    return sorted(
+        f"{cls.name}.{member.name}"
+        for tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for member in cls.body if isinstance(member, ast.FunctionDef) and not member.name.startswith("__")
+        if total[member.name] == reads(member)[member.name]
+    )
+
+
+def test_every_member_has_a_use():
+    assert [name for name in unused_members() if name not in MEMBER_USES] == []

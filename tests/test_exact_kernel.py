@@ -2,7 +2,7 @@
 
 `Subspace.row_space`, `linalg.kernel`, `linalg.integer_inverse`, `linalg.congruence`
 (on a Fraction matrix and on a metric's Gram view (G, g)), `linalg.congruence_inverse`,
-`linalg.integer_transport`, both `change_basis` methods, `metric.is_flat`,
+`linalg.integer_transport`, `MetricLieAlgebra.change_basis`, `metric.is_flat`,
 `metric.integer_product` (against the Koszul solve pair by pair),
 `theorems.verify_eq2`, `theorems.same_connection`, `classc.closed_form_matches`
 (each also against its definition on `reference.left_mult` or `reference.transport`),
@@ -543,7 +543,7 @@ def test_is_flat_gives_the_same_verdict_at_any_block_size(monkeypatch, budget):
 
 def _split(m):
     S, D = killing_subalgebra(m), m.algebra.derived_subalgebra()
-    return SplitData(S, D, tuple(tuple(m.inner(list(s), list(d)) for d in D.basis) for s in S.basis))
+    return SplitData(S, D, tuple(tuple(reference.form(m.gram, s, d) for d in D.basis) for s in S.basis))
 
 
 def _is_valid_split(split):
@@ -703,7 +703,7 @@ def test_transport_matches_fraction_change_of_basis(n):
 def test_transport_refuses_a_singular_basis_and_a_non_antisymmetric_view():
     """A singular P raises SingularMatrixError; a view with C[i][j] != -C[j][i]
     raises AntisymmetryError naming the first such entry, before P is read,
-    so even with a singular P, and through `LieAlgebra.in_basis` too."""
+    so even with a singular P, and through `MetricLieAlgebra.in_basis` too."""
     rng = random.Random(350)
     for n in range(2, 6):
         C, E = tensor_view(populations.antisymmetric_tensor(rng, n, lambda r: F(r.randint(-6, 6), r.randint(1, 9))))
@@ -718,7 +718,7 @@ def test_transport_refuses_a_singular_basis_and_a_non_antisymmetric_view():
                 linalg.integer_transport(bad, P, E)
             assert exc.value.triple == (0, n - 1, 1)
             with pytest.raises(AntisymmetryError):
-                LieAlgebra.in_basis((bad, E), P)
+                MetricLieAlgebra.in_basis((bad, E), linalg.units(n), P)
 
 
 def test_transports_read_int_input_as_it_is(monkeypatch):
@@ -815,11 +815,10 @@ def test_change_basis_fields_are_the_cleared_fraction_change_of_basis(monkeypatc
 def test_change_basis_refuses_bad_input():
     m = sweeps.random_metric_algebra(random.Random(340), 3)
     singular = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
-    for target in (m, m.algebra):
-        with pytest.raises(SingularMatrixError):
-            target.change_basis(singular)
-        with pytest.raises(TypeError):
-            target.change_basis([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(SingularMatrixError):
+        m.change_basis(singular)
+    with pytest.raises(TypeError):
+        m.change_basis([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
     identity = [[F(int(i == j)) for j in range(3)] for i in range(3)]
     view = m.algebra.C, m.algebra.E
     with pytest.raises(TypeError):
@@ -846,9 +845,8 @@ def test_change_basis_checks_every_new_instance(monkeypatch):
     for tensor, error in ((not_lie, JacobiError), (not_antisymmetric, AntisymmetryError)):
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "integer_transport", lambda T, P, t=1: (tensor, 1))
-            for target in (m, m.algebra):
-                with pytest.raises(error):
-                    target.change_basis(P)
+            with pytest.raises(error):
+                m.change_basis(P)
             with pytest.raises(error):
                 sweeps.scramble(table, m.gram, random.Random(343))
     not_symmetric = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
@@ -906,8 +904,8 @@ def _expected_failures(i, j, k):
 
 def test_connection_check_reports_a_perturbed_product_entry(monkeypatch):
     """Every single-entry +1 perturbation of the product gives the full
-    failure list, in order, that the check built from left_matrix,
-    right_matrix and mat_mul gave."""
+    failure list, in order, that the check built from the left and right
+    multiplication matrices and mat_mul gave."""
     assert sweeps._connection_failures(_axioms_instance(), "t") == []
     for entry in itertools.product(range(3), repeat=3):
         assert _perturbed_failures(monkeypatch, entry) == _expected_failures(*entry), entry
@@ -1319,7 +1317,8 @@ def test_verify_eq2_matches_its_definition(monkeypatch):
 def moved_product(m, w):
     """The product of m moved to the witness basis by `reference.transport`,
     an inverse of the basis included."""
-    return reference.transport(linalg.fraction_tensor(*metric.integer_product(m)), classc.witness_change_of_basis(w))
+    W = reference.transpose([w.e, *w.b_basis.basis, w.d])
+    return reference.transport(linalg.fraction_tensor(*metric.integer_product(m)), W)
 
 
 def closed_form_definition(moved, w, alpha):
@@ -1386,8 +1385,8 @@ def scalar_action_cases():
                 algebras.append(LieAlgebra.from_brackets(n, diagonal))
             nilpotent = {(0, j): [int(k == j + 1) for k in range(n)] for j in range(1, n - 1)}
             algebras.append(LieAlgebra.from_brackets(n, nilpotent))
-        algebras += [a.change_basis(rational_basis(rng, n)) for a in algebras]
         units = linalg.units(n)
+        algebras += [MetricLieAlgebra.make(a, units).change_basis(rational_basis(rng, n)).algebra for a in algebras]
         for a in algebras:
             plane = Subspace.span(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)])
             for U in (a.derived_subalgebra(), Subspace.span(n, units[1:]), plane):
@@ -1407,24 +1406,15 @@ def test_scalar_action_matches_the_fraction_restriction():
 
 
 def test_sweeps_run_no_membership_test_and_eliminate_int_rows(monkeypatch):
-    """`classc.detect` reads its transversal off the ideal's echelon rows,
-    so over whole sweeps no membership test under `Subspace.contains`
-    runs; and `restrict_form` hands `radical` and `congruence` its int
-    view, so the row clearing of `_bareiss` sees ints only."""
-    seen = {"coordinates": [], "rows": []}
-    pivot_entries, primitive_row = Subspace._pivot_entries, linalg._primitive_row
-
-    def spied_entries(self, v):
-        seen["coordinates"].append(all(type(x) is int for x in v))
-        return pivot_entries(self, v)
+    """`restrict_form` hands `radical` and `congruence` its int view, so
+    over whole sweeps the row clearing of `_bareiss` sees ints only."""
+    rows, primitive_row = [], linalg._primitive_row
 
     def spied_row(row):
-        seen["rows"].append(all(type(x) is int for x in row))
+        rows.append(all(type(x) is int for x in row))
         return primitive_row(row)
 
-    monkeypatch.setattr(Subspace, "_pivot_entries", spied_entries)
     monkeypatch.setattr(linalg, "_primitive_row", spied_row)
     for seed in (100, 101, 102):
         sweeps.run_all(seed, 40)
-    assert seen["coordinates"] == [] and len(seen["rows"]) > 5000
-    assert all(seen["rows"])
+    assert len(rows) > 5000 and all(rows)

@@ -380,7 +380,7 @@ def test_theorem1_instances_match_their_rotation():
         s, d = ([sum(c * x for c, x in zip(coefficients, column)) for column in zip(*basis)]
                 for basis, coefficients in ((killing, [rng.randint(-2, 2) for _ in killing]),
                                             (derived, [rng.randint(1, 2) for _ in derived])))
-        ad_s = np.array([[float(x) for x in row] for row in m.algebra.ad(s)])
+        ad_s = np.array([[float(x) for x in row] for row in reference.left_mult(m.algebra.c, s)])
         eigenvalues, V = np.linalg.eig(ad_s)
         s, d = np.array([float(x) for x in s]), np.array([float(x) for x in d])
         coordinates = np.linalg.solve(V, d)

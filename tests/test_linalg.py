@@ -180,7 +180,7 @@ def test_signature_congruence_invariance():
             entries = [rng.choice([-2, -1, 0, 1, 3]) for _ in range(n)]
             D = [[F(entries[i]) if i == j else F(0) for j in range(n)] for i in range(n)]
             Q = rational_basis(rng, n)
-            S = reference.mat_mul(linalg.transpose(Q), reference.mat_mul(D, Q))
+            S = reference.mat_mul(reference.transpose(Q), reference.mat_mul(D, Q))
             expected = (
                 sum(1 for x in entries if x > 0),
                 sum(1 for x in entries if x < 0),
@@ -188,7 +188,7 @@ def test_signature_congruence_invariance():
             )
             assert tuple(Signature.of(linalg.congruence(S)[1])) == expected
             P = rational_basis(rng, n)
-            S2 = reference.mat_mul(linalg.transpose(P), reference.mat_mul(S, P))
+            S2 = reference.mat_mul(reference.transpose(P), reference.mat_mul(S, P))
             assert Signature.of(linalg.congruence(S2)[1]) == Signature.of(linalg.congruence(S)[1])
 
 
@@ -198,7 +198,7 @@ def test_congruence_is_exact():
         for _ in range(10):
             S = rand_symmetric(rng, n)
             E, d = linalg.congruence(S)
-            D = reference.mat_mul(E, reference.mat_mul(S, linalg.transpose(E)))
+            D = reference.mat_mul(E, reference.mat_mul(S, reference.transpose(E)))
             assert all(D[i][j] == (d[i] if i == j else 0) for i in range(n) for j in range(n))
 
 
@@ -244,7 +244,7 @@ def test_radical_contained_and_counts_zeros():
         R, den = linalg.restrict_form(G, V)
         rad = linalg.radical(R, V)
         for row in rad.basis:
-            assert V.contains(row)
+            assert reference.rank([*V.basis, row]) == V.dim
             for w in V.basis:
                 assert reference.form(G, row, w) == 0
         # the induced form on V / radical is nondegenerate
@@ -343,55 +343,9 @@ def test_subspace_canonical_equality():
     a = Subspace.span(3, [[1, 1, 0], [0, 0, 1]])
     b = Subspace.span(3, [[2, 2, 2], [0, 0, -1], [1, 1, 1]])
     assert a == b
-    assert a.contains([3, 3, 5])
-    assert not a.contains([1, 0, 0])
+    assert reference.rank([*a.basis, [3, 3, 5]]) == a.dim
+    assert reference.rank([*a.basis, [1, 0, 0]]) == a.dim + 1
     assert Subspace.span(3, [[0, 0, 0]]).dim == 0
-    assert a.coordinates([3, 3, 5]) == [3, 5]
-    assert a.coordinates([1, 0, 0]) is None
-    assert Subspace(2, ()).coordinates([0, 0]) == []
-
-
-def test_coordinates_refuse_vectors_of_the_wrong_length():
-    V = Subspace.span(3, [[1, 0, 0]])
-    for v in ([1], [1, 0, 0, 5], []):
-        with pytest.raises(ValueError, match="ambient dimension 3"):
-            V.coordinates(v)
-        with pytest.raises(ValueError, match="ambient dimension 3"):
-            V.contains(v)
-    with pytest.raises(ValueError, match="ambient dimension 0"):
-        Subspace(0, ()).coordinates([0])
-    with pytest.raises(ValueError, match="ambient dimension 0"):
-        Subspace(0, ()).contains([0])
-
-
-def test_contains_is_coordinates_found(monkeypatch):
-    """`contains` decides membership on the int residual that `coordinates`
-    forms, so the two agree on members and non-members, int and Fraction
-    vectors, and the zero subspace; on int vectors `contains` builds no
-    Fraction at all."""
-    rng = random.Random(38)
-    cases = []
-    for n in range(1, 7):
-        for k in range(n + 1):
-            basis = rand_mat(rng, k, n)
-            V = Subspace.span(n, basis) if k else Subspace(n)
-            for _ in range(4):
-                coeffs = [rational(rng, 5) for _ in basis]
-                member = [sum((c * row[j] for c, row in zip(coeffs, basis)), F(0)) for j in range(n)]
-                (scaled,), _ = linalg.clear_denominators([member])
-                for v in (member, scaled, [rational(rng, 5) for _ in range(n)], [rng.randint(-3, 3) for _ in range(n)]):
-                    cases.append((V, v))
-    found = [V.coordinates(v) is not None for V, v in cases]
-    assert [V.contains(v) for V, v in cases] == found
-    assert sum(found) > 200 and len(found) - sum(found) > 100
-
-    def refuse(*args):
-        raise AssertionError("Fraction built")
-
-    monkeypatch.setattr(linalg, "Fraction", refuse)
-    ints = [i for i, (_, v) in enumerate(cases) if all(type(x) is int for x in v)]
-    assert len(ints) > 200 and 100 < sum(found[i] for i in ints) < len(ints) - 50
-    assert [cases[i][0].contains(cases[i][1]) for i in ints] == [found[i] for i in ints]
 
 
 def test_tensor_contraction_index_convention():
@@ -410,7 +364,7 @@ def test_tensor_contraction_index_convention():
         x = [rational(rng, 5) for _ in range(n)]
         y = [rational(rng, 5) for _ in range(n)]
         Txy = linalg.bilinear(T, x, y)
-        assert [linalg.dot(row, y) for row in linalg.left_matrix(T, x)] == Txy
+        assert [linalg.dot(row, y) for row in reference.left_mult(T, x)] == Txy
         assert [linalg.dot(row, x) for row in reference.right_mult(T, y)] == Txy
 
     # the transport of an antisymmetric view (C, E), pinned by the same contraction
@@ -424,7 +378,7 @@ def test_tensor_contraction_index_convention():
     P = rational_basis(rng, n)
     X, x = linalg.integer_transport(C, P, 7)
     moved = linalg.fraction_tensor(X, x)
-    cols = linalg.transpose(P)
+    cols = reference.transpose(P)
     assert [linalg.dot(row, moved[0][1]) for row in P] == linalg.bilinear(c, cols[0], cols[1])
     assert transport(X, fraction_inverse(P), x) == c
     with pytest.raises(SingularMatrixError):
