@@ -60,6 +60,31 @@ def test_constructor_refuses_a_bad_integer_view():
     assert LieAlgebra.from_brackets(2, {}, ["x", "y"]).labels == ("x", "y")
 
 
+def test_from_brackets_refuses_keys_outside_the_strict_upper_triangle():
+    """Only keys (i, j) with 0 <= i < j < dim are read: the lower triangle
+    is the antisymmetric completion, never a second entry."""
+    for key in ((1, 0), (1, 1), (-1, 1), (0, 3)):
+        with pytest.raises(ValueError, match=r"bracket key .* must satisfy 0 <= i < j < dim"):
+            LieAlgebra.from_brackets(3, {key: [0, 0, 1]})
+
+
+def test_from_brackets_refuses_rows_of_the_wrong_length():
+    """A short or long coefficient row is refused, not padded or truncated."""
+    for coeffs in ([0, 1], [0, 0, 1, 0], []):
+        with pytest.raises(ValueError, match=rf"bracket \(0, 1\) has {len(coeffs)} coefficients, expected 3"):
+            LieAlgebra.from_brackets(3, {(0, 1): coeffs})
+
+
+def test_from_brackets_refuses_floats_and_clears_fractions():
+    """Floats are refused; Fraction coefficients are cleared to the least
+    int view (C, E), which `c` reads back as the same Fractions."""
+    with pytest.raises(TypeError, match="inexact float"):
+        LieAlgebra.from_brackets(2, {(0, 1): [0, 0.5]})
+    half = LieAlgebra.from_brackets(2, {(0, 1): [0, F(1, 2)]})
+    assert (half.C, half.E) == ((((0, 0), (0, 1)), ((0, -1), (0, 0))), 2)
+    assert all(type(x) is int for plane in half.C for row in plane for x in row)
+    assert half.c[0][1] == (0, F(1, 2)) and half.c[1][0] == (0, F(-1, 2))
+
 def center(a):
     """{x : [x, y] = 0 for all y}, as an exact kernel."""
     n = a.dim

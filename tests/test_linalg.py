@@ -49,6 +49,31 @@ def test_frac_shares_fractions_and_refuses_floats():
         Subspace.span(2, [[1, 0], [F(1, 2), 0.25]])
 
 
+def test_span_refuses_vectors_of_the_wrong_length():
+    """A vector of another length is refused, not truncated or padded."""
+    for v in ([1], [1, 0, 0, 5], []):
+        with pytest.raises(ValueError, match=f"vector length {len(v)} != ambient dimension 3"):
+            Subspace.span(3, [[1, 0, 0], v])
+    with pytest.raises(ValueError, match="ambient dimension 0"):
+        Subspace.span(0, [[0]])
+    assert Subspace.span(0, []) == Subspace(0)
+
+
+def test_subspace_sum_refuses_different_ambient_spaces():
+    U, V = Subspace.span(3, [[1, 0, 0]]), Subspace.span(3, [[0, 2, 2]])
+    assert linalg.subspace_sum(U, V) == Subspace.span(3, [[1, 0, 0], [0, 1, 1]])
+    assert linalg.subspace_sum(U, Subspace(3)) == U == linalg.subspace_sum(U, U)
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        linalg.subspace_sum(U, Subspace.span(4, [[1, 0, 0, 0]]))
+
+
+def test_transport_form_and_radical_refuse_a_nonsymmetric_form():
+    with pytest.raises(NonSymmetricError):
+        linalg.transport_form([[1, 1], [0, 1]], linalg.units(2))
+    with pytest.raises(NonSymmetricError):
+        linalg.radical([[0, 1], [0, 0]], Subspace.full(2))
+    assert linalg.radical([], Subspace(2)) == Subspace(2)  # the zero subspace has no form to check
+
 @pytest.mark.parametrize("w", [1, 2, 3, 8, 61, 1001])
 def test_pack_round_trips_at_the_slot_limits(w):
     top = 2 ** (w - 1) - 1  # slot_width's bound: |v| < 2^(w-1)

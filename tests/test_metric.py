@@ -93,6 +93,29 @@ def test_constructor_refuses_a_bad_gram_view():
         MetricLieAlgebra(a, ((1, 1), (1, 1)), 1)
 
 
+def test_in_basis_refuses_a_gram_of_the_wrong_size_and_a_bad_denominator():
+    m = catalog.build("rot3")
+    a, P = m.algebra, linalg.units(3)
+    for gram in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0]], [[1, 0, 0, 0]] * 4):
+        with pytest.raises(ValueError, match="Gram matrix size must match"):
+            MetricLieAlgebra.in_basis((a.C, a.E), gram, P)
+    for g in (0, -1):
+        with pytest.raises(ValueError, match="denominator g must be positive"):
+            MetricLieAlgebra.in_basis((a.C, a.E), m.G, P, g)
+    same = MetricLieAlgebra.in_basis((a.C, a.E), m.G, P, m.g)
+    assert (same.algebra.C, same.algebra.E, same.G, same.g) == (a.C, a.E, m.G, m.g)
+
+
+def test_scale_gram_refuses_zero_and_floats():
+    m = catalog.build("rot3")
+    for f in (0, F(0), "0/5"):
+        with pytest.raises(ValueError, match="scale factor must be nonzero"):
+            m.scale_gram(f)
+    with pytest.raises(TypeError, match="inexact float"):
+        m.scale_gram(0.5)
+    assert tuple(m.scale_gram(-1).signature) == (1, 2, 0)
+    assert m.scale_gram(F(2, 3)).scale_gram(F(3, 2)) == m
+
 def test_levi_civita_abelian_is_zero():
     m = abelian_minkowski()
     p = fraction_product(m)
